@@ -11,18 +11,19 @@
 //! * `parallel_warm`     — the service with a pre-warmed store (the
 //!   re-verification case: zero element jobs),
 //! * `step2_sequential` / `step2_parallel` — a warm full-matrix composition
-//!   pass with the suspect × prefix feasibility checks inline vs fanned out
-//!   over the work-stealing pool (`ParallelComposition`); Step 1 is cached,
-//!   so these isolate the Step-2 scaling.
+//!   pass, one scenario at a time, on a 1-thread service (the fold computes
+//!   every suspect × prefix check itself) vs an n-thread one (the parked
+//!   workers precompute shard ranges for the fold); Step 1 is cached, so
+//!   these isolate the Step-2 scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dataplane_bench::{json_record, json_write, row};
 use dataplane_orchestrator::conformance::{plan_fuzz_shards, run_fuzz_jobs};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    join_fleet, parallel_composition, preset_scenarios, serve_listener, verify_sequential,
-    ComposeShardMode, CompositionMode, Daemon, DaemonClient, DaemonConfig, Executor, ScenarioSpec,
-    SummaryStore, VerifyRequest, VerifyService, WorkerAddr, WorkerFleet,
+    join_fleet, preset_scenarios, serve_listener, ComposeShardMode, Daemon, DaemonClient,
+    DaemonConfig, Executor, ScenarioSpec, SummaryStore, VerifyRequest, VerifyService, WorkerAddr,
+    WorkerFleet,
 };
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
@@ -33,7 +34,7 @@ fn sequential_fresh() -> usize {
     preset_scenarios()
         .iter()
         .map(|s| {
-            let report = verify_sequential(&s.pipeline, &s.property, &options);
+            let report = Verifier::with_options(options.clone()).verify(&s.pipeline, &s.property);
             report.counterexamples.len()
         })
         .sum()
@@ -52,24 +53,27 @@ fn sequential_shared() -> usize {
         .sum()
 }
 
-/// One warm composition pass over the whole matrix: the verifier's summary
-/// cache is pre-filled, so the measured time is Step 2 (composition +
-/// feasibility checks) only.
-fn warm_composition_pass(options: &VerifierOptions) -> (Duration, usize) {
-    let mut verifier = Verifier::with_options(options.clone());
-    for s in preset_scenarios() {
-        verifier.verify(&s.pipeline, &s.property);
-    }
-    let start = Instant::now();
-    let counterexamples = preset_scenarios()
-        .iter()
+/// One composition pass over the whole matrix, one scenario at a time, on
+/// a service whose store is warm — the measured time is Step 2 only, and
+/// any parallelism is within a composition (shards on parked workers).
+fn compose_pass(service: &VerifyService) -> usize {
+    preset_scenarios()
+        .into_iter()
         .map(|s| {
-            verifier
-                .verify(&s.pipeline, &s.property)
+            service.run_matrix(vec![s]).scenarios[0]
+                .report
                 .counterexamples
                 .len()
         })
-        .sum();
+        .sum()
+}
+
+/// [`compose_pass`] timed, after a warm-up pass that fills the store.
+fn warm_composition_pass(threads: usize) -> (Duration, usize) {
+    let service = VerifyService::new().with_threads(threads);
+    compose_pass(&service);
+    let start = Instant::now();
+    let counterexamples = compose_pass(&service);
     (start.elapsed(), counterexamples)
 }
 
@@ -107,13 +111,9 @@ fn report() {
     let warm_counterexamples = parallel(threads, &service);
     let t_warm = start.elapsed();
 
-    // Step-2 isolation: warm composition passes, inline vs parallel checks.
-    let (t_step2_seq, step2_seq_counterexamples) =
-        warm_composition_pass(&VerifierOptions::default());
-    let (t_step2_par, step2_par_counterexamples) = warm_composition_pass(&VerifierOptions {
-        parallel: parallel_composition(threads),
-        ..VerifierOptions::default()
-    });
+    // Step-2 isolation: warm composition passes, inline vs sharded fold.
+    let (t_step2_seq, step2_seq_counterexamples) = warm_composition_pass(1);
+    let (t_step2_par, step2_par_counterexamples) = warm_composition_pass(threads);
 
     assert_eq!(fresh_counterexamples, shared_counterexamples);
     assert_eq!(fresh_counterexamples, cold_counterexamples);
@@ -144,50 +144,30 @@ fn report() {
         ],
     );
 
-    // Scheduling-mode comparison on a warm store: the shared pool (one
-    // thread budget for scenario- and check-level work; live solver threads
-    // bounded by the pool size) vs the legacy per-composition scoped
-    // budgets (ceiling `scenarios × step2_threads` live threads) vs inline
-    // Step-2.
-    let step2_threads = 2usize;
-    let mut scheduler_rows = Vec::new();
-    for (scheduler, mode) in [
-        ("shared_pool", CompositionMode::SharedPool),
-        ("per_composition", CompositionMode::Scoped(step2_threads)),
-        ("sequential_step2", CompositionMode::Sequential),
-    ] {
-        let service = VerifyService::new()
-            .with_threads(threads)
-            .with_composition_mode(mode);
-        let warm_count = parallel(threads, &service); // warm the store
-        assert_eq!(warm_count, fresh_counterexamples);
-        let start = Instant::now();
-        let matrix = service.run_matrix(preset_scenarios());
-        let elapsed = start.elapsed();
-        let thread_ceiling = match mode {
-            CompositionMode::SharedPool => threads,
-            CompositionMode::Scoped(n) => threads * n,
-            CompositionMode::Sequential => threads,
-        };
-        assert!(
-            matrix.peak_live_threads <= threads,
-            "pool budget exceeded: {}",
-            matrix.peak_live_threads
-        );
-        scheduler_rows.push((scheduler, elapsed, matrix.peak_live_threads, thread_ceiling));
-    }
-    for (scheduler, elapsed, peak, ceiling) in scheduler_rows {
-        row(
-            "e7-parallel-verification",
-            &[
-                ("mode", format!("scheduler_{scheduler}")),
-                ("threads", threads.to_string()),
-                ("seconds", format!("{:.3}", elapsed.as_secs_f64())),
-                ("pool_peak_live_threads", peak.to_string()),
-                ("solver_thread_ceiling", ceiling.to_string()),
-            ],
-        );
-    }
+    // The whole matrix on a warm store over the shared pool: one thread
+    // budget for scenario- and shard-level work, live solver threads
+    // bounded by the pool size.
+    let start = Instant::now();
+    let matrix = service.run_matrix(preset_scenarios());
+    let elapsed = start.elapsed();
+    assert!(
+        matrix.peak_live_threads <= threads,
+        "pool budget exceeded: {}",
+        matrix.peak_live_threads
+    );
+    row(
+        "e7-parallel-verification",
+        &[
+            ("mode", "scheduler_shared_pool".to_string()),
+            ("threads", threads.to_string()),
+            ("seconds", format!("{:.3}", elapsed.as_secs_f64())),
+            (
+                "pool_peak_live_threads",
+                matrix.peak_live_threads.to_string(),
+            ),
+            ("solver_thread_ceiling", threads.to_string()),
+        ],
+    );
 
     for (mode, used_threads, elapsed) in [
         ("sequential_fresh", 1, t_fresh),
@@ -799,34 +779,14 @@ fn bench(c: &mut Criterion) {
     let warm = VerifyService::new().with_threads(threads);
     parallel(threads, &warm); // pre-warm the store
     group.bench_function("parallel_warm", |b| b.iter(|| parallel(threads, &warm)));
-    // Warm verifiers reused across iterations: the measured body is one
+    // Warm services reused across iterations: the measured body is one
     // full-matrix composition pass (Step 2 only).
-    let mut step2_seq = Verifier::new();
-    let mut step2_par = Verifier::with_options(VerifierOptions {
-        parallel: parallel_composition(threads),
-        ..VerifierOptions::default()
-    });
-    for s in preset_scenarios() {
-        step2_seq.verify(&s.pipeline, &s.property);
-        step2_par.verify(&s.pipeline, &s.property);
-    }
-    let compose_pass = |verifier: &mut Verifier| -> usize {
-        preset_scenarios()
-            .iter()
-            .map(|s| {
-                verifier
-                    .verify(&s.pipeline, &s.property)
-                    .counterexamples
-                    .len()
-            })
-            .sum()
-    };
-    group.bench_function("step2_sequential", |b| {
-        b.iter(|| compose_pass(&mut step2_seq))
-    });
-    group.bench_function("step2_parallel", |b| {
-        b.iter(|| compose_pass(&mut step2_par))
-    });
+    let step2_seq = VerifyService::new().with_threads(1);
+    let step2_par = VerifyService::new().with_threads(threads);
+    compose_pass(&step2_seq);
+    compose_pass(&step2_par);
+    group.bench_function("step2_sequential", |b| b.iter(|| compose_pass(&step2_seq)));
+    group.bench_function("step2_parallel", |b| b.iter(|| compose_pass(&step2_par)));
     group.finish();
     // `--json [PATH]` on the bench argv writes every recorded row as
     // machine-readable JSON (default BENCH_e7.json); a no-op otherwise.

@@ -54,7 +54,7 @@ pub use report::{
 };
 pub use summary::{summary_key, ElementSummary, SummaryCache};
 pub use verifier::{
-    materialise_packet, run_violates_property, CheckOutcome, CheckRecord, ComposeExecutor,
-    ComposeOutline, ComposeShardResult, EscalationLadder, OutlineNode, ParallelComposition,
-    ShardEdge, ShardNodeRecord, ShardTiming, Verifier, VerifierOptions, ESCALATION_FACTOR,
+    materialise_packet, run_violates_property, CheckOutcome, CheckRecord, ComposeOutline,
+    ComposeShardResult, EscalationLadder, OutlineNode, ShardEdge, ShardNodeRecord, ShardTiming,
+    Verifier, VerifierOptions, ESCALATION_FACTOR,
 };

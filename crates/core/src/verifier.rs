@@ -20,70 +20,8 @@ use dataplane_symbex::{
     Solver, SolverConfig, SolverResult,
 };
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Runs a batch of independent Step-2 worker jobs. Implementations may run
-/// the jobs in any order, concurrently; every job must have returned before
-/// `run_batch` does. The verifier hands this executor *worker loops* over
-/// its own walk queue (so the executor never needs to understand the walk),
-/// and the sequential fallback simply runs them in submission order — an
-/// executor never changes *what* is computed, only on how many cores.
-pub trait ComposeExecutor: Send + Sync {
-    /// Run every job to completion.
-    fn run_batch<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>);
-
-    /// How many jobs this executor can usefully run at once (including the
-    /// calling thread). The verifier submits this many walk workers.
-    fn parallelism(&self) -> usize {
-        1
-    }
-}
-
-/// Step-2 parallelism configuration: how the suspect × prefix feasibility
-/// checks inside one composition are dispatched. The checks are independent
-/// solver calls, so fanning them out over a thread pool preserves the report
-/// byte-for-byte (results are folded back in enumeration order) while the
-/// slowest verification phase scales with cores.
-#[derive(Clone, Default)]
-pub struct ParallelComposition {
-    executor: Option<Arc<dyn ComposeExecutor>>,
-}
-
-impl ParallelComposition {
-    /// Run feasibility checks inline, in enumeration order (the default).
-    pub fn sequential() -> Self {
-        ParallelComposition::default()
-    }
-
-    /// Dispatch feasibility checks over `executor`.
-    pub fn over(executor: Arc<dyn ComposeExecutor>) -> Self {
-        ParallelComposition {
-            executor: Some(executor),
-        }
-    }
-
-    /// The configured executor, if any.
-    pub fn executor(&self) -> Option<&Arc<dyn ComposeExecutor>> {
-        self.executor.as_ref()
-    }
-
-    /// True when checks will be dispatched to an executor.
-    pub fn is_parallel(&self) -> bool {
-        self.executor.is_some()
-    }
-}
-
-impl fmt::Debug for ParallelComposition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelComposition")
-            .field("parallel", &self.is_parallel())
-            .finish()
-    }
-}
 
 /// Options controlling the verifier's behaviour and budgets.
 #[derive(Clone, Debug)]
@@ -108,8 +46,6 @@ pub struct VerifierOptions {
     pub escalate_budgets: bool,
     /// The escalation ladder climbed when `escalate_budgets` is set.
     pub ladder: EscalationLadder,
-    /// How Step-2 feasibility checks are dispatched (sequential by default).
-    pub parallel: ParallelComposition,
 }
 
 /// The default geometric growth factor of the escalation ladder (each rung
@@ -212,7 +148,6 @@ impl Default for VerifierOptions {
             solver: SolverConfig::default(),
             escalate_budgets: true,
             ladder: EscalationLadder::default(),
-            parallel: ParallelComposition::sequential(),
         }
     }
 }
@@ -265,24 +200,6 @@ impl Verifier {
         for summary in summaries {
             self.cache.insert(summary);
         }
-    }
-
-    /// Decide one composition (Step 2) from pre-computed — typically
-    /// *deserialized* — element summaries: seed them, then verify. This is
-    /// the entry point a remote worker uses when a composition job arrives
-    /// on the wire carrying the scenario and its summaries: every seeded
-    /// behaviour is served from the cache, any summary missing (its
-    /// exploration exceeded the engine budget) is re-attempted inline, and
-    /// the report is byte-identical to a fully local run under the same
-    /// options.
-    pub fn decide_composition(
-        &mut self,
-        pipeline: &Pipeline,
-        property: &Property,
-        summaries: impl IntoIterator<Item = Arc<ElementSummary>>,
-    ) -> Report {
-        self.seed_summaries(summaries);
-        self.verify(pipeline, property)
     }
 
     /// Step 1: summaries and suspect tagging, with the stats bookkeeping of
@@ -338,16 +255,52 @@ impl Verifier {
         }
     }
 
-    /// Verify `property` over `pipeline`.
-    pub fn verify(&mut self, pipeline: &Pipeline, property: &Property) -> Report {
-        self.verify_inner(pipeline, property, None)
+    /// The shared context of a Step-2 walk over Step 1's product. `hints`
+    /// seed the solver's model search; the solver-free outline pass passes
+    /// none.
+    fn walk_ctx<'a>(
+        &'a self,
+        pipeline: &'a Pipeline,
+        property: &'a Property,
+        (summaries, suspects): Step1Product,
+        hints: Vec<dataplane_symbex::Assignment>,
+    ) -> WalkCtx<'a> {
+        WalkCtx {
+            pipeline,
+            property,
+            summaries,
+            suspects,
+            composer: Composer::new(),
+            hints,
+            options: &self.options,
+            solver: &self.solver,
+        }
     }
 
-    fn verify_inner(
+    /// Verify `property` over `pipeline`: the Step-2 fold with no shard
+    /// records, so every node of the walk is computed inline.
+    pub fn verify(&mut self, pipeline: &Pipeline, property: &Property) -> Report {
+        self.fold(
+            pipeline,
+            property,
+            &ComposeOutline::default(),
+            BTreeMap::new(),
+        )
+    }
+
+    /// Step 1, then the one Step-2 walk: a depth-first fold over the
+    /// pipeline's prefix tree that consumes whatever `records` shards
+    /// precomputed (matched to nodes through `outline`'s pre-order indices)
+    /// and computes every other solver unit inline. All composed terms use
+    /// depth-indexed namespaces, so what a node computes is a pure function
+    /// of its path — the report is byte-identical whatever the records
+    /// cover.
+    fn fold(
         &mut self,
         pipeline: &Pipeline,
         property: &Property,
-        shard: Option<(&ComposeOutline, BTreeMap<usize, ShardNodeRecord>)>,
+        outline: &ComposeOutline,
+        mut records: BTreeMap<usize, ShardNodeRecord>,
     ) -> Report {
         let start = Instant::now();
         let mut stats = VerificationStats {
@@ -356,7 +309,7 @@ impl Verifier {
         };
 
         // ---------------- Step 1: summaries and suspects -------------------
-        let (summaries, suspects) = match self.step1(pipeline, property, &mut stats) {
+        let step1 = match self.step1(pipeline, property, &mut stats) {
             Ok(s) => s,
             Err(reason) => {
                 return Report {
@@ -377,7 +330,7 @@ impl Verifier {
         // Büchi-product search over the same Step-1 summaries instead of
         // the suspect × prefix walk.
         if let Property::Temporal(spec) = property {
-            return self.verify_temporal(pipeline, spec, &summaries, stats, start);
+            return self.verify_temporal(pipeline, spec, &step1.0, stats, start);
         }
 
         if stats.suspects == 0 {
@@ -392,31 +345,7 @@ impl Verifier {
         }
 
         // ---------------- Step 2: composition ------------------------------
-        // The walk over the pipeline's prefix tree is expressed as tasks:
-        // visiting a node decides its suspect × prefix feasibility checks
-        // and, for every forwarding segment, *speculatively* schedules the
-        // child subtree before the prefix-feasibility (pruning) check for
-        // that child has finished — a pruned prefix then cancels its
-        // in-flight descendants through a `CancelToken` tree. All composed
-        // terms use depth-indexed namespaces, so what a node computes is a
-        // pure function of its path, independent of scheduling. A final
-        // single-threaded fold replays the sequential walk order over the
-        // computed records (computing inline whatever speculation did not
-        // cover), which makes the report byte-identical however many
-        // workers the configured `ParallelComposition` executor brought.
-        let ctx = WalkCtx {
-            pipeline,
-            property,
-            summaries: &summaries,
-            suspects: &suspects,
-            composer: Composer::new(),
-            hints: build_hints(property),
-            options: &self.options,
-            solver: &self.solver,
-            escalate: self.options.escalate_budgets,
-            ladder_spec: self.options.ladder.clone(),
-        };
-        let root = Verifier::root_input(pipeline);
+        let ctx = self.walk_ctx(pipeline, property, step1, build_hints(property));
         let mut fold = FoldState {
             ctx: &ctx,
             stats: &mut stats,
@@ -424,28 +353,12 @@ impl Verifier {
             unproven: Vec::new(),
             budget_exhausted: false,
         };
-        match shard {
-            Some((outline, mut records)) => {
-                fold.fold_sharded(root, Some(0), outline, &mut records);
-            }
-            None => match self.options.parallel.executor() {
-                Some(executor) if executor.parallelism() > 1 => {
-                    let state = WalkState::new(&ctx, self.options.max_composed_paths);
-                    let root_id = state.seed(root);
-                    let workers = executor.parallelism();
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..workers)
-                        .map(|_| {
-                            let state = &state;
-                            Box::new(move || state.drain()) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    executor.run_batch(jobs);
-                    let slot = state.take(root_id);
-                    fold.fold_slot(slot, &state);
-                }
-                _ => fold.fold_input(root, None),
-            },
-        }
+        fold.fold_sharded(
+            Verifier::root_input(pipeline),
+            Some(0),
+            outline,
+            &mut records,
+        );
         let budget_exhausted = fold.budget_exhausted;
         let counterexamples = fold.counterexamples;
         let mut unproven = fold.unproven;
@@ -643,22 +556,11 @@ impl Verifier {
     ) -> Option<ComposeOutline> {
         self.seed_summaries(summaries);
         let mut stats = VerificationStats::default();
-        let (summaries, suspects) = self.step1(pipeline, property, &mut stats).ok()?;
+        let step1 = self.step1(pipeline, property, &mut stats).ok()?;
         if stats.suspects == 0 {
             return None;
         }
-        let ctx = WalkCtx {
-            pipeline,
-            property,
-            summaries: &summaries,
-            suspects: &suspects,
-            composer: Composer::new(),
-            hints: Vec::new(),
-            options: &self.options,
-            solver: &self.solver,
-            escalate: self.options.escalate_budgets,
-            ladder_spec: self.options.ladder.clone(),
-        };
+        let ctx = self.walk_ctx(pipeline, property, step1, Vec::new());
         let mut outline = ComposeOutline::default();
         outline_walk(
             &ctx,
@@ -714,24 +616,13 @@ impl Verifier {
     ) -> ComposeShardResult {
         self.seed_summaries(summaries);
         let mut stats = VerificationStats::default();
-        let Ok((summaries, suspects)) = self.step1(pipeline, property, &mut stats) else {
+        let Ok(step1) = self.step1(pipeline, property, &mut stats) else {
             return ComposeShardResult::default();
         };
         if stats.suspects == 0 {
             return ComposeShardResult::default();
         }
-        let ctx = WalkCtx {
-            pipeline,
-            property,
-            summaries: &summaries,
-            suspects: &suspects,
-            composer: Composer::new(),
-            hints: build_hints(property),
-            options: &self.options,
-            solver: &self.solver,
-            escalate: self.options.escalate_budgets,
-            ladder_spec: self.options.ladder.clone(),
-        };
+        let ctx = self.walk_ctx(pipeline, property, step1, build_hints(property));
         let mut result = ComposeShardResult::default();
         let mut st = ShardWalkState {
             start,
@@ -759,8 +650,8 @@ impl Verifier {
     /// stolen remainders — are merged slot-wise first), and every slot or
     /// node nothing shipped (sparse shards, a cancelled sibling, the
     /// enumeration cap, a dead worker) is computed inline. The result is
-    /// byte-identical to [`Verifier::decide_composition`] under the same
-    /// options, whatever the shard boundaries or fleet shape were.
+    /// byte-identical to [`Verifier::verify`] under the same options,
+    /// whatever the shard boundaries or fleet shape were.
     pub fn fold_composition_shards(
         &mut self,
         pipeline: &Pipeline,
@@ -803,7 +694,7 @@ impl Verifier {
                 }
             }
         }
-        self.verify_inner(pipeline, property, Some((outline, merged)))
+        self.fold(pipeline, property, outline, merged)
     }
 
     fn summarise(
@@ -954,16 +845,6 @@ pub struct CheckRecord {
     pub prefiltered: bool,
 }
 
-/// Where a forwarding edge's child subtree lives.
-enum ChildSlot {
-    /// Speculatively scheduled into the parallel walk's arena.
-    Spawned(usize),
-    /// Not scheduled — the fold computes it inline when it commits the edge
-    /// (the input is kept even for pruned edges, so the shard walk can keep
-    /// enumerating the interval-feasible tree past them).
-    Inline(WalkInput),
-}
-
 /// One derived forwarding edge: the child node's input and the
 /// contextualised prefix constraint the pruning check (and its interval
 /// pre-filter) decides.
@@ -973,18 +854,6 @@ struct EdgeChild {
     /// The interval-only pre-filter proved the prefix infeasible (only
     /// evaluated when the caller asked for it and pruning is on).
     prefiltered: bool,
-}
-
-/// One forwarding edge out of a walk node, in segment-enumeration order.
-struct EdgeRecord {
-    /// The interval-only pre-filter proved the prefix through this edge
-    /// infeasible; no pruning solver call was made.
-    prefiltered: bool,
-    /// A prefix-feasibility solver call was made for this edge.
-    pruned_call: bool,
-    /// The composed prefix through this edge is (possibly) feasible.
-    feasible: bool,
-    child: ChildSlot,
 }
 
 /// The serialisable form of one forwarding edge's pruning outcome, as a
@@ -1182,28 +1051,17 @@ impl ComposeOutline {
     }
 }
 
-/// Everything one walk node computed: its decided suspect checks and its
-/// forwarding edges, both in enumeration order.
-struct NodeRecord {
-    checks: Vec<CheckRecord>,
-    edges: Vec<EdgeRecord>,
-}
-
-/// Immutable context shared by the whole Step-2 walk. Everything in here is
-/// `Sync`, so walk workers on any [`ComposeExecutor`] can share it.
+/// Immutable context shared by the whole Step-2 walk (fold, outline, and
+/// shard walks alike).
 struct WalkCtx<'a> {
     pipeline: &'a Pipeline,
     property: &'a Property,
-    summaries: &'a [Arc<ElementSummary>],
-    suspects: &'a [Vec<usize>],
+    summaries: Vec<Arc<ElementSummary>>,
+    suspects: Vec<Vec<usize>>,
     composer: Composer,
     hints: Vec<dataplane_symbex::Assignment>,
     options: &'a VerifierOptions,
     solver: &'a Solver,
-    /// Whether undecided stage-budget aborts climb the escalation ladder.
-    escalate: bool,
-    /// The ladder configuration (for the wall-clock cap and reporting).
-    ladder_spec: EscalationLadder,
 }
 
 /// Build hint assignments for the solver's model search: structurally valid
@@ -1359,72 +1217,6 @@ fn concretise_static_reads(
 }
 
 impl<'a> WalkCtx<'a> {
-    /// Enumerate and decide everything local to one walk node: its suspect ×
-    /// prefix feasibility checks and the feasibility of each forwarding
-    /// edge. When `spawn` is given (the parallel walk), every child input is
-    /// handed to it *before* that child's pruning check runs — speculative
-    /// subtree exploration — together with a derived [`CancelToken`]; a
-    /// pruning check that then defeats the edge cancels the token, stopping
-    /// the child's in-flight descendants however deep they have got.
-    fn compute_node(
-        &self,
-        input: &WalkInput,
-        cancel: &CancelToken,
-        mut spawn: Option<&mut dyn FnMut(WalkInput, CancelToken) -> usize>,
-    ) -> NodeRecord {
-        let mut checks = Vec::new();
-        for seg_idx in self.surviving_suspects(input) {
-            let constraint = self.check_constraint(input, seg_idx);
-            checks.push(self.run_check(input.element, seg_idx, &constraint, &input.path, cancel));
-        }
-
-        let mut edges = Vec::new();
-        for ec in self.edge_children(input, true) {
-            let EdgeChild {
-                child,
-                contextual,
-                prefiltered,
-            } = ec;
-            // Speculate first, prune second: the child subtree may already
-            // be exploring on another worker while its prefix is checked.
-            let (slot, child_token) = match spawn.as_deref_mut() {
-                Some(spawn) => {
-                    let token = cancel.child();
-                    (ChildSlot::Spawned(spawn(child, token.clone())), Some(token))
-                }
-                None => (ChildSlot::Inline(child), None),
-            };
-            let (pruned_call, feasible) = if prefiltered {
-                // The interval-only pre-filter already proved the prefix
-                // infeasible: prune without a full solver call.
-                (false, false)
-            } else if self.options.prune_prefixes {
-                let infeasible = self
-                    .solver
-                    .check_diagnosed_cancel(&contextual, cancel)
-                    .0
-                    .is_unsat();
-                (true, !infeasible)
-            } else {
-                (false, true)
-            };
-            if !feasible {
-                // The prefix through this edge is infeasible: cancel the
-                // speculative subtree (its in-flight solver calls abort).
-                if let Some(token) = child_token {
-                    token.cancel();
-                }
-            }
-            edges.push(EdgeRecord {
-                prefiltered,
-                pruned_call,
-                feasible,
-                child: slot,
-            });
-        }
-        NodeRecord { checks, edges }
-    }
-
     /// Derive the forwarding edges of `input`, in segment-enumeration
     /// order: the child [`WalkInput`] plus the contextualised prefix
     /// constraint its pruning check decides. When `prefilter` is set (and
@@ -1526,28 +1318,6 @@ impl<'a> WalkCtx<'a> {
         self.surviving_suspects(input).len()
     }
 
-    /// Compute the subset of `input`'s suspect checks selected by `want`
-    /// (by surviving-check position), returning a slot vector aligned with
-    /// the node's check enumeration. The fold uses this to fill the check
-    /// slots no shard's unit range covered.
-    fn compute_checks_where(
-        &self,
-        input: &WalkInput,
-        mut want: impl FnMut(usize) -> bool,
-        cancel: &CancelToken,
-    ) -> Vec<Option<CheckRecord>> {
-        self.surviving_suspects(input)
-            .into_iter()
-            .enumerate()
-            .map(|(k, seg_idx)| {
-                want(k).then(|| {
-                    let constraint = self.check_constraint(input, seg_idx);
-                    self.run_check(input.element, seg_idx, &constraint, &input.path, cancel)
-                })
-            })
-            .collect()
-    }
-
     /// Decide one forwarding edge's pruning outcome exactly as the
     /// sequential walk would: interval pre-filter first, then the pruning
     /// solver call. The fold uses this for edge slots no shard covered.
@@ -1646,6 +1416,7 @@ impl<'a> WalkCtx<'a> {
                 confirmed,
             })
         };
+        let ladder = &self.options.ladder;
         let check_started = Instant::now();
         let (result, diag) =
             self.solver
@@ -1675,10 +1446,12 @@ impl<'a> WalkCtx<'a> {
                     let mut retried = None;
                     let mut abort_fm = diag.fm_budget_exhausted;
                     let mut abort_search = diag.model_search_exhausted;
-                    if (abort_fm || abort_search) && self.escalate && !cancel.is_cancelled() {
-                        for rung in 0..self.ladder_spec.steps as usize {
-                            if self
-                                .ladder_spec
+                    if (abort_fm || abort_search)
+                        && self.options.escalate_budgets
+                        && !cancel.is_cancelled()
+                    {
+                        for rung in 0..ladder.steps as usize {
+                            if ladder
                                 .wall_cap
                                 .is_some_and(|cap| check_started.elapsed() >= cap)
                                 || cancel.is_cancelled()
@@ -1687,7 +1460,7 @@ impl<'a> WalkCtx<'a> {
                             }
                             escalated = true;
                             rungs_climbed = rung as u32 + 1;
-                            let solver = self.ladder_spec.solver_for(
+                            let solver = ladder.solver_for(
                                 self.solver.config(),
                                 rung as u32,
                                 abort_fm,
@@ -1726,7 +1499,7 @@ impl<'a> WalkCtx<'a> {
                             } else if escalated {
                                 format!(
                                     " ({stages}; budgets escalated to x{} without a verdict)",
-                                    self.ladder_spec.multiplier(rungs_climbed.saturating_sub(1))
+                                    ladder.multiplier(rungs_climbed.saturating_sub(1))
                                 )
                             } else {
                                 format!(" ({stages})")
@@ -1866,157 +1639,11 @@ impl<'a> WalkCtx<'a> {
     }
 }
 
-/// Arena slot for one node of the parallel walk.
-enum Slot {
-    /// Scheduled, not yet processed.
-    Pending,
-    /// Fully processed.
-    Done(NodeRecord),
-    /// Skipped because the speculation cap was reached; the fold computes
-    /// it inline if it commits the node.
-    Deferred(WalkInput),
-    /// Skipped (or abandoned mid-computation) because its token fired. A
-    /// cancelled node sits behind a pruned edge, which the fold never
-    /// commits; the input is kept so even a logic slip stays recoverable
-    /// instead of panicking.
-    Cancelled(WalkInput),
-}
-
-/// One scheduled subtree visit of the parallel walk.
-struct QueueItem {
-    id: usize,
-    input: WalkInput,
-    token: CancelToken,
-}
-
-/// Shared state of the speculative parallel walk: the work queue of
-/// scheduled subtree visits and the arena their results land in. Workers
-/// are plain closures over [`WalkState::drain`], so any [`ComposeExecutor`]
-/// can run them.
-struct WalkState<'w, 'a> {
-    ctx: &'w WalkCtx<'a>,
-    queue: Mutex<VecDeque<QueueItem>>,
-    /// Results per node. Processed nodes drop their composed constraints
-    /// (a `Done` record keeps only outcomes and edge bits); inputs survive
-    /// only in unprocessed queue items and `Deferred`/`Cancelled` slots,
-    /// all bounded through `cap` — a different memory shape from the old
-    /// 1024-check buffer, bounded by the composed-path budget instead.
-    arena: Mutex<Vec<Slot>>,
-    /// Scheduled-but-unfinished items (queued or mid-process).
-    pending: AtomicUsize,
-    /// Nodes actually processed. Bounds speculative work at the composed-
-    /// path budget, so a walk the sequential verifier would abandon cannot
-    /// explode under speculation; anything past the cap is deferred to the
-    /// fold, which applies the real budget.
-    entered: AtomicUsize,
-    cap: usize,
-    /// Parked-worker wakeup: the epoch bumps whenever new work may exist.
-    signal: (Mutex<u64>, Condvar),
-}
-
-impl<'w, 'a> WalkState<'w, 'a> {
-    fn new(ctx: &'w WalkCtx<'a>, cap: usize) -> Self {
-        WalkState {
-            ctx,
-            queue: Mutex::new(VecDeque::new()),
-            arena: Mutex::new(Vec::new()),
-            pending: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
-            cap,
-            signal: (Mutex::new(0), Condvar::new()),
-        }
-    }
-
-    /// Schedule the root node; returns its arena id.
-    fn seed(&self, input: WalkInput) -> usize {
-        self.spawn(input, CancelToken::new())
-    }
-
-    fn spawn(&self, input: WalkInput, token: CancelToken) -> usize {
-        let id = {
-            let mut arena = self.arena.lock().expect("walk arena");
-            arena.push(Slot::Pending);
-            arena.len() - 1
-        };
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        self.queue
-            .lock()
-            .expect("walk queue")
-            .push_back(QueueItem { id, input, token });
-        self.wake();
-        id
-    }
-
-    fn wake(&self) {
-        let mut epoch = self.signal.0.lock().expect("walk signal");
-        *epoch += 1;
-        self.signal.1.notify_all();
-    }
-
-    /// Remove and return the slot for `id` (the fold consumes each node
-    /// exactly once).
-    fn take(&self, id: usize) -> Slot {
-        std::mem::replace(
-            &mut self.arena.lock().expect("walk arena")[id],
-            Slot::Pending,
-        )
-    }
-
-    /// Worker loop: process scheduled visits until every one has finished.
-    fn drain(&self) {
-        loop {
-            // Snapshot the epoch before looking for work so the parked wait
-            // below cannot miss a wake-up.
-            let seen_epoch = *self.signal.0.lock().expect("walk signal");
-            let item = self.queue.lock().expect("walk queue").pop_front();
-            match item {
-                Some(item) => {
-                    self.process(item);
-                    if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        self.wake();
-                    }
-                }
-                None => {
-                    if self.pending.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    let mut epoch = self.signal.0.lock().expect("walk signal");
-                    while *epoch == seen_epoch && self.pending.load(Ordering::Acquire) > 0 {
-                        epoch = self.signal.1.wait(epoch).expect("walk signal");
-                    }
-                }
-            }
-        }
-    }
-
-    fn process(&self, item: QueueItem) {
-        let QueueItem { id, input, token } = item;
-        let slot = if token.is_cancelled() {
-            Slot::Cancelled(input)
-        } else if self.entered.fetch_add(1, Ordering::Relaxed) >= self.cap {
-            Slot::Deferred(input)
-        } else {
-            let mut spawn = |child: WalkInput, child_token: CancelToken| -> usize {
-                self.spawn(child, child_token)
-            };
-            let record = self.ctx.compute_node(&input, &token, Some(&mut spawn));
-            if token.is_cancelled() {
-                // Cancelled mid-computation: the record may contain
-                // early-aborted solver results; never publish it.
-                Slot::Cancelled(input)
-            } else {
-                Slot::Done(record)
-            }
-        };
-        self.arena.lock().expect("walk arena")[id] = slot;
-    }
-}
-
-/// Folds walk records in exact sequential-walk (depth-first enumeration)
+/// Folds shard records in exact sequential-walk (depth-first enumeration)
 /// order, producing outcomes, statistics, and budget accounting identical
-/// to a one-thread walk — whatever speculation computed, over-computed, or
-/// skipped. Missing nodes are computed inline, so the fold is also the
-/// entire sequential mode.
+/// to a one-thread walk — whatever the shards computed, over-computed, or
+/// skipped. Missing slots are computed inline, so the fold with no records
+/// at all *is* the sequential walk.
 struct FoldState<'f, 'a> {
     ctx: &'f WalkCtx<'a>,
     stats: &'f mut VerificationStats,
@@ -2034,31 +1661,6 @@ impl<'f, 'a> FoldState<'f, 'a> {
         }
         self.stats.composed_paths += 1;
         true
-    }
-
-    /// Commit a node the parallel walk may have precomputed.
-    fn fold_slot(&mut self, slot: Slot, state: &WalkState<'_, 'a>) {
-        if !self.enter() {
-            return;
-        }
-        match slot {
-            Slot::Done(record) => self.consume(record, Some(state)),
-            Slot::Deferred(input) | Slot::Cancelled(input) => {
-                let record = self.ctx.compute_node(&input, &CancelToken::new(), None);
-                self.consume(record, Some(state));
-            }
-            Slot::Pending => unreachable!("walk drained with a pending node"),
-        }
-    }
-
-    /// Commit a node nobody precomputed (sequential mode, or a deferred
-    /// subtree's descendants).
-    fn fold_input(&mut self, input: WalkInput, state: Option<&WalkState<'_, 'a>>) {
-        if !self.enter() {
-            return;
-        }
-        let record = self.ctx.compute_node(&input, &CancelToken::new(), None);
-        self.consume(record, state);
     }
 
     /// Stats and outcome bookkeeping of one decided check.
@@ -2105,32 +1707,14 @@ impl<'f, 'a> FoldState<'f, 'a> {
         }
     }
 
-    fn consume(&mut self, record: NodeRecord, state: Option<&WalkState<'_, 'a>>) {
-        for check in record.checks {
-            self.tally_check(check);
-        }
-        for edge in record.edges {
-            self.tally_edge(edge.prefiltered, edge.pruned_call);
-            if !edge.feasible {
-                continue;
-            }
-            match edge.child {
-                ChildSlot::Spawned(id) => {
-                    let state = state.expect("spawned children only exist in the parallel walk");
-                    let slot = state.take(id);
-                    self.fold_slot(slot, state);
-                }
-                ChildSlot::Inline(input) => self.fold_input(input, state),
-            }
-        }
-    }
-
-    /// Commit one node of the sharded walk: consume its shipped record if a
-    /// shard covered it (and the record's shape matches this build), else
-    /// compute it inline. `index` is the node's pre-order position in the
-    /// shard enumeration (`None` once the walk leaves the enumerated tree —
-    /// past the cap, or below a node whose record a cancelled shard never
-    /// shipped).
+    /// Commit one node of the walk: replay its check and edge slots in
+    /// enumeration order, taking each from the shipped record if a shard
+    /// covered it and computing it inline otherwise (no record at all, a
+    /// record whose shape disagrees with this build, unit cuts inside the
+    /// node, a stolen remainder that never landed, a dead worker
+    /// mid-block). `index` is the node's pre-order position in the shard
+    /// enumeration (`None` once the walk leaves the enumerated tree — past
+    /// the cap, or with no outline at all).
     fn fold_sharded(
         &mut self,
         input: WalkInput,
@@ -2141,78 +1725,34 @@ impl<'f, 'a> FoldState<'f, 'a> {
         if !self.enter() {
             return;
         }
-        let record = index.and_then(|i| records.remove(&i));
-        match record {
-            Some(rec) => {
-                // The record carries the pruning outcomes, so the edge
-                // derivation can skip re-evaluating the interval pre-filter.
-                let children = self.ctx.edge_children(&input, false);
-                if children.len() != rec.edges.len()
-                    || rec.checks.len() != self.ctx.check_count(&input)
-                {
-                    // A record whose shape disagrees with this build cannot
-                    // be trusted; recompute the node instead.
-                    let record = self.ctx.compute_node(&input, &CancelToken::new(), None);
-                    return self.consume_sharded(record, index, outline, records);
-                }
-                // Fill the check slots no shard covered (unit cuts inside
-                // the node, a stolen remainder that never landed, a dead
-                // worker mid-block), then replay them in enumeration order.
-                let token = CancelToken::new();
-                let filled =
-                    self.ctx
-                        .compute_checks_where(&input, |k| rec.checks[k].is_none(), &token);
-                for (slot, fallback) in rec.checks.into_iter().zip(filled) {
-                    let check = slot
-                        .or(fallback)
-                        .expect("every check slot is shipped or computed inline");
-                    self.tally_check(check);
-                }
-                for (k, (slot, ec)) in rec.edges.iter().zip(children).enumerate() {
-                    let edge = match slot {
-                        Some(edge) => *edge,
-                        None => self.ctx.decide_edge(&ec.contextual, &token),
-                    };
-                    self.tally_edge(edge.prefiltered, edge.pruned_call);
-                    if !edge.feasible {
-                        continue;
-                    }
-                    let child_index = index.and_then(|i| outline.child_index(i, k));
-                    self.fold_sharded(ec.child, child_index, outline, records);
-                }
-            }
-            None => {
-                let record = self.ctx.compute_node(&input, &CancelToken::new(), None);
-                self.consume_sharded(record, index, outline, records);
-            }
-        }
-    }
-
-    /// Consume an inline-computed record inside the sharded walk, keeping
-    /// the enumeration indices of its children so deeper shard records can
-    /// still be matched.
-    fn consume_sharded(
-        &mut self,
-        record: NodeRecord,
-        index: Option<usize>,
-        outline: &ComposeOutline,
-        records: &mut BTreeMap<usize, ShardNodeRecord>,
-    ) {
-        for check in record.checks {
+        let suspects = self.ctx.surviving_suspects(&input);
+        // A record carries the pruning outcomes and the inline path decides
+        // them below, so the edge derivation skips the interval pre-filter.
+        let children = self.ctx.edge_children(&input, false);
+        let (checks, edges) = index
+            .and_then(|i| records.remove(&i))
+            .filter(|rec| rec.checks.len() == suspects.len() && rec.edges.len() == children.len())
+            .map_or_else(
+                || (vec![None; suspects.len()], vec![None; children.len()]),
+                |rec| (rec.checks, rec.edges),
+            );
+        let token = CancelToken::new();
+        for (slot, seg_idx) in checks.into_iter().zip(suspects) {
+            let check = slot.unwrap_or_else(|| {
+                let constraint = self.ctx.check_constraint(&input, seg_idx);
+                self.ctx
+                    .run_check(input.element, seg_idx, &constraint, &input.path, &token)
+            });
             self.tally_check(check);
         }
-        for (k, edge) in record.edges.into_iter().enumerate() {
+        for (k, (slot, ec)) in edges.into_iter().zip(children).enumerate() {
+            let edge = slot.unwrap_or_else(|| self.ctx.decide_edge(&ec.contextual, &token));
             self.tally_edge(edge.prefiltered, edge.pruned_call);
             if !edge.feasible {
                 continue;
             }
             let child_index = index.and_then(|i| outline.child_index(i, k));
-            match edge.child {
-                ChildSlot::Inline(child) => self.fold_sharded(child, child_index, outline, records),
-                ChildSlot::Spawned(_) => {
-                    unreachable!("the sharded fold never runs the speculative walk")
-                }
-            }
+            self.fold_sharded(ec.child, child_index, outline, records);
         }
     }
 }

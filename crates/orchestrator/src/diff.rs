@@ -18,8 +18,8 @@
 //! verifying the new configs from scratch — only the work is smaller.
 
 use crate::json::Json;
+use crate::matrix::Scenario;
 use crate::matrix::{MatrixReport, MATRIX_INSTRUCTION_BOUND};
-use crate::orchestrator::Scenario;
 use dataplane_pipeline::{parse_config, ConfigError};
 use dataplane_verifier::Property;
 use std::fmt;

@@ -185,11 +185,8 @@ fn run_job(
                 .to_scenario()
                 .map_err(|e| ExecError::Job(format!("compose job scenario: {e}")))?;
             let mut verifier = Verifier::with_options(options.clone());
-            let report = verifier.decide_composition(
-                &scenario.pipeline,
-                &scenario.property,
-                summaries.into_iter().flatten(),
-            );
+            verifier.seed_summaries(summaries.into_iter().flatten());
+            let report = verifier.verify(&scenario.pipeline, &scenario.property);
             Ok((
                 vec![
                     ("report", report_to_json(&report)),

@@ -10,20 +10,19 @@
 //!   its peers when idle.
 //! * [`ThreadBudget`] — the pool-wide ledger of how many threads may do
 //!   verification work at once. Pool workers hold a permit while running a
-//!   task and release it while parked; Step-2 batch helpers (see
-//!   `BudgetedComposition` in the orchestrator module) borrow the *free*
-//!   permits. The invariant: live working threads never exceed the single
-//!   pool size, however many compositions fan their checks out — the
-//!   old per-composition scoped workers had a `scenarios × threads`
-//!   ceiling instead.
+//!   task and release it while parked, so the *free* permits are the parked
+//!   workers: a composition task reads them ([`Pool::parked`]) to decide
+//!   whether to cut its Step-2 walk into shard tasks for the same pool. The
+//!   invariant: live working threads never exceed the single pool size,
+//!   however many compositions fan their shards out.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A counting ledger of concurrently working threads, shared by the pool's
-/// workers and the Step-2 batch helpers. Tracks the high-water mark so runs
-/// can assert the bound they promise.
+/// A counting ledger of concurrently working threads, held by the pool's
+/// workers while they run a task. Tracks the high-water mark so runs can
+/// assert the bound they promise.
 #[derive(Debug)]
 pub struct ThreadBudget {
     total: usize,
@@ -59,17 +58,10 @@ impl ThreadBudget {
         self.note_in_use(self.total - *free);
     }
 
-    /// Take up to `want` permits without blocking; returns how many were
-    /// taken (possibly 0).
-    pub fn try_acquire(&self, want: usize) -> usize {
-        if want == 0 {
-            return 0;
-        }
-        let mut free = self.free.lock().expect("budget lock");
-        let got = want.min(*free);
-        *free -= got;
-        self.note_in_use(self.total - *free);
-        got
+    /// Permits not in use right now (a snapshot: the parked workers of the
+    /// pool drawing from this budget).
+    pub fn free(&self) -> usize {
+        *self.free.lock().expect("budget lock")
     }
 
     /// Return `n` permits.
@@ -152,6 +144,15 @@ impl<'env> Pool<'env> {
         self.pending.load(Ordering::Acquire)
     }
 
+    /// How many workers are parked with nothing queued for them: the
+    /// budget's free permits, less the tasks spawned but not yet running. A
+    /// snapshot — it sizes optional fan-out, never correctness.
+    pub fn parked(&self) -> usize {
+        let free = self.budget.free();
+        let running = self.budget.total() - free;
+        free.saturating_sub(self.pending().saturating_sub(running))
+    }
+
     /// Spawn a task; it will run on some worker before [`Pool::run`]
     /// returns.
     pub fn spawn(&self, job: Job<'env>) {
@@ -185,7 +186,7 @@ impl<'env> Pool<'env> {
             match job {
                 Some(job) => {
                     // Hold a budget permit exactly while working; a parked
-                    // worker's permit is what Step-2 batch helpers borrow.
+                    // worker's free permit is what `parked` counts.
                     self.budget.acquire_one();
                     job(self);
                     self.budget.release(1);
@@ -367,14 +368,25 @@ mod tests {
     }
 
     #[test]
-    fn helpers_can_borrow_only_parked_workers_permits() {
-        let budget = ThreadBudget::new(4);
-        assert_eq!(budget.try_acquire(10), 4, "all permits free initially");
-        assert_eq!(budget.try_acquire(1), 0, "nothing left");
-        budget.release(3);
-        assert_eq!(budget.try_acquire(2), 2);
-        budget.release(3);
-        assert_eq!(budget.total(), 4);
+    fn parked_counts_free_permits_less_queued_tasks() {
+        // One worker draws from a 4-permit budget, so three permits stay
+        // free throughout: a lone task sees them all as parked capacity, a
+        // task with three more queued behind it sees none to spare.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for queued in [0usize, 3] {
+            Pool::run(1, ThreadBudget::new(4), |pool| {
+                for i in 0..=queued {
+                    let seen = seen.clone();
+                    pool.spawn(Box::new(move |pool| {
+                        // The lone worker pops its own queue LIFO.
+                        if i == queued {
+                            seen.lock().unwrap().push(pool.parked());
+                        }
+                    }));
+                }
+            });
+        }
+        assert_eq!(*seen.lock().unwrap(), vec![3, 0]);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   schema-versioned.
 //! * [`executor`] — the **shared scheduler**: one dynamic work-stealing
 //!   pool ([`executor::Pool`]) plus a pool-wide thread ledger
-//!   ([`executor::ThreadBudget`]) that scenario jobs and each
-//!   composition's Step-2 walk workers draw from together, so peak live
+//!   ([`executor::ThreadBudget`]) that explore jobs, composition jobs and
+//!   each composition's Step-2 shard jobs draw from together, so peak live
 //!   solver threads are bounded by the single pool size.
 //! * [`diff`] — incremental re-verification: fingerprint two pipeline
 //!   configs and re-verify only scenarios whose element set changed (a
@@ -35,12 +35,9 @@
 //! * [`cache`] — the content-addressed [`SummaryStore`]: an in-memory tier
 //!   shared across workers and an optional JSON persistent tier, keyed by
 //!   [`Fingerprint`]s of element behaviour + engine configuration.
-//! * [`matrix`] — the scenario matrix (every preset pipeline × crash
-//!   freedom, bounded execution, reachability) and the aggregate
-//!   machine-readable [`MatrixReport`].
-//! * [`orchestrator`] — the job-planning vocabulary ([`plan`],
-//!   [`Scenario`]) and the deprecated [`Orchestrator`] shim (kept one
-//!   release; see its docs for the migration map).
+//! * [`matrix`] — [`Scenario`], the scenario matrix (every preset
+//!   pipeline × crash freedom, bounded execution, reachability) and the
+//!   aggregate machine-readable [`MatrixReport`].
 //! * [`fingerprint`] / [`persist`] / [`json`] — content hashing and the
 //!   hand-rolled JSON codec (the workspace's `serde` is an offline API
 //!   stub, so serialisation is explicit here).
@@ -89,7 +86,6 @@ pub mod executor;
 pub mod fingerprint;
 pub mod json;
 pub mod matrix;
-pub mod orchestrator;
 pub mod persist;
 pub mod service;
 pub mod wire;
@@ -106,16 +102,12 @@ pub use exec::{
 };
 pub use executor::ThreadBudget;
 pub use fingerprint::{element_fingerprint, fingerprint_bytes, Fingerprint};
-pub use matrix::{preset_pipelines, preset_properties, preset_scenarios, MatrixReport};
-#[allow(deprecated)]
-pub use orchestrator::Orchestrator;
-pub use orchestrator::{
-    parallel_composition, plan, verify_sequential, BudgetedComposition, CompositionMode,
-    ExploreSpec, JobPlan, ProgressEvent, Scenario, ScenarioReport,
+pub use matrix::{
+    preset_pipelines, preset_properties, preset_scenarios, MatrixReport, Scenario, ScenarioReport,
 };
 pub use service::{
-    BoundOutcome, ComposeShardMode, PropertySelect, ServiceError, VerifyOutcome, VerifyRequest,
-    VerifyResponse, VerifyService,
+    plan, BoundOutcome, ComposeShardMode, ExploreSpec, JobPlan, ProgressEvent, PropertySelect,
+    ServiceError, VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService,
 };
 pub use wire::{
     ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, JobSpec, PlanSpec, ScenarioSpec, WireError,

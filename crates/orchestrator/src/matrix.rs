@@ -3,14 +3,13 @@
 
 use crate::cache::CacheStats;
 use crate::json::Json;
-use crate::orchestrator::{Scenario, ScenarioReport};
 use dataplane_pipeline::presets::{
     buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
     middlebox_pipeline,
 };
 use dataplane_pipeline::Pipeline;
 use dataplane_temporal::LtlSpec;
-use dataplane_verifier::{Property, Verdict};
+use dataplane_verifier::{Property, Report, Verdict};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -115,6 +114,33 @@ pub fn preset_properties(pipeline: &str) -> Vec<Property> {
     ]
 }
 
+/// One cell of a verification matrix: a pipeline to verify and the property
+/// to verify it against.
+pub struct Scenario {
+    /// Label of the pipeline (e.g. `"ip_router"`).
+    pub pipeline_name: String,
+    /// The pipeline itself (consumed by the run).
+    pub pipeline: Pipeline,
+    /// The property to check.
+    pub property: Property,
+}
+
+impl Scenario {
+    /// Build a scenario.
+    pub fn new(pipeline_name: impl Into<String>, pipeline: Pipeline, property: Property) -> Self {
+        Scenario {
+            pipeline_name: pipeline_name.into(),
+            pipeline,
+            property,
+        }
+    }
+
+    /// `pipeline/property` label used in reports and progress events.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.pipeline_name, self.property.name())
+    }
+}
+
 /// The full verification matrix: every preset pipeline under every property
 /// class (each scenario owns its own pipeline instance).
 pub fn preset_scenarios() -> Vec<Scenario> {
@@ -125,6 +151,21 @@ pub fn preset_scenarios() -> Vec<Scenario> {
         }
     }
     scenarios
+}
+
+/// The result of one scenario within a matrix run.
+pub struct ScenarioReport {
+    /// `pipeline` label.
+    pub pipeline_name: String,
+    /// The full verification report (verdict, counterexamples, stats).
+    pub report: Report,
+}
+
+impl ScenarioReport {
+    /// `pipeline/property` label.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.pipeline_name, self.report.property.name())
+    }
 }
 
 /// The aggregate result of a matrix run.
@@ -139,9 +180,8 @@ pub struct MatrixReport {
     /// Worker threads used.
     pub threads: usize,
     /// High-water mark of simultaneously working threads on the shared
-    /// scheduler during this run (never exceeds `threads` in
-    /// [`crate::orchestrator::CompositionMode::SharedPool`] mode, however
-    /// many compositions fanned out their checks).
+    /// scheduler during this run (never exceeds `threads`, however many
+    /// compositions fanned their shards out).
     pub peak_live_threads: usize,
     /// Summary-store activity during this run.
     pub cache: CacheStats,

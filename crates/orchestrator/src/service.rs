@@ -1,9 +1,8 @@
 //! The front door: one typed, serialisable request/response API over every
 //! way this crate verifies dataplanes.
 //!
-//! [`VerifyService`] owns what the deprecated `Orchestrator` builder used to
-//! configure — the summary store, the worker-thread budget, the verifier
-//! options — and serves [`VerifyRequest`]s:
+//! [`VerifyService`] owns the summary store, the worker-thread budget, and
+//! the verifier options, and serves [`VerifyRequest`]s:
 //!
 //! * [`VerifyRequest::Single`] — one pipeline × one property,
 //! * [`VerifyRequest::Matrix`] — a batch of scenarios on the shared
@@ -38,36 +37,160 @@ use crate::diff::{
 };
 use crate::exec::{ExecError, Executor, InProcessExecutor};
 use crate::executor::{Latch, Pool, ThreadBudget};
+use crate::fingerprint::{element_fingerprint, Fingerprint};
 use crate::json::Json;
-use crate::matrix::{preset_pipelines, preset_properties, MatrixReport};
-use crate::orchestrator::{
-    parallel_composition, plan, BudgetedComposition, CompositionMode, ProgressEvent, Scenario,
-    ScenarioReport,
-};
+use crate::matrix::{preset_pipelines, preset_properties, MatrixReport, Scenario, ScenarioReport};
 use crate::wire::{
     self, BoundSpec, ComposeJob, ComposeShardJob, DiffMeta, ExploreJob, PlanSpec, ScenarioSpec,
     WireError,
 };
+use dataplane_ir::Program;
 use dataplane_pipeline::diff::diff_pipelines;
 use dataplane_pipeline::{parse_config, ConfigError, Pipeline};
 use dataplane_symbex::{explore_with_cancel, CancelToken, EngineConfig};
 use dataplane_verifier::{
-    ElementSummary, InstructionBoundReport, ParallelComposition, Property, Report, Verdict,
-    Verifier, VerifierOptions,
+    ComposeOutline, ElementSummary, InstructionBoundReport, Property, Report, ShardNodeRecord,
+    ShardTiming, Verdict, Verifier, VerifierOptions,
 };
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 
-/// `--compose-shard auto`'s fleet-wide shard target per live capacity
-/// slot: enough over-decomposition that the pull queue load-balances and
-/// a straggler costs at most ~1/4 of a slot's share, without drowning the
+/// `--compose-shard auto`'s shard target per live capacity slot (a fleet
+/// worker's advertised slot, or a parked worker of the in-process pool):
+/// enough over-decomposition that the pull queue load-balances and a
+/// straggler costs at most ~1/4 of a slot's share, without drowning the
 /// wire in per-job overhead (stealing splits whatever this still gets
 /// wrong).
 const AUTO_SHARDS_PER_SLOT: usize = 4;
+
+/// An element-exploration job of a [`JobPlan`].
+pub struct ExploreSpec {
+    /// Content-addressed identity of the summary this job produces.
+    pub fingerprint: Fingerprint,
+    /// Element type name (the summary-cache key half).
+    pub type_name: String,
+    /// Element configuration key (the other half).
+    pub config_key: String,
+    /// The IR program to explore.
+    pub program: Program,
+}
+
+/// The decomposition of a batch of scenarios into jobs along the paper's
+/// seam — Step 1, one exploration per **distinct element behaviour**; Step
+/// 2, one composition per scenario — with dependency edges: `explore[i]` are the Step-1 jobs (no dependencies, one per
+/// distinct uncached element behaviour across the whole batch);
+/// `scenario_deps[s]` lists the explore jobs scenario `s`'s composition job
+/// depends on.
+pub struct JobPlan {
+    /// Step-1 jobs for behaviours missing from the store.
+    pub explore: Vec<ExploreSpec>,
+    /// Distinct behaviours that were already in the store (no job planned).
+    pub cached: usize,
+    /// Per scenario: indexes into `explore` its composition depends on.
+    pub scenario_deps: Vec<Vec<usize>>,
+    /// Per scenario, per pipeline element: the summary fingerprint the
+    /// composition job will fetch.
+    pub element_fingerprints: Vec<Vec<Fingerprint>>,
+}
+
+/// Build the job plan for `scenarios` against the current contents of
+/// `store`: distinct element behaviours are deduplicated across every
+/// scenario, and behaviours the store already holds produce no job.
+///
+/// (For the *serialisable* plan artifact that crosses process boundaries,
+/// see [`VerifyService::plan_request`] and [`crate::wire::PlanSpec`].)
+pub fn plan(scenarios: &[Scenario], options: &VerifierOptions, store: &SummaryStore) -> JobPlan {
+    let mut explore: Vec<ExploreSpec> = Vec::new();
+    let mut job_of: std::collections::HashMap<Fingerprint, Option<usize>> =
+        std::collections::HashMap::new();
+    let mut cached = 0usize;
+    let mut scenario_deps = Vec::with_capacity(scenarios.len());
+    let mut element_fingerprints = Vec::with_capacity(scenarios.len());
+    for scenario in scenarios {
+        let mut deps = Vec::new();
+        let mut fps = Vec::with_capacity(scenario.pipeline.len());
+        for (_, node) in scenario.pipeline.iter() {
+            let element = node.element.as_ref();
+            let fp = element_fingerprint(element, &options.engine);
+            fps.push(fp);
+            let entry = job_of.entry(fp).or_insert_with(|| {
+                if store.get(fp).is_some() {
+                    cached += 1;
+                    None
+                } else {
+                    explore.push(ExploreSpec {
+                        fingerprint: fp,
+                        type_name: element.type_name().to_string(),
+                        config_key: element.config_key(),
+                        program: element.model(),
+                    });
+                    Some(explore.len() - 1)
+                }
+            });
+            if let Some(job) = *entry {
+                if !deps.contains(&job) {
+                    deps.push(job);
+                }
+            }
+        }
+        scenario_deps.push(deps);
+        element_fingerprints.push(fps);
+    }
+    JobPlan {
+        explore,
+        cached,
+        scenario_deps,
+        element_fingerprints,
+    }
+}
+
+/// What the service is doing, streamed to an observer as jobs run.
+#[derive(Clone, Debug)]
+pub enum ProgressEvent {
+    /// The plan is built: how much Step-1 work there is and how much the
+    /// cache already covers.
+    Planned {
+        /// Explore jobs to run.
+        explore_jobs: usize,
+        /// Distinct behaviours served by the warm store.
+        cached: usize,
+        /// Composition jobs (one per scenario).
+        scenarios: usize,
+    },
+    /// An element exploration started.
+    ExploreStarted {
+        /// Element type name.
+        type_name: String,
+    },
+    /// An element exploration finished.
+    ExploreFinished {
+        /// Element type name.
+        type_name: String,
+        /// Wall-clock exploration time.
+        elapsed: Duration,
+        /// False if the exploration exceeded its budget (the composition
+        /// job will surface this exactly as a sequential run would).
+        ok: bool,
+    },
+    /// A scenario's composition started.
+    ComposeStarted {
+        /// `pipeline/property` label.
+        scenario: String,
+    },
+    /// A scenario's composition finished.
+    ComposeFinished {
+        /// `pipeline/property` label.
+        scenario: String,
+        /// The verdict reached.
+        verdict: Verdict,
+        /// Wall-clock composition time.
+        elapsed: Duration,
+    },
+}
 
 /// Which properties a diff/watch request verifies for each named config.
 /// Serialisable, unlike the old `&dyn Fn(&str) -> Vec<Property>` parameter.
@@ -365,19 +488,21 @@ impl From<ExecError> for ServiceError {
     }
 }
 
-/// How each scenario's Step-2 enumeration splits into wire shards when a
-/// plan executes on a fleet with a remote shard path. Whatever the mode,
-/// the fold replays the sequential enumeration, so deterministic reports
-/// are byte-identical across all of them.
+/// How each scenario's Step-2 enumeration splits into shards: wire jobs
+/// when a plan executes on a fleet with a remote shard path, tasks for the
+/// parked workers of the shared pool when it composes in process. Whatever
+/// the mode, the fold replays the sequential enumeration, so deterministic
+/// reports are byte-identical across all of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ComposeShardMode {
-    /// Whole compositions as single [`ComposeJob`]s (the pre-sharding
-    /// wire shape).
+    /// Whole compositions: single [`ComposeJob`]s on the wire, the fold
+    /// with no shard records in process.
     Off,
     /// A fixed per-scenario target shard count.
     Fixed(usize),
-    /// Derive the shard count per request from the executor's live fleet
-    /// capacity, and place the cuts by calibrated outline weights (the
+    /// Derive the shard count from the capacity live right now (the
+    /// executor's fleet per request, the pool's parked workers per
+    /// composition), and place the cuts by calibrated outline weights (the
     /// warm store's observed per-element solver costs) instead of raw
     /// unit counts.
     #[default]
@@ -421,7 +546,6 @@ pub struct VerifyService {
     store: Arc<SummaryStore>,
     progress: Option<ProgressFn>,
     budget: Arc<ThreadBudget>,
-    compose_mode: CompositionMode,
     compose_shard: ComposeShardMode,
     /// The rolling baseline of [`VerifyRequest::Watch`]: the configs the
     /// last watch call verified.
@@ -448,7 +572,6 @@ impl VerifyService {
             store: Arc::new(SummaryStore::in_memory()),
             progress: None,
             budget: ThreadBudget::new(threads),
-            compose_mode: CompositionMode::SharedPool,
             compose_shard: ComposeShardMode::Auto,
             baseline: Mutex::new(None),
         }
@@ -471,24 +594,14 @@ impl VerifyService {
     }
 
     /// Replace the verifier options (engine budgets, solver budgets,
-    /// escalation ladder). An explicit `options.parallel` executor takes
-    /// precedence over the service's composition mode.
+    /// escalation ladder).
     pub fn with_options(mut self, options: VerifierOptions) -> Self {
         self.options = options;
         self
     }
 
-    /// Choose how each composition's Step-2 work is dispatched (the default
-    /// is [`CompositionMode::SharedPool`]).
-    pub fn with_composition_mode(mut self, mode: CompositionMode) -> Self {
-        self.compose_mode = mode;
-        self
-    }
-
     /// Split each scenario's Step-2 suspect×prefix enumeration into about
-    /// `shards` contiguous wire shards when executing plans on a fleet with
-    /// a remote shard path (0 = whole compositions as single
-    /// [`ComposeJob`]s). Shorthand for [`VerifyService::with_compose_shard_mode`]
+    /// `shards` contiguous shards (0 = whole compositions). Shorthand for [`VerifyService::with_compose_shard_mode`]
     /// with [`ComposeShardMode::Fixed`] / [`ComposeShardMode::Off`].
     pub fn with_compose_shard(self, shards: usize) -> Self {
         self.with_compose_shard_mode(if shards == 0 {
@@ -498,8 +611,8 @@ impl VerifyService {
         })
     }
 
-    /// Choose how Step-2 work shards onto a fleet (the default is
-    /// [`ComposeShardMode::Auto`]: per-request counts from live fleet
+    /// Choose how Step-2 work shards onto a fleet or the pool's parked
+    /// workers (the default is [`ComposeShardMode::Auto`]: counts from live
     /// capacity, cuts placed by calibrated weights).
     pub fn with_compose_shard_mode(mut self, mode: ComposeShardMode) -> Self {
         self.compose_shard = mode;
@@ -690,23 +803,6 @@ impl VerifyService {
         matrix.scenarios.remove(0).report
     }
 
-    /// The verifier options a composition job runs with: `base`, with
-    /// Step-2 dispatch wired per the composition mode unless the caller
-    /// installed an explicit executor.
-    fn composition_options(&self, base: &VerifierOptions) -> VerifierOptions {
-        let mut options = base.clone();
-        if !options.parallel.is_parallel() {
-            options.parallel = match self.compose_mode {
-                CompositionMode::SharedPool => ParallelComposition::over(Arc::new(
-                    BudgetedComposition::shared(self.budget.clone()),
-                )),
-                CompositionMode::Scoped(threads) => parallel_composition(threads),
-                CompositionMode::Sequential => ParallelComposition::sequential(),
-            };
-        }
-        options
-    }
-
     /// Run a batch of scenarios on the shared scheduler with the service's
     /// options.
     pub fn run_matrix(&self, scenarios: Vec<Scenario>) -> MatrixReport {
@@ -716,9 +812,9 @@ impl VerifyService {
 
     /// Run a batch of scenarios on the shared scheduler: plan, spawn Step-1
     /// explore tasks, and let each completed dependency set dynamically
-    /// spawn its composition task onto the *same* pool — whose idle workers
-    /// in turn serve as Step-2 walk helpers, so every kind of work competes
-    /// for one thread budget.
+    /// spawn its composition task onto the *same* pool — which in turn
+    /// spawns shard tasks for whatever workers are parked, so every kind of
+    /// work competes for one thread budget.
     fn run_matrix_with(
         &self,
         scenarios: Vec<Scenario>,
@@ -736,7 +832,6 @@ impl VerifyService {
 
         let explore_jobs = job_plan.explore.len();
         let cached_jobs = job_plan.cached;
-        let options = self.composition_options(base_options);
         let cancel = CancelToken::new();
         let mut slots: Vec<Arc<Mutex<Option<ScenarioReport>>>> = Vec::new();
 
@@ -753,32 +848,16 @@ impl VerifyService {
             ) {
                 let slot = Arc::new(Mutex::new(None));
                 slots.push(slot.clone());
-                let store = self.store.clone();
-                let progress = self.progress.clone();
-                let options = options.clone();
-                let job = Box::new(move |_: &Pool<'_>| {
-                    let label = scenario.label();
-                    if let Some(observer) = &progress {
-                        observer(&ProgressEvent::ComposeStarted {
-                            scenario: label.clone(),
-                        });
-                    }
-                    let start = Instant::now();
-                    let mut verifier = Verifier::with_options(options);
-                    verifier.seed_summaries(fingerprints.iter().filter_map(|fp| store.get(*fp)));
-                    let report = verifier.verify(&scenario.pipeline, &scenario.property);
-                    if let Some(observer) = &progress {
-                        observer(&ProgressEvent::ComposeFinished {
-                            scenario: label,
-                            verdict: report.verdict.clone(),
-                            elapsed: start.elapsed(),
-                        });
-                    }
-                    *slot.lock().expect("report slot") = Some(ScenarioReport {
-                        pipeline_name: scenario.pipeline_name,
-                        report,
-                    });
-                });
+                let composition = Composition {
+                    scenario,
+                    fingerprints,
+                    options: base_options.clone(),
+                    shard_mode: self.compose_shard,
+                    store: self.store.clone(),
+                    progress: self.progress.clone(),
+                    slot,
+                };
+                let job = Box::new(move |pool: &Pool<'_>| composition.run(pool));
                 if deps.is_empty() {
                     pool.spawn(job);
                 } else {
@@ -1145,7 +1224,7 @@ impl VerifyService {
                 fingerprints: fps.clone(),
             })
             .collect();
-        let fetch = |fp: crate::fingerprint::Fingerprint| self.store.get(fp);
+        let fetch = |fp: Fingerprint| self.store.get(fp);
         // Sharded Step-2 takes precedence when configured and the executor
         // has a remote shard path; otherwise whole-composition jobs, then
         // the in-process scheduler.
@@ -1234,7 +1313,7 @@ impl VerifyService {
         if self.compose_shard == ComposeShardMode::Off {
             return Ok(None);
         }
-        let fetch = |fp: crate::fingerprint::Fingerprint| self.store.get(fp);
+        let fetch = |fp: Fingerprint| self.store.get(fp);
         // Capability probe: an executor without a remote shard path answers
         // `None` even for an empty batch.
         if executor
@@ -1248,7 +1327,7 @@ impl VerifyService {
         // counts are then allocated out of one fleet-wide target, so a
         // cheap scenario does not get the same fan-out as the heavy one.
         let mut outlines = Vec::with_capacity(plan_spec.scenarios.len());
-        let mut node_costs: Vec<Vec<u64>> = Vec::with_capacity(plan_spec.scenarios.len());
+        let mut costs_of: Vec<Vec<u64>> = Vec::with_capacity(plan_spec.scenarios.len());
         for (spec, fps) in plan_spec
             .scenarios
             .iter()
@@ -1260,26 +1339,11 @@ impl VerifyService {
                 &scenario.property,
                 fps.iter().filter_map(|fp| self.store.get(*fp)),
             );
-            // Calibrated cost of each node's block: the warm store's
-            // observed per-unit solver time for the node's element (1 ns
-            // per unit before any observation — uniform cuts).
             let costs = outline
                 .as_ref()
-                .map(|outline| {
-                    outline
-                        .nodes
-                        .iter()
-                        .map(|node| {
-                            let per_unit = fps
-                                .get(node.element)
-                                .and_then(|fp| self.store.unit_cost_ns(*fp))
-                                .unwrap_or(1);
-                            per_unit.saturating_mul(node.weight as u64)
-                        })
-                        .collect()
-                })
+                .map(|outline| node_costs(&self.store, outline, fps))
                 .unwrap_or_default();
-            node_costs.push(costs);
+            costs_of.push(costs);
             outlines.push(outline);
         }
 
@@ -1294,7 +1358,7 @@ impl VerifyService {
                 // to scenarios in proportion to their calibrated cost.
                 let capacity = executor.live_capacity().unwrap_or(self.threads).max(1);
                 let fleet_target = capacity * AUTO_SHARDS_PER_SLOT;
-                let scenario_cost: Vec<u64> = node_costs
+                let scenario_cost: Vec<u64> = costs_of
                     .iter()
                     .map(|costs| costs.iter().sum::<u64>())
                     .collect();
@@ -1317,20 +1381,12 @@ impl VerifyService {
             .scenarios
             .iter()
             .zip(&plan_spec.element_fingerprints)
-            .zip(outlines.iter().zip(&node_costs).zip(&targets))
+            .zip(outlines.iter().zip(&costs_of).zip(&targets))
             .enumerate()
         {
             let before = jobs.len();
             if let Some(outline) = outline {
-                // The target is a goal, not a contract: the splitters pack
-                // whole units, so the actual count can differ by one or two.
-                let ranges = match self.compose_shard {
-                    ComposeShardMode::Auto => outline.shards_by_cost(costs, *target),
-                    _ => {
-                        let width = outline.total_weight().div_ceil(*target).max(1);
-                        outline.shards(width)
-                    }
-                };
+                let ranges = shard_ranges(self.compose_shard, outline, costs, *target);
                 for (start, end) in ranges {
                     jobs.push(ComposeShardJob {
                         scenario: spec.clone(),
@@ -1364,16 +1420,7 @@ impl VerifyService {
             ) else {
                 continue;
             };
-            for timing in &result.timings {
-                if let Some(fp) = outline
-                    .nodes
-                    .get(timing.index)
-                    .and_then(|node| fps.get(node.element))
-                {
-                    self.store
-                        .record_unit_cost(*fp, timing.units as u64, timing.ns);
-                }
-            }
+            record_timings(&self.store, outline, fps, &result.timings);
         }
         self.store.flush_calibration();
 
@@ -1404,8 +1451,7 @@ impl VerifyService {
                 // No shardable enumeration: verify in place, exactly as
                 // the unsharded in-process path would.
                 None => {
-                    let mut verifier =
-                        Verifier::with_options(self.composition_options(&plan_spec.options));
+                    let mut verifier = Verifier::with_options(plan_spec.options.clone());
                     verifier.seed_summaries(fps.iter().filter_map(|fp| self.store.get(*fp)));
                     verifier.verify(&scenario.pipeline, &scenario.property)
                 }
@@ -1416,13 +1462,219 @@ impl VerifyService {
     }
 }
 
+/// Calibrated cost of each outline node's unit block: the warm store's
+/// observed per-unit solver time for the node's element (1 ns per unit
+/// before any observation — uniform cuts).
+fn node_costs(store: &SummaryStore, outline: &ComposeOutline, fps: &[Fingerprint]) -> Vec<u64> {
+    outline
+        .nodes
+        .iter()
+        .map(|node| {
+            let per_unit = fps
+                .get(node.element)
+                .and_then(|fp| store.unit_cost_ns(*fp))
+                .unwrap_or(1);
+            per_unit.saturating_mul(node.weight as u64)
+        })
+        .collect()
+}
+
+/// Cut `outline`'s unit space into about `target` (≥ 1) shard ranges: by
+/// calibrated cost under `auto`, by unit count otherwise. The target is a
+/// goal, not a contract — the splitters pack whole units, so the actual
+/// count can differ by one or two.
+fn shard_ranges(
+    mode: ComposeShardMode,
+    outline: &ComposeOutline,
+    costs: &[u64],
+    target: usize,
+) -> Vec<(usize, usize)> {
+    match mode {
+        ComposeShardMode::Auto => outline.shards_by_cost(costs, target),
+        _ => outline.shards(outline.total_weight().div_ceil(target).max(1)),
+    }
+}
+
+/// Feed a shard's observed per-node solver times back into the warm store,
+/// so the next `auto` cuts weigh nodes by real cost.
+fn record_timings(
+    store: &SummaryStore,
+    outline: &ComposeOutline,
+    fps: &[Fingerprint],
+    timings: &[ShardTiming],
+) {
+    for timing in timings {
+        if let Some(fp) = outline
+            .nodes
+            .get(timing.index)
+            .and_then(|node| fps.get(node.element))
+        {
+            store.record_unit_cost(*fp, timing.units as u64, timing.ns);
+        }
+    }
+}
+
+/// One scenario's composition task on the shared pool.
+struct Composition {
+    scenario: Scenario,
+    fingerprints: Vec<Fingerprint>,
+    options: VerifierOptions,
+    shard_mode: ComposeShardMode,
+    store: Arc<SummaryStore>,
+    progress: Option<ProgressFn>,
+    slot: Arc<Mutex<Option<ScenarioReport>>>,
+}
+
+/// A composition cut into shard tasks: what the shards share and what the
+/// latched fold consumes.
+struct FanOut {
+    composition: Composition,
+    summaries: Vec<Arc<ElementSummary>>,
+    outline: ComposeOutline,
+    records: Mutex<Vec<ShardNodeRecord>>,
+    started: Instant,
+}
+
+impl Composition {
+    /// Decide the scenario: Step 2 is one fold, and shards are its only
+    /// precomputation. Shards cost a prefix re-walk each, so they pay only
+    /// when a parked worker can take them — then the enumeration is
+    /// outlined, cut under the service's [`ComposeShardMode`], spawned as
+    /// tasks on `pool`, and folded on a [`Latch`]. With none parked (always,
+    /// on one thread) or sharding off, the fold computes every slot itself
+    /// and the outline pass never runs.
+    fn run(self, pool: &Pool<'_>) {
+        if let Some(observer) = &self.progress {
+            observer(&ProgressEvent::ComposeStarted {
+                scenario: self.scenario.label(),
+            });
+        }
+        let started = Instant::now();
+        let summaries: Vec<Arc<ElementSummary>> = self
+            .fingerprints
+            .iter()
+            .filter_map(|fp| self.store.get(*fp))
+            .collect();
+        let Scenario {
+            pipeline, property, ..
+        } = &self.scenario;
+
+        let parked = pool.parked();
+        let target = match self.shard_mode {
+            ComposeShardMode::Off => 0,
+            _ if parked == 0 => 0,
+            ComposeShardMode::Fixed(n) => n,
+            ComposeShardMode::Auto => parked * AUTO_SHARDS_PER_SLOT,
+        };
+        let cut = (target > 1)
+            .then(|| {
+                Verifier::with_options(self.options.clone()).outline_composition(
+                    pipeline,
+                    property,
+                    summaries.iter().cloned(),
+                )
+            })
+            .flatten()
+            .map(|outline| {
+                let costs = node_costs(&self.store, &outline, &self.fingerprints);
+                let ranges = shard_ranges(self.shard_mode, &outline, &costs, target);
+                (outline, ranges)
+            })
+            .filter(|(_, ranges)| ranges.len() > 1);
+        let Some((outline, ranges)) = cut else {
+            let mut verifier = Verifier::with_options(self.options.clone());
+            verifier.seed_summaries(summaries);
+            let report = verifier.verify(pipeline, property);
+            return self.finish(report, started);
+        };
+
+        let fan = Arc::new(FanOut {
+            composition: self,
+            summaries,
+            outline,
+            records: Mutex::new(Vec::new()),
+            started,
+        });
+        let fold = Latch::new(ranges.len(), {
+            let fan = fan.clone();
+            Box::new(move |_| fan.fold())
+        });
+        for (start, end) in ranges {
+            let (fan, fold) = (fan.clone(), fold.clone());
+            pool.spawn(Box::new(move |pool| {
+                fan.shard(start, end);
+                fold.ready(pool);
+            }));
+        }
+    }
+
+    /// Publish the scenario's report.
+    fn finish(&self, report: Report, started: Instant) {
+        if let Some(observer) = &self.progress {
+            observer(&ProgressEvent::ComposeFinished {
+                scenario: self.scenario.label(),
+                verdict: report.verdict.clone(),
+                elapsed: started.elapsed(),
+            });
+        }
+        *self.slot.lock().expect("report slot") = Some(ScenarioReport {
+            pipeline_name: self.scenario.pipeline_name.clone(),
+            report,
+        });
+    }
+}
+
+impl FanOut {
+    /// Compute the solver units in `[start, end)` and bank their records.
+    fn shard(&self, start: usize, end: usize) {
+        let Composition {
+            scenario,
+            fingerprints,
+            options,
+            store,
+            ..
+        } = &self.composition;
+        let result = Verifier::with_options(options.clone()).decide_composition_shard(
+            &scenario.pipeline,
+            &scenario.property,
+            self.summaries.iter().cloned(),
+            start,
+            end,
+            &CancelToken::new(),
+        );
+        record_timings(store, &self.outline, fingerprints, &result.timings);
+        self.records
+            .lock()
+            .expect("shard records")
+            .extend(result.records);
+    }
+
+    /// Fold the banked records into the scenario's report.
+    fn fold(&self) {
+        let Composition {
+            scenario, options, ..
+        } = &self.composition;
+        let records = std::mem::take(&mut *self.records.lock().expect("shard records"));
+        let mut report = Verifier::with_options(options.clone()).fold_composition_shards(
+            &scenario.pipeline,
+            &scenario.property,
+            self.summaries.iter().cloned(),
+            &self.outline,
+            records,
+        );
+        // The fold's own clock misses the outline and the shards.
+        report.elapsed = self.started.elapsed();
+        self.composition.finish(report, self.started);
+    }
+}
+
 /// Deduplicating explore-job table shared by scenario and bound planning:
 /// one [`ExploreJob`] per distinct element behaviour across everything
 /// added.
 struct JobTable<'a> {
     engine: &'a EngineConfig,
     jobs: Vec<ExploreJob>,
-    job_of: BTreeMap<crate::fingerprint::Fingerprint, usize>,
+    job_of: BTreeMap<Fingerprint, usize>,
 }
 
 impl<'a> JobTable<'a> {
@@ -1436,7 +1688,7 @@ impl<'a> JobTable<'a> {
 
     /// Add every element of `pipeline`; returns its per-element summary
     /// fingerprints in pipeline order.
-    fn add_pipeline(&mut self, pipeline: &Pipeline) -> Vec<crate::fingerprint::Fingerprint> {
+    fn add_pipeline(&mut self, pipeline: &Pipeline) -> Vec<Fingerprint> {
         let JobTable {
             engine,
             jobs,
@@ -1445,7 +1697,7 @@ impl<'a> JobTable<'a> {
         let mut fps = Vec::with_capacity(pipeline.len());
         for (_, node) in pipeline.iter() {
             let element = node.element.as_ref();
-            let fp = crate::fingerprint::element_fingerprint(element, engine);
+            let fp = element_fingerprint(element, engine);
             fps.push(fp);
             job_of.entry(fp).or_insert_with(|| {
                 jobs.push(ExploreJob {

@@ -12,8 +12,7 @@
 //!   another process, possibly another machine) executes it.
 //! * [`crate::service::VerifyRequest`] — the front-door request, also fully
 //!   serialisable ([`request_to_json`] / [`request_from_json`]).
-//! * [`VerifierOptions`] (minus the in-memory Step-2 executor, which the
-//!   executing side chooses) — so a plan pins the exact budgets and engine
+//! * [`VerifierOptions`] — so a plan pins the exact budgets and engine
 //!   configuration its fingerprints were computed under.
 //! * [`Report`] — the deterministic verification result, byte-stable across
 //!   processes ([`report_to_json`]); this is what the byte-identity
@@ -25,7 +24,7 @@
 use crate::diff::{DiffEntry, DiffKind};
 use crate::fingerprint::Fingerprint;
 use crate::json::{Json, JsonError};
-use crate::orchestrator::Scenario;
+use crate::matrix::Scenario;
 use crate::service::{PropertySelect, VerifyRequest};
 use dataplane_pipeline::{parse_config, write_config, ConfigError, ConfigWriteError};
 use dataplane_symbex::{CheckDiagnostics, EngineConfig, LoopMode, SolverConfig};
@@ -299,9 +298,7 @@ fn ladder_from_json(json: &Json) -> Result<EscalationLadder, WireError> {
     })
 }
 
-/// Encode verifier options. The Step-2 `parallel` executor is deliberately
-/// *not* on the wire: how checks are dispatched is an executing-process
-/// decision and does not affect the report.
+/// Encode verifier options.
 pub fn options_to_json(options: &VerifierOptions) -> Json {
     Json::obj([
         ("prune_prefixes", Json::Bool(options.prune_prefixes)),
@@ -320,8 +317,7 @@ pub fn options_to_json(options: &VerifierOptions) -> Json {
     ])
 }
 
-/// Decode verifier options (Step-2 dispatch comes back sequential; the
-/// executing service installs its own executor).
+/// Decode verifier options.
 pub fn options_from_json(json: &Json) -> Result<VerifierOptions, WireError> {
     Ok(VerifierOptions {
         prune_prefixes: get_bool(json, "prune_prefixes")?,
@@ -331,7 +327,6 @@ pub fn options_from_json(json: &Json) -> Result<VerifierOptions, WireError> {
         solver: solver_from_json(get(json, "solver")?)?,
         escalate_budgets: get_bool(json, "escalate_budgets")?,
         ladder: ladder_from_json(get(json, "ladder")?)?,
-        ..VerifierOptions::default()
     })
 }
 
@@ -1563,7 +1558,7 @@ mod tests {
     }
 
     #[test]
-    fn options_round_trip_everything_but_the_executor() {
+    fn options_round_trip() {
         let options = VerifierOptions {
             prune_prefixes: false,
             validate_counterexamples: false,
@@ -1588,7 +1583,6 @@ mod tests {
         assert_eq!(back.ladder, options.ladder);
         assert_eq!(back.solver.search_seed, options.solver.search_seed);
         assert_eq!(back.engine.max_segments, options.engine.max_segments);
-        assert!(!back.parallel.is_parallel(), "executors never travel");
     }
 
     #[test]

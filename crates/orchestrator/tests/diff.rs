@@ -2,13 +2,9 @@
 //! a one-element edit re-plans only the affected scenarios and re-explores
 //! only the edited behaviour; wiring-only diffs get a composition-only pass
 //! (zero element jobs); identical configs are skipped outright.
-//!
-//! Runs through the deprecated [`Orchestrator`] shim on purpose — the
-//! deprecation contract is that its existing tests keep passing.
-#![allow(deprecated)]
 
 use dataplane_orchestrator::diff::{config_scenarios, default_properties, DiffKind, NamedConfig};
-use dataplane_orchestrator::Orchestrator;
+use dataplane_orchestrator::VerifyService;
 use dataplane_verifier::Verdict;
 
 const ROUTER: &str = r#"
@@ -51,8 +47,9 @@ fn old_configs() -> Vec<NamedConfig> {
 
 #[test]
 fn one_element_edit_replans_only_affected_scenarios() {
-    let orchestrator = Orchestrator::new().with_threads(2);
-    let baseline = orchestrator.run(config_scenarios(&old_configs(), &default_properties).unwrap());
+    let service = VerifyService::new().with_threads(2);
+    let baseline =
+        service.run_matrix(config_scenarios(&old_configs(), &default_properties).unwrap());
     let (_, _, unknown) = baseline.verdict_counts();
     assert_eq!(unknown, 0, "baseline must decide");
 
@@ -65,7 +62,7 @@ fn one_element_edit_replans_only_affected_scenarios() {
         NamedConfig::new("filter", FILTER),
         NamedConfig::new("mini", MINI),
     ];
-    let report = orchestrator
+    let report = service
         .verify_diff(&old_configs(), &new, &default_properties)
         .unwrap();
 
@@ -103,15 +100,15 @@ fn one_element_edit_replans_only_affected_scenarios() {
 
 #[test]
 fn wiring_only_diff_is_composition_only() {
-    let orchestrator = Orchestrator::new().with_threads(2);
+    let service = VerifyService::new().with_threads(2);
     let old = vec![NamedConfig::new("mini", MINI)];
-    orchestrator.run(config_scenarios(&old, &default_properties).unwrap());
+    service.run_matrix(config_scenarios(&old, &default_properties).unwrap());
 
     let new = vec![NamedConfig::new(
         "mini",
         MINI.replace("cnt -> ttl -> s0;", "cnt -> ttl -> s1;"),
     )];
-    let report = orchestrator
+    let report = service
         .verify_diff(&old, &new, &default_properties)
         .unwrap();
     assert_eq!(report.entries[0].kind, DiffKind::WiringOnly);
@@ -130,9 +127,9 @@ fn wiring_only_diff_is_composition_only() {
 
 #[test]
 fn identical_configs_verify_nothing() {
-    let orchestrator = Orchestrator::new().with_threads(2);
+    let service = VerifyService::new().with_threads(2);
     let old = vec![NamedConfig::new("mini", MINI)];
-    let report = orchestrator
+    let report = service
         .verify_diff(&old, &old.clone(), &default_properties)
         .unwrap();
     assert_eq!(report.entries[0].kind, DiffKind::Identical);
@@ -143,13 +140,13 @@ fn identical_configs_verify_nothing() {
 
 #[test]
 fn added_and_removed_configs_are_reported() {
-    let orchestrator = Orchestrator::new().with_threads(2);
+    let service = VerifyService::new().with_threads(2);
     let old = vec![NamedConfig::new("mini", MINI)];
     let new = vec![
         NamedConfig::new("mini", MINI),
         NamedConfig::new("filter", FILTER),
     ];
-    let report = orchestrator
+    let report = service
         .verify_diff(&old, &new, &default_properties)
         .unwrap();
     assert_eq!(
@@ -167,7 +164,7 @@ fn added_and_removed_configs_are_reported() {
         "the added config verifies"
     );
 
-    let shrunk = orchestrator
+    let shrunk = service
         .verify_diff(&new, &old, &default_properties)
         .unwrap();
     assert_eq!(shrunk.removed_configs, vec!["filter".to_string()]);
@@ -176,21 +173,21 @@ fn added_and_removed_configs_are_reported() {
 
 #[test]
 fn diff_verdicts_match_verifying_the_new_configs_from_scratch() {
-    let orchestrator = Orchestrator::new().with_threads(2);
+    let service = VerifyService::new().with_threads(2);
     let old = old_configs();
-    orchestrator.run(config_scenarios(&old, &default_properties).unwrap());
+    service.run_matrix(config_scenarios(&old, &default_properties).unwrap());
     let new = vec![
         NamedConfig::new("router", ROUTER.replace("10.0.0.0/8 0", "10.0.0.0/8 1")),
         NamedConfig::new("filter", FILTER),
         NamedConfig::new("mini", MINI),
     ];
-    let incremental = orchestrator
+    let incremental = service
         .verify_diff(&old, &new, &default_properties)
         .unwrap();
 
-    let fresh = Orchestrator::new()
+    let fresh = VerifyService::new()
         .with_threads(2)
-        .run(config_scenarios(&new, &default_properties).unwrap());
+        .run_matrix(config_scenarios(&new, &default_properties).unwrap());
     for scenario in &incremental.matrix.scenarios {
         let from_scratch = fresh
             .scenarios

@@ -1,4 +1,4 @@
-//! Integration tests of the parallel verification orchestrator:
+//! Integration tests of parallel verification on the shared scheduler:
 //!
 //! * the parallel path produces verdicts **byte-identical** to the
 //!   sequential `dataplane-verifier` on every preset scenario,
@@ -7,18 +7,12 @@
 //!   tier,
 //! * a warm-cache rerun skips every unchanged element job (hit counts
 //!   asserted).
-//!
-//! These tests deliberately run through the deprecated [`Orchestrator`]
-//! shim: the deprecation contract is that it keeps passing its existing
-//! tests unchanged. The service-first equivalents live in `service.rs`.
-#![allow(deprecated)]
 
 use dataplane_orchestrator::{
-    element_fingerprint, fingerprint_bytes, parallel_composition, plan, preset_pipelines,
-    preset_scenarios, verify_sequential, Fingerprint, Orchestrator, ProgressEvent, Scenario,
-    SummaryStore,
+    element_fingerprint, fingerprint_bytes, plan, preset_pipelines, preset_scenarios,
+    ComposeShardMode, Fingerprint, ProgressEvent, Scenario, SummaryStore, VerifyService,
 };
-use dataplane_verifier::{Report, VerifierOptions};
+use dataplane_verifier::{Report, Verifier, VerifierOptions};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -71,23 +65,52 @@ fn assert_reports_identical(parallel: &Report, sequential: &Report, label: &str)
 
 #[test]
 fn parallel_step2_reports_identical_to_sequential_on_all_presets() {
-    // Same verifier, same scenarios — the only difference is whether the
-    // suspect × prefix feasibility checks of each composition run inline or
-    // across the work-stealing pool. Everything deterministic about the
-    // report must be byte-identical.
-    let sequential_options = VerifierOptions::default();
-    let parallel_options = VerifierOptions {
-        parallel: parallel_composition(4),
-        ..VerifierOptions::default()
-    };
-    assert!(parallel_options.parallel.is_parallel());
-    assert!(!sequential_options.parallel.is_parallel());
-    for scenario in preset_scenarios() {
-        let label = scenario.label();
-        let sequential =
-            verify_sequential(&scenario.pipeline, &scenario.property, &sequential_options);
-        let parallel = verify_sequential(&scenario.pipeline, &scenario.property, &parallel_options);
-        assert_reports_identical(&parallel, &sequential, &label);
+    // Same scenarios, one at a time — the only difference is whether each
+    // composition's Step-2 fold computes every solver unit itself (one
+    // thread: no worker is ever parked) or consumes shard records the
+    // parked workers of a 4-thread pool precomputed. Everything
+    // deterministic about the report must be byte-identical.
+    let sequential = VerifyService::new().with_threads(1);
+    let parallel = VerifyService::new().with_threads(4);
+    for (one, four) in preset_scenarios().into_iter().zip(preset_scenarios()) {
+        let label = one.label();
+        let sequential = sequential.run_matrix(vec![one]);
+        let parallel = parallel.run_matrix(vec![four]);
+        assert_reports_identical(
+            &parallel.scenarios[0].report,
+            &sequential.scenarios[0].report,
+            &label,
+        );
+    }
+}
+
+#[test]
+fn step2_fan_out_engages_only_with_parked_workers() {
+    // One heavy scenario on a warm store is a single pool task: at 4
+    // threads it finds three parked workers and must hand them shards
+    // (unless sharding is off); at 1 thread it must take the zero-record
+    // fold alone.
+    use ComposeShardMode::{Auto, Fixed, Off};
+    for (threads, mode, fans_out) in [
+        (4, Auto, true),
+        (4, Fixed(3), true),
+        (4, Off, false),
+        (1, Auto, false),
+    ] {
+        let service = VerifyService::new()
+            .with_threads(threads)
+            .with_compose_shard_mode(mode);
+        service.run_matrix(vec![scenario("ip_router")]);
+        let warm = service.run_matrix(vec![scenario("ip_router")]);
+        assert_eq!(warm.explore_jobs, 0, "second run must be warm");
+        if fans_out {
+            assert!(
+                warm.peak_live_threads > 1,
+                "{threads} threads, {mode}: no shard ran beside another"
+            );
+        } else {
+            assert_eq!(warm.peak_live_threads, 1, "{threads} threads, {mode}");
+        }
     }
 }
 
@@ -98,13 +121,13 @@ fn parallel_matrix_verdicts_equal_sequential_on_all_presets() {
         .into_iter()
         .map(|s| {
             let label = s.label();
-            let report = verify_sequential(&s.pipeline, &s.property, &options);
+            let report = Verifier::with_options(options.clone()).verify(&s.pipeline, &s.property);
             (label, report)
         })
         .collect();
 
-    let orchestrator = Orchestrator::new().with_threads(4);
-    let matrix = orchestrator.run(preset_scenarios());
+    let service = VerifyService::new().with_threads(4);
+    let matrix = service.run_matrix(preset_scenarios());
     assert_eq!(matrix.scenarios.len(), sequential.len());
     assert_eq!(matrix.threads, 4);
 
@@ -112,7 +135,7 @@ fn parallel_matrix_verdicts_equal_sequential_on_all_presets() {
         assert_eq!(&parallel.label(), label, "scenario order preserved");
         assert_reports_identical(&parallel.report, sequential_report, label);
         // Seeded composition must not have re-explored anything: every
-        // summary came from the orchestrator's store.
+        // summary came from the service's store.
         assert_eq!(
             parallel.report.stats.summaries_computed, 0,
             "{label}: composition re-explored an element"
@@ -132,7 +155,7 @@ fn parallel_matrix_verdicts_equal_sequential_on_all_presets() {
     );
 
     // The shared scheduler's promise: however many compositions fanned out
-    // Step-2 work, live working threads never exceeded the pool size.
+    // Step-2 shards, live working threads never exceeded the pool size.
     assert!(
         matrix.peak_live_threads <= matrix.threads,
         "peak live threads {} exceeded the pool size {}",
@@ -143,12 +166,11 @@ fn parallel_matrix_verdicts_equal_sequential_on_all_presets() {
 
 #[test]
 fn shared_pool_bounds_live_solver_threads_under_many_scenarios() {
-    // 20 scenarios on a 3-thread pool: each composition's Step-2 walk may
-    // borrow only parked workers, so live solver threads stay bounded by
-    // the single pool size (the old per-composition scoped workers had a
-    // `scenarios × threads` ceiling instead).
-    let orchestrator = Orchestrator::new().with_threads(3);
-    let matrix = orchestrator.run(preset_scenarios());
+    // 20 scenarios on a 3-thread pool: each composition's Step-2 shards are
+    // tasks on the same pool, so live solver threads stay bounded by the
+    // single pool size.
+    let service = VerifyService::new().with_threads(3);
+    let matrix = service.run_matrix(preset_scenarios());
     assert_eq!(matrix.scenarios.len(), 20);
     assert!(
         (1..=3).contains(&matrix.peak_live_threads),
@@ -162,13 +184,13 @@ fn shared_pool_bounds_live_solver_threads_under_many_scenarios() {
 
 #[test]
 fn warm_cache_rerun_skips_all_element_jobs() {
-    let orchestrator = Orchestrator::new().with_threads(4);
+    let service = VerifyService::new().with_threads(4);
 
-    let cold = orchestrator.run(preset_scenarios());
+    let cold = service.run_matrix(preset_scenarios());
     assert!(cold.explore_jobs > 0, "cold run must explore");
     assert_eq!(cold.cached_jobs, 0, "store started empty");
 
-    let warm = orchestrator.run(preset_scenarios());
+    let warm = service.run_matrix(preset_scenarios());
     assert_eq!(warm.explore_jobs, 0, "warm run re-explored an element");
     assert_eq!(
         warm.cached_jobs, cold.explore_jobs,
@@ -199,16 +221,16 @@ fn persistent_tier_warms_a_fresh_process() {
 
     // First "process": verify the router, persisting summaries.
     let store = Arc::new(SummaryStore::persistent(&dir).unwrap());
-    let orchestrator = Orchestrator::new().with_store(store).with_threads(2);
-    let first = orchestrator.run(vec![scenario("ip_router")]);
+    let service = VerifyService::new().with_store(store).with_threads(2);
+    let first = service.run_matrix(vec![scenario("ip_router")]);
     assert!(first.explore_jobs > 0);
     assert!(first.cache.persisted >= first.explore_jobs as u64);
 
     // Second "process": fresh store over the same directory — no element
     // jobs, summaries decoded from disk, same verdict.
     let store = Arc::new(SummaryStore::persistent(&dir).unwrap());
-    let orchestrator = Orchestrator::new().with_store(store).with_threads(2);
-    let second = orchestrator.run(vec![scenario("ip_router")]);
+    let service = VerifyService::new().with_store(store).with_threads(2);
+    let second = service.run_matrix(vec![scenario("ip_router")]);
     assert_eq!(second.explore_jobs, 0, "disk tier failed to warm the run");
     assert!(second.cache.disk_hits > 0, "no summary came from disk");
     assert_reports_identical(
@@ -271,28 +293,27 @@ fn progress_events_stream_the_whole_run() {
     let explores = Arc::new(AtomicUsize::new(0));
     let composes = Arc::new(AtomicUsize::new(0));
     let (e, c) = (explores.clone(), composes.clone());
-    let orchestrator =
-        Orchestrator::new()
-            .with_threads(4)
-            .with_progress(move |event| match event {
-                ProgressEvent::ExploreFinished { ok, .. } => {
-                    assert!(ok);
-                    e.fetch_add(1, Ordering::Relaxed);
-                }
-                ProgressEvent::ComposeFinished { .. } => {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            });
-    let matrix = orchestrator.run(vec![scenario("ip_router"), scenario("middlebox")]);
+    let service = VerifyService::new()
+        .with_threads(4)
+        .with_progress(move |event| match event {
+            ProgressEvent::ExploreFinished { ok, .. } => {
+                assert!(ok);
+                e.fetch_add(1, Ordering::Relaxed);
+            }
+            ProgressEvent::ComposeFinished { .. } => {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        });
+    let matrix = service.run_matrix(vec![scenario("ip_router"), scenario("middlebox")]);
     assert_eq!(explores.load(Ordering::Relaxed), matrix.explore_jobs);
     assert_eq!(composes.load(Ordering::Relaxed), 2);
 }
 
 #[test]
 fn matrix_report_serialises_for_machines() {
-    let orchestrator = Orchestrator::new().with_threads(2);
-    let matrix = orchestrator.run(vec![scenario("firewall")]);
+    let service = VerifyService::new().with_threads(2);
+    let matrix = service.run_matrix(vec![scenario("firewall")]);
     let json = matrix.to_json();
     let text = json.to_text();
     let parsed = dataplane_orchestrator::json::Json::parse(&text).unwrap();

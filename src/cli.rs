@@ -134,10 +134,10 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
             [--threads N] [--cache DIR] [--json PATH] [--det-json PATH]
             [--heartbeat-ms N] [--compose-shard auto|off|N]
     (--compose-shard splits each scenario's Step-2 check enumeration
-     into wire shards the fleet load-balances and steals between;
-     `auto` — the default — sizes the shards from live fleet capacity
-     and calibrated solver costs; reports stay byte-identical to an
-     unsharded run at any setting)
+     into shards: wire jobs the fleet load-balances and steals between,
+     pool tasks for parked threads in process; `auto` — the default —
+     sizes the shards from live capacity and calibrated solver costs;
+     reports stay byte-identical to an unsharded run at any setting)
   watch <cfg.click...> [--poll-ms N] [--max-polls N] | --demo
             [--threads N] [--cache DIR] [--connect addr]
   bound <cfg.click...> [--threads N] [--cache DIR]

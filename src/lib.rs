@@ -16,9 +16,9 @@
 //!   service layer: per-element jobs on a work-stealing pool, a
 //!   content-addressed summary cache, and the preset scenario matrix.
 //!
-//! See `README.md` for the project overview, `DESIGN.md` for the system
-//! inventory and experiment index, and `EXPERIMENTS.md` for the recorded
-//! paper-versus-measured results.
+//! See `README.md` for the project overview and the system inventory, and
+//! `ledger/README.md` for the benchmark: its workloads, metrics, and the
+//! recorded measurements.
 
 #![forbid(unsafe_code)]
 

@@ -116,6 +116,33 @@ fn plan_pipes_into_exec_plan_in_process_mode() {
     );
 }
 
+/// `run --compose-shard` without `--workers` used to be parsed and dropped;
+/// it now selects how compositions shard onto the in-process pool's parked
+/// workers. Whatever it selects, the deterministic report is the golden
+/// preset matrix, byte for byte.
+#[test]
+fn run_honours_compose_shard_in_process_byte_identical() {
+    let dir = temp_dir("run-compose-shard");
+    let golden = include_bytes!("golden/preset_matrix.det.json");
+    for mode in ["off", "3", "auto"] {
+        let det_path = dir.join(format!("det_{mode}.json"));
+        let status = vericlick()
+            .args(["run", "--matrix", "--threads", "4", "--compose-shard", mode])
+            .arg("--det-json")
+            .arg(&det_path)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("spawn vericlick run");
+        assert!(status.success(), "run --compose-shard {mode}: {status}");
+        assert!(
+            std::fs::read(&det_path).expect("deterministic report") == golden,
+            "--compose-shard {mode}: report drifted from the golden file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The loopback-TCP acceptance test: `vericlick worker --listen` processes
 /// on OS-chosen ports, a planner process, and an executor process wired to
 /// them with `--workers addr,addr` — the deterministic report must equal
