@@ -21,9 +21,8 @@ use dataplane_bench::{json_record, json_write, row};
 use dataplane_orchestrator::conformance::{plan_fuzz_shards, run_fuzz_jobs};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    join_fleet, preset_scenarios, serve_listener, ComposeShardMode, Daemon, DaemonClient,
-    DaemonConfig, Executor, ScenarioSpec, SummaryStore, VerifyRequest, VerifyService, WorkerAddr,
-    WorkerFleet,
+    join_fleet, preset_scenarios, serve_listener, Daemon, DaemonClient, DaemonConfig, Executor,
+    ScenarioSpec, SummaryStore, VerifyRequest, VerifyService, WorkerAddr, WorkerFleet,
 };
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
@@ -446,81 +445,6 @@ fn shard_report() {
             &[
                 ("ns_per_op", best * 1e9),
                 ("bytes_shipped", stats.summary_bytes_shipped as f64),
-                ("speedup_vs_1w", single_worker_seconds / best),
-            ],
-        );
-    }
-
-    // `--compose-shard auto` (the default): shard counts derived from live
-    // fleet capacity and calibrated per-node solver costs, with idle
-    // workers stealing remainders from loaded ones. The heterogeneous row
-    // (capacity 1 + 2) is where calibration and stealing earn their keep:
-    // the fast worker drains its slice and steals from the slow one.
-    for (name, capacities) in [
-        ("compose_shard_auto_2w", vec![1usize, 1]),
-        ("compose_shard_auto_4w", vec![1, 1, 1, 1]),
-        ("compose_shard_auto_hetero_1p2", vec![1, 2]),
-    ] {
-        let fleet = WorkerFleet::sockets(capacities.iter().map(|&c| spawn_worker(c)).collect());
-        let service = VerifyService::new()
-            .with_threads(2)
-            .with_compose_shard_mode(ComposeShardMode::Auto)
-            .with_store(store.clone());
-        let plan = service.plan_request(&heavy_request()).expect("auto plan");
-        service
-            .execute_plan(&plan, &fleet)
-            .expect("auto fleet warm-up run");
-        let mut best = f64::INFINITY;
-        let mut executed = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            executed = Some(
-                service
-                    .execute_plan(&plan, &fleet)
-                    .expect("auto fleet shard run"),
-            );
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let executed = executed.expect("at least one measured run");
-        assert_eq!(
-            executed.deterministic_json().to_text(),
-            reference,
-            "an auto-sharded {name} run must reproduce the in-process report byte for byte"
-        );
-        let matrix = executed.matrix().expect("matrix report");
-        let stats = matrix.stats.as_ref().expect("fleet runs report stats");
-        assert!(
-            stats.compose_shards > 0,
-            "auto mode must shard the scenario"
-        );
-        let prefilter_decided: usize = matrix
-            .scenarios
-            .iter()
-            .map(|s| s.report.stats.prefilter_decided)
-            .sum();
-        row(
-            "e7-parallel-verification",
-            &[
-                ("mode", name.to_string()),
-                ("workers", capacities.len().to_string()),
-                ("capacity", capacities.iter().sum::<usize>().to_string()),
-                ("compose_shards", stats.compose_shards.to_string()),
-                ("shards_split", stats.shards_split.to_string()),
-                ("shards_stolen", stats.shards_stolen.to_string()),
-                ("prefilter_decided", prefilter_decided.to_string()),
-                ("seconds", format!("{best:.3}")),
-                (
-                    "speedup_vs_1w",
-                    format!("{:.2}", single_worker_seconds / best),
-                ),
-            ],
-        );
-        json_record(
-            name,
-            &[
-                ("ns_per_op", best * 1e9),
-                ("prefilter_decided", prefilter_decided as f64),
-                ("shards_stolen", stats.shards_stolen as f64),
                 ("speedup_vs_1w", single_worker_seconds / best),
             ],
         );

@@ -49,7 +49,7 @@
 
 use crate::cache::SummaryStore;
 use crate::exec::transport::{read_frame, write_frame, Connector, SocketConnector, WorkerAddr};
-use crate::exec::{DispatchStats, ExecError, HeartbeatConfig, Transport, WorkerFleet};
+use crate::exec::{DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerFleet};
 use crate::json::Json;
 use crate::service::{
     ComposeShardMode, VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService,
@@ -311,18 +311,16 @@ impl Daemon {
             .get("request")
             .ok_or("verify frame without a request")?;
         let request = VerifyRequest::from_json(doc).map_err(|e| e.to_string())?;
+        // A fleet per request, over the workers joined right now; none
+        // joined, the same call serves on the session's own pool.
         let workers = self.workers();
-        if workers.is_empty() {
-            let response = service.serve(request).map_err(|e| e.to_string())?;
-            Ok(response_frame(&response, None))
-        } else {
-            let fleet = WorkerFleet::sockets(workers).with_heartbeat(self.inner.heartbeat);
-            let response = service
-                .serve_with(request, Some(&fleet))
-                .map_err(|e| e.to_string())?;
-            let stats = fleet.registry().stats();
-            Ok(response_frame(&response, Some(&stats)))
-        }
+        let fleet = (!workers.is_empty())
+            .then(|| WorkerFleet::sockets(workers).with_heartbeat(self.inner.heartbeat));
+        let response = service
+            .serve_with(request, fleet.as_ref().map(|fleet| fleet as &dyn Executor))
+            .map_err(|e| e.to_string())?;
+        let stats = fleet.map(|fleet| fleet.registry().stats());
+        Ok(response_frame(&response, stats.as_ref()))
     }
 
     /// Serve one connection: the hello/join handshake, then verify

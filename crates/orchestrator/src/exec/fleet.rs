@@ -223,34 +223,39 @@ impl Executor for WorkerFleet {
         &self,
         jobs: &[ExploreJob],
         options: &VerifierOptions,
-    ) -> Result<Vec<Option<ElementSummary>>, ExecError> {
+    ) -> Option<Result<Vec<Option<ElementSummary>>, ExecError>> {
         if jobs.is_empty() {
-            return Ok(Vec::new());
+            return Some(Ok(Vec::new()));
         }
         self.registry.record_offered(jobs.len(), 0, 0);
         let frame_for = |id: usize, _held: &mut std::collections::BTreeSet<Fingerprint>| {
             job_frame(id, &JobSpec::Explore(jobs[id].clone()), None)
         };
-        let results = dispatch(
+        let results = match dispatch(
             &self.connectors,
             &self.registry,
             options,
             self.heartbeat,
             jobs.len(),
             &frame_for,
-        )?;
-        results
-            .iter()
-            .map(|frame| match frame.get("summary") {
-                Some(Json::Null) => Ok(None),
-                Some(doc) => summary_from_json(doc)
-                    .map(Some)
-                    .map_err(|e| ExecError::Protocol(format!("undecodable summary: {e}"))),
-                None => Err(ExecError::Protocol(
-                    "explore result without a summary".into(),
-                )),
-            })
-            .collect()
+        ) {
+            Ok(results) => results,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(
+            results
+                .iter()
+                .map(|frame| match frame.get("summary") {
+                    Some(Json::Null) => Ok(None),
+                    Some(doc) => summary_from_json(doc)
+                        .map(Some)
+                        .map_err(|e| ExecError::Protocol(format!("undecodable summary: {e}"))),
+                    None => Err(ExecError::Protocol(
+                        "explore result without a summary".into(),
+                    )),
+                })
+                .collect(),
+        )
     }
 
     fn compose_jobs(

@@ -42,14 +42,13 @@ pub use registry::{DispatchStats, WorkerRegistry};
 pub use transport::{Connector, SocketConnector, SpawnConnector, Transport, WorkerAddr};
 pub use worker::{serve_listener, worker_serve, WorkerState, WORKER_PROTO, WORKER_SCHEMA};
 
-use crate::executor::{Pool, ThreadBudget};
 use crate::fingerprint::{element_fingerprint, Fingerprint};
 use crate::wire::{ComposeJob, ExploreJob};
 use dataplane_pipeline::config::instantiate;
 use dataplane_symbex::{explore, EngineConfig};
 use dataplane_verifier::{ElementSummary, Report, VerifierOptions};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A plan-execution failure.
@@ -95,24 +94,33 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// How a plan's jobs are computed.
+/// Where a request's jobs run, one job kind at a time.
 ///
-/// `explore_jobs` must return one slot per input job, **in input order**
-/// (`None` where the exploration exceeded its engine budget — the
-/// composition then explores inline and reports the failure exactly as a
-/// sequential run would). Implementations may compute the slots in any
-/// order or place; the order of the returned vector is the determinism
-/// contract. The same contract applies to `compose_jobs` where supported.
+/// Every method answers `None` when this executor has no remote path for
+/// that kind of job — for any batch, an empty one included, which is how
+/// the service probes — and the service then runs the work on its shared
+/// pool. A remote path returns one slot per input job, **in input order**:
+/// implementations may compute the slots in any order or place; the order
+/// of the returned vector is the determinism contract.
 pub trait Executor: Send + Sync {
     /// A human-readable name for logs and reports.
     fn describe(&self) -> String;
 
-    /// Compute the summaries of `jobs` under `options.engine`.
+    /// Compute the summaries of `jobs` under `options.engine`, one slot per
+    /// job (`None` where the exploration exceeded its engine budget — the
+    /// composition then explores inline and reports the failure exactly as
+    /// a sequential run would).
+    ///
+    /// Returns `None` when this executor has no remote exploration path
+    /// (the service then explores on its shared scheduler).
     fn explore_jobs(
         &self,
         jobs: &[ExploreJob],
         options: &VerifierOptions,
-    ) -> Result<Vec<Option<ElementSummary>>, ExecError>;
+    ) -> Option<Result<Vec<Option<ElementSummary>>, ExecError>> {
+        let _ = (jobs, options);
+        None
+    }
 
     /// Decide Step-2 compositions remotely, one report per job in input
     /// order. `summaries` resolves a fingerprint to the summary that ships
@@ -224,52 +232,15 @@ pub(crate) fn run_explore_job(
     }
 }
 
-/// The in-process executor: explore jobs fan out over a work-stealing pool
-/// in this process (the pre-plan behaviour of the orchestrator).
-/// Compositions stay with the service's shared scheduler.
-#[derive(Clone, Debug)]
-pub struct InProcessExecutor {
-    threads: usize,
-}
-
-impl InProcessExecutor {
-    /// An executor over `threads` pool workers (0 = one per available
-    /// core).
-    pub fn new(threads: usize) -> Self {
-        InProcessExecutor {
-            threads: default_parallelism(threads),
-        }
-    }
-}
+/// The executor with no remote path at all: every job kind is "not here",
+/// so a plan executed through it runs entirely on the service's shared
+/// scheduler (`exec-plan --in-process`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct InProcessExecutor;
 
 impl Executor for InProcessExecutor {
     fn describe(&self) -> String {
-        format!("in-process pool ({} threads)", self.threads)
-    }
-
-    fn explore_jobs(
-        &self,
-        jobs: &[ExploreJob],
-        options: &VerifierOptions,
-    ) -> Result<Vec<Option<ElementSummary>>, ExecError> {
-        let engine = &options.engine;
-        type JobSlot = Mutex<Option<Result<Option<ElementSummary>, ExecError>>>;
-        let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        Pool::run(self.threads, ThreadBudget::new(self.threads), |pool| {
-            for (job, slot) in jobs.iter().zip(&slots) {
-                pool.spawn(Box::new(move |_| {
-                    *slot.lock().expect("job slot") = Some(run_explore_job(job, engine));
-                }));
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("job slot")
-                    .expect("every job slot filled")
-            })
-            .collect()
+        "the in-process shared scheduler".into()
     }
 }
 
@@ -303,17 +274,25 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::router_jobs;
     use super::*;
+    use crate::service::{VerifyRequest, VerifyService};
+    use dataplane_pipeline::presets::ip_router_pipeline;
 
     #[test]
-    fn in_process_executor_computes_every_job_in_order() {
-        let options = VerifierOptions::default();
-        let jobs = router_jobs(&options.engine);
-        let summaries = InProcessExecutor::new(4)
-            .explore_jobs(&jobs, &options)
+    fn in_process_execution_publishes_every_job_under_its_fingerprint() {
+        let service = VerifyService::new().with_threads(4);
+        let plan = service
+            .plan_request(&VerifyRequest::Bound {
+                name: "router".into(),
+                pipeline: ip_router_pipeline(),
+            })
             .unwrap();
-        assert_eq!(summaries.len(), jobs.len());
-        for (job, summary) in jobs.iter().zip(&summaries) {
-            let summary = summary.as_ref().expect("preset exploration succeeds");
+        assert_eq!(plan.jobs, router_jobs(&plan.options.engine));
+        service.execute_plan(&plan, &InProcessExecutor).unwrap();
+        for job in &plan.jobs {
+            let summary = service
+                .store()
+                .get(job.fingerprint)
+                .expect("preset exploration succeeds");
             assert_eq!(summary.type_name, job.type_name);
         }
     }
@@ -323,7 +302,7 @@ mod tests {
         let options = VerifierOptions::default();
         let mut jobs = router_jobs(&options.engine);
         jobs[0].fingerprint = crate::fingerprint::fingerprint_bytes("not this element");
-        let result = InProcessExecutor::new(1).explore_jobs(&jobs, &options);
+        let result = run_explore_job(&jobs[0], &options.engine);
         assert!(matches!(result, Err(ExecError::Job(_))), "{result:?}");
     }
 }

@@ -11,31 +11,68 @@
 use super::ExecError;
 use crate::json::Json;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
+/// The longest line a peer may send as one frame. The largest legitimate
+/// frames are compose jobs carrying their pipeline's element summaries —
+/// about 60 kB for the preset router, more as configured tables grow — so
+/// this sits three orders of magnitude above what the protocol produces
+/// and still bounds what one peer line can make a daemon or worker buffer.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Append to `line` up to and including the next `\n` of `reader`:
+/// `Ok(true)` at a complete line, `Ok(false)` at the end of the stream, an
+/// error once the line outgrows [`MAX_FRAME_BYTES`]. What was read stays in
+/// `line` when a read fails, so a caller that keeps `line` across calls
+/// resumes a timed-out read where it stopped.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    // Room for one byte past the cap, so a line of exactly the cap passes.
+    let room = (MAX_FRAME_BYTES + 1).saturating_sub(line.len());
+    reader.take(room as u64).read_until(b'\n', line)?;
+    if line.len() > MAX_FRAME_BYTES {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("frame longer than {MAX_FRAME_BYTES} bytes"),
+        ));
+    }
+    Ok(line.ends_with(b"\n"))
+}
+
+/// Read one frame (one non-blank line) from `reader`, accumulating it in
+/// `line`; `Ok(None)` at EOF. A read deadline that elapses mid-frame is
+/// [`ExecError::Timeout`] and leaves the partial frame in `line` for the
+/// next call.
+fn read_frame_into(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> Result<Option<Json>, ExecError> {
+    loop {
+        let complete = read_bounded_line(reader, line).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => ExecError::Timeout,
+            _ => ExecError::Protocol(format!("reading frame: {e}")),
+        })?;
+        let frame = match std::str::from_utf8(line).map(str::trim) {
+            Ok("") => None,
+            Ok(text) => Some(Json::parse(text).map_err(|e| format!("bad frame: {e}"))),
+            Err(e) => Some(Err(format!("bad frame: {e}"))),
+        };
+        line.clear();
+        match frame {
+            Some(frame) => return frame.map(Some).map_err(ExecError::Protocol),
+            None if complete => continue,
+            None => return Ok(None),
+        }
+    }
+}
+
 /// Read one frame (one non-blank line) from `reader`; `Ok(None)` at EOF.
 pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Json>, ExecError> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| ExecError::Protocol(format!("reading frame: {e}")))?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        return Json::parse(line.trim())
-            .map(Some)
-            .map_err(|e| ExecError::Protocol(format!("bad frame: {e}")));
-    }
+    read_frame_into(reader, &mut Vec::new())
 }
 
 /// Write one frame as one line and flush it.
@@ -150,17 +187,16 @@ impl Write for SocketStream {
     }
 }
 
-/// A timeout-capable transport over a connected socket. Unlike a
-/// `BufReader::read_line` loop — which discards partial data when a read
-/// errors — this keeps its own accumulation buffer, so a `recv` that
+/// A timeout-capable transport over a connected socket. It keeps the
+/// partial line of an unfinished frame across calls, so a `recv` that
 /// times out mid-frame resumes cleanly on the next call. That property is
 /// what makes heartbeat-driven read deadlines safe: the coordinator can
 /// poll, ping, and keep reading without ever corrupting the framing.
 pub struct SocketTransport {
-    read: SocketStream,
+    read: BufReader<SocketStream>,
     write: SocketStream,
-    /// Bytes received but not yet consumed as complete lines.
-    buf: Vec<u8>,
+    /// The bytes of a frame whose line has not completed yet.
+    partial: Vec<u8>,
     peer: String,
 }
 
@@ -170,9 +206,9 @@ impl SocketTransport {
             .try_clone()
             .map_err(|e| ExecError::Connect(format!("{peer}: {e}")))?;
         Ok(SocketTransport {
-            read,
+            read: BufReader::new(read),
             write: stream,
-            buf: Vec::new(),
+            partial: Vec::new(),
             peer,
         })
     }
@@ -184,41 +220,11 @@ impl Transport for SocketTransport {
     }
 
     fn recv(&mut self) -> Result<Option<Json>, ExecError> {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line)
-                    .map_err(|e| ExecError::Protocol(format!("bad frame: {e}")))?
-                    .trim();
-                if text.is_empty() {
-                    continue;
-                }
-                return Json::parse(text)
-                    .map(Some)
-                    .map_err(|e| ExecError::Protocol(format!("bad frame: {e}")));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.read.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buf.iter().any(|b| !b.is_ascii_whitespace()) {
-                        return Err(ExecError::Protocol("connection closed mid-frame".into()));
-                    }
-                    return Ok(None);
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(ExecError::Timeout)
-                }
-                Err(e) => return Err(ExecError::Protocol(format!("reading frame: {e}"))),
-            }
-        }
+        read_frame_into(&mut self.read, &mut self.partial)
     }
 
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> bool {
-        self.read.set_read_timeout(timeout).is_ok()
+        self.read.get_ref().set_read_timeout(timeout).is_ok()
     }
 
     fn peer(&self) -> String {
@@ -424,6 +430,51 @@ mod tests {
             Some("two".to_string())
         );
         assert!(t.recv().unwrap().is_none(), "EOF is a clean None");
+    }
+
+    #[test]
+    fn an_over_long_line_is_a_protocol_error_not_an_allocation() {
+        // A peer that never sends a newline: the reader gives up at the cap
+        // instead of buffering the stream.
+        let mut endless = BufReader::new(std::io::repeat(b'x'));
+        let result = read_frame(&mut endless);
+        assert!(
+            matches!(&result, Err(ExecError::Protocol(m)) if m.contains("longer than")),
+            "{result:?}"
+        );
+        // A line of exactly the cap is still a frame (here, a bad one).
+        let mut line = vec![b'x'; MAX_FRAME_BYTES - 1];
+        line.push(b'\n');
+        let result = read_frame(&mut std::io::Cursor::new(line));
+        assert!(
+            matches!(&result, Err(ExecError::Protocol(m)) if m.contains("bad frame")),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn socket_transport_bounds_its_frames_too() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // The reader hangs up at the cap, so the tail of this fails.
+            let chunk = vec![b'['; 1 << 20];
+            for _ in 0..=MAX_FRAME_BYTES >> 20 {
+                if stream.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut t = SocketTransport::new(SocketStream::Tcp(stream), addr.to_string()).unwrap();
+        let result = t.recv();
+        assert!(
+            matches!(&result, Err(ExecError::Protocol(m)) if m.contains("longer than")),
+            "{result:?}"
+        );
+        drop(t);
+        peer.join().unwrap();
     }
 
     #[test]

@@ -105,6 +105,7 @@ impl Json {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -192,9 +193,17 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level and its input is whatever a peer sent, so the depth must be bounded
+/// well inside the smallest stack it runs on (a session thread's); the
+/// documents this crate writes nest 7 deep at most.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,11 +244,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at(self.pos, "expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at(
+                self.pos,
+                format!("nested deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -403,6 +428,17 @@ mod tests {
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("true false").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Unclosed, as a hostile peer would send it: an error, not a stack
+        // overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 
     #[test]

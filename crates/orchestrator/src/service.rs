@@ -18,25 +18,27 @@
 //! [`crate::wire`], so the same API shape works in-process, across a pipe,
 //! or over a socket.
 //!
-//! ## The plan/execute split
+//! ## One request path: resolve → run
 //!
-//! [`VerifyService::plan_request`] turns a request into a first-class
-//! [`PlanSpec`] — scenarios as config text, one [`crate::wire::JobSpec`]
-//! per distinct element behaviour, dependency edges, fingerprints — which
-//! round-trips through JSON. [`VerifyService::execute_plan`] runs one,
-//! computing the missing element summaries through any [`Executor`]
-//! (in-process pool, or subprocess workers over stdio) and composing on the
-//! shared scheduler. A plan serialised by one process and executed by
-//! another produces a byte-identical deterministic report — the remote
-//! worker path, proven end to end by the `plan`/`exec-plan` round-trip
-//! tests and CI smoke.
+//! Every request takes the same two steps, whichever door it came
+//! through ([`VerifyService::serve`] is [`VerifyService::serve_with`] with
+//! no executor). **Resolve** turns it into parsed scenarios — its own, or
+//! parsed from its config text and narrowed by the diff — plus the shape
+//! of the outcome. **Run** verifies them: each step goes through the
+//! [`Executor`] where it offers a remote path and onto the shared pool
+//! where it does not. Pipelines stay parsed end to end; config text is
+//! rendered only where a document leaves the process — a job frame, or the
+//! [`PlanSpec`] that [`VerifyService::plan_request`] makes of a resolved
+//! request and [`VerifyService::execute_plan`] parses once and runs under
+//! the plan's options. A plan serialised by one process and executed by
+//! another produces a byte-identical deterministic report.
 
 use crate::cache::{CacheStats, SummaryStore};
 use crate::diff::{
     config_scenarios, default_properties, DiffEntry, DiffKind, DiffReport, NamedConfig,
 };
-use crate::exec::{ExecError, Executor, InProcessExecutor};
-use crate::executor::{Latch, Pool, ThreadBudget};
+use crate::exec::{ExecError, Executor};
+use crate::executor::{Job, Latch, Pool, ThreadBudget};
 use crate::fingerprint::{element_fingerprint, Fingerprint};
 use crate::json::Json;
 use crate::matrix::{preset_pipelines, preset_properties, MatrixReport, Scenario, ScenarioReport};
@@ -46,13 +48,13 @@ use crate::wire::{
 };
 use dataplane_ir::Program;
 use dataplane_pipeline::diff::diff_pipelines;
-use dataplane_pipeline::{parse_config, ConfigError, Pipeline};
-use dataplane_symbex::{explore_with_cancel, CancelToken, EngineConfig};
+use dataplane_pipeline::{parse_config, write_config, ConfigError, Element, Pipeline};
+use dataplane_symbex::{explore, CancelToken, EngineConfig};
 use dataplane_verifier::{
     ComposeOutline, ElementSummary, InstructionBoundReport, Property, Report, ShardNodeRecord,
     ShardTiming, Verdict, Verifier, VerifierOptions,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -97,6 +99,78 @@ pub struct JobPlan {
     pub element_fingerprints: Vec<Vec<Fingerprint>>,
 }
 
+/// A batch of pipelines cut along the paper's seam: the distinct element
+/// behaviours Step 1 explores, and what each pipeline's Step 2 reads.
+struct Decomposition<'a> {
+    /// One entry per distinct element behaviour across the batch, in
+    /// first-seen order.
+    behaviours: Vec<(Fingerprint, &'a dyn Element)>,
+    /// Per pipeline: the `behaviours` its composition depends on.
+    deps: Vec<Vec<usize>>,
+    /// Per pipeline, per element: the summary fingerprint its composition
+    /// fetches.
+    element_fingerprints: Vec<Vec<Fingerprint>>,
+}
+
+/// Fingerprint every element of `pipelines`, deduplicating behaviours
+/// across the whole batch.
+fn decompose<'a>(
+    pipelines: impl IntoIterator<Item = &'a Pipeline>,
+    engine: &EngineConfig,
+) -> Decomposition<'a> {
+    let mut decomposition = Decomposition {
+        behaviours: Vec::new(),
+        deps: Vec::new(),
+        element_fingerprints: Vec::new(),
+    };
+    let mut index_of: HashMap<Fingerprint, usize> = HashMap::new();
+    for pipeline in pipelines {
+        let mut deps = Vec::new();
+        let mut fps = Vec::with_capacity(pipeline.len());
+        for (_, node) in pipeline.iter() {
+            let element = node.element.as_ref();
+            let fp = element_fingerprint(element, engine);
+            fps.push(fp);
+            let index = *index_of.entry(fp).or_insert_with(|| {
+                decomposition.behaviours.push((fp, element));
+                decomposition.behaviours.len() - 1
+            });
+            if !deps.contains(&index) {
+                deps.push(index);
+            }
+        }
+        decomposition.deps.push(deps);
+        decomposition.element_fingerprints.push(fps);
+    }
+    decomposition
+}
+
+impl Decomposition<'_> {
+    /// The behaviours `store` does not hold yet (one lookup each).
+    fn missing(&self, store: &SummaryStore) -> Vec<usize> {
+        (0..self.behaviours.len())
+            .filter(|&index| store.get(self.behaviours[index].0).is_none())
+            .collect()
+    }
+
+    /// The wire form of behaviour `index`'s exploration: the worker
+    /// re-instantiates the element from the config factory.
+    fn wire_job(&self, index: usize) -> Result<ExploreJob, WireError> {
+        let (fingerprint, element) = self.behaviours[index];
+        let config_args = element.config_args().ok_or_else(|| {
+            wire::malformed(format!(
+                "{} has no config-language form, so its exploration cannot leave the process",
+                element.type_name()
+            ))
+        })?;
+        Ok(ExploreJob {
+            fingerprint,
+            type_name: element.type_name().to_string(),
+            config_args,
+        })
+    }
+}
+
 /// Build the job plan for `scenarios` against the current contents of
 /// `store`: distinct element behaviours are deduplicated across every
 /// scenario, and behaviours the store already holds produce no job.
@@ -104,47 +178,28 @@ pub struct JobPlan {
 /// (For the *serialisable* plan artifact that crosses process boundaries,
 /// see [`VerifyService::plan_request`] and [`crate::wire::PlanSpec`].)
 pub fn plan(scenarios: &[Scenario], options: &VerifierOptions, store: &SummaryStore) -> JobPlan {
-    let mut explore: Vec<ExploreSpec> = Vec::new();
-    let mut job_of: std::collections::HashMap<Fingerprint, Option<usize>> =
-        std::collections::HashMap::new();
-    let mut cached = 0usize;
-    let mut scenario_deps = Vec::with_capacity(scenarios.len());
-    let mut element_fingerprints = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        let mut deps = Vec::new();
-        let mut fps = Vec::with_capacity(scenario.pipeline.len());
-        for (_, node) in scenario.pipeline.iter() {
-            let element = node.element.as_ref();
-            let fp = element_fingerprint(element, &options.engine);
-            fps.push(fp);
-            let entry = job_of.entry(fp).or_insert_with(|| {
-                if store.get(fp).is_some() {
-                    cached += 1;
-                    None
-                } else {
-                    explore.push(ExploreSpec {
-                        fingerprint: fp,
-                        type_name: element.type_name().to_string(),
-                        config_key: element.config_key(),
-                        program: element.model(),
-                    });
-                    Some(explore.len() - 1)
-                }
-            });
-            if let Some(job) = *entry {
-                if !deps.contains(&job) {
-                    deps.push(job);
-                }
-            }
-        }
-        scenario_deps.push(deps);
-        element_fingerprints.push(fps);
+    let decomposition = decompose(scenarios.iter().map(|s| &s.pipeline), &options.engine);
+    let mut job_of = vec![None; decomposition.behaviours.len()];
+    let mut explore = Vec::new();
+    for index in decomposition.missing(store) {
+        let (fingerprint, element) = decomposition.behaviours[index];
+        job_of[index] = Some(explore.len());
+        explore.push(ExploreSpec {
+            fingerprint,
+            type_name: element.type_name().to_string(),
+            config_key: element.config_key(),
+            program: element.model(),
+        });
     }
     JobPlan {
+        cached: job_of.len() - explore.len(),
+        scenario_deps: decomposition
+            .deps
+            .iter()
+            .map(|deps| deps.iter().filter_map(|&index| job_of[index]).collect())
+            .collect(),
+        element_fingerprints: decomposition.element_fingerprints,
         explore,
-        cached,
-        scenario_deps,
-        element_fingerprints,
     }
 }
 
@@ -653,146 +708,480 @@ impl VerifyService {
         &self.budget
     }
 
-    fn emit(&self, event: ProgressEvent) {
+    fn emit(&self, event: impl FnOnce() -> ProgressEvent) {
         if let Some(observer) = &self.progress {
-            observer(&event);
+            observer(&event());
         }
     }
 
     // -----------------------------------------------------------------------
-    // Serving
+    // Serving: resolve → run
     // -----------------------------------------------------------------------
 
-    /// Serve one request (see [`VerifyRequest`] for the shapes).
+    /// Serve one request in this process (see [`VerifyRequest`] for the
+    /// shapes).
     pub fn serve(&self, request: VerifyRequest) -> Result<VerifyResponse, ServiceError> {
-        let kind = request.kind();
-        let outcome = match request {
-            VerifyRequest::Single {
-                name,
-                pipeline,
-                property,
-            } => {
-                let mut matrix = self.run_matrix(vec![Scenario::new(name, pipeline, property)]);
-                VerifyOutcome::Single(Box::new(matrix.scenarios.remove(0)))
-            }
-            VerifyRequest::Matrix { scenarios } => {
-                VerifyOutcome::Matrix(self.run_matrix(scenarios))
-            }
-            VerifyRequest::Diff {
-                old,
-                new,
-                properties,
-            } => VerifyOutcome::Diff(
-                self.verify_diff(&old, &new, &|name| properties.properties_for(name))?,
-            ),
-            VerifyRequest::Watch {
-                configs,
-                properties,
-            } => {
-                let previous = self.baseline.lock().expect("watch baseline").clone();
-                let outcome = match previous {
-                    // First watch call: verify everything, establish the
-                    // baseline.
-                    None => {
-                        let scenarios =
-                            config_scenarios(&configs, &|name| properties.properties_for(name))?;
-                        VerifyOutcome::Matrix(self.run_matrix(scenarios))
-                    }
-                    // Every later call: re-verify only what changed since
-                    // the previous configs.
-                    Some(old) => VerifyOutcome::Diff(self.verify_diff(
-                        &old,
-                        &configs,
-                        &|name| properties.properties_for(name),
-                    )?),
-                };
-                // Roll the baseline forward only after the tick verified:
-                // a tick that errors (e.g. a config syntax error) must not
-                // become the baseline, or the eventual fix would diff as
-                // `Identical` against it and skip verification of the edit.
-                *self.baseline.lock().expect("watch baseline") = Some(configs);
-                outcome
-            }
-            VerifyRequest::Conformance {
-                scenarios,
-                seed,
-                packets,
-            } => VerifyOutcome::Conformance(Box::new(
-                self.run_conformance(scenarios, seed, packets, None)?,
-            )),
-            request @ VerifyRequest::Bound { .. } => {
-                // Serve through the same plan/execute machinery the remote
-                // path uses: element explorations on the in-process pool,
-                // the bound analysis decided from the warmed store.
-                let plan = self.plan_request(&request)?;
-                self.execute_plan(&plan, &InProcessExecutor::new(self.threads))?
-                    .outcome
-            }
-        };
-        Ok(VerifyResponse {
-            request: kind,
-            outcome,
-        })
+        self.serve_with(request, None)
     }
 
-    /// Serve one request, running its jobs on `executor` where the
-    /// request has a plannable form — the daemon's serving path, where
-    /// the executor is the fleet of currently joined socket workers.
-    ///
-    /// With `None` this is exactly [`VerifyService::serve`]. With an
-    /// executor, plannable requests (single, matrix, diff, bound, watch)
-    /// go through [`VerifyService::plan_request`] /
-    /// [`VerifyService::execute_plan`] — a `Watch` additionally rolls the
-    /// service's baseline forward after the tick, exactly as `serve`
-    /// would — and a conformance request fuzzes its shards on the
-    /// executor. Deterministic report content is byte-identical to
-    /// serving in-process either way.
+    /// Serve one request: resolve it, then run what it resolved to —
+    /// through `executor` wherever it offers a remote path (the daemon
+    /// passes the fleet of currently joined socket workers), on the shared
+    /// pool wherever it does not or there is none. The response is shaped
+    /// the same, and its deterministic document is byte-identical,
+    /// whichever side ran which step.
     pub fn serve_with(
         &self,
         request: VerifyRequest,
         executor: Option<&dyn Executor>,
     ) -> Result<VerifyResponse, ServiceError> {
-        let Some(executor) = executor else {
-            return self.serve(request);
+        let mut parsed = Vec::new();
+        let resolved = self.resolve(&request, &mut parsed)?;
+        let baseline = resolved.baseline;
+        let outcome = self.run(resolved, &self.options, executor)?;
+        // Roll the Watch baseline forward only after the tick verified: a
+        // tick that errors (e.g. a config syntax error) must not become
+        // the baseline, or the eventual fix would diff as `Identical`
+        // against it and skip verification of the edit.
+        if let Some(configs) = baseline {
+            *self.baseline.lock().expect("watch baseline") = Some(configs.to_vec());
+        }
+        Ok(VerifyResponse {
+            request: request.kind(),
+            outcome,
+        })
+    }
+
+    /// The resolve step, and the one place a request's kind is told apart:
+    /// which scenarios it asks for — its own, or parsed into `parsed` from
+    /// its config text and narrowed by the diff against the old configs or
+    /// the Watch baseline — and how the outcome will be shaped. Nothing
+    /// runs and the baseline does not move.
+    fn resolve<'a>(
+        &self,
+        request: &'a VerifyRequest,
+        parsed: &'a mut Vec<Scenario>,
+    ) -> Result<Resolved<'a>, ConfigError> {
+        let mut resolved = Resolved {
+            shape: Shape::Matrix,
+            scenarios: Vec::new(),
+            baseline: None,
         };
-        let kind = request.kind();
-        let mut response = match request {
+        match request {
+            VerifyRequest::Single {
+                name,
+                pipeline,
+                property,
+            } => {
+                resolved.shape = Shape::Single;
+                resolved.scenarios.push(ScenarioRef {
+                    name,
+                    pipeline,
+                    property,
+                });
+            }
+            VerifyRequest::Matrix { scenarios } => {
+                resolved.scenarios = scenarios.iter().map(ScenarioRef::from).collect();
+            }
             VerifyRequest::Conformance {
                 scenarios,
                 seed,
                 packets,
-            } => VerifyResponse {
-                request: kind,
-                outcome: VerifyOutcome::Conformance(Box::new(self.run_conformance(
-                    scenarios,
-                    seed,
-                    packets,
-                    Some(executor),
-                )?)),
-            },
+            } => {
+                resolved.shape = Shape::Conformance {
+                    seed: *seed,
+                    packets: *packets,
+                };
+                resolved.scenarios = scenarios.iter().map(ScenarioRef::from).collect();
+            }
+            VerifyRequest::Bound { name, pipeline } => {
+                resolved.shape = Shape::Bound { name, pipeline };
+            }
+            VerifyRequest::Diff {
+                old,
+                new,
+                properties,
+            } => {
+                let (scenarios, meta) =
+                    diff_scenarios(old, new, &|name| properties.properties_for(name))?;
+                *parsed = scenarios;
+                resolved.shape = Shape::Diff(meta);
+            }
             VerifyRequest::Watch {
                 configs,
                 properties,
             } => {
-                let plan = self.plan_request(&VerifyRequest::Watch {
-                    configs: configs.clone(),
-                    properties,
-                })?;
-                let response = self.execute_plan(&plan, executor)?;
-                // Roll the baseline exactly as `serve` would (see there
-                // for why this happens only after a successful tick).
-                *self.baseline.lock().expect("watch baseline") = Some(configs);
-                response
+                let select = |name: &str| properties.properties_for(name);
+                match self.baseline.lock().expect("watch baseline").as_deref() {
+                    // First watch call: verify everything; serving it
+                    // establishes the baseline.
+                    None => *parsed = config_scenarios(configs, &select)?,
+                    // Every later call: only what changed since the
+                    // previous configs.
+                    Some(old) => {
+                        let (scenarios, meta) = diff_scenarios(old, configs, &select)?;
+                        *parsed = scenarios;
+                        resolved.shape = Shape::Diff(meta);
+                    }
+                }
+                resolved.baseline = Some(configs);
             }
-            request => {
-                let plan = self.plan_request(&request)?;
-                self.execute_plan(&plan, executor)?
-            }
-        };
-        // `execute_plan` reports as "exec-plan"; keep the caller's kind.
-        response.request = kind;
-        Ok(response)
+        }
+        let parsed: &'a [Scenario] = parsed;
+        resolved
+            .scenarios
+            .extend(parsed.iter().map(ScenarioRef::from));
+        Ok(resolved)
     }
+
+    /// The run step: verify what a request resolved to under `options`,
+    /// and shape the outcome.
+    fn run(
+        &self,
+        resolved: Resolved<'_>,
+        options: &VerifierOptions,
+        executor: Option<&dyn Executor>,
+    ) -> Result<VerifyOutcome, ServiceError> {
+        let scenarios = &resolved.scenarios;
+        Ok(match resolved.shape {
+            Shape::Conformance { seed, packets } => VerifyOutcome::Conformance(Box::new(
+                self.conformance(scenarios, options, seed, packets, executor)?,
+            )),
+            // An instruction bound is Step 1 of one pipeline, then the
+            // analysis decided from the warmed store.
+            Shape::Bound { name, pipeline } => {
+                let decomposition = decompose([pipeline], &options.engine);
+                let missing = decomposition.missing(&self.store);
+                let missing = self.explore_remote(&decomposition, missing, options, executor)?;
+                self.run_pool(&[], &decomposition, &missing, options);
+                let mut verifier = Verifier::with_options(options.clone());
+                verifier.seed_summaries(
+                    decomposition.element_fingerprints[0]
+                        .iter()
+                        .filter_map(|fp| self.store.get(*fp)),
+                );
+                VerifyOutcome::Bound(Box::new(BoundOutcome {
+                    pipeline_name: name.to_string(),
+                    report: verifier.max_instructions(pipeline),
+                }))
+            }
+            shape => {
+                let mut matrix = self.run_scenarios(scenarios, options, executor)?;
+                match shape {
+                    Shape::Single => VerifyOutcome::Single(Box::new(matrix.scenarios.remove(0))),
+                    Shape::Diff(meta) => VerifyOutcome::Diff(DiffReport {
+                        entries: meta.entries,
+                        removed_configs: meta.removed_configs,
+                        skipped_scenarios: meta.skipped_scenarios,
+                        matrix,
+                    }),
+                    _ => VerifyOutcome::Matrix(matrix),
+                }
+            }
+        })
+    }
+
+    /// Steps 1 and 2 of a batch of scenarios. With an executor, the
+    /// behaviours the store lacks are explored remotely if it explores,
+    /// and every scenario is composed remotely if it composes (once Step 1
+    /// is complete — shards ship with their summaries). Whatever is left
+    /// runs on the shared pool, Step 2 latched on Step 1, so without a
+    /// remote path nothing is serialised and nothing waits on a phase
+    /// barrier.
+    fn run_scenarios(
+        &self,
+        scenarios: &[ScenarioRef<'_>],
+        options: &VerifierOptions,
+        executor: Option<&dyn Executor>,
+    ) -> Result<MatrixReport, ServiceError> {
+        let started = Instant::now();
+        let stats_before = self.store.stats();
+        self.budget.reset_peak();
+        let decomposition = decompose(scenarios.iter().map(|s| s.pipeline), &options.engine);
+        let missing = decomposition.missing(&self.store);
+        let explore_jobs = missing.len();
+        let cached_jobs = decomposition.behaviours.len() - explore_jobs;
+        self.emit(|| ProgressEvent::Planned {
+            explore_jobs,
+            cached: cached_jobs,
+            scenarios: scenarios.len(),
+        });
+
+        let mut missing = self.explore_remote(&decomposition, missing, options, executor)?;
+        let mut reports = None;
+        if let Some(executor) = executor {
+            let fetch = |fp: Fingerprint| self.store.get(fp);
+            if executor.compose_shard_jobs(&[], options, &fetch).is_some()
+                || executor.compose_jobs(&[], options, &fetch).is_some()
+            {
+                self.run_pool(&[], &decomposition, &missing, options);
+                missing.clear();
+                let fingerprints = &decomposition.element_fingerprints;
+                reports = self.compose_remote(scenarios, fingerprints, options, executor)?;
+            }
+        }
+        let reports = match reports {
+            Some(reports) => reports,
+            None => self.run_pool(scenarios, &decomposition, &missing, options),
+        };
+        Ok(MatrixReport {
+            scenarios: scenarios
+                .iter()
+                .zip(reports)
+                .map(|(scenario, report)| ScenarioReport {
+                    pipeline_name: scenario.name.to_string(),
+                    report,
+                })
+                .collect(),
+            explore_jobs,
+            cached_jobs,
+            threads: self.threads,
+            // Zero when no step ran in this process.
+            peak_live_threads: self.budget.peak_in_use(),
+            cache: CacheStats::delta(&stats_before, &self.store.stats()),
+            stats: executor.and_then(|executor| executor.dispatch_stats()),
+            elapsed: started.elapsed(),
+        })
+    }
+
+    /// Step 1 through the executor, if there is one and it explores: ship
+    /// the `missing` behaviours and publish what comes back. A
+    /// budget-exceeded job returns `None` and publishes nothing — the
+    /// composition then surfaces the failure exactly as a cold in-process
+    /// run would. Returns what is left for the shared pool to explore.
+    fn explore_remote(
+        &self,
+        decomposition: &Decomposition<'_>,
+        missing: Vec<usize>,
+        options: &VerifierOptions,
+        executor: Option<&dyn Executor>,
+    ) -> Result<Vec<usize>, ServiceError> {
+        let Some(executor) = executor else {
+            return Ok(missing);
+        };
+        let jobs = missing
+            .iter()
+            .map(|&index| decomposition.wire_job(index))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(summaries) = executor.explore_jobs(&jobs, options) else {
+            return Ok(missing);
+        };
+        for (job, summary) in jobs.iter().zip(summaries?) {
+            if let Some(summary) = summary {
+                self.store.insert(job.fingerprint, Arc::new(summary));
+            }
+        }
+        Ok(Vec::new())
+    }
+
+    /// The shared scheduler: spawn a Step-1 task per `missing` behaviour
+    /// and a composition task per scenario (none, when Step 2 runs
+    /// remotely), each latched on the explorations it depends on — and
+    /// each in turn spawning shard tasks for whatever workers are parked,
+    /// so every kind of work competes for one thread budget. Returns the
+    /// scenarios' reports in order.
+    fn run_pool(
+        &self,
+        scenarios: &[ScenarioRef<'_>],
+        decomposition: &Decomposition<'_>,
+        missing: &[usize],
+        options: &VerifierOptions,
+    ) -> Vec<Report> {
+        let slots: Vec<Mutex<Option<Report>>> =
+            scenarios.iter().map(|_| Mutex::new(None)).collect();
+        Pool::run(self.threads, self.budget.clone(), |pool| {
+            // `dependents[b]` collects the latches the exploration of
+            // behaviour `b` must signal when it completes.
+            let mut dependents: Vec<Vec<Arc<Latch<'_>>>> =
+                vec![Vec::new(); decomposition.behaviours.len()];
+            for (index, (scenario, slot)) in scenarios.iter().zip(&slots).enumerate() {
+                let composition = Composition {
+                    service: self,
+                    options,
+                    scenario: *scenario,
+                    fingerprints: &decomposition.element_fingerprints[index],
+                    slot,
+                };
+                let job: Job<'_> = Box::new(move |pool| composition.run(pool));
+                let waits = decomposition.deps[index]
+                    .iter()
+                    .filter(|behaviour| missing.contains(behaviour));
+                match waits.clone().count() {
+                    0 => pool.spawn(job),
+                    count => {
+                        let latch = Latch::new(count, job);
+                        for &behaviour in waits {
+                            dependents[behaviour].push(latch.clone());
+                        }
+                    }
+                }
+            }
+            for &index in missing {
+                let (fingerprint, element) = decomposition.behaviours[index];
+                let latches = std::mem::take(&mut dependents[index]);
+                pool.spawn(Box::new(move |pool| {
+                    self.explore(fingerprint, element, &options.engine);
+                    for latch in &latches {
+                        latch.ready(pool);
+                    }
+                }));
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("report slot")
+                    .expect("every composition job ran")
+            })
+            .collect()
+    }
+
+    /// One Step-1 task: explore an element behaviour and publish its
+    /// summary to the shared store.
+    fn explore(&self, fingerprint: Fingerprint, element: &dyn Element, engine: &EngineConfig) {
+        let type_name = element.type_name();
+        self.emit(|| ProgressEvent::ExploreStarted {
+            type_name: type_name.to_string(),
+        });
+        let program = element.model();
+        let start = Instant::now();
+        let result = explore(&program, engine);
+        let elapsed = start.elapsed();
+        let ok = result.is_ok();
+        // A budget-exceeded exploration publishes nothing; the composition
+        // job then explores inline and reports the failure exactly as the
+        // sequential verifier does.
+        if let Ok(exploration) = result {
+            self.store.insert(
+                fingerprint,
+                Arc::new(ElementSummary {
+                    type_name: type_name.to_string(),
+                    config_key: element.config_key(),
+                    exploration,
+                    explore_time: elapsed,
+                }),
+            );
+        }
+        self.emit(|| ProgressEvent::ExploreFinished {
+            type_name: type_name.to_string(),
+            elapsed,
+            ok,
+        });
+    }
+
+    /// Step 2 through the executor, on a warm store: sharded when the
+    /// compose-shard mode and the executor's shard path allow, as whole
+    /// compositions otherwise. This is where a scenario becomes config
+    /// text — once, for every frame that carries it. `Ok(None)` when the
+    /// executor composes nothing remotely after all.
+    fn compose_remote(
+        &self,
+        scenarios: &[ScenarioRef<'_>],
+        fingerprints: &[Vec<Fingerprint>],
+        options: &VerifierOptions,
+        executor: &dyn Executor,
+    ) -> Result<Option<Vec<Report>>, ServiceError> {
+        let specs = render(scenarios)?;
+        if let Some(reports) =
+            self.compose_sharded(scenarios, &specs, fingerprints, options, executor)?
+        {
+            return Ok(Some(reports));
+        }
+        let jobs: Vec<ComposeJob> = specs
+            .into_iter()
+            .zip(fingerprints)
+            .map(|(scenario, fps)| ComposeJob {
+                scenario,
+                fingerprints: fps.clone(),
+            })
+            .collect();
+        let fetch = |fp: Fingerprint| self.store.get(fp);
+        Ok(executor.compose_jobs(&jobs, options, &fetch).transpose()?)
+    }
+
+    /// The sharded form of [`VerifyService::compose_remote`]: cut each
+    /// scenario's suspect×prefix enumeration into contiguous
+    /// [`ComposeShardJob`]s, dispatch them all as one pull-based batch (so
+    /// the fleet load-balances across scenarios, not just within one), and
+    /// fold each scenario's shard records back into its report by replaying
+    /// the sequential enumeration — byte-identical to an unsharded run.
+    ///
+    /// Returns `Ok(None)` when nothing was cut (sharding off, or nothing
+    /// shardable in the whole request) or the executor has no remote shard
+    /// path; the caller then dispatches whole compositions instead of
+    /// idling the fleet. Scenarios with no shardable enumeration verify in
+    /// place.
+    fn compose_sharded(
+        &self,
+        scenarios: &[ScenarioRef<'_>],
+        specs: &[ScenarioSpec],
+        fingerprints: &[Vec<Fingerprint>],
+        options: &VerifierOptions,
+        executor: &dyn Executor,
+    ) -> Result<Option<Vec<Report>>, ServiceError> {
+        let fetch = |fp: Fingerprint| self.store.get(fp);
+        if executor.compose_shard_jobs(&[], options, &fetch).is_none() {
+            return Ok(None);
+        }
+        let inputs: Vec<ComposeInput<'_>> = scenarios
+            .iter()
+            .zip(fingerprints)
+            .map(|(scenario, fps)| ComposeInput::fetch(*scenario, fps, &self.store))
+            .collect();
+        let capacity = executor.live_capacity().unwrap_or(self.threads).max(1);
+        let cuts = shard_cuts(self.compose_shard, capacity, &inputs, &self.store, options);
+
+        let mut jobs: Vec<ComposeShardJob> = Vec::new();
+        for (index, (cut, (spec, fps))) in
+            cuts.iter().zip(specs.iter().zip(fingerprints)).enumerate()
+        {
+            for &(start, end) in cut.iter().flat_map(|(_, ranges)| ranges) {
+                jobs.push(ComposeShardJob {
+                    scenario: spec.clone(),
+                    fingerprints: fps.clone(),
+                    scenario_index: index as u32,
+                    start,
+                    end,
+                });
+            }
+        }
+        if jobs.is_empty() {
+            return Ok(None);
+        }
+        let results = match executor.compose_shard_jobs(&jobs, options, &fetch) {
+            Some(results) => results?,
+            None => return Ok(None),
+        };
+
+        // Shards were emitted scenario by scenario, so each scenario's
+        // results are its cut's next `ranges.len()` slots in order.
+        let mut results = results.into_iter();
+        let reports = inputs
+            .iter()
+            .zip(cuts)
+            .map(|(input, cut)| {
+                // A scenario with nothing to cut folds over no records:
+                // it is decided in place.
+                let (outline, ranges) = cut.unwrap_or_default();
+                let mut records = Vec::new();
+                for result in results.by_ref().take(ranges.len()) {
+                    // Observed per-node solver times go back into the warm
+                    // store, so the next request's `auto` cuts weigh nodes
+                    // by real cost.
+                    record_timings(&self.store, &outline, input.fingerprints, &result.timings);
+                    records.extend(result.records);
+                }
+                input.fold(options, &outline, records)
+            })
+            .collect();
+        self.store.flush_calibration();
+        Ok(Some(reports))
+    }
+
+    // -----------------------------------------------------------------------
+    // In-process conveniences over the run step
+    // -----------------------------------------------------------------------
 
     /// Verify one pipeline against one property. Equivalent to (and
     /// verdict-identical with) `Verifier::verify`, with element
@@ -806,135 +1195,9 @@ impl VerifyService {
     /// Run a batch of scenarios on the shared scheduler with the service's
     /// options.
     pub fn run_matrix(&self, scenarios: Vec<Scenario>) -> MatrixReport {
-        let options = self.options.clone();
-        self.run_matrix_with(scenarios, &options)
-    }
-
-    /// Run a batch of scenarios on the shared scheduler: plan, spawn Step-1
-    /// explore tasks, and let each completed dependency set dynamically
-    /// spawn its composition task onto the *same* pool — which in turn
-    /// spawns shard tasks for whatever workers are parked, so every kind of
-    /// work competes for one thread budget.
-    fn run_matrix_with(
-        &self,
-        scenarios: Vec<Scenario>,
-        base_options: &VerifierOptions,
-    ) -> MatrixReport {
-        let started = Instant::now();
-        let stats_before = self.store.stats();
-        self.budget.reset_peak();
-        let job_plan = plan(&scenarios, base_options, &self.store);
-        self.emit(ProgressEvent::Planned {
-            explore_jobs: job_plan.explore.len(),
-            cached: job_plan.cached,
-            scenarios: scenarios.len(),
-        });
-
-        let explore_jobs = job_plan.explore.len();
-        let cached_jobs = job_plan.cached;
-        let cancel = CancelToken::new();
-        let mut slots: Vec<Arc<Mutex<Option<ScenarioReport>>>> = Vec::new();
-
-        Pool::run(self.threads, self.budget.clone(), |pool| {
-            // Composition tasks, latched on their element explorations.
-            // `dependents[j]` collects the latches explore job `j` must
-            // signal when it completes.
-            let mut dependents: Vec<Vec<Arc<Latch<'_>>>> = vec![Vec::new(); explore_jobs];
-            for (scenario, (deps, fingerprints)) in scenarios.into_iter().zip(
-                job_plan
-                    .scenario_deps
-                    .into_iter()
-                    .zip(job_plan.element_fingerprints),
-            ) {
-                let slot = Arc::new(Mutex::new(None));
-                slots.push(slot.clone());
-                let composition = Composition {
-                    scenario,
-                    fingerprints,
-                    options: base_options.clone(),
-                    shard_mode: self.compose_shard,
-                    store: self.store.clone(),
-                    progress: self.progress.clone(),
-                    slot,
-                };
-                let job = Box::new(move |pool: &Pool<'_>| composition.run(pool));
-                if deps.is_empty() {
-                    pool.spawn(job);
-                } else {
-                    let latch = Latch::new(deps.len(), job);
-                    for dep in deps {
-                        dependents[dep].push(latch.clone());
-                    }
-                }
-            }
-
-            // Step-1 tasks: explore one element behaviour each, publish to
-            // the shared store, then release whatever compositions were
-            // waiting on it.
-            for (idx, spec) in job_plan.explore.into_iter().enumerate() {
-                let store = self.store.clone();
-                let progress = self.progress.clone();
-                let engine = base_options.engine.clone();
-                let cancel = cancel.clone();
-                let latches = std::mem::take(&mut dependents[idx]);
-                pool.spawn(Box::new(move |pool| {
-                    if let Some(observer) = &progress {
-                        observer(&ProgressEvent::ExploreStarted {
-                            type_name: spec.type_name.clone(),
-                        });
-                    }
-                    let start = Instant::now();
-                    let result = explore_with_cancel(&spec.program, &engine, &cancel);
-                    let elapsed = start.elapsed();
-                    let ok = result.is_ok();
-                    if let Ok(exploration) = result {
-                        store.insert(
-                            spec.fingerprint,
-                            Arc::new(ElementSummary {
-                                type_name: spec.type_name.clone(),
-                                config_key: spec.config_key.clone(),
-                                exploration,
-                                explore_time: elapsed,
-                            }),
-                        );
-                    }
-                    // A budget-exceeded exploration publishes nothing; the
-                    // composition job then explores inline and reports the
-                    // failure exactly as the sequential verifier does.
-                    if let Some(observer) = &progress {
-                        observer(&ProgressEvent::ExploreFinished {
-                            type_name: spec.type_name.clone(),
-                            elapsed,
-                            ok,
-                        });
-                    }
-                    for latch in &latches {
-                        latch.ready(pool);
-                    }
-                }));
-            }
-        });
-
-        let scenario_reports: Vec<ScenarioReport> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("report slot")
-                    .take()
-                    .expect("every composition job ran")
-            })
-            .collect();
-        let stats_after = self.store.stats();
-        MatrixReport {
-            scenarios: scenario_reports,
-            explore_jobs,
-            cached_jobs,
-            threads: self.threads,
-            peak_live_threads: self.budget.peak_in_use(),
-            cache: CacheStats::delta(&stats_before, &stats_after),
-            stats: None,
-            elapsed: started.elapsed(),
-        }
+        let scenarios: Vec<ScenarioRef<'_>> = scenarios.iter().map(ScenarioRef::from).collect();
+        self.run_scenarios(&scenarios, &self.options, None)
+            .expect("only an executor's remote steps can fail")
     }
 
     /// Incrementally re-verify `new` against `old`: only scenarios of
@@ -974,17 +1237,24 @@ impl VerifyService {
         packets: u64,
         executor: Option<&dyn Executor>,
     ) -> Result<crate::conformance::ConformanceReport, ServiceError> {
+        let scenarios: Vec<ScenarioRef<'_>> = scenarios.iter().map(ScenarioRef::from).collect();
+        self.conformance(&scenarios, &self.options, seed, packets, executor)
+    }
+
+    fn conformance(
+        &self,
+        scenarios: &[ScenarioRef<'_>],
+        options: &VerifierOptions,
+        seed: u64,
+        packets: u64,
+        executor: Option<&dyn Executor>,
+    ) -> Result<crate::conformance::ConformanceReport, ServiceError> {
         use crate::conformance as conf;
         let started = Instant::now();
-        // Render the wire specs before the matrix run consumes the
-        // scenarios — fuzz shards travel as config text, and replay
-        // rebuilds each violated pipeline from the same text the shards
-        // see.
-        let specs = scenarios
-            .iter()
-            .map(ScenarioSpec::from_scenario)
-            .collect::<Result<Vec<_>, _>>()?;
-        let matrix = self.run_matrix(scenarios);
+        // Fuzz shards travel as config text, and replay rebuilds each
+        // violated pipeline from the same text the shards see.
+        let specs = render(scenarios)?;
+        let matrix = self.run_scenarios(scenarios, options, None)?;
 
         let mut replay = Vec::new();
         let mut proven_specs = Vec::new();
@@ -1006,9 +1276,9 @@ impl VerifyService {
         }
 
         let jobs = conf::plan_fuzz_shards(&proven_specs, seed, packets);
-        let shards = match executor.and_then(|e| e.fuzz_jobs(&jobs, &self.options)) {
+        let shards = match executor.and_then(|e| e.fuzz_jobs(&jobs, options)) {
             Some(result) => result?,
-            None => conf::run_fuzz_jobs(&jobs, &self.options, self.threads)?,
+            None => conf::run_fuzz_jobs(&jobs, options, self.threads)?,
         };
         Ok(conf::ConformanceReport {
             seed,
@@ -1021,144 +1291,75 @@ impl VerifyService {
     }
 
     // -----------------------------------------------------------------------
-    // The plan/execute split
+    // The plan artifact
     // -----------------------------------------------------------------------
 
-    /// Turn a request into a serialisable [`PlanSpec`] without running
-    /// anything: scenarios as config text, one job per distinct element
-    /// behaviour (regardless of this service's store temperature — the
-    /// *executing* process skips what its own store holds), dependency
-    /// edges, fingerprints.
+    /// Resolve a request and render it as a serialisable [`PlanSpec`]
+    /// without running anything: scenarios as config text, one job per
+    /// distinct element behaviour (regardless of this service's store
+    /// temperature — the *executing* process skips what its own store
+    /// holds), dependency edges, fingerprints.
     ///
     /// A `Watch` request plans like its serve would run: a full matrix when
     /// no baseline is recorded, a diff against the rolling baseline
     /// otherwise (planning does **not** roll the baseline forward — only
     /// serving does).
     pub fn plan_request(&self, request: &VerifyRequest) -> Result<PlanSpec, ServiceError> {
-        match request {
-            VerifyRequest::Single {
-                name,
-                pipeline,
-                property,
-            } => {
-                let spec = ScenarioSpec {
-                    name: name.clone(),
-                    config: dataplane_pipeline::write_config(pipeline).map_err(WireError::Write)?,
-                    property: property.clone(),
-                };
-                self.plan_scenario_specs(vec![spec], None)
+        let mut parsed = Vec::new();
+        let Resolved {
+            shape, scenarios, ..
+        } = self.resolve(request, &mut parsed)?;
+        let bound = match &shape {
+            Shape::Conformance { .. } => {
+                return Err(ServiceError::Wire(wire::malformed(
+                    "conformance requests are served directly (their fuzz shards dispatch as \
+                     wire jobs themselves); there is no plan form",
+                )))
             }
-            VerifyRequest::Matrix { scenarios } => {
-                let specs = scenarios
-                    .iter()
-                    .map(ScenarioSpec::from_scenario)
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.plan_scenario_specs(specs, None)
-            }
-            VerifyRequest::Diff {
-                old,
-                new,
-                properties,
-            } => {
-                let (scenarios, meta) =
-                    diff_scenarios(old, new, &|name| properties.properties_for(name))?;
-                let specs = scenarios
-                    .iter()
-                    .map(ScenarioSpec::from_scenario)
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.plan_scenario_specs(specs, Some(meta))
-            }
-            VerifyRequest::Watch {
-                configs,
-                properties,
-            } => {
-                let baseline = self.baseline.lock().expect("watch baseline").clone();
-                match baseline {
-                    None => {
-                        let scenarios =
-                            config_scenarios(configs, &|name| properties.properties_for(name))?;
-                        let specs = scenarios
-                            .iter()
-                            .map(ScenarioSpec::from_scenario)
-                            .collect::<Result<Vec<_>, _>>()?;
-                        self.plan_scenario_specs(specs, None)
-                    }
-                    Some(old) => {
-                        let (scenarios, meta) =
-                            diff_scenarios(&old, configs, &|name| properties.properties_for(name))?;
-                        let specs = scenarios
-                            .iter()
-                            .map(ScenarioSpec::from_scenario)
-                            .collect::<Result<Vec<_>, _>>()?;
-                        self.plan_scenario_specs(specs, Some(meta))
-                    }
-                }
-            }
-            VerifyRequest::Bound { name, pipeline } => {
-                let config =
-                    dataplane_pipeline::write_config(pipeline).map_err(WireError::Write)?;
-                let parsed = parse_config(&config)?;
-                let mut table = JobTable::new(&self.options.engine);
-                let fingerprints = table.add_pipeline(&parsed);
-                Ok(PlanSpec {
-                    options: self.options.clone(),
-                    scenarios: Vec::new(),
-                    jobs: table.jobs,
-                    scenario_jobs: Vec::new(),
-                    element_fingerprints: Vec::new(),
-                    diff: None,
-                    bound: Some(BoundSpec {
-                        name: name.clone(),
-                        config,
-                        fingerprints,
-                    }),
-                })
-            }
-            VerifyRequest::Conformance { .. } => Err(ServiceError::Wire(wire::malformed(
-                "conformance requests are served directly (their fuzz shards dispatch as \
-                 wire jobs themselves); there is no plan form",
-            ))),
-        }
-    }
-
-    /// Build the plan document for already-rendered scenario specs.
-    fn plan_scenario_specs(
-        &self,
-        specs: Vec<ScenarioSpec>,
-        diff: Option<DiffMeta>,
-    ) -> Result<PlanSpec, ServiceError> {
-        let mut table = JobTable::new(&self.options.engine);
-        let mut scenario_jobs = Vec::with_capacity(specs.len());
-        let mut element_fingerprints = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let pipeline = parse_config(&spec.config)?;
-            let fps = table.add_pipeline(&pipeline);
-            let mut deps = Vec::new();
-            for fp in &fps {
-                let job = table.job_of[fp];
-                if !deps.contains(&job) {
-                    deps.push(job);
-                }
-            }
-            scenario_jobs.push(deps);
-            element_fingerprints.push(fps);
-        }
-        Ok(PlanSpec {
+            Shape::Bound { pipeline, .. } => Some(*pipeline),
+            _ => None,
+        };
+        let mut decomposition = decompose(
+            scenarios.iter().map(|s| s.pipeline).chain(bound),
+            &self.options.engine,
+        );
+        let mut plan = PlanSpec {
             options: self.options.clone(),
-            scenarios: specs,
-            jobs: table.jobs,
-            scenario_jobs,
-            element_fingerprints,
-            diff,
+            scenarios: render(&scenarios)?,
+            jobs: (0..decomposition.behaviours.len())
+                .map(|index| decomposition.wire_job(index))
+                .collect::<Result<_, _>>()?,
+            scenario_jobs: Vec::new(),
+            element_fingerprints: Vec::new(),
+            diff: None,
             bound: None,
-        })
+        };
+        match shape {
+            // A bound plan's one pipeline is not a scenario: its
+            // fingerprints travel in the bound section.
+            Shape::Bound { name, pipeline } => {
+                plan.bound = Some(BoundSpec {
+                    name: name.to_string(),
+                    config: write_config(pipeline).map_err(WireError::Write)?,
+                    fingerprints: decomposition.element_fingerprints.remove(0),
+                });
+            }
+            shape => {
+                plan.scenario_jobs = decomposition.deps;
+                plan.element_fingerprints = decomposition.element_fingerprints;
+                if let Shape::Diff(meta) = shape {
+                    plan.diff = Some(meta);
+                }
+            }
+        }
+        Ok(plan)
     }
 
-    /// Execute a plan — typically one another process serialised: compute
-    /// the element summaries this service's store does not already hold
-    /// through `executor` (in-process pool or subprocess workers), fold
-    /// them into the store in job order, then compose every scenario on the
-    /// shared scheduler under the *plan's* options.
+    /// Execute a plan — typically one another process serialised: parse
+    /// its scenarios once and run them under the *plan's* options, Step 1
+    /// and Step 2 through `executor` wherever it offers a remote path and
+    /// on the shared scheduler otherwise (see
+    /// [`VerifyService::serve_with`]).
     ///
     /// The deterministic report content is byte-identical to serving the
     /// original request in the planning process.
@@ -1167,299 +1368,191 @@ impl VerifyService {
         plan_spec: &PlanSpec,
         executor: &dyn Executor,
     ) -> Result<VerifyResponse, ServiceError> {
-        let started = Instant::now();
-        let stats_before = self.store.stats();
-        // Step 1 through the pluggable executor: only behaviours the local
-        // store is missing.
-        let missing: Vec<ExploreJob> = plan_spec
-            .jobs
-            .iter()
-            .filter(|job| self.store.get(job.fingerprint).is_none())
-            .cloned()
-            .collect();
-        let summaries = executor.explore_jobs(&missing, &plan_spec.options)?;
-        // Explorations that produced a summary. A budget-exceeded job
-        // returns `None` and publishes nothing — the composition phase then
-        // surfaces the failure exactly as a cold in-process run would, and
-        // only *its* attempt is counted, so the job is not counted twice.
-        let mut published = 0usize;
-        for (job, summary) in missing.iter().zip(summaries) {
-            if let Some(summary) = summary {
-                self.store.insert(job.fingerprint, Arc::new(summary));
-                published += 1;
-            }
-        }
-
-        // An instruction-bound plan: decide the analysis from the (now
-        // warm) store under the plan's pinned options.
-        if let Some(bound) = &plan_spec.bound {
-            let pipeline = parse_config(&bound.config)?;
-            let mut verifier = Verifier::with_options(plan_spec.options.clone());
-            verifier.seed_summaries(
-                bound
-                    .fingerprints
-                    .iter()
-                    .filter_map(|fp| self.store.get(*fp)),
-            );
-            let report = verifier.max_instructions(&pipeline);
-            return Ok(VerifyResponse {
-                request: "exec-plan",
-                outcome: VerifyOutcome::Bound(Box::new(BoundOutcome {
-                    pipeline_name: bound.name.clone(),
-                    report,
-                })),
-            });
-        }
-
-        // Step 2: through the executor too if it has a remote composition
-        // path (sockets, subprocess workers), on the shared scheduler
-        // otherwise — both under the plan's pinned options, both
-        // byte-identical.
-        let compose_specs: Vec<ComposeJob> = plan_spec
+        let parsed = plan_spec
             .scenarios
             .iter()
-            .zip(&plan_spec.element_fingerprints)
-            .map(|(spec, fps)| ComposeJob {
-                scenario: spec.clone(),
-                fingerprints: fps.clone(),
-            })
-            .collect();
-        let fetch = |fp: Fingerprint| self.store.get(fp);
-        // Sharded Step-2 takes precedence when configured and the executor
-        // has a remote shard path; otherwise whole-composition jobs, then
-        // the in-process scheduler.
-        let remote_reports: Option<Vec<Report>> = match self.compose_sharded(plan_spec, executor)? {
-            Some(reports) => Some(reports),
-            None => match executor.compose_jobs(&compose_specs, &plan_spec.options, &fetch) {
-                Some(reports) => Some(reports?),
-                None => None,
+            .map(ScenarioSpec::to_scenario)
+            .collect::<Result<Vec<_>, _>>()?;
+        let bound = match &plan_spec.bound {
+            Some(bound) => Some((bound.name.as_str(), parse_config(&bound.config)?)),
+            None => None,
+        };
+        let resolved = Resolved {
+            shape: match (&bound, &plan_spec.diff) {
+                (Some((name, pipeline)), _) => Shape::Bound { name, pipeline },
+                (None, Some(meta)) => Shape::Diff(meta.clone()),
+                (None, None) => Shape::Matrix,
             },
-        };
-        let mut matrix = match remote_reports {
-            Some(reports) => {
-                let stats_after = self.store.stats();
-                MatrixReport {
-                    scenarios: plan_spec
-                        .scenarios
-                        .iter()
-                        .zip(reports)
-                        .map(|(spec, report)| ScenarioReport {
-                            pipeline_name: spec.name.clone(),
-                            report,
-                        })
-                        .collect(),
-                    explore_jobs: missing.len(),
-                    cached_jobs: plan_spec.jobs.len() - missing.len(),
-                    threads: self.threads,
-                    // No composition ran in this process.
-                    peak_live_threads: 0,
-                    cache: CacheStats::delta(&stats_before, &stats_after),
-                    stats: None,
-                    elapsed: started.elapsed(),
-                }
-            }
-            None => {
-                let scenarios = plan_spec
-                    .scenarios
-                    .iter()
-                    .map(|spec| spec.to_scenario())
-                    .collect::<Result<Vec<_>, _>>()?;
-                let mut matrix = self.run_matrix_with(scenarios, &plan_spec.options);
-                // Operational bookkeeping: the executor phase explored
-                // `published` behaviours, which the inner planner then found
-                // warm — move them from its cached count to the explore
-                // count. What the store held before the executor ran stays
-                // "cached".
-                matrix.explore_jobs += published;
-                matrix.cached_jobs = matrix.cached_jobs.saturating_sub(published);
-                matrix
-            }
-        };
-        matrix.stats = executor.dispatch_stats();
-
-        let outcome = match &plan_spec.diff {
-            Some(meta) => VerifyOutcome::Diff(DiffReport {
-                entries: meta.entries.clone(),
-                removed_configs: meta.removed_configs.clone(),
-                skipped_scenarios: meta.skipped_scenarios,
-                matrix,
-            }),
-            None => VerifyOutcome::Matrix(matrix),
+            scenarios: parsed.iter().map(ScenarioRef::from).collect(),
+            baseline: None,
         };
         Ok(VerifyResponse {
             request: "exec-plan",
-            outcome,
+            outcome: self.run(resolved, &plan_spec.options, Some(executor))?,
         })
     }
+}
 
-    /// The sharded Step-2 path of [`VerifyService::execute_plan`]: outline
-    /// each scenario's suspect×prefix enumeration from the (warm) store,
-    /// split it into about [`VerifyService::compose_shard`] contiguous
-    /// [`ComposeShardJob`]s, dispatch them all as one pull-based batch (so
-    /// the fleet load-balances across scenarios, not just within one), and
-    /// fold each scenario's shard records back into its report by replaying
-    /// the sequential enumeration — byte-identical to an unsharded run.
-    ///
-    /// Returns `Ok(None)` when sharding is off (`compose_shard == 0`) or
-    /// the executor has no remote shard path; the caller then falls back to
-    /// whole-composition jobs. Scenarios with no shardable enumeration (no
-    /// suspects, or a Step-1 failure the composition must surface) verify
-    /// in place.
-    fn compose_sharded(
-        &self,
-        plan_spec: &PlanSpec,
-        executor: &dyn Executor,
-    ) -> Result<Option<Vec<Report>>, ServiceError> {
-        if self.compose_shard == ComposeShardMode::Off {
-            return Ok(None);
-        }
-        let fetch = |fp: Fingerprint| self.store.get(fp);
-        // Capability probe: an executor without a remote shard path answers
-        // `None` even for an empty batch.
-        if executor
-            .compose_shard_jobs(&[], &plan_spec.options, &fetch)
-            .is_none()
-        {
-            return Ok(None);
-        }
+/// A scenario by reference: what the run step verifies, wherever the
+/// pipeline lives — inside the request, or parsed by the resolve step.
+#[derive(Clone, Copy)]
+struct ScenarioRef<'a> {
+    name: &'a str,
+    pipeline: &'a Pipeline,
+    property: &'a Property,
+}
 
-        // Outline every scenario first; with `auto`, per-scenario shard
-        // counts are then allocated out of one fleet-wide target, so a
-        // cheap scenario does not get the same fan-out as the heavy one.
-        let mut outlines = Vec::with_capacity(plan_spec.scenarios.len());
-        let mut costs_of: Vec<Vec<u64>> = Vec::with_capacity(plan_spec.scenarios.len());
-        for (spec, fps) in plan_spec
-            .scenarios
-            .iter()
-            .zip(&plan_spec.element_fingerprints)
-        {
-            let scenario = spec.to_scenario()?;
-            let outline = Verifier::with_options(plan_spec.options.clone()).outline_composition(
-                &scenario.pipeline,
-                &scenario.property,
-                fps.iter().filter_map(|fp| self.store.get(*fp)),
-            );
-            let costs = outline
-                .as_ref()
-                .map(|outline| node_costs(&self.store, outline, fps))
-                .unwrap_or_default();
-            costs_of.push(costs);
-            outlines.push(outline);
+impl<'a> From<&'a Scenario> for ScenarioRef<'a> {
+    fn from(scenario: &'a Scenario) -> Self {
+        ScenarioRef {
+            name: &scenario.pipeline_name,
+            pipeline: &scenario.pipeline,
+            property: &scenario.property,
         }
-
-        // Resolve each scenario's target shard count.
-        let targets: Vec<usize> = match self.compose_shard {
-            ComposeShardMode::Off => unreachable!("handled above"),
-            ComposeShardMode::Fixed(n) => outlines.iter().map(|_| n.max(1)).collect(),
-            ComposeShardMode::Auto => {
-                // One fleet-wide target — a few shards per live capacity
-                // slot keeps the pull queue balanced, and stealing absorbs
-                // whatever the calibration still mispredicts — allocated
-                // to scenarios in proportion to their calibrated cost.
-                let capacity = executor.live_capacity().unwrap_or(self.threads).max(1);
-                let fleet_target = capacity * AUTO_SHARDS_PER_SLOT;
-                let scenario_cost: Vec<u64> = costs_of
-                    .iter()
-                    .map(|costs| costs.iter().sum::<u64>())
-                    .collect();
-                let total_cost: u64 = scenario_cost.iter().sum();
-                scenario_cost
-                    .iter()
-                    .map(|&cost| {
-                        if total_cost == 0 {
-                            return 1;
-                        }
-                        ((fleet_target as u64).saturating_mul(cost) / total_cost).max(1) as usize
-                    })
-                    .collect()
-            }
-        };
-
-        let mut jobs: Vec<ComposeShardJob> = Vec::new();
-        let mut shard_counts = Vec::with_capacity(plan_spec.scenarios.len());
-        for (index, ((spec, fps), ((outline, costs), target))) in plan_spec
-            .scenarios
-            .iter()
-            .zip(&plan_spec.element_fingerprints)
-            .zip(outlines.iter().zip(&costs_of).zip(&targets))
-            .enumerate()
-        {
-            let before = jobs.len();
-            if let Some(outline) = outline {
-                let ranges = shard_ranges(self.compose_shard, outline, costs, *target);
-                for (start, end) in ranges {
-                    jobs.push(ComposeShardJob {
-                        scenario: spec.clone(),
-                        fingerprints: fps.clone(),
-                        scenario_index: index as u32,
-                        start,
-                        end,
-                    });
-                }
-            }
-            shard_counts.push(jobs.len() - before);
-        }
-        if jobs.is_empty() {
-            // Nothing shardable in the whole request: let the caller
-            // dispatch whole compositions instead of idling the fleet.
-            return Ok(None);
-        }
-
-        let results = match executor.compose_shard_jobs(&jobs, &plan_spec.options, &fetch) {
-            Some(results) => results?,
-            None => return Ok(None),
-        };
-
-        // Feed observed per-node solver times back into the warm store, so
-        // the next request's `auto` cuts weigh nodes by real cost.
-        for (result, job) in results.iter().zip(&jobs) {
-            let index = job.scenario_index as usize;
-            let (Some(outline), Some(fps)) = (
-                outlines.get(index).and_then(Option::as_ref),
-                plan_spec.element_fingerprints.get(index),
-            ) else {
-                continue;
-            };
-            record_timings(&self.store, outline, fps, &result.timings);
-        }
-        self.store.flush_calibration();
-
-        // Shards were emitted scenario-by-scenario, so each scenario's
-        // results are the next `shard_counts[i]` slots in order.
-        let mut results = results.into_iter();
-        let mut reports = Vec::with_capacity(plan_spec.scenarios.len());
-        for ((spec, fps), (outline, count)) in plan_spec
-            .scenarios
-            .iter()
-            .zip(&plan_spec.element_fingerprints)
-            .zip(outlines.into_iter().zip(shard_counts))
-        {
-            let scenario = spec.to_scenario()?;
-            let records = results
-                .by_ref()
-                .take(count)
-                .flat_map(|result| result.records);
-            let report = match outline {
-                Some(outline) => Verifier::with_options(plan_spec.options.clone())
-                    .fold_composition_shards(
-                        &scenario.pipeline,
-                        &scenario.property,
-                        fps.iter().filter_map(|fp| self.store.get(*fp)),
-                        &outline,
-                        records,
-                    ),
-                // No shardable enumeration: verify in place, exactly as
-                // the unsharded in-process path would.
-                None => {
-                    let mut verifier = Verifier::with_options(plan_spec.options.clone());
-                    verifier.seed_summaries(fps.iter().filter_map(|fp| self.store.get(*fp)));
-                    verifier.verify(&scenario.pipeline, &scenario.property)
-                }
-            };
-            reports.push(report);
-        }
-        Ok(Some(reports))
     }
+}
+
+/// The scenarios as config text: the one way a pipeline leaves the
+/// process, called where a plan document or a frame is built.
+fn render(scenarios: &[ScenarioRef<'_>]) -> Result<Vec<ScenarioSpec>, WireError> {
+    scenarios
+        .iter()
+        .map(|s| ScenarioSpec::render(s.name, s.pipeline, s.property))
+        .collect()
+}
+
+/// What the resolve step makes of a request.
+struct Resolved<'a> {
+    /// How the outcome is shaped.
+    shape: Shape<'a>,
+    /// The scenarios to verify.
+    scenarios: Vec<ScenarioRef<'a>>,
+    /// The configs a Watch tick becomes the baseline of, once served.
+    baseline: Option<&'a [NamedConfig]>,
+}
+
+/// The outcome a resolved request produces.
+enum Shape<'a> {
+    /// The one scenario's own report.
+    Single,
+    /// The matrix of every scenario.
+    Matrix,
+    /// The matrix of the re-verified scenarios under the diff decision.
+    Diff(DiffMeta),
+    /// No scenario: the instruction bound of this pipeline.
+    Bound {
+        name: &'a str,
+        pipeline: &'a Pipeline,
+    },
+    /// The scenarios' matrix, consumed by replay and seeded fuzzing.
+    Conformance { seed: u64, packets: u64 },
+}
+
+/// What one scenario's Step 2 reads, on the shared pool and on the
+/// coordinator side of a fleet alike: the scenario, its per-element
+/// fingerprints, and the summaries they resolve to (fetched once).
+struct ComposeInput<'a> {
+    scenario: ScenarioRef<'a>,
+    fingerprints: &'a [Fingerprint],
+    summaries: Vec<Arc<ElementSummary>>,
+}
+
+impl<'a> ComposeInput<'a> {
+    fn fetch(
+        scenario: ScenarioRef<'a>,
+        fingerprints: &'a [Fingerprint],
+        store: &SummaryStore,
+    ) -> Self {
+        ComposeInput {
+            scenario,
+            fingerprints,
+            summaries: fingerprints
+                .iter()
+                .filter_map(|fp| store.get(*fp))
+                .collect(),
+        }
+    }
+
+    /// Fold shard records into the scenario's report; over the empty
+    /// outline and no records, that decides the scenario in place.
+    fn fold(
+        &self,
+        options: &VerifierOptions,
+        outline: &ComposeOutline,
+        records: Vec<ShardNodeRecord>,
+    ) -> Report {
+        Verifier::with_options(options.clone()).fold_composition_shards(
+            self.scenario.pipeline,
+            self.scenario.property,
+            self.summaries.iter().cloned(),
+            outline,
+            records,
+        )
+    }
+}
+
+/// A scenario's outlined Step-2 enumeration and the shard ranges it is cut
+/// into.
+type Cut = (ComposeOutline, Vec<(usize, usize)>);
+
+/// Cut each input's Step-2 enumeration into shard ranges for `slots` live
+/// capacity slots — a fleet's advertised capacity, or the pool's parked
+/// workers: outline → calibrated costs → target → ranges, and the one
+/// place the [`ComposeShardMode`] is consulted. `None` where there is
+/// nothing to cut: sharding off, no slot to take a shard, or no shardable
+/// enumeration (no suspects, or a Step-1 failure the composition must
+/// surface). The target is a goal, not a contract — the splitters pack
+/// whole units, so the actual count can differ by one or two.
+fn shard_cuts(
+    mode: ComposeShardMode,
+    slots: usize,
+    inputs: &[ComposeInput<'_>],
+    store: &SummaryStore,
+    options: &VerifierOptions,
+) -> Vec<Option<Cut>> {
+    // A fixed per-scenario shard count, or one batch-wide target: a few
+    // shards per slot keeps the pull queue balanced, and stealing absorbs
+    // whatever the calibration still mispredicts.
+    let (fixed, batch_target) = match mode {
+        ComposeShardMode::Off => return inputs.iter().map(|_| None).collect(),
+        _ if slots == 0 => return inputs.iter().map(|_| None).collect(),
+        ComposeShardMode::Fixed(n) => (Some(n.max(1)), 0),
+        ComposeShardMode::Auto => (None, (slots * AUTO_SHARDS_PER_SLOT) as u64),
+    };
+    let outlined: Vec<Option<(ComposeOutline, Vec<u64>)>> = inputs
+        .iter()
+        .map(|input| {
+            let outline = Verifier::with_options(options.clone()).outline_composition(
+                input.scenario.pipeline,
+                input.scenario.property,
+                input.summaries.iter().cloned(),
+            )?;
+            let costs = node_costs(store, &outline, input.fingerprints);
+            Some((outline, costs))
+        })
+        .collect();
+    let total_cost: u64 = outlined.iter().flatten().flat_map(|(_, costs)| costs).sum();
+    outlined
+        .into_iter()
+        .map(|outlined| {
+            let (outline, costs) = outlined?;
+            let ranges = match fixed {
+                Some(n) => outline.shards(outline.total_weight().div_ceil(n).max(1)),
+                // The batch target is shared out in proportion to
+                // calibrated cost, so a cheap scenario does not get the
+                // heavy one's fan-out; the cuts fall by cost too.
+                None => {
+                    let cost: u64 = costs.iter().sum();
+                    let target = match total_cost {
+                        0 => 1,
+                        total => (batch_target.saturating_mul(cost) / total).max(1),
+                    };
+                    outline.shards_by_cost(&costs, target as usize)
+                }
+            };
+            Some((outline, ranges))
+        })
+        .collect()
 }
 
 /// Calibrated cost of each outline node's unit block: the warm store's
@@ -1477,22 +1570,6 @@ fn node_costs(store: &SummaryStore, outline: &ComposeOutline, fps: &[Fingerprint
             per_unit.saturating_mul(node.weight as u64)
         })
         .collect()
-}
-
-/// Cut `outline`'s unit space into about `target` (≥ 1) shard ranges: by
-/// calibrated cost under `auto`, by unit count otherwise. The target is a
-/// goal, not a contract — the splitters pack whole units, so the actual
-/// count can differ by one or two.
-fn shard_ranges(
-    mode: ComposeShardMode,
-    outline: &ComposeOutline,
-    costs: &[u64],
-    target: usize,
-) -> Vec<(usize, usize)> {
-    match mode {
-        ComposeShardMode::Auto => outline.shards_by_cost(costs, target),
-        _ => outline.shards(outline.total_weight().div_ceil(target).max(1)),
-    }
 }
 
 /// Feed a shard's observed per-node solver times back into the warm store,
@@ -1515,82 +1592,58 @@ fn record_timings(
 }
 
 /// One scenario's composition task on the shared pool.
-struct Composition {
-    scenario: Scenario,
-    fingerprints: Vec<Fingerprint>,
-    options: VerifierOptions,
-    shard_mode: ComposeShardMode,
-    store: Arc<SummaryStore>,
-    progress: Option<ProgressFn>,
-    slot: Arc<Mutex<Option<ScenarioReport>>>,
+#[derive(Clone, Copy)]
+struct Composition<'a> {
+    service: &'a VerifyService,
+    options: &'a VerifierOptions,
+    scenario: ScenarioRef<'a>,
+    fingerprints: &'a [Fingerprint],
+    slot: &'a Mutex<Option<Report>>,
 }
 
 /// A composition cut into shard tasks: what the shards share and what the
 /// latched fold consumes.
-struct FanOut {
-    composition: Composition,
-    summaries: Vec<Arc<ElementSummary>>,
+struct FanOut<'a> {
+    composition: Composition<'a>,
+    input: ComposeInput<'a>,
     outline: ComposeOutline,
     records: Mutex<Vec<ShardNodeRecord>>,
     started: Instant,
 }
 
-impl Composition {
+impl<'a> Composition<'a> {
     /// Decide the scenario: Step 2 is one fold, and shards are its only
     /// precomputation. Shards cost a prefix re-walk each, so they pay only
-    /// when a parked worker can take them — then the enumeration is
-    /// outlined, cut under the service's [`ComposeShardMode`], spawned as
-    /// tasks on `pool`, and folded on a [`Latch`]. With none parked (always,
-    /// on one thread) or sharding off, the fold computes every slot itself
-    /// and the outline pass never runs.
-    fn run(self, pool: &Pool<'_>) {
-        if let Some(observer) = &self.progress {
-            observer(&ProgressEvent::ComposeStarted {
-                scenario: self.scenario.label(),
-            });
-        }
+    /// when a parked worker can take them — then the enumeration is cut
+    /// ([`shard_cuts`]), the shards spawned as tasks on `pool`, and the
+    /// fold run on a [`Latch`]. With none parked (always, on one thread)
+    /// or sharding off, the fold computes every slot itself and the
+    /// outline pass never runs.
+    fn run(self, pool: &Pool<'a>) {
+        let service = self.service;
+        service.emit(|| ProgressEvent::ComposeStarted {
+            scenario: self.label(),
+        });
         let started = Instant::now();
-        let summaries: Vec<Arc<ElementSummary>> = self
-            .fingerprints
-            .iter()
-            .filter_map(|fp| self.store.get(*fp))
-            .collect();
-        let Scenario {
-            pipeline, property, ..
-        } = &self.scenario;
-
-        let parked = pool.parked();
-        let target = match self.shard_mode {
-            ComposeShardMode::Off => 0,
-            _ if parked == 0 => 0,
-            ComposeShardMode::Fixed(n) => n,
-            ComposeShardMode::Auto => parked * AUTO_SHARDS_PER_SLOT,
-        };
-        let cut = (target > 1)
-            .then(|| {
-                Verifier::with_options(self.options.clone()).outline_composition(
-                    pipeline,
-                    property,
-                    summaries.iter().cloned(),
-                )
-            })
-            .flatten()
-            .map(|outline| {
-                let costs = node_costs(&self.store, &outline, &self.fingerprints);
-                let ranges = shard_ranges(self.shard_mode, &outline, &costs, target);
-                (outline, ranges)
-            })
-            .filter(|(_, ranges)| ranges.len() > 1);
+        let input = ComposeInput::fetch(self.scenario, self.fingerprints, &service.store);
+        let cut = shard_cuts(
+            service.compose_shard,
+            pool.parked(),
+            std::slice::from_ref(&input),
+            &service.store,
+            self.options,
+        )
+        .pop()
+        .flatten()
+        .filter(|(_, ranges)| ranges.len() > 1);
         let Some((outline, ranges)) = cut else {
-            let mut verifier = Verifier::with_options(self.options.clone());
-            verifier.seed_summaries(summaries);
-            let report = verifier.verify(pipeline, property);
+            let report = input.fold(self.options, &ComposeOutline::default(), Vec::new());
             return self.finish(report, started);
         };
 
         let fan = Arc::new(FanOut {
             composition: self,
-            summaries,
+            input,
             outline,
             records: Mutex::new(Vec::new()),
             started,
@@ -1608,41 +1661,45 @@ impl Composition {
         }
     }
 
+    /// `pipeline/property`, as reports and progress events label it.
+    fn label(&self) -> String {
+        format!("{}/{}", self.scenario.name, self.scenario.property.name())
+    }
+
     /// Publish the scenario's report.
     fn finish(&self, report: Report, started: Instant) {
-        if let Some(observer) = &self.progress {
-            observer(&ProgressEvent::ComposeFinished {
-                scenario: self.scenario.label(),
-                verdict: report.verdict.clone(),
-                elapsed: started.elapsed(),
-            });
-        }
-        *self.slot.lock().expect("report slot") = Some(ScenarioReport {
-            pipeline_name: self.scenario.pipeline_name.clone(),
-            report,
+        self.service.emit(|| ProgressEvent::ComposeFinished {
+            scenario: self.label(),
+            verdict: report.verdict.clone(),
+            elapsed: started.elapsed(),
         });
+        *self.slot.lock().expect("report slot") = Some(report);
     }
 }
 
-impl FanOut {
+impl FanOut<'_> {
     /// Compute the solver units in `[start, end)` and bank their records.
     fn shard(&self, start: usize, end: usize) {
         let Composition {
-            scenario,
-            fingerprints,
-            options,
-            store,
-            ..
-        } = &self.composition;
+            service, options, ..
+        } = self.composition;
+        let ScenarioRef {
+            pipeline, property, ..
+        } = self.input.scenario;
         let result = Verifier::with_options(options.clone()).decide_composition_shard(
-            &scenario.pipeline,
-            &scenario.property,
-            self.summaries.iter().cloned(),
+            pipeline,
+            property,
+            self.input.summaries.iter().cloned(),
             start,
             end,
             &CancelToken::new(),
         );
-        record_timings(store, &self.outline, fingerprints, &result.timings);
+        record_timings(
+            &service.store,
+            &self.outline,
+            self.input.fingerprints,
+            &result.timings,
+        );
         self.records
             .lock()
             .expect("shard records")
@@ -1651,67 +1708,13 @@ impl FanOut {
 
     /// Fold the banked records into the scenario's report.
     fn fold(&self) {
-        let Composition {
-            scenario, options, ..
-        } = &self.composition;
         let records = std::mem::take(&mut *self.records.lock().expect("shard records"));
-        let mut report = Verifier::with_options(options.clone()).fold_composition_shards(
-            &scenario.pipeline,
-            &scenario.property,
-            self.summaries.iter().cloned(),
-            &self.outline,
-            records,
-        );
+        let mut report = self
+            .input
+            .fold(self.composition.options, &self.outline, records);
         // The fold's own clock misses the outline and the shards.
         report.elapsed = self.started.elapsed();
         self.composition.finish(report, self.started);
-    }
-}
-
-/// Deduplicating explore-job table shared by scenario and bound planning:
-/// one [`ExploreJob`] per distinct element behaviour across everything
-/// added.
-struct JobTable<'a> {
-    engine: &'a EngineConfig,
-    jobs: Vec<ExploreJob>,
-    job_of: BTreeMap<Fingerprint, usize>,
-}
-
-impl<'a> JobTable<'a> {
-    fn new(engine: &'a EngineConfig) -> Self {
-        JobTable {
-            engine,
-            jobs: Vec::new(),
-            job_of: BTreeMap::new(),
-        }
-    }
-
-    /// Add every element of `pipeline`; returns its per-element summary
-    /// fingerprints in pipeline order.
-    fn add_pipeline(&mut self, pipeline: &Pipeline) -> Vec<Fingerprint> {
-        let JobTable {
-            engine,
-            jobs,
-            job_of,
-        } = self;
-        let mut fps = Vec::with_capacity(pipeline.len());
-        for (_, node) in pipeline.iter() {
-            let element = node.element.as_ref();
-            let fp = element_fingerprint(element, engine);
-            fps.push(fp);
-            job_of.entry(fp).or_insert_with(|| {
-                jobs.push(ExploreJob {
-                    fingerprint: fp,
-                    type_name: element.type_name().to_string(),
-                    // Elements of a parsed config always render back.
-                    config_args: element
-                        .config_args()
-                        .expect("factory-built elements have config args"),
-                });
-                jobs.len() - 1
-            });
-        }
-        fps
     }
 }
 

@@ -112,12 +112,7 @@ fn explicit_in_process_executor_matches_the_default_path() {
         .run_conformance(preset_scenarios(), 7, 1_000, None)
         .unwrap();
     let via_exec = service
-        .run_conformance(
-            preset_scenarios(),
-            7,
-            1_000,
-            Some(&InProcessExecutor::new(4)),
-        )
+        .run_conformance(preset_scenarios(), 7, 1_000, Some(&InProcessExecutor))
         .unwrap();
     assert_eq!(
         direct.deterministic_json().to_text(),

@@ -237,6 +237,116 @@ fn a_worker_joined_at_runtime_executes_jobs_and_dedups_summaries() {
 }
 
 #[test]
+fn a_single_request_is_answered_alike_before_and_after_a_worker_joins() {
+    let single = || VerifyRequest::Single {
+        name: "router".into(),
+        pipeline: dataplane_pipeline::parse_config(ROUTER).unwrap(),
+        property: dataplane_verifier::Property::CrashFreedom,
+    };
+    let daemon = Daemon::new(DaemonConfig {
+        threads: 2,
+        ..DaemonConfig::default()
+    });
+    let addr = spawn_daemon(daemon.clone());
+    let mut client = DaemonClient::connect(&addr, None).unwrap();
+
+    // No worker yet: the session's own pool serves the request.
+    let alone = client.verify(&single()).unwrap();
+    assert_eq!(alone.request, "single");
+    assert_eq!(alone.dispatch, Json::Null);
+
+    // The same request once a worker has joined: the fleet runs it, and
+    // the reply is the same document, not a one-scenario matrix.
+    assert_eq!(
+        join_fleet(&addr, &spawn_persistent_tcp_worker()).unwrap(),
+        1
+    );
+    let on_the_fleet = client.verify(&single()).unwrap();
+    assert_eq!(on_the_fleet.request, "single");
+    assert!(
+        on_the_fleet.dispatch_stat("jobs_completed") > Some(0),
+        "the joined worker ran the request: {}",
+        on_the_fleet.dispatch.to_text()
+    );
+    assert_eq!(
+        on_the_fleet.det_report.get("kind").and_then(Json::as_str),
+        Some("single")
+    );
+    assert_eq!(
+        on_the_fleet.det_report.to_text(),
+        alone.det_report.to_text()
+    );
+}
+
+#[test]
+fn a_hostile_frame_ends_its_session_and_the_next_session_is_served() {
+    use dataplane_orchestrator::exec::transport::MAX_FRAME_BYTES;
+    use std::io::{Read, Write};
+
+    let addr = spawn_daemon(Daemon::new(DaemonConfig {
+        threads: 2,
+        max_sessions: 1,
+        max_queue: 0,
+        ..DaemonConfig::default()
+    }));
+    let WorkerAddr::Tcp(spec) = &addr else {
+        panic!("expected a TCP daemon address, got {addr:?}");
+    };
+    // Two abuses of an admitted session's verify frame: nesting deep enough
+    // to overflow a recursive parser's stack, and a line that never ends.
+    let deep = format!(
+        "{{\"kind\":\"verify\",\"request\":{}\n",
+        "[".repeat(100_000)
+    );
+    let endless = vec![b'x'; 1 << 20];
+    let abuses: [(&[u8], usize); 2] = [
+        (deep.as_bytes(), 1),
+        (&endless, (MAX_FRAME_BYTES >> 20) + 1),
+    ];
+    for (chunk, repeats) in abuses {
+        let mut stream = std::net::TcpStream::connect(spec).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let hello = Json::obj([
+            ("schema", Json::int(CLIENT_SCHEMA)),
+            ("kind", Json::str("hello")),
+            ("proto", Json::str(CLIENT_PROTO)),
+        ]);
+        write_frame(&mut stream, &hello).unwrap();
+        let admitted = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(admitted.get("kind").and_then(Json::as_str), Some("hello"));
+        for _ in 0..repeats {
+            // The daemon hangs up mid-line once the cap is passed.
+            if stream.write_all(chunk).is_err() {
+                break;
+            }
+        }
+        // The daemon answers nothing and closes the stream: the session is
+        // over, its process is not.
+        let mut rest = Vec::new();
+        let _ = reader.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+
+        // The one session slot is free again and the next client is served
+        // (the session thread notices asynchronously — poll briefly).
+        let mut next = None;
+        for _ in 0..100 {
+            match DaemonClient::connect(&addr, None) {
+                Ok(client) => {
+                    next = Some(client);
+                    break;
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+        let reply = next
+            .expect("the slot frees after the hostile session ends")
+            .verify(&two_config_request())
+            .unwrap();
+        assert!(reply.ok, "{}", reply.display);
+    }
+}
+
+#[test]
 fn over_limit_hellos_queue_and_are_served_when_a_slot_frees() {
     let addr = spawn_daemon(Daemon::new(DaemonConfig {
         threads: 2,

@@ -74,9 +74,7 @@ fn plan_round_trips_and_executes_byte_identical_for_all_presets() {
     assert_eq!(plan_to_json(&decoded).to_text(), text);
 
     let fresh = VerifyService::new().with_threads(4);
-    let executed = fresh
-        .execute_plan(&decoded, &InProcessExecutor::new(4))
-        .unwrap();
+    let executed = fresh.execute_plan(&decoded, &InProcessExecutor).unwrap();
     let matrix = executed.matrix().unwrap();
     assert_eq!(
         matrix.explore_jobs,
@@ -91,11 +89,58 @@ fn plan_round_trips_and_executes_byte_identical_for_all_presets() {
 
     // Executing the same plan again on the now-warm service runs zero
     // explore jobs and still reproduces the report.
-    let warm = fresh
-        .execute_plan(&decoded, &InProcessExecutor::new(4))
-        .unwrap();
+    let warm = fresh.execute_plan(&decoded, &InProcessExecutor).unwrap();
     assert_eq!(warm.matrix().unwrap().explore_jobs, 0);
     assert_eq!(warm.deterministic_json().to_text(), reference);
+}
+
+#[test]
+fn in_process_plan_execution_runs_on_the_services_own_scheduler() {
+    use dataplane_orchestrator::ProgressEvent;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let request = || VerifyRequest::Matrix {
+        scenarios: preset_scenarios(),
+    };
+    let cold = VerifyService::new().with_threads(2);
+    let served = cold.serve(request()).unwrap();
+    let served = served.matrix().unwrap();
+
+    // The same request as a plan, executed in process on a fresh two-thread
+    // service: Step 1 included, everything draws from its one budget.
+    let explored = Arc::new(AtomicUsize::new(0));
+    let counter = explored.clone();
+    let fresh = VerifyService::new()
+        .with_threads(2)
+        .with_progress(move |event| {
+            if matches!(event, ProgressEvent::ExploreFinished { .. }) {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    let plan = cold.plan_request(&request()).unwrap();
+    let executed = fresh.execute_plan(&plan, &InProcessExecutor).unwrap();
+    let executed = executed.matrix().unwrap();
+    assert!(
+        executed.peak_live_threads <= 2,
+        "{} live threads on a 2-thread service",
+        executed.peak_live_threads
+    );
+    assert_eq!(
+        fresh.thread_budget().peak_in_use(),
+        executed.peak_live_threads
+    );
+    assert_eq!(
+        explored.load(Ordering::Relaxed),
+        executed.explore_jobs,
+        "one ExploreFinished per explored behaviour"
+    );
+    assert_eq!(
+        (executed.explore_jobs, executed.cached_jobs),
+        (served.explore_jobs, served.cached_jobs),
+        "a cold in-process execution counts its jobs like a cold serve"
+    );
+    assert_eq!((executed.explore_jobs, executed.cached_jobs), (13, 0));
 }
 
 #[test]
@@ -132,9 +177,7 @@ fn diff_plans_round_trip_and_execute_byte_identical() {
     let text = plan_to_json(&plan).to_text();
     let decoded = plan_from_json(&Json::parse(&text).unwrap()).unwrap();
     let fresh = VerifyService::new().with_threads(2);
-    let executed = fresh
-        .execute_plan(&decoded, &InProcessExecutor::new(2))
-        .unwrap();
+    let executed = fresh.execute_plan(&decoded, &InProcessExecutor).unwrap();
     assert!(matches!(executed.outcome, VerifyOutcome::Diff(_)));
     assert_eq!(
         executed.deterministic_json().to_text(),
@@ -304,9 +347,7 @@ fn bound_requests_ride_the_plan_execute_split() {
     let text = plan_to_json(&plan).to_text();
     let decoded = plan_from_json(&Json::parse(&text).unwrap()).unwrap();
     let fresh = VerifyService::new().with_threads(2);
-    let executed = fresh
-        .execute_plan(&decoded, &InProcessExecutor::new(2))
-        .unwrap();
+    let executed = fresh.execute_plan(&decoded, &InProcessExecutor).unwrap();
     assert_eq!(
         executed.deterministic_json().to_text(),
         reference,

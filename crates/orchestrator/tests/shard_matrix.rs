@@ -12,8 +12,8 @@
 
 use dataplane_orchestrator::exec::ExecError;
 use dataplane_orchestrator::{
-    preset_scenarios, ComposeShardJob, Executor, ExploreJob, Fingerprint, InProcessExecutor,
-    VerifyRequest, VerifyService,
+    preset_scenarios, ComposeShardJob, Executor, Fingerprint, VerifyOutcome, VerifyRequest,
+    VerifyService,
 };
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Verifier, VerifierOptions};
@@ -22,30 +22,13 @@ use std::sync::Arc;
 /// An executor with a remote-shaped shard path that runs in-process: each
 /// [`ComposeShardJob`] is decided by a fresh verifier from the summaries
 /// the coordinator would ship, exactly as a socket worker decides it —
-/// minus the socket.
-struct ShardExecutor {
-    inner: InProcessExecutor,
-}
-
-impl ShardExecutor {
-    fn new() -> Self {
-        ShardExecutor {
-            inner: InProcessExecutor::new(2),
-        }
-    }
-}
+/// minus the socket. It explores nothing itself, so Step 1 stays on the
+/// service's shared scheduler.
+struct ShardExecutor;
 
 impl Executor for ShardExecutor {
     fn describe(&self) -> String {
         "in-process shard harness".into()
-    }
-
-    fn explore_jobs(
-        &self,
-        jobs: &[ExploreJob],
-        options: &VerifierOptions,
-    ) -> Result<Vec<Option<ElementSummary>>, ExecError> {
-        self.inner.explore_jobs(jobs, options)
     }
 
     fn compose_shard_jobs(
@@ -105,11 +88,38 @@ fn sharded_preset_matrix_is_byte_identical_at_every_shard_count() {
             .with_threads(2)
             .with_compose_shard(shards);
         let plan = service.plan_request(&preset_request()).unwrap();
-        let executed = service.execute_plan(&plan, &ShardExecutor::new()).unwrap();
+        let executed = service.execute_plan(&plan, &ShardExecutor).unwrap();
         assert_eq!(
             executed.deterministic_json().to_text(),
             reference,
             "compose-shard {shards} must reproduce the in-process preset matrix byte for byte"
         );
     }
+}
+
+#[test]
+fn a_single_request_keeps_its_shape_through_an_executor() {
+    let single = || {
+        let scenario = preset_scenarios().remove(0);
+        VerifyRequest::Single {
+            name: scenario.pipeline_name,
+            pipeline: scenario.pipeline,
+            property: scenario.property,
+        }
+    };
+    let served = VerifyService::new()
+        .with_threads(2)
+        .serve(single())
+        .unwrap();
+    let through_shards = VerifyService::new()
+        .with_threads(2)
+        .with_compose_shard(4)
+        .serve_with(single(), Some(&ShardExecutor))
+        .unwrap();
+    assert!(matches!(through_shards.outcome, VerifyOutcome::Single(_)));
+    assert_eq!(through_shards.request, "single");
+    assert_eq!(
+        through_shards.deterministic_json().to_text(),
+        served.deterministic_json().to_text()
+    );
 }

@@ -2,8 +2,7 @@
 //! service (`run | diff | plan | exec-plan | watch | bound | conform |
 //! fuzz | worker | serve | client`).
 //!
-//! Every subcommand is a thin shell over [`VerifyService`] — the examples
-//! under `examples/` are in turn thin shells over this module, so the
+//! Every subcommand is a thin shell over [`VerifyService`], so the
 //! scenario/flag/JSON plumbing lives exactly once.
 //!
 //! ```text
@@ -83,17 +82,17 @@ macro_rules! expect {
     ($cond:expr, $($msg:tt)+) => {
         if !$cond {
             eprintln!("check failed: {}", format!($($msg)+));
-            return 1;
+            return Err(1);
         }
     };
 }
 
 /// Run the CLI on `args` (without the program name); returns the exit
-/// code. `std::process::exit` is left to the caller so tests and example
-/// shims can drive this in-process.
+/// code. `std::process::exit` is left to the caller so tests and harnesses
+/// can drive this in-process.
 pub fn main(args: Vec<String>) -> i32 {
     let mut args = args.into_iter();
-    match args.next().as_deref() {
+    let outcome = match args.next().as_deref() {
         Some("run") => cmd_run(args.collect()),
         Some("diff") => cmd_diff(args.collect()),
         Some("plan") => cmd_plan(args.collect()),
@@ -107,16 +106,17 @@ pub fn main(args: Vec<String>) -> i32 {
         Some("client") => cmd_client(args.collect()),
         Some("--help" | "-h" | "help") => {
             eprintln!("{USAGE}");
-            0
+            Ok(())
         }
         None => {
             eprintln!("{USAGE}");
-            2
+            Err(2)
         }
-        Some(other) => {
-            eprintln!("error: unknown subcommand '{other}'\n{USAGE}");
-            2
-        }
+        Some(other) => usage_error(&format!("unknown subcommand '{other}'")),
+    };
+    match outcome {
+        Ok(()) => 0,
+        Err(code) => code,
     }
 }
 
@@ -162,24 +162,100 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
     (submit one request to a running daemon; --request sends a
      serialised VerifyRequest document instead of building a matrix)";
 
-/// Common service flags: `--threads N`, `--cache DIR`.
-struct ServiceFlags {
+/// How a subcommand ends: `Err` carries a non-zero exit code whose cause is
+/// already on stderr, so every step that can stop a subcommand is a `?`.
+type Exit<T = ()> = Result<T, i32>;
+
+/// The flags several subcommands share, parsed in one place: a subcommand
+/// offers each argument to [`CommonFlags::take`] together with the subset it
+/// accepts, and handles only what comes back.
+#[derive(Default)]
+struct CommonFlags {
     threads: usize,
     cache: Option<String>,
+    connect: Option<String>,
+    json: Option<String>,
+    det_json: Option<String>,
+    compose_shard: ComposeShardMode,
+    workers: Option<String>,
+    heartbeat_ms: Option<u64>,
 }
 
-impl ServiceFlags {
-    fn build(&self, progress: bool) -> Result<VerifyService, i32> {
+impl CommonFlags {
+    /// Parse `arg` if it is one of the `accepted` common flags, taking its
+    /// value from `rest`: `true` when consumed, `false` when it is not one
+    /// of them, a usage error when its value is missing or malformed.
+    fn take(
+        &mut self,
+        accepted: &[&str],
+        arg: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Exit<bool> {
+        if !accepted.contains(&arg) {
+            return Ok(false);
+        }
+        let needs = |what: &str| format!("{arg} needs {what}");
+        match arg {
+            "--threads" => self.threads = value(rest, number, &needs("a number"))?,
+            "--cache" => self.cache = Some(value(rest, text, &needs("a directory"))?),
+            "--connect" => self.connect = Some(value(rest, text, &needs("a daemon address"))?),
+            "--json" => self.json = Some(value(rest, text, &needs("a path"))?),
+            "--det-json" => self.det_json = Some(value(rest, text, &needs("a path"))?),
+            "--compose-shard" => {
+                let needs = needs("`auto`, `off`, or a shard count");
+                self.compose_shard = value(rest, ComposeShardMode::parse, &needs)?
+            }
+            "--workers" => {
+                self.workers = Some(value(rest, text, &needs("a count or address list"))?)
+            }
+            "--heartbeat-ms" => {
+                let needs = needs("a number of milliseconds");
+                self.heartbeat_ms = Some(value(rest, number, &needs)?)
+            }
+            other => unreachable!("{other} is not a common flag"),
+        }
+        Ok(true)
+    }
+
+    /// With `--connect` the request runs on the daemon, so the flags that
+    /// size a local service are refused — by the names this subcommand
+    /// accepts.
+    fn daemon_side(&self, accepted: &[&str]) -> Exit {
+        if self.threads == 0
+            && self.cache.is_none()
+            && self.compose_shard == ComposeShardMode::default()
+        {
+            return Ok(());
+        }
+        let names: Vec<&str> = ["--threads", "--cache", "--compose-shard"]
+            .into_iter()
+            .filter(|flag| accepted.contains(flag))
+            .collect();
+        usage_error(&format!(
+            "{} are daemon-side (set them on `vericlick serve`)",
+            names.join("/")
+        ))
+    }
+
+    /// The store `--cache` names, if any.
+    fn store(&self) -> Exit<Option<Arc<SummaryStore>>> {
+        let Some(dir) = &self.cache else {
+            return Ok(None);
+        };
+        match SummaryStore::persistent(dir) {
+            Ok(store) => Ok(Some(Arc::new(store))),
+            Err(e) => Err(fail(format!("cannot open cache dir {dir}: {e}"))),
+        }
+    }
+
+    /// The service `--threads`, `--cache` and `--compose-shard` describe.
+    fn service(&self, progress: bool) -> Exit<VerifyService> {
         let mut service = VerifyService::new();
         if self.threads > 0 {
             service = service.with_threads(self.threads);
         }
-        if let Some(dir) = &self.cache {
-            let store = SummaryStore::persistent(dir).map_err(|e| {
-                eprintln!("error: cannot open cache dir {dir}: {e}");
-                2
-            })?;
-            service = service.with_store(Arc::new(store));
+        if let Some(store) = self.store()? {
+            service = service.with_store(store);
         }
         if progress {
             service = service.with_progress(|event| match event {
@@ -201,42 +277,110 @@ impl ServiceFlags {
                 _ => {}
             });
         }
-        Ok(service)
+        Ok(service.with_compose_shard_mode(self.compose_shard))
+    }
+
+    /// The fleet `--workers SPEC` names — SPEC stdio subprocess workers for
+    /// a count, `vericlick worker --listen` peers for an address list —
+    /// probed every `--heartbeat-ms` (which only bites on socket
+    /// transports: stdio pipes cannot time out).
+    fn fleet(&self, spec: &str) -> Exit<WorkerFleet> {
+        // Guard the numeric branch: a bare port typed where an address
+        // belongs (`--workers 8080` for `--workers host:8080`) must not
+        // fork thousands of worker processes.
+        const MAX_SUBPROCESS_WORKERS: usize = 256;
+        let fleet = match spec.parse::<usize>() {
+            Ok(n) if n > MAX_SUBPROCESS_WORKERS => {
+                return usage_error(&format!(
+                    "--workers {n} exceeds {MAX_SUBPROCESS_WORKERS} subprocess workers \
+                     (for a TCP worker, use host:port, e.g. 127.0.0.1:{n})"
+                ));
+            }
+            Ok(n) => WorkerFleet::current_exe(n).map_err(fail)?,
+            Err(_) => WorkerFleet::sockets(worker_addrs(spec)),
+        };
+        Ok(match self.heartbeat_ms {
+            Some(ms) => fleet.with_heartbeat(HeartbeatConfig::from_interval_ms(ms)),
+            None => fleet,
+        })
+    }
+
+    /// Persist the documents `--json` and `--det-json` ask for.
+    fn write_reports(&self, json: impl Fn() -> String, det: impl Fn() -> String) -> Exit {
+        if let Some(path) = &self.json {
+            write_file(path, &json())?;
+        }
+        if let Some(path) = &self.det_json {
+            write_file(path, &det())?;
+        }
+        Ok(())
     }
 }
 
-fn usage_error(message: &str) -> i32 {
+/// The next argument as a flag's value; a usage error saying what the flag
+/// `needs` when it is missing or `parse` rejects it.
+fn value<T>(
+    rest: &mut impl Iterator<Item = String>,
+    parse: impl Fn(&str) -> Option<T>,
+    needs: &str,
+) -> Exit<T> {
+    match rest.next().as_deref().and_then(parse) {
+        Some(value) => Ok(value),
+        None => usage_error(needs),
+    }
+}
+
+fn number<T: std::str::FromStr>(value: &str) -> Option<T> {
+    value.parse().ok()
+}
+
+fn text(value: &str) -> Option<String> {
+    Some(value.to_string())
+}
+
+/// The addresses of a comma-separated `--workers` list.
+fn worker_addrs(spec: &str) -> Vec<WorkerAddr> {
+    spec.split(',')
+        .filter(|a| !a.is_empty())
+        .map(WorkerAddr::parse)
+        .collect()
+}
+
+/// What `--ltl` says when its value is missing.
+const LTL_NEEDS: &str = "--ltl needs a spec (a formula, or @FILE)";
+
+fn unknown_option<T>(option: &str) -> Exit<T> {
+    usage_error(&format!("unknown option '{option}'"))
+}
+
+fn usage_error<T>(message: &str) -> Exit<T> {
     eprintln!("error: {message}\n{USAGE}");
+    Err(2)
+}
+
+/// Report why a step failed; the exit code of I/O and request errors.
+fn fail(error: impl std::fmt::Display) -> i32 {
+    eprintln!("error: {error}");
     2
 }
 
-fn read_file(path: &str) -> Result<String, i32> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        2
-    })
+fn read_file(path: &str) -> Exit<String> {
+    std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))
 }
 
-fn write_file(path: &str, text: &str) -> i32 {
+fn write_file(path: &str, text: &str) -> Exit {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
     }
-    match std::fs::write(path, text) {
-        Ok(()) => {
-            println!("wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {path}: {e}");
-            2
-        }
-    }
+    std::fs::write(path, text).map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 /// Turn config file paths into named configs (name = file stem).
-fn load_configs(files: &[String]) -> Result<Vec<NamedConfig>, i32> {
+fn load_configs(files: &[String]) -> Exit<Vec<NamedConfig>> {
     let mut configs = Vec::new();
     for file in files {
         let name = std::path::Path::new(file)
@@ -251,25 +395,22 @@ fn load_configs(files: &[String]) -> Result<Vec<NamedConfig>, i32> {
 
 /// The matrix request for `run`/`plan`: presets with `--matrix`, the given
 /// config files otherwise.
-fn build_request(matrix: bool, files: &[String]) -> Result<VerifyRequest, i32> {
+fn build_request(matrix: bool, files: &[String]) -> Exit<VerifyRequest> {
     if matrix {
         if !files.is_empty() {
-            return Err(usage_error("--matrix takes no config files"));
+            return usage_error("--matrix takes no config files");
         }
         Ok(VerifyRequest::Matrix {
             scenarios: preset_scenarios(),
         })
     } else if files.is_empty() {
-        Err(usage_error("expected --matrix or at least one config file"))
+        usage_error("expected --matrix or at least one config file")
     } else {
         let configs = load_configs(files)?;
         let scenarios = crate::orchestrator::config_scenarios(&configs, &|name| {
             PropertySelect::Default.properties_for(name)
         })
-        .map_err(|e| {
-            eprintln!("error: {e}");
-            2
-        })?;
+        .map_err(fail)?;
         Ok(VerifyRequest::Matrix { scenarios })
     }
 }
@@ -277,20 +418,16 @@ fn build_request(matrix: bool, files: &[String]) -> Result<VerifyRequest, i32> {
 /// Parse `--ltl` arguments — formula text, or `@FILE` to read one from a
 /// file — into temporal properties. A malformed spec is a usage error
 /// carrying the parser's span-ed message.
-fn parse_ltl_specs(specs: &[String]) -> Result<Vec<crate::verifier::Property>, i32> {
+fn parse_ltl_specs(specs: &[String]) -> Exit<Vec<crate::verifier::Property>> {
     let mut properties = Vec::new();
     for raw in specs {
         let text = match raw.strip_prefix('@') {
             Some(path) => read_file(path)?,
             None => raw.clone(),
         };
-        match crate::verifier::LtlSpec::parse(text.trim()) {
-            Ok(spec) => properties.push(crate::verifier::Property::Temporal(spec)),
-            Err(e) => {
-                eprintln!("error: --ltl '{}': {e}", text.trim());
-                return Err(2);
-            }
-        }
+        let spec = crate::verifier::LtlSpec::parse(text.trim())
+            .map_err(|e| fail(format!("--ltl '{}': {e}", text.trim())))?;
+        properties.push(crate::verifier::Property::Temporal(spec));
     }
     Ok(properties)
 }
@@ -298,14 +435,14 @@ fn parse_ltl_specs(specs: &[String]) -> Result<Vec<crate::verifier::Property>, i
 /// The `run` request: [`build_request`]'s default property sets, unless
 /// `--ltl` specs narrow the run to exactly those temporal properties —
 /// against the preset pipelines with `--matrix`, or the given configs.
-fn build_run_request(matrix: bool, files: &[String], ltl: &[String]) -> Result<VerifyRequest, i32> {
+fn build_run_request(matrix: bool, files: &[String], ltl: &[String]) -> Exit<VerifyRequest> {
     if ltl.is_empty() {
         return build_request(matrix, files);
     }
     let properties = parse_ltl_specs(ltl)?;
     if matrix {
         if !files.is_empty() {
-            return Err(usage_error("--matrix takes no config files"));
+            return usage_error("--matrix takes no config files");
         }
         let mut scenarios = Vec::new();
         for (name, make) in crate::orchestrator::preset_pipelines() {
@@ -315,75 +452,49 @@ fn build_run_request(matrix: bool, files: &[String], ltl: &[String]) -> Result<V
         }
         Ok(VerifyRequest::Matrix { scenarios })
     } else if files.is_empty() {
-        Err(usage_error(
-            "--ltl needs --matrix or at least one config file",
-        ))
+        usage_error("--ltl needs --matrix or at least one config file")
     } else {
         let configs = load_configs(files)?;
         let scenarios = crate::orchestrator::config_scenarios(&configs, &|_| properties.clone())
-            .map_err(|e| {
-                eprintln!("error: {e}");
-                2
-            })?;
+            .map_err(fail)?;
         Ok(VerifyRequest::Matrix { scenarios })
     }
 }
 
-/// Report a response to stdout, optionally persisting the JSON forms;
-/// returns the exit code (1 when any scenario ended Unknown).
-fn finish(response: &VerifyResponse, json_path: Option<&str>, det_json_path: Option<&str>) -> i32 {
+/// Report a response to stdout, persisting the JSON forms `flags` ask for;
+/// exit code 1 when any scenario ended Unknown.
+fn finish(response: &VerifyResponse, flags: &CommonFlags) -> Exit {
     println!("{response}");
-    if let Some(path) = json_path {
-        let code = write_file(path, &response.to_json().to_text());
-        if code != 0 {
-            return code;
-        }
-    }
-    if let Some(path) = det_json_path {
-        let code = write_file(path, &response.deterministic_json().to_text());
-        if code != 0 {
-            return code;
-        }
-    }
+    flags.write_reports(
+        || response.to_json().to_text(),
+        || response.deterministic_json().to_text(),
+    )?;
     let (_, _, unknown) = response.verdict_counts();
-    if unknown > 0 {
-        if let Some(matrix) = response.matrix() {
-            for s in &matrix.scenarios {
-                for up in &s.report.unproven {
-                    eprintln!(
-                        "UNKNOWN {}: {} via [{}]",
-                        s.label(),
-                        up.reason,
-                        up.path.join(" -> ")
-                    );
-                }
+    if unknown == 0 {
+        return Ok(());
+    }
+    if let Some(matrix) = response.matrix() {
+        for s in &matrix.scenarios {
+            for up in &s.report.unproven {
+                eprintln!(
+                    "UNKNOWN {}: {} via [{}]",
+                    s.label(),
+                    up.reason,
+                    up.path.join(" -> ")
+                );
             }
         }
-        eprintln!("{unknown} scenario(s) ended Unknown");
-        1
-    } else {
-        0
     }
+    eprintln!("{unknown} scenario(s) ended Unknown");
+    Err(1)
 }
 
 /// Submit one request to the daemon at `addr` and report the reply like a
-/// local run: server-rendered display text, optional JSON artifacts, a
-/// dispatch summary when the daemon executed on socket workers.
-fn client_request(
-    addr: &str,
-    request: &VerifyRequest,
-    json_path: Option<&str>,
-    det_json_path: Option<&str>,
-) -> Result<ClientReply, i32> {
-    let addr = WorkerAddr::parse(addr);
-    let mut client = DaemonClient::connect(&addr, None).map_err(|e| {
-        eprintln!("error: {e}");
-        2
-    })?;
-    let reply = client.verify(request).map_err(|e| {
-        eprintln!("error: {e}");
-        2
-    })?;
+/// local run: server-rendered display text, the JSON artifacts `flags` ask
+/// for, a dispatch summary when the daemon executed on socket workers.
+fn client_request(addr: &str, request: &VerifyRequest, flags: &CommonFlags) -> Exit<ClientReply> {
+    let mut client = DaemonClient::connect(&WorkerAddr::parse(addr), None).map_err(fail)?;
+    let reply = client.verify(request).map_err(fail)?;
     println!("{}", reply.display.trim_end());
     if let Some(shipped) = reply.dispatch_stat("summaries_shipped") {
         println!(
@@ -391,159 +502,88 @@ fn client_request(
             reply.dispatch_stat("summaries_deduped").unwrap_or(0)
         );
     }
-    if let Some(path) = json_path {
-        let code = write_file(path, &reply.report.to_text());
-        if code != 0 {
-            return Err(code);
-        }
-    }
-    if let Some(path) = det_json_path {
-        let code = write_file(path, &reply.det_report.to_text());
-        if code != 0 {
-            return Err(code);
-        }
-    }
+    flags.write_reports(|| reply.report.to_text(), || reply.det_report.to_text())?;
     Ok(reply)
 }
 
 /// Exit code for a daemon reply, matching the local subcommands: `1` for
 /// Unknown verdicts (or a failed conformance run), `0` otherwise.
-fn reply_code(reply: &ClientReply) -> i32 {
+fn reply_code(reply: &ClientReply) -> Exit {
     if reply.request == "conformance" {
-        return if reply.ok { 0 } else { 1 };
+        return if reply.ok { Ok(()) } else { Err(1) };
     }
     if reply.unknown > 0 {
         eprintln!("{} scenario(s) ended Unknown", reply.unknown);
-        1
-    } else {
-        0
+        return Err(1);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // run
 // ---------------------------------------------------------------------------
 
-fn cmd_run(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_run(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &[
+        "--threads",
+        "--cache",
+        "--connect",
+        "--json",
+        "--det-json",
+        "--compose-shard",
+    ];
+    let mut flags = CommonFlags::default();
     let mut matrix = false;
     let mut selftest = false;
-    let mut connect: Option<String> = None;
-    let mut compose_shard = ComposeShardMode::default();
-    let mut json_path: Option<String> = None;
-    let mut det_json_path: Option<String> = None;
     let mut ltl_specs: Vec<String> = Vec::new();
     let mut files = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
             "--matrix" => matrix = true,
             "--selftest" => selftest = true,
-            "--ltl" => match iter.next() {
-                Some(spec) => ltl_specs.push(spec),
-                None => return usage_error("--ltl needs a spec (a formula, or @FILE)"),
-            },
-            "--connect" => match iter.next() {
-                Some(addr) => connect = Some(addr),
-                None => return usage_error("--connect needs a daemon address"),
-            },
-            "--compose-shard" => match iter.next().as_deref().and_then(ComposeShardMode::parse) {
-                Some(mode) => compose_shard = mode,
-                None => {
-                    return usage_error("--compose-shard needs `auto`, `off`, or a shard count")
-                }
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            "--json" => match iter.next() {
-                Some(p) => json_path = Some(p),
-                None => return usage_error("--json needs a path"),
-            },
-            "--det-json" => match iter.next() {
-                Some(p) => det_json_path = Some(p),
-                None => return usage_error("--det-json needs a path"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            "--ltl" => ltl_specs.push(value(&mut iter, text, LTL_NEEDS)?),
+            other if other.starts_with('-') => return unknown_option(other),
             file => files.push(file.to_string()),
         }
     }
 
-    let request = match build_run_request(matrix, &files, &ltl_specs) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    if let Some(addr) = connect {
+    let request = build_run_request(matrix, &files, &ltl_specs)?;
+    if let Some(addr) = &flags.connect {
         if selftest {
             return usage_error("--selftest runs in-process (not with --connect)");
         }
-        if flags.threads != 0
-            || flags.cache.is_some()
-            || compose_shard != ComposeShardMode::default()
-        {
-            return usage_error(
-                "--threads/--cache/--compose-shard are daemon-side (set them on `vericlick serve`)",
-            );
-        }
-        return match client_request(
-            &addr,
-            &request,
-            json_path.as_deref(),
-            det_json_path.as_deref(),
-        ) {
-            Ok(reply) => reply_code(&reply),
-            Err(code) => code,
-        };
+        flags.daemon_side(FLAGS)?;
+        return reply_code(&client_request(addr, &request, &flags)?);
     }
-    let service = match flags.build(true) {
-        Ok(s) => s.with_compose_shard_mode(compose_shard),
-        Err(code) => return code,
-    };
+    let service = flags.service(true)?;
     let threads = service.threads();
     println!("=== vericlick run on a {threads}-thread shared scheduler ===\n");
-    let response = match service.serve(request) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let response = service.serve(request).map_err(fail)?;
 
-    if matrix && json_path.is_none() {
+    if matrix && flags.json.is_none() {
         // CI uploads this artifact; keep the pre-CLI path.
-        json_path = Some("target/verify_matrix.json".to_string());
+        flags.json = Some("target/verify_matrix.json".to_string());
     }
-    let code = finish(&response, json_path.as_deref(), det_json_path.as_deref());
-    if code != 0 || !selftest {
-        return code;
+    finish(&response, &flags)?;
+    if !selftest {
+        return Ok(());
     }
 
     // --selftest: the warm rerun plans zero element jobs, the shared
     // scheduler respects its thread bound, and the preset verdict mix is
-    // intact (the pre-CLI `verify_matrix` example's assertions).
+    // intact.
     let matrix_report = match &response.outcome {
         VerifyOutcome::Matrix(m) => m,
         _ => unreachable!("run serves matrix requests"),
     };
-    let warm =
-        service.serve(build_run_request(matrix, &files, &ltl_specs).expect("request rebuilt")); // same request
-    let warm = match warm {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    // The same request again.
+    let warm = service
+        .serve(build_run_request(matrix, &files, &ltl_specs)?)
+        .map_err(fail)?;
     let warm_matrix = warm.matrix().expect("matrix rerun");
     println!(
         "warm rerun: {} element jobs, {} served from cache, {:.3}s (cold was {:.3}s)",
@@ -570,44 +610,30 @@ fn cmd_run(args: Vec<String>) -> i32 {
         "verdicts must not depend on cache temperature"
     );
     println!("selftest passed: warm rerun identical, thread bound respected");
-    0
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // diff
 // ---------------------------------------------------------------------------
 
-fn cmd_diff(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_diff(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &["--threads", "--cache", "--connect"];
+    let mut flags = CommonFlags::default();
     let mut demo = false;
-    let mut connect: Option<String> = None;
     let mut files = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
             "--demo" => demo = true,
-            "--connect" => match iter.next() {
-                Some(addr) => connect = Some(addr),
-                None => return usage_error("--connect needs a daemon address"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            other if other.starts_with('-') => return unknown_option(other),
             file => files.push(file.to_string()),
         }
     }
-    if connect.is_some() && demo {
+    if flags.connect.is_some() && demo {
         // The demo asserts on the in-process DiffReport structure.
         return usage_error("diff --demo runs in-process (not with --connect)");
     }
@@ -637,36 +663,24 @@ fn cmd_diff(args: Vec<String>) -> i32 {
         if files.len() != 2 {
             return usage_error("expected exactly two config files (or --demo)");
         }
-        let read = |path: &str| -> Result<NamedConfig, i32> {
-            Ok(NamedConfig::new("pipeline", read_file(path)?))
-        };
-        match (read(&files[0]), read(&files[1])) {
-            (Ok(old), Ok(new)) => (vec![old], vec![new]),
-            (Err(code), _) | (_, Err(code)) => return code,
-        }
+        let (old, new) = (read_file(&files[0]), read_file(&files[1]));
+        (
+            vec![NamedConfig::new("pipeline", old?)],
+            vec![NamedConfig::new("pipeline", new?)],
+        )
     };
 
-    if let Some(addr) = connect {
-        if flags.threads != 0 || flags.cache.is_some() {
-            return usage_error(
-                "--threads/--cache are daemon-side (set them on `vericlick serve`)",
-            );
-        }
+    if let Some(addr) = &flags.connect {
+        flags.daemon_side(FLAGS)?;
         let request = VerifyRequest::Diff {
             old,
             new,
             properties: PropertySelect::Default,
         };
-        return match client_request(&addr, &request, None, None) {
-            Ok(reply) => reply_code(&reply),
-            Err(code) => code,
-        };
+        return reply_code(&client_request(addr, &request, &flags)?);
     }
 
-    let service = match flags.build(false) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let service = flags.service(false)?;
 
     // Baseline: verify the old configs, warming the summary store — which
     // is what makes the diff incremental. With a persistent --cache the
@@ -679,27 +693,23 @@ fn cmd_diff(args: Vec<String>) -> i32 {
             configs: old.clone(),
             properties: PropertySelect::Default,
         });
-        match baseline {
-            Ok(response) => println!("=== baseline (old configs) ===\n{response}"),
-            Err(e) => {
-                eprintln!("old config: {e}");
-                return 2;
-            }
-        }
+        let response = baseline.map_err(|e| {
+            eprintln!("old config: {e}");
+            2
+        })?;
+        println!("=== baseline (old configs) ===\n{response}");
     }
 
     // The diff: re-verify only what changed.
-    let response = match service.serve(VerifyRequest::Diff {
-        old: old.clone(),
-        new: new.clone(),
+    let request = VerifyRequest::Diff {
+        old,
+        new,
         properties: PropertySelect::Default,
-    }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("new config: {e}");
-            return 2;
-        }
     };
+    let response = service.serve(request).map_err(|e| {
+        eprintln!("new config: {e}");
+        2
+    })?;
     let VerifyOutcome::Diff(report) = &response.outcome else {
         unreachable!("diff requests produce diff outcomes");
     };
@@ -712,7 +722,7 @@ fn cmd_diff(args: Vec<String>) -> i32 {
     let (_, _, unknown) = report.matrix.verdict_counts();
     if unknown > 0 {
         eprintln!("{unknown} re-verified scenario(s) ended Unknown");
-        return 1;
+        return Err(1);
     }
 
     if demo {
@@ -777,60 +787,35 @@ fn cmd_diff(args: Vec<String>) -> i32 {
         // nothing does), so no explore-count expectation applies.
         println!("\ndemo assertions passed: partial re-verification confirmed");
     }
-    0
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // plan / exec-plan
 // ---------------------------------------------------------------------------
 
-fn cmd_plan(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_plan(args: Vec<String>) -> Exit {
+    let mut flags = CommonFlags::default();
     let mut matrix = false;
     let mut out: Option<String> = None;
     let mut files = Vec::new();
     let mut ltl_specs: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(&["--threads"], &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
             "--matrix" => matrix = true,
-            "-o" | "--out" => match iter.next() {
-                Some(p) => out = Some(p),
-                None => return usage_error("-o needs a path"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--ltl" => match iter.next() {
-                Some(spec) => ltl_specs.push(spec),
-                None => return usage_error("--ltl needs a spec (a formula, or @FILE)"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            "-o" | "--out" => out = Some(value(&mut iter, text, "-o needs a path")?),
+            "--ltl" => ltl_specs.push(value(&mut iter, text, LTL_NEEDS)?),
+            other if other.starts_with('-') => return unknown_option(other),
             file => files.push(file.to_string()),
         }
     }
 
-    let request = match build_run_request(matrix, &files, &ltl_specs) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let service = match flags.build(false) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let plan = match service.plan_request(&request) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let request = build_run_request(matrix, &files, &ltl_specs)?;
+    let plan = flags.service(false)?.plan_request(&request).map_err(fail)?;
     eprintln!(
         "planned {} scenarios -> {} distinct element jobs",
         plan.scenarios.len(),
@@ -841,60 +826,32 @@ fn cmd_plan(args: Vec<String>) -> i32 {
         Some(path) => write_file(&path, &text),
         None => {
             println!("{text}");
-            0
+            Ok(())
         }
     }
 }
 
-fn cmd_exec_plan(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
-    let mut workers: Option<String> = None;
+fn cmd_exec_plan(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &[
+        "--threads",
+        "--cache",
+        "--json",
+        "--det-json",
+        "--compose-shard",
+        "--workers",
+        "--heartbeat-ms",
+    ];
+    let mut flags = CommonFlags::default();
     let mut in_process = false;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut compose_shard = ComposeShardMode::default();
-    let mut json_path: Option<String> = None;
-    let mut det_json_path: Option<String> = None;
     let mut file: Option<String> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
             "--in-process" => in_process = true,
-            "--workers" => match iter.next() {
-                Some(spec) => workers = Some(spec),
-                None => return usage_error("--workers needs a count or address list"),
-            },
-            "--compose-shard" => match iter.next().as_deref().and_then(ComposeShardMode::parse) {
-                Some(mode) => compose_shard = mode,
-                None => {
-                    return usage_error("--compose-shard needs `auto`, `off`, or a shard count")
-                }
-            },
-            "--heartbeat-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => heartbeat_ms = Some(ms),
-                None => return usage_error("--heartbeat-ms needs a number of milliseconds"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            "--json" => match iter.next() {
-                Some(p) => json_path = Some(p),
-                None => return usage_error("--json needs a path"),
-            },
-            "--det-json" => match iter.next() {
-                Some(p) => det_json_path = Some(p),
-                None => return usage_error("--det-json needs a path"),
-            },
-            other if other.starts_with('-') && other != "-" => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            other if other.starts_with('-') && other != "-" => return unknown_option(other),
             path => {
                 if file.is_some() {
                     return usage_error("exec-plan takes one plan file (or '-')");
@@ -909,104 +866,60 @@ fn cmd_exec_plan(args: Vec<String>) -> i32 {
     let text = match file.as_deref() {
         Some("-") | None => {
             let mut text = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-                eprintln!("error: cannot read plan from stdin: {e}");
-                return 2;
-            }
+            std::io::stdin()
+                .read_to_string(&mut text)
+                .map_err(|e| fail(format!("cannot read plan from stdin: {e}")))?;
             text
         }
-        Some(path) => match read_file(path) {
-            Ok(text) => text,
-            Err(code) => return code,
-        },
+        Some(path) => read_file(path)?,
     };
-    let plan = match Json::parse(&text)
+    let plan = Json::parse(&text)
         .map_err(|e| e.to_string())
         .and_then(|j| plan_from_json(&j).map_err(|e| e.to_string()))
-    {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: bad plan: {e}");
-            return 2;
-        }
-    };
+        .map_err(|e| fail(format!("bad plan: {e}")))?;
 
-    let service = match flags.build(false) {
-        Ok(s) => s.with_compose_shard_mode(compose_shard),
-        Err(code) => return code,
-    };
-    // Default executor: subprocess workers (the remote path). A numeric
-    // --workers spawns that many stdio workers; an address list dials
-    // `vericlick worker --listen` peers over TCP / Unix sockets;
-    // --in-process keeps everything in this process.
+    let service = flags.service(false)?;
+    // Default executor: subprocess workers (the remote path), one per core
+    // unless --workers says otherwise; --in-process keeps everything on
+    // this process's shared scheduler.
     let executor: Box<dyn Executor> = if in_process {
-        Box::new(InProcessExecutor::new(flags.threads))
+        Box::new(InProcessExecutor)
     } else {
-        // Guard the numeric branch: a bare port typed where an address
-        // belongs (`--workers 8080` for `--workers host:8080`) must not
-        // fork thousands of worker processes.
-        const MAX_SUBPROCESS_WORKERS: usize = 256;
-        let fleet = match workers.as_deref() {
-            None => WorkerFleet::current_exe(0),
-            Some(spec) => match spec.parse::<usize>() {
-                Ok(n) if n > MAX_SUBPROCESS_WORKERS => {
-                    return usage_error(&format!(
-                        "--workers {n} exceeds {MAX_SUBPROCESS_WORKERS} subprocess workers \
-                         (for a TCP worker, use host:port, e.g. 127.0.0.1:{n})"
-                    ));
-                }
-                Ok(n) => WorkerFleet::current_exe(n),
-                Err(_) => Ok(WorkerFleet::sockets(
-                    spec.split(',')
-                        .filter(|a| !a.is_empty())
-                        .map(WorkerAddr::parse)
-                        .collect(),
-                )),
-            },
-        };
-        match fleet {
-            // Heartbeat tuning only bites on socket transports (stdio
-            // pipes cannot time out), so applying it unconditionally is
-            // harmless for subprocess fleets.
-            Ok(fleet) => Box::new(match heartbeat_ms {
-                Some(ms) => fleet.with_heartbeat(HeartbeatConfig::from_interval_ms(ms)),
-                None => fleet,
-            }),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
+        Box::new(flags.fleet(flags.workers.as_deref().unwrap_or("0"))?)
     };
     eprintln!(
         "executing {} scenarios via {}",
         plan.scenarios.len(),
         executor.describe()
     );
-    let response = match service.execute_plan(&plan, executor.as_ref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    finish(&response, json_path.as_deref(), det_json_path.as_deref())
+    let response = service
+        .execute_plan(&plan, executor.as_ref())
+        .map_err(fail)?;
+    finish(&response, &flags)
 }
 
 // ---------------------------------------------------------------------------
 // watch
 // ---------------------------------------------------------------------------
 
-/// Watch real config files: a polling loop over the service's
-/// rolling-baseline `Watch` request — tick 0 verifies everything, every
-/// later tick re-verifies only what changed since the last good tick.
+/// Watch real config files: a polling loop over the rolling-baseline `Watch`
+/// request — tick 0 verifies everything, every later tick re-verifies only
+/// what changed since the last good tick. `submit` sends one tick and
+/// prints what came back: to the in-process service, or to a daemon session
+/// (`whose` says which in the banner) — either keeps the baseline.
 /// Each poll re-reads the files and compares *contents* (configs are
 /// small; an mtime-only stamp would miss same-length edits within one
 /// mtime granule on coarse filesystems). `max_polls` bounds the loop for
 /// tests and scripting (0 = forever).
-fn watch_files(service: &VerifyService, files: &[String], poll_ms: u64, max_polls: usize) -> i32 {
+fn watch_files(
+    whose: &str,
+    files: &[String],
+    poll_ms: u64,
+    max_polls: usize,
+    mut submit: impl FnMut(usize, VerifyRequest) -> Result<(), String>,
+) -> Exit {
     println!(
-        "=== vericlick watch: polling {} config file(s) every {poll_ms}ms ===",
+        "=== vericlick watch{whose}: polling {} config file(s) every {poll_ms}ms ===",
         files.len()
     );
     let mut last_seen: Option<Vec<String>> = None;
@@ -1017,36 +930,25 @@ fn watch_files(service: &VerifyService, files: &[String], poll_ms: u64, max_poll
             // Only the very first poll fails fast (startup typo); later
             // unreadable polls are an editor's atomic-save window and
             // must not kill the watcher — even before any tick verified.
-            Err(code) if polls == 0 => return code,
+            Err(code) if polls == 0 => return Err(code),
             Err(_) => {
                 eprintln!("watch: config files unreadable; retrying");
             }
             Ok(configs) => {
                 let contents: Vec<String> = configs.iter().map(|c| c.config.clone()).collect();
                 if last_seen.as_ref() != Some(&contents) {
-                    match service.serve(VerifyRequest::Watch {
+                    let request = VerifyRequest::Watch {
                         configs,
                         properties: PropertySelect::Default,
-                    }) {
-                        Ok(response) => {
-                            match &response.outcome {
-                                VerifyOutcome::Matrix(m) => println!(
-                                    "watch tick {tick}: verified {} scenarios\n{m}",
-                                    m.scenarios.len()
-                                ),
-                                VerifyOutcome::Diff(d) => println!(
-                                    "watch tick {tick}: re-verified {} scenarios ({} skipped)\n{d}",
-                                    d.reverified_scenarios(),
-                                    d.skipped_scenarios
-                                ),
-                                _ => {}
-                            }
+                    };
+                    match submit(tick, request) {
+                        Ok(()) => {
                             let _ = std::io::stdout().flush();
                             tick += 1;
                         }
                         // A syntax error in a half-saved edit: report it,
-                        // keep the baseline (the service does the same),
-                        // re-verify when the file changes again.
+                        // keep the baseline (the service and the daemon do
+                        // the same), re-verify when the file changes again.
                         Err(e) => eprintln!("watch: {e}"),
                     }
                     last_seen = Some(contents);
@@ -1060,138 +962,78 @@ fn watch_files(service: &VerifyService, files: &[String], poll_ms: u64, max_poll
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
     }
     println!("watch: stopped after {polls} polls, {tick} ticks");
-    0
+    Ok(())
 }
 
-/// The remote flavour of [`watch_files`]: the same polling loop, but each
-/// tick is submitted to a daemon session — whose per-connection rolling
-/// baseline makes tick 0 a full verification and every later tick an
-/// incremental one, exactly like the in-process service.
-fn watch_files_remote(
-    client: &mut DaemonClient,
-    files: &[String],
-    poll_ms: u64,
-    max_polls: usize,
-) -> i32 {
-    println!(
-        "=== vericlick watch (daemon session): polling {} config file(s) every {poll_ms}ms ===",
-        files.len()
-    );
-    let mut last_seen: Option<Vec<String>> = None;
-    let mut tick = 0usize;
-    let mut polls = 0usize;
-    loop {
-        match load_configs(files) {
-            Err(code) if polls == 0 => return code,
-            Err(_) => {
-                eprintln!("watch: config files unreadable; retrying");
-            }
-            Ok(configs) => {
-                let contents: Vec<String> = configs.iter().map(|c| c.config.clone()).collect();
-                if last_seen.as_ref() != Some(&contents) {
-                    match client.verify(&VerifyRequest::Watch {
-                        configs,
-                        properties: PropertySelect::Default,
-                    }) {
-                        Ok(reply) => {
-                            println!(
-                                "watch tick {tick} ({}):\n{}",
-                                reply.request,
-                                reply.display.trim_end()
-                            );
-                            let _ = std::io::stdout().flush();
-                            tick += 1;
-                        }
-                        // A rejected tick (half-saved syntax error): the
-                        // daemon keeps the session's baseline, so report
-                        // and re-verify on the next change.
-                        Err(e) => eprintln!("watch: {e}"),
-                    }
-                    last_seen = Some(contents);
-                }
-            }
-        }
-        polls += 1;
-        if max_polls > 0 && polls >= max_polls {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-    }
-    println!("watch: stopped after {polls} polls, {tick} ticks");
-    0
-}
-
-fn cmd_watch(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_watch(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &["--threads", "--cache", "--connect"];
+    let mut flags = CommonFlags::default();
     let mut demo = false;
-    let mut connect: Option<String> = None;
     let mut poll_ms = 500u64;
     let mut max_polls = 0usize;
     let mut files = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
             "--demo" => demo = true,
-            "--connect" => match iter.next() {
-                Some(addr) => connect = Some(addr),
-                None => return usage_error("--connect needs a daemon address"),
-            },
-            "--poll-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => poll_ms = n,
-                None => return usage_error("--poll-ms needs a number"),
-            },
-            "--max-polls" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_polls = n,
-                None => return usage_error("--max-polls needs a number"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            "--poll-ms" => poll_ms = value(&mut iter, number, "--poll-ms needs a number")?,
+            "--max-polls" => max_polls = value(&mut iter, number, "--max-polls needs a number")?,
+            other if other.starts_with('-') => return unknown_option(other),
             file => files.push(file.to_string()),
         }
     }
-    if let Some(addr) = connect {
+    if let Some(addr) = &flags.connect {
         if demo {
             // The demo asserts on in-process DiffReport structure.
             return usage_error("watch --demo runs in-process (not with --connect)");
         }
-        if flags.threads != 0 || flags.cache.is_some() {
-            return usage_error(
-                "--threads/--cache are daemon-side (set them on `vericlick serve`)",
-            );
-        }
+        flags.daemon_side(FLAGS)?;
         if files.is_empty() {
             return usage_error("watch needs config files (or --demo)");
         }
-        let mut client = match DaemonClient::connect(&WorkerAddr::parse(&addr), None) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        return watch_files_remote(&mut client, &files, poll_ms, max_polls);
+        // Each tick goes to one daemon session, whose per-connection
+        // rolling baseline works exactly like the in-process service's.
+        let mut client = DaemonClient::connect(&WorkerAddr::parse(addr), None).map_err(fail)?;
+        return watch_files(
+            " (daemon session)",
+            &files,
+            poll_ms,
+            max_polls,
+            |tick, request| {
+                let reply = client.verify(&request).map_err(|e| e.to_string())?;
+                println!(
+                    "watch tick {tick} ({}):\n{}",
+                    reply.request,
+                    reply.display.trim_end()
+                );
+                Ok(())
+            },
+        );
     }
-    let service = match flags.build(false) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let service = flags.service(false)?;
     if !demo {
         if files.is_empty() {
             return usage_error("watch needs config files (or --demo)");
         }
-        return watch_files(&service, &files, poll_ms, max_polls);
+        return watch_files("", &files, poll_ms, max_polls, |tick, request| {
+            let response = service.serve(request).map_err(|e| e.to_string())?;
+            match &response.outcome {
+                VerifyOutcome::Matrix(m) => println!(
+                    "watch tick {tick}: verified {} scenarios\n{m}",
+                    m.scenarios.len()
+                ),
+                VerifyOutcome::Diff(d) => println!(
+                    "watch tick {tick}: re-verified {} scenarios ({} skipped)\n{d}",
+                    d.reverified_scenarios(),
+                    d.skipped_scenarios
+                ),
+                _ => {}
+            }
+            Ok(())
+        });
     }
     let watch = |router: String, mini: String| VerifyRequest::Watch {
         configs: vec![
@@ -1208,16 +1050,12 @@ fn cmd_watch(args: Vec<String>) -> i32 {
     println!("=== vericlick watch --demo: rolling-baseline re-verification ===\n");
 
     // Tick 0: first sight of the configs — full verification.
-    let response = match service.serve(watch(DEMO_ROUTER.into(), DEMO_MINI.into())) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let response = service
+        .serve(watch(DEMO_ROUTER.into(), DEMO_MINI.into()))
+        .map_err(fail)?;
     let VerifyOutcome::Matrix(matrix) = &response.outcome else {
         eprintln!("demo failed: first watch tick must verify everything");
-        return 1;
+        return Err(1);
     };
     println!(
         "tick 0 (baseline): {} scenarios verified\n{matrix}",
@@ -1226,16 +1064,12 @@ fn cmd_watch(args: Vec<String>) -> i32 {
     let full_scenarios = matrix.scenarios.len();
 
     // Tick 1: nothing changed — everything skipped.
-    let response = match service.serve(watch(DEMO_ROUTER.into(), DEMO_MINI.into())) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let response = service
+        .serve(watch(DEMO_ROUTER.into(), DEMO_MINI.into()))
+        .map_err(fail)?;
     let VerifyOutcome::Diff(diff) = &response.outcome else {
         eprintln!("demo failed: second tick must diff against the baseline");
-        return 1;
+        return Err(1);
     };
     println!("tick 1 (no edits): {diff}");
     expect!(
@@ -1252,16 +1086,12 @@ fn cmd_watch(args: Vec<String>) -> i32 {
     // Tick 2: one element edit — only the router re-verifies, re-exploring
     // exactly the edited behaviour.
     let edited = DEMO_ROUTER.replace("192.168.0.0/16 1", "192.168.0.0/24 1");
-    let response = match service.serve(watch(edited.clone(), DEMO_MINI.into())) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let response = service
+        .serve(watch(edited.clone(), DEMO_MINI.into()))
+        .map_err(fail)?;
     let VerifyOutcome::Diff(diff) = &response.outcome else {
         eprintln!("demo failed: tick 2 must diff");
-        return 1;
+        return Err(1);
     };
     println!("tick 2 (route edit): {diff}");
     expect!(
@@ -1282,16 +1112,10 @@ fn cmd_watch(args: Vec<String>) -> i32 {
 
     // Tick 3: a wiring-only edit of mini — composition-only pass.
     let rewired = DEMO_MINI.replace("cnt -> ttl -> s0;", "cnt -> ttl -> s1;");
-    let response = match service.serve(watch(edited, rewired)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let response = service.serve(watch(edited, rewired)).map_err(fail)?;
     let VerifyOutcome::Diff(diff) = &response.outcome else {
         eprintln!("demo failed: tick 3 must diff");
-        return 1;
+        return Err(1);
     };
     println!("tick 3 (rewire): {diff}");
     expect!(
@@ -1308,86 +1132,54 @@ fn cmd_watch(args: Vec<String>) -> i32 {
     let (_, _, unknown) = diff.matrix.verdict_counts();
     if unknown > 0 {
         eprintln!("{unknown} scenario(s) ended Unknown");
-        return 1;
+        return Err(1);
     }
     println!("\nwatch demo passed: baseline rolls forward, each tick re-verifies only its edit");
-    0
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // bound
 // ---------------------------------------------------------------------------
 
-fn cmd_bound(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_bound(args: Vec<String>) -> Exit {
+    let mut flags = CommonFlags::default();
     let mut files = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
-            file => files.push(file.to_string()),
+        if flags.take(&["--threads", "--cache"], &arg, &mut iter)? {
+            continue;
         }
+        if arg.starts_with('-') {
+            return unknown_option(&arg);
+        }
+        files.push(arg);
     }
     if files.is_empty() {
         return usage_error("bound needs at least one config file");
     }
-    let service = match flags.build(false) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    for config in match load_configs(&files) {
-        Ok(c) => c,
-        Err(code) => return code,
-    } {
-        let pipeline = match crate::pipeline::parse_config(&config.config) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {}: {e}", config.name);
-                return 2;
-            }
-        };
-        match service.serve(VerifyRequest::Bound {
+    let service = flags.service(false)?;
+    for config in load_configs(&files)? {
+        let pipeline = crate::pipeline::parse_config(&config.config)
+            .map_err(|e| fail(format!("{}: {e}", config.name)))?;
+        let request = VerifyRequest::Bound {
             name: config.name,
             pipeline,
-        }) {
-            Ok(response) => println!("{response}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
+        };
+        println!("{}", service.serve(request).map_err(fail)?);
     }
-    0
+    Ok(())
 }
-
-// ---------------------------------------------------------------------------
-// worker
-// ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
 // conform / fuzz (differential conformance)
 // ---------------------------------------------------------------------------
 
-fn cmd_conform(args: Vec<String>) -> i32 {
+fn cmd_conform(args: Vec<String>) -> Exit {
     let mut file: Option<String> = None;
     for arg in args {
         match arg.as_str() {
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            other if other.starts_with('-') => return unknown_option(other),
             path => {
                 if file.is_some() {
                     return usage_error("conform takes one report file");
@@ -1401,24 +1193,9 @@ fn cmd_conform(args: Vec<String>) -> i32 {
             "conform needs a deterministic matrix report (run --matrix --det-json)",
         );
     };
-    let text = match read_file(&path) {
-        Ok(text) => text,
-        Err(code) => return code,
-    };
-    let doc = match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: {path} is not JSON: {e}");
-            return 2;
-        }
-    };
-    let outcomes = match crate::orchestrator::conformance::replay_matrix_json(&doc) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let doc =
+        Json::parse(&read_file(&path)?).map_err(|e| fail(format!("{path} is not JSON: {e}")))?;
+    let outcomes = crate::orchestrator::conformance::replay_matrix_json(&doc).map_err(fail)?;
     let mut mismatches = 0usize;
     for outcome in &outcomes {
         println!(
@@ -1449,10 +1226,9 @@ fn cmd_conform(args: Vec<String>) -> i32 {
         outcomes.len()
     );
     if mismatches > 0 {
-        1
-    } else {
-        0
+        return Err(1);
     }
+    Ok(())
 }
 
 /// Parse a seed: decimal or `0x`-prefixed hex.
@@ -1464,130 +1240,63 @@ fn parse_seed(text: &str) -> Option<u64> {
     }
 }
 
-fn cmd_fuzz(args: Vec<String>) -> i32 {
-    let mut flags = ServiceFlags {
-        threads: 0,
-        cache: None,
-    };
+fn cmd_fuzz(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &[
+        "--threads",
+        "--cache",
+        "--connect",
+        "--json",
+        "--det-json",
+        "--workers",
+        "--heartbeat-ms",
+    ];
+    let mut flags = CommonFlags::default();
     let mut seed = crate::net::DEFAULT_SEED;
     let mut packets = 100_000u64;
-    let mut workers: Option<String> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut connect: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut det_json_path: Option<String> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
-            "--heartbeat-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => heartbeat_ms = Some(ms),
-                None => return usage_error("--heartbeat-ms needs a number of milliseconds"),
-            },
-            "--connect" => match iter.next() {
-                Some(addr) => connect = Some(addr),
-                None => return usage_error("--connect needs a daemon address"),
-            },
-            "--seed" => match iter.next().as_deref().and_then(parse_seed) {
-                Some(s) => seed = s,
-                None => return usage_error("--seed needs a number (decimal or 0x-hex)"),
-            },
-            "--packets" => match iter.next().and_then(|v| v.replace('_', "").parse().ok()) {
-                Some(n) => packets = n,
-                None => return usage_error("--packets needs a number"),
-            },
-            "--workers" => match iter.next() {
-                Some(spec) => workers = Some(spec),
-                None => return usage_error("--workers needs a count or address list"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => flags.threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => flags.cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            "--json" => match iter.next() {
-                Some(p) => json_path = Some(p),
-                None => return usage_error("--json needs a path"),
-            },
-            "--det-json" => match iter.next() {
-                Some(p) => det_json_path = Some(p),
-                None => return usage_error("--det-json needs a path"),
-            },
-            other => return usage_error(&format!("unknown option '{other}'")),
+            "--seed" => {
+                seed = value(
+                    &mut iter,
+                    parse_seed,
+                    "--seed needs a number (decimal or 0x-hex)",
+                )?
+            }
+            "--packets" => {
+                let parse = |v: &str| v.replace('_', "").parse().ok();
+                packets = value(&mut iter, parse, "--packets needs a number")?
+            }
+            other => return unknown_option(other),
         }
     }
 
-    if let Some(addr) = connect {
-        if workers.is_some() {
+    if let Some(addr) = &flags.connect {
+        if flags.workers.is_some() {
             return usage_error(
                 "--workers is daemon-side with --connect (join workers to the daemon)",
             );
         }
-        if flags.threads != 0 || flags.cache.is_some() {
-            return usage_error(
-                "--threads/--cache are daemon-side (set them on `vericlick serve`)",
-            );
-        }
+        flags.daemon_side(FLAGS)?;
         let request = VerifyRequest::Conformance {
             scenarios: preset_scenarios(),
             seed,
             packets,
         };
         println!("=== vericlick fuzz: {packets} packets, seed {seed:#x}, daemon {addr} ===\n");
-        return match client_request(
-            &addr,
-            &request,
-            json_path.as_deref(),
-            det_json_path.as_deref(),
-        ) {
-            Ok(reply) => reply_code(&reply),
-            Err(code) => code,
-        };
+        return reply_code(&client_request(addr, &request, &flags)?);
     }
 
-    // `--workers` dispatches the fuzz shards over a fleet (subprocess
-    // stdio workers for a count, `vericlick worker --listen` peers for an
-    // address list); without it the shards run on the in-process pool.
-    // Same guard as exec-plan: a bare port typed where an address belongs
-    // must not fork thousands of processes.
-    const MAX_SUBPROCESS_WORKERS: usize = 256;
-    let fleet: Option<WorkerFleet> = match workers.as_deref() {
+    // `--workers` dispatches the fuzz shards over a fleet; without it the
+    // shards run on the in-process pool.
+    let fleet = match &flags.workers {
+        Some(spec) => Some(flags.fleet(spec)?),
         None => None,
-        Some(spec) => {
-            let fleet = match spec.parse::<usize>() {
-                Ok(n) if n > MAX_SUBPROCESS_WORKERS => {
-                    return usage_error(&format!(
-                        "--workers {n} exceeds {MAX_SUBPROCESS_WORKERS} subprocess workers \
-                         (for a TCP worker, use host:port, e.g. 127.0.0.1:{n})"
-                    ));
-                }
-                Ok(n) => WorkerFleet::current_exe(n),
-                Err(_) => Ok(WorkerFleet::sockets(
-                    spec.split(',')
-                        .filter(|a| !a.is_empty())
-                        .map(WorkerAddr::parse)
-                        .collect(),
-                )),
-            };
-            match fleet {
-                Ok(fleet) => Some(match heartbeat_ms {
-                    Some(ms) => fleet.with_heartbeat(HeartbeatConfig::from_interval_ms(ms)),
-                    None => fleet,
-                }),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            }
-        }
     };
-
-    let service = match flags.build(false) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let service = flags.service(false)?;
     println!(
         "=== vericlick fuzz: {packets} packets, seed {seed:#x}, {} ===\n",
         match &fleet {
@@ -1595,45 +1304,32 @@ fn cmd_fuzz(args: Vec<String>) -> i32 {
             None => format!("in-process pool ({} threads)", service.threads()),
         }
     );
-    let report = match service.run_conformance(
-        preset_scenarios(),
-        seed,
-        packets,
-        fleet.as_ref().map(|f| f as &dyn Executor),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let executor = fleet.as_ref().map(|f| f as &dyn Executor);
+    let report = service
+        .run_conformance(preset_scenarios(), seed, packets, executor)
+        .map_err(fail)?;
     print!("{report}");
-    if let Some(path) = &json_path {
-        let code = write_file(path, &report.to_json().to_text());
-        if code != 0 {
-            return code;
-        }
-    }
-    if let Some(path) = &det_json_path {
-        let code = write_file(path, &report.deterministic_json().to_text());
-        if code != 0 {
-            return code;
-        }
-    }
-    if report.ok() {
-        println!("conformance: OK");
-        0
-    } else {
+    flags.write_reports(
+        || report.to_json().to_text(),
+        || report.deterministic_json().to_text(),
+    )?;
+    if !report.ok() {
         eprintln!(
             "conformance FAILED: {} replay mismatches, {} fuzz contradictions",
             report.replay_mismatches(),
             report.contradictions()
         );
-        1
+        return Err(1);
     }
+    println!("conformance: OK");
+    Ok(())
 }
 
-fn cmd_worker(args: Vec<String>) -> i32 {
+// ---------------------------------------------------------------------------
+// worker
+// ---------------------------------------------------------------------------
+
+fn cmd_worker(args: Vec<String>) -> Exit {
     let mut listen: Option<String> = None;
     let mut join: Option<String> = None;
     let mut capacity = 0usize;
@@ -1641,26 +1337,17 @@ fn cmd_worker(args: Vec<String>) -> i32 {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--listen" => match iter.next() {
-                Some(addr) => listen = Some(addr),
-                None => return usage_error("--listen needs an address"),
-            },
-            "--join" => match iter.next() {
-                Some(addr) => join = Some(addr),
-                None => return usage_error("--join needs a daemon address"),
-            },
-            "--capacity" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => capacity = n,
-                None => return usage_error("--capacity needs a number"),
-            },
+            "--listen" => listen = Some(value(&mut iter, text, "--listen needs an address")?),
+            "--join" => join = Some(value(&mut iter, text, "--join needs a daemon address")?),
+            "--capacity" => capacity = value(&mut iter, number, "--capacity needs a number")?,
             "--once" => once = true,
-            other => return usage_error(&format!("unknown option '{other}'")),
+            other => return unknown_option(other),
         }
     }
     if join.is_some() && listen.is_none() {
         return usage_error("--join needs --listen (the daemon dials the worker back)");
     }
-    match listen {
+    let served = match listen {
         // Socket worker: bind, announce the actual address (`:0` picks a
         // port), serve coordinator sessions.
         Some(addr) => {
@@ -1689,114 +1376,70 @@ fn cmd_worker(args: Vec<String>) -> i32 {
                     }
                 }
             };
-            match serve_listener(&addr, capacity, once, &mut log) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("worker: {e}");
-                    2
-                }
-            }
+            serve_listener(&addr, capacity, once, &mut log)
         }
         // Stdio worker: one session over stdin/stdout (spawned by
         // `exec-plan --workers N`).
-        None => {
-            let stdin = std::io::stdin();
-            match worker_serve(stdin.lock(), std::io::stdout(), capacity) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("worker: {e}");
-                    2
-                }
-            }
-        }
-    }
+        None => worker_serve(std::io::stdin().lock(), std::io::stdout(), capacity),
+    };
+    served.map_err(|e| {
+        eprintln!("worker: {e}");
+        2
+    })
 }
 
 // ---------------------------------------------------------------------------
 // serve / client (the persistent daemon)
 // ---------------------------------------------------------------------------
 
-fn cmd_serve(args: Vec<String>) -> i32 {
+fn cmd_serve(args: Vec<String>) -> Exit {
+    const FLAGS: &[&str] = &["--threads", "--cache", "--heartbeat-ms", "--compose-shard"];
+    let mut flags = CommonFlags::default();
     let mut listen: Option<String> = None;
-    let mut threads = 0usize;
-    let mut cache: Option<String> = None;
     let mut max_sessions = 4usize;
     let mut max_queue = 4usize;
-    let mut workers: Option<String> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut compose_shard = ComposeShardMode::default();
     let mut once = false;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(FLAGS, &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
-            "--listen" => match iter.next() {
-                Some(addr) => listen = Some(addr),
-                None => return usage_error("--listen needs an address"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => cache = Some(dir),
-                None => return usage_error("--cache needs a directory"),
-            },
-            "--max-sessions" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_sessions = n,
-                None => return usage_error("--max-sessions needs a number (0 = unlimited)"),
-            },
-            "--max-queue" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_queue = n,
-                None => return usage_error("--max-queue needs a number (0 = refuse when full)"),
-            },
-            "--workers" => match iter.next() {
-                Some(spec) => workers = Some(spec),
-                None => return usage_error("--workers needs an address list"),
-            },
-            "--heartbeat-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => heartbeat_ms = Some(ms),
-                None => return usage_error("--heartbeat-ms needs a number of milliseconds"),
-            },
-            "--compose-shard" => match iter.next().as_deref().and_then(ComposeShardMode::parse) {
-                Some(mode) => compose_shard = mode,
-                None => {
-                    return usage_error("--compose-shard needs `auto`, `off`, or a shard count")
-                }
-            },
+            "--listen" => listen = Some(value(&mut iter, text, "--listen needs an address")?),
+            "--max-sessions" => {
+                let needs = "--max-sessions needs a number (0 = unlimited)";
+                max_sessions = value(&mut iter, number, needs)?
+            }
+            "--max-queue" => {
+                let needs = "--max-queue needs a number (0 = refuse when full)";
+                max_queue = value(&mut iter, number, needs)?
+            }
+            // A daemon's pool is socket workers only: no subprocess count.
+            "--workers" => {
+                flags.workers = Some(value(&mut iter, text, "--workers needs an address list")?)
+            }
             "--once" => once = true,
-            other => return usage_error(&format!("unknown option '{other}'")),
+            other => return unknown_option(other),
         }
     }
     let Some(listen) = listen else {
         return usage_error("serve needs --listen (host:port, a path, or unix:PATH)");
     };
-    let store = match &cache {
-        None => None,
-        Some(dir) => match SummaryStore::persistent(dir) {
-            Ok(store) => Some(Arc::new(store)),
-            Err(e) => {
-                eprintln!("error: cannot open cache dir {dir}: {e}");
-                return 2;
-            }
-        },
-    };
     let config = DaemonConfig {
-        threads,
-        store,
+        threads: flags.threads,
+        store: flags.store()?,
         max_sessions,
         max_queue,
-        workers: workers
-            .map(|spec| {
-                spec.split(',')
-                    .filter(|a| !a.is_empty())
-                    .map(WorkerAddr::parse)
-                    .collect()
-            })
+        workers: flags
+            .workers
+            .as_deref()
+            .map(worker_addrs)
             .unwrap_or_default(),
-        heartbeat: heartbeat_ms
+        heartbeat: flags
+            .heartbeat_ms
             .map(HeartbeatConfig::from_interval_ms)
             .unwrap_or_default(),
-        compose_shard,
+        compose_shard: flags.compose_shard,
         ..DaemonConfig::default()
     };
     let daemon = Daemon::new(config);
@@ -1807,49 +1450,32 @@ fn cmd_serve(args: Vec<String>) -> i32 {
         let _ = writeln!(out, "serve: {line}");
         let _ = out.flush();
     });
-    match daemon.serve(&WorkerAddr::parse(&listen), once, log) {
-        Ok(()) => 0,
-        Err(e) => {
+    daemon
+        .serve(&WorkerAddr::parse(&listen), once, log)
+        .map_err(|e| {
             eprintln!("serve: {e}");
             2
-        }
-    }
+        })
 }
 
-fn cmd_client(args: Vec<String>) -> i32 {
-    let mut connect: Option<String> = None;
+fn cmd_client(args: Vec<String>) -> Exit {
+    let mut flags = CommonFlags::default();
     let mut matrix = false;
     let mut request_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut det_json_path: Option<String> = None;
     let mut files = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if flags.take(&["--connect", "--json", "--det-json"], &arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
-            "--connect" => match iter.next() {
-                Some(addr) => connect = Some(addr),
-                None => return usage_error("--connect needs a daemon address"),
-            },
             "--matrix" => matrix = true,
-            "--request" => match iter.next() {
-                Some(p) => request_path = Some(p),
-                None => return usage_error("--request needs a path"),
-            },
-            "--json" => match iter.next() {
-                Some(p) => json_path = Some(p),
-                None => return usage_error("--json needs a path"),
-            },
-            "--det-json" => match iter.next() {
-                Some(p) => det_json_path = Some(p),
-                None => return usage_error("--det-json needs a path"),
-            },
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option '{other}'"))
-            }
+            "--request" => request_path = Some(value(&mut iter, text, "--request needs a path")?),
+            other if other.starts_with('-') => return unknown_option(other),
             file => files.push(file.to_string()),
         }
     }
-    let Some(addr) = connect else {
+    let Some(addr) = &flags.connect else {
         return usage_error("client needs --connect (the daemon's address)");
     };
     // The request: a serialised VerifyRequest document with --request,
@@ -1859,39 +1485,17 @@ fn cmd_client(args: Vec<String>) -> i32 {
             if matrix || !files.is_empty() {
                 return usage_error("--request replaces --matrix/config files");
             }
-            let text = match read_file(&path) {
-                Ok(text) => text,
-                Err(code) => return code,
-            };
-            match Json::parse(&text)
+            Json::parse(&read_file(&path)?)
                 .map_err(|e| e.to_string())
                 .and_then(|doc| VerifyRequest::from_json(&doc).map_err(|e| e.to_string()))
-            {
-                Ok(request) => request,
-                Err(e) => {
-                    eprintln!("error: bad request: {e}");
-                    return 2;
-                }
-            }
+                .map_err(|e| fail(format!("bad request: {e}")))?
         }
-        None => match build_request(matrix, &files) {
-            Ok(r) => r,
-            Err(code) => return code,
-        },
+        None => build_request(matrix, &files)?,
     };
-    match client_request(
-        &addr,
-        &request,
-        json_path.as_deref(),
-        det_json_path.as_deref(),
-    ) {
-        Ok(reply) => {
-            println!(
-                "daemon served a {} request: {} proven, {} violated, {} unknown",
-                reply.request, reply.proven, reply.violated, reply.unknown
-            );
-            reply_code(&reply)
-        }
-        Err(code) => code,
-    }
+    let reply = client_request(addr, &request, &flags)?;
+    println!(
+        "daemon served a {} request: {} proven, {} violated, {} unknown",
+        reply.request, reply.proven, reply.violated, reply.unknown
+    );
+    reply_code(&reply)
 }
