@@ -180,7 +180,7 @@ impl<'a> MonoCtx<'a> {
                     self.paths += 1;
                     if segment.outcome.is_crash() {
                         let feasible = if self.config.check_feasibility {
-                            !self.solver.check(&path_constraint).is_unsat()
+                            self.solver.refutes(&path_constraint).is_none()
                         } else {
                             true
                         };

@@ -38,7 +38,7 @@ use dataplane_net::Packet;
 use dataplane_pipeline::pipeline::Disposition;
 use dataplane_pipeline::{model_run_fresh, ModelRun, Pipeline};
 use dataplane_symbex::term::{self, Term, TermRef};
-use dataplane_symbex::{interval_infeasible, SegmentOutcome, SolverResult};
+use dataplane_symbex::{CancelToken, SegmentOutcome, SolverResult, SolverStage};
 use dataplane_temporal::{self as temporal, Atom, Buchi, Ltl, LtlSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -519,14 +519,14 @@ impl Verifier {
         terminal_label: &str,
         _terminal_state: usize,
     ) {
-        if interval_infeasible(constraint) {
+        let decision = self.solver.decide(constraint, &[], &CancelToken::new());
+        if decision.stage == SolverStage::Prefix {
             state.stats.prefilter_decided += 1;
-            state.stats.discharged += 1;
-            return;
+        } else {
+            state.stats.prefilter_passed += 1;
+            state.stats.solver_calls += 1;
         }
-        state.stats.prefilter_passed += 1;
-        state.stats.solver_calls += 1;
-        match self.solver.check(constraint) {
+        match decision.result {
             SolverResult::Unsat => {
                 state.stats.discharged += 1;
             }

@@ -16,8 +16,8 @@ use dataplane_pipeline::pipeline::Disposition;
 use dataplane_pipeline::{ElementIdx, Pipeline};
 use dataplane_symbex::term::{self, Term, TermRef};
 use dataplane_symbex::{
-    interval_infeasible, CancelToken, CheckDiagnostics, EngineConfig, Segment, SegmentOutcome,
-    Solver, SolverConfig, SolverResult,
+    interval_infeasible, CancelToken, CheckDiagnostics, Decision, EngineConfig, Segment,
+    SegmentOutcome, Solver, SolverConfig, SolverResult, SolverStage,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -230,7 +230,7 @@ impl Verifier {
                 // Local feasibility pre-check: a segment that is infeasible
                 // even in isolation cannot be violated in any pipeline.
                 stats.solver_calls += 1;
-                if self.solver.check(&segment.constraint).is_unsat() {
+                if self.solver.refutes(&segment.constraint).is_some() {
                     continue;
                 }
                 element_suspects.push(seg_idx);
@@ -1318,10 +1318,14 @@ impl<'a> WalkCtx<'a> {
         self.surviving_suspects(input).len()
     }
 
-    /// Decide one forwarding edge's pruning outcome exactly as the
-    /// sequential walk would: interval pre-filter first, then the pruning
-    /// solver call. The fold uses this for edge slots no shard covered.
-    fn decide_edge(&self, contextual: &[TermRef], cancel: &CancelToken) -> ShardEdge {
+    /// Decide one forwarding edge's pruning outcome — the one edge decision
+    /// of every Step-2 walk (the fold for slots no shard covered, the shard
+    /// walk for the units in its range): is the contextualised prefix
+    /// refuted, and by which half of the solver? The analytic prefix is the
+    /// free pre-filter; Fourier–Motzkin is the counted pruning call. No
+    /// model is searched for — a prefix is kept unless it is *proved*
+    /// infeasible.
+    fn decide_edge(&self, contextual: &[TermRef]) -> ShardEdge {
         if !self.options.prune_prefixes {
             return ShardEdge {
                 prefiltered: false,
@@ -1329,22 +1333,12 @@ impl<'a> WalkCtx<'a> {
                 feasible: true,
             };
         }
-        if interval_infeasible(contextual) {
-            return ShardEdge {
-                prefiltered: true,
-                pruned_call: false,
-                feasible: false,
-            };
-        }
-        let infeasible = self
-            .solver
-            .check_diagnosed_cancel(contextual, cancel)
-            .0
-            .is_unsat();
+        let refuted = self.solver.refutes(contextual);
+        let prefiltered = refuted == Some(SolverStage::Prefix);
         ShardEdge {
-            prefiltered: false,
-            pruned_call: true,
-            feasible: !infeasible,
+            prefiltered,
+            pruned_call: !prefiltered,
+            feasible: refuted.is_none(),
         }
     }
 
@@ -1374,7 +1368,9 @@ impl<'a> WalkCtx<'a> {
 
     /// Decide one suspect × prefix feasibility check: base solver budgets,
     /// then the stateful-element second chance, then (for stage-budget
-    /// aborts) adaptive retries up the geometric escalation ladder.
+    /// aborts) adaptive retries up the geometric escalation ladder. Sound to
+    /// discharge on the analytic prefix alone because it is the first half
+    /// of the refuting procedure (`prefiltered` records that it decided).
     fn run_check(
         &self,
         element: ElementIdx,
@@ -1383,22 +1379,6 @@ impl<'a> WalkCtx<'a> {
         path: &[String],
         cancel: &CancelToken,
     ) -> CheckRecord {
-        // Interval-only pre-filter: a prefix the cheap analytic stages
-        // already prove infeasible is discharged without touching the
-        // hint-repair, Fourier–Motzkin, or model-search machinery. Sound
-        // because the pre-filter is a prefix of the full decision procedure
-        // (`true` implies the full solver would answer Unsat).
-        if interval_infeasible(constraint) {
-            return CheckRecord {
-                outcome: CheckOutcome::Discharged,
-                diag: CheckDiagnostics::default(),
-                escalated: false,
-                decided_at_rung: None,
-                raised_fm: false,
-                raised_search: false,
-                prefiltered: true,
-            };
-        }
         let node = self.pipeline.node(element);
         let segment = &self.summaries[element].exploration.segments[seg_idx];
         let violation = |model: &dataplane_symbex::Assignment| {
@@ -1418,9 +1398,17 @@ impl<'a> WalkCtx<'a> {
         };
         let ladder = &self.options.ladder;
         let check_started = Instant::now();
-        let (result, diag) =
-            self.solver
-                .check_with_hints_diagnosed_cancel(constraint, &self.hints, cancel);
+        // The one solver entry of a check, asked once per budget level: the
+        // base solver here, then one escalated solver per ladder rung.
+        let decide = |solver: &Solver| solver.decide(constraint, &self.hints, cancel);
+        // A prefix the budget-free analytic stages already refute is
+        // discharged without touching the hint-repair, Fourier–Motzkin, or
+        // model-search machinery; the stage says so.
+        let Decision {
+            result,
+            diag,
+            stage,
+        } = decide(self.solver);
         let mut escalated = false;
         let mut decided_at_rung = None;
         let mut rungs_climbed = 0u32;
@@ -1466,11 +1454,11 @@ impl<'a> WalkCtx<'a> {
                                 abort_fm,
                                 abort_search,
                             );
-                            let (retry, retry_diag) = solver.check_with_hints_diagnosed_cancel(
-                                constraint,
-                                &self.hints,
-                                cancel,
-                            );
+                            let Decision {
+                                result: retry,
+                                diag: retry_diag,
+                                ..
+                            } = decide(&solver);
                             if !matches!(retry, SolverResult::Unknown) {
                                 decided_at_rung = Some(rung);
                                 raised_fm = abort_fm;
@@ -1524,7 +1512,7 @@ impl<'a> WalkCtx<'a> {
             decided_at_rung,
             raised_fm,
             raised_search,
-            prefiltered: false,
+            prefiltered: stage == SolverStage::Prefix,
         }
     }
 
@@ -1587,7 +1575,7 @@ impl<'a> WalkCtx<'a> {
                 })
             })
             .collect();
-        self.solver.check(&substituted).is_unsat()
+        self.solver.refutes(&substituted).is_some()
     }
 
     /// Replay a counterexample packet on a fresh concrete pipeline and check
@@ -1746,7 +1734,7 @@ impl<'f, 'a> FoldState<'f, 'a> {
             self.tally_check(check);
         }
         for (k, (slot, ec)) in edges.into_iter().zip(children).enumerate() {
-            let edge = slot.unwrap_or_else(|| self.ctx.decide_edge(&ec.contextual, &token));
+            let edge = slot.unwrap_or_else(|| self.ctx.decide_edge(&ec.contextual));
             self.tally_edge(edge.prefiltered, edge.pruned_call);
             if !edge.feasible {
                 continue;
@@ -1922,11 +1910,8 @@ fn shard_walk(
             continue; // not enumerated
         }
         if !prune {
-            edge_slots.push(Some(ShardEdge {
-                prefiltered: false,
-                pruned_call: false,
-                feasible: true,
-            }));
+            // Free slot too: with pruning off the edge decision is constant.
+            edge_slots.push(Some(ctx.decide_edge(&ec.contextual)));
             recurse.push((ec.child, live));
             continue;
         }
@@ -1934,17 +1919,9 @@ fn shard_walk(
         wu += 1;
         let in_range = u >= st.start && u < st.end;
         if in_range && split_at.is_none() && !(st.split.is_cancelled() && st.progress > 0) {
-            let infeasible = ctx
-                .solver
-                .check_diagnosed_cancel(&ec.contextual, &token)
-                .0
-                .is_unsat();
-            edge_slots.push(Some(ShardEdge {
-                prefiltered: false,
-                pruned_call: true,
-                feasible: !infeasible,
-            }));
-            recurse.push((ec.child, !infeasible));
+            let edge = ctx.decide_edge(&ec.contextual);
+            edge_slots.push(Some(edge));
+            recurse.push((ec.child, edge.feasible));
             st.progress += 1;
             units_done += 1;
         } else {

@@ -27,7 +27,7 @@ use crate::executor::{Pool, ThreadBudget};
 use crate::wire::{FuzzJob, ScenarioSpec};
 use dataplane_net::{Ipv4Header, Packet, WorkloadGen};
 use dataplane_pipeline::{model_run_fresh, Disposition, ModelRuntime, Pipeline};
-use dataplane_symbex::{explore, Solver};
+use dataplane_symbex::{explore, Solver, SolverResult};
 use dataplane_verifier::{run_violates_property, Property, VerifierOptions};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -162,7 +162,7 @@ fn model_seed_packets(
             continue;
         };
         for segment in &exploration.segments {
-            let Some(model) = solver.find_model(&segment.constraint) else {
+            let SolverResult::Sat(model) = solver.check(&segment.constraint) else {
                 continue;
             };
             let bytes = model.concrete_packet();

@@ -48,7 +48,9 @@
 //! summary documents.
 
 use crate::cache::SummaryStore;
-use crate::exec::transport::{read_frame, write_frame, Connector, SocketConnector, WorkerAddr};
+use crate::exec::transport::{
+    read_frame, tcp_no_delay, write_frame, Connector, SocketConnector, WorkerAddr,
+};
 use crate::exec::{DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerFleet};
 use crate::json::Json;
 use crate::service::{
@@ -480,6 +482,7 @@ impl Daemon {
                         .accept()
                         .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
                     log(&format!("session from {peer}"));
+                    tcp_no_delay(&stream)?;
                     let reader = stream
                         .try_clone()
                         .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;

@@ -75,11 +75,25 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Json>, ExecError> 
     read_frame_into(reader, &mut Vec::new())
 }
 
-/// Write one frame as one line and flush it.
+/// Write one frame as one line, in one `write`, and flush it. Body and
+/// newline go out together: on an unbuffered TCP socket a separate newline
+/// write waits under Nagle for the body's ACK, which the peer delays
+/// (≈ 40 ms) because it cannot answer half a line.
 pub fn write_frame(writer: &mut impl Write, frame: &Json) -> Result<(), ExecError> {
-    writeln!(writer, "{}", frame.to_text())
+    let mut line = frame.to_text();
+    line.push('\n');
+    writer
+        .write_all(line.as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| ExecError::Protocol(format!("writing frame: {e}")))
+}
+
+/// Frames are small request/reply messages, several of which may be written
+/// back to back (a capacity > 1 job window): never hold one for coalescing.
+pub(crate) fn tcp_no_delay(stream: &TcpStream) -> Result<(), ExecError> {
+    stream
+        .set_nodelay(true)
+        .map_err(|e| ExecError::Connect(format!("set TCP_NODELAY: {e}")))
 }
 
 /// One side of a framed worker conversation.
@@ -365,6 +379,7 @@ impl Connector for SocketConnector {
             WorkerAddr::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)
                     .map_err(|e| ExecError::Connect(format!("{addr}: {e}")))?;
+                tcp_no_delay(&stream)?;
                 Ok(Box::new(SocketTransport::new(
                     SocketStream::Tcp(stream),
                     addr.clone(),
@@ -430,6 +445,32 @@ mod tests {
             Some("two".to_string())
         );
         assert!(t.recv().unwrap().is_none(), "EOF is a clean None");
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_round_trips() {
+        /// Counts `write` calls: on an unbuffered socket each is a segment.
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let frame = Json::obj([("kind", Json::str("job")), ("id", Json::int(7u64))]);
+        let mut out = Counting(Vec::new(), 0);
+        write_frame(&mut out, &frame).unwrap();
+        write_frame(&mut out, &frame).unwrap();
+        assert_eq!(out.1, 2, "one write per frame, newline included");
+        let mut reader = std::io::Cursor::new(out.0);
+        for _ in 0..2 {
+            let back = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(back.to_text(), frame.to_text());
+        }
+        assert!(read_frame(&mut reader).unwrap().is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `vericlick worker --listen` (see [`serve_listener`]). The framing is
 //! identical on every transport.
 
-use super::transport::{read_frame, write_frame, WorkerAddr};
+use super::transport::{read_frame, tcp_no_delay, write_frame, WorkerAddr};
 use super::{run_explore_job, ExecError};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
@@ -592,6 +592,7 @@ pub fn serve_listener(
                     .accept()
                     .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
                 log(&format!("session from {peer}"));
+                tcp_no_delay(&stream)?;
                 let reader = stream
                     .try_clone()
                     .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;

@@ -1251,23 +1251,22 @@ impl VerifyService {
     ) -> Result<crate::conformance::ConformanceReport, ServiceError> {
         use crate::conformance as conf;
         let started = Instant::now();
-        // Fuzz shards travel as config text, and replay rebuilds each
-        // violated pipeline from the same text the shards see.
+        // Fuzz shards travel as config text; replay runs on the pipeline
+        // that was verified (each replay builds a fresh model runtime).
         let specs = render(scenarios)?;
         let matrix = self.run_scenarios(scenarios, options, None)?;
 
         let mut replay = Vec::new();
         let mut proven_specs = Vec::new();
-        for (spec, scenario_report) in specs.iter().zip(&matrix.scenarios) {
+        for ((scenario, spec), scenario_report) in
+            scenarios.iter().zip(&specs).zip(&matrix.scenarios)
+        {
             match scenario_report.report.verdict {
-                Verdict::Violated => {
-                    let pipeline = parse_config(&spec.config)?;
-                    replay.extend(conf::replay_report(
-                        &pipeline,
-                        &scenario_report.pipeline_name,
-                        &scenario_report.report,
-                    ));
-                }
+                Verdict::Violated => replay.extend(conf::replay_report(
+                    scenario.pipeline,
+                    &scenario_report.pipeline_name,
+                    &scenario_report.report,
+                )),
                 Verdict::Proven => proven_specs.push(spec.clone()),
                 // An Unknown verdict claims nothing — there is no verdict
                 // for concrete execution to contradict.

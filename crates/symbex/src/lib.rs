@@ -50,8 +50,8 @@ pub use engine::{
     Exploration, ExploreError, LoopMode, Segment, SegmentOutcome,
 };
 pub use solver::{
-    interval_infeasible, term_bounds, CheckDiagnostics, Interval, Solver, SolverConfig,
-    SolverResult,
+    interval_infeasible, term_bounds, CheckDiagnostics, Decision, Interval, Solver, SolverConfig,
+    SolverResult, SolverStage,
 };
 pub use state::SymPacket;
 pub use term::{Assignment, Term, TermRef, VarId};

@@ -1,22 +1,32 @@
 //! A decision procedure for path constraints.
 //!
-//! The solver answers whether a conjunction of 1-bit terms is satisfiable:
+//! The solver answers whether a conjunction of 1-bit terms is satisfiable.
+//! It is one procedure with two halves that never trade places:
 //!
-//! * **`Unsat`** is established analytically, by (in order) constant
-//!   simplification, syntactic contradiction pairs, unsigned interval
-//!   propagation, an arithmetic pass (known-bits/congruence propagation and
-//!   difference bounds over the no-wrap linear fragment), and
-//!   Fourier–Motzkin elimination over the linear fragment of
-//!   the constraints. Every rule is conservative, so `Unsat` answers are
+//! * **`Unsat` is a proof**, and only the analytic stages produce it: (in
+//!   order) constant simplification, syntactic contradiction pairs, unsigned
+//!   interval propagation, an arithmetic pass (known-bits/congruence
+//!   propagation and difference bounds over the no-wrap linear fragment) —
+//!   the budget-free *prefix*, [`interval_infeasible`] on its own — and then
+//!   Fourier–Motzkin elimination over the linear fragment of the
+//!   constraints. Every rule is conservative, so `Unsat` answers are
 //!   sound — this is the direction the verifier relies on when it discharges
 //!   suspect paths ("this violation cannot occur in the composed pipeline").
-//! * **`Sat`** answers always carry a model, and the model is *verified* by
-//!   concretely evaluating every constraint under it before it is returned,
-//!   so `Sat` answers are sound by construction — this is what makes
-//!   counterexample packets trustworthy.
+//!   [`Solver::refutes`] runs exactly this half.
+//! * **`Sat` is a witness**, and only the caller's hints and the model search
+//!   produce it: the model is *verified* by concretely evaluating every
+//!   constraint under it before it is returned, so `Sat` answers are sound
+//!   by construction — this is what makes counterexample packets
+//!   trustworthy.
 //! * When neither side can be established within budget the solver returns
 //!   **`Unknown`**, which the verifier treats pessimistically (a potential
 //!   violation it could not rule out is reported, never dropped).
+//!
+//! [`Solver::decide`] is the whole procedure — prefix, hints,
+//! Fourier–Motzkin, model search, in that order, each conjunction analysed
+//! once — and [`Solver::check`] is `decide` with no hints. A caller that
+//! only reads "refuted or not" asks [`Solver::refutes`] and never pays for a
+//! model search whose answer it would discard.
 
 use crate::term::{eval, Assignment, Term, TermRef};
 use dataplane_ir::{BinOp, UnOp};
@@ -64,6 +74,34 @@ impl CheckDiagnostics {
             (false, false) => String::new(),
         }
     }
+}
+
+/// A stage of the decision procedure, named by the answers it can give.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SolverStage {
+    /// The budget-free analytic prefix — flattening, contradiction pairs,
+    /// interval propagation, the arithmetic pass. Refutes only.
+    Prefix,
+    /// A caller-provided hint (possibly repaired) satisfied every conjunct.
+    /// Witnesses only.
+    Hint,
+    /// Fourier–Motzkin elimination over the linear fragment. Refutes only.
+    FourierMotzkin,
+    /// The randomized model search: a verified witness, or `Unknown` when
+    /// it ran out of tries.
+    Search,
+}
+
+/// What [`Solver::decide`] established, and how.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Decision {
+    /// The verdict.
+    pub result: SolverResult,
+    /// Which budgeted stages gave up on the way to it.
+    pub diag: CheckDiagnostics,
+    /// The stage that produced `result` (for `Unknown`, the stage that gave
+    /// up last).
+    pub stage: SolverStage,
 }
 
 impl SolverResult {
@@ -144,175 +182,115 @@ impl Solver {
         &self.config
     }
 
-    /// Check satisfiability of the conjunction of `constraints`.
+    /// Check satisfiability of the conjunction of `constraints`:
+    /// [`Solver::decide`] with no hints and no cancellation.
     pub fn check(&self, constraints: &[TermRef]) -> SolverResult {
-        self.check_diagnosed(constraints).0
+        self.decide(constraints, &[], &crate::CancelToken::new())
+            .result
     }
 
-    /// Like [`Solver::check`], additionally reporting which analytic stage
-    /// (if any) gave up within its budget — the information the verifier
-    /// surfaces so `Unknown` verdicts are diagnosable.
-    pub fn check_diagnosed(&self, constraints: &[TermRef]) -> (SolverResult, CheckDiagnostics) {
-        self.check_diagnosed_cancel(constraints, &crate::CancelToken::new())
+    /// The refuting half of the procedure: the analytic prefix, then
+    /// Fourier–Motzkin under this solver's constraint budget. `Some` names
+    /// the stage that proved the conjunction unsatisfiable
+    /// ([`SolverStage::Prefix`] exactly when [`interval_infeasible`] holds);
+    /// `None` means "not refuted" — [`Solver::check`] would answer `Sat` or
+    /// `Unknown`. No hint is tried and no model is searched for, so this is
+    /// the question for callers that prune on the answer and read nothing
+    /// else.
+    pub fn refutes(&self, constraints: &[TermRef]) -> Option<SolverStage> {
+        let Some(analysis) = analyse(constraints) else {
+            return Some(SolverStage::Prefix);
+        };
+        let fm = fourier_motzkin(
+            &analysis.atoms,
+            &analysis.intervals,
+            self.config.max_fm_constraints,
+        );
+        (fm == FmOutcome::Unsat).then_some(SolverStage::FourierMotzkin)
     }
 
-    /// [`Solver::check_diagnosed`] under a [`crate::CancelToken`]: the model
-    /// search polls the token and gives up early once it fires. A cancelled
-    /// check returns `Unknown`; callers that cancel are discarding the
-    /// result anyway, so the early exit only reclaims the wasted work.
-    pub fn check_diagnosed_cancel(
+    /// The whole procedure, analysing the conjunction once: the analytic
+    /// prefix; then the caller-provided `hints` (and lightly repaired
+    /// variants of them); then Fourier–Motzkin; then the model search.
+    ///
+    /// Hints let the caller inject domain knowledge — e.g. structurally
+    /// valid packets with correct checksums — that the generic search would
+    /// be unlikely to synthesise; a hint that satisfies every conjunct is
+    /// returned as a verified `Sat` model. The diagnostics are empty when
+    /// the prefix or a hint decides (no budgeted stage ran).
+    ///
+    /// The hint loop and the model search poll `cancel` and give up early
+    /// once it fires. A cancelled check returns `Unknown`; callers that
+    /// cancel are discarding the result anyway, so the early exit only
+    /// reclaims the wasted work.
+    pub fn decide(
         &self,
         constraints: &[TermRef],
+        hints: &[Assignment],
         cancel: &crate::CancelToken,
-    ) -> (SolverResult, CheckDiagnostics) {
-        let mut diag = CheckDiagnostics::default();
+    ) -> Decision {
+        // No stage has given up at its budget when the prefix, a hint, or a
+        // Fourier–Motzkin refutation decides: the diagnostics are empty.
+        let decided = |result, stage| Decision {
+            result,
+            diag: CheckDiagnostics::default(),
+            stage,
+        };
 
-        // 1. Flatten conjunctions and look for literal `false`.
-        let mut conjuncts = Vec::new();
-        for c in constraints {
-            if !flatten(c, &mut conjuncts) {
-                return (SolverResult::Unsat, diag);
+        // 1–5. The budget-free analytic prefix.
+        let Some(Analysis {
+            conjuncts,
+            atoms,
+            intervals,
+        }) = analyse(constraints)
+        else {
+            return decided(SolverResult::Unsat, SolverStage::Prefix);
+        };
+
+        // Hints. Round one keeps the hint packets' bytes intact (only
+        // auxiliary variables are adjusted), so a satisfying model stays a
+        // realistic packet; round two may also rewrite packet bytes.
+        for allow_packet in [false, true] {
+            for hint in hints {
+                if cancel.is_cancelled() {
+                    return decided(SolverResult::Unknown, SolverStage::Hint);
+                }
+                let mut candidate = hint.clone();
+                for _ in 0..4 {
+                    if check_all(&conjuncts, &candidate) {
+                        return decided(SolverResult::Sat(candidate), SolverStage::Hint);
+                    }
+                    for atom in &atoms {
+                        repair(&mut candidate, atom, allow_packet);
+                    }
+                }
+                if check_all(&conjuncts, &candidate) {
+                    return decided(SolverResult::Sat(candidate), SolverStage::Hint);
+                }
             }
-        }
-        if conjuncts.is_empty() {
-            return (SolverResult::Sat(Assignment::default()), diag);
-        }
-
-        // 2. Normalise comparisons into atoms (opaque conjuncts are kept for
-        //    model checking but do not participate in the analytic stages).
-        let atoms: Vec<Atom> = conjuncts.iter().filter_map(normalize_atom).collect();
-
-        // 3. Syntactic contradiction pairs.
-        if has_contradiction_pair(&atoms) {
-            return (SolverResult::Unsat, diag);
-        }
-
-        // 4. Interval propagation.
-        let mut intervals = IntervalMap::default();
-        for c in &conjuncts {
-            intervals.compute(c);
-        }
-        for _ in 0..4 {
-            let mut changed = false;
-            for a in &atoms {
-                changed |= intervals.refine(a);
-            }
-            if intervals.contradiction {
-                return (SolverResult::Unsat, diag);
-            }
-            if !changed {
-                break;
-            }
-        }
-        if intervals.contradiction {
-            return (SolverResult::Unsat, diag);
-        }
-
-        // 5. Arithmetic pass: known-bits/congruence propagation and
-        //    difference bounds over the no-wrap linear fragment.
-        if arithmetic_infeasible(&atoms, &intervals) {
-            return (SolverResult::Unsat, diag);
         }
 
         // 6. Fourier–Motzkin over the linear fragment.
+        let mut diag = CheckDiagnostics::default();
         match fourier_motzkin(&atoms, &intervals, self.config.max_fm_constraints) {
-            FmOutcome::Unsat => return (SolverResult::Unsat, diag),
+            FmOutcome::Unsat => return decided(SolverResult::Unsat, SolverStage::FourierMotzkin),
             FmOutcome::NoVerdict => {}
             FmOutcome::BudgetExhausted => diag.fm_budget_exhausted = true,
         }
 
         // 7. Model search.
-        match self.search_model(&conjuncts, &atoms, &intervals, cancel) {
-            Some(model) => (SolverResult::Sat(model), diag),
+        let result = match self.search_model(&conjuncts, &atoms, &intervals, cancel) {
+            Some(model) => SolverResult::Sat(model),
             None => {
                 diag.model_search_exhausted = true;
-                (SolverResult::Unknown, diag)
+                SolverResult::Unknown
             }
+        };
+        Decision {
+            result,
+            diag,
+            stage: SolverStage::Search,
         }
-    }
-
-    /// Convenience: check a constraint set and return the model only.
-    pub fn find_model(&self, constraints: &[TermRef]) -> Option<Assignment> {
-        match self.check(constraints) {
-            SolverResult::Sat(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Like [`Solver::check`], but first try the caller-provided hint
-    /// assignments (and lightly repaired variants of them). Hints let the
-    /// caller inject domain knowledge — e.g. structurally valid packets with
-    /// correct checksums — that the generic search would be unlikely to
-    /// synthesise. A hint that satisfies every conjunct is returned as a
-    /// verified `Sat` model; otherwise the normal decision procedure runs.
-    pub fn check_with_hints(&self, constraints: &[TermRef], hints: &[Assignment]) -> SolverResult {
-        self.check_with_hints_diagnosed(constraints, hints).0
-    }
-
-    /// [`Solver::check_with_hints`] with the stage diagnostics of the
-    /// fallback decision procedure (a hint that satisfies everything decides
-    /// the check before any stage can give up, so the diagnostics are empty
-    /// in that case).
-    pub fn check_with_hints_diagnosed(
-        &self,
-        constraints: &[TermRef],
-        hints: &[Assignment],
-    ) -> (SolverResult, CheckDiagnostics) {
-        self.check_with_hints_diagnosed_cancel(constraints, hints, &crate::CancelToken::new())
-    }
-
-    /// [`Solver::check_with_hints_diagnosed`] under a [`crate::CancelToken`]
-    /// (see [`Solver::check_diagnosed_cancel`] for the cancellation
-    /// contract).
-    pub fn check_with_hints_diagnosed_cancel(
-        &self,
-        constraints: &[TermRef],
-        hints: &[Assignment],
-        cancel: &crate::CancelToken,
-    ) -> (SolverResult, CheckDiagnostics) {
-        let mut conjuncts = Vec::new();
-        let mut all_flat = true;
-        for c in constraints {
-            if !flatten(c, &mut conjuncts) {
-                all_flat = false;
-                break;
-            }
-        }
-        if all_flat {
-            let debug_hints = std::env::var_os("DATAPLANE_DEBUG_HINTS").is_some();
-            let atoms: Vec<Atom> = conjuncts.iter().filter_map(normalize_atom).collect();
-            // Round one keeps the hint packets' bytes intact (only auxiliary
-            // variables are adjusted), so a satisfying model stays a
-            // realistic packet; round two may also rewrite packet bytes.
-            for allow_packet in [false, true] {
-                for (hint_idx, hint) in hints.iter().enumerate() {
-                    if cancel.is_cancelled() {
-                        return (SolverResult::Unknown, CheckDiagnostics::default());
-                    }
-                    let mut candidate = hint.clone();
-                    for _ in 0..4 {
-                        if check_all(&conjuncts, &candidate) {
-                            return (SolverResult::Sat(candidate), CheckDiagnostics::default());
-                        }
-                        for atom in &atoms {
-                            repair(&mut candidate, atom, allow_packet);
-                        }
-                    }
-                    if check_all(&conjuncts, &candidate) {
-                        return (SolverResult::Sat(candidate), CheckDiagnostics::default());
-                    }
-                    if debug_hints && allow_packet && hint_idx == 0 {
-                        for c in &conjuncts {
-                            let ok = eval(c, &candidate).map(|v| v.is_true()).unwrap_or(false);
-                            if !ok {
-                                eprintln!("[hint-debug] unsatisfied after repair: {c}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.check_diagnosed_cancel(constraints, cancel)
     }
 
     // --- model search ------------------------------------------------------
@@ -766,30 +744,12 @@ impl Interval {
 /// contradictory any answer is sound; the degenerate `[0, 0]` point is
 /// returned.
 pub fn term_bounds(constraints: &[TermRef], term: &TermRef) -> Interval {
-    let mut conjuncts = Vec::new();
-    for c in constraints {
-        if !flatten(c, &mut conjuncts) {
-            return Interval::point(0);
-        }
-    }
-    let atoms: Vec<Atom> = conjuncts.iter().filter_map(normalize_atom).collect();
-    let mut intervals = IntervalMap::default();
-    for c in &conjuncts {
-        intervals.compute(c);
-    }
-    intervals.compute(term);
-    for _ in 0..4 {
-        let mut changed = false;
-        for a in &atoms {
-            changed |= intervals.refine(a);
-        }
-        if intervals.contradiction {
-            return Interval::point(0);
-        }
-        if !changed {
-            break;
-        }
-    }
+    let Some((conjuncts, atoms)) = normalise(constraints) else {
+        return Interval::point(0);
+    };
+    let Some(intervals) = IntervalMap::propagate(&conjuncts, &atoms, Some(term)) else {
+        return Interval::point(0);
+    };
     let bounds = intervals.bounds_bottom_up(term);
     if bounds.is_empty() {
         Interval::point(0)
@@ -798,54 +758,64 @@ pub fn term_bounds(constraints: &[TermRef], term: &TermRef) -> Interval {
     }
 }
 
-/// Analytic infeasibility pre-check: run the cheap budget-free prefix of
-/// the full decision procedure — conjunction flattening, atom
-/// normalisation, syntactic contradiction pairs, interval propagation, and
-/// the arithmetic pass (known-bits/congruence propagation plus difference
-/// bounds over the no-wrap `base ± const` fragment) — and report whether it
-/// already proves the conjunction unsatisfiable.
-///
-/// Sound by construction: every stage here is literally a prefix of
-/// [`Solver::check`], so `true` implies the full solver would return
-/// `Unsat` (never `Sat`). `false` says nothing — the conjunction may still
-/// be infeasible for reasons only Fourier–Motzkin or the model search can
-/// establish. Because no stage with a tunable budget runs, the answer is a
-/// deterministic function of the constraints alone, independent of
-/// [`SolverConfig`].
-pub fn interval_infeasible(constraints: &[TermRef]) -> bool {
+/// What the analytic prefix hands the budgeted stages when it does not
+/// refute the conjunction.
+struct Analysis {
+    /// The flattened conjuncts (every one is checked against a model).
+    conjuncts: Vec<TermRef>,
+    /// The conjuncts that normalise to comparisons; opaque conjuncts take no
+    /// part in the analytic stages.
+    atoms: Vec<Atom>,
+    /// The refined interval of every term the conjuncts mention.
+    intervals: IntervalMap,
+}
+
+/// Stages 1–2: flatten the conjunction and normalise its comparisons into
+/// atoms. `None` when a conjunct is the literal `false`.
+fn normalise(constraints: &[TermRef]) -> Option<(Vec<TermRef>, Vec<Atom>)> {
     let mut conjuncts = Vec::new();
     for c in constraints {
         if !flatten(c, &mut conjuncts) {
-            return true;
+            return None;
         }
     }
-    if conjuncts.is_empty() {
-        return false;
-    }
-    let atoms: Vec<Atom> = conjuncts.iter().filter_map(normalize_atom).collect();
+    let atoms = conjuncts.iter().filter_map(normalize_atom).collect();
+    Some((conjuncts, atoms))
+}
+
+/// Stages 1–5, the budget-free analytic prefix every entry point starts
+/// with: flattening, atom normalisation, syntactic contradiction pairs,
+/// interval propagation, and the arithmetic pass (known-bits/congruence
+/// propagation plus difference bounds over the no-wrap `base ± const`
+/// fragment). `None` is a refutation — some stage proved the conjunction
+/// unsatisfiable; every rule is conservative, so it is sound.
+fn analyse(constraints: &[TermRef]) -> Option<Analysis> {
+    let (conjuncts, atoms) = normalise(constraints)?;
     if has_contradiction_pair(&atoms) {
-        return true;
+        return None;
     }
-    let mut intervals = IntervalMap::default();
-    for c in &conjuncts {
-        intervals.compute(c);
+    let intervals = IntervalMap::propagate(&conjuncts, &atoms, None)?;
+    if arithmetic_infeasible(&atoms, &intervals) {
+        return None;
     }
-    for _ in 0..4 {
-        let mut changed = false;
-        for a in &atoms {
-            changed |= intervals.refine(a);
-        }
-        if intervals.contradiction {
-            return true;
-        }
-        if !changed {
-            break;
-        }
-    }
-    if intervals.contradiction {
-        return true;
-    }
-    arithmetic_infeasible(&atoms, &intervals)
+    Some(Analysis {
+        conjuncts,
+        atoms,
+        intervals,
+    })
+}
+
+/// Analytic infeasibility pre-check: whether the budget-free prefix of the
+/// decision procedure already proves the conjunction unsatisfiable.
+///
+/// Sound by construction: this is literally the first half of
+/// [`Solver::refutes`], so `true` implies [`Solver::check`] returns `Unsat`
+/// (never `Sat`). `false` says nothing — the conjunction may still be
+/// infeasible for reasons only Fourier–Motzkin can establish. Because no
+/// stage with a tunable budget runs, the answer is a deterministic function
+/// of the constraints alone, independent of [`SolverConfig`].
+pub fn interval_infeasible(constraints: &[TermRef]) -> bool {
+    analyse(constraints).is_none()
 }
 
 /// Map of computed intervals keyed by term structure.
@@ -856,6 +826,35 @@ struct IntervalMap {
 }
 
 impl IntervalMap {
+    /// Stage 4, interval propagation: the bottom-up interval of every
+    /// conjunct (and of `extra`, the term [`term_bounds`] reads back, before
+    /// any refinement so its cached composites match the conjuncts'), then
+    /// up to four rounds of atom-driven refinement. `None` when refinement
+    /// empties an interval — the conjunction is contradictory.
+    fn propagate(
+        conjuncts: &[TermRef],
+        atoms: &[Atom],
+        extra: Option<&TermRef>,
+    ) -> Option<IntervalMap> {
+        let mut intervals = IntervalMap::default();
+        for c in conjuncts.iter().chain(extra) {
+            intervals.compute(c);
+        }
+        for _ in 0..4 {
+            let mut changed = false;
+            for a in atoms {
+                changed |= intervals.refine(a);
+            }
+            if intervals.contradiction {
+                return None;
+            }
+            if !changed {
+                break;
+            }
+        }
+        Some(intervals)
+    }
+
     fn get(&self, t: &TermRef) -> Option<Interval> {
         self.map.get(t).copied()
     }
@@ -1536,8 +1535,8 @@ fn difference_infeasible(atoms: &[Atom], intervals: &IntervalMap) -> bool {
     false
 }
 
-/// The arithmetic pre-filter stage shared by [`interval_infeasible`] and
-/// [`Solver::check`]: a known-bits/congruence pass over the mask, shift,
+/// Stage 5 of [`analyse`], the arithmetic pass: a known-bits/congruence
+/// pass over the mask, shift,
 /// xor, and add/sub relations in the atoms (cross-checked against the
 /// refined intervals), followed by a difference-bound negative-cycle pass
 /// over the no-wrap `base ± const` fragment. `true` is sound (the

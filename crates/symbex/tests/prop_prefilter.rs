@@ -1,16 +1,19 @@
-//! Soundness of the interval-only feasibility pre-filter.
+//! Soundness of the interval-only feasibility pre-filter, and agreement of
+//! the solver's entry points on one decision procedure.
 //!
 //! `interval_infeasible` runs only the cheap analytic prefix of the full
 //! decision procedure, so its `true` verdicts must never contradict the
 //! full solver: whenever the pre-filter declares a conjunction infeasible,
 //! `Solver::check` must return `Unsat` on the same conjunction. The
-//! property test below drives both through randomly built constraint
-//! conjunctions over packet bytes.
+//! property tests below drive both through randomly built constraint
+//! conjunctions over packet bytes, and hold `Solver::refutes` (the refuting
+//! half on its own) and `Solver::decide` (which names the deciding stage)
+//! to the same answers.
 
 use dataplane_ir::value::BitVec;
 use dataplane_ir::BinOp;
 use dataplane_symbex::term::{self, Term};
-use dataplane_symbex::{interval_infeasible, Solver, TermRef};
+use dataplane_symbex::{interval_infeasible, CancelToken, Solver, SolverStage, TermRef};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -73,6 +76,32 @@ fn arith_conjunct(p: u64) -> TermRef {
     term::binary(cmp, lhs, rhs)
 }
 
+/// The three entry points are one procedure: `refutes` reports a refutation
+/// exactly when `check` answers `Unsat`, and names the analytic prefix
+/// exactly when the pre-filter holds.
+fn assert_one_procedure(constraints: &[TermRef]) {
+    let solver = Solver::new();
+    let refuted = solver.refutes(constraints);
+    assert_eq!(
+        refuted.is_some(),
+        solver.check(constraints).is_unsat(),
+        "refutes and check disagree on {constraints:?}"
+    );
+    assert_eq!(
+        interval_infeasible(constraints),
+        refuted == Some(SolverStage::Prefix),
+        "the pre-filter is not the first half of refutes on {constraints:?}"
+    );
+}
+
+/// `decide` on a hand-written conjunction: the verdict `check` gives, reached
+/// at `stage`.
+fn assert_decided_at(constraints: &[TermRef], stage: SolverStage) {
+    let decision = Solver::new().decide(constraints, &[], &CancelToken::new());
+    assert_eq!(decision.stage, stage);
+    assert_eq!(decision.result, Solver::new().check(constraints));
+}
+
 proptest! {
     /// The pre-filter's `true` verdict always agrees with the full solver.
     #[test]
@@ -86,6 +115,7 @@ proptest! {
                 "pre-filter declared a solver-satisfiable conjunction infeasible: {constraints:?}"
             );
         }
+        assert_one_procedure(&constraints);
     }
 
     /// Same soundness property over the arithmetic fragment the
@@ -101,6 +131,7 @@ proptest! {
                 "pre-filter declared a solver-satisfiable conjunction infeasible: {constraints:?}"
             );
         }
+        assert_one_procedure(&constraints);
     }
 }
 
@@ -113,6 +144,7 @@ fn prefilter_catches_disjoint_intervals() {
     ];
     assert!(interval_infeasible(&constraints));
     assert!(Solver::new().check(&constraints).is_unsat());
+    assert_decided_at(&constraints, SolverStage::Prefix);
 }
 
 #[test]
@@ -135,6 +167,7 @@ fn prefilter_catches_bitmask_congruence_conflict() {
     ];
     assert!(interval_infeasible(&constraints));
     assert!(Solver::new().check(&constraints).is_unsat());
+    assert_decided_at(&constraints, SolverStage::Prefix);
 }
 
 #[test]
@@ -162,6 +195,7 @@ fn prefilter_catches_difference_bound_cycle() {
     ];
     assert!(interval_infeasible(&constraints));
     assert!(Solver::new().check(&constraints).is_unsat());
+    assert_decided_at(&constraints, SolverStage::Prefix);
 }
 
 #[test]
@@ -173,4 +207,5 @@ fn prefilter_passes_satisfiable_conjunctions() {
     ];
     assert!(!interval_infeasible(&constraints));
     assert!(Solver::new().check(&constraints).is_sat());
+    assert_decided_at(&constraints, SolverStage::Search);
 }
