@@ -1,4 +1,4 @@
-//! A1 — ablations of the design choices DESIGN.md calls out:
+//! A1 — ablations of two design choices of the decomposed verifier:
 //! summary-cache reuse on/off and prefix feasibility pruning on/off, measured
 //! on the reference router's crash-freedom proof.
 

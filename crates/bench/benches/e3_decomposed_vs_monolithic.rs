@@ -11,7 +11,7 @@
 
 use dataplane_bench::{router_prefix_pipeline, row};
 use dataplane_verifier::{explore_monolithic, MonolithicConfig, Property, Verifier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     for k in 1..=7 {
@@ -29,7 +29,6 @@ fn main() {
             &pipeline,
             &MonolithicConfig {
                 max_paths: 20_000,
-                max_time: Duration::from_secs(10),
                 max_segments_per_element: 20_000,
                 check_feasibility: false,
             },

@@ -1,10 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Each bench target in `benches/` regenerates one of the paper's evaluation
-//! artefacts (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-//! for the recorded results). The helpers here build the toy programs of the
-//! paper's figures and the router-element chains used by the scaling
-//! experiments.
+//! artefacts; its module doc names the experiment and the claim it
+//! reproduces. The helpers here build the toy programs of the paper's
+//! figures and the router-element chains used by the scaling experiments.
 
 #![forbid(unsafe_code)]
 
@@ -164,7 +163,7 @@ pub fn router_prefix_pipeline(k: usize) -> Pipeline {
 }
 
 /// Print a result row in the uniform `key=value` style the benches use, so
-/// EXPERIMENTS.md can quote the output directly.
+/// their output can be grepped and quoted directly.
 pub fn row(experiment: &str, fields: &[(&str, String)]) {
     let mut line = format!("[{experiment}]");
     for (k, v) in fields {

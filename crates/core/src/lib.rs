@@ -44,6 +44,7 @@ pub mod property;
 pub mod report;
 pub mod summary;
 pub mod temporal;
+mod tree;
 pub mod verifier;
 
 pub use dataplane_temporal::LtlSpec;

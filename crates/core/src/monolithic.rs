@@ -15,11 +15,16 @@
 //! * paths are enumerated as the full **cross-product** of per-element paths
 //!   (the `2^{k·n}` growth), with feasibility checked only at path ends.
 //!
-//! A budget caps the work so benchmarks terminate; hitting the budget is
-//! reported as "did not complete", which is the honest analogue of the
-//! paper's 12-hour timeout.
+//! A work budget (paths and unrolled segments, never wall-clock time) caps
+//! the run so benchmarks terminate and their columns depend on the input
+//! alone; hitting it is reported as "did not complete", which is the honest
+//! analogue of the paper's 12-hour timeout.
+//!
+//! The baseline keeps its own walk — it explores unrolled elements per
+//! position and has no summaries to hand the prefix tree — but composes
+//! paths on the same depth-indexed namespaces as every other walk.
 
-use crate::compose::{Composer, View};
+use crate::compose::{extend_view, rewrite_all, View};
 use dataplane_pipeline::{ElementIdx, Pipeline};
 use dataplane_symbex::term::TermRef;
 use dataplane_symbex::{explore, EngineConfig, Exploration, Solver};
@@ -31,8 +36,6 @@ use std::time::{Duration, Instant};
 pub struct MonolithicConfig {
     /// Maximum number of full pipeline paths to enumerate.
     pub max_paths: usize,
-    /// Maximum wall-clock time to spend.
-    pub max_time: Duration,
     /// Per-element engine budgets (loops are always unrolled here).
     pub max_segments_per_element: usize,
     /// Check the feasibility of complete paths with the solver (the paper's
@@ -44,7 +47,6 @@ impl Default for MonolithicConfig {
     fn default() -> Self {
         MonolithicConfig {
             max_paths: 200_000,
-            max_time: Duration::from_secs(30),
             max_segments_per_element: 100_000,
             check_feasibility: true,
         }
@@ -80,17 +82,12 @@ pub fn explore_monolithic(pipeline: &Pipeline, config: &MonolithicConfig) -> Mon
         solver,
         engine,
         explorations: HashMap::new(),
-        composer: Composer::new(),
         paths: 0,
         crashes: 0,
         element_explorations: 0,
-        start,
         out_of_budget: false,
     };
-
-    let entry = pipeline.entry();
-    let stride = ctx.composer.alloc_stride(entry);
-    ctx.walk(entry, View::Original, stride, Vec::new());
+    ctx.walk(pipeline.entry(), View::Original, 0, Vec::new());
 
     MonolithicResult {
         completed: !ctx.out_of_budget,
@@ -109,17 +106,15 @@ struct MonoCtx<'a> {
     /// Cached *only per position*, to avoid re-exploring the same position
     /// when backtracking through it; distinct positions always re-explore.
     explorations: HashMap<ElementIdx, Exploration>,
-    composer: Composer,
     paths: usize,
     crashes: usize,
     element_explorations: usize,
-    start: Instant,
     out_of_budget: bool,
 }
 
 impl<'a> MonoCtx<'a> {
     fn budget_left(&self) -> bool {
-        self.paths < self.config.max_paths && self.start.elapsed() < self.config.max_time
+        self.paths < self.config.max_paths
     }
 
     fn exploration_for(&mut self, element: ElementIdx) -> Option<&Exploration> {
@@ -141,7 +136,7 @@ impl<'a> MonoCtx<'a> {
         self.explorations.get(&element)
     }
 
-    fn walk(&mut self, element: ElementIdx, view: View, stride: u32, constraint: Vec<TermRef>) {
+    fn walk(&mut self, element: ElementIdx, view: View, depth: usize, constraint: Vec<TermRef>) {
         if !self.budget_left() {
             self.out_of_budget = true;
             return;
@@ -161,19 +156,15 @@ impl<'a> MonoCtx<'a> {
                 return;
             }
             let mut path_constraint = constraint.clone();
-            path_constraint.extend(
-                self.composer
-                    .rewrite_all(&view, stride, &segment.constraint),
-            );
+            path_constraint.extend(rewrite_all(&view, depth, &segment.constraint));
             let next = segment
                 .outcome
                 .port()
                 .and_then(|p| successors.get(p as usize).copied().flatten());
             match next {
                 Some(next_element) if !segment.outcome.is_crash() => {
-                    let new_view = self.composer.extend_view(&view, &segment.packet, stride);
-                    let new_stride = self.composer.alloc_stride(next_element);
-                    self.walk(next_element, new_view, new_stride, path_constraint);
+                    let new_view = extend_view(&view, &segment.packet, depth);
+                    self.walk(next_element, new_view, depth + 1, path_constraint);
                 }
                 _ => {
                     // A complete pipeline path.
@@ -240,7 +231,6 @@ mod tests {
             &pipeline,
             &MonolithicConfig {
                 max_paths: 50_000,
-                max_time: Duration::from_secs(20),
                 ..MonolithicConfig::default()
             },
         );
@@ -258,7 +248,6 @@ mod tests {
             &pipeline,
             &MonolithicConfig {
                 max_paths: 50_000,
-                max_time: Duration::from_secs(10),
                 max_segments_per_element: 20_000,
                 check_feasibility: false,
             },
@@ -277,7 +266,6 @@ mod tests {
             &pipeline,
             &MonolithicConfig {
                 max_paths: 2_000,
-                max_time: Duration::from_secs(5),
                 max_segments_per_element: 2_000,
                 check_feasibility: false,
             },

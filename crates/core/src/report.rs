@@ -244,7 +244,7 @@ impl fmt::Display for Report {
 /// The result of the bounded-instruction analysis (the paper's "maximum
 /// number of instructions a pipeline may ever execute, and which input causes
 /// it").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct InstructionBoundReport {
     /// The per-packet instruction bound established for the pipeline (an
     /// upper bound when loops were decomposed).

@@ -14,14 +14,15 @@
 //!    and whose edges come from the summaries' segment outcomes. An empty
 //!    product proves the property with zero solver calls.
 //! 3. If the product has an accepting lasso, a depth-first **stem
-//!    enumeration** walks concrete segment paths (the same
-//!    depth-strided composition as Step 2), tracks the Büchi subset
-//!    reached, and at each terminal asks whether that subset intersects
-//!    the terminal's *fatal* states (states from which the fixed terminal
-//!    letter read forever admits an accepting run). Each such candidate
-//!    lasso's composed path constraint goes to the solver: `Unsat`
-//!    discharges it, `Sat` materialises a concrete packet whose replay
-//!    through the model runtime is judged by the direct trace evaluator.
+//!    enumeration** walks concrete segment paths — it is a visitor of the
+//!    Step-2 prefix tree, so its paths are composed exactly as the safety
+//!    fold composes them — tracks the Büchi subset reached, and at each
+//!    terminal asks whether that subset intersects the terminal's *fatal*
+//!    states (states from which the fixed terminal letter read forever
+//!    admits an accepting run). Each such candidate lasso's composed path
+//!    constraint goes to the solver: `Unsat` discharges it, `Sat`
+//!    materialises a concrete packet whose replay through the model runtime
+//!    is judged by the direct trace evaluator.
 //!
 //! Header atoms (`dst(a.b.c.d)`) hold either at every position of a trace
 //! or none, so they are handled by a case split: each truth assignment
@@ -31,6 +32,7 @@
 use crate::property::Property;
 use crate::report::{Counterexample, Report, UnprovenPath, Verdict, VerificationStats};
 use crate::summary::ElementSummary;
+use crate::tree::{PrefixTree, Step, Visitor, WalkInput};
 use crate::verifier::{materialise_packet, Verifier};
 use dataplane_ir::value::BitVec;
 use dataplane_ir::BinOp;
@@ -38,7 +40,7 @@ use dataplane_net::Packet;
 use dataplane_pipeline::pipeline::Disposition;
 use dataplane_pipeline::{model_run_fresh, ModelRun, Pipeline};
 use dataplane_symbex::term::{self, Term, TermRef};
-use dataplane_symbex::{CancelToken, SegmentOutcome, SolverResult, SolverStage};
+use dataplane_symbex::{CancelToken, Segment, SegmentOutcome, SolverResult, SolverStage};
 use dataplane_temporal::{self as temporal, Atom, Buchi, Ltl, LtlSpec};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -225,25 +227,20 @@ fn summary_transitions(pipeline: &Pipeline, summaries: &[Arc<ElementSummary>]) -
     succ
 }
 
-/// Everything constant across the stem enumeration of one `dst` case.
+/// The lasso hunt: a visitor of the prefix tree that tracks the Büchi
+/// subset reached along each path and decides candidate lassos at its
+/// terminals.
 struct LassoHunt<'a> {
-    pipeline: &'a Pipeline,
-    summaries: &'a [Arc<ElementSummary>],
+    verifier: &'a Verifier,
+    tree: PrefixTree<'a>,
     spec: &'a LtlSpec,
     buchi: &'a Buchi,
-    /// Valuation (atom-id set) of each transition-system state.
+    /// Valuation (atom-id set) of each transition-system state under the
+    /// `dst` case being hunted.
     vals: Vec<BTreeSet<usize>>,
     /// Per terminal kind, the automaton's fatal states under that letter.
     fatal: [Vec<bool>; 3],
-    /// The case's packet-byte constraints.
-    case_constraints: Vec<TermRef>,
-    max_paths: usize,
-    validate: bool,
-}
-
-/// Mutable result bookkeeping of the enumeration.
-struct HuntState<'s> {
-    stats: &'s mut VerificationStats,
+    stats: VerificationStats,
     counterexamples: Vec<Counterexample>,
     unproven: Vec<UnprovenPath>,
     budget_exhausted: bool,
@@ -254,7 +251,7 @@ impl Verifier {
     /// Decide a temporal property. `summaries` is Step 1's output; `stats`
     /// already carries the Step-1 bookkeeping.
     pub(crate) fn verify_temporal(
-        &mut self,
+        &self,
         pipeline: &Pipeline,
         spec: &LtlSpec,
         summaries: &[Arc<ElementSummary>],
@@ -345,61 +342,53 @@ impl Verifier {
         }
 
         // ---- Exact stem enumeration for the live cases ---------------------
-        let mut state = HuntState {
-            stats: &mut stats,
+        let tree = PrefixTree {
+            pipeline,
+            summaries,
+        };
+        let mut hunt = LassoHunt {
+            verifier: self,
+            tree,
+            spec,
+            buchi: &buchi,
+            vals: Vec::new(),
+            fatal: Default::default(),
+            stats,
             counterexamples: Vec::new(),
             unproven: Vec::new(),
             budget_exhausted: false,
             confirmed: false,
         };
+        let initial: BTreeSet<usize> = buchi.initial.iter().copied().collect();
         for (case_idx, vals) in live_cases {
-            if state.confirmed || state.budget_exhausted {
-                break;
-            }
-            let case = &cases[case_idx];
-            let fatal = [
+            hunt.fatal = [
                 temporal::fatal_states(&buchi, &vals[n]),
                 temporal::fatal_states(&buchi, &vals[n + 1]),
                 temporal::fatal_states(&buchi, &vals[n + 2]),
             ];
-            let hunt = LassoHunt {
-                pipeline,
-                summaries,
-                spec,
-                buchi: &buchi,
-                vals,
-                fatal,
-                case_constraints: case.constraints.clone(),
-                max_paths: self.options.max_composed_paths,
-                validate: self.options.validate_counterexamples,
-            };
-            let mut composer = crate::compose::Composer::new();
-            let entry = pipeline.entry();
-            let stride = composer.alloc_stride(entry);
-            let initial: BTreeSet<usize> = hunt.buchi.initial.iter().copied().collect();
-            self.hunt_walk(
-                &hunt,
-                &mut state,
-                &mut composer,
-                entry,
-                crate::compose::View::Original,
-                stride,
-                hunt.case_constraints.clone(),
-                Vec::new(),
-                initial,
-            );
+            hunt.vals = vals;
+            let mut root = tree.root();
+            root.constraint = cases[case_idx].constraints.clone();
+            if tree.walk(&root, initial.clone(), &mut hunt) == Step::Finished {
+                break;
+            }
         }
 
-        if state.budget_exhausted {
+        let LassoHunt {
+            stats,
+            counterexamples,
+            mut unproven,
+            budget_exhausted,
+            ..
+        } = hunt;
+        if budget_exhausted {
             let max = self.options.max_composed_paths;
-            state.unproven.push(UnprovenPath {
+            unproven.push(UnprovenPath {
                 path: vec![],
                 reason: format!("composed-path budget of {max} exhausted"),
             });
         }
 
-        let counterexamples = state.counterexamples;
-        let unproven = state.unproven;
         let verdict = if counterexamples.iter().any(|c| c.confirmed)
             || (!counterexamples.is_empty() && !self.options.validate_counterexamples)
         {
@@ -418,137 +407,94 @@ impl Verifier {
             elapsed: start.elapsed(),
         }
     }
+}
 
-    /// Depth-first enumeration of segment paths: compose constraints with
-    /// the depth-strided namespaces (exactly like the instruction-bound
-    /// walk), track the Büchi subset along the letters read, and decide
-    /// candidate lassos at the terminals.
-    #[allow(clippy::too_many_arguments)]
-    fn hunt_walk(
-        &self,
-        hunt: &LassoHunt<'_>,
-        state: &mut HuntState<'_>,
-        composer: &mut crate::compose::Composer,
-        element: dataplane_pipeline::ElementIdx,
-        view: crate::compose::View,
-        stride: u32,
-        constraint: Vec<TermRef>,
-        path: Vec<String>,
-        subset: BTreeSet<usize>,
-    ) {
-        if state.confirmed || state.budget_exhausted {
-            return;
-        }
-        let node = hunt.pipeline.node(element);
-        // Read this element's letter.
-        let after = hunt.buchi.subset_step(&subset, &hunt.vals[element]);
-        if after.is_empty() {
-            // The negated-spec automaton is dead: no extension of this
-            // prefix can violate the property.
-            return;
-        }
-        let mut seg_path_base = path;
-        seg_path_base.push(node.name.clone());
-        let summary = &hunt.summaries[element];
-        let n = hunt.pipeline.len();
-        for segment in &summary.exploration.segments {
-            if state.confirmed || state.budget_exhausted {
-                return;
-            }
-            let mut seg_constraint = constraint.clone();
-            seg_constraint.extend(composer.rewrite_all(&view, stride, &segment.constraint));
-            let next = segment
-                .outcome
-                .port()
-                .and_then(|p| node.successors.get(p as usize).copied().flatten());
-            match next {
-                Some(next_element) if !segment.outcome.is_crash() => {
-                    let new_view = composer.extend_view(&view, &segment.packet, stride);
-                    let new_stride = composer.alloc_stride(next_element);
-                    self.hunt_walk(
-                        hunt,
-                        state,
-                        composer,
-                        next_element,
-                        new_view,
-                        new_stride,
-                        seg_constraint,
-                        seg_path_base.clone(),
-                        after.clone(),
-                    );
-                }
-                _ => {
-                    // Terminal: which of the three, and is the reached
-                    // subset fatal under its letter?
-                    let terminal = match &segment.outcome {
-                        SegmentOutcome::Dropped => 1,
-                        SegmentOutcome::Crashed(_) => 2,
-                        SegmentOutcome::Emitted(_) => 0,
-                    };
-                    state.stats.composed_paths += 1;
-                    if state.stats.composed_paths > hunt.max_paths {
-                        state.budget_exhausted = true;
-                        return;
-                    }
-                    let fatal = &hunt.fatal[terminal];
-                    if !after.iter().any(|&q| fatal[q]) {
-                        continue;
-                    }
-                    self.decide_lasso(
-                        hunt,
-                        state,
-                        &seg_constraint,
-                        &seg_path_base,
-                        TERMINALS[terminal].1,
-                        n + terminal,
-                    );
-                }
-            }
-        }
+impl Visitor for LassoHunt<'_> {
+    /// The Büchi subset reached: before the node's letter on entry, after
+    /// it once entered.
+    type Node = BTreeSet<usize>;
+
+    /// Read the element's letter. A dead negated-spec automaton prunes the
+    /// node: no extension of this prefix can violate the property.
+    fn enter(&mut self, input: &WalkInput, subset: BTreeSet<usize>) -> Option<BTreeSet<usize>> {
+        let after = self.buchi.subset_step(&subset, &self.vals[input.element]);
+        (!after.is_empty()).then_some(after)
     }
 
+    fn edge(
+        &mut self,
+        _: &WalkInput,
+        after: &BTreeSet<usize>,
+        _: usize,
+        _: &Segment,
+        _: &WalkInput,
+    ) -> Option<BTreeSet<usize>> {
+        Some(after.clone())
+    }
+
+    /// Which of the three terminals, and is the reached subset fatal under
+    /// its letter? A fatal one is a candidate lasso for the solver.
+    fn terminal(&mut self, input: &WalkInput, after: &BTreeSet<usize>, segment: &Segment) -> Step {
+        let terminal = match &segment.outcome {
+            SegmentOutcome::Dropped => 1,
+            SegmentOutcome::Crashed(_) => 2,
+            SegmentOutcome::Emitted(_) => 0,
+        };
+        self.stats.composed_paths += 1;
+        if self.stats.composed_paths > self.verifier.options.max_composed_paths {
+            self.budget_exhausted = true;
+            return Step::Finished;
+        }
+        let fatal = &self.fatal[terminal];
+        if !after.iter().any(|&q| fatal[q]) {
+            return Step::Continue;
+        }
+        let constraint = self.tree.compose(input, segment);
+        self.decide_lasso(&constraint, &input.path, TERMINALS[terminal].1);
+        if self.confirmed {
+            Step::Finished
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+impl LassoHunt<'_> {
     /// One candidate lasso: the composed stem constraint is checked for
     /// feasibility; a satisfiable one materialises a packet whose concrete
     /// replay is judged by the direct trace evaluator.
-    fn decide_lasso(
-        &self,
-        hunt: &LassoHunt<'_>,
-        state: &mut HuntState<'_>,
-        constraint: &[TermRef],
-        path: &[String],
-        terminal_label: &str,
-        _terminal_state: usize,
-    ) {
-        let decision = self.solver.decide(constraint, &[], &CancelToken::new());
+    fn decide_lasso(&mut self, constraint: &[TermRef], path: &[String], terminal_label: &str) {
+        let options = &self.verifier.options;
+        let decision = self
+            .verifier
+            .solver
+            .decide(constraint, &[], &CancelToken::new());
         if decision.stage == SolverStage::Prefix {
-            state.stats.prefilter_decided += 1;
+            self.stats.prefilter_decided += 1;
         } else {
-            state.stats.prefilter_passed += 1;
-            state.stats.solver_calls += 1;
+            self.stats.prefilter_passed += 1;
+            self.stats.solver_calls += 1;
         }
         match decision.result {
             SolverResult::Unsat => {
-                state.stats.discharged += 1;
+                self.stats.discharged += 1;
             }
             SolverResult::Sat(model) => {
-                state.stats.lasso_found += 1;
+                self.stats.lasso_found += 1;
                 let packet = materialise_packet(&model);
                 let description = format!(
                     "accepting lasso: stem [{}] then ({})^w violates {}",
                     path.join(" -> "),
                     terminal_label,
-                    hunt.spec
+                    self.spec
                 );
-                let confirmed = if hunt.validate {
-                    let run = model_run_fresh(hunt.pipeline, Packet::from_bytes(packet.clone()));
-                    run_violates_temporal(hunt.pipeline, hunt.spec, &packet, &run)
-                } else {
-                    false
+                let confirmed = options.validate_counterexamples && {
+                    let pipeline = self.tree.pipeline;
+                    let run = model_run_fresh(pipeline, Packet::from_bytes(packet.clone()));
+                    run_violates_temporal(pipeline, self.spec, &packet, &run)
                 };
-                if confirmed {
-                    state.confirmed = true;
-                }
-                state.counterexamples.push(Counterexample {
+                self.confirmed |= confirmed;
+                self.counterexamples.push(Counterexample {
                     packet,
                     path: path.to_vec(),
                     description,
@@ -556,8 +502,8 @@ impl Verifier {
                 });
             }
             SolverResult::Unknown => {
-                state.stats.model_search_aborts += 1;
-                state.unproven.push(UnprovenPath {
+                self.stats.model_search_aborts += 1;
+                self.unproven.push(UnprovenPath {
                     path: path.to_vec(),
                     reason: format!(
                         "temporal feasibility check undecided for lasso ending ({terminal_label})^w"

@@ -2,14 +2,13 @@
 //! tagging) followed by Step 2 (composition of suspects into pipeline paths
 //! and feasibility checking), as described in §3 of the paper.
 
-use crate::compose::{
-    bind_packet_bytes, depth_of_id, stride_for_depth, Composer, FreshScope, View,
-};
+use crate::compose::{bind_packet_bytes, depth_of_id};
 use crate::property::Property;
 use crate::report::{
     Counterexample, InstructionBoundReport, Report, UnprovenPath, Verdict, VerificationStats,
 };
 use crate::summary::{ElementSummary, SummaryCache};
+use crate::tree::{PrefixTree, Step, Visitor, WalkInput};
 use dataplane_ir::{DsClass, DsId};
 use dataplane_net::Packet;
 use dataplane_pipeline::pipeline::Disposition;
@@ -19,6 +18,7 @@ use dataplane_symbex::{
     interval_infeasible, CancelToken, CheckDiagnostics, Decision, EngineConfig, Segment,
     SegmentOutcome, Solver, SolverConfig, SolverResult, SolverStage,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -241,20 +241,6 @@ impl Verifier {
         Ok((summaries, suspects))
     }
 
-    /// The Step-2 walk's root node.
-    fn root_input(pipeline: &Pipeline) -> WalkInput {
-        let entry = pipeline.entry();
-        WalkInput {
-            element: entry,
-            view: View::Original,
-            depth: 0,
-            constraint: Vec::new(),
-            path: vec![pipeline.node(entry).name.clone()],
-            elements: vec![entry],
-            instructions: 0,
-        }
-    }
-
     /// The shared context of a Step-2 walk over Step 1's product. `hints`
     /// seed the solver's model search; the solver-free outline pass passes
     /// none.
@@ -262,15 +248,16 @@ impl Verifier {
         &'a self,
         pipeline: &'a Pipeline,
         property: &'a Property,
-        (summaries, suspects): Step1Product,
+        (summaries, suspects): &'a Step1Product,
         hints: Vec<dataplane_symbex::Assignment>,
     ) -> WalkCtx<'a> {
         WalkCtx {
-            pipeline,
+            tree: PrefixTree {
+                pipeline,
+                summaries,
+            },
             property,
-            summaries,
             suspects,
-            composer: Composer::new(),
             hints,
             options: &self.options,
             solver: &self.solver,
@@ -345,20 +332,17 @@ impl Verifier {
         }
 
         // ---------------- Step 2: composition ------------------------------
-        let ctx = self.walk_ctx(pipeline, property, step1, build_hints(property));
+        let ctx = self.walk_ctx(pipeline, property, &step1, build_hints(property));
         let mut fold = FoldState {
             ctx: &ctx,
             stats: &mut stats,
+            outline,
+            records: &mut records,
             counterexamples: Vec::new(),
             unproven: Vec::new(),
             budget_exhausted: false,
         };
-        fold.fold_sharded(
-            Verifier::root_input(pipeline),
-            Some(0),
-            outline,
-            &mut records,
-        );
+        ctx.tree.walk(&ctx.tree.root(), Some(0), &mut fold);
         let budget_exhausted = fold.budget_exhausted;
         let counterexamples = fold.counterexamples;
         let mut unproven = fold.unproven;
@@ -398,148 +382,27 @@ impl Verifier {
     /// packet that yields this maximum").
     pub fn max_instructions(&mut self, pipeline: &Pipeline) -> InstructionBoundReport {
         let start = Instant::now();
-        let summaries = match self.summarise(pipeline) {
-            Ok(s) => s,
-            Err(_) => {
-                return InstructionBoundReport {
-                    max_instructions: 0,
-                    witness: None,
-                    path: vec![],
-                    approximate: true,
-                    paths_considered: 0,
-                    feasible_paths: 0,
-                    elapsed: start.elapsed(),
-                }
-            }
+        let Ok(summaries) = self.summarise(pipeline) else {
+            return InstructionBoundReport {
+                approximate: true,
+                elapsed: start.elapsed(),
+                ..InstructionBoundReport::default()
+            };
         };
-
-        struct Best {
-            instructions: u64,
-            witness: Option<Vec<u8>>,
-            path: Vec<String>,
-            approximate: bool,
-        }
-        let mut best = Best {
-            instructions: 0,
-            witness: None,
-            path: vec![],
-            approximate: false,
-        };
-        let mut paths_considered = 0usize;
-        let mut feasible_paths = 0usize;
-
-        // Depth-first enumeration of full pipeline paths.
-        #[allow(clippy::too_many_arguments)]
-        fn walk(
-            verifier: &Verifier,
-            pipeline: &Pipeline,
-            summaries: &[Arc<ElementSummary>],
-            composer: &mut Composer,
-            element: ElementIdx,
-            view: View,
-            stride: u32,
-            constraint: Vec<TermRef>,
-            path: Vec<String>,
-            instructions: u64,
-            approximate: bool,
-            paths_considered: &mut usize,
-            feasible_paths: &mut usize,
-            best: &mut Best,
-            max_paths: usize,
-        ) {
-            if *paths_considered >= max_paths {
-                return;
-            }
-            let summary = &summaries[element];
-            let node = pipeline.node(element);
-            for segment in &summary.exploration.segments {
-                let mut seg_constraint = constraint.clone();
-                seg_constraint.extend(composer.rewrite_all(&view, stride, &segment.constraint));
-                let mut seg_path = path.clone();
-                seg_path.push(node.name.clone());
-                let seg_instr = instructions + segment.instructions;
-                let seg_approx = approximate || segment.approximate;
-                let next = segment
-                    .outcome
-                    .port()
-                    .and_then(|p| node.successors.get(p as usize).copied().flatten());
-                match next {
-                    Some(next_element) if !segment.outcome.is_crash() => {
-                        let new_view = composer.extend_view(&view, &segment.packet, stride);
-                        let new_stride = composer.alloc_stride(next_element);
-                        walk(
-                            verifier,
-                            pipeline,
-                            summaries,
-                            composer,
-                            next_element,
-                            new_view,
-                            new_stride,
-                            seg_constraint,
-                            seg_path,
-                            seg_instr,
-                            seg_approx,
-                            paths_considered,
-                            feasible_paths,
-                            best,
-                            max_paths,
-                        );
-                    }
-                    _ => {
-                        // Terminal: the packet leaves the pipeline here (or
-                        // the path crashes / drops).
-                        *paths_considered += 1;
-                        match verifier.solver.check(&seg_constraint) {
-                            SolverResult::Unsat => {}
-                            result => {
-                                *feasible_paths += 1;
-                                if seg_instr > best.instructions {
-                                    best.instructions = seg_instr;
-                                    best.approximate = seg_approx;
-                                    best.path = seg_path.clone();
-                                    best.witness = match result {
-                                        SolverResult::Sat(model) => {
-                                            Some(materialise_packet(&model))
-                                        }
-                                        _ => None,
-                                    };
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut composer = Composer::new();
-        let entry = pipeline.entry();
-        let stride = composer.alloc_stride(entry);
-        walk(
-            self,
+        let tree = PrefixTree {
             pipeline,
-            &summaries,
-            &mut composer,
-            entry,
-            View::Original,
-            stride,
-            Vec::new(),
-            Vec::new(),
-            0,
-            false,
-            &mut paths_considered,
-            &mut feasible_paths,
-            &mut best,
-            self.options.max_composed_paths,
-        );
-
+            summaries: &summaries,
+        };
+        let mut bound = InstructionBound {
+            tree,
+            solver: &self.solver,
+            max_paths: self.options.max_composed_paths,
+            report: InstructionBoundReport::default(),
+        };
+        tree.walk(&tree.root(), false, &mut bound);
         InstructionBoundReport {
-            max_instructions: best.instructions,
-            witness: best.witness,
-            path: best.path,
-            approximate: best.approximate,
-            paths_considered,
-            feasible_paths,
             elapsed: start.elapsed(),
+            ..bound.report
         }
     }
 
@@ -560,11 +423,11 @@ impl Verifier {
         if stats.suspects == 0 {
             return None;
         }
-        let ctx = self.walk_ctx(pipeline, property, step1, Vec::new());
+        let ctx = self.walk_ctx(pipeline, property, &step1, Vec::new());
         let mut outline = ComposeOutline::default();
         outline_walk(
             &ctx,
-            Verifier::root_input(pipeline),
+            ctx.tree.root(),
             self.options.max_composed_paths,
             &mut outline,
         );
@@ -622,7 +485,7 @@ impl Verifier {
         if stats.suspects == 0 {
             return ComposeShardResult::default();
         }
-        let ctx = self.walk_ctx(pipeline, property, step1, build_hints(property));
+        let ctx = self.walk_ctx(pipeline, property, &step1, build_hints(property));
         let mut result = ComposeShardResult::default();
         let mut st = ShardWalkState {
             start,
@@ -634,13 +497,7 @@ impl Verifier {
             cancel,
             split,
         };
-        shard_walk(
-            &ctx,
-            Verifier::root_input(pipeline),
-            true,
-            &mut st,
-            &mut result,
-        );
+        shard_walk(&ctx, ctx.tree.root(), true, &mut st, &mut result);
         result
     }
 
@@ -788,25 +645,6 @@ pub fn run_violates_property(
     }
 }
 
-/// Everything that identifies one node of the Step-2 prefix tree: the
-/// element reached, the composed view and constraint of the prefix leading
-/// to it, and the path metadata reports need. Because composition
-/// namespaces are depth-indexed ([`stride_for_depth`] / [`FreshScope`]),
-/// the node's entire computation is a pure function of this value.
-#[derive(Clone)]
-struct WalkInput {
-    element: ElementIdx,
-    view: View,
-    depth: usize,
-    constraint: Vec<TermRef>,
-    /// Instance names along the path, ending at `element`.
-    path: Vec<String>,
-    /// Element index per composition depth (for static-state concretisation
-    /// of depth-strided data-structure reads).
-    elements: Vec<ElementIdx>,
-    instructions: u64,
-}
-
 /// What one feasibility check established.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckOutcome {
@@ -845,14 +683,14 @@ pub struct CheckRecord {
     pub prefiltered: bool,
 }
 
-/// One derived forwarding edge: the child node's input and the
-/// contextualised prefix constraint the pruning check (and its interval
-/// pre-filter) decides.
+/// One forwarding edge as the outline and shard walks see it: the child
+/// node's input and the contextualised prefix constraint the pruning check
+/// (and its interval pre-filter) decides.
 struct EdgeChild {
     child: WalkInput,
     contextual: Vec<TermRef>,
     /// The interval-only pre-filter proved the prefix infeasible (only
-    /// evaluated when the caller asked for it and pruning is on).
+    /// evaluated when pruning is on).
     prefiltered: bool,
 }
 
@@ -1054,11 +892,9 @@ impl ComposeOutline {
 /// Immutable context shared by the whole Step-2 walk (fold, outline, and
 /// shard walks alike).
 struct WalkCtx<'a> {
-    pipeline: &'a Pipeline,
+    tree: PrefixTree<'a>,
     property: &'a Property,
-    summaries: Vec<Arc<ElementSummary>>,
-    suspects: Vec<Vec<usize>>,
-    composer: Composer,
+    suspects: &'a [Vec<usize>],
     hints: Vec<dataplane_symbex::Assignment>,
     options: &'a VerifierOptions,
     solver: &'a Solver,
@@ -1217,68 +1053,32 @@ fn concretise_static_reads(
 }
 
 impl<'a> WalkCtx<'a> {
-    /// Derive the forwarding edges of `input`, in segment-enumeration
-    /// order: the child [`WalkInput`] plus the contextualised prefix
-    /// constraint its pruning check decides. When `prefilter` is set (and
-    /// pruning is on) each edge is also run through the interval-only
-    /// pre-filter; callers that already know the pruning outcome (the fold
-    /// consuming a shard record) skip that evaluation.
-    fn edge_children(&self, input: &WalkInput, prefilter: bool) -> Vec<EdgeChild> {
-        let node = self.pipeline.node(input.element);
-        let summary = &self.summaries[input.element];
-        let stride = stride_for_depth(input.depth);
-        let mut out = Vec::new();
-        for segment in &summary.exploration.segments {
-            let Some(port) = segment.outcome.port() else {
-                continue;
-            };
-            let Some(Some(next)) = node.successors.get(port as usize).copied() else {
-                continue;
-            };
-            let scope = FreshScope::for_depth(input.depth);
-            let mut constraint = input.constraint.clone();
-            constraint.extend(self.composer.rewrite_all_scoped(
-                &input.view,
-                stride,
-                &segment.constraint,
-                &scope,
-            ));
-            let child = WalkInput {
-                element: next,
-                view: self
-                    .composer
-                    .extend_view(&input.view, &segment.packet, stride),
-                depth: input.depth + 1,
-                constraint: constraint.clone(),
-                path: {
-                    let mut p = input.path.clone();
-                    p.push(self.pipeline.node(next).name.clone());
-                    p
-                },
-                elements: {
-                    let mut e = input.elements.clone();
-                    e.push(next);
-                    e
-                },
-                instructions: input.instructions + segment.instructions,
-            };
-            let contextual = self.apply_property_context(constraint, &input.elements);
-            let prefiltered =
-                prefilter && self.options.prune_prefixes && interval_infeasible(&contextual);
-            out.push(EdgeChild {
-                child,
-                contextual,
-                prefiltered,
-            });
-        }
-        out
+    /// The forwarding edges of `input` for the outline and shard walks, in
+    /// segment-enumeration order: the child, the contextualised prefix
+    /// constraint its pruning check decides, and (with pruning on) whether
+    /// the interval-only pre-filter already refutes that prefix.
+    fn edge_children(&self, input: &WalkInput) -> Vec<EdgeChild> {
+        self.tree
+            .children(input)
+            .map(|child| {
+                let contextual = self
+                    .contextual(&child.constraint, &input.elements)
+                    .into_owned();
+                let prefiltered = self.options.prune_prefixes && interval_infeasible(&contextual);
+                EdgeChild {
+                    child,
+                    contextual,
+                    prefiltered,
+                }
+            })
+            .collect()
     }
 
     /// The suspect segments of `input` that will actually be checked (after
     /// the instruction-bound skip), in suspect-enumeration order — the
     /// check units of the node's shard block.
     fn surviving_suspects(&self, input: &WalkInput) -> Vec<usize> {
-        let summary = &self.summaries[input.element];
+        let summary = &self.tree.summaries[input.element];
         self.suspects[input.element]
             .iter()
             .copied()
@@ -1296,26 +1096,18 @@ impl<'a> WalkCtx<'a> {
             .collect()
     }
 
-    /// The fully contextualised constraint of one suspect check at `input`.
-    fn check_constraint(&self, input: &WalkInput, seg_idx: usize) -> Vec<TermRef> {
-        let summary = &self.summaries[input.element];
-        let segment = &summary.exploration.segments[seg_idx];
-        let scope = FreshScope::for_depth(input.depth);
-        let mut constraint = input.constraint.clone();
-        constraint.extend(self.composer.rewrite_all_scoped(
-            &input.view,
-            stride_for_depth(input.depth),
-            &segment.constraint,
-            &scope,
-        ));
-        self.apply_property_context(constraint, &input.elements)
-    }
-
-    /// How many suspect checks `input` will actually run (after the
-    /// instruction-bound skip) — the check part of an [`OutlineNode`]'s
-    /// weight.
-    fn check_count(&self, input: &WalkInput) -> usize {
-        self.surviving_suspects(input).len()
+    /// Decide suspect segment `seg_idx` of `input` on its fully
+    /// contextualised constraint.
+    fn check_suspect(
+        &self,
+        input: &WalkInput,
+        seg_idx: usize,
+        cancel: &CancelToken,
+    ) -> CheckRecord {
+        let segment = &self.tree.summaries[input.element].exploration.segments[seg_idx];
+        let composed = self.tree.compose(input, segment);
+        let constraint = self.contextual(&composed, &input.elements);
+        self.run_check(input.element, seg_idx, &constraint, &input.path, cancel)
     }
 
     /// Decide one forwarding edge's pruning outcome — the one edge decision
@@ -1343,12 +1135,13 @@ impl<'a> WalkCtx<'a> {
     }
 
     /// Add the property's input assumptions (e.g. the reachability
-    /// destination binding) and concretise static state.
-    fn apply_property_context(
+    /// destination binding) and concretise static state — a copy only for
+    /// the property that has any.
+    fn contextual<'c>(
         &self,
-        constraint: Vec<TermRef>,
+        constraint: &'c [TermRef],
         elements: &[ElementIdx],
-    ) -> Vec<TermRef> {
+    ) -> Cow<'c, [TermRef]> {
         match self.property {
             Property::Reachability {
                 dst, dst_offset, ..
@@ -1359,10 +1152,10 @@ impl<'a> WalkCtx<'a> {
                     .enumerate()
                     .map(|(i, b)| (*dst_offset as i64 + i as i64, *b))
                     .collect();
-                let bound = bind_packet_bytes(&constraint, &bindings);
-                concretise_static_reads(self.pipeline, elements, bound)
+                let bound = bind_packet_bytes(constraint, &bindings);
+                Cow::Owned(concretise_static_reads(self.tree.pipeline, elements, bound))
             }
-            _ => constraint,
+            _ => Cow::Borrowed(constraint),
         }
     }
 
@@ -1379,8 +1172,8 @@ impl<'a> WalkCtx<'a> {
         path: &[String],
         cancel: &CancelToken,
     ) -> CheckRecord {
-        let node = self.pipeline.node(element);
-        let segment = &self.summaries[element].exploration.segments[seg_idx];
+        let node = self.tree.pipeline.node(element);
+        let segment = &self.tree.summaries[element].exploration.segments[seg_idx];
         let violation = |model: &dataplane_symbex::Assignment| {
             let packet = self.materialise_counterexample(model);
             let confirmed =
@@ -1548,9 +1341,9 @@ impl<'a> WalkCtx<'a> {
     /// reads of private data structures that the element never writes with
     /// their default values.
     fn discharged_by_ds_analysis(&self, constraint: &[TermRef], element: ElementIdx) -> bool {
-        let node = self.pipeline.node(element);
+        let node = self.tree.pipeline.node(element);
         let program = node.element.model();
-        let summary = &self.summaries[element];
+        let summary = &self.tree.summaries[element];
         // Data structures this element ever writes (on any segment).
         let written: Vec<DsId> = summary
             .exploration
@@ -1583,7 +1376,7 @@ impl<'a> WalkCtx<'a> {
     fn confirm(&self, packet: &[u8], element: ElementIdx, segment: &Segment) -> bool {
         // Rebuild the pipeline via its model runtime so private state starts
         // fresh; a single packet suffices for the properties we check.
-        let mut runtime = dataplane_pipeline::ModelRuntime::new(self.pipeline);
+        let mut runtime = dataplane_pipeline::ModelRuntime::new(self.tree.pipeline);
         let run = runtime.push(Packet::from_bytes(packet.to_vec()));
         match (self.property, &segment.outcome) {
             (Property::CrashFreedom, _) => {
@@ -1605,7 +1398,7 @@ impl<'a> WalkCtx<'a> {
                 _,
             ) => {
                 let last = *run.hops.last().unwrap_or(&element);
-                let last_name = self.pipeline.node(last).name.clone();
+                let last_name = self.tree.pipeline.node(last).name.clone();
                 match run.disposition {
                     Disposition::Crashed { .. } => true,
                     // A drop at a header checker means the witness was
@@ -1621,36 +1414,29 @@ impl<'a> WalkCtx<'a> {
             // search itself (the trace evaluator); suspect-walk checks
             // never see a temporal property.
             (Property::Temporal(spec), _) => {
-                crate::temporal::run_violates_temporal(self.pipeline, spec, packet, &run)
+                crate::temporal::run_violates_temporal(self.tree.pipeline, spec, packet, &run)
             }
         }
     }
 }
 
-/// Folds shard records in exact sequential-walk (depth-first enumeration)
-/// order, producing outcomes, statistics, and budget accounting identical
-/// to a one-thread walk — whatever the shards computed, over-computed, or
-/// skipped. Missing slots are computed inline, so the fold with no records
-/// at all *is* the sequential walk.
+/// The safety fold: a visitor that folds shard records in exact
+/// sequential-walk (depth-first enumeration) order, producing outcomes,
+/// statistics, and budget accounting identical to a one-thread walk —
+/// whatever the shards computed, over-computed, or skipped. Missing slots
+/// are computed inline, so the fold with no records at all *is* the
+/// sequential walk.
 struct FoldState<'f, 'a> {
     ctx: &'f WalkCtx<'a>,
     stats: &'f mut VerificationStats,
+    outline: &'f ComposeOutline,
+    records: &'f mut BTreeMap<usize, ShardNodeRecord>,
     counterexamples: Vec<Counterexample>,
     unproven: Vec<UnprovenPath>,
     budget_exhausted: bool,
 }
 
-impl<'f, 'a> FoldState<'f, 'a> {
-    /// The sequential walk's node-entry bookkeeping: budget, then count.
-    fn enter(&mut self) -> bool {
-        if self.stats.composed_paths >= self.ctx.options.max_composed_paths {
-            self.budget_exhausted = true;
-            return false;
-        }
-        self.stats.composed_paths += 1;
-        true
-    }
-
+impl FoldState<'_, '_> {
     /// Stats and outcome bookkeeping of one decided check.
     fn tally_check(&mut self, check: CheckRecord) {
         if check.prefiltered {
@@ -1694,54 +1480,126 @@ impl<'f, 'a> FoldState<'f, 'a> {
             self.stats.prefilter_passed += 1;
         }
     }
+}
 
-    /// Commit one node of the walk: replay its check and edge slots in
-    /// enumeration order, taking each from the shipped record if a shard
-    /// covered it and computing it inline otherwise (no record at all, a
-    /// record whose shape disagrees with this build, unit cuts inside the
-    /// node, a stolen remainder that never landed, a dead worker
-    /// mid-block). `index` is the node's pre-order position in the shard
-    /// enumeration (`None` once the walk leaves the enumerated tree — past
-    /// the cap, or with no outline at all).
-    fn fold_sharded(
-        &mut self,
-        input: WalkInput,
-        index: Option<usize>,
-        outline: &ComposeOutline,
-        records: &mut BTreeMap<usize, ShardNodeRecord>,
-    ) {
-        if !self.enter() {
-            return;
+/// Each check and edge slot of a node is taken from the shipped record if a
+/// shard covered it and computed inline otherwise (no record at all, a
+/// record whose shape disagrees with this build, unit cuts inside the node,
+/// a stolen remainder that never landed, a dead worker mid-block).
+impl Visitor for FoldState<'_, '_> {
+    /// The node's pre-order position in the shard enumeration (`None` once
+    /// the walk leaves the enumerated tree — past the cap, or with no
+    /// outline at all).
+    type Node = Option<usize>;
+
+    /// The node-entry bookkeeping (budget, then count), then the node's
+    /// suspect checks in enumeration order.
+    fn enter(&mut self, input: &WalkInput, index: Option<usize>) -> Option<Option<usize>> {
+        if self.stats.composed_paths >= self.ctx.options.max_composed_paths {
+            self.budget_exhausted = true;
+            return None;
         }
-        let suspects = self.ctx.surviving_suspects(&input);
-        // A record carries the pruning outcomes and the inline path decides
-        // them below, so the edge derivation skips the interval pre-filter.
-        let children = self.ctx.edge_children(&input, false);
-        let (checks, edges) = index
-            .and_then(|i| records.remove(&i))
-            .filter(|rec| rec.checks.len() == suspects.len() && rec.edges.len() == children.len())
-            .map_or_else(
-                || (vec![None; suspects.len()], vec![None; children.len()]),
-                |rec| (rec.checks, rec.edges),
-            );
+        self.stats.composed_paths += 1;
+        let suspects = self.ctx.surviving_suspects(input);
+        let edges = self.ctx.tree.edge_count(input.element);
+        let checks = match index.and_then(|i| self.records.get_mut(&i)) {
+            Some(rec) if rec.checks.len() == suspects.len() && rec.edges.len() == edges => {
+                std::mem::take(&mut rec.checks)
+            }
+            _ => {
+                // A record of the wrong shape is dropped whole, edges too.
+                if let Some(i) = index {
+                    self.records.remove(&i);
+                }
+                vec![None; suspects.len()]
+            }
+        };
         let token = CancelToken::new();
         for (slot, seg_idx) in checks.into_iter().zip(suspects) {
-            let check = slot.unwrap_or_else(|| {
-                let constraint = self.ctx.check_constraint(&input, seg_idx);
-                self.ctx
-                    .run_check(input.element, seg_idx, &constraint, &input.path, &token)
-            });
+            let check = slot.unwrap_or_else(|| self.ctx.check_suspect(input, seg_idx, &token));
             self.tally_check(check);
         }
-        for (k, (slot, ec)) in edges.into_iter().zip(children).enumerate() {
-            let edge = slot.unwrap_or_else(|| self.ctx.decide_edge(&ec.contextual));
-            self.tally_edge(edge.prefiltered, edge.pruned_call);
-            if !edge.feasible {
-                continue;
-            }
-            let child_index = index.and_then(|i| outline.child_index(i, k));
-            self.fold_sharded(ec.child, child_index, outline, records);
+        Some(index)
+    }
+
+    /// The edge's pruning outcome; a feasible edge is descended.
+    fn edge(
+        &mut self,
+        input: &WalkInput,
+        index: &Option<usize>,
+        edge: usize,
+        _segment: &Segment,
+        child: &WalkInput,
+    ) -> Option<Option<usize>> {
+        let shipped = index
+            .and_then(|i| self.records.get(&i))
+            .and_then(|rec| rec.edges[edge]);
+        let decided = shipped.unwrap_or_else(|| {
+            self.ctx
+                .decide_edge(&self.ctx.contextual(&child.constraint, &input.elements))
+        });
+        self.tally_edge(decided.prefiltered, decided.pruned_call);
+        decided
+            .feasible
+            .then(|| index.and_then(|i| self.outline.child_index(i, edge)))
+    }
+
+    /// Terminals carry no suspect check of their own.
+    fn terminal(&mut self, _: &WalkInput, _: &Option<usize>, _: &Segment) -> Step {
+        Step::Continue
+    }
+}
+
+/// The instruction bound: a visitor keeping the running maximum over the
+/// feasible terminals of the prefix tree, with the solver's model of the
+/// maximal path as its witness.
+struct InstructionBound<'a> {
+    tree: PrefixTree<'a>,
+    solver: &'a Solver,
+    /// Stop entering nodes once this many terminals were considered.
+    max_paths: usize,
+    report: InstructionBoundReport,
+}
+
+impl Visitor for InstructionBound<'_> {
+    /// Whether any segment on the path to the node over-approximates.
+    type Node = bool;
+
+    fn enter(&mut self, _: &WalkInput, approximate: bool) -> Option<bool> {
+        (self.report.paths_considered < self.max_paths).then_some(approximate)
+    }
+
+    fn edge(
+        &mut self,
+        _: &WalkInput,
+        approximate: &bool,
+        _: usize,
+        segment: &Segment,
+        _: &WalkInput,
+    ) -> Option<bool> {
+        Some(*approximate || segment.approximate)
+    }
+
+    /// The packet leaves the pipeline here (or the path crashes / drops).
+    fn terminal(&mut self, input: &WalkInput, approximate: &bool, segment: &Segment) -> Step {
+        let report = &mut self.report;
+        report.paths_considered += 1;
+        let result = self.solver.check(&self.tree.compose(input, segment));
+        if matches!(result, SolverResult::Unsat) {
+            return Step::Continue;
         }
+        report.feasible_paths += 1;
+        let instructions = input.instructions + segment.instructions;
+        if instructions > report.max_instructions {
+            report.max_instructions = instructions;
+            report.approximate = *approximate || segment.approximate;
+            report.path = input.path.clone();
+            report.witness = match result {
+                SolverResult::Sat(model) => Some(materialise_packet(&model)),
+                _ => None,
+            };
+        }
+        Step::Continue
     }
 }
 
@@ -1765,9 +1623,9 @@ fn outline_walk(
         element,
         children: Vec::new(),
     });
-    let mut weight = ctx.check_count(&input);
+    let mut weight = ctx.surviving_suspects(&input).len();
     let mut children = Vec::new();
-    for ec in ctx.edge_children(&input, true) {
+    for ec in ctx.edge_children(&input) {
         if ec.prefiltered {
             // Interval-pruned: the child is never enumerated (every walk —
             // outline, shard, fold — prunes it the same way without a
@@ -1839,7 +1697,7 @@ fn shard_walk(
     let idx = st.node;
     st.node += 1;
     let suspects = ctx.surviving_suspects(&input);
-    let edges = ctx.edge_children(&input, true);
+    let edges = ctx.edge_children(&input);
     let prune = ctx.options.prune_prefixes;
     let weighted = if prune {
         edges.iter().filter(|e| !e.prefiltered).count()
@@ -1878,14 +1736,7 @@ fn shard_walk(
         let u = u0 + k;
         let in_range = u >= st.start && u < st.end;
         if in_range && split_at.is_none() && !(st.split.is_cancelled() && st.progress > 0) {
-            let constraint = ctx.check_constraint(&input, seg_idx);
-            checks.push(Some(ctx.run_check(
-                input.element,
-                seg_idx,
-                &constraint,
-                &input.path,
-                &token,
-            )));
+            checks.push(Some(ctx.check_suspect(&input, seg_idx, &token)));
             st.progress += 1;
             units_done += 1;
         } else {

@@ -19,7 +19,7 @@ use dataplane_pipeline::presets::{
     middlebox_pipeline,
 };
 use dataplane_pipeline::{Action, Element, Pipeline};
-use dataplane_verifier::{Property, Verdict, Verifier};
+use dataplane_verifier::{explore_monolithic, MonolithicConfig, Property, Verdict, Verifier};
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------------
@@ -336,6 +336,122 @@ fn router_instruction_bound_covers_concrete_executions() {
         },
     );
     assert!(!report.is_proven(), "{report}");
+}
+
+/// A witness packet: `len` bytes, zero except at the listed offsets.
+fn sparse_packet(len: usize, set: &[(usize, u8)]) -> Vec<u8> {
+    let mut packet = vec![0u8; len];
+    for &(offset, byte) in set {
+        packet[offset] = byte;
+    }
+    packet
+}
+
+#[test]
+fn instruction_bounds_and_witnesses_are_pinned() {
+    // (preset, pipeline, max, approximate, paths considered, feasible
+    // paths, path, witness as (length, non-zero bytes)).
+    type Row = (
+        &'static str,
+        fn() -> Pipeline,
+        u64,
+        bool,
+        usize,
+        usize,
+        &'static str,
+        Option<(usize, &'static [(usize, u8)])>,
+    );
+    let rows: [Row; 5] = [
+        (
+            "ip_router",
+            ip_router_pipeline,
+            4813,
+            true,
+            166,
+            47,
+            "cls,strip,chk,opts,rt,ttl1,enc1,out1",
+            None,
+        ),
+        (
+            "linear_router",
+            linear_router_pipeline,
+            4809,
+            true,
+            112,
+            41,
+            "cls,strip,chk,opts,rt,ttl,enc,sink",
+            None,
+        ),
+        (
+            "middlebox",
+            middlebox_pipeline,
+            1576,
+            true,
+            161,
+            17,
+            "strip,chk,flow,nat,enc,out",
+            Some((4096, &[(14, 79), (16, 1), (17, 251), (23, 17)])),
+        ),
+        (
+            "firewall",
+            || firewall_pipeline(vec![]),
+            800,
+            true,
+            43,
+            18,
+            "strip,chk,filter,rt,ttl,enc,out0",
+            Some((
+                4096,
+                &[
+                    (14, 76),
+                    (16, 250),
+                    (17, 13),
+                    (22, 36),
+                    (30, 70),
+                    (31, 131),
+                    (32, 241),
+                    (33, 255),
+                ],
+            )),
+        ),
+        (
+            "buggy",
+            buggy_pipeline,
+            1105,
+            true,
+            20,
+            13,
+            "cls,strip,opts,ttl,out",
+            Some((4096, &[(12, 8), (14, 255), (22, 6)])),
+        ),
+    ];
+    for (preset, pipeline, max, approximate, considered, feasible, path, witness) in rows {
+        let bound = Verifier::new().max_instructions(&pipeline());
+        assert_eq!(bound.max_instructions, max, "{preset}: {bound}");
+        assert_eq!(bound.approximate, approximate, "{preset}: {bound}");
+        assert_eq!(bound.paths_considered, considered, "{preset}: {bound}");
+        assert_eq!(bound.feasible_paths, feasible, "{preset}: {bound}");
+        assert_eq!(bound.path.join(","), path, "{preset}: {bound}");
+        let witness = witness.map(|(len, set)| sparse_packet(len, set));
+        assert_eq!(bound.witness, witness, "{preset}: witness bytes moved");
+    }
+}
+
+#[test]
+fn monolithic_baseline_counts_are_pinned() {
+    let result = explore_monolithic(
+        &firewall_pipeline(vec![]),
+        &MonolithicConfig {
+            max_paths: 3_000,
+            max_segments_per_element: 20_000,
+            ..MonolithicConfig::default()
+        },
+    );
+    assert!(MonolithicConfig::default().check_feasibility);
+    assert!(result.completed, "{result:?}");
+    assert_eq!(result.paths_explored, 1031, "{result:?}");
+    assert_eq!(result.feasible_crashes, 0, "{result:?}");
+    assert_eq!(result.element_explorations, 8, "{result:?}");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 //! deterministic synthetic workload generator.
 //!
 //! In the paper the workload comes from a hardware testbed; here the
-//! [`workload`] module produces the equivalent packet classes in software
-//! (see DESIGN.md §1 for the substitution rationale).
+//! [`workload`] module produces the equivalent packet classes in software,
+//! seeded so every run sees the same packets.
 //!
 //! ## Example
 //!
