@@ -21,7 +21,7 @@ use dataplane_symbex::{
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Options controlling the verifier's behaviour and budgets.
 #[derive(Clone, Debug)]
@@ -56,12 +56,9 @@ pub const ESCALATION_FACTOR: u32 = 8;
 ///
 /// A check that aborts a solver stage at its budget is retried with the
 /// budgets scaled by `factor`, then `factor²`, ... up to `steps` rungs,
-/// stopping at the first rung that decides it (Sat or Unsat). An optional
-/// wall-clock cap bounds how long one check may keep climbing.
-///
-/// With `wall_cap: None` (the default) ladder behaviour is a deterministic
-/// function of the constraints, so reports stay byte-identical across runs
-/// and processes; a cap trades that determinism for bounded latency.
+/// stopping at the first rung that decides it (Sat or Unsat). The ladder
+/// is a deterministic function of the constraints, so reports stay
+/// byte-identical across runs and processes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EscalationLadder {
     /// Geometric growth factor per rung (at least 2).
@@ -69,9 +66,6 @@ pub struct EscalationLadder {
     /// Number of rungs (0 disables escalation even when
     /// `escalate_budgets` is set).
     pub steps: u32,
-    /// Skip remaining rungs once a single check has spent this much
-    /// wall-clock time climbing. `None` keeps the ladder deterministic.
-    pub wall_cap: Option<Duration>,
 }
 
 impl Default for EscalationLadder {
@@ -79,7 +73,6 @@ impl Default for EscalationLadder {
         EscalationLadder {
             factor: ESCALATION_FACTOR,
             steps: 2,
-            wall_cap: None,
         }
     }
 }
@@ -449,34 +442,6 @@ impl Verifier {
         end: usize,
         cancel: &CancelToken,
     ) -> ComposeShardResult {
-        self.decide_composition_shard_split(
-            pipeline,
-            property,
-            summaries,
-            start,
-            end,
-            cancel,
-            &CancelToken::new(),
-        )
-    }
-
-    /// [`Verifier::decide_composition_shard`] with a live `split` channel:
-    /// when the coordinator fires `split` (a steal request from an idle
-    /// worker), the walk stops at the next unit boundary and reports the
-    /// uncovered tail in [`ComposeShardResult::remainder`], which the
-    /// coordinator requeues as a fresh job. Splits are pure work movement —
-    /// covered units ship normally, so the fold stays byte-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_composition_shard_split(
-        &mut self,
-        pipeline: &Pipeline,
-        property: &Property,
-        summaries: impl IntoIterator<Item = Arc<ElementSummary>>,
-        start: usize,
-        end: usize,
-        cancel: &CancelToken,
-        split: &CancelToken,
-    ) -> ComposeShardResult {
         self.seed_summaries(summaries);
         let mut stats = VerificationStats::default();
         let Ok(step1) = self.step1(pipeline, property, &mut stats) else {
@@ -493,9 +458,7 @@ impl Verifier {
             unit: 0,
             node: 0,
             cap: self.options.max_composed_paths,
-            progress: 0,
             cancel,
-            split,
         };
         shard_walk(&ctx, ctx.tree.root(), true, &mut st, &mut result);
         result
@@ -503,12 +466,12 @@ impl Verifier {
 
     /// Fold shard records back into the composition's report, replaying the
     /// sequential walk order: every node with a shipped record consumes it
-    /// (several partial records of one node — unit cuts inside the node,
-    /// stolen remainders — are merged slot-wise first), and every slot or
-    /// node nothing shipped (sparse shards, a cancelled sibling, the
-    /// enumeration cap, a dead worker) is computed inline. The result is
-    /// byte-identical to [`Verifier::verify`] under the same options,
-    /// whatever the shard boundaries or fleet shape were.
+    /// (several partial records of one node — unit cuts inside the node —
+    /// are merged slot-wise first), and every slot or node nothing shipped
+    /// (sparse shards, a cancelled sibling, the enumeration cap, a dead
+    /// worker) is computed inline. The result is byte-identical to
+    /// [`Verifier::verify`] under the same options, whatever the shard
+    /// boundaries or fleet shape were.
     pub fn fold_composition_shards(
         &mut self,
         pipeline: &Pipeline,
@@ -750,11 +713,6 @@ pub struct ComposeShardResult {
     pub records: Vec<ShardNodeRecord>,
     /// The shard was cancelled before covering its whole range.
     pub cancelled: bool,
-    /// A `split` request arrived mid-walk: the uncovered unit tail
-    /// `[first_uncovered, end)` handed back for requeueing. Everything
-    /// before it is covered by `records`, so requeueing exactly this range
-    /// to another worker reconstructs the full shard.
-    pub remainder: Option<(usize, usize)>,
     /// Per-node compute times (operational; excluded from deterministic
     /// report documents).
     pub timings: Vec<ShardTiming>,
@@ -1190,7 +1148,6 @@ impl<'a> WalkCtx<'a> {
             })
         };
         let ladder = &self.options.ladder;
-        let check_started = Instant::now();
         // The one solver entry of a check, asked once per budget level: the
         // base solver here, then one escalated solver per ladder rung.
         let decide = |solver: &Solver| solver.decide(constraint, &self.hints, cancel);
@@ -1220,10 +1177,10 @@ impl<'a> WalkCtx<'a> {
                     // Adaptive budgets: a stage gave up at its limit — climb
                     // the geometric escalation ladder, raising only the
                     // stages that have aborted so far and stopping at the
-                    // first rung that decides (or at the optional wall-clock
-                    // cap). A stage that first aborts mid-climb (say the
-                    // model search only runs out once a raised FM budget
-                    // lets it start) joins the raised set at the next rung.
+                    // first rung that decides. A stage that first aborts
+                    // mid-climb (say the model search only runs out once a
+                    // raised FM budget lets it start) joins the raised set
+                    // at the next rung.
                     let mut retried = None;
                     let mut abort_fm = diag.fm_budget_exhausted;
                     let mut abort_search = diag.model_search_exhausted;
@@ -1232,11 +1189,7 @@ impl<'a> WalkCtx<'a> {
                         && !cancel.is_cancelled()
                     {
                         for rung in 0..ladder.steps as usize {
-                            if ladder
-                                .wall_cap
-                                .is_some_and(|cap| check_started.elapsed() >= cap)
-                                || cancel.is_cancelled()
-                            {
+                            if cancel.is_cancelled() {
                                 break;
                             }
                             escalated = true;
@@ -1485,7 +1438,7 @@ impl FoldState<'_, '_> {
 /// Each check and edge slot of a node is taken from the shipped record if a
 /// shard covered it and computed inline otherwise (no record at all, a
 /// record whose shape disagrees with this build, unit cuts inside the node,
-/// a stolen remainder that never landed, a dead worker mid-block).
+/// a cancelled shard, a dead worker mid-block).
 impl Visitor for FoldState<'_, '_> {
     /// The node's pre-order position in the shard enumeration (`None` once
     /// the walk leaves the enumerated tree — past the cap, or with no
@@ -1659,15 +1612,8 @@ struct ShardWalkState<'s> {
     /// The enumeration's node cap (the composed-path budget); nodes past
     /// it were never outlined and always fold inline.
     cap: usize,
-    /// Units actually computed so far — split requests are honoured only
-    /// after some progress, so a handoff always shrinks the range.
-    progress: usize,
-    /// Hard cancellation: sibling shard found a violation; stop and ship
-    /// what is finished.
+    /// Sibling shard found a violation: stop and ship what is finished.
     cancel: &'s CancelToken,
-    /// Soft split request: stop at the next unit boundary and report the
-    /// uncovered tail as a remainder for an idle worker.
-    split: &'s CancelToken,
 }
 
 /// The worker side of one shard: replay the enumeration, computing the
@@ -1677,7 +1623,7 @@ struct ShardWalkState<'s> {
 /// range boundary yields a partial slot record; units behind an edge whose
 /// feasibility this shard did not itself decide are computed optimistically
 /// (the fold ignores records behind edges it prunes). Returns `false` once
-/// the walk is past `end`, cancelled, or split, unwinding the recursion.
+/// the walk is past `end` or cancelled, unwinding the recursion.
 fn shard_walk(
     ctx: &WalkCtx<'_>,
     input: WalkInput,
@@ -1729,20 +1675,14 @@ fn shard_walk(
     let started = Instant::now();
     let mut units_done = 0usize;
     let token = CancelToken::new();
-    let mut split_at: Option<usize> = None;
 
     let mut checks: Vec<Option<CheckRecord>> = Vec::with_capacity(suspects.len());
     for (k, &seg_idx) in suspects.iter().enumerate() {
         let u = u0 + k;
-        let in_range = u >= st.start && u < st.end;
-        if in_range && split_at.is_none() && !(st.split.is_cancelled() && st.progress > 0) {
+        if u >= st.start && u < st.end {
             checks.push(Some(ctx.check_suspect(&input, seg_idx, &token)));
-            st.progress += 1;
             units_done += 1;
         } else {
-            if in_range && split_at.is_none() {
-                split_at = Some(u);
-            }
             checks.push(None);
         }
     }
@@ -1768,17 +1708,12 @@ fn shard_walk(
         }
         let u = wu;
         wu += 1;
-        let in_range = u >= st.start && u < st.end;
-        if in_range && split_at.is_none() && !(st.split.is_cancelled() && st.progress > 0) {
+        if u >= st.start && u < st.end {
             let edge = ctx.decide_edge(&ec.contextual);
             edge_slots.push(Some(edge));
             recurse.push((ec.child, edge.feasible));
-            st.progress += 1;
             units_done += 1;
         } else {
-            if in_range && split_at.is_none() {
-                split_at = Some(u);
-            }
             // Feasibility unknown to this shard: recurse optimistically —
             // wasted work at worst, never a wrong report (the fold skips
             // records behind edges it prunes).
@@ -1798,10 +1733,6 @@ fn shard_walk(
             units: units_done,
             ns: started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
         });
-    }
-    if let Some(at) = split_at {
-        out.remainder = Some((at, st.end));
-        return false;
     }
     for (child, child_live) in recurse {
         if !shard_walk(ctx, child, child_live, st, out) {
@@ -1871,7 +1802,6 @@ mod tests {
                 &CancelToken::new(),
             );
             assert!(!shard.cancelled);
-            assert!(shard.remainder.is_none());
             for rec in &shard.records {
                 // Every record names an enumerated node whose unit block
                 // intersects the shard's range, with build-matching shape.
@@ -1964,63 +1894,6 @@ mod tests {
             seen.values().any(|&n| n > 1),
             "no node was split across unit shards: {seen:?}"
         );
-    }
-
-    #[test]
-    fn split_request_hands_back_a_remainder_and_preserves_identity() {
-        let pipeline = ip_router_pipeline();
-        let property = Property::CrashFreedom;
-        let mut baseline = Verifier::new();
-        let base = baseline.verify(&pipeline, &property);
-        let mut outliner = Verifier::new();
-        let outline = outliner
-            .outline_composition(&pipeline, &property, Vec::new())
-            .expect("ip router has suspects");
-        let total = outline.total_weight();
-        assert!(total > 1, "need at least two units to split");
-
-        // A pre-fired split token: the worker makes minimal progress then
-        // hands the tail back; chase the remainders until the range drains,
-        // as the dispatch steal loop would across workers.
-        let mut records = Vec::new();
-        let mut range = (0usize, total);
-        let mut handoffs = 0usize;
-        loop {
-            let split = CancelToken::new();
-            split.cancel();
-            let mut worker = Verifier::new();
-            let shard = worker.decide_composition_shard_split(
-                &pipeline,
-                &property,
-                Vec::new(),
-                range.0,
-                range.1,
-                &CancelToken::new(),
-                &split,
-            );
-            assert!(!shard.cancelled);
-            records.extend(shard.records);
-            match shard.remainder {
-                Some((r, e)) => {
-                    assert!(r > range.0 && r < e && e == range.1);
-                    range = (r, e);
-                    handoffs += 1;
-                }
-                None => break,
-            }
-        }
-        assert!(
-            handoffs > 0,
-            "a pre-fired split should hand off at least once"
-        );
-
-        let mut folder = Verifier::new();
-        let folded =
-            folder.fold_composition_shards(&pipeline, &property, Vec::new(), &outline, records);
-        assert_eq!(folded.verdict, base.verdict);
-        assert_eq!(folded.counterexamples, base.counterexamples);
-        assert_eq!(folded.unproven, base.unproven);
-        assert_eq!(folded.stats, base.stats);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! `Verifier::verify`, whatever the shard boundaries or fleet behaviour
 //! were. This property test throws randomized tilings at that promise:
 //! cut points landing *inside* a suspect node's unit block (intra-suspect
-//! splits), shards whose worker "dies" mid-slice and ships nothing,
-//! shards cancelled before they start, and shards that honour a steal
-//! request and hand a remainder back to be recomputed elsewhere. The fold
-//! must reproduce the baseline verdict, counterexamples, unproven paths,
+//! splits), shards whose worker "dies" mid-slice and ships nothing, and
+//! shards cancelled before they start. The fold must reproduce the baseline verdict, counterexamples, unproven paths,
 //! and stats field for field — field identity of the deterministic report
 //! is byte identity of its serialised form.
 
@@ -65,18 +63,13 @@ enum Fate {
     /// The shard's group was cancelled before the walk started; whatever
     /// complete slots survived (none, for a pre-fired token) still ship.
     Cancelled,
-    /// A steal request fires before the walk starts: the worker makes
-    /// minimal progress, ships it, and the remainder is recomputed by a
-    /// fresh "idle" worker — the dispatch steal path in miniature.
-    Split,
 }
 
 fn fate(pick: u64) -> Fate {
-    match pick % 4 {
+    match pick % 3 {
         0 => Fate::Normal,
         1 => Fate::Dead,
-        2 => Fate::Cancelled,
-        _ => Fate::Split,
+        _ => Fate::Cancelled,
     }
 }
 
@@ -102,7 +95,6 @@ fn run_shard(
                 &CancelToken::new(),
             );
             assert!(!shard.cancelled);
-            assert!(shard.remainder.is_none());
             records.extend(shard.records);
         }
         Fate::Dead => {
@@ -121,35 +113,6 @@ fn run_shard(
                 &cancel,
             );
             records.extend(shard.records);
-        }
-        Fate::Split => {
-            let split = CancelToken::new();
-            split.cancel();
-            let mut worker = Verifier::new();
-            let shard = worker.decide_composition_shard_split(
-                pipeline,
-                property,
-                Vec::new(),
-                start,
-                end,
-                &CancelToken::new(),
-                &split,
-            );
-            records.extend(shard.records);
-            if let Some((r_start, r_end)) = shard.remainder {
-                assert!(start <= r_start && r_start < r_end && r_end == end);
-                let mut idle = Verifier::new();
-                let rest = idle.decide_composition_shard(
-                    pipeline,
-                    property,
-                    Vec::new(),
-                    r_start,
-                    r_end,
-                    &CancelToken::new(),
-                );
-                assert!(rest.remainder.is_none());
-                records.extend(rest.records);
-            }
         }
     }
 }

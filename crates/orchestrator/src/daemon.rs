@@ -208,34 +208,6 @@ fn error_frame(message: &str) -> Json {
     ])
 }
 
-/// The `dispatch` object of a response frame — same keys as the matrix
-/// report's operational document.
-fn dispatch_json(d: &DispatchStats) -> Json {
-    Json::obj([
-        ("workers", Json::int(d.workers as u64)),
-        ("workers_lost", Json::int(d.workers_lost as u64)),
-        ("capacity", Json::int(d.capacity as u64)),
-        ("jobs_dispatched", Json::int(d.jobs_dispatched as u64)),
-        ("jobs_completed", Json::int(d.jobs_completed as u64)),
-        ("jobs_requeued", Json::int(d.jobs_requeued as u64)),
-        ("explore_jobs", Json::int(d.explore_jobs as u64)),
-        ("compose_jobs", Json::int(d.compose_jobs as u64)),
-        ("temporal_jobs", Json::int(d.temporal_jobs as u64)),
-        ("compose_shards", Json::int(d.compose_shards as u64)),
-        ("shards_cancelled", Json::int(d.shards_cancelled as u64)),
-        ("shards_split", Json::int(d.shards_split as u64)),
-        ("shards_stolen", Json::int(d.shards_stolen as u64)),
-        ("steal_wait_ns", Json::int(d.steal_wait_ns)),
-        ("fuzz_jobs", Json::int(d.fuzz_jobs as u64)),
-        ("workers_idle", Json::int(d.workers_idle as u64)),
-        ("summaries_shipped", Json::int(d.summaries_shipped as u64)),
-        ("summaries_deduped", Json::int(d.summaries_deduped as u64)),
-        ("summary_bytes_shipped", Json::int(d.summary_bytes_shipped)),
-        ("summary_bytes_deduped", Json::int(d.summary_bytes_deduped)),
-        ("workers_suspect", Json::int(d.workers_suspect as u64)),
-    ])
-}
-
 fn response_frame(response: &VerifyResponse, dispatch: Option<&DispatchStats>) -> Json {
     let (proven, violated, unknown) = response.verdict_counts();
     let ok = match &response.outcome {
@@ -256,7 +228,7 @@ fn response_frame(response: &VerifyResponse, dispatch: Option<&DispatchStats>) -
         ("det_report", response.deterministic_json()),
         (
             "dispatch",
-            dispatch.map(dispatch_json).unwrap_or(Json::Null),
+            dispatch.map(DispatchStats::to_json).unwrap_or(Json::Null),
         ),
     ])
 }

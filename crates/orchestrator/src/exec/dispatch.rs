@@ -20,7 +20,7 @@ use super::{ExecError, WORKER_PROTO, WORKER_SCHEMA};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use dataplane_verifier::VerifierOptions;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -80,19 +80,6 @@ struct State {
     /// violation): queued members resolve synthetically, in-flight members
     /// get a cancel frame.
     cancelled_groups: BTreeSet<u64>,
-    /// Jobs currently in flight, by the registry id of the worker holding
-    /// them (in dispatch order) — what a steal scans to find the most
-    /// loaded worker.
-    in_flight: BTreeMap<usize, Vec<usize>>,
-    /// Split frames awaiting relay, by the owning worker's registry id.
-    /// Each owner thread drains its own entry once per loop iteration, so
-    /// the relay latency is bounded by the heartbeat interval.
-    split_pending: BTreeMap<usize, Vec<usize>>,
-    /// Jobs a split has been requested for — at most one steal per job id
-    /// (a remainder is a fresh id and can be split again).
-    split_requested: BTreeSet<usize>,
-    /// When each pending split was requested, for `steal_wait_ns`.
-    steal_started: BTreeMap<usize, Instant>,
 }
 
 /// Sibling-group cancellation policy for a dispatch (compose sharding's
@@ -114,70 +101,9 @@ pub(crate) struct CancelSpec<'a> {
     pub synthetic: &'a (dyn Fn(usize) -> Json + Sync),
 }
 
-/// Shard-stealing policy for a dispatch. When a worker goes idle (or has
-/// spare capacity) with the queue dry while jobs are still in flight
-/// elsewhere, the coordinator asks the most-loaded worker — possibly the
-/// requester itself — to `split` its most recently dispatched in-flight
-/// job: the worker answers with the records it finished plus a remainder
-/// range, which `remainder` turns into a brand-new job requeued for
-/// whoever pulls next. Stealing is pure work movement: the fold merges
-/// records by index slot, so the folded output is byte-identical with or
-/// without it.
-pub(crate) struct StealSpec<'a> {
-    /// Called under the dispatch lock when a result frame carries a
-    /// remainder: register a new job for the remainder range and return
-    /// its index, which must equal the number of result slots at the time
-    /// of the call (the caller grows the slot vector in the same critical
-    /// section). `None` when the frame carries no usable remainder.
-    pub remainder: &'a (dyn Fn(usize, &Json) -> Option<usize> + Sync),
-}
-
-/// Read-deadline used in the steal endgame (this worker still holds jobs,
-/// stealing is on, and the shared queue is dry): a thief's split request
-/// is only relayed when the victim's owner thread wakes from `recv`, and
-/// a stolen remainder is only worth taking while the shard still has
-/// unwalked units — so poll tightly instead of sleeping a full heartbeat
-/// interval. Pings stay paced by the heartbeat interval regardless.
-const STEAL_RELAY_POLL: Duration = Duration::from_millis(10);
-
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
-}
-
-/// Pick a steal victim under the dispatch lock and queue a split request
-/// for it: the most recently dispatched in-flight job of the most loaded
-/// worker that is not already being split and whose sibling group is not
-/// cancelled. Self-steal is allowed — a worker with spare capacity may
-/// split its own in-flight job to fill its idle cores.
-fn request_split(
-    state: &mut State,
-    registry: &WorkerRegistry,
-    cancel: Option<&CancelSpec<'_>>,
-) -> bool {
-    let victim = state
-        .in_flight
-        .iter()
-        .max_by_key(|(_, jobs)| jobs.len())
-        .and_then(|(&owner, jobs)| {
-            jobs.iter()
-                .rev()
-                .find(|&&job| {
-                    !state.split_requested.contains(&job)
-                        && !cancel
-                            .and_then(|spec| (spec.group_of)(job))
-                            .is_some_and(|g| state.cancelled_groups.contains(&g))
-                })
-                .map(|&job| (owner, job))
-        });
-    let Some((owner, job)) = victim else {
-        return false;
-    };
-    state.split_requested.insert(job);
-    state.steal_started.insert(job, Instant::now());
-    state.split_pending.entry(owner).or_default().push(job);
-    registry.record_shard_split();
-    true
 }
 
 /// The coordinator's hello frame, opening a session pinned to `options` —
@@ -249,17 +175,13 @@ pub(crate) fn dispatch(
     frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
 ) -> Result<Vec<Json>, ExecError> {
     dispatch_with_cancel(
-        connectors, registry, options, heartbeat, count, frame_for, None, None,
+        connectors, registry, options, heartbeat, count, frame_for, None,
     )
 }
 
 /// [`dispatch`] with an optional sibling-group cancellation policy (see
-/// [`CancelSpec`]) and an optional shard-stealing policy (see
-/// [`StealSpec`]) — the compose-shard early exit and adaptive tail. With
-/// stealing, remainder jobs registered mid-run grow the result vector, so
-/// the returned frames may outnumber `count`; indices `count..` are the
-/// stolen remainders, in registration order.
-#[allow(clippy::too_many_arguments)]
+/// [`CancelSpec`]) — the compose-shard early exit. Jobs run exactly as
+/// planned: one result slot per job, sized once.
 pub(crate) fn dispatch_with_cancel(
     connectors: &[Box<dyn Connector>],
     registry: &WorkerRegistry,
@@ -268,7 +190,6 @@ pub(crate) fn dispatch_with_cancel(
     count: usize,
     frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
     cancel: Option<&CancelSpec<'_>>,
-    steal: Option<&StealSpec<'_>>,
 ) -> Result<Vec<Json>, ExecError> {
     if count == 0 {
         return Ok(Vec::new());
@@ -281,10 +202,6 @@ pub(crate) fn dispatch_with_cancel(
             results: (0..count).map(|_| None).collect(),
             last_failure: None,
             cancelled_groups: BTreeSet::new(),
-            in_flight: BTreeMap::new(),
-            split_pending: BTreeMap::new(),
-            split_requested: BTreeSet::new(),
-            steal_started: BTreeMap::new(),
         }),
         cv: Condvar::new(),
     };
@@ -301,7 +218,6 @@ pub(crate) fn dispatch_with_cancel(
                     shared,
                     frame_for,
                     cancel,
-                    steal,
                 )
             });
         }
@@ -335,19 +251,7 @@ fn cancel_frame(id: usize) -> Json {
     ])
 }
 
-/// The steal request: asks the worker to stop walking job `id`, answer
-/// with the records it finished, and hand the unwalked unit range back as
-/// a `remainder` on the result frame.
-fn split_frame(id: usize) -> Json {
-    Json::obj([
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("split")),
-        ("id", Json::int(id as u64)),
-    ])
-}
-
 /// One worker's coordinator-side loop.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     connector: &dyn Connector,
     registry: &WorkerRegistry,
@@ -356,7 +260,6 @@ fn worker_loop(
     shared: &Shared,
     frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
     cancel: Option<&CancelSpec<'_>>,
-    steal: Option<&StealSpec<'_>>,
 ) {
     // Connect + handshake. Failures here lose the worker, never the jobs
     // (nothing was pulled yet).
@@ -374,7 +277,6 @@ fn worker_loop(
     // Stdio pipes cannot time out; they keep the blocking behaviour and
     // `recv` never returns `Timeout` for them.
     let timed = transport.set_read_timeout(Some(heartbeat.interval));
-    let mut read_timeout = heartbeat.interval;
     if let Err(e) = transport.send(&hello_frame(options)) {
         return fail(format!("hello not sent: {e}"));
     }
@@ -442,15 +344,7 @@ fn worker_loop(
     let die = |outstanding: &mut VecDeque<usize>, note: String, suspect: bool| {
         let requeued = outstanding.len();
         let mut state = shared.state.lock().expect("dispatch state");
-        state.in_flight.remove(&id);
-        state.split_pending.remove(&id);
-        for job in outstanding.drain(..) {
-            // A requeued job is fresh again: any pending steal against it
-            // dissolves (the next holder can be split anew).
-            state.split_requested.remove(&job);
-            state.steal_started.remove(&job);
-            state.queue.push_back(job);
-        }
+        state.queue.extend(outstanding.drain(..));
         state.last_failure = Some(format!("{peer}: {note}"));
         drop(state);
         if suspect {
@@ -501,28 +395,11 @@ fn worker_loop(
             }
             registry.record_dispatched();
             outstanding.push_back(job);
-            if steal.is_some() {
-                let mut state = shared.state.lock().expect("dispatch state");
-                state.in_flight.entry(id).or_default().push(job);
-            }
-        }
-
-        // Spare capacity with a dry queue: ask for a split so the idle
-        // cores get the tail of somebody's in-flight slice (possibly our
-        // own — self-steal fills a worker's own spare capacity).
-        if steal.is_some() && !outstanding.is_empty() && outstanding.len() < capacity {
-            let mut state = shared.state.lock().expect("dispatch state");
-            if state.queue.is_empty() {
-                request_split(&mut state, registry, cancel);
-            }
         }
 
         if outstanding.is_empty() {
             // Nothing in flight and the queue is dry: park until another
             // worker's death requeues something, or the run finishes.
-            // With stealing on, ask the most loaded worker to split and
-            // park with a timeout — if the split races the job's own
-            // completion, the next wake-up requests a fresh one.
             let mut state = shared.state.lock().expect("dispatch state");
             loop {
                 if state.fatal.is_some() || state.remaining == 0 {
@@ -531,19 +408,7 @@ fn worker_loop(
                 if !state.queue.is_empty() {
                     break;
                 }
-                if steal.is_some() {
-                    request_split(&mut state, registry, cancel);
-                    // Re-request on the relay-poll cadence: a split that
-                    // raced its job's completion dissolves, and the next
-                    // wake-up picks a fresh victim.
-                    let (guard, _) = shared
-                        .cv
-                        .wait_timeout(state, STEAL_RELAY_POLL.min(heartbeat.interval))
-                        .expect("dispatch state");
-                    state = guard;
-                } else {
-                    state = shared.cv.wait(state).expect("dispatch state");
-                }
+                state = shared.cv.wait(state).expect("dispatch state");
             }
             continue;
         }
@@ -566,41 +431,6 @@ fn worker_loop(
                         cancel_sent.insert(job);
                     }
                 }
-            }
-        }
-
-        // Relay split requests queued against this worker's in-flight
-        // jobs. A request whose job already completed is stale (its
-        // bookkeeping was cleared when the result landed) and is skipped.
-        if steal.is_some() {
-            let pending = {
-                let mut state = shared.state.lock().expect("dispatch state");
-                state.split_pending.remove(&id)
-            };
-            for job in pending.into_iter().flatten() {
-                if outstanding.contains(&job) {
-                    // A send failure surfaces on the next recv.
-                    let _ = transport.send(&split_frame(job));
-                }
-            }
-        }
-
-        // In the steal endgame, swap the read deadline for the tight
-        // relay poll so a split request queued while we are blocked in
-        // `recv` reaches the wire in milliseconds; restore the heartbeat
-        // interval as soon as the queue has work again.
-        if timed && steal.is_some() && !outstanding.is_empty() {
-            let endgame = {
-                let state = shared.state.lock().expect("dispatch state");
-                state.queue.is_empty() && state.remaining > 0
-            };
-            let want = if endgame {
-                STEAL_RELAY_POLL.min(heartbeat.interval)
-            } else {
-                heartbeat.interval
-            };
-            if want != read_timeout && transport.set_read_timeout(Some(want)) {
-                read_timeout = want;
             }
         }
 
@@ -647,44 +477,6 @@ fn worker_loop(
                             (spec.group_of)(job).filter(|_| (spec.ends_group)(&frame))
                         });
                         let mut state = shared.state.lock().expect("dispatch state");
-                        if let Some(jobs) = state.in_flight.get_mut(&id) {
-                            jobs.retain(|&j| j != job);
-                            if jobs.is_empty() {
-                                state.in_flight.remove(&id);
-                            }
-                        }
-                        state.split_requested.remove(&job);
-                        let steal_start = state.steal_started.remove(&job);
-                        // A remainder on the frame is the unwalked tail of
-                        // a split shard: register it as a brand-new job and
-                        // requeue it — unless the sibling group's verdict
-                        // is already in, in which case the tail is moot.
-                        if let Some(spec) = steal {
-                            let group_done = ended_group.is_some()
-                                || cancel
-                                    .and_then(|c| (c.group_of)(job))
-                                    .is_some_and(|g| state.cancelled_groups.contains(&g));
-                            if !group_done {
-                                if let Some(new_id) = (spec.remainder)(job, &frame) {
-                                    assert_eq!(
-                                        new_id,
-                                        state.results.len(),
-                                        "remainder job index must extend the result slots"
-                                    );
-                                    state.results.push(None);
-                                    state.remaining += 1;
-                                    state.queue.push_back(new_id);
-                                    registry.record_shards_offered(1);
-                                    let wait_ns = steal_start
-                                        .map(|t| t.elapsed().as_nanos() as u64)
-                                        .unwrap_or(0);
-                                    registry.record_shard_stolen(wait_ns);
-                                    // Wake parked thieves: there is a job
-                                    // for them now.
-                                    shared.cv.notify_all();
-                                }
-                            }
-                        }
                         if state.results[job].is_none() {
                             state.results[job] = Some(frame);
                             state.remaining -= 1;
@@ -752,14 +544,9 @@ fn worker_loop(
                         true,
                     );
                 }
-                // The endgame relay poll wakes much faster than the
-                // heartbeat interval; keep probes paced by the interval
-                // so a tight poll does not turn into a ping flood.
-                if silent >= heartbeat.interval {
-                    ping_seq += 1;
-                    if let Err(e) = transport.send(&ping_frame(ping_seq)) {
-                        return die(&mut outstanding, format!("ping not sent: {e}"), false);
-                    }
+                ping_seq += 1;
+                if let Err(e) = transport.send(&ping_frame(ping_seq)) {
+                    return die(&mut outstanding, format!("ping not sent: {e}"), false);
                 }
             }
             Err(e) => return die(&mut outstanding, e.to_string(), false),

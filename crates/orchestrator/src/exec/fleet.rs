@@ -6,7 +6,7 @@
 //! results fold back by job index, so the report is byte-identical to an
 //! in-process run.
 
-use super::dispatch::{dispatch, dispatch_with_cancel, CancelSpec, HeartbeatConfig, StealSpec};
+use super::dispatch::{dispatch, dispatch_with_cancel, CancelSpec, HeartbeatConfig};
 use super::registry::{DispatchStats, WorkerRegistry};
 use super::transport::{Connector, SocketConnector, SpawnConnector, WorkerAddr};
 use super::worker::WORKER_SCHEMA;
@@ -330,31 +330,20 @@ impl Executor for WorkerFleet {
         if jobs.is_empty() {
             return Some(Ok(Vec::new()));
         }
-        let count = jobs.len();
-        self.registry.record_shards_offered(count);
-        // The growable job store: seeded with the planned shards, extended
-        // mid-dispatch by shard stealing — a split's remainder range
-        // becomes a brand-new job here. `roots[i]` names the planned shard
-        // (`< count`) a job descends from, so stolen tails fold back into
-        // their ancestor's result slot.
-        let store: Mutex<(Vec<ComposeShardJob>, Vec<usize>)> =
-            Mutex::new((jobs.to_vec(), (0..count).collect()));
+        self.registry.record_shards_offered(jobs.len());
         // Shards ride the same summary-dedup frames as whole compositions:
         // every shard of a scenario names the same fingerprints, so after
         // a worker's first shard the rest collapse to `"held"` markers.
         let frame_for = |id: usize, held: &mut std::collections::BTreeSet<Fingerprint>| {
-            let job = store.lock().expect("shard store").0[id].clone();
+            let job = &jobs[id];
             let slots = self.summary_slots(&job.fingerprints, summaries, held);
-            job_frame(id, &JobSpec::ComposeShard(job), Some(slots))
+            job_frame(id, &JobSpec::ComposeShard(job.clone()), Some(slots))
         };
         // Early exit: the first violation in a scenario decides the
         // scenario's verdict, so sibling shards are cancelled (queued ones
         // resolve empty, in-flight ones get a cancel frame). The fold
         // computes whatever the cancelled shards did not ship.
-        let group_of = |id: usize| {
-            let store = store.lock().expect("shard store");
-            Some(u64::from(store.0[id].scenario_index))
-        };
+        let group_of = |id: usize| Some(u64::from(jobs[id].scenario_index));
         let synthetic = |id: usize| {
             Json::obj([
                 ("schema", Json::int(WORKER_SCHEMA)),
@@ -365,7 +354,6 @@ impl Executor for WorkerFleet {
                     shard_result_to_json(&ComposeShardResult {
                         records: Vec::new(),
                         cancelled: true,
-                        remainder: None,
                         timings: Vec::new(),
                     }),
                 ),
@@ -376,75 +364,34 @@ impl Executor for WorkerFleet {
             ends_group: &shard_frame_has_violation,
             synthetic: &synthetic,
         };
-        // Stealing: a result frame carrying a non-empty `remainder` range
-        // registers that range as a fresh job descending from the same
-        // planned shard (called under the dispatch lock — the returned id
-        // must be the next result slot).
-        let remainder = |id: usize, frame: &Json| -> Option<usize> {
-            let range = frame.get("shard").and_then(|s| s.get("remainder"))?;
-            let range = range.as_arr()?;
-            let start = range.first().and_then(Json::as_u64)? as usize;
-            let end = range.get(1).and_then(Json::as_u64)? as usize;
-            if start >= end {
-                return None;
-            }
-            let mut store = store.lock().expect("shard store");
-            let (store_jobs, roots) = &mut *store;
-            let mut job = store_jobs[id].clone();
-            job.start = start;
-            job.end = end;
-            let root = roots[id];
-            let new_id = store_jobs.len();
-            store_jobs.push(job);
-            roots.push(root);
-            Some(new_id)
-        };
-        let steal = StealSpec {
-            remainder: &remainder,
-        };
         let results = match dispatch_with_cancel(
             &self.connectors,
             &self.registry,
             options,
             self.heartbeat,
-            count,
+            jobs.len(),
             &frame_for,
             Some(&spec),
-            Some(&steal),
         ) {
             Ok(results) => results,
             Err(e) => return Some(Err(e)),
         };
-        let decoded: Result<Vec<ComposeShardResult>, ExecError> = results
-            .iter()
-            .map(|frame| {
-                let doc = frame.get("shard").ok_or_else(|| {
-                    ExecError::Protocol("compose-shard result without a shard".into())
-                })?;
-                let result = shard_result_from_json(doc)
-                    .map_err(|e| ExecError::Protocol(format!("undecodable shard: {e}")))?;
-                if result.cancelled {
-                    self.registry.record_shard_cancelled();
-                }
-                Ok(result)
-            })
-            .collect();
-        let mut decoded = match decoded {
-            Ok(decoded) => decoded,
-            Err(e) => return Some(Err(e)),
-        };
-        // Fold stolen tails back into their planned shard's slot: the
-        // record slots address disjoint unit ranges, so concatenation is
-        // exactly what the sequential fold replays.
-        let roots = store.lock().expect("shard store").1.clone();
-        let extras = decoded.split_off(count);
-        for (result, &root) in extras.into_iter().zip(&roots[count..]) {
-            decoded[root].records.extend(result.records);
-            decoded[root].timings.extend(result.timings);
-            decoded[root].cancelled |= result.cancelled;
-            decoded[root].remainder = None;
-        }
-        Some(Ok(decoded))
+        Some(
+            results
+                .iter()
+                .map(|frame| {
+                    let doc = frame.get("shard").ok_or_else(|| {
+                        ExecError::Protocol("compose-shard result without a shard".into())
+                    })?;
+                    let result = shard_result_from_json(doc)
+                        .map_err(|e| ExecError::Protocol(format!("undecodable shard: {e}")))?;
+                    if result.cancelled {
+                        self.registry.record_shard_cancelled();
+                    }
+                    Ok(result)
+                })
+                .collect(),
+        )
     }
 
     fn fuzz_jobs(

@@ -3,6 +3,7 @@
 //! a distributed execution, surfaced as [`DispatchStats`] in
 //! `MatrixReport`.
 
+use crate::json::Json;
 use std::sync::Mutex;
 
 /// Aggregate registry/queue statistics of a dispatch (operational data:
@@ -56,15 +57,45 @@ pub struct DispatchStats {
     /// deadline (SIGSTOP, silent partition). Suspect workers also count
     /// in `workers_lost`.
     pub workers_suspect: usize,
-    /// Split requests issued against loaded workers' in-flight compose
-    /// shards, asking for the unwalked tail back (shard stealing).
-    pub shards_split: usize,
-    /// Remainder slices actually handed back and requeued to idle workers
-    /// (a split racing the job's completion steals nothing).
-    pub shards_stolen: usize,
-    /// Total nanoseconds between each split request and its remainder
-    /// landing back on the queue — the latency cost of stealing.
-    pub steal_wait_ns: u64,
+}
+
+impl DispatchStats {
+    /// The `dispatch` object of the matrix report's operational document
+    /// and of a daemon response frame.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::obj([
+            ("workers", Json::int(self.workers as u64)),
+            ("workers_lost", Json::int(self.workers_lost as u64)),
+            ("capacity", Json::int(self.capacity as u64)),
+            ("jobs_dispatched", Json::int(self.jobs_dispatched as u64)),
+            ("jobs_completed", Json::int(self.jobs_completed as u64)),
+            ("jobs_requeued", Json::int(self.jobs_requeued as u64)),
+            ("explore_jobs", Json::int(self.explore_jobs as u64)),
+            ("compose_jobs", Json::int(self.compose_jobs as u64)),
+            ("temporal_jobs", Json::int(self.temporal_jobs as u64)),
+            ("compose_shards", Json::int(self.compose_shards as u64)),
+            ("shards_cancelled", Json::int(self.shards_cancelled as u64)),
+            ("fuzz_jobs", Json::int(self.fuzz_jobs as u64)),
+            ("workers_idle", Json::int(self.workers_idle as u64)),
+            (
+                "summaries_shipped",
+                Json::int(self.summaries_shipped as u64),
+            ),
+            (
+                "summaries_deduped",
+                Json::int(self.summaries_deduped as u64),
+            ),
+            (
+                "summary_bytes_shipped",
+                Json::int(self.summary_bytes_shipped),
+            ),
+            (
+                "summary_bytes_deduped",
+                Json::int(self.summary_bytes_deduped),
+            ),
+            ("workers_suspect", Json::int(self.workers_suspect as u64)),
+        ])
+    }
 }
 
 /// One worker's registry entry.
@@ -99,9 +130,6 @@ struct RegistryInner {
     summary_bytes_shipped: u64,
     summary_bytes_deduped: u64,
     suspects: usize,
-    shards_split: usize,
-    shards_stolen: usize,
-    steal_wait_ns: u64,
 }
 
 /// The shared registry a fleet's dispatch threads report into. Lives for
@@ -166,19 +194,6 @@ impl WorkerRegistry {
     /// queued).
     pub(crate) fn record_shard_cancelled(&self) {
         self.inner.lock().expect("registry").shards_cancelled += 1;
-    }
-
-    /// A `split` frame went out to a loaded worker.
-    pub(crate) fn record_shard_split(&self) {
-        self.inner.lock().expect("registry").shards_split += 1;
-    }
-
-    /// A remainder slice came back and was requeued, `wait_ns` after the
-    /// split was requested.
-    pub(crate) fn record_shard_stolen(&self, wait_ns: u64) {
-        let mut inner = self.inner.lock().expect("registry");
-        inner.shards_stolen += 1;
-        inner.steal_wait_ns += wait_ns;
     }
 
     /// A job frame went out.
@@ -316,9 +331,6 @@ impl WorkerRegistry {
             summary_bytes_shipped: inner.summary_bytes_shipped,
             summary_bytes_deduped: inner.summary_bytes_deduped,
             workers_suspect: inner.suspects,
-            shards_split: inner.shards_split,
-            shards_stolen: inner.shards_stolen,
-            steal_wait_ns: inner.steal_wait_ns,
         }
     }
 }

@@ -45,17 +45,15 @@ use std::sync::{Arc, Condvar, Mutex};
 /// compose-shaped job (scenario + summary fingerprints, same dedup
 /// attachments) whose property is an LTL spec decided by the
 /// Büchi-product search — a bump so a v5 worker refuses it at decode
-/// time instead of failing mid-plan. Version 7 adds the `split` frame
-/// (shard stealing): `{"kind":"split","id":N}` asks the worker to stop
-/// the named in-flight compose-shard job at the next work-unit boundary
-/// and answer with the records finished so far plus a `remainder` unit
-/// range the coordinator requeues to an idle worker; shard results also
-/// carry per-node `timings` the service feeds into shard-width
-/// calibration, and shard unit addresses are solver-work units (checks
-/// and weighted edges), not node counts — a bump because a v6 worker
-/// would silently ignore the frame and a v6 coordinator would misread
-/// the addresses.
-pub const WORKER_SCHEMA: u64 = 7;
+/// time instead of failing mid-plan. Version 7 added the `split` frame
+/// (shard stealing); shard results also carry per-node `timings` the
+/// service feeds into shard-width calibration, and shard unit addresses
+/// are solver-work units (checks and weighted edges), not node counts.
+/// Version 8 drops shard stealing: the `split` frame is now an unknown
+/// frame kind that ends the session with a protocol error, and shard
+/// results no longer carry a `remainder` range — a bump so a v7
+/// coordinator, which may still send `split`, is refused at the hello.
+pub const WORKER_SCHEMA: u64 = 8;
 
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
@@ -157,7 +155,6 @@ fn run_job(
     options: &VerifierOptions,
     state: &WorkerState,
     cancel: &CancelToken,
-    split: &CancelToken,
 ) -> Result<JobOutput, ExecError> {
     match job {
         JobSpec::Explore(job) => {
@@ -204,14 +201,13 @@ fn run_job(
                 .to_scenario()
                 .map_err(|e| ExecError::Job(format!("compose-shard job scenario: {e}")))?;
             let mut verifier = Verifier::with_options(options.clone());
-            let result = verifier.decide_composition_shard_split(
+            let result = verifier.decide_composition_shard(
                 &scenario.pipeline,
                 &scenario.property,
                 summaries.into_iter().flatten(),
                 job.start,
                 job.end,
                 cancel,
-                split,
             );
             Ok((vec![("shard", shard_result_to_json(&result))], Vec::new()))
         }
@@ -417,10 +413,6 @@ where
     // the token from the read loop while the job's thread keeps running —
     // the job notices between walk nodes and answers with what it has.
     let cancels = &Mutex::new(BTreeMap::<u64, CancelToken>::new());
-    // Split tokens of in-flight compose-shard jobs, by id: a `split` frame
-    // asks the job to stop at the next work-unit boundary and hand back a
-    // `remainder` range (shard stealing) instead of discarding the tail.
-    let splits = &Mutex::new(BTreeMap::<u64, CancelToken>::new());
     std::thread::scope(|scope| -> Result<(), ExecError> {
         loop {
             let Some(frame) = read_frame(&mut input)? else {
@@ -450,18 +442,12 @@ where
                         *running += 1;
                     }
                     let cancel = CancelToken::new();
-                    let split = CancelToken::new();
                     cancels
                         .lock()
                         .expect("cancel registry")
                         .insert(id, cancel.clone());
-                    splits
-                        .lock()
-                        .expect("split registry")
-                        .insert(id, split.clone());
                     scope.spawn(move || {
-                        let frame = match run_job(&job, summaries, options, state, &cancel, &split)
-                        {
+                        let frame = match run_job(&job, summaries, options, state, &cancel) {
                             Ok((payload, run_folded)) => {
                                 let mut fields = vec![
                                     ("schema", Json::int(WORKER_SCHEMA)),
@@ -487,7 +473,6 @@ where
                             Err(e) => error_frame(Some(id), &e.to_string()),
                         };
                         cancels.lock().expect("cancel registry").remove(&id);
-                        splits.lock().expect("split registry").remove(&id);
                         // A write failure means the coordinator is gone;
                         // the read loop will see EOF and exit.
                         let _ = write_frame(&mut *writer.lock().expect("worker writer"), &frame);
@@ -522,20 +507,6 @@ where
                         .and_then(Json::as_u64)
                         .ok_or_else(|| ExecError::Protocol("cancel frame without an id".into()))?;
                     if let Some(token) = cancels.lock().expect("cancel registry").get(&id) {
-                        token.cancel();
-                    }
-                }
-                Some("split") => {
-                    // Fire the named shard job's split token: the walk stops
-                    // at the next work unit and the result frame carries the
-                    // finished records plus a remainder range. Racing a
-                    // finished job (or naming a non-shard job, which never
-                    // polls its split token) is a clean no-op.
-                    let id = frame
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ExecError::Protocol("split frame without an id".into()))?;
-                    if let Some(token) = splits.lock().expect("split registry").get(&id) {
                         token.cancel();
                     }
                 }
@@ -831,6 +802,24 @@ mod tests {
         let mut output = Vec::new();
         worker_serve(std::io::Cursor::new(String::new()), &mut output, 1).unwrap();
         assert!(output.is_empty());
+        // A post-handshake `split` frame (the v7 steal request) is an
+        // unknown kind: the session ends with a protocol error.
+        let options = VerifierOptions::default();
+        let frames = vec![
+            hello_frame(&options),
+            options_frame(&options),
+            Json::obj([
+                ("schema", Json::int(WORKER_SCHEMA)),
+                ("kind", Json::str("split")),
+                ("id", Json::int(0u64)),
+            ]),
+        ];
+        let mut output = Vec::new();
+        let result = worker_serve(frames_to_input(&frames), &mut output, 1);
+        assert!(
+            matches!(&result, Err(ExecError::Protocol(m)) if m.contains("split")),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -338,32 +338,10 @@ impl MatrixReport {
             ),
             (
                 "dispatch",
-                match &self.stats {
-                    None => Json::Null,
-                    Some(d) => Json::obj([
-                        ("workers", Json::int(d.workers as u64)),
-                        ("workers_lost", Json::int(d.workers_lost as u64)),
-                        ("capacity", Json::int(d.capacity as u64)),
-                        ("jobs_dispatched", Json::int(d.jobs_dispatched as u64)),
-                        ("jobs_completed", Json::int(d.jobs_completed as u64)),
-                        ("jobs_requeued", Json::int(d.jobs_requeued as u64)),
-                        ("explore_jobs", Json::int(d.explore_jobs as u64)),
-                        ("compose_jobs", Json::int(d.compose_jobs as u64)),
-                        ("temporal_jobs", Json::int(d.temporal_jobs as u64)),
-                        ("compose_shards", Json::int(d.compose_shards as u64)),
-                        ("shards_cancelled", Json::int(d.shards_cancelled as u64)),
-                        ("shards_split", Json::int(d.shards_split as u64)),
-                        ("shards_stolen", Json::int(d.shards_stolen as u64)),
-                        ("steal_wait_ns", Json::int(d.steal_wait_ns)),
-                        ("fuzz_jobs", Json::int(d.fuzz_jobs as u64)),
-                        ("workers_idle", Json::int(d.workers_idle as u64)),
-                        ("summaries_shipped", Json::int(d.summaries_shipped as u64)),
-                        ("summaries_deduped", Json::int(d.summaries_deduped as u64)),
-                        ("summary_bytes_shipped", Json::int(d.summary_bytes_shipped)),
-                        ("summary_bytes_deduped", Json::int(d.summary_bytes_deduped)),
-                        ("workers_suspect", Json::int(d.workers_suspect as u64)),
-                    ]),
-                },
+                self.stats
+                    .as_ref()
+                    .map(crate::exec::DispatchStats::to_json)
+                    .unwrap_or(Json::Null),
             ),
             (
                 "elapsed_micros",
@@ -447,12 +425,8 @@ impl fmt::Display for MatrixReport {
             if d.compose_shards > 0 {
                 writeln!(
                     f,
-                    "  shards: {} compose shards offered, {} cancelled early, {} split / {} stolen ({:.1}ms steal wait)",
-                    d.compose_shards,
-                    d.shards_cancelled,
-                    d.shards_split,
-                    d.shards_stolen,
-                    d.steal_wait_ns as f64 / 1e6
+                    "  shards: {} compose shards offered, {} cancelled early",
+                    d.compose_shards, d.shards_cancelled
                 )?;
             }
             writeln!(

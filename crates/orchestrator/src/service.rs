@@ -65,8 +65,8 @@ type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 /// worker's advertised slot, or a parked worker of the in-process pool):
 /// enough over-decomposition that the pull queue load-balances and a
 /// straggler costs at most ~1/4 of a slot's share, without drowning the
-/// wire in per-job overhead (stealing splits whatever this still gets
-/// wrong).
+/// wire in per-job overhead. Shards run exactly as cut: nothing re-splits
+/// a running shard, so this is the only balancing there is.
 const AUTO_SHARDS_PER_SLOT: usize = 4;
 
 /// An element-exploration job of a [`JobPlan`].
@@ -1510,8 +1510,8 @@ fn shard_cuts(
     options: &VerifierOptions,
 ) -> Vec<Option<Cut>> {
     // A fixed per-scenario shard count, or one batch-wide target: a few
-    // shards per slot keeps the pull queue balanced, and stealing absorbs
-    // whatever the calibration still mispredicts.
+    // shards per slot keeps the pull queue balanced; calibrated costs keep
+    // one slow node from making one slow shard.
     let (fixed, batch_target) = match mode {
         ComposeShardMode::Off => return inputs.iter().map(|_| None).collect(),
         _ if slots == 0 => return inputs.iter().map(|_| None).collect(),

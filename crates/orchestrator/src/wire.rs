@@ -273,13 +273,6 @@ fn ladder_to_json(ladder: &EscalationLadder) -> Json {
     Json::obj([
         ("factor", Json::int(ladder.factor)),
         ("steps", Json::int(ladder.steps)),
-        (
-            "wall_cap_micros",
-            match ladder.wall_cap {
-                Some(cap) => Json::int(cap.as_micros().min(u128::from(u64::MAX)) as u64),
-                None => Json::Null,
-            },
-        ),
     ])
 }
 
@@ -289,12 +282,6 @@ fn ladder_from_json(json: &Json) -> Result<EscalationLadder, WireError> {
             .map_err(|_| malformed("ladder factor exceeds u32"))?,
         steps: u32::try_from(get_u64(json, "steps")?)
             .map_err(|_| malformed("ladder steps exceeds u32"))?,
-        wall_cap: match get(json, "wall_cap_micros")? {
-            Json::Null => None,
-            v => Some(Duration::from_micros(v.as_u64().ok_or_else(|| {
-                malformed("wall_cap_micros is not an unsigned integer")
-            })?)),
-        },
     })
 }
 
@@ -447,8 +434,7 @@ pub struct ComposeJob {
 /// range (shipping partially-filled records with `null` slots for units
 /// outside it), and the coordinator folds all ranges in sequential
 /// enumeration order, so the report is byte-identical to an in-process run
-/// at any shard size or fleet shape — including mid-slice splits, where the
-/// result additionally names a `remainder` range requeued elsewhere.
+/// at any shard size or fleet shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComposeShardJob {
     /// The scenario whose composition is being sharded.
@@ -1325,9 +1311,7 @@ fn shard_edge_from_json(json: &Json) -> Result<ShardEdge, WireError> {
 
 /// Encode what one `ComposeShard` job computed: the per-node records (each
 /// byte-identical to what the fold would compute inline), whether the shard
-/// was cancelled before covering its range, the unit range handed back when
-/// a `split` frame interrupted the walk (`remainder`, requeued by the
-/// coordinator to an idle worker), and the per-node solver timings the
+/// was cancelled before covering its range, and the per-node solver timings the
 /// service feeds into shard-width calibration. A check or edge slot is
 /// `null` when the corresponding work unit lies outside the shard's range —
 /// the fold computes those slots inline or takes them from another shard.
@@ -1373,15 +1357,6 @@ pub fn shard_result_to_json(result: &ComposeShardResult) -> Json {
         ),
         ("cancelled", Json::Bool(result.cancelled)),
         (
-            "remainder",
-            match result.remainder {
-                Some((start, end)) => {
-                    Json::Arr(vec![Json::int(start as u64), Json::int(end as u64)])
-                }
-                None => Json::Null,
-            },
-        ),
-        (
             "timings",
             Json::Arr(
                 result
@@ -1426,18 +1401,6 @@ pub fn shard_result_from_json(json: &Json) -> Result<ComposeShardResult, WireErr
             })
             .collect::<Result<Vec<_>, WireError>>()?,
         cancelled: get_bool(json, "cancelled")?,
-        remainder: match get(json, "remainder")? {
-            Json::Null => None,
-            Json::Arr(pair) if pair.len() == 2 => {
-                let num = |v: &Json| {
-                    v.as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| malformed("remainder bound is not an unsigned integer"))
-                };
-                Some((num(&pair[0])?, num(&pair[1])?))
-            }
-            _ => return Err(malformed("remainder is not null or a two-element array")),
-        },
         timings: get_arr(json, "timings")?
             .iter()
             .map(|t| {
@@ -1580,7 +1543,6 @@ mod tests {
             ladder: EscalationLadder {
                 factor: 4,
                 steps: 3,
-                wall_cap: Some(Duration::from_millis(250)),
             },
             ..VerifierOptions::default()
         };
@@ -1841,7 +1803,6 @@ mod tests {
                 },
             ],
             cancelled: true,
-            remainder: Some((12, 40)),
             timings: vec![
                 dataplane_verifier::ShardTiming {
                     index: 4,

@@ -134,8 +134,8 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
             [--threads N] [--cache DIR] [--json PATH] [--det-json PATH]
             [--heartbeat-ms N] [--compose-shard auto|off|N]
     (--compose-shard splits each scenario's Step-2 check enumeration
-     into shards: wire jobs the fleet load-balances and steals between,
-     pool tasks for parked threads in process; `auto` — the default —
+     into shards: wire jobs the fleet pulls from one queue, pool tasks
+     for parked threads in process; `auto` — the default —
      sizes the shards from live capacity and calibrated solver costs;
      reports stay byte-identical to an unsharded run at any setting)
   watch <cfg.click...> [--poll-ms N] [--max-polls N] | --demo
