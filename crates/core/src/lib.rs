@@ -41,6 +41,7 @@
 pub mod compose;
 pub mod monolithic;
 pub mod property;
+pub mod records;
 pub mod report;
 pub mod summary;
 pub mod temporal;
@@ -50,6 +51,7 @@ pub mod verifier;
 pub use dataplane_temporal::LtlSpec;
 pub use monolithic::{explore_monolithic, MonolithicConfig, MonolithicResult};
 pub use property::Property;
+pub use records::RecordTable;
 pub use report::{
     Counterexample, InstructionBoundReport, Report, UnprovenPath, Verdict, VerificationStats,
 };

@@ -4,6 +4,7 @@
 
 use crate::compose::{bind_packet_bytes, depth_of_id};
 use crate::property::Property;
+use crate::records::{Confirm, Context, RecordTable};
 use crate::report::{
     Counterexample, InstructionBoundReport, Report, UnprovenPath, Verdict, VerificationStats,
 };
@@ -155,6 +156,8 @@ pub struct Verifier {
     pub options: VerifierOptions,
     pub(crate) solver: Solver,
     pub(crate) cache: SummaryCache,
+    /// The record table the inline fold consults, if any.
+    table: Option<Arc<RecordTable>>,
 }
 
 impl Default for Verifier {
@@ -176,7 +179,20 @@ impl Verifier {
             options,
             solver,
             cache: SummaryCache::new(),
+            table: None,
         }
+    }
+
+    /// Answer the fold's inline questions from `records` first, and store
+    /// what the fold computes there: each suspect check and each edge
+    /// decision is then computed once per table, whichever property asks.
+    /// Reports are byte-identical with or without a table. Every fold
+    /// answered from one table must be over the same pipeline (element
+    /// behaviours, instance names, wiring) under the same options — the
+    /// service keeps one table per distinct pipeline of a request.
+    pub fn with_records(mut self, records: Arc<RecordTable>) -> Self {
+        self.table = Some(records);
+        self
     }
 
     /// Statistics of the summary cache (hits, misses).
@@ -331,11 +347,16 @@ impl Verifier {
             stats: &mut stats,
             outline,
             records: &mut records,
+            table: self.table.as_deref(),
             counterexamples: Vec::new(),
             unproven: Vec::new(),
             budget_exhausted: false,
         };
-        ctx.tree.walk(&ctx.tree.root(), Some(0), &mut fold);
+        let root = FoldNode {
+            index: Some(0),
+            route: Vec::new(),
+        };
+        ctx.tree.walk(&ctx.tree.root(), root, &mut fold);
         let budget_exhausted = fold.budget_exhausted;
         let counterexamples = fold.counterexamples;
         let mut unproven = fold.unproven;
@@ -901,26 +922,7 @@ fn build_hints(property: &Property) -> Vec<dataplane_symbex::Assignment> {
         let extra: Vec<Vec<u8>> = packets
             .iter()
             .take(16)
-            .map(|bytes| {
-                let mut b = bytes.clone();
-                let off = *dst_offset as usize;
-                if b.len() >= off + 4 {
-                    b[off..off + 4].copy_from_slice(&dst.octets());
-                    // Fix the IPv4 header checksum if the destination sits in
-                    // a plausible IPv4 header (offset >= 16 implies an
-                    // Ethernet + IP layout with the header at 14, offset 16
-                    // implies a bare IP packet).
-                    let ip_start = if *dst_offset >= 30 { 14 } else { 0 };
-                    if b.len() >= ip_start + 20 {
-                        let mut hdr = b[ip_start..].to_vec();
-                        if dataplane_net::Ipv4Header::rewrite_checksum(&mut hdr) {
-                            let hl = ((hdr[0] & 0x0f) as usize) * 4;
-                            b[ip_start..ip_start + hl].copy_from_slice(&hdr[..hl]);
-                        }
-                    }
-                }
-                b
-            })
+            .map(|bytes| pin_destination(bytes, *dst, *dst_offset))
             .collect();
         packets.extend(extra);
     }
@@ -928,6 +930,34 @@ fn build_hints(property: &Property) -> Vec<dataplane_symbex::Assignment> {
         .into_iter()
         .map(|bytes| dataplane_symbex::Assignment::from_packet(&bytes))
         .collect()
+}
+
+/// A reachability hint made from template `bytes`: `dst` written at
+/// `dst_offset`, and the IPv4 header's checksum made consistent with it.
+fn pin_destination(bytes: &[u8], dst: std::net::Ipv4Addr, dst_offset: u32) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    let off = dst_offset as usize;
+    if b.len() >= off + 4 {
+        b[off..off + 4].copy_from_slice(&dst.octets());
+        rewrite_ipv4_checksum(&mut b, off);
+    }
+    b
+}
+
+/// Recompute the checksum of the IPv4 header whose destination field sits
+/// at `dst_offset` of `packet`, if a plausible header is there. The
+/// destination is byte 16 of the IPv4 header, so the header starts at
+/// `dst_offset - 16` whatever the link layer in front of it (14 bytes of
+/// Ethernet, 18 with a VLAN tag, none for a bare IP packet).
+fn rewrite_ipv4_checksum(packet: &mut [u8], dst_offset: usize) {
+    let ip_start = dst_offset.saturating_sub(16);
+    if packet.len() >= ip_start + 20 {
+        let mut hdr = packet[ip_start..].to_vec();
+        if dataplane_net::Ipv4Header::rewrite_checksum(&mut hdr) {
+            let hl = (((hdr[0] & 0x0f) as usize) * 4).min(hdr.len());
+            packet[ip_start..ip_start + hl].copy_from_slice(&hdr[..hl]);
+        }
+    }
 }
 
 /// Replace reads of *static* data structures with the values installed by
@@ -1278,14 +1308,7 @@ impl<'a> WalkCtx<'a> {
                 packet.resize(off + 4, 0);
             }
             packet[off..off + 4].copy_from_slice(&dst.octets());
-            let ip_start = (off).saturating_sub(16);
-            if packet.len() >= ip_start + 20 {
-                let mut hdr = packet[ip_start..].to_vec();
-                if dataplane_net::Ipv4Header::rewrite_checksum(&mut hdr) {
-                    let hl = (((hdr[0] & 0x0f) as usize) * 4).min(hdr.len());
-                    packet[ip_start..ip_start + hl].copy_from_slice(&hdr[..hl]);
-                }
-            }
+            rewrite_ipv4_checksum(&mut packet, off);
         }
         packet
     }
@@ -1384,12 +1407,61 @@ struct FoldState<'f, 'a> {
     stats: &'f mut VerificationStats,
     outline: &'f ComposeOutline,
     records: &'f mut BTreeMap<usize, ShardNodeRecord>,
+    /// Records earlier folds over the same pipeline computed, consulted
+    /// after the shard records and before computing.
+    table: Option<&'f RecordTable>,
     counterexamples: Vec<Counterexample>,
     unproven: Vec<UnprovenPath>,
     budget_exhausted: bool,
 }
 
+/// Where the fold stands in the prefix tree.
+struct FoldNode {
+    /// The node's pre-order position in the shard enumeration (`None` once
+    /// the walk leaves the enumerated tree — past the cap, or with no
+    /// outline at all).
+    index: Option<usize>,
+    /// The node's forwarding-edge indices from the root: its key in the
+    /// record table.
+    route: Vec<u32>,
+}
+
 impl FoldState<'_, '_> {
+    /// Decide suspect segment `seg_idx` of `input` inline — from the record
+    /// table when an earlier fold over the pipeline asked the same question.
+    fn check_inline(&self, input: &WalkInput, route: &[u32], seg_idx: usize) -> CheckRecord {
+        let compute = || self.ctx.check_suspect(input, seg_idx, &CancelToken::new());
+        let Some(table) = self.table else {
+            return compute();
+        };
+        let property = self.ctx.property;
+        let segment = &self.ctx.tree.summaries[input.element].exploration.segments[seg_idx];
+        let class = (
+            Context::of(property),
+            Confirm::of(property, segment.outcome.is_crash()),
+        );
+        table.check(class, route, seg_idx, compute)
+    }
+
+    /// Decide forwarding edge `edge` of `input` to `child` inline — from the
+    /// record table when an earlier fold over the pipeline decided it.
+    fn edge_inline(
+        &self,
+        input: &WalkInput,
+        route: &[u32],
+        edge: usize,
+        child: &WalkInput,
+    ) -> ShardEdge {
+        let compute = || {
+            self.ctx
+                .decide_edge(&self.ctx.contextual(&child.constraint, &input.elements))
+        };
+        match self.table {
+            Some(table) => table.edge(Context::of(self.ctx.property), route, edge, compute),
+            None => compute(),
+        }
+    }
+
     /// Stats and outcome bookkeeping of one decided check.
     fn tally_check(&mut self, check: CheckRecord) {
         if check.prefiltered {
@@ -1440,14 +1512,11 @@ impl FoldState<'_, '_> {
 /// record whose shape disagrees with this build, unit cuts inside the node,
 /// a cancelled shard, a dead worker mid-block).
 impl Visitor for FoldState<'_, '_> {
-    /// The node's pre-order position in the shard enumeration (`None` once
-    /// the walk leaves the enumerated tree — past the cap, or with no
-    /// outline at all).
-    type Node = Option<usize>;
+    type Node = FoldNode;
 
     /// The node-entry bookkeeping (budget, then count), then the node's
     /// suspect checks in enumeration order.
-    fn enter(&mut self, input: &WalkInput, index: Option<usize>) -> Option<Option<usize>> {
+    fn enter(&mut self, input: &WalkInput, node: FoldNode) -> Option<FoldNode> {
         if self.stats.composed_paths >= self.ctx.options.max_composed_paths {
             self.budget_exhausted = true;
             return None;
@@ -1455,6 +1524,7 @@ impl Visitor for FoldState<'_, '_> {
         self.stats.composed_paths += 1;
         let suspects = self.ctx.surviving_suspects(input);
         let edges = self.ctx.tree.edge_count(input.element);
+        let index = node.index;
         let checks = match index.and_then(|i| self.records.get_mut(&i)) {
             Some(rec) if rec.checks.len() == suspects.len() && rec.edges.len() == edges => {
                 std::mem::take(&mut rec.checks)
@@ -1467,38 +1537,40 @@ impl Visitor for FoldState<'_, '_> {
                 vec![None; suspects.len()]
             }
         };
-        let token = CancelToken::new();
         for (slot, seg_idx) in checks.into_iter().zip(suspects) {
-            let check = slot.unwrap_or_else(|| self.ctx.check_suspect(input, seg_idx, &token));
+            let check = slot.unwrap_or_else(|| self.check_inline(input, &node.route, seg_idx));
             self.tally_check(check);
         }
-        Some(index)
+        Some(node)
     }
 
     /// The edge's pruning outcome; a feasible edge is descended.
     fn edge(
         &mut self,
         input: &WalkInput,
-        index: &Option<usize>,
+        node: &FoldNode,
         edge: usize,
         _segment: &Segment,
         child: &WalkInput,
-    ) -> Option<Option<usize>> {
-        let shipped = index
+    ) -> Option<FoldNode> {
+        let shipped = node
+            .index
             .and_then(|i| self.records.get(&i))
             .and_then(|rec| rec.edges[edge]);
-        let decided = shipped.unwrap_or_else(|| {
-            self.ctx
-                .decide_edge(&self.ctx.contextual(&child.constraint, &input.elements))
-        });
+        let decided = shipped.unwrap_or_else(|| self.edge_inline(input, &node.route, edge, child));
         self.tally_edge(decided.prefiltered, decided.pruned_call);
-        decided
-            .feasible
-            .then(|| index.and_then(|i| self.outline.child_index(i, edge)))
+        decided.feasible.then(|| {
+            let mut route = node.route.clone();
+            route.push(edge as u32);
+            FoldNode {
+                index: node.index.and_then(|i| self.outline.child_index(i, edge)),
+                route,
+            }
+        })
     }
 
     /// Terminals carry no suspect check of their own.
-    fn terminal(&mut self, _: &WalkInput, _: &Option<usize>, _: &Segment) -> Step {
+    fn terminal(&mut self, _: &WalkInput, _: &FoldNode, _: &Segment) -> Step {
         Step::Continue
     }
 }
@@ -1959,6 +2031,40 @@ mod tests {
         // the uniform split's near-total share.
         assert!(heaviest_uniform * 2 > total_cost);
         assert!(heaviest_calibrated * 2 < total_cost + heaviest_uniform);
+    }
+
+    #[test]
+    fn reachability_hints_fix_the_checksum_of_a_vlan_tagged_header() {
+        use dataplane_net::workload::{PacketClass, WorkloadConfig, WorkloadGen, WorkloadMix};
+        // A well-formed UDP frame with an 802.1Q tag after the MAC
+        // addresses: the IPv4 header moves to 18, its destination to 34.
+        let frame = WorkloadGen::new(WorkloadConfig {
+            mix: WorkloadMix::only(PacketClass::Udp),
+            ..WorkloadConfig::default()
+        })
+        .batch(1)
+        .remove(0)
+        .into_bytes();
+        let mut tagged = frame[..12].to_vec();
+        tagged.extend([0x81, 0x00, 0x00, 0x05]);
+        tagged.extend(&frame[12..]);
+        let ihl = usize::from(tagged[18] & 0x0f) * 4;
+        assert!(dataplane_net::checksum::verify(&tagged[18..18 + ihl]));
+
+        let dst = std::net::Ipv4Addr::new(10, 9, 8, 7);
+        let hint = pin_destination(&tagged, dst, 34);
+        assert_eq!(hint[34..38], dst.octets());
+        assert!(
+            dataplane_net::checksum::verify(&hint[18..18 + ihl]),
+            "the hint's IPv4 header checksum must verify"
+        );
+        // The untagged layouts the presets use keep working.
+        for (bytes, offset, ip_start) in [(&frame, 30, 14), (&frame[14..].to_vec(), 16, 0)] {
+            let hint = pin_destination(bytes, dst, offset);
+            assert!(dataplane_net::checksum::verify(
+                &hint[ip_start..ip_start + ihl]
+            ));
+        }
     }
 
     #[test]

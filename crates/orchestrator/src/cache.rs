@@ -12,7 +12,7 @@ use crate::fingerprint::{fingerprint_bytes, Fingerprint};
 use crate::json::Json;
 use crate::persist::ManifestEntry;
 use crate::persist::{manifest_from_json, manifest_to_json, summary_from_json, summary_to_json};
-use dataplane_verifier::ElementSummary;
+use dataplane_verifier::{ElementSummary, RecordTable};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +62,12 @@ pub struct CacheStats {
     /// Summary files evicted to keep the persistent directory under its size
     /// bound (least-recently-used first).
     pub evicted: u64,
+    /// Step-2 records (suspect checks and edge decisions) the requests'
+    /// record tables computed.
+    pub records_computed: u64,
+    /// Step-2 questions answered from a request's record table instead of
+    /// the solver.
+    pub records_reused: u64,
 }
 
 impl CacheStats {
@@ -80,6 +86,8 @@ impl CacheStats {
             persisted: after.persisted - before.persisted,
             disk_errors: after.disk_errors - before.disk_errors,
             evicted: after.evicted - before.evicted,
+            records_computed: after.records_computed - before.records_computed,
+            records_reused: after.records_reused - before.records_reused,
         }
     }
 }
@@ -102,6 +110,8 @@ pub struct SummaryStore {
     persisted: AtomicU64,
     disk_errors: AtomicU64,
     evicted: AtomicU64,
+    records_computed: AtomicU64,
+    records_reused: AtomicU64,
     /// Observed shard cost per element behaviour (see [`UnitCost`]),
     /// keyed like the summaries themselves. Loaded from
     /// [`CALIBRATION_FILE`] when the store is persistent.
@@ -518,7 +528,17 @@ impl SummaryStore {
             persisted: self.persisted.load(Ordering::Relaxed),
             disk_errors: self.disk_errors.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
+            records_computed: self.records_computed.load(Ordering::Relaxed),
+            records_reused: self.records_reused.load(Ordering::Relaxed),
         }
+    }
+
+    /// Add a finished request's record-table counters to this store's.
+    pub fn count_records(&self, table: &RecordTable) {
+        self.records_computed
+            .fetch_add(table.computed(), Ordering::Relaxed);
+        self.records_reused
+            .fetch_add(table.reused(), Ordering::Relaxed);
     }
 }
 

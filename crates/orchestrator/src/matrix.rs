@@ -334,6 +334,8 @@ impl MatrixReport {
                     ("persisted", Json::int(self.cache.persisted)),
                     ("disk_errors", Json::int(self.cache.disk_errors)),
                     ("evicted", Json::int(self.cache.evicted)),
+                    ("records_computed", Json::int(self.cache.records_computed)),
+                    ("records_reused", Json::int(self.cache.records_reused)),
                 ]),
             ),
             (

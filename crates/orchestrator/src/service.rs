@@ -51,8 +51,8 @@ use dataplane_pipeline::diff::diff_pipelines;
 use dataplane_pipeline::{parse_config, write_config, ConfigError, Element, Pipeline};
 use dataplane_symbex::{explore, CancelToken, EngineConfig};
 use dataplane_verifier::{
-    ComposeOutline, ElementSummary, InstructionBoundReport, Property, Report, ShardNodeRecord,
-    ShardTiming, Verdict, Verifier, VerifierOptions,
+    ComposeOutline, ElementSummary, InstructionBoundReport, Property, RecordTable, Report,
+    ShardNodeRecord, ShardTiming, Verdict, Verifier, VerifierOptions,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -146,6 +146,35 @@ fn decompose<'a>(
 }
 
 impl Decomposition<'_> {
+    /// One Step-2 record table per distinct pipeline of the batch, indexed
+    /// like the pipelines: pipelines with the same element fingerprints,
+    /// instance names and wiring share a table (see [`RecordTable`]).
+    fn record_tables<'p>(
+        &self,
+        pipelines: impl IntoIterator<Item = &'p Pipeline>,
+    ) -> Vec<Arc<RecordTable>> {
+        type Identity<'p> = (
+            &'p [Fingerprint],
+            Vec<(&'p str, &'p [Option<usize>])>,
+            usize,
+        );
+        let mut tables: HashMap<Identity<'_>, Arc<RecordTable>> = HashMap::new();
+        pipelines
+            .into_iter()
+            .zip(&self.element_fingerprints)
+            .map(|(pipeline, fps)| {
+                let wiring = pipeline
+                    .iter()
+                    .map(|(_, node)| (node.name.as_str(), node.successors.as_slice()))
+                    .collect();
+                tables
+                    .entry((fps.as_slice(), wiring, pipeline.entry()))
+                    .or_default()
+                    .clone()
+            })
+            .collect()
+    }
+
     /// The behaviours `store` does not hold yet (one lookup each).
     fn missing(&self, store: &SummaryStore) -> Vec<usize> {
         (0..self.behaviours.len())
@@ -853,7 +882,7 @@ impl VerifyService {
                 let decomposition = decompose([pipeline], &options.engine);
                 let missing = decomposition.missing(&self.store);
                 let missing = self.explore_remote(&decomposition, missing, options, executor)?;
-                self.run_pool(&[], &decomposition, &missing, options);
+                self.run_pool(&[], &decomposition, &[], &missing, options);
                 let mut verifier = Verifier::with_options(options.clone());
                 verifier.seed_summaries(
                     decomposition.element_fingerprints[0]
@@ -898,6 +927,7 @@ impl VerifyService {
         let stats_before = self.store.stats();
         self.budget.reset_peak();
         let decomposition = decompose(scenarios.iter().map(|s| s.pipeline), &options.engine);
+        let tables = decomposition.record_tables(scenarios.iter().map(|s| s.pipeline));
         let missing = decomposition.missing(&self.store);
         let explore_jobs = missing.len();
         let cached_jobs = decomposition.behaviours.len() - explore_jobs;
@@ -914,16 +944,24 @@ impl VerifyService {
             if executor.compose_shard_jobs(&[], options, &fetch).is_some()
                 || executor.compose_jobs(&[], options, &fetch).is_some()
             {
-                self.run_pool(&[], &decomposition, &missing, options);
+                self.run_pool(&[], &decomposition, &[], &missing, options);
                 missing.clear();
                 let fingerprints = &decomposition.element_fingerprints;
-                reports = self.compose_remote(scenarios, fingerprints, options, executor)?;
+                reports =
+                    self.compose_remote(scenarios, fingerprints, &tables, options, executor)?;
             }
         }
         let reports = match reports {
             Some(reports) => reports,
-            None => self.run_pool(scenarios, &decomposition, &missing, options),
+            None => self.run_pool(scenarios, &decomposition, &tables, &missing, options),
         };
+        // The request's tables end here; their counters outlive them in the
+        // store's. Scenarios of one pipeline share a table: count it once.
+        for (index, table) in tables.iter().enumerate() {
+            if !tables[..index].iter().any(|seen| Arc::ptr_eq(seen, table)) {
+                self.store.count_records(table);
+            }
+        }
         Ok(MatrixReport {
             scenarios: scenarios
                 .iter()
@@ -978,12 +1016,14 @@ impl VerifyService {
     /// and a composition task per scenario (none, when Step 2 runs
     /// remotely), each latched on the explorations it depends on — and
     /// each in turn spawning shard tasks for whatever workers are parked,
-    /// so every kind of work competes for one thread budget. Returns the
-    /// scenarios' reports in order.
+    /// so every kind of work competes for one thread budget. `tables` holds
+    /// each scenario's record table. Returns the scenarios' reports in
+    /// order.
     fn run_pool(
         &self,
         scenarios: &[ScenarioRef<'_>],
         decomposition: &Decomposition<'_>,
+        tables: &[Arc<RecordTable>],
         missing: &[usize],
         options: &VerifierOptions,
     ) -> Vec<Report> {
@@ -1000,6 +1040,7 @@ impl VerifyService {
                     options,
                     scenario: *scenario,
                     fingerprints: &decomposition.element_fingerprints[index],
+                    table: &tables[index],
                     slot,
                 };
                 let job: Job<'_> = Box::new(move |pool| composition.run(pool));
@@ -1079,12 +1120,13 @@ impl VerifyService {
         &self,
         scenarios: &[ScenarioRef<'_>],
         fingerprints: &[Vec<Fingerprint>],
+        tables: &[Arc<RecordTable>],
         options: &VerifierOptions,
         executor: &dyn Executor,
     ) -> Result<Option<Vec<Report>>, ServiceError> {
         let specs = render(scenarios)?;
         if let Some(reports) =
-            self.compose_sharded(scenarios, &specs, fingerprints, options, executor)?
+            self.compose_sharded(scenarios, &specs, fingerprints, tables, options, executor)?
         {
             return Ok(Some(reports));
         }
@@ -1117,6 +1159,7 @@ impl VerifyService {
         scenarios: &[ScenarioRef<'_>],
         specs: &[ScenarioSpec],
         fingerprints: &[Vec<Fingerprint>],
+        tables: &[Arc<RecordTable>],
         options: &VerifierOptions,
         executor: &dyn Executor,
     ) -> Result<Option<Vec<Report>>, ServiceError> {
@@ -1127,7 +1170,8 @@ impl VerifyService {
         let inputs: Vec<ComposeInput<'_>> = scenarios
             .iter()
             .zip(fingerprints)
-            .map(|(scenario, fps)| ComposeInput::fetch(*scenario, fps, &self.store))
+            .zip(tables)
+            .map(|((scenario, fps), table)| ComposeInput::fetch(*scenario, fps, table, &self.store))
             .collect();
         let capacity = executor.live_capacity().unwrap_or(self.threads).max(1);
         let cuts = shard_cuts(self.compose_shard, capacity, &inputs, &self.store, options);
@@ -1449,22 +1493,26 @@ enum Shape<'a> {
 
 /// What one scenario's Step 2 reads, on the shared pool and on the
 /// coordinator side of a fleet alike: the scenario, its per-element
-/// fingerprints, and the summaries they resolve to (fetched once).
+/// fingerprints, the summaries they resolve to (fetched once), and the
+/// record table of its pipeline.
 struct ComposeInput<'a> {
     scenario: ScenarioRef<'a>,
     fingerprints: &'a [Fingerprint],
     summaries: Vec<Arc<ElementSummary>>,
+    table: &'a Arc<RecordTable>,
 }
 
 impl<'a> ComposeInput<'a> {
     fn fetch(
         scenario: ScenarioRef<'a>,
         fingerprints: &'a [Fingerprint],
+        table: &'a Arc<RecordTable>,
         store: &SummaryStore,
     ) -> Self {
         ComposeInput {
             scenario,
             fingerprints,
+            table,
             summaries: fingerprints
                 .iter()
                 .filter_map(|fp| store.get(*fp))
@@ -1473,20 +1521,23 @@ impl<'a> ComposeInput<'a> {
     }
 
     /// Fold shard records into the scenario's report; over the empty
-    /// outline and no records, that decides the scenario in place.
+    /// outline and no records, that decides the scenario in place. What
+    /// the fold computes inline goes through the pipeline's record table.
     fn fold(
         &self,
         options: &VerifierOptions,
         outline: &ComposeOutline,
         records: Vec<ShardNodeRecord>,
     ) -> Report {
-        Verifier::with_options(options.clone()).fold_composition_shards(
-            self.scenario.pipeline,
-            self.scenario.property,
-            self.summaries.iter().cloned(),
-            outline,
-            records,
-        )
+        Verifier::with_options(options.clone())
+            .with_records(self.table.clone())
+            .fold_composition_shards(
+                self.scenario.pipeline,
+                self.scenario.property,
+                self.summaries.iter().cloned(),
+                outline,
+                records,
+            )
     }
 }
 
@@ -1597,6 +1648,7 @@ struct Composition<'a> {
     options: &'a VerifierOptions,
     scenario: ScenarioRef<'a>,
     fingerprints: &'a [Fingerprint],
+    table: &'a Arc<RecordTable>,
     slot: &'a Mutex<Option<Report>>,
 }
 
@@ -1624,7 +1676,8 @@ impl<'a> Composition<'a> {
             scenario: self.label(),
         });
         let started = Instant::now();
-        let input = ComposeInput::fetch(self.scenario, self.fingerprints, &service.store);
+        let input =
+            ComposeInput::fetch(self.scenario, self.fingerprints, self.table, &service.store);
         let cut = shard_cuts(
             service.compose_shard,
             pool.parked(),

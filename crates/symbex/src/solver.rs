@@ -22,15 +22,22 @@
 //!   **`Unknown`**, which the verifier treats pessimistically (a potential
 //!   violation it could not rule out is reported, never dropped).
 //!
-//! [`Solver::decide`] is the whole procedure — prefix, hints,
-//! Fourier–Motzkin, model search, in that order, each conjunction analysed
-//! once — and [`Solver::check`] is `decide` with no hints. A caller that
-//! only reads "refuted or not" asks [`Solver::refutes`] and never pays for a
-//! model search whose answer it would discard.
+//! [`Solver::decide`] is the whole procedure — prefix, Fourier–Motzkin,
+//! hints, model search, in that order, each conjunction analysed once: the
+//! refuting half first, so its first half is exactly [`Solver::refutes`],
+//! then the witnessing half. [`Solver::check`] is `decide` with no hints. A
+//! caller that only reads "refuted or not" asks [`Solver::refutes`] and
+//! never pays for a hint or a model search whose answer it would discard.
+//!
+//! The analytic stages' term-keyed scratch maps live for one analysis and
+//! hash with `TermHasher`, a small deterministic multiply-rotate hash:
+//! nothing persisted or shared is keyed by it, and no answer depends on
+//! their iteration order.
 
 use crate::term::{eval, Assignment, Term, TermRef};
 use dataplane_ir::{BinOp, UnOp};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of a satisfiability check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,11 +52,11 @@ pub enum SolverResult {
 }
 
 /// Which analytic stage gave up within budget during a check. Both flags stay
-/// `false` on decided (`Sat`/`Unsat`) results reached before the stage in
-/// question ran out; an `Unknown` result always has at least
-/// `model_search_exhausted` set, and `fm_budget_exhausted` additionally says
-/// that Fourier–Motzkin aborted mid-elimination (so a larger
-/// `max_fm_constraints` budget might have decided the system).
+/// `false` when the prefix, Fourier–Motzkin or a hint decides — even when a
+/// hint decides after Fourier–Motzkin aborted; an `Unknown` result always
+/// has at least `model_search_exhausted` set, and `fm_budget_exhausted`
+/// additionally says that Fourier–Motzkin aborted mid-elimination (so a
+/// larger `max_fm_constraints` budget might have decided the system).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckDiagnostics {
     /// Fourier–Motzkin hit `max_fm_constraints` and returned no verdict from
@@ -76,17 +83,18 @@ impl CheckDiagnostics {
     }
 }
 
-/// A stage of the decision procedure, named by the answers it can give.
+/// A stage of the decision procedure, named by the answers it can give, in
+/// the order [`Solver::decide`] runs them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverStage {
     /// The budget-free analytic prefix — flattening, contradiction pairs,
     /// interval propagation, the arithmetic pass. Refutes only.
     Prefix,
+    /// Fourier–Motzkin elimination over the linear fragment. Refutes only.
+    FourierMotzkin,
     /// A caller-provided hint (possibly repaired) satisfied every conjunct.
     /// Witnesses only.
     Hint,
-    /// Fourier–Motzkin elimination over the linear fragment. Refutes only.
-    FourierMotzkin,
     /// The randomized model search: a verified witness, or `Unknown` when
     /// it ran out of tries.
     Search,
@@ -97,7 +105,9 @@ pub enum SolverStage {
 pub struct Decision {
     /// The verdict.
     pub result: SolverResult,
-    /// Which budgeted stages gave up on the way to it.
+    /// Which budgeted stages gave up on the way to it: empty when the
+    /// prefix, Fourier–Motzkin or a hint decides, so only a model search
+    /// carries a Fourier–Motzkin abort with it.
     pub diag: CheckDiagnostics,
     /// The stage that produced `result` (for `Unknown`, the stage that gave
     /// up last).
@@ -210,27 +220,30 @@ impl Solver {
     }
 
     /// The whole procedure, analysing the conjunction once: the analytic
-    /// prefix; then the caller-provided `hints` (and lightly repaired
-    /// variants of them); then Fourier–Motzkin; then the model search.
+    /// prefix; then Fourier–Motzkin; then the caller-provided `hints` (and
+    /// lightly repaired variants of them); then the model search. The
+    /// refuting half runs first, so everything up to and including
+    /// Fourier–Motzkin is exactly what [`Solver::refutes`] runs.
     ///
     /// Hints let the caller inject domain knowledge — e.g. structurally
     /// valid packets with correct checksums — that the generic search would
     /// be unlikely to synthesise; a hint that satisfies every conjunct is
     /// returned as a verified `Sat` model. The diagnostics are empty when
-    /// the prefix or a hint decides (no budgeted stage ran).
+    /// the prefix, Fourier–Motzkin or a hint decides: a Fourier–Motzkin
+    /// budget abort is reported only when the model search runs after it.
     ///
     /// The hint loop and the model search poll `cancel` and give up early
-    /// once it fires. A cancelled check returns `Unknown`; callers that
-    /// cancel are discarding the result anyway, so the early exit only
-    /// reclaims the wasted work.
+    /// once it fires. A cancelled check returns `Unknown` (or `Unsat`, when
+    /// a refuting stage finished first); callers that cancel are discarding
+    /// the result anyway, so the early exit only reclaims the wasted work.
     pub fn decide(
         &self,
         constraints: &[TermRef],
         hints: &[Assignment],
         cancel: &crate::CancelToken,
     ) -> Decision {
-        // No stage has given up at its budget when the prefix, a hint, or a
-        // Fourier–Motzkin refutation decides: the diagnostics are empty.
+        // No stage has given up at its budget when the prefix,
+        // Fourier–Motzkin, or a hint decides: the diagnostics are empty.
         let decided = |result, stage| Decision {
             result,
             diag: CheckDiagnostics::default(),
@@ -247,38 +260,31 @@ impl Solver {
             return decided(SolverResult::Unsat, SolverStage::Prefix);
         };
 
-        // Hints. Round one keeps the hint packets' bytes intact (only
-        // auxiliary variables are adjusted), so a satisfying model stays a
-        // realistic packet; round two may also rewrite packet bytes.
-        for allow_packet in [false, true] {
-            for hint in hints {
-                if cancel.is_cancelled() {
-                    return decided(SolverResult::Unknown, SolverStage::Hint);
-                }
-                let mut candidate = hint.clone();
-                for _ in 0..4 {
-                    if check_all(&conjuncts, &candidate) {
-                        return decided(SolverResult::Sat(candidate), SolverStage::Hint);
-                    }
-                    for atom in &atoms {
-                        repair(&mut candidate, atom, allow_packet);
-                    }
-                }
-                if check_all(&conjuncts, &candidate) {
-                    return decided(SolverResult::Sat(candidate), SolverStage::Hint);
-                }
-            }
-        }
-
         // 6. Fourier–Motzkin over the linear fragment.
         let mut diag = CheckDiagnostics::default();
         match fourier_motzkin(&atoms, &intervals, self.config.max_fm_constraints) {
-            FmOutcome::Unsat => return decided(SolverResult::Unsat, SolverStage::FourierMotzkin),
+            FmOutcome::Unsat => {
+                // A hint is a verified model, so one that satisfies a
+                // refuted conjunction would expose an unsound refutation.
+                debug_assert!(
+                    !matches!(
+                        try_hints(&conjuncts, &atoms, hints, cancel),
+                        Some(SolverResult::Sat(_))
+                    ),
+                    "a hint satisfies a conjunction Fourier–Motzkin refuted"
+                );
+                return decided(SolverResult::Unsat, SolverStage::FourierMotzkin);
+            }
             FmOutcome::NoVerdict => {}
             FmOutcome::BudgetExhausted => diag.fm_budget_exhausted = true,
         }
 
-        // 7. Model search.
+        // 7. Hints.
+        if let Some(result) = try_hints(&conjuncts, &atoms, hints, cancel) {
+            return decided(result, SolverStage::Hint);
+        }
+
+        // 8. Model search.
         let result = match self.search_model(&conjuncts, &atoms, &intervals, cancel) {
             Some(model) => SolverResult::Sat(model),
             None => {
@@ -307,7 +313,7 @@ impl Solver {
         for c in conjuncts {
             c.collect_leaves(&mut leaves);
         }
-        leaves.sort_by_key(|t| format!("{t}"));
+        leaves.sort_by_cached_key(|t| format!("{t}"));
         leaves.dedup();
 
         let max_byte_index = leaves
@@ -490,7 +496,7 @@ fn normalize_atom(term: &TermRef) -> Option<Atom> {
 
 /// Detect pairs of atoms that directly contradict each other.
 fn has_contradiction_pair(atoms: &[Atom]) -> bool {
-    let set: HashSet<&Atom> = atoms.iter().collect();
+    let set: HashSet<&Atom, BuildHasherDefault<TermHasher>> = atoms.iter().collect();
     for a in atoms {
         let contradictions: Vec<Atom> = match a.op {
             Cmp::Eq => vec![Atom {
@@ -688,6 +694,40 @@ fn repair(a: &mut Assignment, atom: &Atom, allow_packet: bool) {
     }
 }
 
+/// The hint stage: each hint, lightly repaired, checked against every
+/// conjunct. Round one keeps the hint packets' bytes intact (only auxiliary
+/// variables are adjusted), so a satisfying model stays a realistic packet;
+/// round two may also rewrite packet bytes. `Sat` with the first hint that
+/// satisfies the conjunction, `Unknown` once `cancel` fires, `None` when no
+/// hint does.
+fn try_hints(
+    conjuncts: &[TermRef],
+    atoms: &[Atom],
+    hints: &[Assignment],
+    cancel: &crate::CancelToken,
+) -> Option<SolverResult> {
+    for allow_packet in [false, true] {
+        for hint in hints {
+            if cancel.is_cancelled() {
+                return Some(SolverResult::Unknown);
+            }
+            let mut candidate = hint.clone();
+            for _ in 0..4 {
+                if check_all(conjuncts, &candidate) {
+                    return Some(SolverResult::Sat(candidate));
+                }
+                for atom in atoms {
+                    repair(&mut candidate, atom, allow_packet);
+                }
+            }
+            if check_all(conjuncts, &candidate) {
+                return Some(SolverResult::Sat(candidate));
+            }
+        }
+    }
+    None
+}
+
 fn check_all(conjuncts: &[TermRef], a: &Assignment) -> bool {
     conjuncts
         .iter()
@@ -805,6 +845,42 @@ fn analyse(constraints: &[TermRef]) -> Option<Analysis> {
     })
 }
 
+/// A small deterministic multiply-rotate hasher for the analytic stages'
+/// term-keyed scratch maps. A term's derived `Hash` walks its whole subterm,
+/// so the per-word cost is what a lookup pays; this one is a rotate, a xor
+/// and a multiply. The maps live for one analysis: nothing persisted or
+/// shared is keyed by it, and no answer depends on their iteration order.
+#[derive(Clone, Copy, Default)]
+struct TermHasher(u64);
+
+impl Hasher for TermHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// A scratch map keyed by term structure, hashed with [`TermHasher`].
+type TermMap<V> = HashMap<TermRef, V, BuildHasherDefault<TermHasher>>;
+
 /// Analytic infeasibility pre-check: whether the budget-free prefix of the
 /// decision procedure already proves the conjunction unsatisfiable.
 ///
@@ -821,7 +897,7 @@ pub fn interval_infeasible(constraints: &[TermRef]) -> bool {
 /// Map of computed intervals keyed by term structure.
 #[derive(Default)]
 struct IntervalMap {
-    map: HashMap<TermRef, Interval>,
+    map: TermMap<Interval>,
     contradiction: bool,
 }
 
@@ -880,14 +956,10 @@ impl IntervalMap {
     /// node itself. Memoized per call: terms are DAGs (subterms shared via
     /// `Arc`), so an unmemoized walk would be exponential in chain depth.
     fn bounds_bottom_up(&self, t: &TermRef) -> Interval {
-        self.bounds_bottom_up_memo(t, &mut HashMap::new())
+        self.bounds_bottom_up_memo(t, &mut TermMap::default())
     }
 
-    fn bounds_bottom_up_memo(
-        &self,
-        t: &TermRef,
-        memo: &mut HashMap<TermRef, Interval>,
-    ) -> Interval {
+    fn bounds_bottom_up_memo(&self, t: &TermRef, memo: &mut TermMap<Interval>) -> Interval {
         if let Some(iv) = memo.get(t) {
             return *iv;
         }
@@ -1213,7 +1285,7 @@ const NARROW_DEPTH: u32 = 8;
 /// contradictions surface without a model search.
 #[derive(Default)]
 struct KnownBitsMap {
-    map: HashMap<TermRef, KnownBits>,
+    map: TermMap<KnownBits>,
     contradiction: bool,
 }
 
@@ -1456,11 +1528,11 @@ fn offset_view(t: &TermRef, intervals: &IntervalMap) -> (TermRef, i128) {
 /// that per-term intervals cannot see.
 fn difference_infeasible(atoms: &[Atom], intervals: &IntervalMap) -> bool {
     // Edge (v, u, w) encodes `u - v <= w`. Node 0 is the virtual zero.
-    let mut ids: HashMap<TermRef, usize> = HashMap::new();
+    let mut ids: TermMap<usize> = TermMap::default();
     let mut edges: Vec<(usize, usize, i128)> = Vec::new();
     fn intern(
         t: &TermRef,
-        ids: &mut HashMap<TermRef, usize>,
+        ids: &mut TermMap<usize>,
         edges: &mut Vec<(usize, usize, i128)>,
         intervals: &IntervalMap,
     ) -> usize {
