@@ -9,12 +9,7 @@
 //!   best sequential configuration: summaries reused within the process),
 //! * `parallel_cold`     — the verification service with an empty summary store,
 //! * `parallel_warm`     — the service with a pre-warmed store (the
-//!   re-verification case: zero element jobs),
-//! * `step2_sequential` / `step2_parallel` — a warm full-matrix composition
-//!   pass, one scenario at a time, on a 1-thread service (the fold computes
-//!   every suspect × prefix check itself) vs an n-thread one (the parked
-//!   workers precompute shard ranges for the fold); Step 1 is cached, so
-//!   these isolate the Step-2 scaling.
+//!   re-verification case: zero element jobs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dataplane_bench::{json_record, json_write, row};
@@ -26,7 +21,7 @@ use dataplane_orchestrator::{
 };
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn sequential_fresh() -> usize {
     let options = VerifierOptions::default();
@@ -50,30 +45,6 @@ fn sequential_shared() -> usize {
                 .len()
         })
         .sum()
-}
-
-/// One composition pass over the whole matrix, one scenario at a time, on
-/// a service whose store is warm — the measured time is Step 2 only, and
-/// any parallelism is within a composition (shards on parked workers).
-fn compose_pass(service: &VerifyService) -> usize {
-    preset_scenarios()
-        .into_iter()
-        .map(|s| {
-            service.run_matrix(vec![s]).scenarios[0]
-                .report
-                .counterexamples
-                .len()
-        })
-        .sum()
-}
-
-/// [`compose_pass`] timed, after a warm-up pass that fills the store.
-fn warm_composition_pass(threads: usize) -> (Duration, usize) {
-    let service = VerifyService::new().with_threads(threads);
-    compose_pass(&service);
-    let start = Instant::now();
-    let counterexamples = compose_pass(&service);
-    (start.elapsed(), counterexamples)
 }
 
 fn parallel(threads: usize, service: &VerifyService) -> usize {
@@ -110,42 +81,13 @@ fn report() {
     let warm_counterexamples = parallel(threads, &service);
     let t_warm = start.elapsed();
 
-    // Step-2 isolation: warm composition passes, inline vs sharded fold.
-    let (t_step2_seq, step2_seq_counterexamples) = warm_composition_pass(1);
-    let (t_step2_par, step2_par_counterexamples) = warm_composition_pass(threads);
-
     assert_eq!(fresh_counterexamples, shared_counterexamples);
     assert_eq!(fresh_counterexamples, cold_counterexamples);
     assert_eq!(fresh_counterexamples, warm_counterexamples);
-    assert_eq!(fresh_counterexamples, step2_seq_counterexamples);
-    assert_eq!(fresh_counterexamples, step2_par_counterexamples);
-
-    row(
-        "e7-parallel-verification",
-        &[
-            ("mode", "step2_parallel_vs_sequential".to_string()),
-            ("threads", threads.to_string()),
-            (
-                "step2_sequential_seconds",
-                format!("{:.3}", t_step2_seq.as_secs_f64()),
-            ),
-            (
-                "step2_parallel_seconds",
-                format!("{:.3}", t_step2_par.as_secs_f64()),
-            ),
-            (
-                "step2_speedup",
-                format!(
-                    "{:.2}",
-                    t_step2_seq.as_secs_f64() / t_step2_par.as_secs_f64()
-                ),
-            ),
-        ],
-    );
 
     // The whole matrix on a warm store over the shared pool: one thread
-    // budget for scenario- and shard-level work, live solver threads
-    // bounded by the pool size.
+    // budget for every composition, live solver threads bounded by the
+    // pool size.
     let start = Instant::now();
     let matrix = service.run_matrix(preset_scenarios());
     let elapsed = start.elapsed();
@@ -703,14 +645,6 @@ fn bench(c: &mut Criterion) {
     let warm = VerifyService::new().with_threads(threads);
     parallel(threads, &warm); // pre-warm the store
     group.bench_function("parallel_warm", |b| b.iter(|| parallel(threads, &warm)));
-    // Warm services reused across iterations: the measured body is one
-    // full-matrix composition pass (Step 2 only).
-    let step2_seq = VerifyService::new().with_threads(1);
-    let step2_par = VerifyService::new().with_threads(threads);
-    compose_pass(&step2_seq);
-    compose_pass(&step2_par);
-    group.bench_function("step2_sequential", |b| b.iter(|| compose_pass(&step2_seq)));
-    group.bench_function("step2_parallel", |b| b.iter(|| compose_pass(&step2_par)));
     group.finish();
     // `--json [PATH]` on the bench argv writes every recorded row as
     // machine-readable JSON (default BENCH_e7.json); a no-op otherwise.

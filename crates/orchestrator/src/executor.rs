@@ -10,15 +10,12 @@
 //!   its peers when idle.
 //! * [`ThreadBudget`] — the pool-wide ledger of how many threads may do
 //!   verification work at once. Pool workers hold a permit while running a
-//!   task and release it while parked, so the *free* permits are the parked
-//!   workers: a composition task reads them ([`Pool::parked`]) to decide
-//!   whether to cut its Step-2 walk into shard tasks for the same pool. The
-//!   invariant: live working threads never exceed the single pool size,
-//!   however many compositions fan their shards out.
+//!   task and release it when the task ends, panicking or not. The
+//!   invariant: live working threads never exceed the single pool size.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A counting ledger of concurrently working threads, held by the pool's
 /// workers while they run a task. Tracks the high-water mark so runs can
@@ -58,18 +55,14 @@ impl ThreadBudget {
         self.note_in_use(self.total - *free);
     }
 
-    /// Permits not in use right now (a snapshot: the parked workers of the
-    /// pool drawing from this budget).
-    pub fn free(&self) -> usize {
-        *self.free.lock().expect("budget lock")
-    }
-
     /// Return `n` permits.
     pub fn release(&self, n: usize) {
         if n == 0 {
             return;
         }
-        let mut free = self.free.lock().expect("budget lock");
+        // Called while a panicking task unwinds (see `Retire`), so it
+        // must not panic on a lock poisoned elsewhere: a bare counter.
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         *free += n;
         assert!(*free <= self.total, "budget over-released");
         drop(free);
@@ -139,20 +132,6 @@ impl<'env> Pool<'env> {
         &self.budget
     }
 
-    /// Number of tasks spawned but not yet finished.
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
-    }
-
-    /// How many workers are parked with nothing queued for them: the
-    /// budget's free permits, less the tasks spawned but not yet running. A
-    /// snapshot — it sizes optional fan-out, never correctness.
-    pub fn parked(&self) -> usize {
-        let free = self.budget.free();
-        let running = self.budget.total() - free;
-        free.saturating_sub(self.pending().saturating_sub(running))
-    }
-
     /// Spawn a task; it will run on some worker before [`Pool::run`]
     /// returns.
     pub fn spawn(&self, job: Job<'env>) {
@@ -163,7 +142,8 @@ impl<'env> Pool<'env> {
     }
 
     fn wake(&self) {
-        let mut epoch = self.signal.0.lock().expect("signal lock");
+        // Also called while unwinding: see `ThreadBudget::release`.
+        let mut epoch = self.signal.0.lock().unwrap_or_else(PoisonError::into_inner);
         *epoch += 1;
         self.signal.1.notify_all();
     }
@@ -185,14 +165,10 @@ impl<'env> Pool<'env> {
             };
             match job {
                 Some(job) => {
-                    // Hold a budget permit exactly while working; a parked
-                    // worker's free permit is what `parked` counts.
+                    // Hold a budget permit exactly while working.
                     self.budget.acquire_one();
+                    let _retire = Retire(self);
                     job(self);
-                    self.budget.release(1);
-                    if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        self.wake();
-                    }
                 }
                 None => {
                     if self.pending.load(Ordering::Acquire) == 0 {
@@ -204,6 +180,22 @@ impl<'env> Pool<'env> {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Ends one running task, on return or unwind alike: gives back its budget
+/// permit and retires it from `pending`, waking the other workers when it
+/// was the last. A panicking task thus never leaks a permit or strands the
+/// pool: the others drain the queues and exit, and the thread scope of
+/// [`Pool::run`] re-raises the panic.
+struct Retire<'a, 'env>(&'a Pool<'env>);
+
+impl Drop for Retire<'_, '_> {
+    fn drop(&mut self) {
+        self.0.budget.release(1);
+        if self.0.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.wake();
         }
     }
 }
@@ -367,26 +359,56 @@ mod tests {
         assert_eq!(budget.peak_in_use(), 0);
     }
 
+    /// Run `f` on a helper thread and return what it returns; fail with
+    /// `what` if that takes over five seconds, so a stranded pool fails
+    /// the test instead of hanging the suite.
+    fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let value = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what}"));
+        helper.join().expect("helper thread");
+        value
+    }
+
     #[test]
-    fn parked_counts_free_permits_less_queued_tasks() {
-        // One worker draws from a 4-permit budget, so three permits stay
-        // free throughout: a lone task sees them all as parked capacity, a
-        // task with three more queued behind it sees none to spare.
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        for queued in [0usize, 3] {
-            Pool::run(1, ThreadBudget::new(4), |pool| {
-                for i in 0..=queued {
-                    let seen = seen.clone();
-                    pool.spawn(Box::new(move |pool| {
-                        // The lone worker pops its own queue LIFO.
-                        if i == queued {
-                            seen.lock().unwrap().push(pool.parked());
+    fn a_panicking_task_fails_the_pool_without_stranding_it() {
+        for threads in [1usize, 2, 4] {
+            // One task panics beside three that do nothing: the panic must
+            // come out of `run`.
+            let budget = ThreadBudget::new(threads);
+            let pool_budget = budget.clone();
+            let never_returned = format!("{threads} threads: the pool never returned");
+            let panicked = within_5s(&never_returned, move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Pool::run(threads, pool_budget, |pool| {
+                        pool.spawn(Box::new(|_| panic!("task failure")));
+                        for _ in 0..3 {
+                            pool.spawn(Box::new(|_| {}));
                         }
-                    }));
-                }
+                    })
+                }))
+                .is_err()
+            });
+            assert!(panicked, "{threads} threads: the panic was swallowed");
+
+            // Every permit came back: a second pool on the same budget holds
+            // all of them at once (each task waits for all the others).
+            within_5s(&format!("{threads} threads: a permit leaked"), move || {
+                let all = Arc::new(std::sync::Barrier::new(threads));
+                Pool::run(threads, budget, |pool| {
+                    for _ in 0..threads {
+                        let all = all.clone();
+                        pool.spawn(Box::new(move |_| {
+                            all.wait();
+                        }));
+                    }
+                });
             });
         }
-        assert_eq!(*seen.lock().unwrap(), vec![3, 0]);
     }
 
     #[test]

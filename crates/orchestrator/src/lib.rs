@@ -26,9 +26,9 @@
 //!   schema-versioned.
 //! * [`executor`] — the **shared scheduler**: one dynamic work-stealing
 //!   pool ([`executor::Pool`]) plus a pool-wide thread ledger
-//!   ([`executor::ThreadBudget`]) that explore jobs, composition jobs and
-//!   each composition's Step-2 shard jobs draw from together, so peak live
-//!   solver threads are bounded by the single pool size.
+//!   ([`executor::ThreadBudget`]) that explore jobs and composition jobs
+//!   draw from together, so peak live solver threads are bounded by the
+//!   single pool size.
 //! * [`diff`] — incremental re-verification: fingerprint two pipeline
 //!   configs and re-verify only scenarios whose element set changed (a
 //!   composition-only pass for wiring-only diffs).

@@ -49,7 +49,7 @@ use crate::wire::{
 use dataplane_ir::Program;
 use dataplane_pipeline::diff::diff_pipelines;
 use dataplane_pipeline::{parse_config, write_config, ConfigError, Element, Pipeline};
-use dataplane_symbex::{explore, CancelToken, EngineConfig};
+use dataplane_symbex::{explore, EngineConfig};
 use dataplane_verifier::{
     ComposeOutline, ElementSummary, InstructionBoundReport, Property, RecordTable, Report,
     ShardNodeRecord, ShardTiming, Verdict, Verifier, VerifierOptions,
@@ -62,10 +62,9 @@ use std::time::{Duration, Instant};
 type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 
 /// `--compose-shard auto`'s shard target per live capacity slot (a fleet
-/// worker's advertised slot, or a parked worker of the in-process pool):
-/// enough over-decomposition that the pull queue load-balances and a
-/// straggler costs at most ~1/4 of a slot's share, without drowning the
-/// wire in per-job overhead. Shards run exactly as cut: nothing re-splits
+/// worker's advertised slot): enough over-decomposition that the pull
+/// queue load-balances and a straggler costs at most ~1/4 of a slot's
+/// share, without drowning the wire in per-job overhead. Shards run exactly as cut: nothing re-splits
 /// a running shard, so this is the only balancing there is.
 const AUTO_SHARDS_PER_SLOT: usize = 4;
 
@@ -572,11 +571,11 @@ impl From<ExecError> for ServiceError {
     }
 }
 
-/// How each scenario's Step-2 enumeration splits into shards: wire jobs
-/// when a plan executes on a fleet with a remote shard path, tasks for the
-/// parked workers of the shared pool when it composes in process. Whatever
-/// the mode, the fold replays the sequential enumeration, so deterministic
-/// reports are byte-identical across all of them.
+/// How each scenario's Step-2 enumeration splits into shard jobs when a
+/// plan executes on a fleet with a remote shard path. In process nothing is
+/// cut: a composition is one fold on one pool thread. Whatever the mode,
+/// the fold replays the sequential enumeration, so deterministic reports
+/// are byte-identical across all of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ComposeShardMode {
     /// Whole compositions: single [`ComposeJob`]s on the wire, the fold
@@ -584,11 +583,9 @@ pub enum ComposeShardMode {
     Off,
     /// A fixed per-scenario target shard count.
     Fixed(usize),
-    /// Derive the shard count from the capacity live right now (the
-    /// executor's fleet per request, the pool's parked workers per
-    /// composition), and place the cuts by calibrated outline weights (the
-    /// warm store's observed per-element solver costs) instead of raw
-    /// unit counts.
+    /// Derive the shard count from the fleet's capacity live right now,
+    /// and place the cuts by calibrated outline weights (the warm store's
+    /// observed per-element solver costs) instead of raw unit counts.
     #[default]
     Auto,
 }
@@ -685,7 +682,7 @@ impl VerifyService {
     }
 
     /// Split each scenario's Step-2 suspect×prefix enumeration into about
-    /// `shards` contiguous shards (0 = whole compositions). Shorthand for [`VerifyService::with_compose_shard_mode`]
+    /// `shards` contiguous fleet shards (0 = whole compositions). Shorthand for [`VerifyService::with_compose_shard_mode`]
     /// with [`ComposeShardMode::Fixed`] / [`ComposeShardMode::Off`].
     pub fn with_compose_shard(self, shards: usize) -> Self {
         self.with_compose_shard_mode(if shards == 0 {
@@ -695,9 +692,9 @@ impl VerifyService {
         })
     }
 
-    /// Choose how Step-2 work shards onto a fleet or the pool's parked
-    /// workers (the default is [`ComposeShardMode::Auto`]: counts from live
-    /// capacity, cuts placed by calibrated weights).
+    /// Choose how Step-2 work shards onto a fleet (the default is
+    /// [`ComposeShardMode::Auto`]: counts from live capacity, cuts placed by
+    /// calibrated weights). In-process compositions never shard.
     pub fn with_compose_shard_mode(mut self, mode: ComposeShardMode) -> Self {
         self.compose_shard = mode;
         self
@@ -1014,9 +1011,8 @@ impl VerifyService {
 
     /// The shared scheduler: spawn a Step-1 task per `missing` behaviour
     /// and a composition task per scenario (none, when Step 2 runs
-    /// remotely), each latched on the explorations it depends on — and
-    /// each in turn spawning shard tasks for whatever workers are parked,
-    /// so every kind of work competes for one thread budget. `tables` holds
+    /// remotely), each latched on the explorations it depends on, so every
+    /// kind of work competes for one thread budget. `tables` holds
     /// each scenario's record table. Returns the scenarios' reports in
     /// order.
     fn run_pool(
@@ -1043,7 +1039,7 @@ impl VerifyService {
                     table: &tables[index],
                     slot,
                 };
-                let job: Job<'_> = Box::new(move |pool| composition.run(pool));
+                let job: Job<'_> = Box::new(move |_| composition.run());
                 let waits = decomposition.deps[index]
                     .iter()
                     .filter(|behaviour| missing.contains(behaviour));
@@ -1545,13 +1541,12 @@ impl<'a> ComposeInput<'a> {
 /// into.
 type Cut = (ComposeOutline, Vec<(usize, usize)>);
 
-/// Cut each input's Step-2 enumeration into shard ranges for `slots` live
-/// capacity slots — a fleet's advertised capacity, or the pool's parked
-/// workers: outline → calibrated costs → target → ranges, and the one
-/// place the [`ComposeShardMode`] is consulted. `None` where there is
-/// nothing to cut: sharding off, no slot to take a shard, or no shardable
-/// enumeration (no suspects, or a Step-1 failure the composition must
-/// surface). The target is a goal, not a contract — the splitters pack
+/// Cut each input's Step-2 enumeration into shard ranges for a fleet's
+/// `slots` live capacity slots (at least one): outline → calibrated costs →
+/// target → ranges, and the one place the [`ComposeShardMode`] is
+/// consulted. `None` where there is nothing to cut: sharding off, or no
+/// shardable enumeration (no suspects, or a Step-1 failure the composition
+/// must surface). The target is a goal, not a contract — the splitters pack
 /// whole units, so the actual count can differ by one or two.
 fn shard_cuts(
     mode: ComposeShardMode,
@@ -1565,7 +1560,6 @@ fn shard_cuts(
     // one slow node from making one slow shard.
     let (fixed, batch_target) = match mode {
         ComposeShardMode::Off => return inputs.iter().map(|_| None).collect(),
-        _ if slots == 0 => return inputs.iter().map(|_| None).collect(),
         ComposeShardMode::Fixed(n) => (Some(n.max(1)), 0),
         ComposeShardMode::Auto => (None, (slots * AUTO_SHARDS_PER_SLOT) as u64),
     };
@@ -1642,7 +1636,6 @@ fn record_timings(
 }
 
 /// One scenario's composition task on the shared pool.
-#[derive(Clone, Copy)]
 struct Composition<'a> {
     service: &'a VerifyService,
     options: &'a VerifierOptions,
@@ -1652,25 +1645,11 @@ struct Composition<'a> {
     slot: &'a Mutex<Option<Report>>,
 }
 
-/// A composition cut into shard tasks: what the shards share and what the
-/// latched fold consumes.
-struct FanOut<'a> {
-    composition: Composition<'a>,
-    input: ComposeInput<'a>,
-    outline: ComposeOutline,
-    records: Mutex<Vec<ShardNodeRecord>>,
-    started: Instant,
-}
-
-impl<'a> Composition<'a> {
-    /// Decide the scenario: Step 2 is one fold, and shards are its only
-    /// precomputation. Shards cost a prefix re-walk each, so they pay only
-    /// when a parked worker can take them — then the enumeration is cut
-    /// ([`shard_cuts`]), the shards spawned as tasks on `pool`, and the
-    /// fold run on a [`Latch`]. With none parked (always, on one thread)
-    /// or sharding off, the fold computes every slot itself and the
-    /// outline pass never runs.
-    fn run(self, pool: &Pool<'a>) {
+impl Composition<'_> {
+    /// Decide the scenario: Step 2 is one fold over no shard records, each
+    /// inline check and edge decision going through the pipeline's record
+    /// table.
+    fn run(self) {
         let service = self.service;
         service.emit(|| ProgressEvent::ComposeStarted {
             scenario: self.label(),
@@ -1678,95 +1657,18 @@ impl<'a> Composition<'a> {
         let started = Instant::now();
         let input =
             ComposeInput::fetch(self.scenario, self.fingerprints, self.table, &service.store);
-        let cut = shard_cuts(
-            service.compose_shard,
-            pool.parked(),
-            std::slice::from_ref(&input),
-            &service.store,
-            self.options,
-        )
-        .pop()
-        .flatten()
-        .filter(|(_, ranges)| ranges.len() > 1);
-        let Some((outline, ranges)) = cut else {
-            let report = input.fold(self.options, &ComposeOutline::default(), Vec::new());
-            return self.finish(report, started);
-        };
-
-        let fan = Arc::new(FanOut {
-            composition: self,
-            input,
-            outline,
-            records: Mutex::new(Vec::new()),
-            started,
-        });
-        let fold = Latch::new(ranges.len(), {
-            let fan = fan.clone();
-            Box::new(move |_| fan.fold())
-        });
-        for (start, end) in ranges {
-            let (fan, fold) = (fan.clone(), fold.clone());
-            pool.spawn(Box::new(move |pool| {
-                fan.shard(start, end);
-                fold.ready(pool);
-            }));
-        }
-    }
-
-    /// `pipeline/property`, as reports and progress events label it.
-    fn label(&self) -> String {
-        format!("{}/{}", self.scenario.name, self.scenario.property.name())
-    }
-
-    /// Publish the scenario's report.
-    fn finish(&self, report: Report, started: Instant) {
-        self.service.emit(|| ProgressEvent::ComposeFinished {
+        let report = input.fold(self.options, &ComposeOutline::default(), Vec::new());
+        service.emit(|| ProgressEvent::ComposeFinished {
             scenario: self.label(),
             verdict: report.verdict.clone(),
             elapsed: started.elapsed(),
         });
         *self.slot.lock().expect("report slot") = Some(report);
     }
-}
 
-impl FanOut<'_> {
-    /// Compute the solver units in `[start, end)` and bank their records.
-    fn shard(&self, start: usize, end: usize) {
-        let Composition {
-            service, options, ..
-        } = self.composition;
-        let ScenarioRef {
-            pipeline, property, ..
-        } = self.input.scenario;
-        let result = Verifier::with_options(options.clone()).decide_composition_shard(
-            pipeline,
-            property,
-            self.input.summaries.iter().cloned(),
-            start,
-            end,
-            &CancelToken::new(),
-        );
-        record_timings(
-            &service.store,
-            &self.outline,
-            self.input.fingerprints,
-            &result.timings,
-        );
-        self.records
-            .lock()
-            .expect("shard records")
-            .extend(result.records);
-    }
-
-    /// Fold the banked records into the scenario's report.
-    fn fold(&self) {
-        let records = std::mem::take(&mut *self.records.lock().expect("shard records"));
-        let mut report = self
-            .input
-            .fold(self.composition.options, &self.outline, records);
-        // The fold's own clock misses the outline and the shards.
-        report.elapsed = self.started.elapsed();
-        self.composition.finish(report, self.started);
+    /// `pipeline/property`, as reports and progress events label it.
+    fn label(&self) -> String {
+        format!("{}/{}", self.scenario.name, self.scenario.property.name())
     }
 }
 

@@ -65,11 +65,9 @@ fn assert_reports_identical(parallel: &Report, sequential: &Report, label: &str)
 
 #[test]
 fn parallel_step2_reports_identical_to_sequential_on_all_presets() {
-    // Same scenarios, one at a time — the only difference is whether each
-    // composition's Step-2 fold computes every solver unit itself (one
-    // thread: no worker is ever parked) or consumes shard records the
-    // parked workers of a 4-thread pool precomputed. Everything
-    // deterministic about the report must be byte-identical.
+    // Same scenarios, one at a time, on a 1-thread and a 4-thread pool:
+    // the pool size must not leak into a report. Everything deterministic
+    // about it must be byte-identical.
     let sequential = VerifyService::new().with_threads(1);
     let parallel = VerifyService::new().with_threads(4);
     for (one, four) in preset_scenarios().into_iter().zip(preset_scenarios()) {
@@ -85,31 +83,29 @@ fn parallel_step2_reports_identical_to_sequential_on_all_presets() {
 }
 
 #[test]
-fn step2_fan_out_engages_only_with_parked_workers() {
-    // One heavy scenario on a warm store is a single pool task: at 4
-    // threads it finds three parked workers and must hand them shards
-    // (unless sharding is off); at 1 thread it must take the zero-record
-    // fold alone.
+fn step2_of_a_lone_scenario_is_one_fold_on_one_thread() {
+    // One heavy scenario on a warm store is a single pool task: it folds
+    // alone whatever the pool size and the shard mode (which only cuts
+    // fleet work), and reports exactly what one thread reports.
     use ComposeShardMode::{Auto, Fixed, Off};
-    for (threads, mode, fans_out) in [
-        (4, Auto, true),
-        (4, Fixed(3), true),
-        (4, Off, false),
-        (1, Auto, false),
-    ] {
-        let service = VerifyService::new()
-            .with_threads(threads)
-            .with_compose_shard_mode(mode);
-        service.run_matrix(vec![scenario("ip_router")]);
-        let warm = service.run_matrix(vec![scenario("ip_router")]);
-        assert_eq!(warm.explore_jobs, 0, "second run must be warm");
-        if fans_out {
-            assert!(
-                warm.peak_live_threads > 1,
-                "{threads} threads, {mode}: no shard ran beside another"
+    let reference = VerifyService::new()
+        .with_threads(1)
+        .run_matrix(vec![scenario("ip_router")]);
+    for threads in [1, 2, 4] {
+        for mode in [Auto, Fixed(3), Off] {
+            let service = VerifyService::new()
+                .with_threads(threads)
+                .with_compose_shard_mode(mode);
+            service.run_matrix(vec![scenario("ip_router")]);
+            let warm = service.run_matrix(vec![scenario("ip_router")]);
+            let label = format!("{threads} threads, {mode}");
+            assert_eq!(warm.explore_jobs, 0, "{label}: second run must be warm");
+            assert_eq!(warm.peak_live_threads, 1, "{label}");
+            assert_reports_identical(
+                &warm.scenarios[0].report,
+                &reference.scenarios[0].report,
+                &label,
             );
-        } else {
-            assert_eq!(warm.peak_live_threads, 1, "{threads} threads, {mode}");
         }
     }
 }

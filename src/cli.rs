@@ -122,7 +122,7 @@ pub fn main(args: Vec<String>) -> i32 {
 
 const USAGE: &str = "usage: vericlick <subcommand> [options]
   run [--matrix] [cfg.click...] [--threads N] [--cache DIR] [--json PATH] [--selftest]
-      [--compose-shard auto|off|N] [--connect addr] [--ltl SPEC]...
+      [--connect addr] [--ltl SPEC]...
     (--ltl verifies a temporal (LTL) property instead of the default
      crash+bounded pair: repeatable, SPEC is a formula like
      'G (at(chk) -> F (forwarded | dropped))' or @FILE to read one from
@@ -134,10 +134,10 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
             [--threads N] [--cache DIR] [--json PATH] [--det-json PATH]
             [--heartbeat-ms N] [--compose-shard auto|off|N]
     (--compose-shard splits each scenario's Step-2 check enumeration
-     into shards: wire jobs the fleet pulls from one queue, pool tasks
-     for parked threads in process; `auto` — the default —
-     sizes the shards from live capacity and calibrated solver costs;
-     reports stay byte-identical to an unsharded run at any setting)
+     into wire jobs the fleet pulls from one queue, so it needs a fleet:
+     --in-process refuses it; `auto` — the default — sizes the shards
+     from live capacity and calibrated solver costs; reports stay
+     byte-identical to an unsharded run at any setting)
   watch <cfg.click...> [--poll-ms N] [--max-polls N] | --demo
             [--threads N] [--cache DIR] [--connect addr]
   bound <cfg.click...> [--threads N] [--cache DIR]
@@ -176,7 +176,8 @@ struct CommonFlags {
     connect: Option<String>,
     json: Option<String>,
     det_json: Option<String>,
-    compose_shard: ComposeShardMode,
+    /// `None` unless `--compose-shard` was given.
+    compose_shard: Option<ComposeShardMode>,
     workers: Option<String>,
     heartbeat_ms: Option<u64>,
 }
@@ -203,7 +204,7 @@ impl CommonFlags {
             "--det-json" => self.det_json = Some(value(rest, text, &needs("a path"))?),
             "--compose-shard" => {
                 let needs = needs("`auto`, `off`, or a shard count");
-                self.compose_shard = value(rest, ComposeShardMode::parse, &needs)?
+                self.compose_shard = Some(value(rest, ComposeShardMode::parse, &needs)?)
             }
             "--workers" => {
                 self.workers = Some(value(rest, text, &needs("a count or address list"))?)
@@ -221,13 +222,10 @@ impl CommonFlags {
     /// size a local service are refused — by the names this subcommand
     /// accepts.
     fn daemon_side(&self, accepted: &[&str]) -> Exit {
-        if self.threads == 0
-            && self.cache.is_none()
-            && self.compose_shard == ComposeShardMode::default()
-        {
+        if self.threads == 0 && self.cache.is_none() {
             return Ok(());
         }
-        let names: Vec<&str> = ["--threads", "--cache", "--compose-shard"]
+        let names: Vec<&str> = ["--threads", "--cache"]
             .into_iter()
             .filter(|flag| accepted.contains(flag))
             .collect();
@@ -277,7 +275,7 @@ impl CommonFlags {
                 _ => {}
             });
         }
-        Ok(service.with_compose_shard_mode(self.compose_shard))
+        Ok(service.with_compose_shard_mode(self.compose_shard.unwrap_or_default()))
     }
 
     /// The fleet `--workers SPEC` names — SPEC stdio subprocess workers for
@@ -524,14 +522,7 @@ fn reply_code(reply: &ClientReply) -> Exit {
 // ---------------------------------------------------------------------------
 
 fn cmd_run(args: Vec<String>) -> Exit {
-    const FLAGS: &[&str] = &[
-        "--threads",
-        "--cache",
-        "--connect",
-        "--json",
-        "--det-json",
-        "--compose-shard",
-    ];
+    const FLAGS: &[&str] = &["--threads", "--cache", "--connect", "--json", "--det-json"];
     let mut flags = CommonFlags::default();
     let mut matrix = false;
     let mut selftest = false;
@@ -860,6 +851,9 @@ fn cmd_exec_plan(args: Vec<String>) -> Exit {
             }
         }
     }
+    if in_process && flags.compose_shard.is_some() {
+        return usage_error("--compose-shard shards onto a fleet (not with --in-process)");
+    }
 
     // Read the plan: a file path, or stdin for "-"/no argument (what
     // `vericlick plan | vericlick exec-plan` pipes).
@@ -881,7 +875,7 @@ fn cmd_exec_plan(args: Vec<String>) -> Exit {
     let service = flags.service(false)?;
     // Default executor: subprocess workers (the remote path), one per core
     // unless --workers says otherwise; --in-process keeps everything on
-    // this process's shared scheduler.
+    // this process's shared scheduler, where a composition is never cut.
     let executor: Box<dyn Executor> = if in_process {
         Box::new(InProcessExecutor)
     } else {
@@ -1439,7 +1433,7 @@ fn cmd_serve(args: Vec<String>) -> Exit {
             .heartbeat_ms
             .map(HeartbeatConfig::from_interval_ms)
             .unwrap_or_default(),
-        compose_shard: flags.compose_shard,
+        compose_shard: flags.compose_shard.unwrap_or_default(),
         ..DaemonConfig::default()
     };
     let daemon = Daemon::new(config);

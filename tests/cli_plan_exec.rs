@@ -116,31 +116,28 @@ fn plan_pipes_into_exec_plan_in_process_mode() {
     );
 }
 
-/// `run --compose-shard` without `--workers` used to be parsed and dropped;
-/// it now selects how compositions shard onto the in-process pool's parked
-/// workers. Whatever it selects, the deterministic report is the golden
-/// preset matrix, byte for byte.
+/// `--compose-shard` cuts Step 2 into fleet jobs only: `run` no longer
+/// takes it, and `exec-plan --in-process` refuses it. Both are usage
+/// errors (exit 2) that name the flag, never a flag silently dropped.
 #[test]
-fn run_honours_compose_shard_in_process_byte_identical() {
-    let dir = temp_dir("run-compose-shard");
-    let golden = include_bytes!("golden/preset_matrix.det.json");
-    for mode in ["off", "3", "auto"] {
-        let det_path = dir.join(format!("det_{mode}.json"));
-        let status = vericlick()
-            .args(["run", "--matrix", "--threads", "4", "--compose-shard", mode])
-            .arg("--det-json")
-            .arg(&det_path)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("spawn vericlick run");
-        assert!(status.success(), "run --compose-shard {mode}: {status}");
+fn compose_shard_without_a_fleet_is_a_usage_error() {
+    for args in [
+        &["run", "--matrix", "--compose-shard", "3"][..],
+        &["exec-plan", "--in-process", "--compose-shard", "3"][..],
+    ] {
+        let out = vericlick()
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn vericlick");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
         assert!(
-            std::fs::read(&det_path).expect("deterministic report") == golden,
-            "--compose-shard {mode}: report drifted from the golden file"
+            error.starts_with("error: ") && error.contains("--compose-shard"),
+            "{args:?}: {stderr}"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The loopback-TCP acceptance test: `vericlick worker --listen` processes

@@ -19,8 +19,8 @@ fn preset_matrix() -> VerifyRequest {
 
 #[test]
 fn service_reproduces_the_golden_matrix_at_1_2_and_4_threads() {
-    // One thread never shards (no worker is ever parked); two and four do
-    // whenever a composition finds the pool idle.
+    // In process a composition is one fold on one pool thread, so the pool
+    // size only changes which compositions run beside each other.
     for threads in [1, 2, 4] {
         let served = VerifyService::new()
             .with_threads(threads)
