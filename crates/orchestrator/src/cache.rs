@@ -33,9 +33,9 @@ pub(crate) const CALIBRATION_FILE: &str = "calibration.json";
 /// Cumulative observed Step-2 solver cost of one element behaviour, fed
 /// back from [`dataplane_verifier::ShardTiming`] records: how many shard
 /// work units of this element's nodes were computed, and the wall-clock
-/// nanoseconds they took. The ratio is the calibrated per-unit cost that
-/// `--compose-shard auto` weighs outline nodes with. Operational data
-/// only — it places shard cuts, never alters a deterministic report.
+/// nanoseconds they took. The ratio is the calibrated per-unit cost the
+/// fleet shard cuts weigh outline nodes with. Operational data only — it
+/// places shard cuts, never alters a deterministic report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnitCost {
     /// Shard work units observed.

@@ -30,7 +30,7 @@ use dataplane_pipeline::{model_run_fresh, Disposition, ModelRuntime, Pipeline};
 use dataplane_symbex::{explore, Solver, SolverResult};
 use dataplane_verifier::{run_violates_property, Property, VerifierOptions};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Packets per fuzz shard: small enough that a shard is a sub-second unit
 /// the pull dispatcher can load-balance, large enough that per-shard
@@ -306,17 +306,17 @@ pub fn run_fuzz_shard(
     Ok(report)
 }
 
-/// Run fuzz shards on an in-process work-stealing pool, returning one
-/// report per job in input order (the same contract as
-/// [`crate::exec::Executor::fuzz_jobs`]).
+/// Run fuzz shards on an in-process work-stealing pool of one thread per
+/// `budget` permit, returning one report per job in input order (the same
+/// contract as [`crate::exec::Executor::fuzz_jobs`]).
 pub fn run_fuzz_jobs(
     jobs: &[FuzzJob],
     options: &VerifierOptions,
-    threads: usize,
+    budget: Arc<ThreadBudget>,
 ) -> Result<Vec<FuzzShardReport>, ExecError> {
     type Slot = Mutex<Option<Result<FuzzShardReport, ExecError>>>;
     let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    Pool::run(threads.max(1), ThreadBudget::new(threads.max(1)), |pool| {
+    Pool::run(budget.total(), budget, |pool| {
         for (job, slot) in jobs.iter().zip(&slots) {
             pool.spawn(Box::new(move |_| {
                 *slot.lock().expect("fuzz slot") = Some(run_fuzz_shard(job, options));

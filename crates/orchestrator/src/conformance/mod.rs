@@ -44,6 +44,7 @@ pub use shrink::{shrink, SHRINK_BUDGET};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ThreadBudget;
     use crate::wire::ScenarioSpec;
     use dataplane_verifier::{Property, VerifierOptions};
 
@@ -107,9 +108,14 @@ mod tests {
     fn fuzz_shards_are_deterministic_under_a_fixed_seed() {
         let options = VerifierOptions::default();
         let jobs = plan_fuzz_shards(&[spec("middlebox")], 99, 200);
-        let a = run_fuzz_jobs(&jobs, &options, 2).unwrap();
-        let b = run_fuzz_jobs(&jobs, &options, 4).unwrap();
+        let (two, four) = (ThreadBudget::new(2), ThreadBudget::new(4));
+        let a = run_fuzz_jobs(&jobs, &options, two.clone()).unwrap();
+        let b = run_fuzz_jobs(&jobs, &options, four.clone()).unwrap();
         assert_eq!(a, b, "thread count must not leak into shard reports");
+        assert!(
+            two.peak_in_use() > 0 && four.peak_in_use() > 0,
+            "shards ran under the budget"
+        );
         let folded = fold_fuzz_shards(a);
         assert_eq!(folded.len(), 1);
         assert_eq!(folded[0].packets, 200 + folded[0].model_seeds);

@@ -53,9 +53,7 @@ use crate::exec::transport::{
 };
 use crate::exec::{DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerFleet};
 use crate::json::Json;
-use crate::service::{
-    ComposeShardMode, VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService,
-};
+use crate::service::{VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService};
 use crate::wire::{options_from_json, options_to_json};
 use dataplane_verifier::VerifierOptions;
 use std::io::{BufRead, BufReader, Write};
@@ -97,10 +95,6 @@ pub struct DaemonConfig {
     /// The initial socket-worker pool (workers can also [`Daemon::join`]
     /// at runtime).
     pub workers: Vec<WorkerAddr>,
-    /// How fleet-dispatched requests shard Step-2 work (see
-    /// [`VerifyService::with_compose_shard_mode`]; the default is
-    /// [`ComposeShardMode::Auto`]).
-    pub compose_shard: ComposeShardMode,
     /// Heartbeat tuning for the fleets built per request.
     pub heartbeat: HeartbeatConfig,
 }
@@ -114,7 +108,6 @@ impl Default for DaemonConfig {
             max_sessions: 4,
             max_queue: 4,
             workers: Vec::new(),
-            compose_shard: ComposeShardMode::default(),
             heartbeat: HeartbeatConfig::default(),
         }
     }
@@ -127,7 +120,6 @@ struct DaemonInner {
     max_sessions: usize,
     max_queue: usize,
     heartbeat: HeartbeatConfig,
-    compose_shard: ComposeShardMode,
     workers: Mutex<Vec<WorkerAddr>>,
     admission: Mutex<Admission>,
     freed: Condvar,
@@ -248,7 +240,6 @@ impl Daemon {
                 max_sessions: config.max_sessions,
                 max_queue: config.max_queue,
                 heartbeat: config.heartbeat,
-                compose_shard: config.compose_shard,
                 workers: Mutex::new(config.workers),
                 admission: Mutex::new(Admission::default()),
                 freed: Condvar::new(),
@@ -412,7 +403,6 @@ impl Daemon {
         let service = VerifyService::new()
             .with_threads(inner.threads)
             .with_options(options)
-            .with_compose_shard_mode(inner.compose_shard)
             .with_store(inner.store.clone());
         while let Some(frame) = read_frame(&mut input)? {
             let reply = match frame.get("kind").and_then(Json::as_str) {

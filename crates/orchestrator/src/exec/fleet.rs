@@ -280,14 +280,7 @@ impl Executor for WorkerFleet {
         let frame_for = |id: usize, held: &mut std::collections::BTreeSet<Fingerprint>| {
             let job = &jobs[id];
             let slots = self.summary_slots(&job.fingerprints, summaries, held);
-            // Temporal scenarios ride the compose queue but announce their
-            // own job kind on the wire (WORKER_SCHEMA 6).
-            let spec = if matches!(job.scenario.property, Property::Temporal(_)) {
-                JobSpec::Temporal(job.clone())
-            } else {
-                JobSpec::Compose(job.clone())
-            };
-            job_frame(id, &spec, Some(slots))
+            job_frame(id, &JobSpec::Compose(job.clone()), Some(slots))
         };
         let results = match dispatch(
             &self.connectors,
@@ -437,8 +430,9 @@ impl Executor for WorkerFleet {
 
     fn live_capacity(&self) -> Option<usize> {
         Some(match self.registry.live_capacity() {
-            // No handshake yet (e.g. planning the first request): estimate
-            // one slot per connector.
+            // No handshake yet (e.g. a warm request with no Step-1 job):
+            // one slot per connector, a lower bound, so a fleet that may
+            // have one slot is never cut.
             0 => self.connectors.len(),
             live => live,
         })

@@ -179,10 +179,11 @@ pub trait Executor: Send + Sync {
         None
     }
 
-    /// The live fleet capacity `--compose-shard auto` plans against: the
-    /// summed advertised capacity of workers alive right now, re-read per
-    /// request (before any handshake, a connection-count estimate).
-    /// `None` for executors with no notion of a fleet.
+    /// The live fleet capacity Step-2 shards are sized by: the summed
+    /// advertised capacity of workers alive right now, each counted once
+    /// and re-read per request (before any handshake, a connection-count
+    /// estimate). Below two slots nothing is cut. `None` for executors
+    /// with no notion of a fleet.
     fn live_capacity(&self) -> Option<usize> {
         None
     }

@@ -252,15 +252,13 @@ impl WorkerRegistry {
         self.inner.lock().expect("registry").entries.clone()
     }
 
-    /// Total advertised capacity of the workers currently alive — what
-    /// `--compose-shard auto` plans against. Zero when no worker has
-    /// handshaken yet (a fresh fleet before its first dispatch).
+    /// Total advertised capacity of the workers currently alive, each
+    /// peer counted once by its latest handshaken registration — what the
+    /// service sizes fleet shards by. Zero when no worker has handshaken
+    /// yet (a fresh fleet before its first dispatch).
     pub fn live_capacity(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("registry")
-            .entries
-            .iter()
+        let inner = self.inner.lock().expect("registry");
+        latest_per_peer(&inner.entries)
             .filter(|e| e.alive)
             .map(|e| e.capacity)
             .sum()
@@ -282,36 +280,26 @@ impl WorkerRegistry {
             .collect();
         lost.sort_unstable();
         lost.dedup();
-        // Capacity of the most recent *handshaken* registration per peer
-        // (a worker that reconnects each phase re-registers with the same
-        // capacity; a `register_dead` entry has capacity 0 and must not
-        // shadow what the peer actually advertised).
-        let mut capacity = 0;
-        let mut seen: Vec<&str> = Vec::new();
-        for e in inner.entries.iter().rev() {
-            if e.capacity > 0 && !seen.contains(&e.peer.as_str()) {
-                seen.push(&e.peer);
-                capacity += e.capacity;
-            }
-        }
+        let latest: Vec<&WorkerEntry> = latest_per_peer(&inner.entries).collect();
+        let capacity = latest.iter().map(|e| e.capacity).sum();
         // A handshaken peer none of whose registrations returned a single
         // result sat idle for the whole run. Derived as total minus active
         // with a saturating subtraction: a worker that joins mid-batch
         // registers extra entries for an already-counted peer, so the
         // active tally is clamped to the distinct peer count and the
         // difference can never underflow.
-        let active = seen
+        let active = latest
             .iter()
             .filter(|peer| {
                 inner
                     .entries
                     .iter()
-                    .filter(|e| e.peer == **peer)
+                    .filter(|e| e.peer == peer.peer)
                     .any(|e| e.jobs_done > 0)
             })
             .count()
-            .min(seen.len());
-        let idle = seen.len().saturating_sub(active);
+            .min(latest.len());
+        let idle = latest.len().saturating_sub(active);
         DispatchStats {
             workers: peers.len(),
             workers_lost: lost.len(),
@@ -333,6 +321,21 @@ impl WorkerRegistry {
             workers_suspect: inner.suspects,
         }
     }
+}
+
+/// The most recent *handshaken* registration of each peer, latest peer
+/// first. A worker that reconnects each dispatch phase re-registers with
+/// the same capacity, so only its latest entry counts; a `register_dead`
+/// entry has capacity 0 and must not shadow what the peer advertised.
+fn latest_per_peer(entries: &[WorkerEntry]) -> impl Iterator<Item = &WorkerEntry> {
+    let mut seen: Vec<&str> = Vec::new();
+    entries.iter().rev().filter(move |e| {
+        let first = e.capacity > 0 && !seen.contains(&e.peer.as_str());
+        if first {
+            seen.push(&e.peer);
+        }
+        first
+    })
 }
 
 #[cfg(test)]
@@ -423,5 +426,23 @@ mod tests {
         let entry = &registry.workers()[a];
         assert!(!entry.alive);
         assert!(entry.note.as_deref().unwrap().contains("suspect"));
+    }
+
+    #[test]
+    fn live_capacity_counts_each_peer_once() {
+        let registry = WorkerRegistry::new();
+        registry.register("w1".into(), 2);
+        // The next dispatch phase re-registers the same peer.
+        let again = registry.register("w1".into(), 2);
+        assert_eq!(registry.live_capacity(), 2);
+        assert_eq!(registry.stats().capacity, 2);
+        // A dead latest registration takes the peer out of live capacity,
+        // whatever its older entries say; a failed reconnect does not
+        // shadow what the peer advertised.
+        registry.register("w2".into(), 1);
+        registry.mark_dead(again, 0, "connection closed".into());
+        registry.register_dead("w2".into(), "connection refused".into());
+        assert_eq!(registry.live_capacity(), 1);
+        assert_eq!(registry.stats().capacity, 3);
     }
 }

@@ -53,7 +53,12 @@ use std::sync::{Arc, Condvar, Mutex};
 /// frame kind that ends the session with a protocol error, and shard
 /// results no longer carry a `remainder` range — a bump so a v7
 /// coordinator, which may still send `split`, is refused at the hello.
-pub const WORKER_SCHEMA: u64 = 8;
+/// Version 9 drops the `temporal` job kind: temporal scenarios travel as
+/// `compose` jobs (the verifier routes an LTL property to the
+/// Büchi-product search on its own), and a `temporal` job is now an
+/// unknown kind answered with an error frame — a bump so a v8
+/// coordinator, which may still send one, is refused at the hello.
+pub const WORKER_SCHEMA: u64 = 9;
 
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
@@ -173,10 +178,9 @@ fn run_job(
             }
             Ok((payload, folded))
         }
-        // Temporal jobs are compose-shaped and decided through the same
-        // entry point; `verify` routes the property to the Büchi-product
-        // search, so the report matches an in-process run byte for byte.
-        JobSpec::Compose(job) | JobSpec::Temporal(job) => {
+        // `verify` routes a temporal property to the Büchi-product search,
+        // so the report matches an in-process run byte for byte.
+        JobSpec::Compose(job) => {
             let scenario = job
                 .scenario
                 .to_scenario()
@@ -239,7 +243,7 @@ fn decode_summaries(
         .as_arr()
         .ok_or_else(|| ExecError::Protocol("job summaries is not an array".into()))?;
     let fingerprints: &[Fingerprint] = match job {
-        JobSpec::Compose(job) | JobSpec::Temporal(job) => &job.fingerprints,
+        JobSpec::Compose(job) => &job.fingerprints,
         JobSpec::ComposeShard(job) => &job.fingerprints,
         _ => &[],
     };
@@ -427,11 +431,19 @@ where
                         .get("id")
                         .and_then(Json::as_u64)
                         .ok_or_else(|| ExecError::Protocol("job frame without an id".into()))?;
-                    let job =
-                        job_from_json(frame.get("job").ok_or_else(|| {
-                            ExecError::Protocol("job frame without a job".into())
-                        })?)
-                        .map_err(|e| ExecError::Protocol(e.to_string()))?;
+                    let doc = frame
+                        .get("job")
+                        .ok_or_else(|| ExecError::Protocol("job frame without a job".into()))?;
+                    // An undecodable job (an unknown kind, say) fails that
+                    // job only: its id gets an error frame.
+                    let job = match job_from_json(doc) {
+                        Ok(job) => job,
+                        Err(e) => {
+                            let reply = error_frame(Some(id), &e.to_string());
+                            write_frame(&mut *writer.lock().expect("worker writer"), &reply)?;
+                            continue;
+                        }
+                    };
                     let (summaries, folded) = decode_summaries(&frame, &job, state)?;
                     {
                         let (count, cv) = in_flight;
@@ -837,5 +849,33 @@ mod tests {
         let replies = parse_output(&output);
         assert_eq!(replies[1].get("kind").and_then(Json::as_str), Some("error"));
         assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(7));
+    }
+
+    #[test]
+    fn a_temporal_job_kind_is_answered_with_an_unknown_kind_error() {
+        // Temporal scenarios travel as `compose` jobs; `temporal` is no
+        // job kind.
+        let options = VerifierOptions::default();
+        let mut job = job_to_json(&JobSpec::Explore(router_jobs(&options.engine)[0].clone()));
+        if let Json::Obj(fields) = &mut job {
+            fields.insert("kind".into(), Json::str("temporal"));
+        }
+        let frames = vec![
+            hello_frame(&options),
+            options_frame(&options),
+            Json::obj([
+                ("schema", Json::int(WORKER_SCHEMA)),
+                ("kind", Json::str("job")),
+                ("id", Json::int(3u64)),
+                ("job", job),
+            ]),
+        ];
+        let mut output = Vec::new();
+        worker_serve(frames_to_input(&frames), &mut output, 1).unwrap();
+        let replies = parse_output(&output);
+        assert_eq!(replies[1].get("kind").and_then(Json::as_str), Some("error"));
+        assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(3));
+        let message = replies[1].get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("unknown job kind 'temporal'"), "{message}");
     }
 }

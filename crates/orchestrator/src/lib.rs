@@ -106,8 +106,8 @@ pub use matrix::{
     preset_pipelines, preset_properties, preset_scenarios, MatrixReport, Scenario, ScenarioReport,
 };
 pub use service::{
-    plan, BoundOutcome, ComposeShardMode, ExploreSpec, JobPlan, ProgressEvent, PropertySelect,
-    ServiceError, VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService,
+    plan, BoundOutcome, ExploreSpec, JobPlan, ProgressEvent, PropertySelect, ServiceError,
+    VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService,
 };
 pub use wire::{
     ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, JobSpec, PlanSpec, ScenarioSpec, WireError,

@@ -61,11 +61,12 @@ use std::time::{Duration, Instant};
 
 type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 
-/// `--compose-shard auto`'s shard target per live capacity slot (a fleet
-/// worker's advertised slot): enough over-decomposition that the pull
-/// queue load-balances and a straggler costs at most ~1/4 of a slot's
-/// share, without drowning the wire in per-job overhead. Shards run exactly as cut: nothing re-splits
-/// a running shard, so this is the only balancing there is.
+/// The fleet shard target per live capacity slot (a fleet worker's
+/// advertised slot), once there are two or more: enough
+/// over-decomposition that the pull queue load-balances and a straggler
+/// costs at most ~1/4 of a slot's share, without drowning the wire in
+/// per-job overhead. Shards run exactly as cut: nothing re-splits a
+/// running shard, so this is the only balancing there is.
 const AUTO_SHARDS_PER_SLOT: usize = 4;
 
 /// An element-exploration job of a [`JobPlan`].
@@ -571,53 +572,6 @@ impl From<ExecError> for ServiceError {
     }
 }
 
-/// How each scenario's Step-2 enumeration splits into shard jobs when a
-/// plan executes on a fleet with a remote shard path. In process nothing is
-/// cut: a composition is one fold on one pool thread. Whatever the mode,
-/// the fold replays the sequential enumeration, so deterministic reports
-/// are byte-identical across all of them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ComposeShardMode {
-    /// Whole compositions: single [`ComposeJob`]s on the wire, the fold
-    /// with no shard records in process.
-    Off,
-    /// A fixed per-scenario target shard count.
-    Fixed(usize),
-    /// Derive the shard count from the fleet's capacity live right now,
-    /// and place the cuts by calibrated outline weights (the warm store's
-    /// observed per-element solver costs) instead of raw unit counts.
-    #[default]
-    Auto,
-}
-
-impl ComposeShardMode {
-    /// Parse the `--compose-shard` argument: `auto`, `off` (or `0`), or a
-    /// fixed per-scenario shard count.
-    pub fn parse(text: &str) -> Option<ComposeShardMode> {
-        match text {
-            "auto" => Some(ComposeShardMode::Auto),
-            "off" => Some(ComposeShardMode::Off),
-            n => n.parse().ok().map(|n: usize| {
-                if n == 0 {
-                    ComposeShardMode::Off
-                } else {
-                    ComposeShardMode::Fixed(n)
-                }
-            }),
-        }
-    }
-}
-
-impl std::fmt::Display for ComposeShardMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ComposeShardMode::Off => f.write_str("off"),
-            ComposeShardMode::Fixed(n) => write!(f, "{n}"),
-            ComposeShardMode::Auto => f.write_str("auto"),
-        }
-    }
-}
-
 /// The verification service: the owner of the summary store, the shared
 /// scheduler's thread budget, and the verifier options — serving typed
 /// [`VerifyRequest`]s (see the module docs).
@@ -627,7 +581,6 @@ pub struct VerifyService {
     store: Arc<SummaryStore>,
     progress: Option<ProgressFn>,
     budget: Arc<ThreadBudget>,
-    compose_shard: ComposeShardMode,
     /// The rolling baseline of [`VerifyRequest::Watch`]: the configs the
     /// last watch call verified.
     baseline: Mutex<Option<Vec<NamedConfig>>>,
@@ -653,7 +606,6 @@ impl VerifyService {
             store: Arc::new(SummaryStore::in_memory()),
             progress: None,
             budget: ThreadBudget::new(threads),
-            compose_shard: ComposeShardMode::Auto,
             baseline: Mutex::new(None),
         }
     }
@@ -679,30 +631,6 @@ impl VerifyService {
     pub fn with_options(mut self, options: VerifierOptions) -> Self {
         self.options = options;
         self
-    }
-
-    /// Split each scenario's Step-2 suspect×prefix enumeration into about
-    /// `shards` contiguous fleet shards (0 = whole compositions). Shorthand for [`VerifyService::with_compose_shard_mode`]
-    /// with [`ComposeShardMode::Fixed`] / [`ComposeShardMode::Off`].
-    pub fn with_compose_shard(self, shards: usize) -> Self {
-        self.with_compose_shard_mode(if shards == 0 {
-            ComposeShardMode::Off
-        } else {
-            ComposeShardMode::Fixed(shards)
-        })
-    }
-
-    /// Choose how Step-2 work shards onto a fleet (the default is
-    /// [`ComposeShardMode::Auto`]: counts from live capacity, cuts placed by
-    /// calibrated weights). In-process compositions never shard.
-    pub fn with_compose_shard_mode(mut self, mode: ComposeShardMode) -> Self {
-        self.compose_shard = mode;
-        self
-    }
-
-    /// The configured compose-shard mode.
-    pub fn compose_shard(&self) -> ComposeShardMode {
-        self.compose_shard
     }
 
     /// Stream progress events to `observer`.
@@ -1108,7 +1036,7 @@ impl VerifyService {
     }
 
     /// Step 2 through the executor, on a warm store: sharded when the
-    /// compose-shard mode and the executor's shard path allow, as whole
+    /// executor has a shard path and two or more live slots, as whole
     /// compositions otherwise. This is where a scenario becomes config
     /// text — once, for every frame that carries it. `Ok(None)` when the
     /// executor composes nothing remotely after all.
@@ -1145,11 +1073,11 @@ impl VerifyService {
     /// fold each scenario's shard records back into its report by replaying
     /// the sequential enumeration — byte-identical to an unsharded run.
     ///
-    /// Returns `Ok(None)` when nothing was cut (sharding off, or nothing
-    /// shardable in the whole request) or the executor has no remote shard
-    /// path; the caller then dispatches whole compositions instead of
-    /// idling the fleet. Scenarios with no shardable enumeration verify in
-    /// place.
+    /// Returns `Ok(None)` when nothing was cut (fewer than two live slots,
+    /// or nothing shardable in the whole request) or the executor has no
+    /// remote shard path; the caller then dispatches whole compositions
+    /// instead of idling the fleet. Scenarios with no shardable
+    /// enumeration verify in place.
     fn compose_sharded(
         &self,
         scenarios: &[ScenarioRef<'_>],
@@ -1159,8 +1087,11 @@ impl VerifyService {
         options: &VerifierOptions,
         executor: &dyn Executor,
     ) -> Result<Option<Vec<Report>>, ServiceError> {
+        // On one slot nothing runs beside anything else: every cut would
+        // only add its price, so whole compositions go out uncut.
+        let slots = executor.live_capacity().unwrap_or(0);
         let fetch = |fp: Fingerprint| self.store.get(fp);
-        if executor.compose_shard_jobs(&[], options, &fetch).is_none() {
+        if slots < 2 || executor.compose_shard_jobs(&[], options, &fetch).is_none() {
             return Ok(None);
         }
         let inputs: Vec<ComposeInput<'_>> = scenarios
@@ -1169,8 +1100,7 @@ impl VerifyService {
             .zip(tables)
             .map(|((scenario, fps), table)| ComposeInput::fetch(*scenario, fps, table, &self.store))
             .collect();
-        let capacity = executor.live_capacity().unwrap_or(self.threads).max(1);
-        let cuts = shard_cuts(self.compose_shard, capacity, &inputs, &self.store, options);
+        let cuts = shard_cuts(slots, &inputs, &self.store, options);
 
         let mut jobs: Vec<ComposeShardJob> = Vec::new();
         for (index, (cut, (spec, fps))) in
@@ -1207,8 +1137,8 @@ impl VerifyService {
                 let mut records = Vec::new();
                 for result in results.by_ref().take(ranges.len()) {
                     // Observed per-node solver times go back into the warm
-                    // store, so the next request's `auto` cuts weigh nodes
-                    // by real cost.
+                    // store, so the next request's cuts weigh nodes by
+                    // real cost.
                     record_timings(&self.store, &outline, input.fingerprints, &result.timings);
                     records.extend(result.records);
                 }
@@ -1317,7 +1247,7 @@ impl VerifyService {
         let jobs = conf::plan_fuzz_shards(&proven_specs, seed, packets);
         let shards = match executor.and_then(|e| e.fuzz_jobs(&jobs, options)) {
             Some(result) => result?,
-            None => conf::run_fuzz_jobs(&jobs, options, self.threads)?,
+            None => conf::run_fuzz_jobs(&jobs, options, self.budget.clone())?,
         };
         Ok(conf::ConformanceReport {
             seed,
@@ -1542,27 +1472,23 @@ impl<'a> ComposeInput<'a> {
 type Cut = (ComposeOutline, Vec<(usize, usize)>);
 
 /// Cut each input's Step-2 enumeration into shard ranges for a fleet's
-/// `slots` live capacity slots (at least one): outline → calibrated costs →
-/// target → ranges, and the one place the [`ComposeShardMode`] is
-/// consulted. `None` where there is nothing to cut: sharding off, or no
-/// shardable enumeration (no suspects, or a Step-1 failure the composition
-/// must surface). The target is a goal, not a contract — the splitters pack
-/// whole units, so the actual count can differ by one or two.
+/// `slots` live capacity slots (two or more — on one slot nothing runs
+/// beside anything else, so [`VerifyService::compose_sharded`] cuts
+/// nothing): outline → calibrated costs → target → ranges. `None` where
+/// there is nothing to cut: no suspects, or a Step-1 failure the
+/// composition must surface. The target is a goal, not a contract — the
+/// splitters pack whole units, so the actual count can differ by one or
+/// two.
 fn shard_cuts(
-    mode: ComposeShardMode,
     slots: usize,
     inputs: &[ComposeInput<'_>],
     store: &SummaryStore,
     options: &VerifierOptions,
 ) -> Vec<Option<Cut>> {
-    // A fixed per-scenario shard count, or one batch-wide target: a few
-    // shards per slot keeps the pull queue balanced; calibrated costs keep
-    // one slow node from making one slow shard.
-    let (fixed, batch_target) = match mode {
-        ComposeShardMode::Off => return inputs.iter().map(|_| None).collect(),
-        ComposeShardMode::Fixed(n) => (Some(n.max(1)), 0),
-        ComposeShardMode::Auto => (None, (slots * AUTO_SHARDS_PER_SLOT) as u64),
-    };
+    // One batch-wide target: a few shards per slot keeps the pull queue
+    // balanced; calibrated costs keep one slow node from making one slow
+    // shard.
+    let batch_target = (slots * AUTO_SHARDS_PER_SLOT) as u64;
     let outlined: Vec<Option<(ComposeOutline, Vec<u64>)>> = inputs
         .iter()
         .map(|input| {
@@ -1580,20 +1506,15 @@ fn shard_cuts(
         .into_iter()
         .map(|outlined| {
             let (outline, costs) = outlined?;
-            let ranges = match fixed {
-                Some(n) => outline.shards(outline.total_weight().div_ceil(n).max(1)),
-                // The batch target is shared out in proportion to
-                // calibrated cost, so a cheap scenario does not get the
-                // heavy one's fan-out; the cuts fall by cost too.
-                None => {
-                    let cost: u64 = costs.iter().sum();
-                    let target = match total_cost {
-                        0 => 1,
-                        total => (batch_target.saturating_mul(cost) / total).max(1),
-                    };
-                    outline.shards_by_cost(&costs, target as usize)
-                }
+            // The batch target is shared out in proportion to calibrated
+            // cost, so a cheap scenario does not get the heavy one's
+            // fan-out; the cuts fall by cost too.
+            let cost: u64 = costs.iter().sum();
+            let target = match total_cost {
+                0 => 1,
+                total => (batch_target.saturating_mul(cost) / total).max(1),
             };
+            let ranges = outline.shards_by_cost(&costs, target as usize);
             Some((outline, ranges))
         })
         .collect()
@@ -1617,7 +1538,7 @@ fn node_costs(store: &SummaryStore, outline: &ComposeOutline, fps: &[Fingerprint
 }
 
 /// Feed a shard's observed per-node solver times back into the warm store,
-/// so the next `auto` cuts weigh nodes by real cost.
+/// so the next cuts weigh nodes by real cost.
 fn record_timings(
     store: &SummaryStore,
     outline: &ComposeOutline,

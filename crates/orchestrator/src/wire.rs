@@ -485,14 +485,10 @@ pub struct FuzzJob {
 pub enum JobSpec {
     /// Explore one element behaviour.
     Explore(ExploreJob),
-    /// Decide one scenario's composition from shipped summaries.
+    /// Decide one scenario's composition from shipped summaries — a
+    /// safety property through the suspect walk, a temporal (LTL) one
+    /// through the Büchi-product search.
     Compose(ComposeJob),
-    /// Decide one scenario's temporal (LTL) property from shipped
-    /// summaries. The payload is compose-shaped — scenario plus summary
-    /// fingerprints — but the kind is distinct on the wire so a worker
-    /// that predates the Büchi-product search rejects it at decode time
-    /// instead of mis-deciding it through the suspect walk.
-    Temporal(ComposeJob),
     /// Decide one contiguous slice of a scenario's composition enumeration.
     ComposeShard(ComposeShardJob),
     /// Push one seeded packet-stream shard through a proven scenario.
@@ -543,11 +539,6 @@ pub fn job_to_json(job: &JobSpec) -> Json {
             ("scenario", scenario_spec_to_json(&job.scenario)),
             ("fingerprints", fingerprints_to_json(&job.fingerprints)),
         ]),
-        JobSpec::Temporal(job) => Json::obj([
-            ("kind", Json::str("temporal")),
-            ("scenario", scenario_spec_to_json(&job.scenario)),
-            ("fingerprints", fingerprints_to_json(&job.fingerprints)),
-        ]),
         JobSpec::ComposeShard(job) => Json::obj([
             ("kind", Json::str("compose-shard")),
             ("scenario", scenario_spec_to_json(&job.scenario)),
@@ -573,10 +564,6 @@ pub fn job_from_json(json: &Json) -> Result<JobSpec, WireError> {
     match get_str(json, "kind")? {
         "explore" => Ok(JobSpec::Explore(explore_job_from_json(json)?)),
         "compose" => Ok(JobSpec::Compose(ComposeJob {
-            scenario: scenario_spec_from_json(get(json, "scenario")?)?,
-            fingerprints: fingerprints_from_json(get_arr(json, "fingerprints")?)?,
-        })),
-        "temporal" => Ok(JobSpec::Temporal(ComposeJob {
             scenario: scenario_spec_from_json(get(json, "scenario")?)?,
             fingerprints: fingerprints_from_json(get_arr(json, "fingerprints")?)?,
         })),
@@ -1588,15 +1575,6 @@ mod tests {
             JobSpec::Compose(ComposeJob {
                 scenario: spec.clone(),
                 fingerprints: vec![fp, fp],
-            }),
-            JobSpec::Temporal(ComposeJob {
-                scenario: ScenarioSpec {
-                    property: Property::Temporal(
-                        LtlSpec::parse("F (forwarded | dropped)").unwrap(),
-                    ),
-                    ..spec
-                },
-                fingerprints: vec![fp],
             }),
         ] {
             let text = job_to_json(&job).to_text();

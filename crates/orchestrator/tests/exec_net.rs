@@ -10,8 +10,8 @@
 use dataplane_orchestrator::exec::transport::{read_frame, write_frame};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    serve_listener, HeartbeatConfig, NamedConfig, PropertySelect, VerifyRequest, VerifyService,
-    WorkerAddr, WorkerFleet,
+    serve_listener, Executor, HeartbeatConfig, NamedConfig, PropertySelect, VerifyRequest,
+    VerifyService, WorkerAddr, WorkerFleet,
 };
 use std::io::BufReader;
 use std::net::TcpListener;
@@ -59,9 +59,9 @@ fn spawn_tcp_worker(sessions: usize) -> WorkerAddr {
     WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
 }
 
-/// Start a worker that keeps accepting sessions on one listener until the
-/// test process exits.
-fn spawn_persistent_tcp_worker() -> WorkerAddr {
+/// Start a worker of `capacity` slots that keeps accepting sessions on
+/// one listener until the test process exits.
+fn spawn_persistent_tcp_worker(capacity: usize) -> WorkerAddr {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let mut tx = Some(tx);
@@ -72,7 +72,12 @@ fn spawn_persistent_tcp_worker() -> WorkerAddr {
                 }
             }
         };
-        let _ = serve_listener(&WorkerAddr::Tcp("127.0.0.1:0".into()), 2, false, &mut log);
+        let _ = serve_listener(
+            &WorkerAddr::Tcp("127.0.0.1:0".into()),
+            capacity,
+            false,
+            &mut log,
+        );
     });
     WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
 }
@@ -176,8 +181,8 @@ fn tcp_fleet_executes_explores_and_compositions_byte_identical() {
     // a cold store — every exploration AND every composition goes over
     // the wire.
     let fleet = WorkerFleet::sockets(vec![
-        spawn_persistent_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
+        spawn_persistent_tcp_worker(2),
     ]);
     let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&two_config_request()).unwrap();
@@ -255,7 +260,7 @@ fn dead_worker_jobs_are_requeued_and_report_stays_byte_identical() {
     // session: the healthy one must drain the requeued work.
     let fleet = WorkerFleet::sockets(vec![
         spawn_flaky_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
     ]);
     let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&two_config_request()).unwrap();
@@ -293,7 +298,7 @@ fn wedged_worker_is_marked_suspect_and_its_jobs_requeue_to_survivors() {
     // must mark the wedge suspect and requeue to the survivor.
     let fleet = WorkerFleet::sockets(vec![
         spawn_wedged_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
     ])
     .with_heartbeat(HeartbeatConfig::from_interval_ms(100));
     let fresh = VerifyService::new().with_threads(2);
@@ -343,9 +348,9 @@ fn linear_router_request() -> VerifyRequest {
 }
 
 /// The temporal preset rows: one bundled LTL spec per preset pipeline,
-/// shipped over the wire as `JobSpec::Temporal` frames (temporal
-/// properties tag no suspects, so they never shard — each travels as one
-/// whole-scenario job even under `--compose-shard`).
+/// shipped over the wire as `compose` jobs (temporal properties tag no
+/// suspects, so they never shard — each travels as one whole-scenario job
+/// even on a fleet that cuts).
 fn temporal_request() -> VerifyRequest {
     VerifyRequest::Matrix {
         scenarios: dataplane_orchestrator::preset_scenarios()
@@ -367,8 +372,8 @@ fn temporal_jobs_over_tcp_are_byte_identical_even_when_a_worker_dies() {
 
     // Two healthy TCP workers: every Büchi product search runs remote.
     let fleet = WorkerFleet::sockets(vec![
-        spawn_persistent_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
+        spawn_persistent_tcp_worker(2),
     ]);
     let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&temporal_request()).unwrap();
@@ -390,7 +395,7 @@ fn temporal_jobs_over_tcp_are_byte_identical_even_when_a_worker_dies() {
     // session: requeue to the survivor must not change a byte.
     let fleet = WorkerFleet::sockets(vec![
         spawn_flaky_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
     ]);
     let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&temporal_request()).unwrap();
@@ -417,13 +422,13 @@ fn sharded_compose_over_tcp_is_byte_identical() {
         .deterministic_json()
         .to_text();
 
-    // Same request, but Step-2 split into about 4 shards per scenario and
-    // dispatched across two real TCP workers.
+    // Same request on two real capacity-2 TCP workers: four live slots,
+    // so Step 2 is cut into shards.
     let fleet = WorkerFleet::sockets(vec![
-        spawn_persistent_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
+        spawn_persistent_tcp_worker(2),
     ]);
-    let fresh = VerifyService::new().with_threads(2).with_compose_shard(4);
+    let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&linear_router_request()).unwrap();
     let executed = fresh.execute_plan(&plan, &fleet).unwrap();
     assert_eq!(
@@ -444,6 +449,44 @@ fn sharded_compose_over_tcp_is_byte_identical() {
 }
 
 #[test]
+fn a_one_slot_fleet_ships_whole_compositions() {
+    let reference = VerifyService::new()
+        .with_threads(2)
+        .serve(linear_router_request())
+        .unwrap()
+        .deterministic_json()
+        .to_text();
+
+    // One capacity-1 worker: nothing can run beside anything else, so no
+    // cut would pay for itself and Step 2 travels whole.
+    let fleet = WorkerFleet::sockets(vec![spawn_persistent_tcp_worker(1)]);
+    let fresh = VerifyService::new().with_threads(2);
+    let plan = fresh.plan_request(&linear_router_request()).unwrap();
+    let executed = fresh.execute_plan(&plan, &fleet).unwrap();
+    assert_eq!(executed.deterministic_json().to_text(), reference);
+    let stats = executed.matrix().unwrap().stats.clone().unwrap();
+    assert_eq!(stats.compose_shards, 0, "one slot cuts nothing: {stats:?}");
+    assert_eq!(
+        stats.compose_jobs + stats.temporal_jobs,
+        4,
+        "every scenario went out whole: {stats:?}"
+    );
+}
+
+#[test]
+fn live_capacity_counts_a_long_lived_fleet_s_worker_once() {
+    // Every dispatch phase re-registers the worker's session; the live
+    // capacity must stay the worker's two slots, request after request.
+    let fleet = WorkerFleet::sockets(vec![spawn_persistent_tcp_worker(2)]);
+    let service = VerifyService::new().with_threads(2);
+    let plan = service.plan_request(&linear_router_request()).unwrap();
+    for request in 0..3 {
+        service.execute_plan(&plan, &fleet).unwrap();
+        assert_eq!(fleet.live_capacity(), Some(2), "after request {request}");
+    }
+}
+
+#[test]
 fn killed_worker_mid_shard_requeues_and_report_stays_byte_identical() {
     let service = VerifyService::new().with_threads(2);
     let reference = service
@@ -457,9 +500,9 @@ fn killed_worker_mid_shard_requeues_and_report_stays_byte_identical() {
     // the survivor without changing the report.
     let fleet = WorkerFleet::sockets(vec![
         spawn_flaky_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
     ]);
-    let fresh = VerifyService::new().with_threads(2).with_compose_shard(4);
+    let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&linear_router_request()).unwrap();
     let executed = fresh.execute_plan(&plan, &fleet).unwrap();
     assert_eq!(
@@ -500,10 +543,10 @@ fn violation_cancels_sibling_shards_without_changing_the_report() {
         .to_text();
 
     let fleet = WorkerFleet::sockets(vec![
-        spawn_persistent_tcp_worker(),
-        spawn_persistent_tcp_worker(),
+        spawn_persistent_tcp_worker(2),
+        spawn_persistent_tcp_worker(2),
     ]);
-    let fresh = VerifyService::new().with_threads(2).with_compose_shard(8);
+    let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&buggy()).unwrap();
     let executed = fresh.execute_plan(&plan, &fleet).unwrap();
     assert_eq!(
@@ -536,7 +579,7 @@ fn second_plan_against_a_warm_worker_ships_zero_summaries() {
         .unwrap()
         .deterministic_json()
         .to_text();
-    let addr = spawn_persistent_tcp_worker();
+    let addr = spawn_persistent_tcp_worker(2);
     let plan = service.plan_request(&two_config_request()).unwrap();
 
     let cold = WorkerFleet::sockets(vec![addr.clone()]);

@@ -9,8 +9,8 @@
 //!   asserted).
 
 use dataplane_orchestrator::{
-    element_fingerprint, fingerprint_bytes, plan, preset_pipelines, preset_scenarios,
-    ComposeShardMode, Fingerprint, ProgressEvent, Scenario, SummaryStore, VerifyService,
+    element_fingerprint, fingerprint_bytes, plan, preset_pipelines, preset_scenarios, Fingerprint,
+    ProgressEvent, Scenario, SummaryStore, VerifyService,
 };
 use dataplane_verifier::{Report, Verifier, VerifierOptions};
 use proptest::prelude::*;
@@ -85,28 +85,23 @@ fn parallel_step2_reports_identical_to_sequential_on_all_presets() {
 #[test]
 fn step2_of_a_lone_scenario_is_one_fold_on_one_thread() {
     // One heavy scenario on a warm store is a single pool task: it folds
-    // alone whatever the pool size and the shard mode (which only cuts
-    // fleet work), and reports exactly what one thread reports.
-    use ComposeShardMode::{Auto, Fixed, Off};
+    // alone whatever the pool size, and reports exactly what one thread
+    // reports.
     let reference = VerifyService::new()
         .with_threads(1)
         .run_matrix(vec![scenario("ip_router")]);
     for threads in [1, 2, 4] {
-        for mode in [Auto, Fixed(3), Off] {
-            let service = VerifyService::new()
-                .with_threads(threads)
-                .with_compose_shard_mode(mode);
-            service.run_matrix(vec![scenario("ip_router")]);
-            let warm = service.run_matrix(vec![scenario("ip_router")]);
-            let label = format!("{threads} threads, {mode}");
-            assert_eq!(warm.explore_jobs, 0, "{label}: second run must be warm");
-            assert_eq!(warm.peak_live_threads, 1, "{label}");
-            assert_reports_identical(
-                &warm.scenarios[0].report,
-                &reference.scenarios[0].report,
-                &label,
-            );
-        }
+        let service = VerifyService::new().with_threads(threads);
+        service.run_matrix(vec![scenario("ip_router")]);
+        let warm = service.run_matrix(vec![scenario("ip_router")]);
+        let label = format!("{threads} threads");
+        assert_eq!(warm.explore_jobs, 0, "{label}: second run must be warm");
+        assert_eq!(warm.peak_live_threads, 1, "{label}");
+        assert_reports_identical(
+            &warm.scenarios[0].report,
+            &reference.scenarios[0].report,
+            &label,
+        );
     }
 }
 

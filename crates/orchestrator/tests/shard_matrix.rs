@@ -1,11 +1,11 @@
 //! Sharded-compose byte-identity across the whole preset matrix.
 //!
-//! The service's shard path (`--compose-shard`) splits each scenario's
+//! On a fleet of two or more live slots the service splits each scenario's
 //! Step-2 suspect×prefix enumeration into contiguous wire shards and folds
 //! the records back by replaying the sequential enumeration. These tests
-//! drive that path through an in-process shard executor over **all 15
-//! preset scenarios** at shard counts 1, 2, and 8 (plus the unsharded
-//! fallback) and require the deterministic report to equal the plain
+//! drive that path through an in-process shard executor over **all 20
+//! preset scenarios** at 2, 8 and 32 slots (plus one slot, which cuts
+//! nothing) and require the deterministic report to equal the plain
 //! in-process serve byte for byte. The networked variants (real TCP
 //! workers, deaths, cancellation frames) live in `exec_net.rs`; this file
 //! is the exhaustive preset sweep.
@@ -17,14 +17,28 @@ use dataplane_orchestrator::{
 };
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Verifier, VerifierOptions};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An executor with a remote-shaped shard path that runs in-process: each
 /// [`ComposeShardJob`] is decided by a fresh verifier from the summaries
 /// the coordinator would ship, exactly as a socket worker decides it —
 /// minus the socket. It explores nothing itself, so Step 1 stays on the
-/// service's shared scheduler.
-struct ShardExecutor;
+/// service's shared scheduler. It reports `slots` of live capacity and
+/// counts the shards it was sent.
+struct ShardExecutor {
+    slots: usize,
+    shards: AtomicUsize,
+}
+
+impl ShardExecutor {
+    fn new(slots: usize) -> Self {
+        ShardExecutor {
+            slots,
+            shards: AtomicUsize::new(0),
+        }
+    }
+}
 
 impl Executor for ShardExecutor {
     fn describe(&self) -> String {
@@ -37,6 +51,7 @@ impl Executor for ShardExecutor {
         options: &VerifierOptions,
         summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
     ) -> Option<Result<Vec<ComposeShardResult>, ExecError>> {
+        self.shards.fetch_add(jobs.len(), Ordering::Relaxed);
         let mut results = Vec::with_capacity(jobs.len());
         for job in jobs {
             let scenario = match job.scenario.to_scenario() {
@@ -61,6 +76,10 @@ impl Executor for ShardExecutor {
         }
         Some(Ok(results))
     }
+
+    fn live_capacity(&self) -> Option<usize> {
+        Some(self.slots)
+    }
 }
 
 fn preset_request() -> VerifyRequest {
@@ -70,7 +89,7 @@ fn preset_request() -> VerifyRequest {
 }
 
 #[test]
-fn sharded_preset_matrix_is_byte_identical_at_every_shard_count() {
+fn sharded_preset_matrix_is_byte_identical_at_every_fleet_size() {
     // Reference: the plain in-process serve of all 20 presets.
     let reference = VerifyService::new()
         .with_threads(2)
@@ -79,21 +98,21 @@ fn sharded_preset_matrix_is_byte_identical_at_every_shard_count() {
         .deterministic_json()
         .to_text();
 
-    // Shard counts 1 (one shard per scenario — the degenerate split), 2,
-    // and 8; plus 0, the unsharded fallback through the very same
-    // executor (whose compose path then declines and the service
-    // composes on its own scheduler).
-    for shards in [1usize, 2, 8, 0] {
-        let service = VerifyService::new()
-            .with_threads(2)
-            .with_compose_shard(shards);
+    // One slot cuts nothing: the executor has no whole-composition path,
+    // so the service composes on its own scheduler. Two, 8 and 32 slots
+    // cut into ever more shards.
+    for slots in [1usize, 2, 8, 32] {
+        let service = VerifyService::new().with_threads(2);
         let plan = service.plan_request(&preset_request()).unwrap();
-        let executed = service.execute_plan(&plan, &ShardExecutor).unwrap();
+        let executor = ShardExecutor::new(slots);
+        let executed = service.execute_plan(&plan, &executor).unwrap();
         assert_eq!(
             executed.deterministic_json().to_text(),
             reference,
-            "compose-shard {shards} must reproduce the in-process preset matrix byte for byte"
+            "{slots} slots must reproduce the in-process preset matrix byte for byte"
         );
+        let shards = executor.shards.load(Ordering::Relaxed);
+        assert_eq!(shards > 0, slots > 1, "{slots} slots sent {shards} shards");
     }
 }
 
@@ -113,8 +132,7 @@ fn a_single_request_keeps_its_shape_through_an_executor() {
         .unwrap();
     let through_shards = VerifyService::new()
         .with_threads(2)
-        .with_compose_shard(4)
-        .serve_with(single(), Some(&ShardExecutor))
+        .serve_with(single(), Some(&ShardExecutor::new(4)))
         .unwrap();
     assert!(matches!(through_shards.outcome, VerifyOutcome::Single(_)));
     assert_eq!(through_shards.request, "single");

@@ -36,10 +36,10 @@
 use crate::orchestrator::json::Json;
 use crate::orchestrator::wire::{plan_from_json, plan_to_json};
 use crate::orchestrator::{
-    join_fleet, preset_scenarios, serve_listener, worker_serve, ClientReply, ComposeShardMode,
-    Daemon, DaemonClient, DaemonConfig, Executor, HeartbeatConfig, InProcessExecutor, NamedConfig,
-    ProgressEvent, PropertySelect, Scenario, SummaryStore, VerifyOutcome, VerifyRequest,
-    VerifyResponse, VerifyService, WorkerAddr, WorkerFleet,
+    join_fleet, preset_scenarios, serve_listener, worker_serve, ClientReply, Daemon, DaemonClient,
+    DaemonConfig, Executor, HeartbeatConfig, InProcessExecutor, NamedConfig, ProgressEvent,
+    PropertySelect, Scenario, SummaryStore, VerifyOutcome, VerifyRequest, VerifyResponse,
+    VerifyService, WorkerAddr, WorkerFleet,
 };
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -132,12 +132,7 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
   plan [--matrix] [cfg.click...] [-o PATH] [--threads N] [--ltl SPEC]...
   exec-plan [PATH|-] [--workers N | --workers addr,addr,...] [--in-process]
             [--threads N] [--cache DIR] [--json PATH] [--det-json PATH]
-            [--heartbeat-ms N] [--compose-shard auto|off|N]
-    (--compose-shard splits each scenario's Step-2 check enumeration
-     into wire jobs the fleet pulls from one queue, so it needs a fleet:
-     --in-process refuses it; `auto` — the default — sizes the shards
-     from live capacity and calibrated solver costs; reports stay
-     byte-identical to an unsharded run at any setting)
+            [--heartbeat-ms N]
   watch <cfg.click...> [--poll-ms N] [--max-polls N] | --demo
             [--threads N] [--cache DIR] [--connect addr]
   bound <cfg.click...> [--threads N] [--cache DIR]
@@ -153,8 +148,7 @@ const USAGE: &str = "usage: vericlick <subcommand> [options]
     (addr is host:port for TCP or a path / unix:PATH for a Unix socket;
      --join announces the bound address to a running daemon's fleet)
   serve --listen addr [--threads N] [--cache DIR] [--max-sessions N]
-        [--max-queue N] [--workers addr,addr,...] [--heartbeat-ms N]
-        [--compose-shard auto|off|N] [--once]
+        [--max-queue N] [--workers addr,addr,...] [--heartbeat-ms N] [--once]
     (persistent daemon: a warm summary store shared across requests;
      clients connect with `client`/`--connect`, workers with `--join`)
   client --connect addr [--matrix] [cfg.click...] [--request PATH]
@@ -176,8 +170,6 @@ struct CommonFlags {
     connect: Option<String>,
     json: Option<String>,
     det_json: Option<String>,
-    /// `None` unless `--compose-shard` was given.
-    compose_shard: Option<ComposeShardMode>,
     workers: Option<String>,
     heartbeat_ms: Option<u64>,
 }
@@ -202,10 +194,6 @@ impl CommonFlags {
             "--connect" => self.connect = Some(value(rest, text, &needs("a daemon address"))?),
             "--json" => self.json = Some(value(rest, text, &needs("a path"))?),
             "--det-json" => self.det_json = Some(value(rest, text, &needs("a path"))?),
-            "--compose-shard" => {
-                let needs = needs("`auto`, `off`, or a shard count");
-                self.compose_shard = Some(value(rest, ComposeShardMode::parse, &needs)?)
-            }
             "--workers" => {
                 self.workers = Some(value(rest, text, &needs("a count or address list"))?)
             }
@@ -246,7 +234,7 @@ impl CommonFlags {
         }
     }
 
-    /// The service `--threads`, `--cache` and `--compose-shard` describe.
+    /// The service `--threads` and `--cache` describe.
     fn service(&self, progress: bool) -> Exit<VerifyService> {
         let mut service = VerifyService::new();
         if self.threads > 0 {
@@ -275,7 +263,7 @@ impl CommonFlags {
                 _ => {}
             });
         }
-        Ok(service.with_compose_shard_mode(self.compose_shard.unwrap_or_default()))
+        Ok(service)
     }
 
     /// The fleet `--workers SPEC` names — SPEC stdio subprocess workers for
@@ -828,7 +816,6 @@ fn cmd_exec_plan(args: Vec<String>) -> Exit {
         "--cache",
         "--json",
         "--det-json",
-        "--compose-shard",
         "--workers",
         "--heartbeat-ms",
     ];
@@ -850,9 +837,6 @@ fn cmd_exec_plan(args: Vec<String>) -> Exit {
                 file = Some(path.to_string());
             }
         }
-    }
-    if in_process && flags.compose_shard.is_some() {
-        return usage_error("--compose-shard shards onto a fleet (not with --in-process)");
     }
 
     // Read the plan: a file path, or stdin for "-"/no argument (what
@@ -1387,7 +1371,7 @@ fn cmd_worker(args: Vec<String>) -> Exit {
 // ---------------------------------------------------------------------------
 
 fn cmd_serve(args: Vec<String>) -> Exit {
-    const FLAGS: &[&str] = &["--threads", "--cache", "--heartbeat-ms", "--compose-shard"];
+    const FLAGS: &[&str] = &["--threads", "--cache", "--heartbeat-ms"];
     let mut flags = CommonFlags::default();
     let mut listen: Option<String> = None;
     let mut max_sessions = 4usize;
@@ -1433,7 +1417,6 @@ fn cmd_serve(args: Vec<String>) -> Exit {
             .heartbeat_ms
             .map(HeartbeatConfig::from_interval_ms)
             .unwrap_or_default(),
-        compose_shard: flags.compose_shard.unwrap_or_default(),
         ..DaemonConfig::default()
     };
     let daemon = Daemon::new(config);

@@ -116,30 +116,6 @@ fn plan_pipes_into_exec_plan_in_process_mode() {
     );
 }
 
-/// `--compose-shard` cuts Step 2 into fleet jobs only: `run` no longer
-/// takes it, and `exec-plan --in-process` refuses it. Both are usage
-/// errors (exit 2) that name the flag, never a flag silently dropped.
-#[test]
-fn compose_shard_without_a_fleet_is_a_usage_error() {
-    for args in [
-        &["run", "--matrix", "--compose-shard", "3"][..],
-        &["exec-plan", "--in-process", "--compose-shard", "3"][..],
-    ] {
-        let out = vericlick()
-            .args(args)
-            .stdin(std::process::Stdio::null())
-            .output()
-            .expect("spawn vericlick");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let error = stderr.lines().next().unwrap_or_default();
-        assert!(
-            error.starts_with("error: ") && error.contains("--compose-shard"),
-            "{args:?}: {stderr}"
-        );
-    }
-}
-
 /// The loopback-TCP acceptance test: `vericlick worker --listen` processes
 /// on OS-chosen ports, a planner process, and an executor process wired to
 /// them with `--workers addr,addr` — the deterministic report must equal
