@@ -511,17 +511,13 @@ fn daemon_report() {
                     "summary_bytes_shipped",
                     stat("summary_bytes_shipped").to_string(),
                 ),
-                (
-                    "summary_bytes_deduped",
-                    stat("summary_bytes_deduped").to_string(),
-                ),
             ],
         );
         json_record(
             mode,
             &[
                 ("bytes_shipped", stat("summary_bytes_shipped") as f64),
-                ("bytes_deduped", stat("summary_bytes_deduped") as f64),
+                ("summaries_deduped", stat("summaries_deduped") as f64),
             ],
         );
     }

@@ -20,9 +20,8 @@ use crate::wire::{
     ComposeShardJob, ExploreJob, FuzzJob, JobSpec,
 };
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Property, Report, VerifierOptions};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The remote-worker executor. See the module docs.
@@ -31,10 +30,6 @@ pub struct WorkerFleet {
     registry: WorkerRegistry,
     label: String,
     heartbeat: HeartbeatConfig,
-    /// Serialised sizes of summaries seen by this fleet, so the dedup
-    /// stats can price a slot the wire never carried (a worker holding a
-    /// summary it explored itself) without re-serialising per frame.
-    summary_sizes: Mutex<BTreeMap<Fingerprint, u64>>,
 }
 
 impl WorkerFleet {
@@ -57,7 +52,6 @@ impl WorkerFleet {
             registry: WorkerRegistry::new(),
             label,
             heartbeat: HeartbeatConfig::default(),
-            summary_sizes: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -94,7 +88,6 @@ impl WorkerFleet {
             registry: WorkerRegistry::new(),
             label,
             heartbeat: HeartbeatConfig::default(),
-            summary_sizes: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -115,22 +108,6 @@ impl WorkerFleet {
         &self.registry
     }
 
-    /// What `fp`'s summary would cost on the wire, for dedup accounting —
-    /// cached so slots a worker already held (including ones this fleet
-    /// never shipped, like a worker's own explore results) are priced
-    /// without re-serialising per frame.
-    fn summary_size(&self, fp: Fingerprint, summary: &ElementSummary) -> u64 {
-        if let Some(bytes) = self.summary_sizes.lock().expect("summary sizes").get(&fp) {
-            return *bytes;
-        }
-        let bytes = summary_to_json(summary).to_text().len() as u64;
-        self.summary_sizes
-            .lock()
-            .expect("summary sizes")
-            .insert(fp, bytes);
-        bytes
-    }
-
     /// Build a job frame's `summaries` attachment against one worker's
     /// held set: full documents for summaries the worker is missing,
     /// `"held"` markers for ones it already holds (the protocol-v4 dedup),
@@ -142,36 +119,28 @@ impl WorkerFleet {
         summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
         held: &mut std::collections::BTreeSet<Fingerprint>,
     ) -> Json {
-        let (mut shipped_n, mut shipped_b) = (0usize, 0u64);
-        let (mut deduped_n, mut deduped_b) = (0usize, 0u64);
+        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
         let slots = Json::Arr(
             fingerprints
                 .iter()
                 .map(|fp| match summaries(*fp) {
                     None => Json::Null,
+                    Some(_) if held.contains(fp) => {
+                        deduped += 1;
+                        Json::str("held")
+                    }
                     Some(summary) => {
-                        if held.contains(fp) {
-                            deduped_n += 1;
-                            deduped_b += self.summary_size(*fp, &summary);
-                            Json::str("held")
-                        } else {
-                            let doc = summary_to_json(&summary);
-                            let bytes = doc.to_text().len() as u64;
-                            self.summary_sizes
-                                .lock()
-                                .expect("summary sizes")
-                                .insert(*fp, bytes);
-                            shipped_n += 1;
-                            shipped_b += bytes;
-                            held.insert(*fp);
-                            doc
-                        }
+                        let doc = summary_to_json(&summary);
+                        shipped += 1;
+                        shipped_bytes += doc.to_text().len() as u64;
+                        held.insert(*fp);
+                        doc
                     }
                 })
                 .collect(),
         );
         self.registry
-            .record_summaries(shipped_n, shipped_b, deduped_n, deduped_b);
+            .record_summaries(shipped, shipped_bytes, deduped);
         slots
     }
 }

@@ -50,9 +50,6 @@ pub struct DispatchStats {
     pub summaries_deduped: usize,
     /// Serialised bytes of the summaries actually shipped.
     pub summary_bytes_shipped: u64,
-    /// Serialised bytes the deduplicated slots would have cost on a v3
-    /// wire (every summary re-shipped per frame).
-    pub summary_bytes_deduped: u64,
     /// Workers marked suspect: connected but silent past the heartbeat
     /// deadline (SIGSTOP, silent partition). Suspect workers also count
     /// in `workers_lost`.
@@ -89,10 +86,6 @@ impl DispatchStats {
                 "summary_bytes_shipped",
                 Json::int(self.summary_bytes_shipped),
             ),
-            (
-                "summary_bytes_deduped",
-                Json::int(self.summary_bytes_deduped),
-            ),
             ("workers_suspect", Json::int(self.workers_suspect as u64)),
         ])
     }
@@ -128,7 +121,6 @@ struct RegistryInner {
     summaries_shipped: usize,
     summaries_deduped: usize,
     summary_bytes_shipped: u64,
-    summary_bytes_deduped: u64,
     suspects: usize,
 }
 
@@ -232,19 +224,12 @@ impl WorkerRegistry {
 
     /// Record a job frame's summary-transfer split: `shipped` full
     /// documents (costing `shipped_bytes` on the wire) and `deduped` slots
-    /// the receiving worker already held (`deduped_bytes` saved).
-    pub(crate) fn record_summaries(
-        &self,
-        shipped: usize,
-        shipped_bytes: u64,
-        deduped: usize,
-        deduped_bytes: u64,
-    ) {
+    /// the receiving worker already held.
+    pub(crate) fn record_summaries(&self, shipped: usize, shipped_bytes: u64, deduped: usize) {
         let mut inner = self.inner.lock().expect("registry");
         inner.summaries_shipped += shipped;
         inner.summary_bytes_shipped += shipped_bytes;
         inner.summaries_deduped += deduped;
-        inner.summary_bytes_deduped += deduped_bytes;
     }
 
     /// Snapshot of every entry.
@@ -317,7 +302,6 @@ impl WorkerRegistry {
             summaries_shipped: inner.summaries_shipped,
             summaries_deduped: inner.summaries_deduped,
             summary_bytes_shipped: inner.summary_bytes_shipped,
-            summary_bytes_deduped: inner.summary_bytes_deduped,
             workers_suspect: inner.suspects,
         }
     }
@@ -361,7 +345,7 @@ mod tests {
         let a2 = registry.register("w1".into(), 2);
         registry.record_dispatched();
         registry.record_dispatched();
-        registry.record_summaries(3, 900, 1, 250);
+        registry.record_summaries(3, 900, 1);
         registry.record_completed(a2);
         registry.record_completed(a2);
 
@@ -383,7 +367,6 @@ mod tests {
         assert_eq!(stats.summaries_shipped, 3);
         assert_eq!(stats.summaries_deduped, 1);
         assert_eq!(stats.summary_bytes_shipped, 900);
-        assert_eq!(stats.summary_bytes_deduped, 250);
         assert_eq!(stats.workers_suspect, 0);
     }
 

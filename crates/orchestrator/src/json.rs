@@ -292,51 +292,67 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash is one run: one
+            // UTF-8 check and one copy each, so a string costs time linear
+            // in its length (both stop bytes are ASCII, so a run never
+            // splits a character).
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|e| JsonError::at(start + e.valid_up_to(), "invalid UTF-8"))?;
+            out.push_str(text);
             match self.peek() {
                 None => return Err(JsonError::at(self.pos, "unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| JsonError::at(self.pos, "bad \\u escape"))?;
-                            // Surrogate pairs are not emitted by this codec's
-                            // writer; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| JsonError::at(self.pos, "bad \\u code point"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(JsonError::at(self.pos, "bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::at(self.pos, "invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the
+    /// backslash and ends just past the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                // Exactly four hex digits: no sign, no shorter form.
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .and_then(|digits| {
+                        digits.iter().try_fold(0u32, |code, &digit| {
+                            Some(code * 16 + char::from(digit).to_digit(16)?)
+                        })
+                    })
+                    .ok_or_else(|| JsonError::at(self.pos, "bad \\u escape"))?;
+                // Surrogate pairs are not emitted by this codec's writer;
+                // reject rather than mis-decode.
+                let c = char::from_u32(hex)
+                    .ok_or_else(|| JsonError::at(self.pos, "bad \\u code point"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(JsonError::at(self.pos, "bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -426,8 +442,35 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("\"open").is_err());
+        assert_eq!(Json::parse("\"open").unwrap_err().offset, 5);
         assert!(Json::parse("true false").is_err());
+        // A `\u` escape is exactly four hex digits: no sign, no shorter form.
+        for bad in ["\\u+041", "\\u-041", "\\u041", "\\u 041", "\\u004g", "\\u"] {
+            let text = format!("\"{bad}\"");
+            assert!(Json::parse(&text).is_err(), "{text} must not decode");
+        }
+    }
+
+    #[test]
+    fn long_strings_round_trip_in_one_pass() {
+        // ≈ 4 MiB mixing multi-byte characters, quotes, backslashes and
+        // control characters. A parser that re-reads the rest of its input
+        // per character needs minutes here; one pass needs well under a
+        // second even unoptimised.
+        let unit = "añ\"€\\b\u{1}\n𝄞\t\u{1f}plain text ";
+        let text = unit.repeat((4 << 20) / unit.len());
+        let doc = Json::Arr(vec![
+            Json::str(text.as_str()),
+            Json::obj([("k", Json::str(unit))]),
+        ]);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc.to_text()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "a 4 MiB round trip took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -433,11 +433,8 @@ impl fmt::Display for MatrixReport {
             }
             writeln!(
                 f,
-                "  wire: {} summaries shipped ({} bytes), {} deduped ({} bytes saved)",
-                d.summaries_shipped,
-                d.summary_bytes_shipped,
-                d.summaries_deduped,
-                d.summary_bytes_deduped
+                "  wire: {} summaries shipped ({} bytes), {} deduped",
+                d.summaries_shipped, d.summary_bytes_shipped, d.summaries_deduped
             )?;
         }
         for s in &self.scenarios {

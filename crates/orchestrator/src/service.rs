@@ -145,34 +145,58 @@ fn decompose<'a>(
     decomposition
 }
 
+/// For each pipeline, the index of the first pipeline of the batch that is
+/// the same pipeline as far as Step 2 and the wire can tell: the same
+/// element fingerprints (`fingerprints[i]` is pipeline `i`'s), instance
+/// names, wiring and entry. Such pipelines share a record table and a
+/// config text.
+fn first_alike<'p>(
+    pipelines: impl IntoIterator<Item = &'p Pipeline>,
+    fingerprints: &[Vec<Fingerprint>],
+) -> Vec<usize> {
+    type Identity<'f, 'p> = (
+        &'f [Fingerprint],
+        Vec<(&'p str, &'p [Option<usize>])>,
+        usize,
+    );
+    let mut first: HashMap<Identity<'_, 'p>, usize> = HashMap::new();
+    pipelines
+        .into_iter()
+        .zip(fingerprints)
+        .enumerate()
+        .map(|(index, (pipeline, fps))| {
+            let wiring = pipeline
+                .iter()
+                .map(|(_, node)| (node.name.as_str(), node.successors.as_slice()))
+                .collect();
+            *first
+                .entry((fps.as_slice(), wiring, pipeline.entry()))
+                .or_insert(index)
+        })
+        .collect()
+}
+
 impl Decomposition<'_> {
     /// One Step-2 record table per distinct pipeline of the batch, indexed
-    /// like the pipelines: pipelines with the same element fingerprints,
-    /// instance names and wiring share a table (see [`RecordTable`]).
+    /// like the pipelines: pipelines alike under [`first_alike`] share a
+    /// table (see [`RecordTable`]).
     fn record_tables<'p>(
         &self,
         pipelines: impl IntoIterator<Item = &'p Pipeline>,
     ) -> Vec<Arc<RecordTable>> {
-        type Identity<'p> = (
-            &'p [Fingerprint],
-            Vec<(&'p str, &'p [Option<usize>])>,
-            usize,
-        );
-        let mut tables: HashMap<Identity<'_>, Arc<RecordTable>> = HashMap::new();
-        pipelines
+        let mut tables: Vec<Arc<RecordTable>> = Vec::new();
+        for (index, first) in first_alike(pipelines, &self.element_fingerprints)
             .into_iter()
-            .zip(&self.element_fingerprints)
-            .map(|(pipeline, fps)| {
-                let wiring = pipeline
-                    .iter()
-                    .map(|(_, node)| (node.name.as_str(), node.successors.as_slice()))
-                    .collect();
-                tables
-                    .entry((fps.as_slice(), wiring, pipeline.entry()))
-                    .or_default()
-                    .clone()
-            })
-            .collect()
+            .enumerate()
+        {
+            let table = if first == index {
+                Arc::default()
+            } else {
+                tables[first].clone()
+            };
+            tables.push(table);
+        }
+        tables
     }
 
     /// The behaviours `store` does not hold yet (one lookup each).
@@ -1048,7 +1072,7 @@ impl VerifyService {
         options: &VerifierOptions,
         executor: &dyn Executor,
     ) -> Result<Option<Vec<Report>>, ServiceError> {
-        let specs = render(scenarios)?;
+        let specs = render(scenarios, fingerprints)?;
         if let Some(reports) =
             self.compose_sharded(scenarios, &specs, fingerprints, tables, options, executor)?
         {
@@ -1223,7 +1247,9 @@ impl VerifyService {
         let started = Instant::now();
         // Fuzz shards travel as config text; replay runs on the pipeline
         // that was verified (each replay builds a fresh model runtime).
-        let specs = render(scenarios)?;
+        let fingerprints =
+            decompose(scenarios.iter().map(|s| s.pipeline), &options.engine).element_fingerprints;
+        let specs = render(scenarios, &fingerprints)?;
         let matrix = self.run_scenarios(scenarios, options, None)?;
 
         let mut replay = Vec::new();
@@ -1294,7 +1320,7 @@ impl VerifyService {
         );
         let mut plan = PlanSpec {
             options: self.options.clone(),
-            scenarios: render(&scenarios)?,
+            scenarios: render(&scenarios, &decomposition.element_fingerprints)?,
             jobs: (0..decomposition.behaviours.len())
                 .map(|index| decomposition.wire_job(index))
                 .collect::<Result<_, _>>()?,
@@ -1383,11 +1409,28 @@ impl<'a> From<&'a Scenario> for ScenarioRef<'a> {
 
 /// The scenarios as config text: the one way a pipeline leaves the
 /// process, called where a plan document or a frame is built.
-fn render(scenarios: &[ScenarioRef<'_>]) -> Result<Vec<ScenarioSpec>, WireError> {
-    scenarios
-        .iter()
-        .map(|s| ScenarioSpec::render(s.name, s.pipeline, s.property))
-        .collect()
+/// `fingerprints[i]` is scenario `i`'s element fingerprints. Each distinct
+/// pipeline (see [`first_alike`]) is written — and its round trip through
+/// the config language checked — once; the scenarios alike share its text.
+fn render(
+    scenarios: &[ScenarioRef<'_>],
+    fingerprints: &[Vec<Fingerprint>],
+) -> Result<Vec<ScenarioSpec>, WireError> {
+    let firsts = first_alike(scenarios.iter().map(|s| s.pipeline), fingerprints);
+    let mut specs: Vec<ScenarioSpec> = Vec::with_capacity(scenarios.len());
+    for (index, (scenario, first)) in scenarios.iter().zip(firsts).enumerate() {
+        let config = if first == index {
+            write_config(scenario.pipeline)?
+        } else {
+            specs[first].config.clone()
+        };
+        specs.push(ScenarioSpec {
+            name: scenario.name.to_string(),
+            config,
+            property: scenario.property.clone(),
+        });
+    }
+    Ok(specs)
 }
 
 /// What the resolve step makes of a request.

@@ -26,7 +26,7 @@ use crate::fingerprint::Fingerprint;
 use crate::json::{Json, JsonError};
 use crate::matrix::Scenario;
 use crate::service::{PropertySelect, VerifyRequest};
-use dataplane_pipeline::{parse_config, write_config, ConfigError, ConfigWriteError, Pipeline};
+use dataplane_pipeline::{parse_config, write_config, ConfigError, ConfigWriteError};
 use dataplane_symbex::{CheckDiagnostics, EngineConfig, LoopMode, SolverConfig};
 use dataplane_temporal::LtlSpec;
 use dataplane_verifier::{
@@ -347,23 +347,10 @@ impl ScenarioSpec {
     /// Render an in-memory scenario to its wire form (fails if the pipeline
     /// contains an element the config language cannot express).
     pub fn from_scenario(scenario: &Scenario) -> Result<ScenarioSpec, WireError> {
-        ScenarioSpec::render(
-            &scenario.pipeline_name,
-            &scenario.pipeline,
-            &scenario.property,
-        )
-    }
-
-    /// [`ScenarioSpec::from_scenario`] for a scenario held by its parts.
-    pub(crate) fn render(
-        name: &str,
-        pipeline: &Pipeline,
-        property: &Property,
-    ) -> Result<ScenarioSpec, WireError> {
         Ok(ScenarioSpec {
-            name: name.to_string(),
-            config: write_config(pipeline)?,
-            property: property.clone(),
+            name: scenario.pipeline_name.clone(),
+            config: write_config(&scenario.pipeline)?,
+            property: scenario.property.clone(),
         })
     }
 

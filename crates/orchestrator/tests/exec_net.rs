@@ -609,7 +609,7 @@ fn second_plan_against_a_warm_worker_ships_zero_summaries() {
         "the warm worker already holds every summary: {stats:?}"
     );
     assert!(
-        stats.summaries_deduped > 0 && stats.summary_bytes_deduped > 0,
+        stats.summaries_deduped > 0 && stats.summary_bytes_shipped == 0,
         "the dedup win is visible in the stats: {stats:?}"
     );
 }

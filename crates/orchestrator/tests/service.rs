@@ -385,3 +385,57 @@ fn single_requests_return_single_outcomes() {
         Some("proven")
     );
 }
+
+#[test]
+fn plans_render_each_distinct_pipeline_once_and_check_every_one() {
+    use dataplane_orchestrator::Scenario;
+    use dataplane_pipeline::elements::{DecTTL, Sink};
+    use dataplane_pipeline::{parse_config, write_config, Pipeline};
+    use dataplane_verifier::Property;
+
+    // The presets ask four properties of each pipeline: every scenario
+    // still carries exactly its own pipeline's config text.
+    let presets = preset_scenarios();
+    let service = VerifyService::new().with_threads(1);
+    let plan = service
+        .plan_request(&VerifyRequest::Matrix {
+            scenarios: preset_scenarios(),
+        })
+        .unwrap();
+    for (spec, scenario) in plan.scenarios.iter().zip(&presets) {
+        assert_eq!(spec.name, scenario.pipeline_name);
+        assert_eq!(spec.config, write_config(&scenario.pipeline).unwrap());
+    }
+
+    // The same elements under other instance names are another pipeline:
+    // its own text, and its own round-trip check, which fails here on a
+    // name the config language cannot carry.
+    let chain = |ttl: &str, out: &str| {
+        let mut b = Pipeline::builder();
+        let t = b.add(ttl, Box::new(DecTTL::new()));
+        let o = b.add(out, Box::new(Sink::new()));
+        b.connect(t, 0, o);
+        b.build().unwrap()
+    };
+    let matrix = |second_out: &str| VerifyRequest::Matrix {
+        scenarios: vec![
+            Scenario::new("a", chain("ttl", "out"), Property::CrashFreedom),
+            Scenario::new(
+                "a",
+                chain("ttl", "out"),
+                Property::BoundedInstructions {
+                    max_instructions: 64,
+                },
+            ),
+            Scenario::new("b", chain("ttl", second_out), Property::CrashFreedom),
+        ],
+    };
+    let plan = service.plan_request(&matrix("sink")).unwrap();
+    assert_eq!(plan.scenarios[0].config, plan.scenarios[1].config);
+    assert_ne!(plan.scenarios[0].config, plan.scenarios[2].config);
+    assert_eq!(
+        write_config(&parse_config(&plan.scenarios[2].config).unwrap()).unwrap(),
+        plan.scenarios[2].config
+    );
+    assert!(service.plan_request(&matrix("bad name")).is_err());
+}
