@@ -14,14 +14,16 @@
 //! then a window of up to `capacity` outstanding jobs, refilled from the
 //! shared queue as results return.
 
+use super::frame::{attached_to, Attached, FromWorker, JobOutput, Pin, ToWorker, Undecodable};
 use super::registry::WorkerRegistry;
-use super::transport::{Connector, Transport};
-use super::{ExecError, WORKER_PROTO, WORKER_SCHEMA};
+use super::transport::Connector;
+use super::ExecError;
 use crate::fingerprint::Fingerprint;
-use crate::json::Json;
-use dataplane_verifier::VerifierOptions;
+use crate::persist::summary_to_json;
+use crate::wire::{options_digest, JobSpec};
+use dataplane_verifier::{CheckOutcome, ComposeShardResult, ElementSummary, VerifierOptions};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Read-deadline and heartbeat tuning of a dispatch session.
@@ -68,37 +70,92 @@ struct State {
     queue: VecDeque<usize>,
     /// Jobs not yet completed (queued or in flight).
     remaining: usize,
-    /// A job-level failure (wrong worker build, malformed job): abort the
-    /// whole dispatch — requeueing cannot fix it.
+    /// A job-level failure (wrong worker build, malformed job or result):
+    /// abort the whole dispatch — requeueing cannot fix it.
     fatal: Option<ExecError>,
-    /// Result frames, one slot per job index.
-    results: Vec<Option<Json>>,
+    /// Decoded results, one slot per job index.
+    results: Vec<Option<JobOutput>>,
     /// The most recent worker-level failure, for the terminal error when
     /// every worker is gone.
     last_failure: Option<String>,
-    /// Sibling groups whose outcome is already decided (a shard reported a
-    /// violation): queued members resolve synthetically, in-flight members
-    /// get a cancel frame.
-    cancelled_groups: BTreeSet<u64>,
+    /// Sibling groups whose outcome is already decided (see [`group_of`]).
+    cancelled_groups: BTreeSet<u32>,
 }
 
-/// Sibling-group cancellation policy for a dispatch (compose sharding's
-/// early exit). When a result frame `ends_group`, the group's queued
-/// members are resolved with `synthetic` frames without ever being sent,
-/// and its in-flight members are sent `cancel` frames — each worker sends
-/// them for its own outstanding jobs when it next wakes (a result, a pong,
-/// or a heartbeat-interval read timeout). Cancellation is purely a
+impl State {
+    /// Fill job `job`'s slot unless a requeued copy already did.
+    fn complete(&mut self, job: usize, output: JobOutput) {
+        if self.results[job].is_none() {
+            self.results[job] = Some(output);
+            self.remaining -= 1;
+        }
+    }
+}
+
+/// The sibling group of a job — compose sharding's early exit. The shards
+/// of one scenario are a group, and the first of them to report a
+/// violation decides the scenario's verdict: the group's queued members
+/// then resolve to empty cancelled shards without ever being sent, and
+/// its in-flight members are sent `cancel` frames — each worker sends them
+/// for its own outstanding jobs when it next wakes (a result, a pong, or a
+/// heartbeat-interval read timeout). Cancellation is purely a
 /// work-avoidance signal: a cancelled job still answers with the complete
 /// partial records it finished, and the fold computes the remainder
 /// inline, so the folded output is identical with or without it.
-pub(crate) struct CancelSpec<'a> {
-    /// The sibling-group key of job `i` (`None`: not cancellable).
-    pub group_of: &'a (dyn Fn(usize) -> Option<u64> + Sync),
-    /// Does this result frame decide its whole group?
-    pub ends_group: &'a (dyn Fn(&Json) -> bool + Sync),
-    /// The result frame recorded for a queued job resolved by its group's
-    /// cancellation (never dispatched).
-    pub synthetic: &'a (dyn Fn(usize) -> Json + Sync),
+fn group_of(job: &JobSpec) -> Option<u32> {
+    match job {
+        JobSpec::ComposeShard(shard) => Some(shard.scenario_index),
+        _ => None,
+    }
+}
+
+/// Does this output decide its whole group (a shard that found a
+/// violation)?
+fn ends_group(output: &JobOutput) -> bool {
+    let JobOutput::Shard(result) = output else {
+        return false;
+    };
+    let mut checks = result
+        .records
+        .iter()
+        .flat_map(|r| r.checks.iter().flatten());
+    checks.any(|check| matches!(check.outcome, CheckOutcome::Violation(_)))
+}
+
+/// Resolves a fingerprint to the summary a job's attachment ships (`None`
+/// for a behaviour whose exploration exceeded its budget).
+pub(crate) type Summaries<'a> = &'a (dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync);
+
+/// Build a job's summary attachment against one worker's held set: the
+/// summaries the worker is missing ship in full, ones it already holds
+/// travel as `"held"` markers (the protocol-v4 dedup), and
+/// budget-exceeded explorations as empty slots. Records the transfer
+/// split in the registry.
+fn attach(
+    registry: &WorkerRegistry,
+    job: &JobSpec,
+    summaries: Summaries<'_>,
+    held: &mut BTreeSet<Fingerprint>,
+) -> Vec<Attached> {
+    let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
+    let slots = attached_to(job)
+        .iter()
+        .map(|fp| match summaries(*fp) {
+            None => Attached::Missing,
+            Some(_) if held.contains(fp) => {
+                deduped += 1;
+                Attached::Held
+            }
+            Some(summary) => {
+                shipped += 1;
+                shipped_bytes += summary_to_json(&summary).to_text().len() as u64;
+                held.insert(*fp);
+                Attached::Shipped(summary)
+            }
+        })
+        .collect();
+    registry.record_summaries(shipped, shipped_bytes, deduped);
+    slots
 }
 
 struct Shared {
@@ -106,91 +163,21 @@ struct Shared {
     cv: Condvar,
 }
 
-/// The coordinator's hello frame, opening a session pinned to `options` —
-/// by digest only; the full document follows in an options frame when the
-/// worker replies `need_options`.
-pub(crate) fn hello_frame(options: &VerifierOptions) -> Json {
-    Json::obj([
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("hello")),
-        ("proto", Json::str(WORKER_PROTO)),
-        (
-            "options_digest",
-            Json::str(crate::wire::options_digest(options)),
-        ),
-    ])
-}
-
-/// The full-options fallback frame, sent when a worker does not know the
-/// hello's digest.
-pub(crate) fn options_frame(options: &VerifierOptions) -> Json {
-    Json::obj([
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("options")),
-        (
-            "options_digest",
-            Json::str(crate::wire::options_digest(options)),
-        ),
-        ("options", crate::wire::options_to_json(options)),
-    ])
-}
-
-fn ping_frame(seq: u64) -> Json {
-    Json::obj([
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("ping")),
-        ("seq", Json::int(seq)),
-    ])
-}
-
-/// Keep receiving past read timeouts until `deadline` has elapsed since
-/// `start` — the handshake's tolerance for a worker that is alive but
-/// slow to answer its first frame.
-fn recv_within(
-    transport: &mut Box<dyn Transport>,
-    start: Instant,
-    deadline: Duration,
-) -> Result<Option<Json>, ExecError> {
-    loop {
-        match transport.recv() {
-            Err(ExecError::Timeout) if start.elapsed() < deadline => continue,
-            other => return other,
-        }
-    }
-}
-
-/// Dispatch `count` jobs over `connectors` and return the raw result
-/// frames by job index. `frame_for(i, held)` builds the complete job
-/// frame for job `i` (including its id and any attachments) **for one
-/// specific worker**: `held` is that worker's summary held-set, which the
-/// builder consults to ship only missing summaries (and updates with what
-/// it ships). The builder may be called again with a *different* worker's
-/// held-set if the job is requeued after a worker death.
+/// Dispatch `jobs` over `connectors` and return their outputs by job
+/// index, each decoded on the thread that received it. With `summaries`,
+/// each job's summary attachment is built **for the worker it is sent
+/// to**, against that worker's held set — a requeued job is rebuilt for
+/// the survivor. Jobs run exactly as planned, one result slot per job,
+/// except the members of a decided sibling group (see [`group_of`]).
 pub(crate) fn dispatch(
     connectors: &[Box<dyn Connector>],
     registry: &WorkerRegistry,
     options: &VerifierOptions,
     heartbeat: HeartbeatConfig,
-    count: usize,
-    frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
-) -> Result<Vec<Json>, ExecError> {
-    dispatch_with_cancel(
-        connectors, registry, options, heartbeat, count, frame_for, None,
-    )
-}
-
-/// [`dispatch`] with an optional sibling-group cancellation policy (see
-/// [`CancelSpec`]) — the compose-shard early exit. Jobs run exactly as
-/// planned: one result slot per job, sized once.
-pub(crate) fn dispatch_with_cancel(
-    connectors: &[Box<dyn Connector>],
-    registry: &WorkerRegistry,
-    options: &VerifierOptions,
-    heartbeat: HeartbeatConfig,
-    count: usize,
-    frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
-    cancel: Option<&CancelSpec<'_>>,
-) -> Result<Vec<Json>, ExecError> {
+    jobs: &[JobSpec],
+    summaries: Option<Summaries<'_>>,
+) -> Result<Vec<JobOutput>, ExecError> {
+    let count = jobs.len();
     if count == 0 {
         return Ok(Vec::new());
     }
@@ -216,8 +203,8 @@ pub(crate) fn dispatch_with_cancel(
                     options,
                     heartbeat,
                     shared,
-                    frame_for,
-                    cancel,
+                    jobs,
+                    summaries,
                 )
             });
         }
@@ -243,14 +230,6 @@ pub(crate) fn dispatch_with_cancel(
         .collect())
 }
 
-fn cancel_frame(id: usize) -> Json {
-    Json::obj([
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("cancel")),
-        ("id", Json::int(id as u64)),
-    ])
-}
-
 /// One worker's coordinator-side loop.
 fn worker_loop(
     connector: &dyn Connector,
@@ -258,8 +237,8 @@ fn worker_loop(
     options: &VerifierOptions,
     heartbeat: HeartbeatConfig,
     shared: &Shared,
-    frame_for: &(dyn Fn(usize, &mut BTreeSet<Fingerprint>) -> Json + Sync),
-    cancel: Option<&CancelSpec<'_>>,
+    jobs: &[JobSpec],
+    summaries: Option<Summaries<'_>>,
 ) {
     // Connect + handshake. Failures here lose the worker, never the jobs
     // (nothing was pulled yet).
@@ -277,67 +256,54 @@ fn worker_loop(
     // Stdio pipes cannot time out; they keep the blocking behaviour and
     // `recv` never returns `Timeout` for them.
     let timed = transport.set_read_timeout(Some(heartbeat.interval));
-    if let Err(e) = transport.send(&hello_frame(options)) {
+    // The session is pinned by digest; the full options follow only when
+    // the worker asks for them.
+    let hello = ToWorker::Hello(Pin::Digest(options_digest(options)));
+    if let Err(e) = transport.send(&hello.encode()) {
         return fail(format!("hello not sent: {e}"));
     }
-    let handshake_start = Instant::now();
-    let (capacity, mut held) =
-        match recv_within(&mut transport, handshake_start, heartbeat.deadline) {
-            Ok(Some(frame)) => match frame.get("kind").and_then(Json::as_str) {
-                Some("hello") => {
-                    let schema = frame.get("schema").and_then(Json::as_u64);
-                    let proto = frame.get("proto").and_then(Json::as_str);
-                    if schema != Some(WORKER_SCHEMA) || proto != Some(WORKER_PROTO) {
-                        return fail(format!(
-                            "version mismatch: worker speaks {proto:?} schema {schema:?}, \
-                         this build speaks {WORKER_PROTO} schema {WORKER_SCHEMA}"
-                        ));
+    // Keep receiving past read timeouts until the heartbeat deadline: the
+    // handshake's tolerance for a worker alive but slow to answer.
+    let start = Instant::now();
+    let reply = loop {
+        match transport.recv() {
+            Err(ExecError::Timeout) if start.elapsed() < heartbeat.deadline => continue,
+            reply => break reply,
+        }
+    };
+    let (capacity, mut held) = match reply {
+        Ok(Some(frame)) => match FromWorker::decode(&frame, |_| None) {
+            Ok(FromWorker::Hello {
+                capacity,
+                held,
+                need_options,
+            }) => {
+                if need_options {
+                    if let Err(e) = transport.send(&ToWorker::Options(options.clone()).encode()) {
+                        return fail(format!("options not sent: {e}"));
                     }
-                    let capacity = frame
-                        .get("capacity")
-                        .and_then(Json::as_u64)
-                        .map(|c| c.max(1) as usize)
-                        .unwrap_or(1);
-                    // The worker's held-summary advertisement seeds this
-                    // session's dedup set.
-                    let mut held: BTreeSet<Fingerprint> = BTreeSet::new();
-                    if let Some(fps) = frame.get("held").and_then(Json::as_arr) {
-                        for fp in fps {
-                            match fp.as_str().and_then(Fingerprint::parse) {
-                                Some(fp) => {
-                                    held.insert(fp);
-                                }
-                                None => return fail("unparsable held fingerprint".into()),
-                            }
-                        }
-                    }
-                    if frame.get("need_options").and_then(Json::as_bool) == Some(true) {
-                        if let Err(e) = transport.send(&options_frame(options)) {
-                            return fail(format!("options not sent: {e}"));
-                        }
-                    }
-                    (capacity, held)
                 }
-                Some("error") => {
-                    let message = frame
-                        .get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("worker rejected the session");
-                    return fail(format!("hello rejected: {message}"));
-                }
-                other => return fail(format!("unexpected handshake frame kind {other:?}")),
-            },
-            Ok(None) => return fail("connection closed during handshake".into()),
-            Err(ExecError::Timeout) => {
-                return fail(format!(
-                    "suspect: no hello within the {:?} heartbeat deadline",
-                    heartbeat.deadline
-                ))
+                // The worker's held-summary advertisement seeds this
+                // session's dedup set.
+                (capacity, held.into_iter().collect::<BTreeSet<_>>())
             }
-            Err(e) => return fail(e.to_string()),
-        };
+            Ok(FromWorker::Error { message, .. }) => {
+                return fail(format!("hello rejected: {message}"))
+            }
+            Ok(_) => return fail("unexpected handshake frame".into()),
+            Err(e) => return fail(e.message),
+        },
+        Ok(None) => return fail("connection closed during handshake".into()),
+        Err(ExecError::Timeout) => {
+            return fail(format!(
+                "suspect: no hello within the {:?} heartbeat deadline",
+                heartbeat.deadline
+            ))
+        }
+        Err(e) => return fail(e.to_string()),
+    };
     let peer = transport.peer();
-    let id = registry.register(peer.clone(), capacity);
+    let worker = registry.register(peer.clone(), capacity);
 
     // The pull loop: keep up to `capacity` jobs in flight.
     let mut outstanding: VecDeque<usize> = VecDeque::new();
@@ -348,10 +314,14 @@ fn worker_loop(
         state.last_failure = Some(format!("{peer}: {note}"));
         drop(state);
         if suspect {
-            registry.mark_suspect(id, requeued, note);
+            registry.mark_suspect(worker, requeued, note);
         } else {
-            registry.mark_dead(id, requeued, note);
+            registry.mark_dead(worker, requeued, note);
         }
+        shared.cv.notify_all();
+    };
+    let fatal = |error: ExecError| {
+        shared.state.lock().expect("dispatch state").fatal = Some(error);
         shared.cv.notify_all();
     };
     let mut last_heard = Instant::now();
@@ -372,29 +342,31 @@ fn worker_loop(
                     };
                     // A queued member of a cancelled group resolves right
                     // here, without ever reaching a worker.
-                    let group = cancel.and_then(|spec| (spec.group_of)(job));
-                    if let (Some(spec), Some(g)) = (cancel, group) {
-                        if state.cancelled_groups.contains(&g) {
-                            if state.results[job].is_none() {
-                                state.results[job] = Some((spec.synthetic)(job));
-                                state.remaining -= 1;
-                                if state.remaining == 0 {
-                                    shared.cv.notify_all();
-                                }
-                            }
-                            continue;
+                    if group_of(&jobs[job]).is_some_and(|g| state.cancelled_groups.contains(&g)) {
+                        let cancelled = ComposeShardResult {
+                            cancelled: true,
+                            ..ComposeShardResult::default()
+                        };
+                        state.complete(job, JobOutput::Shard(cancelled));
+                        if state.remaining == 0 {
+                            shared.cv.notify_all();
                         }
+                        continue;
                     }
                     break Some(job);
                 }
             };
             let Some(job) = next else { break };
-            if let Err(e) = transport.send(&frame_for(job, &mut held)) {
-                outstanding.push_back(job);
+            let frame = ToWorker::Job {
+                id: job as u64,
+                job: jobs[job].clone(),
+                summaries: summaries.map(|s| attach(registry, &jobs[job], s, &mut held)),
+            };
+            outstanding.push_back(job);
+            if let Err(e) = transport.send(&frame.encode()) {
                 return die(&mut outstanding, format!("job not sent: {e}"), false);
             }
             registry.record_dispatched();
-            outstanding.push_back(job);
         }
 
         if outstanding.is_empty() {
@@ -416,21 +388,17 @@ fn worker_loop(
         // Relay group cancellations to this worker's own in-flight jobs —
         // once per job. A worker blocked in `recv` notices at its next
         // wake-up: a result, a pong, or a heartbeat-interval read timeout.
-        if let Some(spec) = cancel {
-            let groups = {
-                let state = shared.state.lock().expect("dispatch state");
-                state.cancelled_groups.clone()
-            };
-            if !groups.is_empty() {
-                for &job in &outstanding {
-                    if !cancel_sent.contains(&job)
-                        && (spec.group_of)(job).is_some_and(|g| groups.contains(&g))
-                    {
-                        // A send failure surfaces on the next recv.
-                        let _ = transport.send(&cancel_frame(job));
-                        cancel_sent.insert(job);
-                    }
-                }
+        let groups = shared
+            .state
+            .lock()
+            .expect("dispatch state")
+            .cancelled_groups
+            .clone();
+        for &job in &outstanding {
+            if group_of(&jobs[job]).is_some_and(|g| groups.contains(&g)) && cancel_sent.insert(job)
+            {
+                // A send failure surfaces on the next recv.
+                let _ = transport.send(&ToWorker::Cancel(job as u64).encode());
             }
         }
 
@@ -439,91 +407,8 @@ fn worker_loop(
         // has been silent past the heartbeat deadline, mark it suspect
         // and requeue — a SIGSTOPped or silently partitioned worker must
         // never block plan completion.
-        match transport.recv() {
-            Ok(Some(frame)) => {
-                last_heard = Instant::now();
-                match frame.get("kind").and_then(Json::as_str) {
-                    Some("result") => {
-                        let Some(job) = frame
-                            .get("id")
-                            .and_then(Json::as_u64)
-                            .and_then(|v| usize::try_from(v).ok())
-                        else {
-                            return die(
-                                &mut outstanding,
-                                "result frame without an id".into(),
-                                false,
-                            );
-                        };
-                        let Some(pos) = outstanding.iter().position(|&j| j == job) else {
-                            return die(
-                                &mut outstanding,
-                                format!("result for job {job} this worker does not hold"),
-                                false,
-                            );
-                        };
-                        outstanding.remove(pos);
-                        // Fold acks: the worker confirms which summaries it
-                        // now holds (its own explore results included).
-                        if let Some(fps) = frame.get("folded").and_then(Json::as_arr) {
-                            for fp in fps {
-                                if let Some(fp) = fp.as_str().and_then(Fingerprint::parse) {
-                                    held.insert(fp);
-                                }
-                            }
-                        }
-                        registry.record_completed(id);
-                        let ended_group = cancel.and_then(|spec| {
-                            (spec.group_of)(job).filter(|_| (spec.ends_group)(&frame))
-                        });
-                        let mut state = shared.state.lock().expect("dispatch state");
-                        if state.results[job].is_none() {
-                            state.results[job] = Some(frame);
-                            state.remaining -= 1;
-                        }
-                        if let (Some(spec), Some(g)) = (cancel, ended_group) {
-                            if state.cancelled_groups.insert(g) {
-                                // The group's verdict is in: resolve its
-                                // queued members synthetically so no
-                                // worker ever pulls them.
-                                let mut kept = VecDeque::new();
-                                while let Some(j) = state.queue.pop_front() {
-                                    if (spec.group_of)(j) == Some(g) {
-                                        if state.results[j].is_none() {
-                                            state.results[j] = Some((spec.synthetic)(j));
-                                            state.remaining -= 1;
-                                        }
-                                    } else {
-                                        kept.push_back(j);
-                                    }
-                                }
-                                state.queue = kept;
-                            }
-                        }
-                        if state.remaining == 0 {
-                            shared.cv.notify_all();
-                        }
-                    }
-                    Some("pong") => {}
-                    Some("error") => {
-                        let message = frame
-                            .get("message")
-                            .and_then(Json::as_str)
-                            .unwrap_or("worker reported a job failure");
-                        let mut state = shared.state.lock().expect("dispatch state");
-                        state.fatal = Some(ExecError::Job(message.to_string()));
-                        shared.cv.notify_all();
-                        return;
-                    }
-                    other => {
-                        return die(
-                            &mut outstanding,
-                            format!("unexpected frame kind {other:?}"),
-                            false,
-                        )
-                    }
-                }
-            }
+        let frame = match transport.recv() {
+            Ok(Some(frame)) => frame,
             Ok(None) => {
                 let in_flight = outstanding.len();
                 return die(
@@ -545,11 +430,49 @@ fn worker_loop(
                     );
                 }
                 ping_seq += 1;
-                if let Err(e) = transport.send(&ping_frame(ping_seq)) {
+                if let Err(e) = transport.send(&ToWorker::Ping(Some(ping_seq)).encode()) {
                     return die(&mut outstanding, format!("ping not sent: {e}"), false);
                 }
+                continue;
             }
             Err(e) => return die(&mut outstanding, e.to_string(), false),
+        };
+        last_heard = Instant::now();
+        let held_job = |id: u64| {
+            let job = usize::try_from(id).ok()?;
+            outstanding.contains(&job).then(|| &jobs[job])
+        };
+        match FromWorker::decode(&frame, held_job) {
+            Ok(FromWorker::Result { id, output, folded }) => {
+                let job = id as usize;
+                outstanding.retain(|&j| j != job);
+                // Fold acks: the worker confirms which summaries it now
+                // holds (its own explore results included).
+                held.extend(folded);
+                registry.record_completed(worker);
+                let ended = group_of(&jobs[job]).filter(|_| ends_group(&output));
+                let mut state = shared.state.lock().expect("dispatch state");
+                state.complete(job, output);
+                // The group's verdict is in: its queued members resolve as
+                // they are pulled, and in-flight ones are sent cancels.
+                state.cancelled_groups.extend(ended);
+                if state.remaining == 0 {
+                    shared.cv.notify_all();
+                }
+            }
+            Ok(FromWorker::Pong(_)) => {}
+            Ok(FromWorker::Error { message, .. }) => return fatal(ExecError::Job(message)),
+            Ok(FromWorker::Hello { .. }) => {
+                return die(&mut outstanding, "unexpected hello frame".into(), false)
+            }
+            // A result this worker's job cannot be read from fails the
+            // request, as a job error does; any other bad frame loses the
+            // worker only.
+            Err(Undecodable {
+                job: Some(_),
+                message,
+            }) => return fatal(ExecError::Protocol(message)),
+            Err(e) => return die(&mut outstanding, e.message, false),
         }
     }
 }

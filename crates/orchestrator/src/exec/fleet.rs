@@ -6,23 +6,16 @@
 //! results fold back by job index, so the report is byte-identical to an
 //! in-process run.
 
-use super::dispatch::{dispatch, dispatch_with_cancel, CancelSpec, HeartbeatConfig};
+use super::dispatch::{dispatch, HeartbeatConfig, Summaries};
+use super::frame::JobOutput;
 use super::registry::{DispatchStats, WorkerRegistry};
 use super::transport::{Connector, SocketConnector, SpawnConnector, WorkerAddr};
-use super::worker::WORKER_SCHEMA;
 use super::{ExecError, Executor};
-use crate::conformance::{shard_report_from_json, FuzzShardReport};
-use crate::fingerprint::Fingerprint;
-use crate::json::Json;
-use crate::persist::{summary_from_json, summary_to_json};
-use crate::wire::{
-    job_to_json, report_from_json, shard_result_from_json, shard_result_to_json, ComposeJob,
-    ComposeShardJob, ExploreJob, FuzzJob, JobSpec,
-};
+use crate::conformance::FuzzShardReport;
+use crate::wire::{ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, JobSpec};
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Property, Report, VerifierOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The remote-worker executor. See the module docs.
 pub struct WorkerFleet {
@@ -108,79 +101,30 @@ impl WorkerFleet {
         &self.registry
     }
 
-    /// Build a job frame's `summaries` attachment against one worker's
-    /// held set: full documents for summaries the worker is missing,
-    /// `"held"` markers for ones it already holds (the protocol-v4 dedup),
-    /// `null` for budget-exceeded explorations. Records the transfer
-    /// split in the registry.
-    fn summary_slots(
+    /// The one job path of every job kind: dispatch `jobs` (attaching
+    /// summaries from `summaries` when given, built per receiving worker)
+    /// and return their outputs in input order, each unpacked by `take`.
+    /// A job's output is decoded by that job's kind, so `take` meets only
+    /// the variant of the kind `spec` makes.
+    fn run<J: Clone, T>(
         &self,
-        fingerprints: &[Fingerprint],
-        summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
-        held: &mut std::collections::BTreeSet<Fingerprint>,
-    ) -> Json {
-        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-        let slots = Json::Arr(
-            fingerprints
-                .iter()
-                .map(|fp| match summaries(*fp) {
-                    None => Json::Null,
-                    Some(_) if held.contains(fp) => {
-                        deduped += 1;
-                        Json::str("held")
-                    }
-                    Some(summary) => {
-                        let doc = summary_to_json(&summary);
-                        shipped += 1;
-                        shipped_bytes += doc.to_text().len() as u64;
-                        held.insert(*fp);
-                        doc
-                    }
-                })
-                .collect(),
+        jobs: &[J],
+        spec: fn(J) -> JobSpec,
+        options: &VerifierOptions,
+        summaries: Option<Summaries<'_>>,
+        take: impl Fn(JobOutput) -> T,
+    ) -> Option<Result<Vec<T>, ExecError>> {
+        let jobs: Vec<JobSpec> = jobs.iter().cloned().map(spec).collect();
+        let outputs = dispatch(
+            &self.connectors,
+            &self.registry,
+            options,
+            self.heartbeat,
+            &jobs,
+            summaries,
         );
-        self.registry
-            .record_summaries(shipped, shipped_bytes, deduped);
-        slots
+        Some(outputs.map(|outputs| outputs.into_iter().map(take).collect()))
     }
-}
-
-/// Does a compose-shard result frame carry a violation check? This is the
-/// sibling-group early-exit trigger, decided on the raw frame without a
-/// full decode.
-fn shard_frame_has_violation(frame: &Json) -> bool {
-    let Some(records) = frame
-        .get("shard")
-        .and_then(|s| s.get("records"))
-        .and_then(Json::as_arr)
-    else {
-        return false;
-    };
-    records.iter().any(|rec| {
-        rec.get("checks")
-            .and_then(Json::as_arr)
-            .is_some_and(|checks| {
-                checks.iter().any(|c| {
-                    c.get("outcome")
-                        .and_then(|o| o.get("kind"))
-                        .and_then(Json::as_str)
-                        == Some("violation")
-                })
-            })
-    })
-}
-
-fn job_frame(id: usize, job: &JobSpec, summaries: Option<Json>) -> Json {
-    let mut fields = vec![
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("job")),
-        ("id", Json::int(id as u64)),
-        ("job", job_to_json(job)),
-    ];
-    if let Some(summaries) = summaries {
-        fields.push(("summaries", summaries));
-    }
-    Json::obj(fields)
 }
 
 impl Executor for WorkerFleet {
@@ -193,37 +137,16 @@ impl Executor for WorkerFleet {
         jobs: &[ExploreJob],
         options: &VerifierOptions,
     ) -> Option<Result<Vec<Option<ElementSummary>>, ExecError>> {
-        if jobs.is_empty() {
-            return Some(Ok(Vec::new()));
-        }
         self.registry.record_offered(jobs.len(), 0, 0);
-        let frame_for = |id: usize, _held: &mut std::collections::BTreeSet<Fingerprint>| {
-            job_frame(id, &JobSpec::Explore(jobs[id].clone()), None)
-        };
-        let results = match dispatch(
-            &self.connectors,
-            &self.registry,
+        self.run(
+            jobs,
+            JobSpec::Explore,
             options,
-            self.heartbeat,
-            jobs.len(),
-            &frame_for,
-        ) {
-            Ok(results) => results,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(
-            results
-                .iter()
-                .map(|frame| match frame.get("summary") {
-                    Some(Json::Null) => Ok(None),
-                    Some(doc) => summary_from_json(doc)
-                        .map(Some)
-                        .map_err(|e| ExecError::Protocol(format!("undecodable summary: {e}"))),
-                    None => Err(ExecError::Protocol(
-                        "explore result without a summary".into(),
-                    )),
-                })
-                .collect(),
+            None,
+            |output| match output {
+                JobOutput::Summary(summary) => summary.map(Arc::unwrap_or_clone),
+                _ => unreachable!("an output decodes by its job's kind"),
+            },
         )
     }
 
@@ -231,55 +154,23 @@ impl Executor for WorkerFleet {
         &self,
         jobs: &[ComposeJob],
         options: &VerifierOptions,
-        summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
+        summaries: Summaries<'_>,
     ) -> Option<Result<Vec<Report>, ExecError>> {
-        if jobs.is_empty() {
-            return Some(Ok(Vec::new()));
-        }
         let temporal = jobs
             .iter()
             .filter(|j| matches!(j.scenario.property, Property::Temporal(_)))
             .count();
         self.registry.record_offered(0, jobs.len() - temporal, 0);
         self.registry.record_temporal_offered(temporal);
-        // Per-(job, worker) frame building: the receiving worker's held
-        // set decides which summary slots ship as full documents and
-        // which collapse to the `"held"` marker. A requeued job is
-        // rebuilt against the surviving worker's own held set.
-        let frame_for = |id: usize, held: &mut std::collections::BTreeSet<Fingerprint>| {
-            let job = &jobs[id];
-            let slots = self.summary_slots(&job.fingerprints, summaries, held);
-            job_frame(id, &JobSpec::Compose(job.clone()), Some(slots))
-        };
-        let results = match dispatch(
-            &self.connectors,
-            &self.registry,
+        self.run(
+            jobs,
+            JobSpec::Compose,
             options,
-            self.heartbeat,
-            jobs.len(),
-            &frame_for,
-        ) {
-            Ok(results) => results,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(
-            results
-                .iter()
-                .zip(jobs)
-                .map(|(frame, job)| {
-                    let elapsed = Duration::from_micros(
-                        frame
-                            .get("elapsed_micros")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0),
-                    );
-                    let doc = frame.get("report").ok_or_else(|| {
-                        ExecError::Protocol("compose result without a report".into())
-                    })?;
-                    report_from_json(doc, job.scenario.property.clone(), elapsed)
-                        .map_err(|e| ExecError::Protocol(format!("undecodable report: {e}")))
-                })
-                .collect(),
+            Some(summaries),
+            |output| match output {
+                JobOutput::Report(report) => *report,
+                _ => unreachable!("an output decodes by its job's kind"),
+            },
         )
     }
 
@@ -287,72 +178,28 @@ impl Executor for WorkerFleet {
         &self,
         jobs: &[ComposeShardJob],
         options: &VerifierOptions,
-        summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
+        summaries: Summaries<'_>,
     ) -> Option<Result<Vec<ComposeShardResult>, ExecError>> {
-        if jobs.is_empty() {
-            return Some(Ok(Vec::new()));
-        }
+        // Shards ride the same summary-dedup attachments as whole
+        // compositions: every shard of a scenario names the same
+        // fingerprints, so after a worker's first shard the rest collapse
+        // to `"held"` markers. A scenario's first violation cancels its
+        // sibling shards; the fold computes whatever they did not ship.
         self.registry.record_shards_offered(jobs.len());
-        // Shards ride the same summary-dedup frames as whole compositions:
-        // every shard of a scenario names the same fingerprints, so after
-        // a worker's first shard the rest collapse to `"held"` markers.
-        let frame_for = |id: usize, held: &mut std::collections::BTreeSet<Fingerprint>| {
-            let job = &jobs[id];
-            let slots = self.summary_slots(&job.fingerprints, summaries, held);
-            job_frame(id, &JobSpec::ComposeShard(job.clone()), Some(slots))
-        };
-        // Early exit: the first violation in a scenario decides the
-        // scenario's verdict, so sibling shards are cancelled (queued ones
-        // resolve empty, in-flight ones get a cancel frame). The fold
-        // computes whatever the cancelled shards did not ship.
-        let group_of = |id: usize| Some(u64::from(jobs[id].scenario_index));
-        let synthetic = |id: usize| {
-            Json::obj([
-                ("schema", Json::int(WORKER_SCHEMA)),
-                ("kind", Json::str("result")),
-                ("id", Json::int(id as u64)),
-                (
-                    "shard",
-                    shard_result_to_json(&ComposeShardResult {
-                        records: Vec::new(),
-                        cancelled: true,
-                        timings: Vec::new(),
-                    }),
-                ),
-            ])
-        };
-        let spec = CancelSpec {
-            group_of: &group_of,
-            ends_group: &shard_frame_has_violation,
-            synthetic: &synthetic,
-        };
-        let results = match dispatch_with_cancel(
-            &self.connectors,
-            &self.registry,
+        self.run(
+            jobs,
+            JobSpec::ComposeShard,
             options,
-            self.heartbeat,
-            jobs.len(),
-            &frame_for,
-            Some(&spec),
-        ) {
-            Ok(results) => results,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(
-            results
-                .iter()
-                .map(|frame| {
-                    let doc = frame.get("shard").ok_or_else(|| {
-                        ExecError::Protocol("compose-shard result without a shard".into())
-                    })?;
-                    let result = shard_result_from_json(doc)
-                        .map_err(|e| ExecError::Protocol(format!("undecodable shard: {e}")))?;
+            Some(summaries),
+            |output| match output {
+                JobOutput::Shard(result) => {
                     if result.cancelled {
                         self.registry.record_shard_cancelled();
                     }
-                    Ok(result)
-                })
-                .collect(),
+                    result
+                }
+                _ => unreachable!("an output decodes by its job's kind"),
+            },
         )
     }
 
@@ -361,36 +208,11 @@ impl Executor for WorkerFleet {
         jobs: &[FuzzJob],
         options: &VerifierOptions,
     ) -> Option<Result<Vec<FuzzShardReport>, ExecError>> {
-        if jobs.is_empty() {
-            return Some(Ok(Vec::new()));
-        }
         self.registry.record_offered(0, 0, jobs.len());
-        let frame_for = |id: usize, _held: &mut std::collections::BTreeSet<Fingerprint>| {
-            job_frame(id, &JobSpec::Fuzz(jobs[id].clone()), None)
-        };
-        let results = match dispatch(
-            &self.connectors,
-            &self.registry,
-            options,
-            self.heartbeat,
-            jobs.len(),
-            &frame_for,
-        ) {
-            Ok(results) => results,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(
-            results
-                .iter()
-                .map(|frame| {
-                    let doc = frame.get("fuzz").ok_or_else(|| {
-                        ExecError::Protocol("fuzz result without a shard report".into())
-                    })?;
-                    shard_report_from_json(doc)
-                        .map_err(|e| ExecError::Protocol(format!("undecodable shard report: {e}")))
-                })
-                .collect(),
-        )
+        self.run(jobs, JobSpec::Fuzz, options, None, |output| match output {
+            JobOutput::Fuzz(report) => report,
+            _ => unreachable!("an output decodes by its job's kind"),
+        })
     }
 
     fn dispatch_stats(&self) -> Option<DispatchStats> {

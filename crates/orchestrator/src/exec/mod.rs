@@ -14,6 +14,10 @@
 //!   in-flight jobs requeued and the survivors drain them — no job is
 //!   pre-assigned to a worker, which is what makes uneven job costs (the
 //!   prune-heavy Step-2 walks especially) load-balance.
+//! * `frame` — the worker protocol's frames, the one place their format
+//!   lives: one type per direction with one encode and one decode each,
+//!   and one codec per job kind's result payload. Results are decoded on
+//!   the dispatch thread that received them.
 //! * [`worker`] — the worker side of the protocol: handshake, concurrent
 //!   job execution, [`worker_serve`] over any read/write pair and
 //!   [`serve_listener`] for `vericlick worker --listen`.
@@ -32,15 +36,17 @@
 
 pub mod dispatch;
 pub mod fleet;
+mod frame;
 pub mod registry;
 pub mod transport;
 pub mod worker;
 
 pub use dispatch::HeartbeatConfig;
 pub use fleet::WorkerFleet;
+pub use frame::{WORKER_PROTO, WORKER_SCHEMA};
 pub use registry::{DispatchStats, WorkerRegistry};
 pub use transport::{Connector, SocketConnector, SpawnConnector, Transport, WorkerAddr};
-pub use worker::{serve_listener, worker_serve, WorkerState, WORKER_PROTO, WORKER_SCHEMA};
+pub use worker::{serve_listener, worker_serve, WorkerState};
 
 use crate::fingerprint::{element_fingerprint, Fingerprint};
 use crate::wire::{ComposeJob, ExploreJob};

@@ -9,60 +9,16 @@
 //! `vericlick worker --listen` (see [`serve_listener`]). The framing is
 //! identical on every transport.
 
+use super::frame::{attached_to, Attached, FromWorker, JobOutput, Pin, ToWorker, Undecodable};
 use super::transport::{read_frame, tcp_no_delay, write_frame, WorkerAddr};
 use super::{run_explore_job, ExecError};
 use crate::fingerprint::Fingerprint;
-use crate::json::Json;
-use crate::persist::{summary_from_json, summary_to_json};
-use crate::wire::{
-    job_from_json, options_digest, options_from_json, report_to_json, shard_result_to_json, JobSpec,
-};
+use crate::wire::{options_digest, JobSpec, ScenarioSpec};
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ElementSummary, Verifier, VerifierOptions};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Schema version of the worker-protocol frames. Version 2 is the
-/// registry protocol: hello handshake, pull-dispatched tagged jobs
-/// (explore *and* compose), out-of-order results by id. Version 3 adds
-/// `fuzz` to the job vocabulary (conformance fuzz shards) — a bump, not
-/// an addition, because a v2 worker would reject the new kind mid-plan
-/// instead of at the handshake. Version 4 is the summary-transfer and
-/// fleet-health upgrade: hellos carry an `options_digest` instead of the
-/// full options (with a full-options fallback when the worker does not
-/// know the digest), workers advertise the summary fingerprints they
-/// already `held` and ack newly `folded` ones per result, compose frames
-/// mark already-held summary slots with `"held"` instead of re-shipping
-/// the document, and `ping`/`pong` frames let the coordinator detect a
-/// wedged-but-connected worker. Version 5 is compose sharding: the
-/// `compose-shard` job kind (a contiguous slice of a scenario's Step-2
-/// check enumeration, riding the same summary-dedup attachments as
-/// `compose`) and the `cancel` frame, which fires a running shard's
-/// cancellation token so a sibling's violation stops work the fold no
-/// longer needs — the cancelled job still answers with the complete
-/// records it finished. Version 6 adds the `temporal` job kind: a
-/// compose-shaped job (scenario + summary fingerprints, same dedup
-/// attachments) whose property is an LTL spec decided by the
-/// Büchi-product search — a bump so a v5 worker refuses it at decode
-/// time instead of failing mid-plan. Version 7 added the `split` frame
-/// (shard stealing); shard results also carry per-node `timings` the
-/// service feeds into shard-width calibration, and shard unit addresses
-/// are solver-work units (checks and weighted edges), not node counts.
-/// Version 8 drops shard stealing: the `split` frame is now an unknown
-/// frame kind that ends the session with a protocol error, and shard
-/// results no longer carry a `remainder` range — a bump so a v7
-/// coordinator, which may still send `split`, is refused at the hello.
-/// Version 9 drops the `temporal` job kind: temporal scenarios travel as
-/// `compose` jobs (the verifier routes an LTL property to the
-/// Büchi-product search on its own), and a `temporal` job is now an
-/// unknown kind answered with an error frame — a bump so a v8
-/// coordinator, which may still send one, is refused at the hello.
-pub const WORKER_SCHEMA: u64 = 9;
-
-/// Protocol name announced in hello frames, so a mismatched peer is told
-/// what this endpoint speaks.
-pub const WORKER_PROTO: &str = "vericlick-worker";
 
 /// A worker process's cross-session memory. One instance outlives every
 /// coordinator session a listener serves, which is what makes the v4
@@ -131,81 +87,46 @@ impl WorkerState {
     }
 }
 
-fn error_frame(id: Option<u64>, message: &str) -> Json {
-    let mut fields = vec![
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("error")),
-        ("message", Json::str(message)),
-    ];
-    if let Some(id) = id {
-        fields.insert(2, ("id", Json::int(id)));
-    }
-    Json::obj(fields)
-}
+/// Resolved summaries, plus the fingerprints newly folded from the frame
+/// they arrived in.
+type Resolved = (Vec<Option<Arc<ElementSummary>>>, Vec<Fingerprint>);
 
-/// A job's result-frame payload fields, plus the fingerprints the job
-/// folded into this worker's held set.
-type JobOutput = (Vec<(&'static str, Json)>, Vec<Fingerprint>);
-
-/// Resolved summary attachments, plus the fingerprints newly folded from
-/// the frame they arrived in.
-type DecodedSummaries = (Vec<Option<Arc<ElementSummary>>>, Vec<Fingerprint>);
-
-/// Execute one decoded job; returns the result frame's payload fields
-/// plus any fingerprints the job folded into this worker's held set (an
-/// explore job retains its own result for future compose sessions).
+/// Execute one decoded job; returns its output plus any fingerprints the
+/// job folded into this worker's held set (an explore job retains its own
+/// result for future compose sessions).
 fn run_job(
     job: &JobSpec,
     summaries: Vec<Option<Arc<ElementSummary>>>,
     options: &VerifierOptions,
     state: &WorkerState,
     cancel: &CancelToken,
-) -> Result<JobOutput, ExecError> {
+) -> Result<(JobOutput, Vec<Fingerprint>), ExecError> {
+    let scenario = |spec: &ScenarioSpec, kind: &str| {
+        spec.to_scenario()
+            .map_err(|e| ExecError::Job(format!("{kind} job scenario: {e}")))
+    };
     match job {
         JobSpec::Explore(job) => {
             let summary = run_explore_job(job, &options.engine)?.map(Arc::new);
-            let payload = vec![(
-                "summary",
-                match &summary {
-                    Some(s) => summary_to_json(s),
-                    None => Json::Null,
-                },
-            )];
             let mut folded = Vec::new();
-            if let Some(summary) = summary {
-                state.fold(job.fingerprint, summary);
+            if let Some(summary) = &summary {
+                state.fold(job.fingerprint, summary.clone());
                 folded.push(job.fingerprint);
             }
-            Ok((payload, folded))
+            Ok((JobOutput::Summary(summary), folded))
         }
         // `verify` routes a temporal property to the Büchi-product search,
         // so the report matches an in-process run byte for byte.
         JobSpec::Compose(job) => {
-            let scenario = job
-                .scenario
-                .to_scenario()
-                .map_err(|e| ExecError::Job(format!("compose job scenario: {e}")))?;
+            let scenario = scenario(&job.scenario, "compose")?;
             let mut verifier = Verifier::with_options(options.clone());
             verifier.seed_summaries(summaries.into_iter().flatten());
             let report = verifier.verify(&scenario.pipeline, &scenario.property);
-            Ok((
-                vec![
-                    ("report", report_to_json(&report)),
-                    (
-                        "elapsed_micros",
-                        Json::int(report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-                    ),
-                ],
-                Vec::new(),
-            ))
+            Ok((JobOutput::Report(Box::new(report)), Vec::new()))
         }
         JobSpec::ComposeShard(job) => {
-            let scenario = job
-                .scenario
-                .to_scenario()
-                .map_err(|e| ExecError::Job(format!("compose-shard job scenario: {e}")))?;
-            let mut verifier = Verifier::with_options(options.clone());
-            let result = verifier.decide_composition_shard(
+            let scenario = scenario(&job.scenario, "compose-shard")?;
+            let result = Verifier::with_options(options.clone()).decide_composition_shard(
                 &scenario.pipeline,
                 &scenario.property,
                 summaries.into_iter().flatten(),
@@ -213,63 +134,42 @@ fn run_job(
                 job.end,
                 cancel,
             );
-            Ok((vec![("shard", shard_result_to_json(&result))], Vec::new()))
+            Ok((JobOutput::Shard(result), Vec::new()))
         }
         JobSpec::Fuzz(job) => {
             let report = crate::conformance::run_fuzz_shard(job, options)?;
-            Ok((
-                vec![("fuzz", crate::conformance::shard_report_to_json(&report))],
-                Vec::new(),
-            ))
+            Ok((JobOutput::Fuzz(report), Vec::new()))
         }
     }
 }
 
-/// Decode a job frame's `summaries` attachment under the v4 vocabulary:
-/// a full document is folded into `state` (keyed by the job's fingerprint
-/// at that position) and used, the string `"held"` resolves from `state`,
-/// and `null` stays empty (budget-exceeded exploration). Returns the
-/// resolved summaries plus the fingerprints newly folded from this frame.
-fn decode_summaries(
-    frame: &Json,
+/// Resolve a job's summary attachment against `state`: a shipped summary
+/// is folded into `state` (keyed by the job's fingerprint at that
+/// position) and used, a `held` marker resolves from `state`, and an
+/// empty slot stays empty (budget-exceeded exploration). Returns the
+/// resolved summaries plus the fingerprints newly folded.
+fn resolve(
     job: &JobSpec,
+    slots: Vec<Attached>,
     state: &WorkerState,
-) -> Result<DecodedSummaries, ExecError> {
-    let doc = match frame.get("summaries") {
-        None | Some(Json::Null) => return Ok((Vec::new(), Vec::new())),
-        Some(doc) => doc,
-    };
-    let arr = doc
-        .as_arr()
-        .ok_or_else(|| ExecError::Protocol("job summaries is not an array".into()))?;
-    let fingerprints: &[Fingerprint] = match job {
-        JobSpec::Compose(job) => &job.fingerprints,
-        JobSpec::ComposeShard(job) => &job.fingerprints,
-        _ => &[],
-    };
+) -> Result<Resolved, ExecError> {
+    let fingerprints = attached_to(job);
     let mut folded = Vec::new();
-    let summaries = arr
-        .iter()
+    let summaries = slots
+        .into_iter()
         .enumerate()
-        .map(|(i, entry)| match entry {
-            Json::Null => Ok(None),
-            entry if entry.as_str() == Some("held") => {
-                let fp = fingerprints.get(i).ok_or_else(|| {
+        .map(|(i, slot)| match slot {
+            Attached::Missing => Ok(None),
+            Attached::Held => fingerprints
+                .get(i)
+                .and_then(|fp| state.get(*fp))
+                .map(Some)
+                .ok_or_else(|| {
                     ExecError::Protocol(format!(
-                        "held summary slot {i} beyond the job's fingerprints"
+                        "held summary slot {i} is not in this worker's store"
                     ))
-                })?;
-                state.get(*fp).map(Some).ok_or_else(|| {
-                    ExecError::Protocol(format!(
-                        "summary {fp} marked held but absent from this worker's store"
-                    ))
-                })
-            }
-            entry => {
-                let summary = Arc::new(
-                    summary_from_json(entry)
-                        .map_err(|e| ExecError::Protocol(format!("undecodable summary: {e}")))?,
-                );
+                }),
+            Attached::Shipped(summary) => {
                 if let Some(fp) = fingerprints.get(i) {
                     state.fold(*fp, summary.clone());
                     folded.push(*fp);
@@ -316,93 +216,64 @@ where
     let capacity = super::default_parallelism(capacity);
     let mut input = input;
     let writer = Mutex::new(output);
+    let send = |frame: FromWorker| {
+        let frame = frame.encode();
+        write_frame(&mut *writer.lock().expect("worker writer"), &frame)
+    };
 
     // Handshake: the first frame must be a hello with our protocol and
     // schema. EOF before any frame is a clean no-op session.
     let Some(hello) = read_frame(&mut input)? else {
         return Ok(());
     };
-    let kind = hello.get("kind").and_then(Json::as_str);
-    let schema = hello.get("schema").and_then(Json::as_u64);
-    let proto = hello.get("proto").and_then(Json::as_str);
-    if kind != Some("hello") || schema != Some(WORKER_SCHEMA) || proto != Some(WORKER_PROTO) {
-        // Reject cleanly: tell the peer what this build speaks, then
-        // refuse the session.
-        let message = format!(
-            "version mismatch: peer sent kind {kind:?} proto {proto:?} schema {schema:?}; \
-             this worker speaks {WORKER_PROTO} schema {WORKER_SCHEMA}"
-        );
-        let _ = write_frame(
-            &mut *writer.lock().expect("worker writer"),
-            &error_frame(None, &message),
-        );
-        return Err(ExecError::Protocol(message));
-    }
+    let pin = match ToWorker::decode(&hello) {
+        Ok(ToWorker::Hello(pin)) => pin,
+        refused => {
+            // Reject cleanly: tell the peer why (a version mismatch names
+            // what this build speaks), then refuse the session.
+            let message = match refused {
+                Err(e) => e.message,
+                Ok(_) => "the session must open with a hello".to_string(),
+            };
+            let _ = send(FromWorker::Error {
+                id: None,
+                message: message.clone(),
+            });
+            return Err(ExecError::Protocol(message));
+        }
+    };
     // Pin this session's options: a full document wins (and is remembered
     // under its digest), otherwise the digest must resolve against this
     // worker's memory — and when it does not, the hello reply asks for
     // the full document before any job.
-    let mut need_options = false;
-    let options = if let Some(doc) = hello.get("options") {
-        let options = options_from_json(doc).map_err(|e| ExecError::Protocol(e.to_string()))?;
-        state.remember_options(&options);
-        Some(options)
-    } else if let Some(digest) = hello.get("options_digest").and_then(Json::as_str) {
-        let known = state.options_for(digest);
-        need_options = known.is_none();
-        known
-    } else {
-        return Err(ExecError::Protocol(
-            "hello frame has neither options nor options_digest".into(),
-        ));
+    let options = match pin {
+        Pin::Full(options) => {
+            state.remember_options(&options);
+            Some(options)
+        }
+        Pin::Digest(digest) => state.options_for(&digest),
     };
-    let mut reply = vec![
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str("hello")),
-        ("proto", Json::str(WORKER_PROTO)),
-        ("capacity", Json::int(capacity as u64)),
-        (
-            "held",
-            Json::Arr(
-                state
-                    .held()
-                    .iter()
-                    .map(|fp| Json::str(fp.to_string()))
-                    .collect(),
-            ),
-        ),
-    ];
-    if need_options {
-        reply.push(("need_options", Json::Bool(true)));
-    }
-    write_frame(
-        &mut *writer.lock().expect("worker writer"),
-        &Json::obj(reply),
-    )?;
+    send(FromWorker::Hello {
+        capacity,
+        held: state.held(),
+        need_options: options.is_none(),
+    })?;
     let options = match options {
         Some(options) => options,
-        None => {
-            // The digest fallback: the very next frame must carry the
-            // full options document.
-            let Some(frame) = read_frame(&mut input)? else {
-                return Err(ExecError::Protocol(
-                    "connection closed awaiting the full options document".into(),
-                ));
-            };
-            if frame.get("kind").and_then(Json::as_str) != Some("options") {
-                return Err(ExecError::Protocol(
-                    "expected an options frame after need_options".into(),
-                ));
+        // The digest fallback: the very next frame must carry the full
+        // options document.
+        None => match read_frame(&mut input)?.map(|frame| ToWorker::decode(&frame)) {
+            Some(Ok(ToWorker::Options(options))) => {
+                state.remember_options(&options);
+                options
             }
-            let options = options_from_json(
-                frame
-                    .get("options")
-                    .ok_or_else(|| ExecError::Protocol("options frame without options".into()))?,
-            )
-            .map_err(|e| ExecError::Protocol(e.to_string()))?;
-            state.remember_options(&options);
-            options
-        }
+            Some(Err(e)) => return Err(ExecError::Protocol(e.message)),
+            _ => {
+                return Err(ExecError::Protocol(
+                    "expected the full options document after need_options".into(),
+                ))
+            }
+        },
     };
 
     // The job loop. Jobs run on scoped threads; results are written as
@@ -411,7 +282,7 @@ where
     // but a remote peer is not trusted to spawn unbounded solver threads
     // here.
     let options = &options;
-    let writer = &writer;
+    let send = &send;
     let in_flight = &(Mutex::new(0usize), Condvar::new());
     // Cancellation tokens of in-flight jobs, by id: a `cancel` frame fires
     // the token from the read loop while the job's thread keeps running —
@@ -422,29 +293,9 @@ where
             let Some(frame) = read_frame(&mut input)? else {
                 return Ok(()); // coordinator closed the session: drain and exit
             };
-            if frame.get("schema").and_then(Json::as_u64) != Some(WORKER_SCHEMA) {
-                return Err(ExecError::Protocol("job frame with wrong schema".into()));
-            }
-            match frame.get("kind").and_then(Json::as_str) {
-                Some("job") => {
-                    let id = frame
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ExecError::Protocol("job frame without an id".into()))?;
-                    let doc = frame
-                        .get("job")
-                        .ok_or_else(|| ExecError::Protocol("job frame without a job".into()))?;
-                    // An undecodable job (an unknown kind, say) fails that
-                    // job only: its id gets an error frame.
-                    let job = match job_from_json(doc) {
-                        Ok(job) => job,
-                        Err(e) => {
-                            let reply = error_frame(Some(id), &e.to_string());
-                            write_frame(&mut *writer.lock().expect("worker writer"), &reply)?;
-                            continue;
-                        }
-                    };
-                    let (summaries, folded) = decode_summaries(&frame, &job, state)?;
+            match ToWorker::decode(&frame) {
+                Ok(ToWorker::Job { id, job, summaries }) => {
+                    let (summaries, folded) = resolve(&job, summaries.unwrap_or_default(), state)?;
                     {
                         let (count, cv) = in_flight;
                         let mut running = count.lock().expect("in-flight gate");
@@ -459,84 +310,55 @@ where
                         .expect("cancel registry")
                         .insert(id, cancel.clone());
                     scope.spawn(move || {
-                        let frame = match run_job(&job, summaries, options, state, &cancel) {
-                            Ok((payload, run_folded)) => {
-                                let mut fields = vec![
-                                    ("schema", Json::int(WORKER_SCHEMA)),
-                                    ("kind", Json::str("result")),
-                                    ("id", Json::int(id)),
-                                ];
-                                fields.extend(payload);
-                                let mut folded = folded;
-                                folded.extend(run_folded);
-                                if !folded.is_empty() {
-                                    fields.push((
-                                        "folded",
-                                        Json::Arr(
-                                            folded
-                                                .iter()
-                                                .map(|fp| Json::str(fp.to_string()))
-                                                .collect(),
-                                        ),
-                                    ));
-                                }
-                                Json::obj(fields)
-                            }
-                            Err(e) => error_frame(Some(id), &e.to_string()),
+                        let reply = match run_job(&job, summaries, options, state, &cancel) {
+                            Ok((output, run_folded)) => FromWorker::Result {
+                                id,
+                                output,
+                                folded: folded.into_iter().chain(run_folded).collect(),
+                            },
+                            Err(e) => FromWorker::Error {
+                                id: Some(id),
+                                message: e.to_string(),
+                            },
                         };
                         cancels.lock().expect("cancel registry").remove(&id);
                         // A write failure means the coordinator is gone;
                         // the read loop will see EOF and exit.
-                        let _ = write_frame(&mut *writer.lock().expect("worker writer"), &frame);
+                        let _ = send(reply);
                         let (count, cv) = in_flight;
                         *count.lock().expect("in-flight gate") -= 1;
                         cv.notify_one();
                     });
                 }
-                Some("ping") => {
-                    // Heartbeat: answer immediately from the read loop,
-                    // even while jobs are in flight — that immediacy is
-                    // exactly what tells a coordinator this worker is
-                    // busy rather than wedged.
-                    let mut pong = vec![
-                        ("schema", Json::int(WORKER_SCHEMA)),
-                        ("kind", Json::str("pong")),
-                    ];
-                    if let Some(seq) = frame.get("seq").and_then(Json::as_u64) {
-                        pong.push(("seq", Json::int(seq)));
-                    }
-                    write_frame(
-                        &mut *writer.lock().expect("worker writer"),
-                        &Json::obj(pong),
-                    )?;
-                }
-                Some("cancel") => {
+                // An undecodable job fails that job only: its id gets an
+                // error frame and the session goes on.
+                Err(Undecodable {
+                    job: Some(id),
+                    message,
+                }) => send(FromWorker::Error {
+                    id: Some(id),
+                    message,
+                })?,
+                // Heartbeat: answer immediately from the read loop, even
+                // while jobs are in flight — that immediacy is exactly
+                // what tells a coordinator this worker is busy rather
+                // than wedged.
+                Ok(ToWorker::Ping(seq)) => send(FromWorker::Pong(seq))?,
+                Ok(ToWorker::Cancel(id)) => {
                     // Fire the named job's token if it is still running; a
                     // cancel racing a finished job is a clean no-op (its
                     // result frame is already on the wire).
-                    let id = frame
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ExecError::Protocol("cancel frame without an id".into()))?;
                     if let Some(token) = cancels.lock().expect("cancel registry").get(&id) {
                         token.cancel();
                     }
                 }
-                Some("options") => {
-                    // An idempotent re-pin (a coordinator may push the
-                    // full document even when the digest resolved).
-                    let options = options_from_json(frame.get("options").ok_or_else(|| {
-                        ExecError::Protocol("options frame without options".into())
-                    })?)
-                    .map_err(|e| ExecError::Protocol(e.to_string()))?;
-                    state.remember_options(&options);
+                // An idempotent re-pin (a coordinator may push the full
+                // document even when the digest resolved).
+                Ok(ToWorker::Options(options)) => state.remember_options(&options),
+                Ok(ToWorker::Hello(_)) => {
+                    return Err(ExecError::Protocol("unexpected hello frame".into()))
                 }
-                Some("shutdown") => return Ok(()),
-                other => {
-                    return Err(ExecError::Protocol(format!(
-                        "unexpected frame kind {other:?}"
-                    )))
-                }
+                Err(e) => return Err(ExecError::Protocol(e.message)),
             }
         }
     })
@@ -626,10 +448,19 @@ pub fn serve_listener(
 
 #[cfg(test)]
 mod tests {
-    use super::super::dispatch::{hello_frame, options_frame};
     use super::super::testutil::router_jobs;
+    use super::super::{WORKER_PROTO, WORKER_SCHEMA};
     use super::*;
+    use crate::json::Json;
     use crate::wire::{job_to_json, ExploreJob};
+
+    fn hello_frame(options: &VerifierOptions) -> Json {
+        ToWorker::Hello(Pin::Digest(options_digest(options))).encode()
+    }
+
+    fn options_frame(options: &VerifierOptions) -> Json {
+        ToWorker::Options(options.clone()).encode()
+    }
 
     fn frames_to_input(frames: &[Json]) -> std::io::Cursor<String> {
         let text: String = frames
@@ -640,12 +471,12 @@ mod tests {
     }
 
     fn job_frame(id: u64, job: &ExploreJob) -> Json {
-        Json::obj([
-            ("schema", Json::int(WORKER_SCHEMA)),
-            ("kind", Json::str("job")),
-            ("id", Json::int(id)),
-            ("job", job_to_json(&JobSpec::Explore(job.clone()))),
-        ])
+        ToWorker::Job {
+            id,
+            job: JobSpec::Explore(job.clone()),
+            summaries: None,
+        }
+        .encode()
     }
 
     fn parse_output(output: &[u8]) -> Vec<Json> {
@@ -849,6 +680,45 @@ mod tests {
         let replies = parse_output(&output);
         assert_eq!(replies[1].get("kind").and_then(Json::as_str), Some("error"));
         assert_eq!(replies[1].get("id").and_then(Json::as_u64), Some(7));
+    }
+
+    #[test]
+    fn a_malformed_job_fingerprint_becomes_an_error_frame_and_the_session_goes_on() {
+        // 32 bytes that are not 32 hex digits: `é` across the midpoint,
+        // and signs `from_str_radix` would accept.
+        let options = VerifierOptions::default();
+        let mut frames = vec![hello_frame(&options), options_frame(&options)];
+        let straddling = format!("{}\u{e9}{}", "a".repeat(15), "a".repeat(15));
+        for (id, fingerprint) in [
+            (0u64, straddling.as_str()),
+            (1, "+000000000000001+000000000000001"),
+        ] {
+            let mut job = job_frame(id, &router_jobs(&options.engine)[0]);
+            if let Json::Obj(fields) = &mut job {
+                let mut doc = fields["job"].clone();
+                if let Json::Obj(job) = &mut doc {
+                    job.insert("fingerprint".into(), Json::str(fingerprint));
+                }
+                fields.insert("job".into(), doc);
+            }
+            frames.push(job);
+        }
+        frames.push(Json::obj([
+            ("schema", Json::int(WORKER_SCHEMA)),
+            ("kind", Json::str("ping")),
+            ("seq", Json::int(5u64)),
+        ]));
+        let mut output = Vec::new();
+        worker_serve(frames_to_input(&frames), &mut output, 1).unwrap();
+        let replies = parse_output(&output);
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        for (reply, id) in replies[1..3].iter().zip([0, 1]) {
+            assert_eq!(reply.get("kind").and_then(Json::as_str), Some("error"));
+            assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id));
+            let message = reply.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("bad fingerprint"), "{message}");
+        }
+        assert_eq!(replies[3].get("kind").and_then(Json::as_str), Some("pong"));
     }
 
     #[test]

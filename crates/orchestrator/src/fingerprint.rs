@@ -30,10 +30,12 @@ impl fmt::Debug for Fingerprint {
 }
 
 impl Fingerprint {
-    /// Parse the hex form produced by `Display` (used to map persisted cache
-    /// file names back to keys).
+    /// Parse the hex form produced by `Display` — exactly 32 lowercase hex
+    /// digits, nothing else (used to map persisted cache file names back to
+    /// keys, and on every fingerprint a peer sends).
     pub fn parse(text: &str) -> Option<Fingerprint> {
-        if text.len() != 32 {
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if text.len() != 32 || !text.bytes().all(lower_hex) {
             return None;
         }
         let hi = u64::from_str_radix(&text[..16], 16).ok()?;
@@ -101,6 +103,13 @@ mod tests {
         assert_eq!(Fingerprint::parse(&text), Some(fp));
         assert_eq!(Fingerprint::parse("xyz"), None);
         assert_eq!(Fingerprint::parse(&"0".repeat(31)), None);
+        // 32 bytes, but `é` straddles the midpoint: rejected, not a panic.
+        let straddling = format!("{}\u{e9}{}", "a".repeat(15), "a".repeat(15));
+        assert_eq!(straddling.len(), 32);
+        assert_eq!(Fingerprint::parse(&straddling), None);
+        // Signs and upper case are not what `Display` writes.
+        assert_eq!(Fingerprint::parse("+000000000000001+000000000000001"), None);
+        assert_eq!(Fingerprint::parse(&text.to_uppercase()), None);
     }
 
     #[test]

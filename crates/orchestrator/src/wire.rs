@@ -1033,16 +1033,19 @@ pub(crate) fn hex_bytes(bytes: &[u8]) -> String {
 
 pub(crate) fn bytes_from_hex(text: &str) -> Result<Vec<u8>, WireError> {
     // Work on bytes: slicing the &str at fixed offsets would panic on a
-    // (malformed) multi-byte character instead of erroring.
-    if !text.is_ascii() {
-        return Err(malformed("hex string with non-ASCII characters"));
-    }
+    // (malformed) multi-byte character instead of erroring, and
+    // `from_str_radix` would accept a sign (`"+f"`).
     if !text.len().is_multiple_of(2) {
         return Err(malformed("odd-length hex string"));
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).map_err(|_| malformed("bad hex byte")))
+    let digit = |b: u8| {
+        (b as char)
+            .to_digit(16)
+            .ok_or_else(|| malformed("bad hex byte"))
+    };
+    text.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Ok((digit(pair[0])? * 16 + digit(pair[1])?) as u8))
         .collect()
 }
 
@@ -1676,6 +1679,7 @@ mod tests {
         assert!(bytes_from_hex("0").is_err(), "odd length");
         assert!(bytes_from_hex("zz").is_err(), "non-hex digit");
         assert!(bytes_from_hex("caf\u{e9}").is_err(), "non-ASCII");
+        assert!(bytes_from_hex("+f").is_err(), "a sign is no hex digit");
         assert_eq!(bytes_from_hex("").unwrap(), Vec::<u8>::new());
         assert_eq!(bytes_from_hex("00ff10").unwrap(), vec![0x00, 0xff, 0x10]);
     }
