@@ -10,8 +10,9 @@ use crate::report::{
 };
 use crate::summary::{ElementSummary, SummaryCache};
 use crate::tree::{PrefixTree, Step, Visitor, WalkInput};
-use dataplane_ir::{DsClass, DsId};
+use dataplane_ir::{DsClass, DsId, Program};
 use dataplane_net::Packet;
+use dataplane_pipeline::element::DsContents;
 use dataplane_pipeline::pipeline::Disposition;
 use dataplane_pipeline::{ElementIdx, Pipeline};
 use dataplane_symbex::term::{self, Term, TermRef};
@@ -21,7 +22,7 @@ use dataplane_symbex::{
 };
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Options controlling the verifier's behaviour and budgets.
@@ -265,6 +266,7 @@ impl Verifier {
                 pipeline,
                 summaries,
             },
+            models: WalkModels::new(pipeline),
             property,
             suspects,
             hints,
@@ -872,6 +874,7 @@ impl ComposeOutline {
 /// shard walks alike).
 struct WalkCtx<'a> {
     tree: PrefixTree<'a>,
+    models: WalkModels<'a>,
     property: &'a Property,
     suspects: &'a [Vec<usize>],
     hints: Vec<dataplane_symbex::Assignment>,
@@ -960,19 +963,62 @@ fn rewrite_ipv4_checksum(packet: &mut [u8], dst_offset: usize) {
     }
 }
 
+/// What Step 2 reads of one element's model: the program's data-structure
+/// declarations and the static tables its configuration installs.
+struct ElementModel {
+    program: Program,
+    tables: BTreeMap<DsId, DsContents>,
+}
+
+impl ElementModel {
+    /// The configured contents of data structure `ds` (empty if none).
+    fn table(&self, ds: DsId) -> &[(u64, u64)] {
+        self.tables.get(&ds).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The element models of one Step-2 walk: each is built the first time the
+/// walk needs it and borrowed from then on, so a walk builds an element's
+/// model (and scans its tables) at most once however many checks read it.
+struct WalkModels<'a> {
+    pipeline: &'a Pipeline,
+    built: Vec<OnceLock<ElementModel>>,
+}
+
+impl<'a> WalkModels<'a> {
+    fn new(pipeline: &'a Pipeline) -> Self {
+        WalkModels {
+            pipeline,
+            built: (0..pipeline.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn get(&self, element: ElementIdx) -> &ElementModel {
+        self.built[element].get_or_init(|| {
+            let element = self.pipeline.node(element).element.as_ref();
+            ElementModel {
+                program: element.model(),
+                tables: element.model_state(),
+            }
+        })
+    }
+}
+
 /// Replace reads of *static* data structures with the values installed by
 /// the element's configuration (the paper's "certain properties can only
 /// be proved for a specific configuration"): reads with a concrete key
 /// are looked up directly; reads of small tables with a symbolic key
 /// become a select chain over the table's populated entries.
 fn concretise_static_reads(
-    pipeline: &Pipeline,
+    models: &WalkModels<'_>,
     elements: &[ElementIdx],
     mut terms: Vec<TermRef>,
 ) -> Vec<TermRef> {
     // The select-chain expansion is only worthwhile (and only bounded)
     // for small tables.
     const MAX_CHAIN: usize = 32;
+    // The path's models, by depth, resolved before any substitution.
+    let path: Vec<&ElementModel> = elements.iter().map(|&e| models.get(e)).collect();
     // Concretising one read can make another read's key concrete, so run
     // a few passes until the terms stop changing.
     for _ in 0..3 {
@@ -987,14 +1033,12 @@ fn concretise_static_reads(
                         width,
                     } = leaf
                     {
-                        let element_idx = *elements.get(depth_of_id(*seq)?)?;
-                        let element = pipeline.node(element_idx).element.as_ref();
-                        let program = element.model();
-                        let decl = program.ds(*ds)?;
+                        let model = path.get(depth_of_id(*seq)?)?;
+                        let decl = model.program.ds(*ds)?;
                         if decl.class != DsClass::Static {
                             return None;
                         }
-                        let contents = element.model_state().get(ds).cloned().unwrap_or_default();
+                        let contents = model.table(*ds);
                         if let Some(k) = key.as_const() {
                             let value = contents
                                 .iter()
@@ -1008,7 +1052,7 @@ fn concretise_static_reads(
                             // select(key == k1, v1, select(key == k2, ...)).
                             let mut chain =
                                 term::constant(dataplane_ir::BitVec::new(*width, decl.default));
-                            for (k, v) in &contents {
+                            for (k, v) in contents {
                                 chain = term::select(
                                     term::binary(
                                         dataplane_ir::BinOp::Eq,
@@ -1141,7 +1185,7 @@ impl<'a> WalkCtx<'a> {
                     .map(|(i, b)| (*dst_offset as i64 + i as i64, *b))
                     .collect();
                 let bound = bind_packet_bytes(constraint, &bindings);
-                Cow::Owned(concretise_static_reads(self.tree.pipeline, elements, bound))
+                Cow::Owned(concretise_static_reads(&self.models, elements, bound))
             }
             _ => Cow::Borrowed(constraint),
         }
@@ -1317,8 +1361,7 @@ impl<'a> WalkCtx<'a> {
     /// reads of private data structures that the element never writes with
     /// their default values.
     fn discharged_by_ds_analysis(&self, constraint: &[TermRef], element: ElementIdx) -> bool {
-        let node = self.tree.pipeline.node(element);
-        let program = node.element.model();
+        let program = &self.models.get(element).program;
         let summary = &self.tree.summaries[element];
         // Data structures this element ever writes (on any segment).
         let written: Vec<DsId> = summary
@@ -1836,7 +1879,10 @@ pub fn suspect_overview(report: &Report) -> BTreeMap<&'static str, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataplane_pipeline::presets::{buggy_pipeline, ip_router_pipeline};
+    use dataplane_pipeline::presets::{
+        buggy_pipeline, ip_router_pipeline, linear_pipeline, router_element_chain,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Shard the composition at `max_weight`, compute every shard on a
     /// fresh "worker" verifier, fold on a fresh "coordinator" verifier, and
@@ -2088,5 +2134,84 @@ mod tests {
         );
         assert!(shard.cancelled);
         assert!(shard.records.is_empty());
+    }
+
+    /// Wraps an element and counts how often its model program and its
+    /// model tables are built.
+    struct Counted {
+        inner: Box<dyn dataplane_pipeline::Element>,
+        models: Arc<AtomicUsize>,
+        tables: Arc<AtomicUsize>,
+    }
+
+    impl dataplane_pipeline::Element for Counted {
+        fn type_name(&self) -> &'static str {
+            self.inner.type_name()
+        }
+        fn config_key(&self) -> String {
+            self.inner.config_key()
+        }
+        fn output_ports(&self) -> usize {
+            self.inner.output_ports()
+        }
+        fn process(&mut self, packet: Packet) -> dataplane_pipeline::Action {
+            self.inner.process(packet)
+        }
+        fn model(&self) -> Program {
+            self.models.fetch_add(1, Ordering::Relaxed);
+            self.inner.model()
+        }
+        fn model_state(&self) -> BTreeMap<DsId, DsContents> {
+            self.tables.fetch_add(1, Ordering::Relaxed);
+            self.inner.model_state()
+        }
+    }
+
+    #[test]
+    fn a_reachability_walk_builds_each_static_table_once() {
+        // The linear router with its route table counted: every suspect ×
+        // prefix check over the lookup reads that table.
+        let models = Arc::new(AtomicUsize::new(0));
+        let tables = Arc::new(AtomicUsize::new(0));
+        let chain = router_element_chain()
+            .into_iter()
+            .map(|(name, inner)| {
+                if name != "rt" {
+                    return (name, inner);
+                }
+                let counted = Counted {
+                    inner,
+                    models: models.clone(),
+                    tables: tables.clone(),
+                };
+                (
+                    name,
+                    Box::new(counted) as Box<dyn dataplane_pipeline::Element>,
+                )
+            })
+            .collect();
+        let pipeline = linear_pipeline(chain);
+        let property = Property::Reachability {
+            dst: std::net::Ipv4Addr::new(10, 1, 2, 3),
+            dst_offset: 30,
+            deliver_to: vec!["sink".to_string()],
+            may_drop: ["cls", "strip", "chk", "opts", "ttl"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        };
+        let mut verifier = Verifier::new();
+        for walks in 1..=2 {
+            let report = verifier.verify(&pipeline, &property);
+            assert_eq!(report.verdict, Verdict::Proven, "{report}");
+            assert!(
+                report.stats.solver_calls > 10,
+                "the walk must run many checks: {:?}",
+                report.stats
+            );
+            assert_eq!(tables.load(Ordering::Relaxed), walks);
+        }
+        // Step 1 explores the lookup once; each walk builds its model once.
+        assert_eq!(models.load(Ordering::Relaxed), 3);
     }
 }

@@ -130,11 +130,11 @@ pub trait Element: Send + Sync {
     }
 }
 
-/// Build the concrete [`ElementState`] for an element's model, with the
-/// model's static/private tables populated from [`Element::model_state`].
-pub fn build_model_state(element: &dyn Element) -> ElementState {
-    let program = element.model();
-    let mut state = ElementState::for_program(&program);
+/// Build the concrete [`ElementState`] for an element's model `program`
+/// (what [`Element::model`] returned), with the model's static/private
+/// tables populated from [`Element::model_state`].
+pub fn build_model_state(element: &dyn Element, program: &Program) -> ElementState {
+    let mut state = ElementState::for_program(program);
     for (ds, contents) in element.model_state() {
         if let Some(store) = state.store_mut(ds) {
             let width = store.decl().value_width;
@@ -163,7 +163,9 @@ impl fmt::Debug for dyn Element {
 /// outcome together with the instruction count. This is the reference
 /// semantics that `process` must match.
 pub fn run_model(element: &dyn Element, packet: &Packet) -> (Action, u64) {
-    run_model_with_state(element, packet, &mut build_model_state(element))
+    let program = element.model();
+    let mut state = build_model_state(element, &program);
+    run_program(&program, packet.clone(), &mut state)
 }
 
 /// Like [`run_model`], but against caller-managed state (so private state
@@ -173,16 +175,22 @@ pub fn run_model_with_state(
     packet: &Packet,
     state: &mut ElementState,
 ) -> (Action, u64) {
-    let program = element.model();
-    let mut bytes = packet.bytes().to_vec();
-    let result = dataplane_ir::execute_default(&program, &mut bytes, state)
+    run_program(&element.model(), packet.clone(), state)
+}
+
+/// The one model step every model runner shares: interpret an element's
+/// already-built `program` on the packet's own bytes against `state`, and
+/// turn the outcome into an [`Action`]. An emitted packet is the same
+/// packet moved on, so its metadata is kept.
+pub(crate) fn run_program(
+    program: &Program,
+    mut packet: Packet,
+    state: &mut ElementState,
+) -> (Action, u64) {
+    let result = dataplane_ir::execute_default(program, packet.bytes_mut(), state)
         .expect("element model exceeded the interpreter instruction limit");
     let action = match result.outcome {
-        dataplane_ir::Outcome::Emitted(port) => {
-            let mut out = packet.clone();
-            *out.bytes_mut() = bytes;
-            Action::Emit(port, out)
-        }
+        dataplane_ir::Outcome::Emitted(port) => Action::Emit(port, packet),
         dataplane_ir::Outcome::Dropped => Action::Drop,
         dataplane_ir::Outcome::Crashed(reason) => Action::Crash(reason),
     };
@@ -278,7 +286,7 @@ mod tests {
     fn default_model_state_is_empty() {
         let e = ParityFork;
         assert!(e.model_state().is_empty());
-        let state = build_model_state(&e);
+        let state = build_model_state(&e, &e.model());
         assert!(state.is_empty());
         assert_eq!(e.config_key(), "");
     }

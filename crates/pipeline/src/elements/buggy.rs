@@ -37,9 +37,11 @@ impl Element for BuggyDecTTL {
         1
     }
     fn process(&mut self, mut packet: Packet) -> Action {
-        let Some(ttl) = packet.get_u8(ip_field::TTL as usize) else {
+        // Shorter than the first 12 header bytes: dropped, as the model does.
+        if packet.len() < 12 {
             return Action::Drop;
-        };
+        }
+        let ttl = packet.bytes()[ip_field::TTL as usize];
         // BUG: divides by the TTL before checking it is non-zero.
         if ttl == 0 {
             return Action::Crash(CrashReason::DivisionByZero);

@@ -294,7 +294,7 @@ mod tests {
     fn model_matches_native_across_a_flow_sequence() {
         let element = Nat::with_defaults();
         let mut native = Nat::with_defaults();
-        let mut model_state = build_model_state(&element);
+        let mut model_state = build_model_state(&element, &element.model());
 
         let packets: Vec<Packet> = vec![
             udp_packet(Ipv4Addr::new(10, 0, 0, 1), 1111),

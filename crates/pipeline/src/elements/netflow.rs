@@ -221,7 +221,7 @@ mod tests {
     fn model_counts_like_native_across_a_stream() {
         let e = NetFlow::new();
         let mut native = NetFlow::new();
-        let mut model_state = build_model_state(&e);
+        let mut model_state = build_model_state(&e, &e.model());
 
         let packets: Vec<Packet> = (0..20)
             .map(|i| {

@@ -2,9 +2,9 @@
 //! (SMPClick-style) execution of packet streams, plus a model-interpreting
 //! runtime used for differential testing and instruction accounting.
 
-use crate::element::{build_model_state, run_model_with_state, Action};
+use crate::element::{build_model_state, run_program, Action};
 use crate::pipeline::{Disposition, Pipeline, PipelineOutcome};
-use dataplane_ir::ElementState;
+use dataplane_ir::{ElementState, Program};
 use dataplane_net::Packet;
 use parking_lot::Mutex;
 use std::fmt;
@@ -157,20 +157,33 @@ pub struct ModelRun {
 /// Used (a) by differential tests that check native ≡ model at the pipeline
 /// level, and (b) to measure concrete per-packet instruction counts that the
 /// verifier's bounded-instruction proof can be compared against.
+///
+/// Each element's model is built once, in [`ModelRuntime::new`]; a push only
+/// interprets the stored programs.
 pub struct ModelRuntime<'p> {
     pipeline: &'p Pipeline,
+    /// Each node's model program, validated when the element built it.
+    programs: Vec<Program>,
     states: Vec<ElementState>,
 }
 
 impl<'p> ModelRuntime<'p> {
     /// Build the model runtime for a pipeline (instantiating each element's
-    /// model state).
+    /// model program and model state).
     pub fn new(pipeline: &'p Pipeline) -> Self {
-        let states = pipeline
+        let (programs, states) = pipeline
             .iter()
-            .map(|(_, node)| build_model_state(node.element.as_ref()))
-            .collect();
-        ModelRuntime { pipeline, states }
+            .map(|(_, node)| {
+                let program = node.element.model();
+                let state = build_model_state(node.element.as_ref(), &program);
+                (program, state)
+            })
+            .unzip();
+        ModelRuntime {
+            pipeline,
+            programs,
+            states,
+        }
     }
 
     /// Execute one packet through the element models.
@@ -183,7 +196,7 @@ impl<'p> ModelRuntime<'p> {
             hops.push(current);
             let node = self.pipeline.node(current);
             let (action, count) =
-                run_model_with_state(node.element.as_ref(), &pkt, &mut self.states[current]);
+                run_program(&self.programs[current], pkt, &mut self.states[current]);
             instructions += count;
             match action {
                 Action::Drop => {
@@ -228,8 +241,19 @@ impl<'p> ModelRuntime<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::{ip_router_pipeline, middlebox_pipeline};
-    use dataplane_net::WorkloadGen;
+    use crate::element::{DsContents, Element};
+    use crate::elements::Sink;
+    use crate::pipeline::PipelineBuilder;
+    use crate::presets::{
+        buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
+        middlebox_pipeline, router_element_chain,
+    };
+    use dataplane_ir::DsId;
+    use dataplane_net::{PacketBuilder, PacketMeta, WorkloadGen};
+    use std::collections::BTreeMap;
+    use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn single_threaded_run_counts_everything() {
@@ -288,29 +312,142 @@ mod tests {
 
     #[test]
     fn model_runtime_agrees_with_native_runtime() {
-        let mut native = ip_router_pipeline();
-        let model_pipeline = ip_router_pipeline();
-        let mut model = ModelRuntime::new(&model_pipeline);
-        let packets = WorkloadGen::adversarial(23).batch(150);
-        for pkt in packets {
-            let n = native.push(pkt.clone());
-            let m = model.push(pkt);
-            assert_eq!(n.hops, m.hops, "element paths diverged");
-            match (&n.disposition, &m.disposition) {
-                (
-                    Disposition::Exited { packet: np, .. },
-                    Disposition::Exited { packet: mp, .. },
-                ) => {
-                    assert_eq!(np.bytes(), mp.bytes(), "output packets diverged");
+        let presets = [
+            ("ip_router", ip_router_pipeline as fn() -> Pipeline),
+            ("linear_router", linear_router_pipeline),
+            ("middlebox", middlebox_pipeline),
+            ("firewall", || firewall_pipeline(vec![])),
+            ("buggy", buggy_pipeline),
+        ];
+        for (name, build) in presets {
+            let mut native = build();
+            let model_pipeline = build();
+            let mut model = ModelRuntime::new(&model_pipeline);
+            let packets = WorkloadGen::adversarial(23).batch(150);
+            for pkt in packets {
+                let n = native.push(pkt.clone());
+                let m = model.push(pkt);
+                assert_eq!(n.hops, m.hops, "{name}: element paths diverged");
+                match (&n.disposition, &m.disposition) {
+                    (
+                        Disposition::Exited { packet: np, .. },
+                        Disposition::Exited { packet: mp, .. },
+                    ) => {
+                        assert_eq!(np, mp, "{name}: output packets diverged");
+                    }
+                    (Disposition::Dropped { at: na }, Disposition::Dropped { at: ma }) => {
+                        assert_eq!(na, ma)
+                    }
+                    (Disposition::Crashed { at: na, .. }, Disposition::Crashed { at: ma, .. }) => {
+                        assert_eq!(na, ma)
+                    }
+                    other => panic!("{name}: dispositions diverged: {other:?}"),
                 }
-                (Disposition::Dropped { at: na }, Disposition::Dropped { at: ma }) => {
-                    assert_eq!(na, ma)
-                }
-                (Disposition::Crashed { .. }, Disposition::Crashed { .. }) => {}
-                other => panic!("dispositions diverged: {other:?}"),
+                assert!(m.instructions > 0);
             }
-            assert!(m.instructions > 0);
         }
+    }
+
+    /// Wraps an element and counts how often its model program and its
+    /// model tables are built.
+    struct Counted {
+        inner: Box<dyn Element>,
+        models: Arc<AtomicUsize>,
+        tables: Arc<AtomicUsize>,
+    }
+
+    impl Element for Counted {
+        fn type_name(&self) -> &'static str {
+            self.inner.type_name()
+        }
+        fn config_key(&self) -> String {
+            self.inner.config_key()
+        }
+        fn output_ports(&self) -> usize {
+            self.inner.output_ports()
+        }
+        fn process(&mut self, packet: Packet) -> Action {
+            self.inner.process(packet)
+        }
+        fn model(&self) -> Program {
+            self.models.fetch_add(1, Ordering::Relaxed);
+            self.inner.model()
+        }
+        fn model_state(&self) -> BTreeMap<DsId, DsContents> {
+            self.tables.fetch_add(1, Ordering::Relaxed);
+            self.inner.model_state()
+        }
+    }
+
+    /// The router's element chain, without a final sink.
+    fn chain_pipeline(elements: Vec<(&str, Box<dyn Element>)>) -> Pipeline {
+        let mut b = PipelineBuilder::new();
+        let nodes: Vec<_> = elements.into_iter().map(|(n, e)| b.add(n, e)).collect();
+        b.chain(&nodes);
+        b.build().expect("a chain is a valid pipeline")
+    }
+
+    #[test]
+    fn a_model_runtime_builds_each_model_once_however_many_packets() {
+        let models = Arc::new(AtomicUsize::new(0));
+        let tables = Arc::new(AtomicUsize::new(0));
+        let mut chain = router_element_chain();
+        chain.push(("sink", Box::new(Sink::new())));
+        let counted = chain
+            .into_iter()
+            .map(|(name, inner)| {
+                let counted = Counted {
+                    inner,
+                    models: models.clone(),
+                    tables: tables.clone(),
+                };
+                (name, Box::new(counted) as Box<dyn Element>)
+            })
+            .collect();
+        let pipeline = chain_pipeline(counted);
+        let mut runtime = ModelRuntime::new(&pipeline);
+        let mut hops = 0;
+        for pkt in WorkloadGen::adversarial(5).batch(1000) {
+            hops += runtime.push(pkt).hops.len();
+        }
+        assert!(hops > 1000, "packets must cross several elements");
+        assert_eq!(models.load(Ordering::Relaxed), pipeline.len());
+        assert_eq!(tables.load(Ordering::Relaxed), pipeline.len());
+    }
+
+    #[test]
+    fn an_exited_model_run_keeps_the_packet_metadata() {
+        // Without a sink a routed packet leaves through the encapsulator's
+        // unconnected port.
+        let pipeline = chain_pipeline(router_element_chain());
+        let meta = PacketMeta {
+            input_port: 3,
+            paint: 7,
+            sequence: 42,
+        };
+        let bytes = PacketBuilder::udp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 1, 2, 3),
+            1,
+            2,
+            b"x",
+        )
+        .build()
+        .into_bytes();
+        let packet = Packet::with_meta(bytes, meta.clone());
+        let run = ModelRuntime::new(&pipeline).push(packet.clone());
+        let Disposition::Exited { packet: out, .. } = &run.disposition else {
+            panic!("a routed packet must exit: {:?}", run.disposition);
+        };
+        assert_eq!(out.meta(), &meta);
+        let native = chain_pipeline(router_element_chain()).push(packet);
+        let Disposition::Exited {
+            packet: expected, ..
+        } = &native.disposition
+        else {
+            panic!("the native run must exit too: {:?}", native.disposition);
+        };
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -345,8 +482,6 @@ mod tests {
     fn instruction_counts_reflect_packet_complexity() {
         let pipeline = ip_router_pipeline();
         let mut model = ModelRuntime::new(&pipeline);
-        use dataplane_net::PacketBuilder;
-        use std::net::Ipv4Addr;
         let plain = PacketBuilder::udp(
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),

@@ -6,7 +6,11 @@
 //!   0 (all of them reproduce concretely),
 //! * `vericlick fuzz` with a fixed seed writes a byte-identical
 //!   deterministic report whether the shards run on the in-process pool
-//!   or sharded over a 2-worker stdio fleet.
+//!   or sharded over a 2-worker stdio fleet,
+//! * `vericlick fuzz --seed 77 --packets 50000` writes exactly
+//!   `tests/golden/fuzz_seed77.det.json`, the report of the commit before
+//!   model runtimes built each element model once — the cross-commit
+//!   oracle of the concrete interpreter.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -89,6 +93,24 @@ fn fuzz_report_is_byte_identical_in_process_and_on_a_worker_fleet() {
     assert!(
         local.contains("\"contradictions\":0"),
         "no proven preset may be contradicted:\n{local}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seeded_fuzz_report_matches_the_golden_file() {
+    let dir = temp_dir("fuzz-golden");
+    let path = dir.join("fuzz.json");
+    let status = vericlick()
+        .args(["fuzz", "--seed", "77", "--packets", "50000", "--det-json"])
+        .arg(&path)
+        .status()
+        .expect("spawn vericlick fuzz");
+    assert!(status.success(), "fuzz failed: {status}");
+    let written = std::fs::read(&path).expect("fuzz report written");
+    assert!(
+        written == include_bytes!("golden/fuzz_seed77.det.json"),
+        "the seeded fuzz report drifted from the golden file"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
