@@ -11,6 +11,7 @@ use dataplane_ir::builder::{Block, ProgramBuilder};
 use dataplane_ir::expr::dsl::*;
 use dataplane_ir::Program;
 use dataplane_pipeline::elements::*;
+use dataplane_pipeline::presets::router_hop;
 use dataplane_pipeline::{Element, Pipeline, PipelineBuilder};
 use std::net::Ipv4Addr;
 
@@ -126,38 +127,20 @@ pub fn figure2_pipeline() -> Pipeline {
     b.build().expect("figure 2 pipeline is valid")
 }
 
-/// A named element constructor of the router chain.
-pub type ChainElement = (&'static str, fn() -> Box<dyn Element>);
-
-/// The ordered router-element constructors used by the scaling experiment:
-/// prefixes of this chain give pipelines of length 1..=7.
-pub fn router_chain_elements() -> Vec<ChainElement> {
-    vec![
-        ("cls", || {
-            Box::new(Classifier::ipv4_only()) as Box<dyn Element>
-        }),
-        ("strip", || Box::new(EthDecap::new())),
-        ("chk", || Box::new(CheckIPHeader::new())),
-        ("opts", || {
-            Box::new(IPOptions::new(Ipv4Addr::new(10, 255, 255, 254)))
-        }),
-        ("rt", || Box::new(IPLookup::two_port_default())),
-        ("ttl", || Box::new(DecTTL::new())),
-        ("enc", || Box::new(EthEncap::ipv4_default())),
-    ]
-}
-
-/// Build the router-chain pipeline of length `k` (1..=7) followed by a sink.
+/// Build the router-chain pipeline of length `k` (1..=7) followed by a
+/// sink: the first `k` of `cls` and one [`router_hop`], which the scaling
+/// experiments grow one element at a time.
 pub fn router_prefix_pipeline(k: usize) -> Pipeline {
-    let chain = router_chain_elements();
-    assert!(k >= 1 && k <= chain.len(), "prefix length out of range");
+    assert!((1..=7).contains(&k), "prefix length out of range");
+    let cls: (&str, Box<dyn Element>) = ("cls", Box::new(Classifier::ipv4_only()));
+    let hop = router_hop(Ipv4Addr::new(10, 255, 255, 254));
     let mut b = PipelineBuilder::new();
-    let mut idxs = Vec::new();
-    for (name, make) in chain.into_iter().take(k) {
-        idxs.push(b.add(name, make()));
-    }
-    let sink = b.add("sink", Box::new(Sink::new()));
-    idxs.push(sink);
+    let mut idxs: Vec<_> = std::iter::once(cls)
+        .chain(hop)
+        .take(k)
+        .map(|(name, element)| b.add(name, element))
+        .collect();
+    idxs.push(b.add("sink", Box::new(Sink::new())));
     b.chain(&idxs);
     b.build().expect("router prefix pipeline is valid")
 }
@@ -239,7 +222,6 @@ mod tests {
     fn helpers_build_valid_artifacts() {
         assert_eq!(figure1_program().name, "Figure1");
         assert_eq!(figure2_pipeline().len(), 4);
-        assert_eq!(router_chain_elements().len(), 7);
         for k in 1..=7 {
             assert_eq!(router_prefix_pipeline(k).len(), k + 1);
         }

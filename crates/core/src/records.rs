@@ -18,6 +18,14 @@
 //! The value is the [`ShardEdge`] or [`CheckRecord`] itself. Records carry
 //! their own bookkeeping, so a reused record counts in a report's statistics
 //! exactly like the call it replaces, and reports stay byte-identical.
+//!
+//! Beside the two shelves, the table keeps Step 1's local pre-checks:
+//! whether the solver's refuting half refutes a segment on its own, keyed by
+//! (element index, segment index). The answer depends only on the segment
+//! and the solver options, so every property that finds the segment suspect
+//! asks once per table; the caller still counts each question as a solver
+//! call. Pre-checks stay out of [`RecordTable::computed`] and
+//! [`RecordTable::reused`], which count Step-2 records only.
 
 use crate::property::Property;
 use crate::verifier::{CheckRecord, ShardEdge};
@@ -103,6 +111,8 @@ impl<K: PartialEq, V: Clone> Shelf<K, V> {
 pub struct RecordTable {
     edges: Mutex<Shelf<Context, ShardEdge>>,
     checks: Mutex<Shelf<(Context, Confirm), CheckRecord>>,
+    /// Step 1's pre-checks: (element, segment) → refuted.
+    prechecks: Mutex<HashMap<(usize, usize), bool>>,
     computed: AtomicU64,
     reused: AtomicU64,
 }
@@ -119,17 +129,18 @@ impl RecordTable {
         RecordTable {
             edges: Mutex::new(Shelf(Vec::new())),
             checks: Mutex::new(Shelf(Vec::new())),
+            prechecks: Mutex::new(HashMap::new()),
             computed: AtomicU64::new(0),
             reused: AtomicU64::new(0),
         }
     }
 
-    /// Records the folds computed and stored.
+    /// Step-2 records the folds computed and stored.
     pub fn computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
     }
 
-    /// Questions the folds answered from the table.
+    /// Step-2 questions the folds answered from the table.
     pub fn reused(&self) -> u64 {
         self.reused.load(Ordering::Relaxed)
     }
@@ -156,6 +167,26 @@ impl RecordTable {
         self.recall(&self.checks, class, (route.to_vec(), segment), compute)
     }
 
+    /// Whether Step 1's local pre-check refutes segment `segment` of the
+    /// element at index `element` on its own.
+    pub(crate) fn precheck(
+        &self,
+        element: usize,
+        segment: usize,
+        compute: impl FnOnce() -> bool,
+    ) -> bool {
+        let key = (element, segment);
+        if let Some(&refuted) = self.prechecks.lock().expect("record table").get(&key) {
+            return refuted;
+        }
+        let refuted = compute();
+        self.prechecks
+            .lock()
+            .expect("record table")
+            .insert(key, refuted);
+        refuted
+    }
+
     /// The stored record, or `compute`'s, stored. The lock is not held
     /// while computing, so concurrent folds never wait on a solver call.
     fn recall<K: PartialEq, V: Clone>(
@@ -176,5 +207,60 @@ impl RecordTable {
             .expect("record table")
             .insert(class, slot, value.clone());
         value
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verifier::Verifier;
+    use dataplane_pipeline::presets::linear_router_pipeline;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_second_fold_reads_its_step1_prechecks_from_the_table() {
+        // Crash segments are suspect under crash freedom and under the
+        // instruction bound: with one table, the second fold asks none of
+        // their local pre-checks again, and neither report moves.
+        let pipeline = linear_router_pipeline();
+        let bound = Property::BoundedInstructions {
+            max_instructions: 1_000_000,
+        };
+        let table = Arc::new(RecordTable::new());
+        let stored = || table.prechecks.lock().expect("record table").len();
+        let shared = |property: &Property| {
+            Verifier::new()
+                .with_records(table.clone())
+                .verify(&pipeline, property)
+        };
+        let mut sizes = Vec::new();
+        for property in [&Property::CrashFreedom, &bound] {
+            let (shared, alone) = (
+                shared(property),
+                Verifier::new().verify(&pipeline, property),
+            );
+            assert_eq!(shared.verdict, alone.verdict, "{property:?}");
+            assert_eq!(shared.counterexamples, alone.counterexamples);
+            assert_eq!(shared.unproven, alone.unproven);
+            assert_eq!(shared.stats, alone.stats);
+            assert!(shared.stats.suspects > 0, "{property:?}");
+            sizes.push(stored());
+        }
+        assert!(sizes[0] > 0, "{sizes:?}");
+        assert_eq!(sizes[1], sizes[0], "the second fold computes no pre-check");
+        // The stored answers are the ones read: once every one says
+        // "refuted", a fold finds no suspect at all. Its pre-checks all
+        // come from the table, and none counts as a Step-2 record.
+        let counters = (table.computed(), table.reused());
+        table
+            .prechecks
+            .lock()
+            .expect("record table")
+            .values_mut()
+            .for_each(|refuted| *refuted = true);
+        let refuted = shared(&bound);
+        assert_eq!(refuted.stats.suspects, 0, "{refuted}");
+        assert_eq!(stored(), sizes[0]);
+        assert_eq!((table.computed(), table.reused()), counters);
     }
 }

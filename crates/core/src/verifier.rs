@@ -239,8 +239,15 @@ impl Verifier {
                 }
                 // Local feasibility pre-check: a segment that is infeasible
                 // even in isolation cannot be violated in any pipeline.
+                // The table answers it once per pipeline, whichever
+                // property asks.
                 stats.solver_calls += 1;
-                if self.solver.refutes(&segment.constraint).is_some() {
+                let refuted = || self.solver.refutes(&segment.constraint).is_some();
+                let refuted = match &self.table {
+                    Some(table) => table.precheck(idx, seg_idx, refuted),
+                    None => refuted(),
+                };
+                if refuted {
                     continue;
                 }
                 element_suspects.push(seg_idx);

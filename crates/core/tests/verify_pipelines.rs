@@ -16,7 +16,7 @@ use dataplane_net::Packet;
 use dataplane_pipeline::elements::*;
 use dataplane_pipeline::presets::{
     buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
-    middlebox_pipeline,
+    middlebox_pipeline, router_chain,
 };
 use dataplane_pipeline::{Action, Element, Pipeline};
 use dataplane_verifier::{explore_monolithic, MonolithicConfig, Property, Verdict, Verifier};
@@ -452,6 +452,32 @@ fn monolithic_baseline_counts_are_pinned() {
     assert_eq!(result.paths_explored, 1031, "{result:?}");
     assert_eq!(result.feasible_crashes, 0, "{result:?}");
     assert_eq!(result.element_explorations, 8, "{result:?}");
+}
+
+#[test]
+fn router_chain_counts_are_pinned() {
+    // The only in-repo input where Fourier–Motzkin hits its budget: at two
+    // hops four checks abort it, fail their model search and are decided
+    // on the escalation ladder. Where it aborts depends on the elimination
+    // order, which the preset golden report cannot see. (Three hops, in
+    // release: 399 composed paths, 570 solver calls, 36/36/36.)
+    for (hops, composed, solver_calls, aborts) in [(1, 25, 52, 0), (2, 107, 176, 4)] {
+        let report = Verifier::new().verify(&router_chain(hops), &Property::CrashFreedom);
+        assert!(report.is_proven(), "h = {hops}:\n{report}");
+        let stats = &report.stats;
+        let counts = (
+            stats.composed_paths,
+            stats.solver_calls,
+            stats.fm_budget_aborts,
+            stats.model_search_aborts,
+            stats.budget_escalations,
+        );
+        assert_eq!(
+            counts,
+            (composed, solver_calls, aborts, aborts, aborts),
+            "h = {hops}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

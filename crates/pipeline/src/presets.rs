@@ -96,6 +96,36 @@ pub fn linear_pipeline(elements: Vec<(&str, Box<dyn Element>)>) -> Pipeline {
     b.build().expect("linear pipeline is valid")
 }
 
+/// One router hop as it follows the classifier: [`strip`, `chk`, `opts`,
+/// `rt`, `ttl`, `enc`], with `opts` answering for `address`.
+pub fn router_hop(address: Ipv4Addr) -> [(&'static str, Box<dyn Element>); 6] {
+    [
+        ("strip", Box::new(EthDecap::new())),
+        ("chk", Box::new(CheckIPHeader::new())),
+        ("opts", Box::new(IPOptions::new(address))),
+        ("rt", Box::new(IPLookup::two_port_default())),
+        ("ttl", Box::new(DecTTL::new())),
+        ("enc", Box::new(EthEncap::ipv4_default())),
+    ]
+}
+
+/// The multi-hop router chain: `cls`, then `hops` [`router_hop`]s — each
+/// hop's `IPOptions` with its own address, `10.255.<hop>.254` — then
+/// `sink`. The first shape of the scale family: composed paths grow about
+/// 3.7× per hop.
+pub fn router_chain(hops: u8) -> Pipeline {
+    let mut b = PipelineBuilder::new();
+    let mut chain = vec![b.add("cls", Box::new(Classifier::ipv4_only()))];
+    for hop in 0..hops {
+        for (name, element) in router_hop(Ipv4Addr::new(10, 255, hop, 254)) {
+            chain.push(b.add(format!("{name}{hop}"), element));
+        }
+    }
+    chain.push(b.add("sink", Box::new(Sink::new())));
+    b.chain(&chain);
+    b.build().expect("router chain is valid")
+}
+
 /// A stateful middlebox pipeline: header check, flow accounting, NAT, then a
 /// sink — the configuration the paper describes as "currently experimenting
 /// with" (NetFlow-style statistics and NAT functionality).

@@ -29,6 +29,13 @@
 //! caller that only reads "refuted or not" asks [`Solver::refutes`] and
 //! never pays for a hint or a model search whose answer it would discard.
 //!
+//! Fourier–Motzkin works over integer variable ids: each check interns its
+//! opaque nodes by term structure, keeps every expression as a sorted
+//! `(id, coefficient)` list, and eliminates the variables in the order of
+//! their printed terms — printed once each, for that order alone, because
+//! where the budget aborts depends on it. Its arithmetic is checked: an
+//! `i128` overflow ends elimination with no verdict, never `Unsat`.
+//!
 //! The analytic stages' term-keyed scratch maps live for one analysis and
 //! hash with `TermHasher`, a small deterministic multiply-rotate hash:
 //! nothing persisted or shared is keyed by it, and no answer depends on
@@ -956,21 +963,11 @@ impl IntervalMap {
     /// node itself. Memoized per call: terms are DAGs (subterms shared via
     /// `Arc`), so an unmemoized walk would be exponential in chain depth.
     fn bounds_bottom_up(&self, t: &TermRef) -> Interval {
-        self.bounds_bottom_up_memo(t, &mut TermMap::default())
-    }
-
-    fn bounds_bottom_up_memo(&self, t: &TermRef, memo: &mut TermMap<Interval>) -> Interval {
-        if let Some(iv) = memo.get(t) {
-            return *iv;
+        Bounds {
+            intervals: self,
+            memo: TermMap::default(),
         }
-        let mut children = |c: &TermRef| self.bounds_bottom_up_memo(c, memo);
-        let computed = node_interval(t, &mut children);
-        let result = match self.map.get(t) {
-            Some(iv) => computed.intersect(*iv),
-            None => computed,
-        };
-        memo.insert(t.clone(), result);
-        result
+        .of(t)
     }
 
     /// Refine intervals using one atom. Returns true if anything changed.
@@ -1481,35 +1478,55 @@ impl KnownBitsMap {
     }
 }
 
+/// [`IntervalMap::bounds_bottom_up`] with a memo that outlives one call.
+/// Its entries are a pure function of the (unchanging) map, so one memo
+/// serves every question of a pass.
+struct Bounds<'a> {
+    intervals: &'a IntervalMap,
+    memo: TermMap<Interval>,
+}
+
+impl Bounds<'_> {
+    fn of(&mut self, t: &TermRef) -> Interval {
+        if let Some(iv) = self.memo.get(t) {
+            return *iv;
+        }
+        let computed = node_interval(t, &mut |c: &TermRef| self.of(c));
+        let result = match self.intervals.get(t) {
+            Some(iv) => computed.intersect(iv),
+            None => computed,
+        };
+        self.memo.insert(t.clone(), result);
+        result
+    }
+}
+
 /// View an atom side as `base + offset` over the integers: peel `base ± c`
 /// layers whose wrap-around the interval bounds rule out, so the resulting
 /// equation is exact integer arithmetic, not merely modulo 2^width.
-fn offset_view(t: &TermRef, intervals: &IntervalMap) -> (TermRef, i128) {
+fn offset_view(t: &TermRef, bounds: &mut Bounds<'_>) -> (TermRef, i128) {
     if let Term::Binary { op, a, b } = t.as_ref() {
         let width = t.width();
         let m = dataplane_ir::value::mask(width);
         match (op, a.as_ref(), b.as_ref()) {
             (BinOp::Add, _, Term::Const(c)) => {
                 let c = c.as_u64() & m;
-                let base = intervals.bounds_bottom_up(a);
-                if u128::from(base.hi) + u128::from(c) <= u128::from(m) {
-                    let (root, off) = offset_view(a, intervals);
+                if u128::from(bounds.of(a).hi) + u128::from(c) <= u128::from(m) {
+                    let (root, off) = offset_view(a, bounds);
                     return (root, off + i128::from(c));
                 }
             }
             (BinOp::Add, Term::Const(c), _) => {
                 let c = c.as_u64() & m;
-                let base = intervals.bounds_bottom_up(b);
-                if u128::from(base.hi) + u128::from(c) <= u128::from(m) {
-                    let (root, off) = offset_view(b, intervals);
+                if u128::from(bounds.of(b).hi) + u128::from(c) <= u128::from(m) {
+                    let (root, off) = offset_view(b, bounds);
                     return (root, off + i128::from(c));
                 }
             }
             (BinOp::Sub, _, Term::Const(c)) => {
                 let c = c.as_u64() & m;
-                let base = intervals.bounds_bottom_up(a);
-                if base.lo >= c {
-                    let (root, off) = offset_view(a, intervals);
+                if bounds.of(a).lo >= c {
+                    let (root, off) = offset_view(a, bounds);
                     return (root, off - i128::from(c));
                 }
             }
@@ -1530,30 +1547,36 @@ fn difference_infeasible(atoms: &[Atom], intervals: &IntervalMap) -> bool {
     // Edge (v, u, w) encodes `u - v <= w`. Node 0 is the virtual zero.
     let mut ids: TermMap<usize> = TermMap::default();
     let mut edges: Vec<(usize, usize, i128)> = Vec::new();
+    let mut bounds = Bounds {
+        intervals,
+        memo: TermMap::default(),
+    };
     fn intern(
         t: &TermRef,
         ids: &mut TermMap<usize>,
         edges: &mut Vec<(usize, usize, i128)>,
-        intervals: &IntervalMap,
+        bounds: &mut Bounds<'_>,
     ) -> usize {
         if let Some(&i) = ids.get(t) {
             return i;
         }
         let i = ids.len() + 1;
         ids.insert(t.clone(), i);
-        let iv = intervals.bounds_bottom_up(t);
+        let iv = bounds.of(t);
         edges.push((0, i, i128::from(iv.hi)));
         edges.push((i, 0, -i128::from(iv.lo)));
         i
     }
-    let nonneg = |t: &TermRef| {
+    fn nonneg(t: &TermRef, bounds: &mut Bounds<'_>) -> bool {
         let w = t.width();
-        w > 0 && intervals.bounds_bottom_up(t).hi < top_bit(w)
-    };
+        w > 0 && bounds.of(t).hi < top_bit(w)
+    }
     let mut cmp_edges = 0usize;
     for atom in atoms {
         let op = match atom.op {
-            Cmp::SLt | Cmp::SLe if nonneg(&atom.lhs) && nonneg(&atom.rhs) => {
+            Cmp::SLt | Cmp::SLe
+                if nonneg(&atom.lhs, &mut bounds) && nonneg(&atom.rhs, &mut bounds) =>
+            {
                 if atom.op == Cmp::SLt {
                     Cmp::ULt
                 } else {
@@ -1563,13 +1586,13 @@ fn difference_infeasible(atoms: &[Atom], intervals: &IntervalMap) -> bool {
             Cmp::Ne | Cmp::SLt | Cmp::SLe => continue,
             op => op,
         };
-        let (bl, cl) = offset_view(&atom.lhs, intervals);
-        let (br, cr) = offset_view(&atom.rhs, intervals);
+        let (bl, cl) = offset_view(&atom.lhs, &mut bounds);
+        let (br, cr) = offset_view(&atom.rhs, &mut bounds);
         if op != Cmp::Eq && cl == 0 && cr == 0 && bl == br {
             continue;
         }
-        let u = intern(&bl, &mut ids, &mut edges, intervals);
-        let v = intern(&br, &mut ids, &mut edges, intervals);
+        let u = intern(&bl, &mut ids, &mut edges, &mut bounds);
+        let v = intern(&br, &mut ids, &mut edges, &mut bounds);
         // lhs <= rhs  ⇔  bl + cl <= br + cr  ⇔  bl - br <= cr - cl.
         match op {
             Cmp::Eq => {
@@ -1825,69 +1848,129 @@ fn bit_ceiling(v: u64) -> u64 {
 
 // --- linear fragment / Fourier–Motzkin ---------------------------------------
 
-/// A linear expression: `constant + Σ coeff·var`, where the "variables" are
-/// opaque term nodes (leaves or non-linear sub-terms).
+/// The variables of one Fourier–Motzkin call: its opaque term nodes (leaves
+/// or non-linear sub-terms), interned by term structure, so two `Arc`s of
+/// one term are one variable.
+#[derive(Default)]
+struct LinVars {
+    ids: TermMap<u32>,
+    terms: Vec<TermRef>,
+}
+
+impl LinVars {
+    fn intern(&mut self, t: &TermRef) -> u32 {
+        if let Some(&id) = self.ids.get(t) {
+            return id;
+        }
+        let id = self.terms.len() as u32;
+        self.ids.insert(t.clone(), id);
+        self.terms.push(t.clone());
+        id
+    }
+}
+
+/// A linear expression: `constant + Σ coeff·var` over [`LinVars`] ids.
+/// `coeffs` is sorted by id and holds no zero coefficient. Every operation
+/// is checked: `None` means an `i128` overflow, and the caller gives up
+/// rather than reason with a wrapped value.
 #[derive(Clone, Debug, Default)]
 struct LinExpr {
     constant: i128,
-    coeffs: BTreeMap<String, (TermRef, i128)>,
+    coeffs: Vec<(u32, i128)>,
 }
 
 impl LinExpr {
     fn constant(v: i128) -> LinExpr {
         LinExpr {
             constant: v,
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
         }
     }
-    fn var(t: TermRef) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(format!("{t}"), (t, 1));
+
+    fn var(id: u32) -> LinExpr {
         LinExpr {
             constant: 0,
-            coeffs,
+            coeffs: vec![(id, 1)],
         }
     }
-    fn add(mut self, other: &LinExpr, sign: i128) -> LinExpr {
-        self.constant += sign * other.constant;
-        for (k, (t, c)) in &other.coeffs {
-            let entry = self
-                .coeffs
-                .entry(k.clone())
-                .or_insert_with(|| (t.clone(), 0));
-            entry.1 += sign * c;
-        }
-        self.coeffs.retain(|_, (_, c)| *c != 0);
-        self
+
+    /// The coefficient of `var` (zero when absent).
+    fn coeff(&self, var: u32) -> i128 {
+        self.coeffs
+            .binary_search_by_key(&var, |&(id, _)| id)
+            .map_or(0, |i| self.coeffs[i].1)
     }
-    fn scale(mut self, k: i128) -> LinExpr {
-        self.constant *= k;
-        for (_, (_, c)) in self.coeffs.iter_mut() {
-            *c *= k;
+
+    /// `ka·self + kb·other`, in one merge of the two sorted coefficient
+    /// lists.
+    fn combine(&self, ka: i128, other: &LinExpr, kb: i128) -> Option<LinExpr> {
+        let mut coeffs = Vec::with_capacity(self.coeffs.len() + other.coeffs.len());
+        let (mut a, mut b) = (
+            self.coeffs.iter().peekable(),
+            other.coeffs.iter().peekable(),
+        );
+        loop {
+            let (id, c) = match (a.peek(), b.peek()) {
+                (Some(&&(x, ca)), Some(&&(y, cb))) if x == y => {
+                    a.next();
+                    b.next();
+                    (x, ca.checked_mul(ka)?.checked_add(cb.checked_mul(kb)?)?)
+                }
+                (Some(&&(x, ca)), Some(&&(y, _))) if x < y => {
+                    a.next();
+                    (x, ca.checked_mul(ka)?)
+                }
+                (Some(&&(x, ca)), None) => {
+                    a.next();
+                    (x, ca.checked_mul(ka)?)
+                }
+                (_, Some(&&(y, cb))) => {
+                    b.next();
+                    (y, cb.checked_mul(kb)?)
+                }
+                (None, None) => break,
+            };
+            if c != 0 {
+                coeffs.push((id, c));
+            }
         }
-        self
+        let constant = self
+            .constant
+            .checked_mul(ka)?
+            .checked_add(other.constant.checked_mul(kb)?)?;
+        Some(LinExpr { constant, coeffs })
+    }
+
+    fn scale(&self, k: i128) -> Option<LinExpr> {
+        self.combine(k, &LinExpr::default(), 0)
     }
 }
 
 /// Linearise a term, treating non-linear nodes as opaque variables. Each
 /// result carries mathematical bounds derived from the (refined) intervals of
 /// its opaque variables; a node whose mathematical value could wrap at its
-/// bit width is kept opaque instead, so the mathematical reading stays sound.
-fn linearize(t: &TermRef, intervals: &IntervalMap) -> Option<LinExpr> {
-    linearize_bounded(t, intervals).map(|(e, _, _)| e)
+/// bit width — or whose coefficients or bounds overflow `i128` — is kept
+/// opaque instead, so the mathematical reading stays sound.
+fn linearize(t: &TermRef, intervals: &IntervalMap, vars: &mut LinVars) -> Option<LinExpr> {
+    linearize_bounded(t, intervals, vars).map(|(e, _, _)| e)
+}
+
+/// An opaque node: one variable, bounded by its (possibly refined) interval.
+fn opaque(t: &TermRef, intervals: &IntervalMap, vars: &mut LinVars) -> (LinExpr, i128, i128) {
+    let iv = intervals
+        .get(t)
+        .unwrap_or_else(|| Interval::full(t.width()));
+    (LinExpr::var(vars.intern(t)), iv.lo as i128, iv.hi as i128)
 }
 
 /// Linearise with bounds: returns `(expr, lo, hi)` where `lo..=hi` encloses
 /// the mathematical value of `expr` given the interval of every opaque
 /// variable in it.
-fn linearize_bounded(t: &TermRef, intervals: &IntervalMap) -> Option<(LinExpr, i128, i128)> {
-    // Bounds of an opaque node come from its (possibly refined) interval.
-    let opaque = |t: &TermRef| -> (LinExpr, i128, i128) {
-        let iv = intervals
-            .get(t)
-            .unwrap_or_else(|| Interval::full(t.width()));
-        (LinExpr::var(t.clone()), iv.lo as i128, iv.hi as i128)
-    };
+fn linearize_bounded(
+    t: &TermRef,
+    intervals: &IntervalMap,
+    vars: &mut LinVars,
+) -> Option<(LinExpr, i128, i128)> {
     match t.as_ref() {
         Term::Const(v) => {
             let c = v.as_u64() as i128;
@@ -1903,19 +1986,21 @@ fn linearize_bounded(t: &TermRef, intervals: &IntervalMap) -> Option<(LinExpr, i
                 // still a bounded value — keep it opaque rather than
                 // dropping every atom that mentions it from the fragment.
                 let Some(k) = b.as_const().map(|v| v.as_u64()) else {
-                    return Some(opaque(t));
+                    return Some(opaque(t, intervals, vars));
                 };
                 if k >= 64 {
-                    return Some(opaque(t));
+                    return Some(opaque(t, intervals, vars));
                 }
                 let factor = 1i128 << k;
-                let (la, alo, ahi) = linearize_bounded(a, intervals)?;
+                let (la, alo, ahi) = linearize_bounded(a, intervals, vars)?;
                 let mask = dataplane_ir::value::mask(t.width()) as i128;
-                let (lo, hi) = (alo * factor, ahi * factor);
-                if lo < 0 || hi > mask {
-                    return Some(opaque(t));
-                }
-                Some((la.scale(factor), lo, hi))
+                let scaled = match (alo.checked_mul(factor), ahi.checked_mul(factor)) {
+                    (Some(lo), Some(hi)) if lo >= 0 && hi <= mask => {
+                        la.scale(factor).map(|e| (e, lo, hi))
+                    }
+                    _ => None,
+                };
+                Some(scaled.unwrap_or_else(|| opaque(t, intervals, vars)))
             }
             // Masking with a low bit mask (`x & 0x0f`, `x & 0xff`, …) is the
             // identity whenever the operand provably fits in the mask — the
@@ -1928,10 +2013,10 @@ fn linearize_bounded(t: &TermRef, intervals: &IntervalMap) -> Option<(LinExpr, i
                 } else if let Some(m) = a.as_const() {
                     (b, m.as_u64())
                 } else {
-                    return Some(opaque(t));
+                    return Some(opaque(t, intervals, vars));
                 };
                 if mask_const.wrapping_add(1).is_power_of_two() || mask_const == u64::MAX {
-                    let (lv, lo, hi) = linearize_bounded(value, intervals)?;
+                    let (lv, lo, hi) = linearize_bounded(value, intervals, vars)?;
                     if lo >= 0 && hi <= mask_const as i128 {
                         // Tighten with any refinement recorded on the masked
                         // node itself, mirroring the cast pass-through.
@@ -1943,36 +2028,22 @@ fn linearize_bounded(t: &TermRef, intervals: &IntervalMap) -> Option<(LinExpr, i
                         return Some((lv, lo, hi));
                     }
                 }
-                Some(opaque(t))
+                Some(opaque(t, intervals, vars))
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                let (la, alo, ahi) = linearize_bounded(a, intervals)?;
-                let (lb, blo, bhi) = linearize_bounded(b, intervals)?;
+                let (la, alo, ahi) = linearize_bounded(a, intervals, vars)?;
+                let (lb, blo, bhi) = linearize_bounded(b, intervals, vars)?;
                 let mask = dataplane_ir::value::mask(t.width()) as i128;
-                let (expr, lo, hi) = match op {
-                    BinOp::Add => (la.add(&lb, 1), alo + blo, ahi + bhi),
-                    BinOp::Sub => (la.add(&lb, -1), alo - bhi, ahi - blo),
-                    BinOp::Mul => {
-                        if lb.coeffs.is_empty() {
-                            (la.scale(lb.constant), alo * blo, ahi * bhi)
-                        } else if la.coeffs.is_empty() {
-                            (lb.scale(la.constant), alo * blo, ahi * bhi)
-                        } else {
-                            // Product of two non-constant expressions: opaque.
-                            return Some(opaque(t));
-                        }
-                    }
-                    _ => unreachable!(),
-                };
+                let linear = linear_arith(*op, (la, alo, ahi), (lb, blo, bhi));
                 // If the mathematical value can leave [0, mask], modular
                 // wrap-around could occur and the linear reading is unsound;
                 // fall back to an opaque variable for this node.
-                if lo < 0 || hi > mask {
-                    return Some(opaque(t));
+                match linear {
+                    Some((expr, lo, hi)) if lo >= 0 && hi <= mask => Some((expr, lo, hi)),
+                    _ => Some(opaque(t, intervals, vars)),
                 }
-                Some((expr, lo, hi))
             }
-            _ => Some(opaque(t)),
+            _ => Some(opaque(t, intervals, vars)),
         },
         Term::Cast { kind, width, a } => match kind {
             dataplane_ir::CastKind::ZExt | dataplane_ir::CastKind::Resize
@@ -1983,23 +2054,53 @@ fn linearize_bounded(t: &TermRef, intervals: &IntervalMap) -> Option<(LinExpr, i
                 // itself (atoms usually mention the widened form, e.g.
                 // `zext32(v) >= 4`, and that knowledge must reach the bounds
                 // used for wrap checking higher up).
-                let (e, mut lo, mut hi) = linearize_bounded(a, intervals)?;
+                let (e, mut lo, mut hi) = linearize_bounded(a, intervals, vars)?;
                 if let Some(iv) = intervals.get(t) {
                     lo = lo.max(iv.lo as i128);
                     hi = hi.min(iv.hi as i128);
                 }
                 Some((e, lo, hi))
             }
-            _ => Some(opaque(t)),
+            _ => Some(opaque(t, intervals, vars)),
         },
-        _ => Some(opaque(t)),
+        _ => Some(opaque(t, intervals, vars)),
     }
 }
 
-/// One inequality `expr <= 0`.
-#[derive(Clone, Debug)]
-struct Inequality {
-    expr: LinExpr,
+/// `a op b` for `op` one of `Add`, `Sub`, `Mul`, over linearised operands
+/// with their bounds. `None` when the node is not linear (a product of two
+/// non-constant expressions) or its coefficients or bounds overflow `i128`.
+fn linear_arith(
+    op: BinOp,
+    (la, alo, ahi): (LinExpr, i128, i128),
+    (lb, blo, bhi): (LinExpr, i128, i128),
+) -> Option<(LinExpr, i128, i128)> {
+    match op {
+        BinOp::Add => Some((
+            la.combine(1, &lb, 1)?,
+            alo.checked_add(blo)?,
+            ahi.checked_add(bhi)?,
+        )),
+        BinOp::Sub => Some((
+            la.combine(1, &lb, -1)?,
+            alo.checked_sub(bhi)?,
+            ahi.checked_sub(blo)?,
+        )),
+        _ => {
+            let (scaled, k) = if lb.coeffs.is_empty() {
+                (&la, lb.constant)
+            } else if la.coeffs.is_empty() {
+                (&lb, la.constant)
+            } else {
+                return None;
+            };
+            Some((
+                scaled.scale(k)?,
+                alo.checked_mul(blo)?,
+                ahi.checked_mul(bhi)?,
+            ))
+        }
+    }
 }
 
 /// What the Fourier–Motzkin stage established.
@@ -2007,7 +2108,8 @@ struct Inequality {
 enum FmOutcome {
     /// The linear fragment is infeasible (sound: the whole system is Unsat).
     Unsat,
-    /// Elimination completed without deriving a contradiction.
+    /// Elimination completed without deriving a contradiction, or an
+    /// `i128` overflow ended it.
     NoVerdict,
     /// Elimination aborted at `max_fm_constraints`; no verdict from this
     /// stage, and a larger budget might have decided the system.
@@ -2016,17 +2118,13 @@ enum FmOutcome {
 
 /// Decide unsatisfiability of the linear fragment by Fourier–Motzkin
 /// elimination (sound for `Unsat` because rational infeasibility implies
-/// integer infeasibility).
+/// integer infeasibility). Each inequality is an expression `<= 0`.
+/// Variables are eliminated in the order of their printed terms — each used
+/// variable is printed once, for that order alone — since where the budget
+/// aborts depends on it.
 fn fourier_motzkin(atoms: &[Atom], intervals: &IntervalMap, max_constraints: usize) -> FmOutcome {
-    let mut inequalities: Vec<Inequality> = Vec::new();
-    let mut vars: HashSet<String> = HashSet::new();
-
-    let push = |expr: LinExpr, inequalities: &mut Vec<Inequality>, vars: &mut HashSet<String>| {
-        for k in expr.coeffs.keys() {
-            vars.insert(k.clone());
-        }
-        inequalities.push(Inequality { expr });
-    };
+    let mut vars = LinVars::default();
+    let mut inequalities: Vec<LinExpr> = Vec::new();
 
     for atom in atoms {
         // Signed atoms participate only when both sides are provably
@@ -2050,111 +2148,107 @@ fn fourier_motzkin(atoms: &[Atom], intervals: &IntervalMap, max_constraints: usi
             continue;
         }
         let (Some(l), Some(r)) = (
-            linearize(&atom.lhs, intervals),
-            linearize(&atom.rhs, intervals),
+            linearize(&atom.lhs, intervals, &mut vars),
+            linearize(&atom.rhs, intervals, &mut vars),
         ) else {
             continue;
         };
-        let diff = l.add(&r, -1); // lhs - rhs
+        let Some(diff) = l.combine(1, &r, -1) else {
+            return FmOutcome::NoVerdict;
+        }; // lhs - rhs
         match atom.op {
-            Cmp::ULe | Cmp::SLe => push(diff, &mut inequalities, &mut vars),
+            Cmp::ULe | Cmp::SLe => inequalities.push(diff),
+            // lhs - rhs + 1 <= 0
             Cmp::ULt | Cmp::SLt => {
-                push(
-                    diff.add(&LinExpr::constant(-1), -1),
-                    &mut inequalities,
-                    &mut vars,
-                )
-                // lhs - rhs + 1 <= 0
+                let Some(constant) = diff.constant.checked_add(1) else {
+                    return FmOutcome::NoVerdict;
+                };
+                inequalities.push(LinExpr { constant, ..diff })
             }
             Cmp::Eq => {
-                push(diff.clone(), &mut inequalities, &mut vars);
-                push(diff.scale(-1), &mut inequalities, &mut vars);
+                let Some(negated) = diff.scale(-1) else {
+                    return FmOutcome::NoVerdict;
+                };
+                inequalities.push(diff);
+                inequalities.push(negated);
             }
             Cmp::Ne => {}
         }
     }
 
-    // Range constraints for every opaque variable: 0 <= v <= hi.
-    let var_terms: Vec<TermRef> = {
-        let mut seen: HashMap<String, TermRef> = HashMap::new();
-        for ineq in &inequalities {
-            for (k, (t, _)) in &ineq.expr.coeffs {
-                seen.entry(k.clone()).or_insert_with(|| t.clone());
-            }
+    // Range constraints for every used variable, in id order: lo <= v <= hi.
+    let mut used = vec![false; vars.terms.len()];
+    for ineq in &inequalities {
+        for &(id, _) in &ineq.coeffs {
+            used[id as usize] = true;
         }
-        seen.into_values().collect()
-    };
-    for t in var_terms {
+    }
+    let used: Vec<u32> = (0..vars.terms.len() as u32)
+        .filter(|&id| used[id as usize])
+        .collect();
+    for &id in &used {
+        let t = &vars.terms[id as usize];
         let hi = intervals
-            .get(&t)
+            .get(t)
             .map(|iv| iv.hi)
             .unwrap_or_else(|| dataplane_ir::value::mask(t.width()));
-        let lo = intervals.get(&t).map(|iv| iv.lo).unwrap_or(0);
+        let lo = intervals.get(t).map(|iv| iv.lo).unwrap_or(0);
         // -v + lo <= 0
-        push(
-            LinExpr::var(t.clone())
-                .scale(-1)
-                .add(&LinExpr::constant(lo as i128), 1),
-            &mut inequalities,
-            &mut vars,
-        );
+        inequalities.push(LinExpr {
+            constant: lo as i128,
+            coeffs: vec![(id, -1)],
+        });
         // v - hi <= 0
-        push(
-            LinExpr::var(t).add(&LinExpr::constant(hi as i128), -1),
-            &mut inequalities,
-            &mut vars,
-        );
+        inequalities.push(LinExpr {
+            constant: -(hi as i128),
+            coeffs: vec![(id, 1)],
+        });
     }
 
     // Eliminate variables one at a time.
-    let mut var_list: Vec<String> = vars.into_iter().collect();
-    var_list.sort();
-    for var in var_list {
+    let mut order: Vec<(String, u32)> = used
+        .into_iter()
+        .map(|id| (format!("{}", vars.terms[id as usize]), id))
+        .collect();
+    order.sort_unstable();
+    let contradiction = |i: &LinExpr| i.coeffs.is_empty() && i.constant > 0;
+    for (_, var) in order {
         if inequalities.len() > max_constraints {
             return FmOutcome::BudgetExhausted;
         }
-        let (with_var, without): (Vec<Inequality>, Vec<Inequality>) = inequalities
-            .into_iter()
-            .partition(|i| i.expr.coeffs.contains_key(&var));
+        let mut next = Vec::with_capacity(inequalities.len());
         let mut uppers = Vec::new(); // c*v <= rest  (c > 0)
         let mut lowers = Vec::new(); // rest <= c*v  (coefficient < 0 in <=0 form)
-        for ineq in with_var {
-            let coeff = ineq.expr.coeffs.get(&var).map(|(_, c)| *c).unwrap_or(0);
-            if coeff > 0 {
-                uppers.push((coeff, ineq));
-            } else {
-                lowers.push((-coeff, ineq));
+        for ineq in inequalities {
+            match ineq.coeff(var) {
+                0 => next.push(ineq),
+                c if c > 0 => uppers.push((c, ineq)),
+                c => lowers.push((c.checked_neg(), ineq)),
             }
         }
-        let mut next = without;
         for (cu, u) in &uppers {
             for (cl, l) in &lowers {
                 // cu*v + U <= 0  and  -cl*v + L <= 0
                 // => cl*U + cu*L <= 0 after eliminating v.
-                let mut combined = u.expr.clone().scale(*cl).add(&l.expr.clone().scale(*cu), 1);
-                combined.coeffs.remove(&var);
+                let Some(combined) = cl.and_then(|cl| u.combine(cl, l, *cu)) else {
+                    return FmOutcome::NoVerdict;
+                };
                 if combined.coeffs.is_empty() {
                     if combined.constant > 0 {
                         return FmOutcome::Unsat; // 0 < constant <= 0 is impossible
                     }
                 } else {
-                    next.push(Inequality { expr: combined });
+                    next.push(combined);
                 }
             }
         }
         inequalities = next;
         // A pure-constant contradiction may also already be present.
-        if inequalities
-            .iter()
-            .any(|i| i.expr.coeffs.is_empty() && i.expr.constant > 0)
-        {
+        if inequalities.iter().any(contradiction) {
             return FmOutcome::Unsat;
         }
     }
-    if inequalities
-        .iter()
-        .any(|i| i.expr.coeffs.is_empty() && i.expr.constant > 0)
-    {
+    if inequalities.iter().any(contradiction) {
         FmOutcome::Unsat
     } else {
         FmOutcome::NoVerdict
@@ -2532,5 +2626,92 @@ mod tests {
             }
             other => panic!("expected sat, got {other:?}"),
         }
+    }
+
+    fn var(id: u32, width: u8) -> TermRef {
+        Arc::new(Term::Var {
+            id: VarId(id),
+            width,
+        })
+    }
+
+    #[test]
+    fn two_arcs_of_one_term_are_one_fourier_motzkin_variable() {
+        // a + b <= c, c <= a, 1 <= b: only a linear combination refutes it,
+        // and only when both mentions of `a` are the same variable.
+        let x = |id| cast(CastKind::ZExt, 32, var(id, 8));
+        let (a, a_again) = (x(0), x(0));
+        assert!(!Arc::ptr_eq(&a, &a_again));
+        let cs = vec![
+            binary(BinOp::ULe, binary(BinOp::Add, a, x(1)), x(2)),
+            binary(BinOp::ULe, x(2), a_again),
+            binary(BinOp::ULe, c32(1), x(1)),
+        ];
+        assert!(!interval_infeasible(&cs));
+        let decision = Solver::new().decide(&cs, &[], &crate::CancelToken::new());
+        assert_eq!(decision.result, SolverResult::Unsat);
+        assert_eq!(decision.stage, SolverStage::FourierMotzkin);
+    }
+
+    /// Pairwise sums of five 8-bit variables bounded against each other,
+    /// every term built from fresh `Arc`s: an elimination that grows.
+    fn growing_system() -> Vec<TermRef> {
+        let x = |id| cast(CastKind::ZExt, 32, var(id, 8));
+        let mut cs = Vec::new();
+        for i in 0..5u32 {
+            for j in (0..5u32).filter(|&j| j != i) {
+                let lhs = binary(BinOp::Add, x(i), x(j));
+                let rhs = binary(BinOp::Add, x((i + j + 1) % 5), c32(3 + i));
+                cs.push(binary(BinOp::ULe, lhs, rhs));
+            }
+        }
+        cs
+    }
+
+    #[test]
+    fn fourier_motzkin_aborts_where_the_printed_term_order_says() {
+        // The outcome at each budget, up to the first budget that lets the
+        // elimination finish. Where it aborts depends on the elimination
+        // order (printed terms, sorted).
+        let analysis = analyse(&growing_system()).expect("the prefix does not refute it");
+        let outcomes: Vec<_> = (0..)
+            .map(|budget| fourier_motzkin(&analysis.atoms, &analysis.intervals, budget))
+            .scan(false, |done, outcome| {
+                (!std::mem::replace(done, outcome != FmOutcome::BudgetExhausted)).then_some(outcome)
+            })
+            .collect();
+        // 702 inequalities: the first budget the sorted order finishes
+        // within (reversed, it needs 1070; rotated by two, 598).
+        assert_eq!(outcomes.len(), 703);
+        assert_eq!(outcomes.last(), Some(&FmOutcome::NoVerdict));
+    }
+
+    #[test]
+    fn an_overflowing_elimination_gives_no_verdict() {
+        // (v_i << 30) + v_j <=u (v_j << 30) + v_((i+j) mod 6) for i != j,
+        // every v_k <= 2^30 - 1: all-zero satisfies it, but eliminating
+        // its variables multiplies coefficients past i128.
+        let c64 = |v: u64| constant(BitVec::new(64, v));
+        let side = |a, b| {
+            binary(
+                BinOp::Add,
+                binary(BinOp::Shl, var(a, 64), c64(30)),
+                var(b, 64),
+            )
+        };
+        let mut cs: Vec<TermRef> = (0..6)
+            .map(|k| binary(BinOp::ULe, var(k, 64), c64((1 << 30) - 1)))
+            .collect();
+        for i in 0..6u32 {
+            for j in (0..6u32).filter(|&j| j != i) {
+                cs.push(binary(BinOp::ULe, side(i, j), side(j, (i + j) % 6)));
+            }
+        }
+        let zero = Assignment::default();
+        assert!(cs.iter().all(|c| eval(c, &zero).unwrap().is_true()));
+        let s = Solver::new();
+        assert_eq!(s.refutes(&cs), None);
+        let decision = s.decide(&cs, &[], &crate::CancelToken::new());
+        assert!(!decision.result.is_unsat(), "{decision:?}");
     }
 }
