@@ -58,6 +58,6 @@ pub use report::{
 pub use summary::{summary_key, ElementSummary, SummaryCache};
 pub use verifier::{
     materialise_packet, run_violates_property, CheckOutcome, CheckRecord, ComposeOutline,
-    ComposeShardResult, EscalationLadder, OutlineNode, ShardEdge, ShardNodeRecord, ShardTiming,
-    Verifier, VerifierOptions, ESCALATION_FACTOR,
+    ComposeShardResult, OutlineNode, ShardEdge, ShardNodeRecord, ShardTiming, Verifier,
+    VerifierOptions,
 };

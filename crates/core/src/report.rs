@@ -73,32 +73,17 @@ pub struct VerificationStats {
     pub prefilter_passed: usize,
     /// Step-2 feasibility checks whose Fourier–Motzkin stage aborted at its
     /// `max_fm_constraints` budget (the check may still have been decided by
-    /// a later stage; a raised budget might decide it analytically).
+    /// a later stage).
     pub fm_budget_aborts: usize,
     /// Step-2 feasibility checks whose randomized model search ran through
     /// all its tries without finding a model. Every `Unknown` feasibility
     /// verdict has this set, so `unknown = Unknown` causes are diagnosable
     /// from the stats alone.
     pub model_search_aborts: usize,
-    /// Checks that aborted a stage under the base solver budgets and
-    /// entered the geometric escalation ladder before being reported.
+    /// Always 0: nothing writes this field and no encoder emits it. It is
+    /// kept only because the perf ledger's cold layer (`ledger/`) still
+    /// reads it; it goes with the ledger's next version.
     pub budget_escalations: usize,
-    /// Escalated retries that decided the check (Sat or Unsat) where the
-    /// base budgets could not.
-    pub escalations_decided: usize,
-    /// Checks decided per ladder rung: `escalations_by_step[i]` counts the
-    /// checks the `i`-th escalation rung (budgets ×factor^(i+1)) decided.
-    /// The vector is only as long as the highest rung that decided
-    /// anything, so it stays empty on the common all-decided-at-base path.
-    pub escalations_by_step: Vec<usize>,
-    /// Per-stage rung counters: `escalations_fm[i]` counts the checks
-    /// decided at rung `i` whose retry raised the Fourier–Motzkin budget
-    /// (the ladder raises only the stages that actually aborted, so a
-    /// check that never exhausted the FM budget never appears here).
-    pub escalations_fm: Vec<usize>,
-    /// Per-stage rung counters for the model-search stage: checks decided
-    /// at rung `i` whose retry raised the model-search try budget.
-    pub escalations_search: Vec<usize>,
     /// States of the Büchi automaton compiled from the negated temporal
     /// spec (zero for non-temporal properties).
     pub buchi_states: usize,
@@ -180,44 +165,6 @@ impl fmt::Display for Report {
                 "  stage aborts: fourier-motzkin budget {}, model search exhausted {}",
                 self.stats.fm_budget_aborts, self.stats.model_search_aborts
             )?;
-        }
-        if self.stats.budget_escalations > 0 {
-            write!(
-                f,
-                "  budget escalations: {} climbed the ladder ({} decided by the raised budgets",
-                self.stats.budget_escalations, self.stats.escalations_decided
-            )?;
-            if !self.stats.escalations_by_step.is_empty() {
-                write!(
-                    f,
-                    "; per rung: {}",
-                    self.stats
-                        .escalations_by_step
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| format!("#{}: {n}", i + 1))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )?;
-            }
-            let per_stage = |label: &str, rungs: &[usize]| {
-                if rungs.is_empty() {
-                    None
-                } else {
-                    Some(format!("{label} {}", rungs.iter().sum::<usize>()))
-                }
-            };
-            let stages: Vec<String> = [
-                per_stage("fm", &self.stats.escalations_fm),
-                per_stage("search", &self.stats.escalations_search),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            if !stages.is_empty() {
-                write!(f, "; raised stages: {}", stages.join(", "))?;
-            }
-            writeln!(f, ")")?;
         }
         for ce in &self.counterexamples {
             writeln!(

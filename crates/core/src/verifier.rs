@@ -38,99 +38,9 @@ pub struct VerifierOptions {
     pub max_composed_paths: usize,
     /// Symbolic-execution configuration used for element summaries.
     pub engine: EngineConfig,
-    /// Base solver limits for feasibility checks.
+    /// Solver limits for feasibility checks, used as given: no check is
+    /// retried at raised budgets.
     pub solver: SolverConfig,
-    /// When a check aborts a solver stage at its budget
-    /// (`fm_budget_aborts` / `model_search_aborts`) and the stateful-element
-    /// second chance does not discharge it, retry it up the geometric
-    /// [`EscalationLadder`] before reporting. Escalations are counted per
-    /// rung in `Report.stats.escalations_by_step`.
-    pub escalate_budgets: bool,
-    /// The escalation ladder climbed when `escalate_budgets` is set.
-    pub ladder: EscalationLadder,
-}
-
-/// The default geometric growth factor of the escalation ladder (each rung
-/// multiplies the solver budgets by another factor of this).
-pub const ESCALATION_FACTOR: u32 = 8;
-
-/// The geometric budget-escalation ladder for undecided feasibility checks.
-///
-/// A check that aborts a solver stage at its budget is retried with the
-/// budgets scaled by `factor`, then `factor²`, ... up to `steps` rungs,
-/// stopping at the first rung that decides it (Sat or Unsat). The ladder
-/// is a deterministic function of the constraints, so reports stay
-/// byte-identical across runs and processes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EscalationLadder {
-    /// Geometric growth factor per rung (at least 2).
-    pub factor: u32,
-    /// Number of rungs (0 disables escalation even when
-    /// `escalate_budgets` is set).
-    pub steps: u32,
-}
-
-impl Default for EscalationLadder {
-    fn default() -> Self {
-        EscalationLadder {
-            factor: ESCALATION_FACTOR,
-            steps: 2,
-        }
-    }
-}
-
-impl EscalationLadder {
-    /// A ladder that never escalates.
-    pub fn disabled() -> Self {
-        EscalationLadder {
-            steps: 0,
-            ..EscalationLadder::default()
-        }
-    }
-
-    /// The single ×8 retry this ladder generalises (the pre-ladder
-    /// behaviour).
-    pub fn single_retry() -> Self {
-        EscalationLadder {
-            steps: 1,
-            ..EscalationLadder::default()
-        }
-    }
-
-    /// The budget multiplier of rung `step` (0-based): `factor^(step+1)`,
-    /// saturating.
-    pub fn multiplier(&self, step: u32) -> u64 {
-        (u64::from(self.factor.max(2))).saturating_pow(step.saturating_add(1))
-    }
-
-    /// The solver of rung `step`, raising only the stages that actually
-    /// aborted so far: a stage that never hit its budget keeps its base
-    /// limits, so escalation spends solver work exactly where the base run
-    /// ran out of it.
-    fn solver_for(
-        &self,
-        base: &SolverConfig,
-        step: u32,
-        raise_fm: bool,
-        raise_search: bool,
-    ) -> Solver {
-        let m = self.multiplier(step);
-        Solver::with_config(SolverConfig {
-            model_search_tries: if raise_search {
-                u32::try_from(u64::from(base.model_search_tries).saturating_mul(m))
-                    .unwrap_or(u32::MAX)
-            } else {
-                base.model_search_tries
-            },
-            max_fm_constraints: if raise_fm {
-                usize::try_from((base.max_fm_constraints as u64).saturating_mul(m))
-                    .unwrap_or(usize::MAX)
-            } else {
-                base.max_fm_constraints
-            },
-            ..base.clone()
-        })
-    }
 }
 
 impl Default for VerifierOptions {
@@ -141,8 +51,6 @@ impl Default for VerifierOptions {
             max_composed_paths: 100_000,
             engine: EngineConfig::decomposed(),
             solver: SolverConfig::default(),
-            escalate_budgets: true,
-            ladder: EscalationLadder::default(),
         }
     }
 }
@@ -661,16 +569,6 @@ pub struct CheckRecord {
     pub outcome: CheckOutcome,
     /// Which solver stages gave up within their budgets.
     pub diag: CheckDiagnostics,
-    /// The check aborted a stage under base budgets and entered the
-    /// escalation ladder.
-    pub escalated: bool,
-    /// The 0-based ladder rung whose raised budgets decided the check, if
-    /// any rung did.
-    pub decided_at_rung: Option<usize>,
-    /// The deciding rung had the Fourier–Motzkin budget raised.
-    pub raised_fm: bool,
-    /// The deciding rung had the model-search try budget raised.
-    pub raised_search: bool,
     /// The interval-only pre-filter decided the check (always `Discharged`)
     /// before any budgeted solver stage ran.
     pub prefiltered: bool,
@@ -1198,9 +1096,8 @@ impl<'a> WalkCtx<'a> {
         }
     }
 
-    /// Decide one suspect × prefix feasibility check: base solver budgets,
-    /// then the stateful-element second chance, then (for stage-budget
-    /// aborts) adaptive retries up the geometric escalation ladder. Sound to
+    /// Decide one suspect × prefix feasibility check: one solver decision,
+    /// then the stateful-element second chance for an `Unknown`. Sound to
     /// discharge on the analytic prefix alone because it is the first half
     /// of the refuting procedure (`prefiltered` records that it decided).
     fn run_check(
@@ -1213,25 +1110,6 @@ impl<'a> WalkCtx<'a> {
     ) -> CheckRecord {
         let node = self.tree.pipeline.node(element);
         let segment = &self.tree.summaries[element].exploration.segments[seg_idx];
-        let violation = |model: &dataplane_symbex::Assignment| {
-            let packet = self.materialise_counterexample(model);
-            let confirmed =
-                self.options.validate_counterexamples && self.confirm(&packet, element, segment);
-            CheckOutcome::Violation(Counterexample {
-                packet,
-                path: path.to_vec(),
-                description: format!(
-                    "{} at element '{}'",
-                    describe_outcome(&segment.outcome),
-                    node.name
-                ),
-                confirmed,
-            })
-        };
-        let ladder = &self.options.ladder;
-        // The one solver entry of a check, asked once per budget level: the
-        // base solver here, then one escalated solver per ladder rung.
-        let decide = |solver: &Solver| solver.decide(constraint, &self.hints, cancel);
         // A prefix the budget-free analytic stages already refute is
         // discharged without touching the hint-repair, Fourier–Motzkin, or
         // model-search machinery; the stage says so.
@@ -1239,106 +1117,50 @@ impl<'a> WalkCtx<'a> {
             result,
             diag,
             stage,
-        } = decide(self.solver);
-        let mut escalated = false;
-        let mut decided_at_rung = None;
-        let mut rungs_climbed = 0u32;
-        let mut raised_fm = false;
-        let mut raised_search = false;
+        } = self.solver.decide(constraint, &self.hints, cancel);
         let outcome = match result {
             SolverResult::Unsat => CheckOutcome::Discharged,
-            SolverResult::Sat(model) => violation(&model),
+            SolverResult::Sat(model) => {
+                let packet = self.materialise_counterexample(&model);
+                let confirmed = self.options.validate_counterexamples
+                    && self.confirm(&packet, element, segment);
+                CheckOutcome::Violation(Counterexample {
+                    packet,
+                    path: path.to_vec(),
+                    description: format!(
+                        "{} at element '{}'",
+                        describe_outcome(&segment.outcome),
+                        node.name
+                    ),
+                    confirmed,
+                })
+            }
+            // Second chance: the stateful-element analysis (reads of
+            // never-written private state can be replaced by the default
+            // value).
+            SolverResult::Unknown if self.discharged_by_ds_analysis(constraint, element) => {
+                CheckOutcome::Discharged
+            }
             SolverResult::Unknown => {
-                // Second chance: the stateful-element analysis (reads of
-                // never-written private state can be replaced by the
-                // default value).
-                if self.discharged_by_ds_analysis(constraint, element) {
-                    CheckOutcome::Discharged
+                let stages = diag.describe();
+                let why = if stages.is_empty() {
+                    String::new()
                 } else {
-                    // Adaptive budgets: a stage gave up at its limit — climb
-                    // the geometric escalation ladder, raising only the
-                    // stages that have aborted so far and stopping at the
-                    // first rung that decides. A stage that first aborts
-                    // mid-climb (say the model search only runs out once a
-                    // raised FM budget lets it start) joins the raised set
-                    // at the next rung.
-                    let mut retried = None;
-                    let mut abort_fm = diag.fm_budget_exhausted;
-                    let mut abort_search = diag.model_search_exhausted;
-                    if (abort_fm || abort_search)
-                        && self.options.escalate_budgets
-                        && !cancel.is_cancelled()
-                    {
-                        for rung in 0..ladder.steps as usize {
-                            if cancel.is_cancelled() {
-                                break;
-                            }
-                            escalated = true;
-                            rungs_climbed = rung as u32 + 1;
-                            let solver = ladder.solver_for(
-                                self.solver.config(),
-                                rung as u32,
-                                abort_fm,
-                                abort_search,
-                            );
-                            let Decision {
-                                result: retry,
-                                diag: retry_diag,
-                                ..
-                            } = decide(&solver);
-                            if !matches!(retry, SolverResult::Unknown) {
-                                decided_at_rung = Some(rung);
-                                raised_fm = abort_fm;
-                                raised_search = abort_search;
-                                retried = Some(retry);
-                                break;
-                            }
-                            // A rung that no longer aborts any stage gave
-                            // the solver its full analysis and still said
-                            // Unknown: higher budgets cannot change that.
-                            if !retry_diag.fm_budget_exhausted && !retry_diag.model_search_exhausted
-                            {
-                                break;
-                            }
-                            abort_fm |= retry_diag.fm_budget_exhausted;
-                            abort_search |= retry_diag.model_search_exhausted;
-                        }
-                    }
-                    match retried {
-                        Some(SolverResult::Unsat) => CheckOutcome::Discharged,
-                        Some(SolverResult::Sat(model)) => violation(&model),
-                        _ => {
-                            let stages = diag.describe();
-                            let why = if stages.is_empty() {
-                                String::new()
-                            } else if escalated {
-                                format!(
-                                    " ({stages}; budgets escalated to x{} without a verdict)",
-                                    ladder.multiplier(rungs_climbed.saturating_sub(1))
-                                )
-                            } else {
-                                format!(" ({stages})")
-                            };
-                            CheckOutcome::Undecided(UnprovenPath {
-                                path: path.to_vec(),
-                                reason: format!(
-                                    "could not decide feasibility of {} at '{}'{why}",
-                                    describe_outcome(&segment.outcome),
-                                    node.name
-                                ),
-                            })
-                        }
-                    }
-                }
+                    format!(" ({stages})")
+                };
+                CheckOutcome::Undecided(UnprovenPath {
+                    path: path.to_vec(),
+                    reason: format!(
+                        "could not decide feasibility of {} at '{}'{why}",
+                        describe_outcome(&segment.outcome),
+                        node.name
+                    ),
+                })
             }
         };
         CheckRecord {
             outcome,
             diag,
-            escalated,
-            decided_at_rung,
-            raised_fm,
-            raised_search,
             prefiltered: stage == SolverStage::Prefix,
         }
     }
@@ -1522,23 +1344,6 @@ impl FoldState<'_, '_> {
         }
         self.stats.fm_budget_aborts += usize::from(check.diag.fm_budget_exhausted);
         self.stats.model_search_aborts += usize::from(check.diag.model_search_exhausted);
-        self.stats.budget_escalations += usize::from(check.escalated);
-        if let Some(rung) = check.decided_at_rung {
-            self.stats.escalations_decided += 1;
-            let bump = |rungs: &mut Vec<usize>| {
-                if rungs.len() <= rung {
-                    rungs.resize(rung + 1, 0);
-                }
-                rungs[rung] += 1;
-            };
-            bump(&mut self.stats.escalations_by_step);
-            if check.raised_fm {
-                bump(&mut self.stats.escalations_fm);
-            }
-            if check.raised_search {
-                bump(&mut self.stats.escalations_search);
-            }
-        }
         match check.outcome {
             CheckOutcome::Discharged => self.stats.discharged += 1,
             CheckOutcome::Violation(ce) => self.counterexamples.push(ce),

@@ -456,12 +456,14 @@ fn monolithic_baseline_counts_are_pinned() {
 
 #[test]
 fn router_chain_counts_are_pinned() {
-    // The only in-repo input where Fourier–Motzkin hits its budget: at two
-    // hops four checks abort it, fail their model search and are decided
-    // on the escalation ladder. Where it aborts depends on the elimination
-    // order, which the preset golden report cannot see. (Three hops, in
-    // release: 399 composed paths, 570 solver calls, 36/36/36.)
-    for (hops, composed, solver_calls, aborts) in [(1, 25, 52, 0), (2, 107, 176, 4)] {
+    // No stage aborts under the default budget. At two hops four checks
+    // need more than 2 000 Fourier–Motzkin constraints, the old budget:
+    // `an_aborted_fm_budget_leaves_its_check_undecided_and_says_why` pins
+    // that, because where FM aborts depends on the elimination order,
+    // which the preset golden report cannot see. (Release: three hops 399
+    // composed paths / 570 solver calls, four hops 1495 / 2008, both with
+    // no aborts.)
+    for (hops, composed, solver_calls) in [(1, 25, 52), (2, 107, 176)] {
         let report = Verifier::new().verify(&router_chain(hops), &Property::CrashFreedom);
         assert!(report.is_proven(), "h = {hops}:\n{report}");
         let stats = &report.stats;
@@ -470,13 +472,8 @@ fn router_chain_counts_are_pinned() {
             stats.solver_calls,
             stats.fm_budget_aborts,
             stats.model_search_aborts,
-            stats.budget_escalations,
         );
-        assert_eq!(
-            counts,
-            (composed, solver_calls, aborts, aborts, aborts),
-            "h = {hops}"
-        );
+        assert_eq!(counts, (composed, solver_calls, 0, 0), "h = {hops}");
     }
 }
 
@@ -533,128 +530,44 @@ fn reachability_with_blocking_filter_is_not_proven() {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive solver budgets
+// Solver budgets
 // ---------------------------------------------------------------------------
 
 #[test]
-fn aborted_budgets_escalate_once_and_are_counted() {
+fn an_aborted_fm_budget_leaves_its_check_undecided_and_says_why() {
     use dataplane_symbex::SolverConfig;
     use dataplane_verifier::VerifierOptions;
-    // Starve the solver so checks abort a stage; the firewall reachability
-    // scenario is proven under default budgets, so any Unknown here is a
-    // budget artefact — exactly what escalation exists for.
-    let tiny = SolverConfig {
-        model_search_tries: 8,
-        max_fm_constraints: 4,
-        ..SolverConfig::default()
-    };
-    let property = Property::Reachability {
-        dst: Ipv4Addr::new(192, 168, 7, 7),
-        dst_offset: 30,
-        deliver_to: vec!["out1".to_string()],
-        may_drop: vec!["strip".to_string(), "chk".to_string(), "ttl".to_string()],
-    };
-
-    let mut fixed = Verifier::with_options(VerifierOptions {
-        solver: tiny.clone(),
-        escalate_budgets: false,
+    // At two hops the chain has four checks that Fourier–Motzkin cannot
+    // eliminate within 2 000 constraints; the model search finds no model
+    // for them either. With nothing to retry them, each stays undecided
+    // and names the stage that gave up.
+    let pipeline = router_chain(2);
+    let report = Verifier::with_options(VerifierOptions {
+        solver: SolverConfig {
+            max_fm_constraints: 2000,
+            ..SolverConfig::default()
+        },
         ..VerifierOptions::default()
-    });
-    let base = fixed.verify(&firewall_pipeline(vec![]), &property);
-    assert_eq!(base.stats.budget_escalations, 0);
-    assert!(
-        base.stats.fm_budget_aborts + base.stats.model_search_aborts > 0,
-        "starved budgets must abort at least one stage:\n{base}"
-    );
-    assert!(
-        !base.unproven.is_empty(),
-        "starved budgets should leave undecided checks:\n{base}"
-    );
+    })
+    .verify(&pipeline, &Property::CrashFreedom);
+    assert_eq!(report.verdict, Verdict::Unknown, "{report}");
+    assert_eq!(report.unproven.len(), 4, "{report}");
+    for up in &report.unproven {
+        assert!(
+            up.reason
+                .contains("fourier-motzkin aborted at its constraint budget"),
+            "{}",
+            up.reason
+        );
+    }
+    assert_eq!(report.stats.fm_budget_aborts, 4, "{report}");
+    assert_eq!(report.stats.model_search_aborts, 4, "{report}");
 
-    let mut adaptive = Verifier::with_options(VerifierOptions {
-        solver: tiny,
-        escalate_budgets: true,
-        ..VerifierOptions::default()
-    });
-    let report = adaptive.verify(&firewall_pipeline(vec![]), &property);
-    assert!(
-        report.stats.budget_escalations > 0,
-        "every aborted undecided check must be retried escalated:\n{report}"
-    );
-    assert!(
-        report.unproven.len() <= base.unproven.len(),
-        "escalation must not lose decisions"
-    );
-    assert!(
-        report.stats.escalations_decided <= report.stats.budget_escalations,
-        "decided escalations are a subset of escalations"
-    );
-    assert_eq!(
-        report.stats.escalations_by_step.iter().sum::<usize>(),
-        report.stats.escalations_decided,
-        "per-rung counters must sum to the decided escalations"
-    );
-}
-
-#[test]
-fn escalation_ladder_rungs_grow_geometrically_and_are_counted_per_rung() {
-    use dataplane_symbex::SolverConfig;
-    use dataplane_verifier::{EscalationLadder, VerifierOptions};
-
-    let ladder = EscalationLadder::default();
-    assert_eq!(ladder.multiplier(0), 8);
-    assert_eq!(ladder.multiplier(1), 64);
-    assert_eq!(EscalationLadder::disabled().steps, 0);
-    assert_eq!(EscalationLadder::single_retry().steps, 1);
-
-    // Starve the solver hard enough that the first rung (×8) still aborts
-    // for some checks; a two-rung ladder then decides strictly no fewer
-    // checks than the single retry, and every decision lands in a per-rung
-    // counter.
-    let starved = SolverConfig {
-        model_search_tries: 2,
-        max_fm_constraints: 2,
-        ..SolverConfig::default()
-    };
-    let property = Property::Reachability {
-        dst: Ipv4Addr::new(192, 168, 7, 7),
-        dst_offset: 30,
-        deliver_to: vec!["out1".to_string()],
-        may_drop: vec!["strip".to_string(), "chk".to_string(), "ttl".to_string()],
-    };
-    let verify_with = |ladder: EscalationLadder| {
-        Verifier::with_options(VerifierOptions {
-            solver: starved.clone(),
-            escalate_budgets: true,
-            ladder,
-            ..VerifierOptions::default()
-        })
-        .verify(&firewall_pipeline(vec![]), &property)
-    };
-
-    let single = verify_with(EscalationLadder::single_retry());
-    let two_rungs = verify_with(EscalationLadder::default());
-    assert!(
-        two_rungs.stats.escalations_decided >= single.stats.escalations_decided,
-        "a taller ladder must not decide fewer checks"
-    );
-    assert!(
-        two_rungs.unproven.len() <= single.unproven.len(),
-        "a taller ladder must not lose decisions"
-    );
-    assert_eq!(
-        two_rungs.stats.escalations_by_step.iter().sum::<usize>(),
-        two_rungs.stats.escalations_decided,
-    );
-    assert!(
-        two_rungs.stats.escalations_by_step.len() <= 2,
-        "a two-rung ladder cannot decide at rung 3"
-    );
-
-    // A zero-height ladder behaves exactly like escalation off.
-    let off = verify_with(EscalationLadder::disabled());
-    assert_eq!(off.stats.budget_escalations, 0);
-    assert!(off.stats.escalations_by_step.is_empty());
+    // The default budget decides all four.
+    let report = Verifier::new().verify(&pipeline, &Property::CrashFreedom);
+    assert!(report.is_proven(), "{report}");
+    assert_eq!(report.stats.fm_budget_aborts, 0, "{report}");
+    assert_eq!(report.stats.model_search_aborts, 0, "{report}");
 }
 
 // ---------------------------------------------------------------------------

@@ -40,8 +40,12 @@ use std::time::Duration;
 /// * v8 — no shard stealing: `split` is an unknown kind that ends the
 ///   session, and shard results carry no `remainder`;
 /// * v9 — no `temporal` job kind: temporal scenarios travel as `compose`
-///   jobs, and a `temporal` job is answered with an unknown-kind error.
-pub const WORKER_SCHEMA: u64 = 9;
+///   jobs, and a `temporal` job is answered with an unknown-kind error;
+/// * v10 — one solver budget: no check is retried at raised budgets, so
+///   the `options` frame, report stats and shard check records lose the
+///   retry keys (a check record keeps its outcome, stage diagnostics and
+///   `prefiltered`).
+pub const WORKER_SCHEMA: u64 = 10;
 
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
@@ -430,29 +434,29 @@ mod tests {
     use proptest::TestRng;
     use std::sync::OnceLock;
 
-    /// One coordinator frame of each kind, as schema 9 spells it on the
+    /// One coordinator frame of each kind, as schema 10 spells it on the
     /// wire: peers built before this module must keep reading them.
     const TO_WORKER: [&str; 8] = [
-        r#"{"kind":"hello","options_digest":"3f59eb97360b63caacb471f2702980f3","proto":"vericlick-worker","schema":9}"#,
-        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"escalate_budgets":true,"ladder":{"factor":8,"steps":2},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":2000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"3f59eb97360b63caacb471f2702980f3","schema":9}"#,
-        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":9}"#,
-        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":9,"summaries":[null,"held"]}"#,
-        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":2,"start":0},"kind":"job","schema":9,"summaries":[null]}"#,
-        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":9}"#,
-        r#"{"kind":"ping","schema":9,"seq":3}"#,
-        r#"{"id":9,"kind":"cancel","schema":9}"#,
+        r#"{"kind":"hello","options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","proto":"vericlick-worker","schema":10}"#,
+        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","schema":10}"#,
+        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":10}"#,
+        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":10,"summaries":[null,"held"]}"#,
+        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":2,"start":0},"kind":"job","schema":10,"summaries":[null]}"#,
+        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":10}"#,
+        r#"{"kind":"ping","schema":10,"seq":3}"#,
+        r#"{"id":9,"kind":"cancel","schema":10}"#,
     ];
 
-    /// One worker frame of each kind, as schema 9 spells it on the wire.
+    /// One worker frame of each kind, as schema 10 spells it on the wire.
     const FROM_WORKER: [&str; 8] = [
-        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":9}"#,
-        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":9,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":2,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
-        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"budget_escalations":0,"composed_paths":0,"discharged":0,"elements":1,"escalations_by_step":[],"escalations_decided":0,"escalations_fm":[],"escalations_search":[],"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":9}"#,
-        r#"{"id":2,"kind":"result","schema":9,"shard":{"cancelled":false,"records":[],"timings":[]}}"#,
-        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":9}"#,
-        r#"{"kind":"pong","schema":9,"seq":3}"#,
-        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":9}"#,
-        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 9","schema":9}"#,
+        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":10}"#,
+        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":10,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":2,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
+        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":10}"#,
+        r#"{"id":2,"kind":"result","schema":10,"shard":{"cancelled":false,"records":[],"timings":[]}}"#,
+        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":10}"#,
+        r#"{"kind":"pong","schema":10,"seq":3}"#,
+        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":10}"#,
+        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 10","schema":10}"#,
     ];
 
     fn scenario(name: String, config: String) -> ScenarioSpec {
@@ -549,30 +553,30 @@ mod tests {
         let jobs = pinned_jobs();
         let parse = |text: &str| Json::parse(text).unwrap();
         // A job that does not decode is that job's failure.
-        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":9}"#);
+        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":10}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: Some(3), .. })
         ));
         // A frame without its id, or of another schema, is the session's.
-        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":9}"#);
+        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":10}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: None, .. })
         ));
         let bad = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":8}"#);
         let e = ToWorker::decode(&bad).unwrap_err();
-        assert!(e.job.is_none() && e.message.contains("schema 9"), "{e:?}");
+        assert!(e.job.is_none() && e.message.contains("schema 10"), "{e:?}");
         // A result nobody holds loses the worker; one whose payload does
         // not read fails the request.
-        let unheld = parse(r#"{"id":9,"kind":"result","schema":9,"shard":{}}"#);
+        let unheld = parse(r#"{"id":9,"kind":"result","schema":10,"shard":{}}"#);
         let e = FromWorker::decode(&unheld, job_of(&jobs)).unwrap_err();
         assert!(e.job.is_none(), "{e:?}");
-        let unreadable = parse(r#"{"id":2,"kind":"result","schema":9,"shard":{}}"#);
+        let unreadable = parse(r#"{"id":2,"kind":"result","schema":10,"shard":{}}"#);
         let e = FromWorker::decode(&unreadable, job_of(&jobs)).unwrap_err();
         assert_eq!(e.job, Some(2), "{e:?}");
         // A hello reply without a capacity offers one slot.
-        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":9}"#);
+        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":10}"#);
         assert!(matches!(
             FromWorker::decode(&hello, job_of(&jobs)),
             Ok(FromWorker::Hello { capacity: 1, .. })

@@ -263,47 +263,6 @@ impl MatrixReport {
                         Json::int(report.stats.model_search_aborts as u64),
                     ),
                     (
-                        "budget_escalations",
-                        Json::int(report.stats.budget_escalations as u64),
-                    ),
-                    (
-                        "escalations_decided",
-                        Json::int(report.stats.escalations_decided as u64),
-                    ),
-                    (
-                        "escalations_by_step",
-                        Json::Arr(
-                            report
-                                .stats
-                                .escalations_by_step
-                                .iter()
-                                .map(|&n| Json::int(n as u64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "escalations_fm",
-                        Json::Arr(
-                            report
-                                .stats
-                                .escalations_fm
-                                .iter()
-                                .map(|&n| Json::int(n as u64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "escalations_search",
-                        Json::Arr(
-                            report
-                                .stats
-                                .escalations_search
-                                .iter()
-                                .map(|&n| Json::int(n as u64))
-                                .collect(),
-                        ),
-                    ),
-                    (
                         "elapsed_micros",
                         Json::int(report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
                     ),

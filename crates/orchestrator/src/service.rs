@@ -650,8 +650,7 @@ impl VerifyService {
         self
     }
 
-    /// Replace the verifier options (engine budgets, solver budgets,
-    /// escalation ladder).
+    /// Replace the verifier options (engine and solver budgets).
     pub fn with_options(mut self, options: VerifierOptions) -> Self {
         self.options = options;
         self

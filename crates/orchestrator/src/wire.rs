@@ -30,8 +30,8 @@ use dataplane_pipeline::{parse_config, write_config, ConfigError, ConfigWriteErr
 use dataplane_symbex::{CheckDiagnostics, EngineConfig, LoopMode, SolverConfig};
 use dataplane_temporal::LtlSpec;
 use dataplane_verifier::{
-    CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, EscalationLadder, Property,
-    Report, ShardEdge, ShardNodeRecord, UnprovenPath, Verdict, VerificationStats, VerifierOptions,
+    CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, Property, Report, ShardEdge,
+    ShardNodeRecord, UnprovenPath, Verdict, VerificationStats, VerifierOptions,
 };
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -39,14 +39,16 @@ use std::time::Duration;
 
 /// Schema version of serialised [`PlanSpec`] documents. Version 2 tags
 /// each job with its kind (`explore` / `compose`) and adds the optional
-/// `bound` section for instruction-bound analyses.
-pub const PLAN_SCHEMA: u64 = 2;
+/// `bound` section for instruction-bound analyses; version 3 drops the
+/// options' budget-retry keys (checks are decided at one budget).
+pub const PLAN_SCHEMA: u64 = 3;
 
 /// Schema version of serialised [`crate::service::VerifyRequest`] documents.
 pub const REQUEST_SCHEMA: u64 = 1;
 
-/// Schema version of the matrix / diff report JSON documents.
-pub const REPORT_SCHEMA: u64 = 1;
+/// Schema version of the matrix / diff report JSON documents. Version 2
+/// drops the budget-retry counters from each scenario's stats.
+pub const REPORT_SCHEMA: u64 = 2;
 
 /// A serialisation or deserialisation failure.
 #[derive(Clone, Debug)]
@@ -215,7 +217,7 @@ pub fn property_from_json(json: &Json) -> Result<Property, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Options (engine, solver, ladder)
+// Options (engine, solver)
 // ---------------------------------------------------------------------------
 
 /// Encode an engine configuration.
@@ -269,22 +271,6 @@ fn solver_from_json(json: &Json) -> Result<SolverConfig, WireError> {
     })
 }
 
-fn ladder_to_json(ladder: &EscalationLadder) -> Json {
-    Json::obj([
-        ("factor", Json::int(ladder.factor)),
-        ("steps", Json::int(ladder.steps)),
-    ])
-}
-
-fn ladder_from_json(json: &Json) -> Result<EscalationLadder, WireError> {
-    Ok(EscalationLadder {
-        factor: u32::try_from(get_u64(json, "factor")?)
-            .map_err(|_| malformed("ladder factor exceeds u32"))?,
-        steps: u32::try_from(get_u64(json, "steps")?)
-            .map_err(|_| malformed("ladder steps exceeds u32"))?,
-    })
-}
-
 /// Encode verifier options.
 pub fn options_to_json(options: &VerifierOptions) -> Json {
     Json::obj([
@@ -299,8 +285,6 @@ pub fn options_to_json(options: &VerifierOptions) -> Json {
         ),
         ("engine", engine_to_json(&options.engine)),
         ("solver", solver_to_json(&options.solver)),
-        ("escalate_budgets", Json::Bool(options.escalate_budgets)),
-        ("ladder", ladder_to_json(&options.ladder)),
     ])
 }
 
@@ -312,8 +296,6 @@ pub fn options_from_json(json: &Json) -> Result<VerifierOptions, WireError> {
         max_composed_paths: get_usize(json, "max_composed_paths")?,
         engine: engine_from_json(get(json, "engine")?)?,
         solver: solver_from_json(get(json, "solver")?)?,
-        escalate_budgets: get_bool(json, "escalate_budgets")?,
-        ladder: ladder_from_json(get(json, "ladder")?)?,
     })
 }
 
@@ -1090,59 +1072,10 @@ fn stats_to_json(stats: &VerificationStats) -> Json {
             "model_search_aborts",
             Json::int(stats.model_search_aborts as u64),
         ),
-        (
-            "budget_escalations",
-            Json::int(stats.budget_escalations as u64),
-        ),
-        (
-            "escalations_decided",
-            Json::int(stats.escalations_decided as u64),
-        ),
-        (
-            "escalations_by_step",
-            Json::Arr(
-                stats
-                    .escalations_by_step
-                    .iter()
-                    .map(|&n| Json::int(n as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "escalations_fm",
-            Json::Arr(
-                stats
-                    .escalations_fm
-                    .iter()
-                    .map(|&n| Json::int(n as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "escalations_search",
-            Json::Arr(
-                stats
-                    .escalations_search
-                    .iter()
-                    .map(|&n| Json::int(n as u64))
-                    .collect(),
-            ),
-        ),
         ("buchi_states", Json::int(stats.buchi_states as u64)),
         ("product_states", Json::int(stats.product_states as u64)),
         ("lasso_found", Json::int(stats.lasso_found as u64)),
     ])
-}
-
-fn usize_arr(items: &[Json]) -> Result<Vec<usize>, WireError> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| malformed("expected an array of unsigned integers"))
-        })
-        .collect()
 }
 
 fn stats_from_json(json: &Json) -> Result<VerificationStats, WireError> {
@@ -1159,14 +1092,10 @@ fn stats_from_json(json: &Json) -> Result<VerificationStats, WireError> {
         prefilter_passed: get_usize(json, "prefilter_passed")?,
         fm_budget_aborts: get_usize(json, "fm_budget_aborts")?,
         model_search_aborts: get_usize(json, "model_search_aborts")?,
-        budget_escalations: get_usize(json, "budget_escalations")?,
-        escalations_decided: get_usize(json, "escalations_decided")?,
-        escalations_by_step: usize_arr(get_arr(json, "escalations_by_step")?)?,
-        escalations_fm: usize_arr(get_arr(json, "escalations_fm")?)?,
-        escalations_search: usize_arr(get_arr(json, "escalations_search")?)?,
         buchi_states: get_usize(json, "buchi_states")?,
         product_states: get_usize(json, "product_states")?,
         lasso_found: get_usize(json, "lasso_found")?,
+        ..VerificationStats::default()
     })
 }
 
@@ -1225,16 +1154,6 @@ fn check_record_to_json(check: &CheckRecord) -> Json {
             "search_exhausted",
             Json::Bool(check.diag.model_search_exhausted),
         ),
-        ("escalated", Json::Bool(check.escalated)),
-        (
-            "decided_at_rung",
-            match check.decided_at_rung {
-                Some(rung) => Json::int(rung as u64),
-                None => Json::Null,
-            },
-        ),
-        ("raised_fm", Json::Bool(check.raised_fm)),
-        ("raised_search", Json::Bool(check.raised_search)),
         ("prefiltered", Json::Bool(check.prefiltered)),
     ])
 }
@@ -1255,17 +1174,6 @@ fn check_record_from_json(json: &Json) -> Result<CheckRecord, WireError> {
             fm_budget_exhausted: get_bool(json, "fm_exhausted")?,
             model_search_exhausted: get_bool(json, "search_exhausted")?,
         },
-        escalated: get_bool(json, "escalated")?,
-        decided_at_rung: match get(json, "decided_at_rung")? {
-            Json::Null => None,
-            v => Some(
-                v.as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| malformed("decided_at_rung is not an unsigned integer"))?,
-            ),
-        },
-        raised_fm: get_bool(json, "raised_fm")?,
-        raised_search: get_bool(json, "raised_search")?,
         prefiltered: get_bool(json, "prefiltered")?,
     })
 }
@@ -1516,10 +1424,9 @@ mod tests {
             prune_prefixes: false,
             validate_counterexamples: false,
             max_composed_paths: 1234,
-            escalate_budgets: false,
-            ladder: EscalationLadder {
-                factor: 4,
-                steps: 3,
+            solver: SolverConfig {
+                max_fm_constraints: 2000,
+                ..SolverConfig::default()
             },
             ..VerifierOptions::default()
         };
@@ -1531,8 +1438,10 @@ mod tests {
             options.validate_counterexamples
         );
         assert_eq!(back.max_composed_paths, options.max_composed_paths);
-        assert_eq!(back.escalate_budgets, options.escalate_budgets);
-        assert_eq!(back.ladder, options.ladder);
+        assert_eq!(
+            back.solver.max_fm_constraints,
+            options.solver.max_fm_constraints
+        );
         assert_eq!(back.solver.search_seed, options.solver.search_seed);
         assert_eq!(back.engine.max_segments, options.engine.max_segments);
     }
@@ -1594,9 +1503,6 @@ mod tests {
             stats: VerificationStats {
                 elements: 5,
                 suspects: 2,
-                escalations_by_step: vec![1, 2],
-                escalations_fm: vec![0, 2],
-                escalations_search: vec![1],
                 buchi_states: 7,
                 product_states: 42,
                 lasso_found: 1,
@@ -1711,10 +1617,6 @@ mod tests {
                         Some(CheckRecord {
                             outcome: CheckOutcome::Discharged,
                             diag: CheckDiagnostics::default(),
-                            escalated: false,
-                            decided_at_rung: None,
-                            raised_fm: false,
-                            raised_search: false,
                             prefiltered: true,
                         }),
                         None,
@@ -1729,10 +1631,6 @@ mod tests {
                                 fm_budget_exhausted: true,
                                 model_search_exhausted: false,
                             },
-                            escalated: true,
-                            decided_at_rung: Some(2),
-                            raised_fm: true,
-                            raised_search: false,
                             prefiltered: false,
                         }),
                         Some(CheckRecord {
@@ -1744,10 +1642,6 @@ mod tests {
                                 fm_budget_exhausted: false,
                                 model_search_exhausted: true,
                             },
-                            escalated: false,
-                            decided_at_rung: None,
-                            raised_fm: false,
-                            raised_search: true,
                             prefiltered: false,
                         }),
                     ],

@@ -156,7 +156,7 @@ fn saved_matrix_reports_replay_through_the_json_path() {
 #[test]
 fn non_preset_scenarios_are_rejected_by_the_replay_decoder() {
     let doc = dataplane_orchestrator::json::Json::parse(
-        r#"{"schema":1,"kind":"matrix","scenarios":[{"pipeline":"mystery","report":{"property":"crash-freedom","verdict":"violated","counterexamples":[],"unproven":[],"stats":{}}}],"proven":0,"violated":1,"unknown":0}"#,
+        r#"{"schema":2,"kind":"matrix","scenarios":[{"pipeline":"mystery","report":{"property":"crash-freedom","verdict":"violated","counterexamples":[],"unproven":[],"stats":{}}}],"proven":0,"violated":1,"unknown":0}"#,
     )
     .unwrap();
     let err = replay_matrix_json(&doc).unwrap_err();

@@ -375,7 +375,7 @@ fn single_requests_return_single_outcomes() {
     assert!(response.matrix().is_none());
     // The JSON forms carry the schema version.
     let json = response.to_json();
-    assert_eq!(json.get("schema").and_then(Json::as_u64), Some(1));
+    assert_eq!(json.get("schema").and_then(Json::as_u64), Some(2));
     assert_eq!(
         response
             .deterministic_json()

@@ -141,7 +141,10 @@ pub struct SolverConfig {
     /// Maximum packet length considered when synthesising models.
     pub max_packet_len: u32,
     /// Cap on the number of inequalities Fourier–Motzkin may generate before
-    /// it aborts (returning no verdict from that stage).
+    /// it aborts (returning no verdict from that stage). The default,
+    /// 128 000, is 2 000 × 8²: the highest budget that the former ×8 and
+    /// ×64 retries of an aborted check reached. Every check those retries
+    /// decided, this one budget decides in a single pass.
     pub max_fm_constraints: usize,
     /// Seed for the deterministic pseudo-random model search.
     pub search_seed: u64,
@@ -152,7 +155,7 @@ impl Default for SolverConfig {
         SolverConfig {
             model_search_tries: 4000,
             max_packet_len: 2048,
-            max_fm_constraints: 2000,
+            max_fm_constraints: 128_000,
             search_seed: 0x5EED_0001,
         }
     }
@@ -192,11 +195,6 @@ impl Solver {
     /// A solver with explicit limits.
     pub fn with_config(config: SolverConfig) -> Self {
         Solver { config }
-    }
-
-    /// The solver's limits (used by callers that derive escalated budgets).
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// Check satisfiability of the conjunction of `constraints`:

@@ -43,7 +43,7 @@ fn plan_in_one_process_execute_in_another_byte_identical() {
     assert!(status.success(), "plan failed: {status}");
     let plan_text = std::fs::read_to_string(&plan_path).expect("plan file");
     assert!(
-        plan_text.contains("\"schema\":2"),
+        plan_text.contains("\"schema\":3"),
         "plan is schema-versioned"
     );
 
