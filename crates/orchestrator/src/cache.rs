@@ -8,6 +8,7 @@
 //! hit. That is the paper's "embarrassingly cacheable" property made
 //! operational.
 
+use crate::codec::{from_json, record, to_json, Version};
 use crate::fingerprint::{fingerprint_bytes, Fingerprint};
 use crate::json::Json;
 use crate::persist::ManifestEntry;
@@ -30,6 +31,16 @@ pub(crate) const MANIFEST_FILE: &str = "manifest.json";
 /// File name of the persisted shard-cost calibration table.
 pub(crate) const CALIBRATION_FILE: &str = "calibration.json";
 
+/// The calibration document's stamp. Its one other member, `"costs"`,
+/// maps each fingerprint's hex form to its [`UnitCost`].
+const CALIBRATION: Version = Version {
+    key: "schema",
+    value: 1,
+    what: "calibration",
+};
+
+const COSTS: &str = "costs";
+
 /// Cumulative observed Step-2 solver cost of one element behaviour, fed
 /// back from [`dataplane_verifier::ShardTiming`] records: how many shard
 /// work units of this element's nodes were computed, and the wall-clock
@@ -43,6 +54,11 @@ pub struct UnitCost {
     /// Wall-clock nanoseconds those units took.
     pub ns: u64,
 }
+
+record!(UnitCost {
+    units => "units",
+    ns => "ns",
+});
 
 /// Counters describing how the store served lookups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,6 +85,18 @@ pub struct CacheStats {
     /// the solver.
     pub records_reused: u64,
 }
+
+// The `cache` object of the matrix report's operational document.
+record!(CacheStats {
+    memory_hits => "memory_hits",
+    disk_hits => "disk_hits",
+    misses => "misses",
+    persisted => "persisted",
+    disk_errors => "disk_errors",
+    evicted => "evicted",
+    records_computed => "records_computed",
+    records_reused => "records_reused",
+});
 
 impl CacheStats {
     /// Total hits across both tiers.
@@ -132,23 +160,16 @@ fn read_manifest(dir: &Path) -> Vec<ManifestEntry> {
 /// failure — calibration is a planning hint, so a corrupt file degrades
 /// to uniform shard cuts, never to an error).
 fn read_calibration(dir: &Path) -> BTreeMap<Fingerprint, UnitCost> {
-    let Some(json) = std::fs::read_to_string(dir.join(CALIBRATION_FILE))
+    let json = std::fs::read_to_string(dir.join(CALIBRATION_FILE))
         .ok()
-        .and_then(|text| Json::parse(&text).ok())
-    else {
-        return BTreeMap::new();
-    };
-    let Some(Json::Obj(entries)) = json.get("costs").cloned() else {
+        .and_then(|text| Json::parse(&text).ok());
+    let stamped = json.as_ref().filter(|json| CALIBRATION.check(json).is_ok());
+    let Some(Json::Obj(entries)) = stamped.and_then(|json| json.get(COSTS)) else {
         return BTreeMap::new();
     };
     entries
         .iter()
-        .filter_map(|(key, doc)| {
-            let fp = Fingerprint::parse(key)?;
-            let units = doc.get("units").and_then(Json::as_u64)?;
-            let ns = doc.get("ns").and_then(Json::as_u64)?;
-            Some((fp, UnitCost { units, ns }))
-        })
+        .filter_map(|(key, doc)| Some((Fingerprint::parse(key)?, from_json(doc).ok()?)))
         .collect()
 }
 
@@ -231,26 +252,8 @@ impl SummaryStore {
         };
         let doc = {
             let costs = self.costs.lock().expect("calibration table");
-            Json::obj([
-                ("schema", Json::int(1)),
-                (
-                    "costs",
-                    Json::Obj(
-                        costs
-                            .iter()
-                            .map(|(fp, c)| {
-                                (
-                                    fp.to_string(),
-                                    Json::obj([
-                                        ("units", Json::int(c.units)),
-                                        ("ns", Json::int(c.ns)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
+            let costs = costs.iter().map(|(fp, c)| (fp.to_string(), to_json(c)));
+            CALIBRATION.stamp(Json::obj([(COSTS, Json::Obj(costs.collect()))]))
         };
         let path = dir.join(CALIBRATION_FILE);
         let tmp = dir.join(format!("{CALIBRATION_FILE}.tmp"));

@@ -9,9 +9,10 @@
 //! the concrete trace.
 
 use super::report::ReplayOutcome;
+use crate::codec::{member, text};
 use crate::json::Json;
 use crate::matrix::{preset_pipelines, preset_properties};
-use crate::wire::{check_schema, get, get_arr, get_str, malformed, report_from_json, WireError};
+use crate::wire::{malformed, report_from_json, WireError, REPORT};
 use dataplane_net::Packet;
 use dataplane_pipeline::{model_run_fresh, Disposition, ModelRun, Pipeline};
 use dataplane_verifier::{run_violates_property, Report, Verdict};
@@ -84,18 +85,19 @@ pub fn replay_report(
 /// pipeline is an error (re-run the matrix in-process to replay custom
 /// configs).
 pub fn replay_matrix_json(doc: &Json) -> Result<Vec<ReplayOutcome>, WireError> {
-    check_schema(doc, crate::wire::REPORT_SCHEMA, "matrix report")?;
-    let kind = get_str(doc, "kind")?;
+    REPORT.check(doc)?;
+    let kind = text(doc, "kind")?;
     if kind != "matrix" {
         return Err(malformed(format!(
             "conformance replays matrix documents, got kind '{kind}'"
         )));
     }
     let mut outcomes = Vec::new();
-    for scenario in get_arr(doc, "scenarios")? {
-        let name = get_str(scenario, "pipeline")?;
-        let report_json = get(scenario, "report")?;
-        let property_name = get_str(report_json, "property")?;
+    let scenarios = member(doc, "scenarios")?.as_arr();
+    for scenario in scenarios.ok_or_else(|| malformed("field 'scenarios' is not an array"))? {
+        let name = text(scenario, "pipeline")?;
+        let report_json = member(scenario, "report")?;
+        let property_name = text(report_json, "property")?;
         let make = preset_pipelines()
             .into_iter()
             .find(|(preset, _)| *preset == name)

@@ -7,17 +7,30 @@
 //! byte-identical text whether the fuzz shards ran on the in-process pool
 //! or were dispatched over a worker fleet.
 
+use crate::codec::{field, from_json, record, to_json, Hex, Version};
 use crate::json::Json;
-use crate::wire::{
-    bytes_from_hex, check_schema, get, get_arr, get_bool, get_str, get_u64, hex_bytes, malformed,
-    str_arr, WireError,
-};
+use crate::wire::WireError;
 use std::fmt;
 use std::time::Duration;
 
 /// Schema version of every conformance document (shard reports on the
 /// wire, and the aggregate report's JSON forms).
 pub const CONFORMANCE_SCHEMA: u64 = 1;
+
+const SHARD: Version = Version {
+    key: "schema",
+    value: CONFORMANCE_SCHEMA,
+    what: "conformance shard",
+};
+
+const REPORT: Version = Version {
+    key: "schema",
+    value: CONFORMANCE_SCHEMA,
+    what: "conformance report",
+};
+
+/// The member of a conformance report holding its replay outcomes.
+const REPLAY: &str = "replay";
 
 /// How many contradictions a single fuzz shard records in full (packet
 /// bytes, shrunk form, trace). Contradictions beyond the cap are still
@@ -84,98 +97,41 @@ pub struct FuzzShardReport {
     pub contradictions: Vec<Contradiction>,
 }
 
-fn contradiction_to_json(c: &Contradiction) -> Json {
-    Json::obj([
-        ("packet_hex", Json::str(hex_bytes(&c.packet))),
-        (
-            "shrunk_hex",
-            match &c.shrunk {
-                Some(bytes) => Json::str(hex_bytes(bytes)),
-                None => Json::Null,
-            },
-        ),
-        ("disposition", Json::str(&c.disposition)),
-        ("at", Json::str(&c.at)),
-        ("instructions", Json::int(c.instructions)),
-        ("packet_index", Json::int(c.packet_index)),
-        ("reproduces_fresh", Json::Bool(c.reproduces_fresh)),
-    ])
-}
+record!(Contradiction {
+    packet => "packet_hex" as Hex,
+    shrunk => "shrunk_hex" as Hex,
+    disposition => "disposition",
+    at => "at",
+    instructions => "instructions",
+    packet_index => "packet_index",
+    reproduces_fresh => "reproduces_fresh",
+});
 
-fn contradiction_from_json(json: &Json) -> Result<Contradiction, WireError> {
-    let shrunk = match get(json, "shrunk_hex")? {
-        Json::Null => None,
-        other => Some(bytes_from_hex(other.as_str().ok_or_else(|| {
-            malformed("field 'shrunk_hex' is neither a hex string nor null")
-        })?)?),
-    };
-    Ok(Contradiction {
-        packet: bytes_from_hex(get_str(json, "packet_hex")?)?,
-        shrunk,
-        disposition: get_str(json, "disposition")?.to_string(),
-        at: get_str(json, "at")?.to_string(),
-        instructions: get_u64(json, "instructions")?,
-        packet_index: get_u64(json, "packet_index")?,
-        reproduces_fresh: get_bool(json, "reproduces_fresh")?,
-    })
-}
+record!(FuzzShardReport {
+    scenario => "scenario",
+    scenario_index => "scenario_index",
+    shard_index => "shard_index",
+    packets => "packets",
+    checked => "checked",
+    forwarded => "forwarded",
+    dropped => "dropped",
+    crashed => "crashed",
+    max_instructions => "max_instructions",
+    model_seeds => "model_seeds",
+    contradiction_count => "contradiction_count",
+    contradictions => "contradictions",
+});
 
 /// Encode a fuzz shard report (the `"fuzz"` result payload of the worker
 /// protocol).
 pub fn shard_report_to_json(report: &FuzzShardReport) -> Json {
-    Json::obj([
-        ("schema", Json::int(CONFORMANCE_SCHEMA)),
-        ("scenario", Json::str(&report.scenario)),
-        (
-            "scenario_index",
-            Json::int(u64::from(report.scenario_index)),
-        ),
-        ("shard_index", Json::int(u64::from(report.shard_index))),
-        ("packets", Json::int(report.packets)),
-        ("checked", Json::int(report.checked)),
-        ("forwarded", Json::int(report.forwarded)),
-        ("dropped", Json::int(report.dropped)),
-        ("crashed", Json::int(report.crashed)),
-        ("max_instructions", Json::int(report.max_instructions)),
-        ("model_seeds", Json::int(report.model_seeds)),
-        ("contradiction_count", Json::int(report.contradiction_count)),
-        (
-            "contradictions",
-            Json::Arr(
-                report
-                    .contradictions
-                    .iter()
-                    .map(contradiction_to_json)
-                    .collect(),
-            ),
-        ),
-    ])
+    SHARD.stamp(to_json(report))
 }
 
 /// Decode a fuzz shard report.
 pub fn shard_report_from_json(json: &Json) -> Result<FuzzShardReport, WireError> {
-    check_schema(json, CONFORMANCE_SCHEMA, "conformance shard")?;
-    let index_u32 = |key: &str| -> Result<u32, WireError> {
-        u32::try_from(get_u64(json, key)?)
-            .map_err(|_| malformed(format!("field '{key}' exceeds u32")))
-    };
-    Ok(FuzzShardReport {
-        scenario: get_str(json, "scenario")?.to_string(),
-        scenario_index: index_u32("scenario_index")?,
-        shard_index: index_u32("shard_index")?,
-        packets: get_u64(json, "packets")?,
-        checked: get_u64(json, "checked")?,
-        forwarded: get_u64(json, "forwarded")?,
-        dropped: get_u64(json, "dropped")?,
-        crashed: get_u64(json, "crashed")?,
-        max_instructions: get_u64(json, "max_instructions")?,
-        model_seeds: get_u64(json, "model_seeds")?,
-        contradiction_count: get_u64(json, "contradiction_count")?,
-        contradictions: get_arr(json, "contradictions")?
-            .iter()
-            .map(contradiction_from_json)
-            .collect::<Result<Vec<_>, WireError>>()?,
-    })
+    SHARD.check(json)?;
+    from_json(json)
 }
 
 /// The deterministic fold of one scenario's shard reports, in shard-index
@@ -207,31 +163,19 @@ pub struct FuzzScenarioReport {
     pub contradictions: Vec<Contradiction>,
 }
 
-impl FuzzScenarioReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("scenario", Json::str(&self.scenario)),
-            ("shards", Json::int(u64::from(self.shards))),
-            ("packets", Json::int(self.packets)),
-            ("checked", Json::int(self.checked)),
-            ("forwarded", Json::int(self.forwarded)),
-            ("dropped", Json::int(self.dropped)),
-            ("crashed", Json::int(self.crashed)),
-            ("max_instructions", Json::int(self.max_instructions)),
-            ("model_seeds", Json::int(self.model_seeds)),
-            ("contradiction_count", Json::int(self.contradiction_count)),
-            (
-                "contradictions",
-                Json::Arr(
-                    self.contradictions
-                        .iter()
-                        .map(contradiction_to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
+record!(FuzzScenarioReport {
+    scenario => "scenario",
+    shards => "shards",
+    packets => "packets",
+    checked => "checked",
+    forwarded => "forwarded",
+    dropped => "dropped",
+    crashed => "crashed",
+    max_instructions => "max_instructions",
+    model_seeds => "model_seeds",
+    contradiction_count => "contradiction_count",
+    contradictions => "contradictions",
+});
 
 /// The concrete re-execution of one symbolic counterexample: what the
 /// verifier predicted, what the model runtime did, and whether they agree.
@@ -261,43 +205,18 @@ pub struct ReplayOutcome {
     pub concrete_path: Vec<String>,
 }
 
-impl ReplayOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("scenario", Json::str(&self.scenario)),
-            ("property", Json::str(&self.property)),
-            ("description", Json::str(&self.description)),
-            (
-                "symbolic_path",
-                Json::Arr(self.symbolic_path.iter().map(Json::str).collect()),
-            ),
-            ("packet_hex", Json::str(hex_bytes(&self.packet))),
-            ("reproduced", Json::Bool(self.reproduced)),
-            ("disposition", Json::str(&self.disposition)),
-            ("at", Json::str(&self.at)),
-            ("instructions", Json::int(self.instructions)),
-            (
-                "concrete_path",
-                Json::Arr(self.concrete_path.iter().map(Json::str).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<ReplayOutcome, WireError> {
-        Ok(ReplayOutcome {
-            scenario: get_str(json, "scenario")?.to_string(),
-            property: get_str(json, "property")?.to_string(),
-            description: get_str(json, "description")?.to_string(),
-            symbolic_path: str_arr(get_arr(json, "symbolic_path")?)?,
-            packet: bytes_from_hex(get_str(json, "packet_hex")?)?,
-            reproduced: get_bool(json, "reproduced")?,
-            disposition: get_str(json, "disposition")?.to_string(),
-            at: get_str(json, "at")?.to_string(),
-            instructions: get_u64(json, "instructions")?,
-            concrete_path: str_arr(get_arr(json, "concrete_path")?)?,
-        })
-    }
-}
+record!(ReplayOutcome {
+    scenario => "scenario",
+    property => "property",
+    description => "description",
+    symbolic_path => "symbolic_path",
+    packet => "packet_hex" as Hex,
+    reproduced => "reproduced",
+    disposition => "disposition",
+    at => "at",
+    instructions => "instructions",
+    concrete_path => "concrete_path",
+});
 
 /// The aggregate result of a conformance run: every counterexample
 /// replayed, every proven scenario fuzzed.
@@ -342,25 +261,15 @@ impl ConformanceReport {
 
     fn body(&self) -> Vec<(&'static str, Json)> {
         vec![
-            ("schema", Json::int(CONFORMANCE_SCHEMA)),
             ("kind", Json::str("conformance")),
-            ("seed", Json::int(self.seed)),
-            ("packets_requested", Json::int(self.packets_requested)),
-            ("packets_pushed", Json::int(self.packets_pushed())),
-            (
-                "replay",
-                Json::Arr(self.replay.iter().map(ReplayOutcome::to_json).collect()),
-            ),
-            (
-                "fuzz",
-                Json::Arr(self.fuzz.iter().map(FuzzScenarioReport::to_json).collect()),
-            ),
-            (
-                "replay_mismatches",
-                Json::int(self.replay_mismatches() as u64),
-            ),
-            ("contradictions", Json::int(self.contradictions())),
-            ("ok", Json::Bool(self.ok())),
+            ("seed", to_json(&self.seed)),
+            ("packets_requested", to_json(&self.packets_requested)),
+            ("packets_pushed", to_json(&self.packets_pushed())),
+            (REPLAY, to_json(&self.replay)),
+            ("fuzz", to_json(&self.fuzz)),
+            ("replay_mismatches", to_json(&self.replay_mismatches())),
+            ("contradictions", to_json(&self.contradictions())),
+            ("ok", to_json(&self.ok())),
         ]
     }
 
@@ -368,29 +277,23 @@ impl ConformanceReport {
     /// plus timings and the thread count.
     pub fn to_json(&self) -> Json {
         let mut body = self.body();
-        body.push(("threads", Json::int(self.threads as u64)));
-        body.push((
-            "elapsed_micros",
-            Json::int(self.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-        ));
-        Json::obj(body)
+        body.push(("threads", to_json(&self.threads)));
+        body.push(("elapsed_micros", to_json(&self.elapsed)));
+        REPORT.stamp(Json::obj(body))
     }
 
     /// The deterministic document: a pure function of scenarios, seed, and
     /// packet count — byte-identical across runs, processes, and executors
     /// (the in-process-vs-fleet byte-identity tests compare this form).
     pub fn deterministic_json(&self) -> Json {
-        Json::obj(self.body())
+        REPORT.stamp(Json::obj(self.body()))
     }
 
     /// Decode the deterministic document's replay outcomes (used by tests
     /// and tooling that inspect saved conformance reports).
     pub fn replay_from_json(json: &Json) -> Result<Vec<ReplayOutcome>, WireError> {
-        check_schema(json, CONFORMANCE_SCHEMA, "conformance report")?;
-        get_arr(json, "replay")?
-            .iter()
-            .map(ReplayOutcome::from_json)
-            .collect()
+        REPORT.check(json)?;
+        field(json, REPLAY)
     }
 }
 

@@ -48,13 +48,13 @@
 //! summary documents.
 
 use crate::cache::SummaryStore;
+use crate::codec::{from_json, to_json};
 use crate::exec::transport::{
     read_frame, tcp_no_delay, write_frame, Connector, SocketConnector, WorkerAddr,
 };
 use crate::exec::{DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerFleet};
 use crate::json::Json;
 use crate::service::{VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService};
-use crate::wire::{options_from_json, options_to_json};
 use dataplane_verifier::VerifierOptions;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Condvar, Mutex};
@@ -218,10 +218,7 @@ fn response_frame(response: &VerifyResponse, dispatch: Option<&DispatchStats>) -
         ("display", Json::str(format!("{response}"))),
         ("report", response.to_json()),
         ("det_report", response.deterministic_json()),
-        (
-            "dispatch",
-            dispatch.map(DispatchStats::to_json).unwrap_or(Json::Null),
-        ),
+        ("dispatch", dispatch.map_or(Json::Null, to_json)),
     ])
 }
 
@@ -374,7 +371,7 @@ impl Daemon {
         // every request on this connection; otherwise the daemon's
         // defaults apply.
         let options = match hello.get("options") {
-            Some(doc) => match options_from_json(doc) {
+            Some(doc) => match from_json(doc) {
                 Ok(options) => options,
                 Err(e) => {
                     let message = format!("undecodable session options: {e}");
@@ -606,7 +603,7 @@ impl DaemonClient {
             ("proto", Json::str(CLIENT_PROTO)),
         ];
         if let Some(options) = options {
-            hello.push(("options", options_to_json(options)));
+            hello.push(("options", to_json(options)));
         }
         transport.send(&Json::obj(hello))?;
         // A busy daemon may park us in its admission queue first: a

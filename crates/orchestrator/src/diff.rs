@@ -17,6 +17,7 @@
 //! scheduler exactly like a full run, so verdicts are identical to
 //! verifying the new configs from scratch — only the work is smaller.
 
+use crate::codec::to_json;
 use crate::json::Json;
 use crate::matrix::Scenario;
 use crate::matrix::{MatrixReport, MATRIX_INSTRUCTION_BOUND};
@@ -89,51 +90,27 @@ impl DiffReport {
         self.matrix.scenarios.len()
     }
 
-    fn entries_json(&self) -> Json {
-        Json::Arr(
-            self.entries
-                .iter()
-                .map(crate::wire::diff_entry_to_json)
-                .collect(),
-        )
+    /// The report's document around `matrix`, the matrix's own form.
+    fn document(&self, matrix: Json) -> Json {
+        crate::wire::REPORT.stamp(Json::obj([
+            ("kind", Json::str("diff")),
+            ("entries", to_json(&self.entries)),
+            ("removed_configs", to_json(&self.removed_configs)),
+            ("skipped_scenarios", to_json(&self.skipped_scenarios)),
+            ("matrix", matrix),
+        ]))
     }
 
     /// The machine-readable (operational) form of the report,
     /// schema-versioned for forward compatibility.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::int(crate::wire::REPORT_SCHEMA)),
-            ("kind", Json::str("diff")),
-            ("entries", self.entries_json()),
-            (
-                "removed_configs",
-                Json::Arr(self.removed_configs.iter().map(Json::str).collect()),
-            ),
-            (
-                "skipped_scenarios",
-                Json::int(self.skipped_scenarios as u64),
-            ),
-            ("matrix", self.matrix.to_json()),
-        ])
+        self.document(self.matrix.to_json())
     }
 
     /// The deterministic form: the diff decision plus the matrix's
     /// deterministic content — byte-identical across runs and processes.
     pub fn deterministic_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::int(crate::wire::REPORT_SCHEMA)),
-            ("kind", Json::str("diff")),
-            ("entries", self.entries_json()),
-            (
-                "removed_configs",
-                Json::Arr(self.removed_configs.iter().map(Json::str).collect()),
-            ),
-            (
-                "skipped_scenarios",
-                Json::int(self.skipped_scenarios as u64),
-            ),
-            ("matrix", self.matrix.deterministic_json()),
-        ])
+        self.document(self.matrix.deterministic_json())
     }
 }
 

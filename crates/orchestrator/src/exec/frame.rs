@@ -5,17 +5,17 @@
 //! type per direction, each with exactly one `encode` and one `decode`:
 //! [`ToWorker`] (hello, options, job, ping, cancel) and [`FromWorker`]
 //! (hello reply, result, pong, error). A result's payload is a
-//! [`JobOutput`], one encoder and one decoder per job kind. Decoders are
-//! total: malformed bytes are an [`Undecodable`], never a panic.
+//! [`JobOutput`], one encoder and one decoder per job kind. The documents
+//! a frame carries (options, jobs, summaries, reports, shards) are spelled
+//! by the crate's codec, the tables plans and the cache use too. Decoders
+//! are total: malformed bytes are an [`Undecodable`], never a panic.
 
+use crate::codec::{from_json, to_json};
 use crate::conformance::{shard_report_from_json, shard_report_to_json, FuzzShardReport};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use crate::persist::{summary_from_json, summary_to_json};
-use crate::wire::{
-    job_from_json, job_to_json, options_digest, options_from_json, options_to_json,
-    report_from_json, report_to_json, shard_result_from_json, shard_result_to_json, JobSpec,
-};
+use crate::wire::{options_digest, report_from_json, report_to_json, JobSpec};
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Report, VerifierOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,10 +169,6 @@ fn frame(kind: &'static str, fields: impl IntoIterator<Item = (&'static str, Jso
     Json::obj(all)
 }
 
-fn fingerprints(fps: &[Fingerprint]) -> Json {
-    Json::Arr(fps.iter().map(|fp| Json::str(fp.to_string())).collect())
-}
-
 fn id(frame: &Json) -> Option<u64> {
     frame.get("id").and_then(Json::as_u64)
 }
@@ -195,7 +191,7 @@ fn check_version(frame: &Json) -> Result<(), Undecodable> {
 fn decode_options(frame: &Json, kind: &str) -> Result<VerifierOptions, Undecodable> {
     let doc = frame.get("options");
     let doc = doc.ok_or_else(|| malformed(format!("{kind} frame without options")))?;
-    options_from_json(doc).map_err(|e| malformed(e.to_string()))
+    from_json(doc).map_err(|e| malformed(e.to_string()))
 }
 
 impl ToWorker {
@@ -207,7 +203,7 @@ impl ToWorker {
                     ("proto", Json::str(WORKER_PROTO)),
                     match pin {
                         Pin::Digest(digest) => ("options_digest", Json::str(digest)),
-                        Pin::Full(options) => ("options", options_to_json(options)),
+                        Pin::Full(options) => ("options", to_json(options)),
                     },
                 ],
             ),
@@ -215,7 +211,7 @@ impl ToWorker {
                 "options",
                 [
                     ("options_digest", Json::str(options_digest(options))),
-                    ("options", options_to_json(options)),
+                    ("options", to_json(options)),
                 ],
             ),
             ToWorker::Job { id, job, summaries } => {
@@ -227,7 +223,7 @@ impl ToWorker {
                     };
                     ("summaries", Json::Arr(slots.iter().map(slot).collect()))
                 });
-                let fields = [("id", Json::int(*id)), ("job", job_to_json(job))];
+                let fields = [("id", Json::int(*id)), ("job", to_json(job))];
                 frame("job", fields.into_iter().chain(slots))
             }
             ToWorker::Ping(seq) => frame("ping", seq.map(|seq| ("seq", Json::int(seq)))),
@@ -255,7 +251,7 @@ impl ToWorker {
                     .ok_or_else(|| malformed("job frame without a job"))?;
                 // An undecodable job (an unknown kind, say) fails that job
                 // only.
-                let job = job_from_json(doc).map_err(|e| Undecodable {
+                let job = from_json(doc).map_err(|e| Undecodable {
                     job: Some(id),
                     message: e.to_string(),
                 })?;
@@ -298,13 +294,13 @@ impl FromWorker {
                 let fields = [
                     ("proto", Json::str(WORKER_PROTO)),
                     ("capacity", Json::int(*capacity as u64)),
-                    ("held", fingerprints(held)),
+                    ("held", to_json(held)),
                 ];
                 let ask = need_options.then(|| ("need_options", Json::Bool(true)));
                 frame("hello", fields.into_iter().chain(ask))
             }
             FromWorker::Result { id, output, folded } => {
-                let acks = (!folded.is_empty()).then(|| ("folded", fingerprints(folded)));
+                let acks = (!folded.is_empty()).then(|| ("folded", to_json(folded)));
                 let fields = [("id", Json::int(*id))].into_iter().chain(output.encode());
                 frame("result", fields.chain(acks))
             }
@@ -376,14 +372,11 @@ impl JobOutput {
             JobOutput::Summary(s) => {
                 vec![("summary", s.as_deref().map_or(Json::Null, summary_to_json))]
             }
-            JobOutput::Report(report) => {
-                let micros = report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-                vec![
-                    ("report", report_to_json(report)),
-                    ("elapsed_micros", Json::int(micros)),
-                ]
-            }
-            JobOutput::Shard(result) => vec![("shard", shard_result_to_json(result))],
+            JobOutput::Report(report) => vec![
+                ("report", report_to_json(report)),
+                ("elapsed_micros", to_json(&report.elapsed)),
+            ],
+            JobOutput::Shard(result) => vec![("shard", to_json(result))],
             JobOutput::Fuzz(report) => vec![("fuzz", shard_report_to_json(report))],
         }
     }
@@ -412,8 +405,7 @@ impl JobOutput {
                 ))
             }
             JobSpec::ComposeShard(_) => JobOutput::Shard(
-                shard_result_from_json(payload("shard")?)
-                    .map_err(|e| format!("undecodable shard: {e}"))?,
+                from_json(payload("shard")?).map_err(|e| format!("undecodable shard: {e}"))?,
             ),
             JobSpec::Fuzz(_) => JobOutput::Fuzz(
                 shard_report_from_json(payload("fuzz")?)
@@ -428,7 +420,9 @@ mod tests {
     use super::super::run_explore_job;
     use super::super::testutil::router_jobs;
     use super::*;
-    use crate::wire::{ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, ScenarioSpec};
+    use crate::wire::{
+        job_to_json, ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, ScenarioSpec,
+    };
     use dataplane_verifier::{Property, ShardTiming, Verdict, VerificationStats};
     use proptest::prelude::*;
     use proptest::TestRng;

@@ -3,7 +3,7 @@
 //! a distributed execution, surfaced as [`DispatchStats`] in
 //! `MatrixReport`.
 
-use crate::json::Json;
+use crate::codec::record;
 use std::sync::Mutex;
 
 /// Aggregate registry/queue statistics of a dispatch (operational data:
@@ -56,40 +56,27 @@ pub struct DispatchStats {
     pub workers_suspect: usize,
 }
 
-impl DispatchStats {
-    /// The `dispatch` object of the matrix report's operational document
-    /// and of a daemon response frame.
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([
-            ("workers", Json::int(self.workers as u64)),
-            ("workers_lost", Json::int(self.workers_lost as u64)),
-            ("capacity", Json::int(self.capacity as u64)),
-            ("jobs_dispatched", Json::int(self.jobs_dispatched as u64)),
-            ("jobs_completed", Json::int(self.jobs_completed as u64)),
-            ("jobs_requeued", Json::int(self.jobs_requeued as u64)),
-            ("explore_jobs", Json::int(self.explore_jobs as u64)),
-            ("compose_jobs", Json::int(self.compose_jobs as u64)),
-            ("temporal_jobs", Json::int(self.temporal_jobs as u64)),
-            ("compose_shards", Json::int(self.compose_shards as u64)),
-            ("shards_cancelled", Json::int(self.shards_cancelled as u64)),
-            ("fuzz_jobs", Json::int(self.fuzz_jobs as u64)),
-            ("workers_idle", Json::int(self.workers_idle as u64)),
-            (
-                "summaries_shipped",
-                Json::int(self.summaries_shipped as u64),
-            ),
-            (
-                "summaries_deduped",
-                Json::int(self.summaries_deduped as u64),
-            ),
-            (
-                "summary_bytes_shipped",
-                Json::int(self.summary_bytes_shipped),
-            ),
-            ("workers_suspect", Json::int(self.workers_suspect as u64)),
-        ])
-    }
-}
+// The `dispatch` object of the matrix report's operational document and
+// of a daemon response frame.
+record!(DispatchStats {
+    workers => "workers",
+    workers_lost => "workers_lost",
+    capacity => "capacity",
+    jobs_dispatched => "jobs_dispatched",
+    jobs_completed => "jobs_completed",
+    jobs_requeued => "jobs_requeued",
+    explore_jobs => "explore_jobs",
+    compose_jobs => "compose_jobs",
+    temporal_jobs => "temporal_jobs",
+    compose_shards => "compose_shards",
+    shards_cancelled => "shards_cancelled",
+    fuzz_jobs => "fuzz_jobs",
+    workers_idle => "workers_idle",
+    summaries_shipped => "summaries_shipped",
+    summaries_deduped => "summaries_deduped",
+    summary_bytes_shipped => "summary_bytes_shipped",
+    workers_suspect => "workers_suspect",
+});
 
 /// One worker's registry entry.
 #[derive(Clone, Debug)]
@@ -243,10 +230,7 @@ impl WorkerRegistry {
     /// yet (a fresh fleet before its first dispatch).
     pub fn live_capacity(&self) -> usize {
         let inner = self.inner.lock().expect("registry");
-        latest_per_peer(&inner.entries)
-            .filter(|e| e.alive)
-            .map(|e| e.capacity)
-            .sum()
+        total_capacity(latest_per_peer(&inner.entries).filter(|e| e.alive))
     }
 
     /// The aggregate statistics.
@@ -266,7 +250,7 @@ impl WorkerRegistry {
         lost.sort_unstable();
         lost.dedup();
         let latest: Vec<&WorkerEntry> = latest_per_peer(&inner.entries).collect();
-        let capacity = latest.iter().map(|e| e.capacity).sum();
+        let capacity = total_capacity(latest.iter().copied());
         // A handshaken peer none of whose registrations returned a single
         // result sat idle for the whole run. Derived as total minus active
         // with a saturating subtraction: a worker that joins mid-batch
@@ -322,9 +306,25 @@ fn latest_per_peer(entries: &[WorkerEntry]) -> impl Iterator<Item = &WorkerEntry
     })
 }
 
+/// The summed capacity of `entries`, saturating: a capacity is whatever a
+/// peer's hello advertised, so the sum must not overflow while the
+/// registry lock is held.
+fn total_capacity<'a>(entries: impl Iterator<Item = &'a WorkerEntry>) -> usize {
+    entries.fold(0, |sum, e| sum.saturating_add(e.capacity))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn advertised_capacities_saturate_instead_of_overflowing() {
+        let registry = WorkerRegistry::new();
+        registry.register("w1".into(), usize::MAX / 2 + 1);
+        registry.register("w2".into(), usize::MAX / 2 + 1);
+        assert_eq!(registry.live_capacity(), usize::MAX);
+        assert_eq!(registry.stats().capacity, usize::MAX);
+    }
 
     #[test]
     fn registry_aggregates_across_phases() {

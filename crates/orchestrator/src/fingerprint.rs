@@ -9,8 +9,9 @@
 //! exploration — which is exactly what makes incremental re-verification
 //! sound.
 
+use crate::codec::Spelled;
 use dataplane_pipeline::Element;
-use dataplane_symbex::{EngineConfig, LoopMode};
+use dataplane_symbex::EngineConfig;
 use std::fmt;
 
 /// A 128-bit content hash (two independent 64-bit FNV-1a streams).
@@ -72,10 +73,7 @@ pub fn engine_key(config: &EngineConfig) -> String {
         "segments={};branches={};loops={}",
         config.max_segments,
         config.max_branches,
-        match config.loop_mode {
-            LoopMode::Unroll => "unroll",
-            LoopMode::Decompose => "decompose",
-        }
+        config.loop_mode.spelling()
     )
 }
 

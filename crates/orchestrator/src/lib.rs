@@ -78,6 +78,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod codec;
 pub mod conformance;
 pub mod daemon;
 pub mod diff;

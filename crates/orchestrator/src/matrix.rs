@@ -2,6 +2,7 @@
 //! the aggregate machine-readable report a matrix run produces.
 
 use crate::cache::CacheStats;
+use crate::codec::to_json;
 use crate::json::Json;
 use dataplane_pipeline::presets::{
     buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
@@ -219,14 +220,7 @@ impl MatrixReport {
                 Json::obj([
                     ("pipeline", Json::str(&s.pipeline_name)),
                     ("property", Json::str(report.property.name())),
-                    (
-                        "verdict",
-                        Json::str(match report.verdict {
-                            Verdict::Proven => "proven",
-                            Verdict::Violated => "violated",
-                            Verdict::Unknown => "unknown",
-                        }),
-                    ),
+                    ("verdict", to_json(&report.verdict)),
                     (
                         "counterexamples",
                         Json::int(report.counterexamples.len() as u64),
@@ -262,16 +256,12 @@ impl MatrixReport {
                         "model_search_aborts",
                         Json::int(report.stats.model_search_aborts as u64),
                     ),
-                    (
-                        "elapsed_micros",
-                        Json::int(report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-                    ),
+                    ("elapsed_micros", to_json(&report.elapsed)),
                 ])
             })
             .collect();
         let (proven, violated, unknown) = self.verdict_counts();
-        Json::obj([
-            ("schema", Json::int(crate::wire::REPORT_SCHEMA)),
+        crate::wire::REPORT.stamp(Json::obj([
             ("kind", Json::str("matrix")),
             ("scenarios", Json::Arr(scenarios)),
             ("proven", Json::int(proven as u64)),
@@ -284,31 +274,10 @@ impl MatrixReport {
                 "peak_live_threads",
                 Json::int(self.peak_live_threads as u64),
             ),
-            (
-                "cache",
-                Json::obj([
-                    ("memory_hits", Json::int(self.cache.memory_hits)),
-                    ("disk_hits", Json::int(self.cache.disk_hits)),
-                    ("misses", Json::int(self.cache.misses)),
-                    ("persisted", Json::int(self.cache.persisted)),
-                    ("disk_errors", Json::int(self.cache.disk_errors)),
-                    ("evicted", Json::int(self.cache.evicted)),
-                    ("records_computed", Json::int(self.cache.records_computed)),
-                    ("records_reused", Json::int(self.cache.records_reused)),
-                ]),
-            ),
-            (
-                "dispatch",
-                self.stats
-                    .as_ref()
-                    .map(crate::exec::DispatchStats::to_json)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "elapsed_micros",
-                Json::int(self.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-            ),
-        ])
+            ("cache", to_json(&self.cache)),
+            ("dispatch", to_json(&self.stats)),
+            ("elapsed_micros", to_json(&self.elapsed)),
+        ]))
     }
 
     /// The deterministic form of the report: per-scenario verdicts, full
@@ -319,8 +288,7 @@ impl MatrixReport {
     /// document the cross-process byte-identity tests compare.
     pub fn deterministic_json(&self) -> Json {
         let (proven, violated, unknown) = self.verdict_counts();
-        Json::obj([
-            ("schema", Json::int(crate::wire::REPORT_SCHEMA)),
+        crate::wire::REPORT.stamp(Json::obj([
             ("kind", Json::str("matrix")),
             (
                 "scenarios",
@@ -339,7 +307,7 @@ impl MatrixReport {
             ("proven", Json::int(proven as u64)),
             ("violated", Json::int(violated as u64)),
             ("unknown", Json::int(unknown as u64)),
-        ])
+        ]))
     }
 }
 

@@ -8,8 +8,16 @@
 //! the smart constructors), so a decoded summary is structurally identical
 //! to the one that was encoded and composition over it produces the same
 //! verdicts.
+//!
+//! Every record here goes through the crate's codec with the term table as
+//! its context; only the table's nodes (a tagged enum) are written by hand.
 
+use crate::codec::{
+    field, field_in, member, record, spellings, text, to_json, with_member, Codec, Spelled,
+    Version, Via,
+};
 use crate::json::Json;
+use crate::wire::{malformed, WireError};
 use dataplane_ir::{BinOp, BitVec, CastKind, DsId, UnOp};
 use dataplane_symbex::term::Term;
 use dataplane_symbex::{
@@ -18,121 +26,8 @@ use dataplane_symbex::{
 };
 use dataplane_verifier::ElementSummary;
 use std::collections::HashMap;
-use std::fmt;
+use std::mem::discriminant;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// A decode failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PersistError(pub String);
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "summary decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-fn err(message: impl Into<String>) -> PersistError {
-    PersistError(message.into())
-}
-
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-/// Assigns table indexes to term nodes by pointer identity.
-#[derive(Default)]
-struct TermTable {
-    ids: HashMap<*const Term, usize>,
-    nodes: Vec<Json>,
-}
-
-impl TermTable {
-    /// Intern `term` (and, first, its children), returning its table index.
-    fn intern(&mut self, term: &TermRef) -> usize {
-        let ptr = Arc::as_ptr(term);
-        if let Some(&id) = self.ids.get(&ptr) {
-            return id;
-        }
-        let node = match term.as_ref() {
-            Term::Const(v) => Json::obj([
-                ("t", Json::str("const")),
-                ("w", Json::int(v.width())),
-                ("v", Json::int(v.as_u64())),
-            ]),
-            Term::PacketByte(i) => Json::obj([("t", Json::str("pb")), ("i", Json::int(*i))]),
-            Term::PacketLen => Json::obj([("t", Json::str("plen"))]),
-            Term::PacketByteAt { index } => {
-                let ix = self.intern(index);
-                Json::obj([("t", Json::str("pba")), ("ix", Json::int(ix as u64))])
-            }
-            Term::DsRead {
-                ds,
-                key,
-                seq,
-                width,
-            } => {
-                let k = self.intern(key);
-                Json::obj([
-                    ("t", Json::str("dsr")),
-                    ("ds", Json::int(ds.0)),
-                    ("k", Json::int(k as u64)),
-                    ("s", Json::int(*seq)),
-                    ("w", Json::int(*width)),
-                ])
-            }
-            Term::Var { id, width } => Json::obj([
-                ("t", Json::str("var")),
-                ("id", Json::int(id.0)),
-                ("w", Json::int(*width)),
-            ]),
-            Term::Unary { op, a } => {
-                let a = self.intern(a);
-                Json::obj([
-                    ("t", Json::str("un")),
-                    ("op", Json::str(unop_name(*op))),
-                    ("a", Json::int(a as u64)),
-                ])
-            }
-            Term::Binary { op, a, b } => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                Json::obj([
-                    ("t", Json::str("bin")),
-                    ("op", Json::str(binop_name(*op))),
-                    ("a", Json::int(a as u64)),
-                    ("b", Json::int(b as u64)),
-                ])
-            }
-            Term::Select { c, t, e } => {
-                let c = self.intern(c);
-                let t = self.intern(t);
-                let e = self.intern(e);
-                Json::obj([
-                    ("t", Json::str("sel")),
-                    ("c", Json::int(c as u64)),
-                    ("tt", Json::int(t as u64)),
-                    ("e", Json::int(e as u64)),
-                ])
-            }
-            Term::Cast { kind, width, a } => {
-                let a = self.intern(a);
-                Json::obj([
-                    ("t", Json::str("cast")),
-                    ("kind", Json::str(cast_name(*kind))),
-                    ("w", Json::int(*width)),
-                    ("a", Json::int(a as u64)),
-                ])
-            }
-        };
-        let id = self.nodes.len();
-        self.nodes.push(node);
-        self.ids.insert(ptr, id);
-        id
-    }
-}
 
 /// The current on-disk format version. Version 2 replaced the boolean
 /// `clobbered` flag of a packet transform with an optional clobber *range*;
@@ -140,442 +35,370 @@ impl TermTable {
 /// decode failure as a miss).
 pub const SUMMARY_FORMAT: u64 = 2;
 
-/// Encode a summary to its JSON document.
-pub fn summary_to_json(summary: &ElementSummary) -> Json {
-    let mut table = TermTable::default();
-    let segments: Vec<Json> = summary
-        .exploration
-        .segments
-        .iter()
-        .map(|segment| encode_segment(segment, &mut table))
-        .collect();
-    Json::obj([
-        ("format", Json::int(SUMMARY_FORMAT)),
-        ("type_name", Json::str(&summary.type_name)),
-        ("config_key", Json::str(&summary.config_key)),
-        (
-            "explore_micros",
-            Json::int(summary.explore_time.as_micros().min(u128::from(u64::MAX)) as u64),
-        ),
-        ("branches", Json::int(summary.exploration.branches_expanded)),
-        ("terms", Json::Arr(table.nodes)),
-        ("segments", Json::Arr(segments)),
-    ])
+const SUMMARY: Version = Version {
+    key: "format",
+    value: SUMMARY_FORMAT,
+    what: "summary",
+};
+
+/// The member holding a summary's term table.
+const TERMS: &str = "terms";
+
+/// A summary's term table, the context of its records: encoding interns
+/// each distinct node once (children first, by pointer identity) and
+/// names it by index; decoding rebuilds the nodes in order, each naming
+/// only earlier ones.
+#[derive(Default)]
+struct Terms {
+    ids: HashMap<*const Term, usize>,
+    nodes: Vec<Json>,
+    decoded: Vec<TermRef>,
 }
 
-fn encode_segment(segment: &Segment, table: &mut TermTable) -> Json {
-    let constraint: Vec<Json> = segment
-        .constraint
-        .iter()
-        .map(|t| Json::int(table.intern(t) as u64))
-        .collect();
-    let (base, len_delta, writes, clobber) = segment.packet.parts();
-    let writes: Vec<Json> = writes
-        .into_iter()
-        .map(|(i, t)| Json::Arr(vec![Json::int(i), Json::int(table.intern(&t) as u64)]))
-        .collect();
-    let ds_reads: Vec<Json> = segment
-        .ds_reads
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("ds", Json::int(r.ds.0)),
-                ("k", Json::int(table.intern(&r.key) as u64)),
-                ("s", Json::int(r.seq)),
-                ("v", Json::int(table.intern(&r.value) as u64)),
-            ])
-        })
-        .collect();
-    let ds_writes: Vec<Json> = segment
-        .ds_writes
-        .iter()
-        .map(|w| {
-            Json::obj([
-                ("ds", Json::int(w.ds.0)),
-                ("k", Json::int(table.intern(&w.key) as u64)),
-                ("v", Json::int(table.intern(&w.value) as u64)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("constraint", Json::Arr(constraint)),
-        ("outcome", encode_outcome(&segment.outcome)),
-        (
-            "packet",
-            Json::obj([
-                ("base", Json::int(base)),
-                ("delta", Json::int(len_delta)),
-                ("writes", Json::Arr(writes)),
-                (
-                    "clobber",
-                    match clobber {
-                        Some((lo, hi)) => Json::Arr(vec![Json::int(lo), Json::int(hi)]),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
-        ("ds_reads", Json::Arr(ds_reads)),
-        ("ds_writes", Json::Arr(ds_writes)),
-        ("instructions", Json::int(segment.instructions)),
-        ("approximate", Json::Bool(segment.approximate)),
-    ])
-}
-
-fn encode_outcome(outcome: &SegmentOutcome) -> Json {
-    match outcome {
-        SegmentOutcome::Emitted(port) => {
-            Json::obj([("k", Json::str("emit")), ("port", Json::int(*port))])
+impl Terms {
+    /// Intern `term` (and, first, its children), returning its table index.
+    fn intern(&mut self, term: &TermRef) -> usize {
+        let ptr = Arc::as_ptr(term);
+        if let Some(&id) = self.ids.get(&ptr) {
+            return id;
         }
-        SegmentOutcome::Dropped => Json::obj([("k", Json::str("drop"))]),
-        SegmentOutcome::Crashed(kind) => {
-            let (name, message) = match kind {
-                CrashKind::AssertionFailed(m) => ("assert", Some(m.clone())),
-                CrashKind::Aborted(m) => ("abort", Some(m.clone())),
-                CrashKind::PacketOutOfBounds => ("oob", None),
-                CrashKind::DsKeyOutOfRange(m) => ("dskey", Some(m.clone())),
-                CrashKind::DivisionByZero => ("div0", None),
-                CrashKind::LoopBoundExceeded => ("loop", None),
-                CrashKind::StripUnderflow => ("strip", None),
-            };
-            let mut pairs = vec![("k", Json::str("crash")), ("kind", Json::str(name))];
-            if let Some(m) = message {
-                pairs.push(("msg", Json::Str(m)));
-            }
-            Json::obj(pairs)
+        let (tag, fields) = match term.as_ref() {
+            Term::Const(v) => (
+                "const",
+                vec![
+                    ("w", v.width().encode(self)),
+                    ("v", v.as_u64().encode(self)),
+                ],
+            ),
+            Term::PacketByte(i) => ("pb", vec![("i", i.encode(self))]),
+            Term::PacketLen => ("plen", vec![]),
+            Term::PacketByteAt { index } => ("pba", vec![("ix", index.encode(self))]),
+            Term::DsRead {
+                ds,
+                key,
+                seq,
+                width,
+            } => (
+                "dsr",
+                vec![
+                    ("ds", ds.encode(self)),
+                    ("k", key.encode(self)),
+                    ("s", seq.encode(self)),
+                    ("w", width.encode(self)),
+                ],
+            ),
+            Term::Var { id, width } => (
+                "var",
+                vec![("id", id.0.encode(self)), ("w", width.encode(self))],
+            ),
+            Term::Unary { op, a } => ("un", vec![("op", op.encode(self)), ("a", a.encode(self))]),
+            Term::Binary { op, a, b } => (
+                "bin",
+                vec![
+                    ("op", op.encode(self)),
+                    ("a", a.encode(self)),
+                    ("b", b.encode(self)),
+                ],
+            ),
+            Term::Select { c, t, e } => (
+                "sel",
+                vec![
+                    ("c", c.encode(self)),
+                    ("tt", t.encode(self)),
+                    ("e", e.encode(self)),
+                ],
+            ),
+            Term::Cast { kind, width, a } => (
+                "cast",
+                vec![
+                    ("kind", kind.encode(self)),
+                    ("w", width.encode(self)),
+                    ("a", a.encode(self)),
+                ],
+            ),
+        };
+        let id = self.nodes.len();
+        self.nodes
+            .push(with_member("t", Json::str(tag), Json::obj(fields)));
+        self.ids.insert(ptr, id);
+        id
+    }
+
+    /// Rebuild the table from its nodes, in order.
+    fn decode_nodes(&mut self, nodes: &[Json]) -> Result<(), WireError> {
+        for node in nodes {
+            let term = self.decode_node(node)?;
+            self.decoded.push(Arc::new(term));
         }
+        Ok(())
     }
-}
 
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "Add",
-        BinOp::Sub => "Sub",
-        BinOp::Mul => "Mul",
-        BinOp::UDiv => "UDiv",
-        BinOp::URem => "URem",
-        BinOp::And => "And",
-        BinOp::Or => "Or",
-        BinOp::Xor => "Xor",
-        BinOp::Shl => "Shl",
-        BinOp::LShr => "LShr",
-        BinOp::AShr => "AShr",
-        BinOp::Eq => "Eq",
-        BinOp::Ne => "Ne",
-        BinOp::ULt => "ULt",
-        BinOp::ULe => "ULe",
-        BinOp::UGt => "UGt",
-        BinOp::UGe => "UGe",
-        BinOp::SLt => "SLt",
-        BinOp::SLe => "SLe",
-        BinOp::BoolAnd => "BoolAnd",
-        BinOp::BoolOr => "BoolOr",
+    fn decode_node(&mut self, node: &Json) -> Result<Term, WireError> {
+        Ok(match text(node, "t")? {
+            "const" => Term::Const(BitVec::new(width(node, "w")?, field_in(node, "v", self)?)),
+            "pb" => Term::PacketByte(field_in(node, "i", self)?),
+            "plen" => Term::PacketLen,
+            "pba" => Term::PacketByteAt {
+                index: field_in(node, "ix", self)?,
+            },
+            "dsr" => Term::DsRead {
+                ds: field_in(node, "ds", self)?,
+                key: field_in(node, "k", self)?,
+                seq: field_in(node, "s", self)?,
+                width: width(node, "w")?,
+            },
+            "var" => Term::Var {
+                id: VarId(field_in(node, "id", self)?),
+                width: width(node, "w")?,
+            },
+            "un" => Term::Unary {
+                op: field_in(node, "op", self)?,
+                a: field_in(node, "a", self)?,
+            },
+            "bin" => Term::Binary {
+                op: field_in(node, "op", self)?,
+                a: field_in(node, "a", self)?,
+                b: field_in(node, "b", self)?,
+            },
+            "sel" => Term::Select {
+                c: field_in(node, "c", self)?,
+                t: field_in(node, "tt", self)?,
+                e: field_in(node, "e", self)?,
+            },
+            "cast" => Term::Cast {
+                kind: field_in(node, "kind", self)?,
+                width: width(node, "w")?,
+                a: field_in(node, "a", self)?,
+            },
+            other => return Err(malformed(format!("unknown term tag '{other}'"))),
+        })
     }
-}
-
-fn binop_from(name: &str) -> Result<BinOp, PersistError> {
-    Ok(match name {
-        "Add" => BinOp::Add,
-        "Sub" => BinOp::Sub,
-        "Mul" => BinOp::Mul,
-        "UDiv" => BinOp::UDiv,
-        "URem" => BinOp::URem,
-        "And" => BinOp::And,
-        "Or" => BinOp::Or,
-        "Xor" => BinOp::Xor,
-        "Shl" => BinOp::Shl,
-        "LShr" => BinOp::LShr,
-        "AShr" => BinOp::AShr,
-        "Eq" => BinOp::Eq,
-        "Ne" => BinOp::Ne,
-        "ULt" => BinOp::ULt,
-        "ULe" => BinOp::ULe,
-        "UGt" => BinOp::UGt,
-        "UGe" => BinOp::UGe,
-        "SLt" => BinOp::SLt,
-        "SLe" => BinOp::SLe,
-        "BoolAnd" => BinOp::BoolAnd,
-        "BoolOr" => BinOp::BoolOr,
-        other => return Err(err(format!("unknown binop '{other}'"))),
-    })
-}
-
-fn unop_name(op: UnOp) -> &'static str {
-    match op {
-        UnOp::Not => "Not",
-        UnOp::Neg => "Neg",
-        UnOp::LogicalNot => "LogicalNot",
-    }
-}
-
-fn unop_from(name: &str) -> Result<UnOp, PersistError> {
-    Ok(match name {
-        "Not" => UnOp::Not,
-        "Neg" => UnOp::Neg,
-        "LogicalNot" => UnOp::LogicalNot,
-        other => return Err(err(format!("unknown unop '{other}'"))),
-    })
-}
-
-fn cast_name(kind: CastKind) -> &'static str {
-    match kind {
-        CastKind::ZExt => "ZExt",
-        CastKind::SExt => "SExt",
-        CastKind::Trunc => "Trunc",
-        CastKind::Resize => "Resize",
-    }
-}
-
-fn cast_from(name: &str) -> Result<CastKind, PersistError> {
-    Ok(match name {
-        "ZExt" => CastKind::ZExt,
-        "SExt" => CastKind::SExt,
-        "Trunc" => CastKind::Trunc,
-        "Resize" => CastKind::Resize,
-        other => return Err(err(format!("unknown cast '{other}'"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-fn get_u64(json: &Json, key: &str) -> Result<u64, PersistError> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| err(format!("missing integer field '{key}'")))
 }
 
 /// A bit width: must be in `1..=64` (the `BitVec` invariant) — a corrupt
 /// cache file must surface as a decode error, never as a panic or a
 /// silently truncated width.
-fn get_width(json: &Json, key: &str) -> Result<u8, PersistError> {
-    let v = get_u64(json, key)?;
-    if (1..=64).contains(&v) {
-        Ok(v as u8)
-    } else {
-        Err(err(format!("bit width {v} out of range 1..=64")))
+fn width(node: &Json, key: &str) -> Result<u8, WireError> {
+    let width: u64 = field(node, key)?;
+    match u8::try_from(width) {
+        Ok(width @ 1..=64) => Ok(width),
+        _ => Err(malformed(format!("bit width {width} out of range 1..=64"))),
     }
 }
 
-fn get_u32(json: &Json, key: &str) -> Result<u32, PersistError> {
-    let v = get_u64(json, key)?;
-    u32::try_from(v).map_err(|_| err(format!("field '{key}' value {v} exceeds u32")))
+/// A term is its index in the table.
+impl Codec<Terms> for TermRef {
+    fn encode(&self, terms: &mut Terms) -> Json {
+        Json::int(terms.intern(self) as u64)
+    }
+    fn decode(json: &Json, terms: &mut Terms) -> Result<Self, WireError> {
+        let id = usize::decode(json, terms)?;
+        terms
+            .decoded
+            .get(id)
+            .cloned()
+            .ok_or_else(|| malformed(format!("term id {id} out of range")))
+    }
 }
 
-fn get_u8(json: &Json, key: &str) -> Result<u8, PersistError> {
-    let v = get_u64(json, key)?;
-    u8::try_from(v).map_err(|_| err(format!("field '{key}' value {v} exceeds u8")))
+impl<C> Codec<C> for DsId {
+    fn encode(&self, cx: &mut C) -> Json {
+        self.0.encode(cx)
+    }
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        u32::decode(json, cx).map(DsId)
+    }
 }
 
-fn get_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, PersistError> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| err(format!("missing string field '{key}'")))
+spellings!(BinOp {
+    Add => "Add",
+    Sub => "Sub",
+    Mul => "Mul",
+    UDiv => "UDiv",
+    URem => "URem",
+    And => "And",
+    Or => "Or",
+    Xor => "Xor",
+    Shl => "Shl",
+    LShr => "LShr",
+    AShr => "AShr",
+    Eq => "Eq",
+    Ne => "Ne",
+    ULt => "ULt",
+    ULe => "ULe",
+    UGt => "UGt",
+    UGe => "UGe",
+    SLt => "SLt",
+    SLe => "SLe",
+    BoolAnd => "BoolAnd",
+    BoolOr => "BoolOr",
+});
+
+spellings!(UnOp {
+    Not => "Not",
+    Neg => "Neg",
+    LogicalNot => "LogicalNot",
+});
+
+spellings!(CastKind {
+    ZExt => "ZExt",
+    SExt => "SExt",
+    Trunc => "Trunc",
+    Resize => "Resize",
+});
+
+/// Rebuilds a crash kind from the crash's message (a kind without one
+/// ignores it).
+type Rebuild = fn(String) -> CrashKind;
+
+/// `CrashKind`'s spellings, each with the variant it rebuilds.
+const CRASH_KINDS: [(&str, Rebuild); 7] = [
+    ("assert", CrashKind::AssertionFailed),
+    ("abort", CrashKind::Aborted),
+    ("oob", |_| CrashKind::PacketOutOfBounds),
+    ("dskey", CrashKind::DsKeyOutOfRange),
+    ("div0", |_| CrashKind::DivisionByZero),
+    ("loop", |_| CrashKind::LoopBoundExceeded),
+    ("strip", |_| CrashKind::StripUnderflow),
+];
+
+impl Spelled for CrashKind {
+    fn spelling(&self) -> &'static str {
+        let this = discriminant(self);
+        CRASH_KINDS
+            .iter()
+            .find(|(_, rebuild)| discriminant(&rebuild(String::new())) == this)
+            .map(|(name, _)| *name)
+            .expect("CRASH_KINDS spells every crash kind")
+    }
 }
 
-fn get_arr<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], PersistError> {
-    json.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err(format!("missing array field '{key}'")))
-}
-
-fn term_at(table: &[TermRef], json: &Json, key: &str) -> Result<TermRef, PersistError> {
-    let id = get_u64(json, key)? as usize;
-    table
-        .get(id)
-        .cloned()
-        .ok_or_else(|| err(format!("term id {id} out of range")))
-}
-
-fn decode_terms(nodes: &[Json]) -> Result<Vec<TermRef>, PersistError> {
-    let mut table: Vec<TermRef> = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let term = match get_str(node, "t")? {
-            "const" => Term::Const(BitVec::new(get_width(node, "w")?, get_u64(node, "v")?)),
-            "pb" => Term::PacketByte(
-                node.get("i")
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| err("missing packet byte index"))?,
-            ),
-            "plen" => Term::PacketLen,
-            "pba" => Term::PacketByteAt {
-                index: term_at(&table, node, "ix")?,
-            },
-            "dsr" => Term::DsRead {
-                ds: DsId(get_u32(node, "ds")?),
-                key: term_at(&table, node, "k")?,
-                seq: get_u32(node, "s")?,
-                width: get_width(node, "w")?,
-            },
-            "var" => Term::Var {
-                id: VarId(get_u32(node, "id")?),
-                width: get_width(node, "w")?,
-            },
-            "un" => Term::Unary {
-                op: unop_from(get_str(node, "op")?)?,
-                a: term_at(&table, node, "a")?,
-            },
-            "bin" => Term::Binary {
-                op: binop_from(get_str(node, "op")?)?,
-                a: term_at(&table, node, "a")?,
-                b: term_at(&table, node, "b")?,
-            },
-            "sel" => Term::Select {
-                c: term_at(&table, node, "c")?,
-                t: term_at(&table, node, "tt")?,
-                e: term_at(&table, node, "e")?,
-            },
-            "cast" => Term::Cast {
-                kind: cast_from(get_str(node, "kind")?)?,
-                width: get_width(node, "w")?,
-                a: term_at(&table, node, "a")?,
-            },
-            other => return Err(err(format!("unknown term tag '{other}'"))),
+/// A crash is its `kind`, plus its `msg` when it has one.
+impl<C> Codec<C> for CrashKind {
+    fn encode(&self, _: &mut C) -> Json {
+        let message = match self {
+            CrashKind::AssertionFailed(m)
+            | CrashKind::Aborted(m)
+            | CrashKind::DsKeyOutOfRange(m) => Some(("msg", Json::str(m))),
+            _ => None,
         };
-        table.push(Arc::new(term));
+        let kind = ("kind", Json::str(self.spelling()));
+        Json::obj([kind].into_iter().chain(message))
     }
-    Ok(table)
+    fn decode(json: &Json, _: &mut C) -> Result<Self, WireError> {
+        let kind = text(json, "kind")?;
+        let (_, rebuild) = CRASH_KINDS
+            .iter()
+            .find(|(name, _)| *name == kind)
+            .ok_or_else(|| malformed(format!("unknown crash kind '{kind}'")))?;
+        let message = json.get("msg").and_then(Json::as_str).unwrap_or_default();
+        Ok(rebuild(message.to_string()))
+    }
 }
 
-fn decode_outcome(json: &Json) -> Result<SegmentOutcome, PersistError> {
-    Ok(match get_str(json, "k")? {
-        "emit" => SegmentOutcome::Emitted(get_u8(json, "port")?),
-        "drop" => SegmentOutcome::Dropped,
-        "crash" => {
-            let msg = || {
-                json.get("msg")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string()
-            };
-            SegmentOutcome::Crashed(match get_str(json, "kind")? {
-                "assert" => CrashKind::AssertionFailed(msg()),
-                "abort" => CrashKind::Aborted(msg()),
-                "oob" => CrashKind::PacketOutOfBounds,
-                "dskey" => CrashKind::DsKeyOutOfRange(msg()),
-                "div0" => CrashKind::DivisionByZero,
-                "loop" => CrashKind::LoopBoundExceeded,
-                "strip" => CrashKind::StripUnderflow,
-                other => return Err(err(format!("unknown crash kind '{other}'"))),
-            })
-        }
-        other => return Err(err(format!("unknown outcome '{other}'"))),
-    })
+/// A segment's outcome is tagged by `k`.
+impl<C> Codec<C> for SegmentOutcome {
+    fn encode(&self, cx: &mut C) -> Json {
+        let (k, body) = match self {
+            SegmentOutcome::Emitted(port) => ("emit", Json::obj([("port", port.encode(cx))])),
+            SegmentOutcome::Dropped => ("drop", Json::obj([])),
+            SegmentOutcome::Crashed(kind) => ("crash", kind.encode(cx)),
+        };
+        with_member("k", Json::str(k), body)
+    }
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        Ok(match text(json, "k")? {
+            "emit" => SegmentOutcome::Emitted(field_in(json, "port", cx)?),
+            "drop" => SegmentOutcome::Dropped,
+            "crash" => SegmentOutcome::Crashed(CrashKind::decode(json, cx)?),
+            other => return Err(malformed(format!("unknown outcome '{other}'"))),
+        })
+    }
 }
 
-fn decode_segment(json: &Json, table: &[TermRef]) -> Result<Segment, PersistError> {
-    let constraint = get_arr(json, "constraint")?
-        .iter()
-        .map(|id| {
-            let id = id.as_u64().ok_or_else(|| err("bad constraint id"))? as usize;
-            table
-                .get(id)
-                .cloned()
-                .ok_or_else(|| err(format!("constraint term {id} out of range")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let packet_json = json
-        .get("packet")
-        .ok_or_else(|| err("missing packet transform"))?;
-    let writes = get_arr(packet_json, "writes")?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().ok_or_else(|| err("bad packet write"))?;
-            let (i, id) = match pair {
-                [i, id] => (
-                    i.as_i64().ok_or_else(|| err("bad write offset"))?,
-                    id.as_u64().ok_or_else(|| err("bad write term id"))? as usize,
-                ),
-                _ => return Err(err("packet write must be a pair")),
-            };
-            let term = table
-                .get(id)
-                .cloned()
-                .ok_or_else(|| err(format!("write term {id} out of range")))?;
-            Ok((i, term))
-        })
-        .collect::<Result<Vec<_>, PersistError>>()?;
-    let clobber = match packet_json.get("clobber") {
-        Some(Json::Null) | None => None,
-        Some(range) => {
-            let pair = range.as_arr().ok_or_else(|| err("bad clobber range"))?;
-            match pair {
-                [lo, hi] => Some((
-                    lo.as_i64().ok_or_else(|| err("bad clobber lower bound"))?,
-                    hi.as_i64().ok_or_else(|| err("bad clobber upper bound"))?,
-                )),
-                _ => return Err(err("clobber range must be a pair")),
-            }
-        }
-    };
-    let packet = SymPacket::from_parts(
-        packet_json
-            .get("base")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| err("missing packet base"))?,
-        packet_json
-            .get("delta")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| err("missing packet delta"))?,
-        writes,
-        clobber,
-    );
-    let ds_reads = get_arr(json, "ds_reads")?
-        .iter()
-        .map(|r| {
-            Ok(DsReadRecord {
-                ds: DsId(get_u32(r, "ds")?),
-                key: term_at(table, r, "k")?,
-                seq: get_u32(r, "s")?,
-                value: term_at(table, r, "v")?,
-            })
-        })
-        .collect::<Result<Vec<_>, PersistError>>()?;
-    let ds_writes = get_arr(json, "ds_writes")?
-        .iter()
-        .map(|w| {
-            Ok(DsWriteRecord {
-                ds: DsId(get_u32(w, "ds")?),
-                key: term_at(table, w, "k")?,
-                value: term_at(table, w, "v")?,
-            })
-        })
-        .collect::<Result<Vec<_>, PersistError>>()?;
-    Ok(Segment {
-        constraint,
-        outcome: decode_outcome(json.get("outcome").ok_or_else(|| err("missing outcome"))?)?,
-        packet,
-        ds_reads,
-        ds_writes,
-        instructions: get_u64(json, "instructions")?,
-        approximate: json
-            .get("approximate")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| err("missing approximate flag"))?,
-    })
+/// A packet transform on the wire: its parts.
+struct PacketParts {
+    base: i64,
+    delta: i64,
+    writes: Vec<(i64, TermRef)>,
+    clobber: Option<(i64, i64)>,
+}
+
+record!(PacketParts in Terms {
+    base => "base",
+    delta => "delta",
+    writes => "writes",
+    clobber => "clobber",
+});
+
+impl Via<SymPacket, Terms> for PacketParts {
+    fn encode(packet: &SymPacket, terms: &mut Terms) -> Json {
+        let (base, delta, writes, clobber) = packet.parts();
+        let parts = PacketParts {
+            base,
+            delta,
+            writes,
+            clobber,
+        };
+        parts.encode(terms)
+    }
+    fn decode(json: &Json, terms: &mut Terms) -> Result<SymPacket, WireError> {
+        let p = <PacketParts as Codec<Terms>>::decode(json, terms)?;
+        Ok(SymPacket::from_parts(p.base, p.delta, p.writes, p.clobber))
+    }
+}
+
+record!(DsReadRecord in Terms {
+    ds => "ds",
+    key => "k",
+    seq => "s",
+    value => "v",
+});
+
+record!(DsWriteRecord in Terms {
+    ds => "ds",
+    key => "k",
+    value => "v",
+});
+
+// Table order is term numbering order: constraints, then packet writes,
+// then data-structure reads and writes.
+record!(Segment in Terms {
+    constraint => "constraint",
+    outcome => "outcome",
+    packet => "packet" as PacketParts,
+    ds_reads => "ds_reads",
+    ds_writes => "ds_writes",
+    instructions => "instructions",
+    approximate => "approximate",
+});
+
+record!(Exploration in Terms {
+    segments => "segments",
+    branches_expanded => "branches",
+});
+
+record!(ElementSummary in Terms {
+    type_name => "type_name",
+    config_key => "config_key",
+    exploration => ..,
+    explore_time => "explore_micros",
+});
+
+/// Encode a summary to its JSON document.
+pub fn summary_to_json(summary: &ElementSummary) -> Json {
+    let mut terms = Terms::default();
+    let body = summary.encode(&mut terms);
+    SUMMARY.stamp(with_member(TERMS, Json::Arr(terms.nodes), body))
 }
 
 /// Decode a summary from its JSON document.
-pub fn summary_from_json(json: &Json) -> Result<ElementSummary, PersistError> {
-    let format = get_u64(json, "format")?;
-    if format != SUMMARY_FORMAT {
-        return Err(err(format!("unsupported summary format {format}")));
-    }
-    let table = decode_terms(get_arr(json, "terms")?)?;
-    let segments = get_arr(json, "segments")?
-        .iter()
-        .map(|s| decode_segment(s, &table))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ElementSummary {
-        type_name: get_str(json, "type_name")?.to_string(),
-        config_key: get_str(json, "config_key")?.to_string(),
-        exploration: Exploration {
-            segments,
-            branches_expanded: get_u64(json, "branches")?,
-        },
-        explore_time: Duration::from_micros(get_u64(json, "explore_micros")?),
-    })
+pub fn summary_from_json(json: &Json) -> Result<ElementSummary, WireError> {
+    SUMMARY.check(json)?;
+    let nodes = member(json, TERMS)?.as_arr();
+    let mut terms = Terms::default();
+    terms.decode_nodes(nodes.ok_or_else(|| malformed("the term table is not an array"))?)?;
+    ElementSummary::decode(json, &mut terms)
 }
 
 // ---------------------------------------------------------------------------
@@ -716,57 +539,47 @@ pub struct ManifestEntry {
     pub checksum: String,
 }
 
+record!(ManifestEntry {
+    file => "file",
+    bytes => "bytes",
+    checksum => "checksum",
+});
+
+const MANIFEST: Version = Version {
+    key: "format",
+    value: 1,
+    what: "manifest",
+};
+
+/// The member holding a manifest's entries.
+const ENTRIES: &str = "entries";
+
 /// Encode a manifest. Entries are stored least-recently-used first, which is
 /// the order eviction consumes them in.
 pub fn manifest_to_json(entries: &[ManifestEntry]) -> Json {
-    Json::obj([
-        ("format", Json::int(1)),
-        (
-            "entries",
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            ("file", Json::str(&e.file)),
-                            ("bytes", Json::int(e.bytes)),
-                            ("checksum", Json::str(&e.checksum)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let entries = Json::Arr(entries.iter().map(to_json).collect());
+    MANIFEST.stamp(Json::obj([(ENTRIES, entries)]))
 }
 
 /// Decode a manifest document. File names are validated here — they are
 /// later joined onto the cache directory and *deleted* during eviction, so a
 /// tampered manifest must not be able to name a path outside the directory
 /// (no separators, no leading dot, `.json` suffix only).
-pub fn manifest_from_json(json: &Json) -> Result<Vec<ManifestEntry>, PersistError> {
-    if get_u64(json, "format")? != 1 {
-        return Err(err("unsupported manifest format"));
+pub fn manifest_from_json(json: &Json) -> Result<Vec<ManifestEntry>, WireError> {
+    MANIFEST.check(json)?;
+    let entries: Vec<ManifestEntry> = field(json, ENTRIES)?;
+    let safe = |file: &str| {
+        file.ends_with(".json")
+            && !file.starts_with('.')
+            && file != crate::cache::MANIFEST_FILE
+            && file
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_')
+    };
+    match entries.iter().find(|e| !safe(&e.file)) {
+        Some(e) => Err(malformed(format!("unsafe manifest file name '{}'", e.file))),
+        None => Ok(entries),
     }
-    get_arr(json, "entries")?
-        .iter()
-        .map(|e| {
-            let file = get_str(e, "file")?;
-            let safe = file.ends_with(".json")
-                && !file.starts_with('.')
-                && file != crate::cache::MANIFEST_FILE
-                && file
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_');
-            if !safe {
-                return Err(err(format!("unsafe manifest file name '{file}'")));
-            }
-            Ok(ManifestEntry {
-                file: file.to_string(),
-                bytes: get_u64(e, "bytes")?,
-                checksum: get_str(e, "checksum")?.to_string(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -968,7 +781,7 @@ mod tests {
                 ("v", Json::int(0)),
             ]));
             let error = summary_from_json(&doc).expect_err("width must be rejected");
-            assert!(error.0.contains("width"), "{error}");
+            assert!(error.to_string().contains("width"), "{error}");
         }
         let doc = doc_with_term(Json::obj([
             ("t", Json::str("var")),

@@ -34,6 +34,7 @@
 //! another produces a byte-identical deterministic report.
 
 use crate::cache::{CacheStats, SummaryStore};
+use crate::codec::{to_json, with_member};
 use crate::diff::{
     config_scenarios, default_properties, DiffEntry, DiffKind, DiffReport, NamedConfig,
 };
@@ -490,56 +491,41 @@ impl VerifyResponse {
     }
 
     /// The machine-readable (operational) document: schema-versioned, with
-    /// timings and cache statistics.
+    /// timings and cache statistics. A single report or bound is its
+    /// deterministic document plus `elapsed_micros`.
     pub fn to_json(&self) -> Json {
-        match &self.outcome {
-            VerifyOutcome::Single(s) => Json::obj([
-                ("schema", Json::int(wire::REPORT_SCHEMA)),
-                ("kind", Json::str("single")),
-                ("pipeline", Json::str(&s.pipeline_name)),
-                ("report", wire::report_to_json(&s.report)),
-                (
-                    "elapsed_micros",
-                    Json::int(s.report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-                ),
-            ]),
-            VerifyOutcome::Matrix(m) => m.to_json(),
-            VerifyOutcome::Diff(d) => d.to_json(),
-            VerifyOutcome::Bound(b) => Json::obj([
-                ("schema", Json::int(wire::REPORT_SCHEMA)),
-                ("kind", Json::str("bound")),
-                ("pipeline", Json::str(&b.pipeline_name)),
-                ("report", wire::bound_report_to_json(&b.report)),
-                (
-                    "elapsed_micros",
-                    Json::int(b.report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-                ),
-            ]),
-            VerifyOutcome::Conformance(c) => c.to_json(),
-        }
+        let elapsed = match &self.outcome {
+            VerifyOutcome::Single(s) => s.report.elapsed,
+            VerifyOutcome::Bound(b) => b.report.elapsed,
+            VerifyOutcome::Matrix(m) => return m.to_json(),
+            VerifyOutcome::Diff(d) => return d.to_json(),
+            VerifyOutcome::Conformance(c) => return c.to_json(),
+        };
+        with_member(
+            "elapsed_micros",
+            to_json(&elapsed),
+            self.deterministic_json(),
+        )
     }
 
     /// The deterministic document: verdicts, counterexamples, unproven
     /// paths, and work statistics only — byte-identical across runs,
     /// processes, schedulers, and cache temperatures.
     pub fn deterministic_json(&self) -> Json {
-        match &self.outcome {
-            VerifyOutcome::Single(s) => Json::obj([
-                ("schema", Json::int(wire::REPORT_SCHEMA)),
-                ("kind", Json::str("single")),
-                ("pipeline", Json::str(&s.pipeline_name)),
-                ("report", wire::report_to_json(&s.report)),
-            ]),
-            VerifyOutcome::Matrix(m) => m.deterministic_json(),
-            VerifyOutcome::Diff(d) => d.deterministic_json(),
-            VerifyOutcome::Bound(b) => Json::obj([
-                ("schema", Json::int(wire::REPORT_SCHEMA)),
-                ("kind", Json::str("bound")),
-                ("pipeline", Json::str(&b.pipeline_name)),
-                ("report", wire::bound_report_to_json(&b.report)),
-            ]),
-            VerifyOutcome::Conformance(c) => c.deterministic_json(),
-        }
+        let (kind, pipeline, report) = match &self.outcome {
+            VerifyOutcome::Single(s) => {
+                ("single", &s.pipeline_name, wire::report_to_json(&s.report))
+            }
+            VerifyOutcome::Bound(b) => ("bound", &b.pipeline_name, to_json(&b.report)),
+            VerifyOutcome::Matrix(m) => return m.deterministic_json(),
+            VerifyOutcome::Diff(d) => return d.deterministic_json(),
+            VerifyOutcome::Conformance(c) => return c.deterministic_json(),
+        };
+        wire::REPORT.stamp(Json::obj([
+            ("kind", Json::str(kind)),
+            ("pipeline", Json::str(pipeline)),
+            ("report", report),
+        ]))
     }
 }
 
@@ -1530,7 +1516,7 @@ fn shard_cuts(
     // One batch-wide target: a few shards per slot keeps the pull queue
     // balanced; calibrated costs keep one slow node from making one slow
     // shard.
-    let batch_target = (slots * AUTO_SHARDS_PER_SLOT) as u64;
+    let batch_target = slots.saturating_mul(AUTO_SHARDS_PER_SLOT) as u64;
     let outlined: Vec<Option<(ComposeOutline, Vec<u64>)>> = inputs
         .iter()
         .map(|input| {

@@ -1,7 +1,8 @@
 //! Wire codecs for the plan/execute split: everything a verification job
 //! needs to cross a process boundary, expressed through the crate's own
 //! [`Json`] model (the workspace's `serde` is an offline API stub, so
-//! serialisation is explicit).
+//! serialisation is explicit). Each shape below is one table of the
+//! crate's codec, read in both directions.
 //!
 //! The shapes on the wire:
 //!
@@ -21,7 +22,11 @@
 //! Every document carries a `schema` version field so persisted artifacts
 //! stay recognisable as the formats evolve.
 
-use crate::diff::{DiffEntry, DiffKind};
+use crate::codec::{
+    field, field_in, from_json, record, spellings, text, to_json, with_member, Codec, Hex, Version,
+    Via,
+};
+use crate::diff::{DiffEntry, DiffKind, NamedConfig};
 use crate::fingerprint::Fingerprint;
 use crate::json::{Json, JsonError};
 use crate::matrix::Scenario;
@@ -30,11 +35,11 @@ use dataplane_pipeline::{parse_config, write_config, ConfigError, ConfigWriteErr
 use dataplane_symbex::{CheckDiagnostics, EngineConfig, LoopMode, SolverConfig};
 use dataplane_temporal::LtlSpec;
 use dataplane_verifier::{
-    CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, Property, Report, ShardEdge,
-    ShardNodeRecord, UnprovenPath, Verdict, VerificationStats, VerifierOptions,
+    CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, InstructionBoundReport,
+    Property, Report, ShardEdge, ShardNodeRecord, ShardTiming, UnprovenPath, Verdict,
+    VerificationStats, VerifierOptions,
 };
 use std::fmt;
-use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// Schema version of serialised [`PlanSpec`] documents. Version 2 tags
@@ -45,6 +50,25 @@ pub const PLAN_SCHEMA: u64 = 3;
 
 /// Schema version of serialised [`crate::service::VerifyRequest`] documents.
 pub const REQUEST_SCHEMA: u64 = 1;
+
+const PLAN: Version = Version {
+    key: "schema",
+    value: PLAN_SCHEMA,
+    what: "plan",
+};
+
+/// The stamp of every matrix, diff, single and bound report document.
+pub(crate) const REPORT: Version = Version {
+    key: "schema",
+    value: REPORT_SCHEMA,
+    what: "report",
+};
+
+const REQUEST: Version = Version {
+    key: "schema",
+    value: REQUEST_SCHEMA,
+    what: "request",
+};
 
 /// Schema version of the matrix / diff report JSON documents. Version 2
 /// drops the budget-retry counters from each scenario's stats.
@@ -61,6 +85,16 @@ pub enum WireError {
     Write(ConfigWriteError),
     /// The document parses as JSON but not as the expected shape.
     Malformed(String),
+}
+
+impl WireError {
+    /// The same failure, found inside the member `key`.
+    pub(crate) fn within(self, key: &str) -> WireError {
+        match self {
+            WireError::Malformed(m) => WireError::Malformed(format!("field '{key}': {m}")),
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for WireError {
@@ -98,205 +132,90 @@ pub(crate) fn malformed(message: impl Into<String>) -> WireError {
     WireError::Malformed(message.into())
 }
 
-pub(crate) fn get<'a>(json: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    json.get(key)
-        .ok_or_else(|| malformed(format!("missing field '{key}'")))
-}
-
-pub(crate) fn get_u64(json: &Json, key: &str) -> Result<u64, WireError> {
-    get(json, key)?
-        .as_u64()
-        .ok_or_else(|| malformed(format!("field '{key}' is not an unsigned integer")))
-}
-
-pub(crate) fn get_usize(json: &Json, key: &str) -> Result<usize, WireError> {
-    usize::try_from(get_u64(json, key)?)
-        .map_err(|_| malformed(format!("field '{key}' exceeds usize")))
-}
-
-pub(crate) fn get_bool(json: &Json, key: &str) -> Result<bool, WireError> {
-    get(json, key)?
-        .as_bool()
-        .ok_or_else(|| malformed(format!("field '{key}' is not a boolean")))
-}
-
-pub(crate) fn get_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    get(json, key)?
-        .as_str()
-        .ok_or_else(|| malformed(format!("field '{key}' is not a string")))
-}
-
-pub(crate) fn get_arr<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
-    get(json, key)?
-        .as_arr()
-        .ok_or_else(|| malformed(format!("field '{key}' is not an array")))
-}
-
-pub(crate) fn str_arr(items: &[Json]) -> Result<Vec<String>, WireError> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| malformed("expected an array of strings"))
-        })
-        .collect()
-}
-
-pub(crate) fn check_schema(json: &Json, expected: u64, what: &str) -> Result<(), WireError> {
-    let schema = get_u64(json, "schema")?;
-    if schema != expected {
-        return Err(malformed(format!(
-            "unsupported {what} schema {schema} (this build reads schema {expected})"
-        )));
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// Properties
+// Properties and options
 // ---------------------------------------------------------------------------
 
-/// Encode a property.
-pub fn property_to_json(property: &Property) -> Json {
-    match property {
-        Property::CrashFreedom => Json::obj([("kind", Json::str("crash-freedom"))]),
-        Property::BoundedInstructions { max_instructions } => Json::obj([
-            ("kind", Json::str("bounded-instructions")),
-            ("max_instructions", Json::int(*max_instructions)),
-        ]),
-        Property::Reachability {
-            dst,
-            dst_offset,
-            deliver_to,
-            may_drop,
-        } => Json::obj([
-            ("kind", Json::str("reachability")),
-            ("dst", Json::str(dst.to_string())),
-            ("dst_offset", Json::int(*dst_offset)),
-            (
-                "deliver_to",
-                Json::Arr(deliver_to.iter().map(Json::str).collect()),
+/// A property is tagged by `kind`. A temporal spec travels as its
+/// canonical source text and is re-parsed on decode, so the wire form
+/// stays readable and version-stable.
+impl<C> Codec<C> for Property {
+    fn encode(&self, cx: &mut C) -> Json {
+        let (kind, fields) = match self {
+            Property::CrashFreedom => ("crash-freedom", vec![]),
+            Property::BoundedInstructions { max_instructions } => (
+                "bounded-instructions",
+                vec![("max_instructions", max_instructions.encode(cx))],
             ),
-            (
-                "may_drop",
-                Json::Arr(may_drop.iter().map(Json::str).collect()),
+            Property::Reachability {
+                dst,
+                dst_offset,
+                deliver_to,
+                may_drop,
+            } => (
+                "reachability",
+                vec![
+                    ("dst", dst.encode(cx)),
+                    ("dst_offset", dst_offset.encode(cx)),
+                    ("deliver_to", deliver_to.encode(cx)),
+                    ("may_drop", may_drop.encode(cx)),
+                ],
             ),
-        ]),
-        // The spec travels as its canonical source text and is re-parsed on
-        // decode, so the wire form stays readable and version-stable.
-        Property::Temporal(spec) => Json::obj([
-            ("kind", Json::str("temporal")),
-            ("spec", Json::str(spec.source())),
-        ]),
+            Property::Temporal(spec) => ("temporal", vec![("spec", Json::str(spec.source()))]),
+        };
+        with_member("kind", Json::str(kind), Json::obj(fields))
     }
-}
 
-/// Decode a property.
-pub fn property_from_json(json: &Json) -> Result<Property, WireError> {
-    match get_str(json, "kind")? {
-        "crash-freedom" => Ok(Property::CrashFreedom),
-        "bounded-instructions" => Ok(Property::BoundedInstructions {
-            max_instructions: get_u64(json, "max_instructions")?,
-        }),
-        "reachability" => Ok(Property::Reachability {
-            dst: get_str(json, "dst")?
-                .parse::<Ipv4Addr>()
-                .map_err(|_| malformed("reachability dst is not an IPv4 address"))?,
-            dst_offset: u32::try_from(get_u64(json, "dst_offset")?)
-                .map_err(|_| malformed("dst_offset exceeds u32"))?,
-            deliver_to: str_arr(get_arr(json, "deliver_to")?)?,
-            may_drop: str_arr(get_arr(json, "may_drop")?)?,
-        }),
-        "temporal" => Ok(Property::Temporal(
-            LtlSpec::parse(get_str(json, "spec")?)
-                .map_err(|e| malformed(format!("temporal spec: {e}")))?,
-        )),
-        other => Err(malformed(format!("unknown property kind '{other}'"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Options (engine, solver)
-// ---------------------------------------------------------------------------
-
-/// Encode an engine configuration.
-pub fn engine_to_json(engine: &EngineConfig) -> Json {
-    Json::obj([
-        ("max_segments", Json::int(engine.max_segments as u64)),
-        ("max_branches", Json::int(engine.max_branches)),
-        (
-            "loop_mode",
-            Json::str(match engine.loop_mode {
-                LoopMode::Unroll => "unroll",
-                LoopMode::Decompose => "decompose",
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        match text(json, "kind")? {
+            "crash-freedom" => Ok(Property::CrashFreedom),
+            "bounded-instructions" => Ok(Property::BoundedInstructions {
+                max_instructions: field_in(json, "max_instructions", cx)?,
             }),
-        ),
-    ])
+            "reachability" => Ok(Property::Reachability {
+                dst: field_in(json, "dst", cx)?,
+                dst_offset: field_in(json, "dst_offset", cx)?,
+                deliver_to: field_in(json, "deliver_to", cx)?,
+                may_drop: field_in(json, "may_drop", cx)?,
+            }),
+            "temporal" => Ok(Property::Temporal(
+                LtlSpec::parse(text(json, "spec")?)
+                    .map_err(|e| malformed(format!("temporal spec: {e}")))?,
+            )),
+            other => Err(malformed(format!("unknown property kind '{other}'"))),
+        }
+    }
 }
 
-/// Decode an engine configuration.
-pub fn engine_from_json(json: &Json) -> Result<EngineConfig, WireError> {
-    Ok(EngineConfig {
-        max_segments: get_usize(json, "max_segments")?,
-        max_branches: get_u64(json, "max_branches")?,
-        loop_mode: match get_str(json, "loop_mode")? {
-            "unroll" => LoopMode::Unroll,
-            "decompose" => LoopMode::Decompose,
-            other => return Err(malformed(format!("unknown loop mode '{other}'"))),
-        },
-    })
-}
+spellings!(LoopMode {
+    Unroll => "unroll",
+    Decompose => "decompose",
+});
 
-fn solver_to_json(solver: &SolverConfig) -> Json {
-    Json::obj([
-        ("model_search_tries", Json::int(solver.model_search_tries)),
-        ("max_packet_len", Json::int(solver.max_packet_len)),
-        (
-            "max_fm_constraints",
-            Json::int(solver.max_fm_constraints as u64),
-        ),
-        ("search_seed", Json::int(solver.search_seed)),
-    ])
-}
+record!(EngineConfig {
+    max_segments => "max_segments",
+    max_branches => "max_branches",
+    loop_mode => "loop_mode",
+});
 
-fn solver_from_json(json: &Json) -> Result<SolverConfig, WireError> {
-    Ok(SolverConfig {
-        model_search_tries: u32::try_from(get_u64(json, "model_search_tries")?)
-            .map_err(|_| malformed("model_search_tries exceeds u32"))?,
-        max_packet_len: u32::try_from(get_u64(json, "max_packet_len")?)
-            .map_err(|_| malformed("max_packet_len exceeds u32"))?,
-        max_fm_constraints: get_usize(json, "max_fm_constraints")?,
-        search_seed: get_u64(json, "search_seed")?,
-    })
-}
+record!(SolverConfig {
+    model_search_tries => "model_search_tries",
+    max_packet_len => "max_packet_len",
+    max_fm_constraints => "max_fm_constraints",
+    search_seed => "search_seed",
+});
+
+record!(VerifierOptions {
+    prune_prefixes => "prune_prefixes",
+    validate_counterexamples => "validate_counterexamples",
+    max_composed_paths => "max_composed_paths",
+    engine => "engine",
+    solver => "solver",
+});
 
 /// Encode verifier options.
 pub fn options_to_json(options: &VerifierOptions) -> Json {
-    Json::obj([
-        ("prune_prefixes", Json::Bool(options.prune_prefixes)),
-        (
-            "validate_counterexamples",
-            Json::Bool(options.validate_counterexamples),
-        ),
-        (
-            "max_composed_paths",
-            Json::int(options.max_composed_paths as u64),
-        ),
-        ("engine", engine_to_json(&options.engine)),
-        ("solver", solver_to_json(&options.solver)),
-    ])
-}
-
-/// Decode verifier options.
-pub fn options_from_json(json: &Json) -> Result<VerifierOptions, WireError> {
-    Ok(VerifierOptions {
-        prune_prefixes: get_bool(json, "prune_prefixes")?,
-        validate_counterexamples: get_bool(json, "validate_counterexamples")?,
-        max_composed_paths: get_usize(json, "max_composed_paths")?,
-        engine: engine_from_json(get(json, "engine")?)?,
-        solver: solver_from_json(get(json, "solver")?)?,
-    })
+    to_json(options)
 }
 
 /// Content digest of a serialised [`VerifierOptions`] document — 32 hex
@@ -346,21 +265,11 @@ impl ScenarioSpec {
     }
 }
 
-fn scenario_spec_to_json(spec: &ScenarioSpec) -> Json {
-    Json::obj([
-        ("name", Json::str(&spec.name)),
-        ("config", Json::str(&spec.config)),
-        ("property", property_to_json(&spec.property)),
-    ])
-}
-
-fn scenario_spec_from_json(json: &Json) -> Result<ScenarioSpec, WireError> {
-    Ok(ScenarioSpec {
-        name: get_str(json, "name")?.to_string(),
-        config: get_str(json, "config")?.to_string(),
-        property: property_from_json(get(json, "property")?)?,
-    })
-}
+record!(ScenarioSpec {
+    name => "name",
+    config => "config",
+    property => "property",
+});
 
 /// One element-exploration job on the wire. A worker reconstructs the
 /// element from the config factory (`type_name(config_args)`), checks that
@@ -464,106 +373,82 @@ pub enum JobSpec {
     Fuzz(FuzzJob),
 }
 
-/// Encode an explore job (tagged with its kind, like every wire job).
-pub fn explore_job_to_json(job: &ExploreJob) -> Json {
-    Json::obj([
-        ("kind", Json::str("explore")),
-        ("fingerprint", Json::str(job.fingerprint.to_string())),
-        ("type_name", Json::str(&job.type_name)),
-        ("config_args", Json::str(&job.config_args)),
-    ])
+record!(ExploreJob {
+    fingerprint => "fingerprint",
+    type_name => "type_name",
+    config_args => "config_args",
+});
+
+record!(ComposeJob {
+    scenario => "scenario",
+    fingerprints => "fingerprints",
+});
+
+record!(ComposeShardJob {
+    scenario => "scenario",
+    fingerprints => "fingerprints",
+    scenario_index => "scenario_index",
+    start => "start",
+    end => "end",
+});
+
+record!(FuzzJob {
+    scenario => "scenario",
+    scenario_index => "scenario_index",
+    shard_index => "shard_index",
+    seed => "seed",
+    packets => "packets",
+    model_seeds => "model_seeds",
+});
+
+/// An explore job as every wire job travels: tagged with its kind (a
+/// plan's job table spells its jobs this way too).
+struct Tagged;
+
+impl<C> Via<ExploreJob, C> for Tagged {
+    fn encode(job: &ExploreJob, cx: &mut C) -> Json {
+        with_member("kind", Json::str("explore"), job.encode(cx))
+    }
+    fn decode(json: &Json, cx: &mut C) -> Result<ExploreJob, WireError> {
+        ExploreJob::decode(json, cx)
+    }
 }
 
-/// Decode an explore job.
-pub fn explore_job_from_json(json: &Json) -> Result<ExploreJob, WireError> {
-    Ok(ExploreJob {
-        fingerprint: parse_fingerprint(get_str(json, "fingerprint")?)?,
-        type_name: get_str(json, "type_name")?.to_string(),
-        config_args: get_str(json, "config_args")?.to_string(),
-    })
+impl<C> Via<Vec<ExploreJob>, C> for Tagged {
+    fn encode(jobs: &Vec<ExploreJob>, cx: &mut C) -> Json {
+        Json::Arr(jobs.iter().map(|job| Tagged::encode(job, cx)).collect())
+    }
+    fn decode(json: &Json, cx: &mut C) -> Result<Vec<ExploreJob>, WireError> {
+        Vec::decode(json, cx)
+    }
 }
 
-fn fingerprints_to_json(fps: &[Fingerprint]) -> Json {
-    Json::Arr(fps.iter().map(|fp| Json::str(fp.to_string())).collect())
-}
+/// A job is its kind's record, tagged by `kind`.
+impl<C> Codec<C> for JobSpec {
+    fn encode(&self, cx: &mut C) -> Json {
+        let (kind, body) = match self {
+            JobSpec::Explore(job) => return Tagged::encode(job, cx),
+            JobSpec::Compose(job) => ("compose", job.encode(cx)),
+            JobSpec::ComposeShard(job) => ("compose-shard", job.encode(cx)),
+            JobSpec::Fuzz(job) => ("fuzz", job.encode(cx)),
+        };
+        with_member("kind", Json::str(kind), body)
+    }
 
-fn fingerprints_from_json(items: &[Json]) -> Result<Vec<Fingerprint>, WireError> {
-    items
-        .iter()
-        .map(|fp| {
-            parse_fingerprint(
-                fp.as_str()
-                    .ok_or_else(|| malformed("fingerprint is not a string"))?,
-            )
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        Ok(match text(json, "kind")? {
+            "explore" => JobSpec::Explore(Tagged::decode(json, cx)?),
+            "compose" => JobSpec::Compose(ComposeJob::decode(json, cx)?),
+            "compose-shard" => JobSpec::ComposeShard(ComposeShardJob::decode(json, cx)?),
+            "fuzz" => JobSpec::Fuzz(FuzzJob::decode(json, cx)?),
+            other => return Err(malformed(format!("unknown job kind '{other}'"))),
         })
-        .collect()
+    }
 }
 
-/// Encode a wire job of either kind.
+/// Encode a wire job of any kind.
 pub fn job_to_json(job: &JobSpec) -> Json {
-    match job {
-        JobSpec::Explore(job) => explore_job_to_json(job),
-        JobSpec::Compose(job) => Json::obj([
-            ("kind", Json::str("compose")),
-            ("scenario", scenario_spec_to_json(&job.scenario)),
-            ("fingerprints", fingerprints_to_json(&job.fingerprints)),
-        ]),
-        JobSpec::ComposeShard(job) => Json::obj([
-            ("kind", Json::str("compose-shard")),
-            ("scenario", scenario_spec_to_json(&job.scenario)),
-            ("fingerprints", fingerprints_to_json(&job.fingerprints)),
-            ("scenario_index", Json::int(u64::from(job.scenario_index))),
-            ("start", Json::int(job.start as u64)),
-            ("end", Json::int(job.end as u64)),
-        ]),
-        JobSpec::Fuzz(job) => Json::obj([
-            ("kind", Json::str("fuzz")),
-            ("scenario", scenario_spec_to_json(&job.scenario)),
-            ("scenario_index", Json::int(u64::from(job.scenario_index))),
-            ("shard_index", Json::int(u64::from(job.shard_index))),
-            ("seed", Json::int(job.seed)),
-            ("packets", Json::int(job.packets)),
-            ("model_seeds", Json::Bool(job.model_seeds)),
-        ]),
-    }
-}
-
-/// Decode a wire job of either kind.
-pub fn job_from_json(json: &Json) -> Result<JobSpec, WireError> {
-    match get_str(json, "kind")? {
-        "explore" => Ok(JobSpec::Explore(explore_job_from_json(json)?)),
-        "compose" => Ok(JobSpec::Compose(ComposeJob {
-            scenario: scenario_spec_from_json(get(json, "scenario")?)?,
-            fingerprints: fingerprints_from_json(get_arr(json, "fingerprints")?)?,
-        })),
-        "compose-shard" => Ok(JobSpec::ComposeShard(ComposeShardJob {
-            scenario: scenario_spec_from_json(get(json, "scenario")?)?,
-            fingerprints: fingerprints_from_json(get_arr(json, "fingerprints")?)?,
-            scenario_index: u32::try_from(get_u64(json, "scenario_index")?)
-                .map_err(|_| malformed("scenario_index exceeds u32"))?,
-            start: get_usize(json, "start")?,
-            end: get_usize(json, "end")?,
-        })),
-        "fuzz" => {
-            let scenario_index = get_u64(json, "scenario_index")?;
-            let shard_index = get_u64(json, "shard_index")?;
-            Ok(JobSpec::Fuzz(FuzzJob {
-                scenario: scenario_spec_from_json(get(json, "scenario")?)?,
-                scenario_index: u32::try_from(scenario_index)
-                    .map_err(|_| malformed("scenario_index exceeds u32"))?,
-                shard_index: u32::try_from(shard_index)
-                    .map_err(|_| malformed("shard_index exceeds u32"))?,
-                seed: get_u64(json, "seed")?,
-                packets: get_u64(json, "packets")?,
-                model_seeds: get_bool(json, "model_seeds")?,
-            }))
-        }
-        other => Err(malformed(format!("unknown job kind '{other}'"))),
-    }
-}
-
-fn parse_fingerprint(text: &str) -> Result<Fingerprint, WireError> {
-    Fingerprint::parse(text).ok_or_else(|| malformed(format!("bad fingerprint '{text}'")))
+    to_json(job)
 }
 
 /// Diff bookkeeping attached to a plan built from a `Diff` or `Watch`
@@ -579,73 +464,27 @@ pub struct DiffMeta {
     pub skipped_scenarios: usize,
 }
 
-pub(crate) fn diff_kind_name(kind: DiffKind) -> &'static str {
-    match kind {
-        DiffKind::Identical => "identical",
-        DiffKind::WiringOnly => "wiring-only",
-        DiffKind::ElementsChanged => "elements-changed",
-        DiffKind::Added => "added",
-    }
-}
+spellings!(DiffKind {
+    Identical => "identical",
+    WiringOnly => "wiring-only",
+    ElementsChanged => "elements-changed",
+    Added => "added",
+});
 
-fn diff_kind_from(name: &str) -> Result<DiffKind, WireError> {
-    Ok(match name {
-        "identical" => DiffKind::Identical,
-        "wiring-only" => DiffKind::WiringOnly,
-        "elements-changed" => DiffKind::ElementsChanged,
-        "added" => DiffKind::Added,
-        other => return Err(malformed(format!("unknown diff kind '{other}'"))),
-    })
-}
+// The one shape of a diff entry, shared by plan metadata and `DiffReport`
+// documents.
+record!(DiffEntry {
+    name => "name",
+    kind => "kind",
+    changed_elements => "changed_elements",
+    scenarios_planned => "scenarios_planned",
+});
 
-/// The one JSON shape of a [`DiffEntry`], shared by plan metadata and
-/// `DiffReport` documents.
-pub(crate) fn diff_entry_to_json(e: &DiffEntry) -> Json {
-    Json::obj([
-        ("name", Json::str(&e.name)),
-        ("kind", Json::str(diff_kind_name(e.kind))),
-        (
-            "changed_elements",
-            Json::Arr(e.changed_elements.iter().map(Json::str).collect()),
-        ),
-        ("scenarios_planned", Json::int(e.scenarios_planned as u64)),
-    ])
-}
-
-fn diff_meta_to_json(meta: &DiffMeta) -> Json {
-    Json::obj([
-        (
-            "entries",
-            Json::Arr(meta.entries.iter().map(diff_entry_to_json).collect()),
-        ),
-        (
-            "removed_configs",
-            Json::Arr(meta.removed_configs.iter().map(Json::str).collect()),
-        ),
-        (
-            "skipped_scenarios",
-            Json::int(meta.skipped_scenarios as u64),
-        ),
-    ])
-}
-
-fn diff_meta_from_json(json: &Json) -> Result<DiffMeta, WireError> {
-    Ok(DiffMeta {
-        entries: get_arr(json, "entries")?
-            .iter()
-            .map(|e| {
-                Ok(DiffEntry {
-                    name: get_str(e, "name")?.to_string(),
-                    kind: diff_kind_from(get_str(e, "kind")?)?,
-                    changed_elements: str_arr(get_arr(e, "changed_elements")?)?,
-                    scenarios_planned: get_usize(e, "scenarios_planned")?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        removed_configs: str_arr(get_arr(json, "removed_configs")?)?,
-        skipped_scenarios: get_usize(json, "skipped_scenarios")?,
-    })
-}
+record!(DiffMeta {
+    entries => "entries",
+    removed_configs => "removed_configs",
+    skipped_scenarios => "skipped_scenarios",
+});
 
 /// The first-class, serialisable job plan: everything another process needs
 /// to reproduce a verification run bit for bit.
@@ -692,310 +531,168 @@ pub struct BoundSpec {
     pub fingerprints: Vec<Fingerprint>,
 }
 
-fn bound_spec_to_json(bound: &BoundSpec) -> Json {
-    Json::obj([
-        ("name", Json::str(&bound.name)),
-        ("config", Json::str(&bound.config)),
-        ("fingerprints", fingerprints_to_json(&bound.fingerprints)),
-    ])
-}
+record!(BoundSpec {
+    name => "name",
+    config => "config",
+    fingerprints => "fingerprints",
+});
 
-fn bound_spec_from_json(json: &Json) -> Result<BoundSpec, WireError> {
-    Ok(BoundSpec {
-        name: get_str(json, "name")?.to_string(),
-        config: get_str(json, "config")?.to_string(),
-        fingerprints: fingerprints_from_json(get_arr(json, "fingerprints")?)?,
-    })
-}
+record!(PlanSpec {
+    options => "options",
+    scenarios => "scenarios",
+    jobs => "jobs" as Tagged,
+    scenario_jobs => "scenario_jobs",
+    element_fingerprints => "element_fingerprints",
+    diff => "diff",
+    bound => "bound",
+});
 
 /// Encode a plan.
 pub fn plan_to_json(plan: &PlanSpec) -> Json {
-    Json::obj([
-        ("schema", Json::int(PLAN_SCHEMA)),
-        ("options", options_to_json(&plan.options)),
-        (
-            "scenarios",
-            Json::Arr(plan.scenarios.iter().map(scenario_spec_to_json).collect()),
-        ),
-        (
-            "jobs",
-            Json::Arr(plan.jobs.iter().map(explore_job_to_json).collect()),
-        ),
-        (
-            "scenario_jobs",
-            Json::Arr(
-                plan.scenario_jobs
-                    .iter()
-                    .map(|deps| Json::Arr(deps.iter().map(|&d| Json::int(d as u64)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "element_fingerprints",
-            Json::Arr(
-                plan.element_fingerprints
-                    .iter()
-                    .map(|fps| Json::Arr(fps.iter().map(|fp| Json::str(fp.to_string())).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "diff",
-            match &plan.diff {
-                Some(meta) => diff_meta_to_json(meta),
-                None => Json::Null,
-            },
-        ),
-        (
-            "bound",
-            match &plan.bound {
-                Some(bound) => bound_spec_to_json(bound),
-                None => Json::Null,
-            },
-        ),
-    ])
+    PLAN.stamp(to_json(plan))
 }
 
 /// Decode a plan, validating its internal references (job indexes in range,
 /// per-scenario fingerprint lists matching the scenario count).
 pub fn plan_from_json(json: &Json) -> Result<PlanSpec, WireError> {
-    check_schema(json, PLAN_SCHEMA, "plan")?;
-    let scenarios = get_arr(json, "scenarios")?
+    PLAN.check(json)?;
+    let plan: PlanSpec = from_json(json)?;
+    if let Some(idx) = plan
+        .scenario_jobs
         .iter()
-        .map(scenario_spec_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let jobs = get_arr(json, "jobs")?
-        .iter()
-        .map(explore_job_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let scenario_jobs = get_arr(json, "scenario_jobs")?
-        .iter()
-        .map(|deps| {
-            deps.as_arr()
-                .ok_or_else(|| malformed("scenario_jobs entry is not an array"))?
-                .iter()
-                .map(|d| {
-                    let idx = d
-                        .as_u64()
-                        .and_then(|v| usize::try_from(v).ok())
-                        .ok_or_else(|| malformed("bad job index"))?;
-                    if idx >= jobs.len() {
-                        return Err(malformed(format!("job index {idx} out of range")));
-                    }
-                    Ok(idx)
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let element_fingerprints = get_arr(json, "element_fingerprints")?
-        .iter()
-        .map(|fps| {
-            fps.as_arr()
-                .ok_or_else(|| malformed("element_fingerprints entry is not an array"))?
-                .iter()
-                .map(|fp| {
-                    parse_fingerprint(
-                        fp.as_str()
-                            .ok_or_else(|| malformed("fingerprint is not a string"))?,
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if scenario_jobs.len() != scenarios.len() || element_fingerprints.len() != scenarios.len() {
+        .flatten()
+        .find(|&&idx| idx >= plan.jobs.len())
+    {
+        return Err(malformed(format!("job index {idx} out of range")));
+    }
+    let scenarios = plan.scenarios.len();
+    if plan.scenario_jobs.len() != scenarios || plan.element_fingerprints.len() != scenarios {
         return Err(malformed(
             "scenario_jobs / element_fingerprints do not match the scenario count",
         ));
     }
-    let diff = match get(json, "diff")? {
-        Json::Null => None,
-        meta => Some(diff_meta_from_json(meta)?),
-    };
-    let bound = match get(json, "bound")? {
-        Json::Null => None,
-        spec => Some(bound_spec_from_json(spec)?),
-    };
-    Ok(PlanSpec {
-        options: options_from_json(get(json, "options")?)?,
-        scenarios,
-        jobs,
-        scenario_jobs,
-        element_fingerprints,
-        diff,
-        bound,
-    })
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-fn named_configs_to_json(configs: &[crate::diff::NamedConfig]) -> Json {
-    Json::Arr(
-        configs
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("name", Json::str(&c.name)),
-                    ("config", Json::str(&c.config)),
-                ])
-            })
-            .collect(),
-    )
-}
+record!(NamedConfig {
+    name => "name",
+    config => "config",
+});
 
-fn named_configs_from_json(items: &[Json]) -> Result<Vec<crate::diff::NamedConfig>, WireError> {
-    items
-        .iter()
-        .map(|c| {
-            Ok(crate::diff::NamedConfig {
-                name: get_str(c, "name")?.to_string(),
-                config: get_str(c, "config")?.to_string(),
-            })
+/// A property selection is tagged by `kind`.
+impl<C> Codec<C> for PropertySelect {
+    fn encode(&self, cx: &mut C) -> Json {
+        let (kind, fields) = match self {
+            PropertySelect::Default => ("default", vec![]),
+            PropertySelect::Preset => ("preset", vec![]),
+            PropertySelect::Explicit(properties) => {
+                ("explicit", vec![("properties", properties.encode(cx))])
+            }
+        };
+        with_member("kind", Json::str(kind), Json::obj(fields))
+    }
+
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        Ok(match text(json, "kind")? {
+            "default" => PropertySelect::Default,
+            "preset" => PropertySelect::Preset,
+            "explicit" => PropertySelect::Explicit(field_in(json, "properties", cx)?),
+            other => return Err(malformed(format!("unknown property selection '{other}'"))),
         })
-        .collect()
-}
-
-fn property_select_to_json(select: &PropertySelect) -> Json {
-    match select {
-        PropertySelect::Default => Json::obj([("kind", Json::str("default"))]),
-        PropertySelect::Preset => Json::obj([("kind", Json::str("preset"))]),
-        PropertySelect::Explicit(properties) => Json::obj([
-            ("kind", Json::str("explicit")),
-            (
-                "properties",
-                Json::Arr(properties.iter().map(property_to_json).collect()),
-            ),
-        ]),
     }
 }
 
-fn property_select_from_json(json: &Json) -> Result<PropertySelect, WireError> {
-    Ok(match get_str(json, "kind")? {
-        "default" => PropertySelect::Default,
-        "preset" => PropertySelect::Preset,
-        "explicit" => PropertySelect::Explicit(
-            get_arr(json, "properties")?
-                .iter()
-                .map(property_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        other => return Err(malformed(format!("unknown property selection '{other}'"))),
-    })
-}
-
-/// Encode a front-door request. `Single` and `Matrix` requests carry their
-/// pipelines as config text, so the encoding fails for pipelines containing
-/// elements the config language cannot express.
+/// Encode a front-door request, tagged by its [`VerifyRequest::kind`].
+/// `Single`, `Bound`, `Matrix` and `Conformance` requests carry their
+/// pipelines as config text, so the encoding fails for pipelines
+/// containing elements the config language cannot express.
 pub fn request_to_json(request: &VerifyRequest) -> Result<Json, WireError> {
-    Ok(match request {
+    let scenarios = |scenarios: &[Scenario]| -> Result<Json, WireError> {
+        let specs = scenarios.iter().map(ScenarioSpec::from_scenario);
+        Ok(to_json(&specs.collect::<Result<Vec<_>, _>>()?))
+    };
+    let fields = match request {
         VerifyRequest::Single {
             name,
             pipeline,
             property,
-        } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("single")),
-            ("name", Json::str(name)),
+        } => vec![
+            ("name", to_json(name)),
             ("config", Json::str(write_config(pipeline)?)),
-            ("property", property_to_json(property)),
-        ]),
-        VerifyRequest::Matrix { scenarios } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("matrix")),
-            (
-                "scenarios",
-                Json::Arr(
-                    scenarios
-                        .iter()
-                        .map(|s| Ok(scenario_spec_to_json(&ScenarioSpec::from_scenario(s)?)))
-                        .collect::<Result<Vec<_>, WireError>>()?,
-                ),
-            ),
-        ]),
+            ("property", to_json(property)),
+        ],
+        VerifyRequest::Matrix { scenarios: batch } => vec![("scenarios", scenarios(batch)?)],
         VerifyRequest::Diff {
             old,
             new,
             properties,
-        } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("diff")),
-            ("old", named_configs_to_json(old)),
-            ("new", named_configs_to_json(new)),
-            ("properties", property_select_to_json(properties)),
-        ]),
+        } => vec![
+            ("old", to_json(old)),
+            ("new", to_json(new)),
+            ("properties", to_json(properties)),
+        ],
         VerifyRequest::Watch {
             configs,
             properties,
-        } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("watch")),
-            ("configs", named_configs_to_json(configs)),
-            ("properties", property_select_to_json(properties)),
-        ]),
-        VerifyRequest::Bound { name, pipeline } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("bound")),
-            ("name", Json::str(name)),
+        } => vec![
+            ("configs", to_json(configs)),
+            ("properties", to_json(properties)),
+        ],
+        VerifyRequest::Bound { name, pipeline } => vec![
+            ("name", to_json(name)),
             ("config", Json::str(write_config(pipeline)?)),
-        ]),
+        ],
         VerifyRequest::Conformance {
-            scenarios,
+            scenarios: batch,
             seed,
             packets,
-        } => Json::obj([
-            ("schema", Json::int(REQUEST_SCHEMA)),
-            ("kind", Json::str("conformance")),
-            (
-                "scenarios",
-                Json::Arr(
-                    scenarios
-                        .iter()
-                        .map(|s| Ok(scenario_spec_to_json(&ScenarioSpec::from_scenario(s)?)))
-                        .collect::<Result<Vec<_>, WireError>>()?,
-                ),
-            ),
-            ("seed", Json::int(*seed)),
-            ("packets", Json::int(*packets)),
-        ]),
-    })
+        } => vec![
+            ("scenarios", scenarios(batch)?),
+            ("seed", to_json(seed)),
+            ("packets", to_json(packets)),
+        ],
+    };
+    let body = with_member("kind", Json::str(request.kind()), Json::obj(fields));
+    Ok(REQUEST.stamp(body))
 }
 
 /// Decode a front-door request.
 pub fn request_from_json(json: &Json) -> Result<VerifyRequest, WireError> {
-    check_schema(json, REQUEST_SCHEMA, "request")?;
-    Ok(match get_str(json, "kind")? {
+    REQUEST.check(json)?;
+    let scenarios = || -> Result<Vec<Scenario>, WireError> {
+        let specs: Vec<ScenarioSpec> = field(json, "scenarios")?;
+        specs.iter().map(ScenarioSpec::to_scenario).collect()
+    };
+    Ok(match text(json, "kind")? {
         "single" => VerifyRequest::Single {
-            name: get_str(json, "name")?.to_string(),
-            pipeline: parse_config(get_str(json, "config")?)?,
-            property: property_from_json(get(json, "property")?)?,
+            name: field(json, "name")?,
+            pipeline: parse_config(text(json, "config")?)?,
+            property: field(json, "property")?,
         },
         "matrix" => VerifyRequest::Matrix {
-            scenarios: get_arr(json, "scenarios")?
-                .iter()
-                .map(|s| scenario_spec_from_json(s)?.to_scenario())
-                .collect::<Result<Vec<_>, _>>()?,
+            scenarios: scenarios()?,
         },
         "diff" => VerifyRequest::Diff {
-            old: named_configs_from_json(get_arr(json, "old")?)?,
-            new: named_configs_from_json(get_arr(json, "new")?)?,
-            properties: property_select_from_json(get(json, "properties")?)?,
+            old: field(json, "old")?,
+            new: field(json, "new")?,
+            properties: field(json, "properties")?,
         },
         "watch" => VerifyRequest::Watch {
-            configs: named_configs_from_json(get_arr(json, "configs")?)?,
-            properties: property_select_from_json(get(json, "properties")?)?,
+            configs: field(json, "configs")?,
+            properties: field(json, "properties")?,
         },
         "bound" => VerifyRequest::Bound {
-            name: get_str(json, "name")?.to_string(),
-            pipeline: parse_config(get_str(json, "config")?)?,
+            name: field(json, "name")?,
+            pipeline: parse_config(text(json, "config")?)?,
         },
         "conformance" => VerifyRequest::Conformance {
-            scenarios: get_arr(json, "scenarios")?
-                .iter()
-                .map(|s| scenario_spec_from_json(s)?.to_scenario())
-                .collect::<Result<Vec<_>, _>>()?,
-            seed: get_u64(json, "seed")?,
-            packets: get_u64(json, "packets")?,
+            scenarios: scenarios()?,
+            seed: field(json, "seed")?,
+            packets: field(json, "packets")?,
         },
         other => return Err(malformed(format!("unknown request kind '{other}'"))),
     })
@@ -1005,301 +702,76 @@ pub fn request_from_json(json: &Json) -> Result<VerifyRequest, WireError> {
 // Reports (deterministic content only — no wall-clock, no cache weather)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn hex_bytes(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+spellings!(Verdict {
+    Proven => "proven",
+    Violated => "violated",
+    Unknown => "unknown",
+});
+
+record!(VerificationStats {
+    elements => "elements",
+    summaries_computed => "summaries_computed",
+    summaries_reused => "summaries_reused",
+    total_segments => "total_segments",
+    suspects => "suspects",
+    discharged => "discharged",
+    composed_paths => "composed_paths",
+    solver_calls => "solver_calls",
+    prefilter_decided => "prefilter_decided",
+    prefilter_passed => "prefilter_passed",
+    fm_budget_aborts => "fm_budget_aborts",
+    model_search_aborts => "model_search_aborts",
+    budget_escalations => _,
+    buchi_states => "buchi_states",
+    product_states => "product_states",
+    lasso_found => "lasso_found",
+});
+
+record!(Counterexample {
+    packet => "packet_hex" as Hex,
+    path => "path",
+    description => "description",
+    confirmed => "confirmed",
+});
+
+record!(UnprovenPath {
+    path => "path",
+    reason => "reason",
+});
+
+/// A property by its name only. The decoder is given the property — the
+/// context — and checks the name against it, so a report is never
+/// relabelled as another property's.
+struct ByName;
+
+impl Via<Property, Option<Property>> for ByName {
+    fn encode(property: &Property, _: &mut Option<Property>) -> Json {
+        Json::str(property.name())
     }
-    out
-}
-
-pub(crate) fn bytes_from_hex(text: &str) -> Result<Vec<u8>, WireError> {
-    // Work on bytes: slicing the &str at fixed offsets would panic on a
-    // (malformed) multi-byte character instead of erroring, and
-    // `from_str_radix` would accept a sign (`"+f"`).
-    if !text.len().is_multiple_of(2) {
-        return Err(malformed("odd-length hex string"));
-    }
-    let digit = |b: u8| {
-        (b as char)
-            .to_digit(16)
-            .ok_or_else(|| malformed("bad hex byte"))
-    };
-    text.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| Ok((digit(pair[0])? * 16 + digit(pair[1])?) as u8))
-        .collect()
-}
-
-/// The verdict's wire spelling.
-pub fn verdict_name(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::Proven => "proven",
-        Verdict::Violated => "violated",
-        Verdict::Unknown => "unknown",
-    }
-}
-
-fn verdict_from_name(name: &str) -> Result<Verdict, WireError> {
-    Ok(match name {
-        "proven" => Verdict::Proven,
-        "violated" => Verdict::Violated,
-        "unknown" => Verdict::Unknown,
-        other => return Err(malformed(format!("unknown verdict '{other}'"))),
-    })
-}
-
-fn stats_to_json(stats: &VerificationStats) -> Json {
-    Json::obj([
-        ("elements", Json::int(stats.elements as u64)),
-        (
-            "summaries_computed",
-            Json::int(stats.summaries_computed as u64),
-        ),
-        ("summaries_reused", Json::int(stats.summaries_reused as u64)),
-        ("total_segments", Json::int(stats.total_segments as u64)),
-        ("suspects", Json::int(stats.suspects as u64)),
-        ("discharged", Json::int(stats.discharged as u64)),
-        ("composed_paths", Json::int(stats.composed_paths as u64)),
-        ("solver_calls", Json::int(stats.solver_calls as u64)),
-        (
-            "prefilter_decided",
-            Json::int(stats.prefilter_decided as u64),
-        ),
-        ("prefilter_passed", Json::int(stats.prefilter_passed as u64)),
-        ("fm_budget_aborts", Json::int(stats.fm_budget_aborts as u64)),
-        (
-            "model_search_aborts",
-            Json::int(stats.model_search_aborts as u64),
-        ),
-        ("buchi_states", Json::int(stats.buchi_states as u64)),
-        ("product_states", Json::int(stats.product_states as u64)),
-        ("lasso_found", Json::int(stats.lasso_found as u64)),
-    ])
-}
-
-fn stats_from_json(json: &Json) -> Result<VerificationStats, WireError> {
-    Ok(VerificationStats {
-        elements: get_usize(json, "elements")?,
-        summaries_computed: get_usize(json, "summaries_computed")?,
-        summaries_reused: get_usize(json, "summaries_reused")?,
-        total_segments: get_usize(json, "total_segments")?,
-        suspects: get_usize(json, "suspects")?,
-        discharged: get_usize(json, "discharged")?,
-        composed_paths: get_usize(json, "composed_paths")?,
-        solver_calls: get_usize(json, "solver_calls")?,
-        prefilter_decided: get_usize(json, "prefilter_decided")?,
-        prefilter_passed: get_usize(json, "prefilter_passed")?,
-        fm_budget_aborts: get_usize(json, "fm_budget_aborts")?,
-        model_search_aborts: get_usize(json, "model_search_aborts")?,
-        buchi_states: get_usize(json, "buchi_states")?,
-        product_states: get_usize(json, "product_states")?,
-        lasso_found: get_usize(json, "lasso_found")?,
-        ..VerificationStats::default()
-    })
-}
-
-fn counterexample_to_json(ce: &Counterexample) -> Json {
-    Json::obj([
-        ("packet_hex", Json::str(hex_bytes(&ce.packet))),
-        ("path", Json::Arr(ce.path.iter().map(Json::str).collect())),
-        ("description", Json::str(&ce.description)),
-        ("confirmed", Json::Bool(ce.confirmed)),
-    ])
-}
-
-fn counterexample_from_json(json: &Json) -> Result<Counterexample, WireError> {
-    Ok(Counterexample {
-        packet: bytes_from_hex(get_str(json, "packet_hex")?)?,
-        path: str_arr(get_arr(json, "path")?)?,
-        description: get_str(json, "description")?.to_string(),
-        confirmed: get_bool(json, "confirmed")?,
-    })
-}
-
-fn unproven_to_json(up: &UnprovenPath) -> Json {
-    Json::obj([
-        ("path", Json::Arr(up.path.iter().map(Json::str).collect())),
-        ("reason", Json::str(&up.reason)),
-    ])
-}
-
-fn unproven_from_json(json: &Json) -> Result<UnprovenPath, WireError> {
-    Ok(UnprovenPath {
-        path: str_arr(get_arr(json, "path")?)?,
-        reason: get_str(json, "reason")?.to_string(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Compose-shard results
-// ---------------------------------------------------------------------------
-
-fn check_record_to_json(check: &CheckRecord) -> Json {
-    let outcome = match &check.outcome {
-        CheckOutcome::Discharged => Json::obj([("kind", Json::str("discharged"))]),
-        CheckOutcome::Violation(ce) => Json::obj([
-            ("kind", Json::str("violation")),
-            ("counterexample", counterexample_to_json(ce)),
-        ]),
-        CheckOutcome::Undecided(up) => Json::obj([
-            ("kind", Json::str("undecided")),
-            ("unproven", unproven_to_json(up)),
-        ]),
-    };
-    Json::obj([
-        ("outcome", outcome),
-        ("fm_exhausted", Json::Bool(check.diag.fm_budget_exhausted)),
-        (
-            "search_exhausted",
-            Json::Bool(check.diag.model_search_exhausted),
-        ),
-        ("prefiltered", Json::Bool(check.prefiltered)),
-    ])
-}
-
-fn check_record_from_json(json: &Json) -> Result<CheckRecord, WireError> {
-    let outcome = get(json, "outcome")?;
-    let outcome = match get_str(outcome, "kind")? {
-        "discharged" => CheckOutcome::Discharged,
-        "violation" => {
-            CheckOutcome::Violation(counterexample_from_json(get(outcome, "counterexample")?)?)
+    fn decode(json: &Json, given: &mut Option<Property>) -> Result<Property, WireError> {
+        let given = given
+            .take()
+            .ok_or_else(|| malformed("no property to check"))?;
+        let name = json.as_str().ok_or_else(|| malformed("not a name"))?;
+        if name != given.name() {
+            return Err(malformed(format!(
+                "report is for property '{name}', expected '{}'",
+                given.name()
+            )));
         }
-        "undecided" => CheckOutcome::Undecided(unproven_from_json(get(outcome, "unproven")?)?),
-        other => return Err(malformed(format!("unknown check outcome '{other}'"))),
-    };
-    Ok(CheckRecord {
-        outcome,
-        diag: CheckDiagnostics {
-            fm_budget_exhausted: get_bool(json, "fm_exhausted")?,
-            model_search_exhausted: get_bool(json, "search_exhausted")?,
-        },
-        prefiltered: get_bool(json, "prefiltered")?,
-    })
+        Ok(given)
+    }
 }
 
-fn shard_edge_to_json(edge: &ShardEdge) -> Json {
-    Json::obj([
-        ("prefiltered", Json::Bool(edge.prefiltered)),
-        ("pruned_call", Json::Bool(edge.pruned_call)),
-        ("feasible", Json::Bool(edge.feasible)),
-    ])
-}
-
-fn shard_edge_from_json(json: &Json) -> Result<ShardEdge, WireError> {
-    Ok(ShardEdge {
-        prefiltered: get_bool(json, "prefiltered")?,
-        pruned_call: get_bool(json, "pruned_call")?,
-        feasible: get_bool(json, "feasible")?,
-    })
-}
-
-/// Encode what one `ComposeShard` job computed: the per-node records (each
-/// byte-identical to what the fold would compute inline), whether the shard
-/// was cancelled before covering its range, and the per-node solver timings the
-/// service feeds into shard-width calibration. A check or edge slot is
-/// `null` when the corresponding work unit lies outside the shard's range —
-/// the fold computes those slots inline or takes them from another shard.
-pub fn shard_result_to_json(result: &ComposeShardResult) -> Json {
-    Json::obj([
-        (
-            "records",
-            Json::Arr(
-                result
-                    .records
-                    .iter()
-                    .map(|rec| {
-                        Json::obj([
-                            ("index", Json::int(rec.index as u64)),
-                            (
-                                "checks",
-                                Json::Arr(
-                                    rec.checks
-                                        .iter()
-                                        .map(|slot| match slot {
-                                            Some(check) => check_record_to_json(check),
-                                            None => Json::Null,
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "edges",
-                                Json::Arr(
-                                    rec.edges
-                                        .iter()
-                                        .map(|slot| match slot {
-                                            Some(edge) => shard_edge_to_json(edge),
-                                            None => Json::Null,
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("cancelled", Json::Bool(result.cancelled)),
-        (
-            "timings",
-            Json::Arr(
-                result
-                    .timings
-                    .iter()
-                    .map(|t| {
-                        Json::obj([
-                            ("index", Json::int(t.index as u64)),
-                            ("units", Json::int(t.units as u64)),
-                            ("ns", Json::int(t.ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decode a `ComposeShard` job result.
-pub fn shard_result_from_json(json: &Json) -> Result<ComposeShardResult, WireError> {
-    Ok(ComposeShardResult {
-        records: get_arr(json, "records")?
-            .iter()
-            .map(|rec| {
-                Ok(ShardNodeRecord {
-                    index: get_usize(rec, "index")?,
-                    checks: get_arr(rec, "checks")?
-                        .iter()
-                        .map(|slot| match slot {
-                            Json::Null => Ok(None),
-                            v => check_record_from_json(v).map(Some),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    edges: get_arr(rec, "edges")?
-                        .iter()
-                        .map(|slot| match slot {
-                            Json::Null => Ok(None),
-                            v => shard_edge_from_json(v).map(Some),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-        cancelled: get_bool(json, "cancelled")?,
-        timings: get_arr(json, "timings")?
-            .iter()
-            .map(|t| {
-                Ok(dataplane_verifier::ShardTiming {
-                    index: get_usize(t, "index")?,
-                    units: get_usize(t, "units")?,
-                    ns: get(t, "ns")?
-                        .as_u64()
-                        .ok_or_else(|| malformed("timing ns is not an unsigned integer"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, WireError>>()?,
-    })
-}
+// Everything deterministic about a report: no wall-clock time.
+record!(Report in Option<Property> {
+    property => "property" as ByName,
+    verdict => "verdict",
+    counterexamples => "counterexamples",
+    unproven => "unproven",
+    stats => "stats",
+    elapsed => _,
+});
 
 /// Encode everything deterministic about a report: the verdict, the full
 /// counterexamples (packet bytes included), the unproven paths, and the
@@ -1307,25 +779,7 @@ pub fn shard_result_from_json(json: &Json) -> Result<ComposeShardResult, WireErr
 /// scenarios under the same options produce byte-identical documents,
 /// whatever process, scheduler, or cache temperature produced them.
 pub fn report_to_json(report: &Report) -> Json {
-    Json::obj([
-        ("property", Json::str(report.property.name())),
-        ("verdict", Json::str(verdict_name(&report.verdict))),
-        (
-            "counterexamples",
-            Json::Arr(
-                report
-                    .counterexamples
-                    .iter()
-                    .map(counterexample_to_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "unproven",
-            Json::Arr(report.unproven.iter().map(unproven_to_json).collect()),
-        ),
-        ("stats", stats_to_json(&report.stats)),
-    ])
+    report.encode(&mut None)
 }
 
 /// Decode a report produced by [`report_to_json`]. The wire form carries
@@ -1339,53 +793,97 @@ pub fn report_from_json(
     property: Property,
     elapsed: Duration,
 ) -> Result<Report, WireError> {
-    let name = get_str(json, "property")?;
-    if name != property.name() {
-        return Err(malformed(format!(
-            "report is for property '{name}', expected '{}'",
-            property.name()
-        )));
-    }
-    Ok(Report {
-        property,
-        verdict: verdict_from_name(get_str(json, "verdict")?)?,
-        counterexamples: get_arr(json, "counterexamples")?
-            .iter()
-            .map(counterexample_from_json)
-            .collect::<Result<Vec<_>, WireError>>()?,
-        unproven: get_arr(json, "unproven")?
-            .iter()
-            .map(unproven_from_json)
-            .collect::<Result<Vec<_>, WireError>>()?,
-        stats: stats_from_json(get(json, "stats")?)?,
-        elapsed,
-    })
+    let report = Report::decode(json, &mut Some(property))?;
+    Ok(Report { elapsed, ..report })
 }
 
-/// Encode everything deterministic about an instruction-bound analysis
-/// (the witness packet is a deterministic function of the summaries and
-/// solver seed, so it belongs here; wall-clock time does not).
-pub fn bound_report_to_json(report: &dataplane_verifier::InstructionBoundReport) -> Json {
-    Json::obj([
-        ("max_instructions", Json::int(report.max_instructions)),
-        (
-            "witness_hex",
-            match &report.witness {
-                Some(bytes) => Json::str(hex_bytes(bytes)),
-                None => Json::Null,
-            },
-        ),
-        (
-            "path",
-            Json::Arr(report.path.iter().map(Json::str).collect()),
-        ),
-        ("approximate", Json::Bool(report.approximate)),
-        (
-            "paths_considered",
-            Json::int(report.paths_considered as u64),
-        ),
-        ("feasible_paths", Json::int(report.feasible_paths as u64)),
-    ])
+// Everything deterministic about an instruction-bound analysis (the
+// witness packet is a deterministic function of the summaries and solver
+// seed, so it belongs here; wall-clock time does not).
+record!(InstructionBoundReport {
+    max_instructions => "max_instructions",
+    witness => "witness_hex" as Hex,
+    path => "path",
+    approximate => "approximate",
+    paths_considered => "paths_considered",
+    feasible_paths => "feasible_paths",
+    elapsed => _,
+});
+
+// ---------------------------------------------------------------------------
+// Compose-shard results
+// ---------------------------------------------------------------------------
+
+/// A check's outcome is tagged by `kind`.
+impl<C> Codec<C> for CheckOutcome {
+    fn encode(&self, cx: &mut C) -> Json {
+        let (kind, fields) = match self {
+            CheckOutcome::Discharged => ("discharged", vec![]),
+            CheckOutcome::Violation(ce) => ("violation", vec![("counterexample", ce.encode(cx))]),
+            CheckOutcome::Undecided(up) => ("undecided", vec![("unproven", up.encode(cx))]),
+        };
+        with_member("kind", Json::str(kind), Json::obj(fields))
+    }
+
+    fn decode(json: &Json, cx: &mut C) -> Result<Self, WireError> {
+        Ok(match text(json, "kind")? {
+            "discharged" => CheckOutcome::Discharged,
+            "violation" => CheckOutcome::Violation(field_in(json, "counterexample", cx)?),
+            "undecided" => CheckOutcome::Undecided(field_in(json, "unproven", cx)?),
+            other => return Err(malformed(format!("unknown check outcome '{other}'"))),
+        })
+    }
+}
+
+record!(CheckDiagnostics {
+    fm_budget_exhausted => "fm_exhausted",
+    model_search_exhausted => "search_exhausted",
+});
+
+record!(CheckRecord {
+    outcome => "outcome",
+    diag => ..,
+    prefiltered => "prefiltered",
+});
+
+record!(ShardEdge {
+    prefiltered => "prefiltered",
+    pruned_call => "pruned_call",
+    feasible => "feasible",
+});
+
+// A check or edge slot is `null` when its work unit lies outside the
+// shard's range — the fold computes those slots inline or takes them from
+// another shard.
+record!(ShardNodeRecord {
+    index => "index",
+    checks => "checks",
+    edges => "edges",
+});
+
+record!(ShardTiming {
+    index => "index",
+    units => "units",
+    ns => "ns",
+});
+
+record!(ComposeShardResult {
+    records => "records",
+    cancelled => "cancelled",
+    timings => "timings",
+});
+
+/// Encode what one `ComposeShard` job computed: the per-node records (each
+/// byte-identical to what the fold would compute inline), whether the shard
+/// was cancelled before covering its range, and the per-node solver timings
+/// the service feeds into shard-width calibration.
+pub fn shard_result_to_json(result: &ComposeShardResult) -> Json {
+    to_json(result)
+}
+
+/// Decode a `ComposeShard` job result.
+pub fn shard_result_from_json(json: &Json) -> Result<ComposeShardResult, WireError> {
+    from_json(json)
 }
 
 #[cfg(test)]
@@ -1397,9 +895,8 @@ mod tests {
     fn properties_round_trip() {
         for name in ["ip_router", "middlebox", "buggy"] {
             for property in preset_properties(name) {
-                let json = property_to_json(&property);
-                let text = json.to_text();
-                let back = property_from_json(&Json::parse(&text).unwrap()).unwrap();
+                let text = to_json(&property).to_text();
+                let back: Property = from_json(&Json::parse(&text).unwrap()).unwrap();
                 assert_eq!(back, property);
             }
         }
@@ -1407,15 +904,15 @@ mod tests {
         // structurally equal formulas (including header atoms).
         let spec = LtlSpec::parse("G (dst(10.0.0.1) -> F (forwarded | dropped))").unwrap();
         let property = Property::Temporal(spec);
-        let text = property_to_json(&property).to_text();
-        let back = property_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = to_json(&property).to_text();
+        let back: Property = from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, property);
         // A malformed spec on the wire is a decode error, not a panic.
         let bad = Json::obj([
             ("kind", Json::str("temporal")),
             ("spec", Json::str("G (forwarded")),
         ]);
-        assert!(property_from_json(&bad).is_err());
+        assert!(from_json::<Property>(&bad).is_err());
     }
 
     #[test]
@@ -1431,7 +928,7 @@ mod tests {
             ..VerifierOptions::default()
         };
         let text = options_to_json(&options).to_text();
-        let back = options_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back: VerifierOptions = from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.prune_prefixes, options.prune_prefixes);
         assert_eq!(
             back.validate_counterexamples,
@@ -1450,8 +947,8 @@ mod tests {
     fn scenario_specs_round_trip_every_preset_scenario() {
         for scenario in preset_scenarios() {
             let spec = ScenarioSpec::from_scenario(&scenario).unwrap();
-            let text = scenario_spec_to_json(&spec).to_text();
-            let back = scenario_spec_from_json(&Json::parse(&text).unwrap()).unwrap();
+            let text = to_json(&spec).to_text();
+            let back: ScenarioSpec = from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, spec);
             let rebuilt = back.to_scenario().unwrap();
             assert_eq!(rebuilt.pipeline_name, scenario.pipeline_name);
@@ -1477,11 +974,11 @@ mod tests {
             }),
         ] {
             let text = job_to_json(&job).to_text();
-            let back = job_from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = from_json::<JobSpec>(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, job);
             assert_eq!(job_to_json(&back).to_text(), text, "re-encoding is stable");
         }
-        assert!(job_from_json(&Json::obj([("kind", Json::str("warp"))])).is_err());
+        assert!(from_json::<JobSpec>(&Json::obj([("kind", Json::str("warp"))])).is_err());
     }
 
     #[test]
@@ -1538,7 +1035,7 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected_with_context() {
-        assert!(property_from_json(&Json::obj([("kind", Json::str("warp"))])).is_err());
+        assert!(from_json::<Property>(&Json::obj([("kind", Json::str("warp"))])).is_err());
         assert!(plan_from_json(&Json::obj([("schema", Json::int(99))])).is_err());
         assert!(request_from_json(&Json::obj([
             ("schema", Json::int(REQUEST_SCHEMA)),
@@ -1573,15 +1070,15 @@ mod tests {
             description: "synthetic".into(),
             confirmed: true,
         };
-        let json = counterexample_to_json(&ce);
-        let text = json.to_text();
-        let doc = Json::parse(&text).unwrap();
-        let back = bytes_from_hex(get_str(&doc, "packet_hex").unwrap()).unwrap();
-        assert_eq!(back, packet);
+        let text = to_json(&ce).to_text();
+        let back: Counterexample = from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.packet, packet);
     }
 
     #[test]
     fn hex_decode_is_panic_free_on_malformed_input() {
+        let bytes_from_hex =
+            |text: &str| <Hex as Via<Vec<u8>, ()>>::decode(&Json::str(text), &mut ());
         assert!(bytes_from_hex("0").is_err(), "odd length");
         assert!(bytes_from_hex("zz").is_err(), "non-hex digit");
         assert!(bytes_from_hex("caf\u{e9}").is_err(), "non-ASCII");
@@ -1602,7 +1099,7 @@ mod tests {
             end: 19,
         });
         let text = job_to_json(&job).to_text();
-        let back = job_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = from_json::<JobSpec>(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, job);
         assert_eq!(job_to_json(&back).to_text(), text, "re-encoding is stable");
     }
@@ -1667,12 +1164,12 @@ mod tests {
             ],
             cancelled: true,
             timings: vec![
-                dataplane_verifier::ShardTiming {
+                ShardTiming {
                     index: 4,
                     units: 3,
                     ns: 812_500,
                 },
-                dataplane_verifier::ShardTiming {
+                ShardTiming {
                     index: 5,
                     units: 1,
                     ns: 91_000,
@@ -1701,10 +1198,10 @@ mod tests {
             model_seeds: true,
         });
         let text = job_to_json(&job).to_text();
-        let back = job_from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = from_json::<JobSpec>(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, job);
         assert!(
-            job_from_json(&Json::obj([("kind", Json::str("fuzzz"))])).is_err(),
+            from_json::<JobSpec>(&Json::obj([("kind", Json::str("fuzzz"))])).is_err(),
             "unknown job kinds are rejected"
         );
     }

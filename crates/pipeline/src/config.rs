@@ -167,7 +167,9 @@ pub fn parse_config(text: &str) -> Result<Pipeline, ConfigError> {
         let &to = names
             .get(&dst)
             .ok_or_else(|| ConfigError::UnknownInstance(dst.clone()))?;
-        builder.connect(from, port, to);
+        builder
+            .try_connect(from, port, to)
+            .map_err(ConfigError::Graph)?;
     }
 
     builder.build().map_err(ConfigError::Graph)
@@ -628,6 +630,15 @@ mod tests {
         assert!(matches!(
             parse_config(cfg),
             Err(ConfigError::Graph(PipelineError::CyclicGraph))
+        ));
+        // A port the element does not have is an error, not a panic.
+        let cfg = "a :: DecTTL(); b :: Sink(); a[1] -> b;";
+        assert!(matches!(
+            parse_config(cfg),
+            Err(ConfigError::Graph(PipelineError::InvalidPort {
+                port: 1,
+                ..
+            }))
         ));
     }
 

@@ -119,6 +119,26 @@ impl PipelineBuilder {
         self
     }
 
+    /// [`PipelineBuilder::connect`] for untrusted input (config text): an
+    /// output port `from` does not have is an error, not a panic.
+    pub fn try_connect(
+        &mut self,
+        from: ElementIdx,
+        port: u8,
+        to: ElementIdx,
+    ) -> Result<&mut Self, PipelineError> {
+        let node = &self.nodes[from];
+        let available = node.successors.len();
+        if usize::from(port) >= available {
+            return Err(PipelineError::InvalidPort {
+                element: node.name.clone(),
+                port,
+                available,
+            });
+        }
+        Ok(self.connect(from, port, to))
+    }
+
     /// Convenience: connect port 0 of each element to the next, forming a
     /// linear chain.
     pub fn chain(&mut self, elements: &[ElementIdx]) -> &mut Self {
