@@ -17,12 +17,26 @@ use dataplane_orchestrator::conformance::{plan_fuzz_shards, run_fuzz_jobs};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
     join_fleet, preset_scenarios, serve_listener, Daemon, DaemonClient, DaemonConfig, Executor,
-    ScenarioSpec, SummaryStore, ThreadBudget, VerifyRequest, VerifyService, WorkerAddr,
+    Listener, ScenarioSpec, SummaryStore, ThreadBudget, VerifyRequest, VerifyService, WorkerAddr,
     WorkerFleet,
 };
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A listener on a loopback TCP port the OS picks.
+fn loopback_listener() -> Listener {
+    Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).expect("bind a loopback port")
+}
+
+/// A socket worker of `capacity` slots serving every session on a
+/// background thread; its address.
+fn spawn_tcp_worker(capacity: usize) -> WorkerAddr {
+    let listener = loopback_listener();
+    let addr = listener.local();
+    std::thread::spawn(move || serve_listener(listener, capacity, false, &mut |_| {}));
+    addr
+}
 
 fn sequential_fresh() -> usize {
     let options = VerifierOptions::default();
@@ -160,8 +174,6 @@ fn report() {
 /// in-process, then over a 2-worker TCP fleet as `compose` wire jobs. The artefact records automaton and product sizes alongside
 /// latency, and the fleet report must stay byte-identical.
 fn temporal_report() {
-    use std::sync::mpsc;
-
     fn temporal_request() -> VerifyRequest {
         VerifyRequest::Matrix {
             scenarios: preset_scenarios()
@@ -169,22 +181,6 @@ fn temporal_report() {
                 .filter(|s| matches!(s.property, dataplane_verifier::Property::Temporal(_)))
                 .collect(),
         }
-    }
-
-    fn spawn_worker() -> WorkerAddr {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut tx = Some(tx);
-            let mut log = move |line: &str| {
-                if let Some(addr) = line.strip_prefix("listening on ") {
-                    if let Some(tx) = tx.take() {
-                        let _ = tx.send(addr.to_string());
-                    }
-                }
-            };
-            let _ = serve_listener(&WorkerAddr::Tcp("127.0.0.1:0".into()), 2, false, &mut log);
-        });
-        WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
     }
 
     let service = VerifyService::new().with_threads(2);
@@ -228,7 +224,7 @@ fn temporal_report() {
     // The same request dispatched as wire jobs: best of three sessions
     // against two persistent TCP workers (the first session ships the
     // summary documents; later hellos advertise them).
-    let fleet = WorkerFleet::sockets(vec![spawn_worker(), spawn_worker()]);
+    let fleet = WorkerFleet::sockets(vec![spawn_tcp_worker(2), spawn_tcp_worker(2)]);
     let fresh = VerifyService::new().with_threads(2);
     let plan = fresh.plan_request(&temporal_request()).expect("plan");
     let mut best = f64::INFINITY;
@@ -277,8 +273,6 @@ fn temporal_report() {
 /// dispatch + decide (+ fold) only, and the deterministic report must stay
 /// byte-identical to the in-process run at every fleet size.
 fn shard_report() {
-    use std::sync::mpsc;
-
     fn heavy_request() -> VerifyRequest {
         VerifyRequest::Matrix {
             scenarios: preset_scenarios()
@@ -289,27 +283,6 @@ fn shard_report() {
                 })
                 .collect(),
         }
-    }
-
-    fn spawn_worker(capacity: usize) -> WorkerAddr {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut tx = Some(tx);
-            let mut log = move |line: &str| {
-                if let Some(addr) = line.strip_prefix("listening on ") {
-                    if let Some(tx) = tx.take() {
-                        let _ = tx.send(addr.to_string());
-                    }
-                }
-            };
-            let _ = serve_listener(
-                &WorkerAddr::Tcp("127.0.0.1:0".into()),
-                capacity,
-                false,
-                &mut log,
-            );
-        });
-        WorkerAddr::Tcp(rx.recv().expect("shard worker announced its address"))
     }
 
     let reference = VerifyService::new()
@@ -330,7 +303,7 @@ fn shard_report() {
     let mut single_worker_seconds = f64::NAN;
     for workers in [1usize, 2, 4] {
         // Capacity 1: fleet size alone sets the shard parallelism.
-        let fleet = WorkerFleet::sockets((0..workers).map(|_| spawn_worker(1)).collect());
+        let fleet = WorkerFleet::sockets((0..workers).map(|_| spawn_tcp_worker(1)).collect());
         let service = VerifyService::new()
             .with_threads(2)
             .with_store(store.clone());
@@ -403,7 +376,6 @@ fn shard_report() {
 /// document, the second session's hello advertises them all and ships
 /// none (worker protocol v4).
 fn daemon_report() {
-    use std::sync::{mpsc, Arc, Mutex};
     let threads = std::thread::available_parallelism()
         .map(|n| n.get().max(4))
         .unwrap_or(4);
@@ -412,20 +384,9 @@ fn daemon_report() {
         threads,
         ..DaemonConfig::default()
     });
-    let serving = daemon.clone();
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let tx = Mutex::new(Some(tx));
-        let log: Arc<dyn Fn(&str) + Send + Sync> = Arc::new(move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.lock().unwrap().take() {
-                    let _ = tx.send(addr.to_string());
-                }
-            }
-        });
-        let _ = serving.serve(&WorkerAddr::Tcp("127.0.0.1:0".into()), false, log);
-    });
-    let addr = WorkerAddr::Tcp(rx.recv().expect("daemon announced its address"));
+    let listener = loopback_listener();
+    let addr = listener.local();
+    std::thread::spawn(move || daemon.serve(listener, false, Arc::new(|_: &str| {})));
     let request = || VerifyRequest::Matrix {
         scenarios: preset_scenarios(),
     };
@@ -475,19 +436,7 @@ fn daemon_report() {
     // the matrix twice more on one session. Both runs are compose-only
     // (the store is warm); the first ships every summary document, the
     // second ships none — the worker's hello advertises its held set.
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut tx = Some(tx);
-        let mut log = move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.take() {
-                    let _ = tx.send(addr.to_string());
-                }
-            }
-        };
-        let _ = serve_listener(&WorkerAddr::Tcp("127.0.0.1:0".into()), 2, false, &mut log);
-    });
-    let worker = WorkerAddr::Tcp(rx.recv().expect("worker announced its address"));
+    let worker = spawn_tcp_worker(2);
     join_fleet(&addr, &worker).expect("worker joins the fleet");
     let mut client = DaemonClient::connect(&addr, None).expect("reconnect to daemon");
     for (mode, reply) in [

@@ -751,18 +751,19 @@ impl ComposeOutline {
             let per = (cost / node.weight as u64).max(1);
             unit_cost.extend(std::iter::repeat_n(per, node.weight));
         }
-        let total_cost: u64 = unit_cost.iter().sum();
+        // Observed costs can be any `u64`: sums saturate.
+        let total_cost = unit_cost.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
         let budget = total_cost.div_ceil(shard_count as u64).max(1);
         let mut out = Vec::new();
         let mut start = 0usize;
         let mut acc = 0u64;
         for (u, &c) in unit_cost.iter().enumerate() {
-            if u > start && acc + c > budget && out.len() + 1 < shard_count {
+            if u > start && acc.saturating_add(c) > budget && out.len() + 1 < shard_count {
                 out.push((start, u));
                 start = u;
                 acc = 0;
             }
-            acc += c;
+            acc = acc.saturating_add(c);
         }
         out.push((start, total));
         out
@@ -1889,6 +1890,23 @@ mod tests {
         // the uniform split's near-total share.
         assert!(heaviest_uniform * 2 > total_cost);
         assert!(heaviest_calibrated * 2 < total_cost + heaviest_uniform);
+    }
+
+    #[test]
+    fn shard_costs_near_u64_max_saturate_instead_of_overflowing() {
+        let leaf = |element| OutlineNode {
+            weight: 1,
+            element,
+            children: vec![],
+        };
+        let outline = ComposeOutline {
+            nodes: vec![leaf(0), leaf(1)],
+            truncated: false,
+        };
+        let ranges = outline.shards_by_cost(&[u64::MAX, u64::MAX], 2);
+        assert_eq!(ranges.first().map(|r| r.0), Some(0));
+        assert_eq!(ranges.last().map(|r| r.1), Some(2));
+        assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0), "{ranges:?}");
     }
 
     #[test]

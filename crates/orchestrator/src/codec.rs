@@ -334,6 +334,16 @@ impl<A: Codec<C>, B: Codec<C>, C> Codec<C> for (A, B) {
     }
 }
 
+/// An embedded document, kept as it is.
+impl<C> Codec<C> for Json {
+    fn encode(&self, _: &mut C) -> Json {
+        self.clone()
+    }
+    fn decode(json: &Json, _: &mut C) -> Result<Self, WireError> {
+        Ok(json.clone())
+    }
+}
+
 /// 32 lowercase hex digits.
 impl<C> Codec<C> for Fingerprint {
     fn encode(&self, _: &mut C) -> Json {

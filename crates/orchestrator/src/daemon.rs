@@ -12,33 +12,33 @@
 //! ## The client protocol
 //!
 //! One connection is one session, framed as line-delimited JSON (the
-//! same framing the worker protocol uses — see [`crate::exec`]):
+//! same framing the worker protocol uses — see [`crate::exec`]). Each
+//! frame is a value of `ToDaemon` or `FromDaemon` in `exec/frame.rs`,
+//! which spell every key; this module speaks only in those values:
 //!
-//! 1. client → `{schema, kind: "hello", proto, options?}` — an optional
-//!    full options document pins this session's [`VerifierOptions`];
-//!    omitted, the session runs under the daemon's defaults.
-//! 2. daemon → `{schema, kind: "hello", proto, sessions, workers}` on
-//!    admission. When `max_sessions` verify sessions are already in
-//!    flight the hello is held in a bounded line instead: the client
-//!    gets `{kind: "queued", position}` at once and the normal `hello`
-//!    reply when a slot frees. Past `max_queue` pending hellos the
-//!    daemon refuses outright with `{kind: "error", message: "busy:
-//!    ...", retry_after_ms}`.
-//! 3. client → `{kind: "verify", request}` — any serialised
-//!    [`VerifyRequest`], repeatable; a watch session's rolling baseline
-//!    lives exactly as long as the connection.
-//! 4. daemon → `{kind: "response", request, proven, violated, unknown,
-//!    ok, display, report, det_report, dispatch}` — the server-rendered
-//!    human text plus both report documents, or `{kind: "error",
-//!    message}` for a request that failed (the session survives).
+//! 1. client → hello, optionally carrying a full options document that
+//!    pins this session's [`VerifierOptions`]; without one, the session
+//!    runs under the daemon's defaults.
+//! 2. daemon → hello reply on admission. When `max_sessions` verify
+//!    sessions are already in flight the hello is held in a bounded line
+//!    instead: the client gets a `queued` frame with its position at once
+//!    and the hello reply when a slot frees. Past `max_queue` pending
+//!    hellos the daemon refuses outright with a `busy` error frame that
+//!    carries a `retry_after_ms` hint.
+//! 3. client → verify, carrying any [`VerifyRequest`], repeatable; a watch
+//!    session's rolling baseline lives exactly as long as the connection.
+//! 4. daemon → response, a [`ClientReply`]: verdict counts, the
+//!    server-rendered human text, both report documents and the fleet's
+//!    dispatch stats — or an error frame for a request that failed (the
+//!    session survives).
 //!
-//! A *worker* can also dial the daemon: `{kind: "join", addr}` appends
-//! `addr` to the daemon's socket-worker pool (deduplicated) and is
-//! answered with `{kind: "joined", workers}`; the connection then
-//! closes. Joins bypass admission — fleet growth is never queued behind
-//! verify traffic — and take effect on the next dispatch: every request
-//! re-plans capacity against the pool as it is *now*, so a worker joined
-//! mid-session picks up work on the very next phase.
+//! A *worker* can also dial the daemon: a join frame appends its address
+//! to the daemon's socket-worker pool (deduplicated) and is answered with
+//! `joined` and the pool size; the connection then closes. Joins bypass
+//! admission — fleet growth is never queued behind verify traffic — and
+//! take effect on the next dispatch: every request re-plans capacity
+//! against the pool as it is *now*, so a worker joined mid-session picks
+//! up work on the very next phase.
 //!
 //! When the pool is non-empty, requests execute on a
 //! [`WorkerFleet`] with the daemon's [`HeartbeatConfig`], so a wedged
@@ -48,23 +48,20 @@
 //! summary documents.
 
 use crate::cache::SummaryStore;
-use crate::codec::{from_json, to_json};
-use crate::exec::transport::{
-    read_frame, tcp_no_delay, write_frame, Connector, SocketConnector, WorkerAddr,
+use crate::codec::to_json;
+use crate::exec::frame::{FromDaemon, ToDaemon};
+use crate::exec::transport::{read_frame, write_frame, Connector, Listener, SocketConnector};
+use crate::exec::{
+    DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerAddr, WorkerFleet,
 };
-use crate::exec::{DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerFleet};
 use crate::json::Json;
 use crate::service::{VerifyOutcome, VerifyRequest, VerifyResponse, VerifyService};
 use dataplane_verifier::VerifierOptions;
-use std::io::{BufRead, BufReader, Write};
+use std::borrow::Borrow;
+use std::io::{BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Client protocol name, sent in every hello/join frame.
-pub const CLIENT_PROTO: &str = "vericlick-client";
-
-/// Client protocol schema version. Version 1 speaks hello (with optional
-/// session options), verify, join, queued, response, and error frames.
-pub const CLIENT_SCHEMA: u64 = 1;
+pub use crate::exec::frame::{CLIENT_PROTO, CLIENT_SCHEMA};
 
 /// The per-queue-slot component of the `retry_after_ms` hint a full
 /// daemon puts in its busy error frame: a refused client is told to come
@@ -192,36 +189,6 @@ impl Drop for SessionGuard {
     }
 }
 
-fn error_frame(message: &str) -> Json {
-    Json::obj([
-        ("schema", Json::int(CLIENT_SCHEMA)),
-        ("kind", Json::str("error")),
-        ("message", Json::str(message)),
-    ])
-}
-
-fn response_frame(response: &VerifyResponse, dispatch: Option<&DispatchStats>) -> Json {
-    let (proven, violated, unknown) = response.verdict_counts();
-    let ok = match &response.outcome {
-        VerifyOutcome::Conformance(c) => c.ok(),
-        VerifyOutcome::Bound(_) => true,
-        _ => violated == 0 && unknown == 0,
-    };
-    Json::obj([
-        ("schema", Json::int(CLIENT_SCHEMA)),
-        ("kind", Json::str("response")),
-        ("request", Json::str(response.request)),
-        ("proven", Json::int(proven as u64)),
-        ("violated", Json::int(violated as u64)),
-        ("unknown", Json::int(unknown as u64)),
-        ("ok", Json::Bool(ok)),
-        ("display", Json::str(format!("{response}"))),
-        ("report", response.to_json()),
-        ("det_report", response.deterministic_json()),
-        ("dispatch", dispatch.map_or(Json::Null, to_json)),
-    ])
-}
-
 impl Daemon {
     /// Build a daemon from `config`. No socket is bound yet — call
     /// [`Daemon::serve`], or drive sessions directly with
@@ -266,23 +233,21 @@ impl Daemon {
         workers.len()
     }
 
-    /// Serve one client request on a per-session `service`, returning
-    /// the reply frame or an error message (which the session survives).
-    fn serve_request(&self, service: &VerifyService, frame: &Json) -> Result<Json, String> {
-        let doc = frame
-            .get("request")
-            .ok_or("verify frame without a request")?;
-        let request = VerifyRequest::from_json(doc).map_err(|e| e.to_string())?;
+    /// Serve one client request on a per-session `service`: the response
+    /// frame, or an error frame (which the session survives).
+    fn serve_request(&self, service: &VerifyService, request: VerifyRequest) -> FromDaemon {
         // A fleet per request, over the workers joined right now; none
         // joined, the same call serves on the session's own pool.
         let workers = self.workers();
         let fleet = (!workers.is_empty())
             .then(|| WorkerFleet::sockets(workers).with_heartbeat(self.inner.heartbeat));
-        let response = service
-            .serve_with(request, fleet.as_ref().map(|fleet| fleet as &dyn Executor))
-            .map_err(|e| e.to_string())?;
-        let stats = fleet.map(|fleet| fleet.registry().stats());
-        Ok(response_frame(&response, stats.as_ref()))
+        match service.serve_with(request, fleet.as_ref().map(|fleet| fleet as &dyn Executor)) {
+            Ok(response) => {
+                let dispatch = fleet.map(|fleet| fleet.registry().stats());
+                FromDaemon::Response(Box::new(ClientReply::served(&response, dispatch)))
+            }
+            Err(e) => FromDaemon::error(e.to_string()),
+        }
     }
 
     /// Serve one connection: the hello/join handshake, then verify
@@ -295,46 +260,25 @@ impl Daemon {
         W: Write,
     {
         let inner = &self.inner;
-        let Some(hello) = read_frame(&mut input)? else {
+        let mut send = |frame: FromDaemon| write_frame(&mut output, &frame.encode());
+        let Some(first) = read_frame(&mut input)? else {
             return Ok(());
         };
-        let kind = hello.get("kind").and_then(Json::as_str);
-        let schema = hello.get("schema").and_then(Json::as_u64);
-        let proto = hello.get("proto").and_then(Json::as_str);
-        if schema != Some(CLIENT_SCHEMA) || proto != Some(CLIENT_PROTO) {
-            let message = format!(
-                "version mismatch: peer sent kind {kind:?} proto {proto:?} schema {schema:?}; \
-                 this daemon speaks {CLIENT_PROTO} schema {CLIENT_SCHEMA}"
-            );
-            let _ = write_frame(&mut output, &error_frame(&message));
-            return Err(ExecError::Protocol(message));
-        }
-        match kind {
+        let options = match ToDaemon::decode(&first) {
+            Ok(ToDaemon::Hello(options)) => options,
             // A worker announcing itself: grow the pool, ack, done.
             // Joins bypass admission so fleet growth is never queued
             // behind verify traffic.
-            Some("join") => {
-                let addr = hello
-                    .get("addr")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ExecError::Protocol("join frame without an addr".into()))?;
-                let workers = self.join(WorkerAddr::parse(addr));
-                return write_frame(
-                    &mut output,
-                    &Json::obj([
-                        ("schema", Json::int(CLIENT_SCHEMA)),
-                        ("kind", Json::str("joined")),
-                        ("workers", Json::int(workers as u64)),
-                    ]),
-                );
-            }
-            Some("hello") => {}
-            other => {
-                let message = format!("expected a hello or join frame, got kind {other:?}");
-                let _ = write_frame(&mut output, &error_frame(&message));
+            Ok(ToDaemon::Join(addr)) => return send(FromDaemon::Joined(self.join(addr))),
+            refused => {
+                let message = match refused {
+                    Err(e) => e.message,
+                    Ok(_) => "the session must open with a hello or join frame".to_string(),
+                };
+                let _ = send(FromDaemon::error(message.clone()));
                 return Err(ExecError::Protocol(message));
             }
-        }
+        };
 
         // Admission: hold a bounded line of pending hellos (each told its
         // position at once, served as slots free), and past that refuse
@@ -343,161 +287,68 @@ impl Daemon {
         let guard = match SessionGuard::admit(inner) {
             Admit::Admitted(guard) => guard,
             Admit::Queued(position) => {
-                write_frame(
-                    &mut output,
-                    &Json::obj([
-                        ("schema", Json::int(CLIENT_SCHEMA)),
-                        ("kind", Json::str("queued")),
-                        ("position", Json::int(position as u64)),
-                    ]),
-                )?;
+                send(FromDaemon::Queued(position))?;
                 SessionGuard::wait_from_queue(inner)
             }
             Admit::Busy => {
                 let retry_after_ms = BUSY_RETRY_HINT_MS * (inner.max_queue as u64 + 1);
-                let mut frame = error_frame(&format!(
-                    "busy: {} sessions in flight (max {}) and the queue of {} is full; \
-                     retry in ~{retry_after_ms}ms",
-                    inner.max_sessions, inner.max_sessions, inner.max_queue
-                ));
-                if let Json::Obj(map) = &mut frame {
-                    map.insert("retry_after_ms".into(), Json::int(retry_after_ms));
-                }
-                return write_frame(&mut output, &frame);
+                return send(FromDaemon::Error {
+                    message: format!(
+                        "busy: {} sessions in flight (max {}) and the queue of {} is full; \
+                         retry in ~{retry_after_ms}ms",
+                        inner.max_sessions, inner.max_sessions, inner.max_queue
+                    ),
+                    retry_after_ms: Some(retry_after_ms),
+                });
             }
         };
+        send(FromDaemon::Hello {
+            sessions: inner.admission.lock().expect("daemon sessions").active,
+            workers: self.workers().len(),
+        })?;
 
-        // Session options: a full document in the hello pins them for
-        // every request on this connection; otherwise the daemon's
-        // defaults apply.
-        let options = match hello.get("options") {
-            Some(doc) => match from_json(doc) {
-                Ok(options) => options,
-                Err(e) => {
-                    let message = format!("undecodable session options: {e}");
-                    let _ = write_frame(&mut output, &error_frame(&message));
-                    return Err(ExecError::Protocol(message));
-                }
-            },
-            None => inner.options.clone(),
-        };
-        write_frame(
-            &mut output,
-            &Json::obj([
-                ("schema", Json::int(CLIENT_SCHEMA)),
-                ("kind", Json::str("hello")),
-                ("proto", Json::str(CLIENT_PROTO)),
-                (
-                    "sessions",
-                    Json::int(inner.admission.lock().expect("daemon sessions").active as u64),
-                ),
-                ("workers", Json::int(self.workers().len() as u64)),
-            ]),
-        )?;
-
-        // The per-session service: fresh options and watch baseline,
-        // shared (warm) store.
+        // The per-session service: the hello's options (else the
+        // daemon's defaults) and a fresh watch baseline, over the shared
+        // (warm) store.
         let service = VerifyService::new()
             .with_threads(inner.threads)
-            .with_options(options)
+            .with_options(options.unwrap_or_else(|| inner.options.clone()))
             .with_store(inner.store.clone());
         while let Some(frame) = read_frame(&mut input)? {
-            let reply = match frame.get("kind").and_then(Json::as_str) {
-                Some("verify") => match self.serve_request(&service, &frame) {
-                    Ok(reply) => reply,
-                    Err(message) => error_frame(&message),
-                },
-                other => error_frame(&format!("unsupported frame kind {other:?}")),
-            };
-            write_frame(&mut output, &reply)?;
+            send(match ToDaemon::decode(&frame) {
+                Ok(ToDaemon::Verify(request)) => self.serve_request(&service, request),
+                Ok(_) => FromDaemon::error("only verify frames follow the hello"),
+                Err(e) => FromDaemon::error(e.message),
+            })?;
         }
         drop(guard);
         Ok(())
     }
 
-    /// Bind `addr` and serve clients until killed (or, with `once`,
-    /// exactly one connection — used by tests). Each connection runs on
-    /// its own thread so admission and warm-store sharing are real.
-    ///
-    /// `log` receives one line per lifecycle event; the first is always
-    /// `listening on <addr>` with the *actual* bound address (so `:0`
-    /// TCP listeners report their chosen port).
+    /// Serve clients on `listener` until killed (or, with `once`, exactly
+    /// one connection — used by tests). Each connection runs on its own
+    /// thread so admission and warm-store sharing are real. `log`
+    /// receives one line per session event.
     pub fn serve(
         &self,
-        addr: &WorkerAddr,
+        listener: Listener,
         once: bool,
         log: Arc<dyn Fn(&str) + Send + Sync>,
     ) -> Result<(), ExecError> {
-        match addr {
-            WorkerAddr::Tcp(spec) => {
-                let listener = std::net::TcpListener::bind(spec)
-                    .map_err(|e| ExecError::Connect(format!("bind {spec}: {e}")))?;
-                let local = listener
-                    .local_addr()
-                    .map_err(|e| ExecError::Connect(format!("bind {spec}: {e}")))?;
-                log(&format!("listening on {local}"));
-                loop {
-                    let (stream, peer) = listener
-                        .accept()
-                        .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
-                    log(&format!("session from {peer}"));
-                    tcp_no_delay(&stream)?;
-                    let reader = stream
-                        .try_clone()
-                        .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
-                    if once {
-                        match self.serve_connection(BufReader::new(reader), stream) {
-                            Ok(()) => log(&format!("session from {peer} done")),
-                            Err(e) => log(&format!("session from {peer} failed: {e}")),
-                        }
-                        return Ok(());
-                    }
-                    let daemon = self.clone();
-                    let log = log.clone();
-                    std::thread::spawn(move || {
-                        match daemon.serve_connection(BufReader::new(reader), stream) {
-                            Ok(()) => log(&format!("session from {peer} done")),
-                            Err(e) => log(&format!("session from {peer} failed: {e}")),
-                        }
-                    });
-                }
+        loop {
+            let (reader, writer, peer) = listener.accept()?;
+            log(&format!("session from {peer}"));
+            let daemon = self.clone();
+            let log = log.clone();
+            let session = move || match daemon.serve_connection(reader, writer) {
+                Ok(()) => log(&format!("session from {peer} done")),
+                Err(e) => log(&format!("session from {peer} failed: {e}")),
+            };
+            if once {
+                session();
+                return Ok(());
             }
-            WorkerAddr::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path).map_err(|e| {
-                        ExecError::Connect(format!("remove stale {}: {e}", path.display()))
-                    })?;
-                }
-                let listener = std::os::unix::net::UnixListener::bind(path)
-                    .map_err(|e| ExecError::Connect(format!("bind {}: {e}", path.display())))?;
-                log(&format!("listening on {}", path.display()));
-                let mut session = 0usize;
-                loop {
-                    let (stream, _) = listener
-                        .accept()
-                        .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
-                    session += 1;
-                    log(&format!("session #{session}"));
-                    let reader = stream
-                        .try_clone()
-                        .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
-                    if once {
-                        match self.serve_connection(BufReader::new(reader), stream) {
-                            Ok(()) => log(&format!("session #{session} done")),
-                            Err(e) => log(&format!("session #{session} failed: {e}")),
-                        }
-                        return Ok(());
-                    }
-                    let daemon = self.clone();
-                    let log = log.clone();
-                    std::thread::spawn(move || {
-                        match daemon.serve_connection(BufReader::new(reader), stream) {
-                            Ok(()) => log(&format!("session #{session} done")),
-                            Err(e) => log(&format!("session #{session} failed: {e}")),
-                        }
-                    });
-                }
-            }
+            std::thread::spawn(session);
         }
     }
 }
@@ -524,63 +375,76 @@ pub struct ClientReply {
     /// request served in-process.
     pub det_report: Json,
     /// The fleet's dispatch stats for this request, when the daemon
-    /// executed on socket workers (`Json::Null` otherwise).
-    pub dispatch: Json,
+    /// executed on socket workers.
+    pub dispatch: Option<DispatchStats>,
 }
 
 impl ClientReply {
-    fn from_frame(frame: &Json) -> Result<ClientReply, ExecError> {
-        match frame.get("kind").and_then(Json::as_str) {
-            Some("response") => {}
-            Some("error") => {
-                let message = frame
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified daemon error");
-                return Err(ExecError::Protocol(format!("daemon: {message}")));
-            }
-            other => {
-                return Err(ExecError::Protocol(format!(
-                    "expected a response frame, got kind {other:?}"
-                )))
-            }
-        }
-        let count = |key: &str| {
-            frame
-                .get(key)
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| ExecError::Protocol(format!("response frame without {key}")))
+    /// The reply to a request the daemon served as `response`.
+    fn served(response: &VerifyResponse, dispatch: Option<DispatchStats>) -> ClientReply {
+        let (proven, violated, unknown) = response.verdict_counts();
+        let ok = match &response.outcome {
+            VerifyOutcome::Conformance(c) => c.ok(),
+            VerifyOutcome::Bound(_) => true,
+            _ => violated == 0 && unknown == 0,
         };
-        Ok(ClientReply {
-            request: frame
-                .get("request")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            proven: count("proven")?,
-            violated: count("violated")?,
-            unknown: count("unknown")?,
-            ok: frame
-                .get("ok")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| ExecError::Protocol("response frame without ok".into()))?,
-            display: frame
-                .get("display")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            report: frame.get("report").cloned().unwrap_or(Json::Null),
-            det_report: frame.get("det_report").cloned().unwrap_or(Json::Null),
-            dispatch: frame.get("dispatch").cloned().unwrap_or(Json::Null),
-        })
+        ClientReply {
+            request: response.request.to_string(),
+            proven,
+            violated,
+            unknown,
+            ok,
+            display: format!("{response}"),
+            report: response.to_json(),
+            det_report: response.deterministic_json(),
+            dispatch,
+        }
     }
 
     /// One dispatch-stats counter (`summaries_deduped`, ...), when the
     /// daemon dispatched this request to socket workers.
     pub fn dispatch_stat(&self, key: &str) -> Option<u64> {
-        self.dispatch.get(key).and_then(Json::as_u64)
+        to_json(self.dispatch.as_ref()?)
+            .get(key)
+            .and_then(Json::as_u64)
     }
+}
+
+/// Send one client frame on `transport`.
+fn send<R: Borrow<VerifyRequest>>(
+    transport: &mut dyn Transport,
+    frame: ToDaemon<R>,
+) -> Result<(), ExecError> {
+    let frame = frame
+        .encode()
+        .map_err(|e| ExecError::Protocol(format!("unserialisable request: {e}")))?;
+    transport.send(&frame)
+}
+
+/// Receive the daemon's next frame; `awaited` names what a closed stream
+/// cut off. An error frame is the daemon's refusal, with its reason and
+/// any retry hint.
+fn recv(transport: &mut dyn Transport, awaited: &str) -> Result<FromDaemon, ExecError> {
+    let frame = transport
+        .recv()?
+        .ok_or_else(|| ExecError::Protocol(format!("daemon closed the stream before {awaited}")))?;
+    match FromDaemon::decode(&frame).map_err(|e| ExecError::Protocol(e.message))? {
+        FromDaemon::Error {
+            message,
+            retry_after_ms: Some(ms),
+        } => Err(ExecError::Protocol(format!(
+            "daemon: {message} (retry_after_ms {ms})"
+        ))),
+        FromDaemon::Error { message, .. } => Err(ExecError::Protocol(format!("daemon: {message}"))),
+        frame => Ok(frame),
+    }
+}
+
+/// The error for a frame that is not the `awaited` one.
+fn unexpected(awaited: &str) -> ExecError {
+    ExecError::Protocol(format!(
+        "expected {awaited} from the daemon, got another frame"
+    ))
 }
 
 /// A connected client session: hello exchanged, options pinned; each
@@ -597,60 +461,27 @@ impl DaemonClient {
         options: Option<&VerifierOptions>,
     ) -> Result<DaemonClient, ExecError> {
         let mut transport = SocketConnector { addr: addr.clone() }.connect()?;
-        let mut hello = vec![
-            ("schema", Json::int(CLIENT_SCHEMA)),
-            ("kind", Json::str("hello")),
-            ("proto", Json::str(CLIENT_PROTO)),
-        ];
-        if let Some(options) = options {
-            hello.push(("options", to_json(options)));
-        }
-        transport.send(&Json::obj(hello))?;
+        let hello: ToDaemon = ToDaemon::Hello(options.cloned());
+        send(transport.as_mut(), hello)?;
         // A busy daemon may park us in its admission queue first: a
         // `queued` frame names our position, and the real hello follows
         // once a slot frees. Keep waiting through it.
         loop {
-            let reply = transport.recv()?.ok_or_else(|| {
-                ExecError::Protocol("daemon closed the stream before a hello reply".into())
-            })?;
-            match reply.get("kind").and_then(Json::as_str) {
-                Some("hello") => return Ok(DaemonClient { transport }),
-                Some("queued") => continue,
-                Some("error") => {
-                    let message = reply
-                        .get("message")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unspecified daemon error");
-                    let hint = reply
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                        .map(|ms| format!(" (retry_after_ms {ms})"))
-                        .unwrap_or_default();
-                    return Err(ExecError::Protocol(format!("daemon: {message}{hint}")));
-                }
-                other => {
-                    return Err(ExecError::Protocol(format!(
-                        "expected a hello reply, got kind {other:?}"
-                    )))
-                }
+            match recv(transport.as_mut(), "a hello reply")? {
+                FromDaemon::Hello { .. } => return Ok(DaemonClient { transport }),
+                FromDaemon::Queued(_) => continue,
+                _ => return Err(unexpected("a hello reply")),
             }
         }
     }
 
     /// Submit one request and wait for its reply.
     pub fn verify(&mut self, request: &VerifyRequest) -> Result<ClientReply, ExecError> {
-        let doc = request
-            .to_json()
-            .map_err(|e| ExecError::Protocol(format!("unserialisable request: {e}")))?;
-        self.transport.send(&Json::obj([
-            ("schema", Json::int(CLIENT_SCHEMA)),
-            ("kind", Json::str("verify")),
-            ("request", doc),
-        ]))?;
-        let reply = self.transport.recv()?.ok_or_else(|| {
-            ExecError::Protocol("daemon closed the stream before a response".into())
-        })?;
-        ClientReply::from_frame(&reply)
+        send(self.transport.as_mut(), ToDaemon::Verify(request))?;
+        match recv(self.transport.as_mut(), "a response")? {
+            FromDaemon::Response(reply) => Ok(*reply),
+            _ => Err(unexpected("a response")),
+        }
     }
 }
 
@@ -663,30 +494,10 @@ pub fn join_fleet(daemon: &WorkerAddr, worker: &WorkerAddr) -> Result<usize, Exe
         addr: daemon.clone(),
     }
     .connect()?;
-    transport.send(&Json::obj([
-        ("schema", Json::int(CLIENT_SCHEMA)),
-        ("kind", Json::str("join")),
-        ("proto", Json::str(CLIENT_PROTO)),
-        ("addr", Json::str(worker.to_string())),
-    ]))?;
-    let reply = transport
-        .recv()?
-        .ok_or_else(|| ExecError::Protocol("daemon closed the stream before a join ack".into()))?;
-    match reply.get("kind").and_then(Json::as_str) {
-        Some("joined") => reply
-            .get("workers")
-            .and_then(Json::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| ExecError::Protocol("joined ack without a worker count".into())),
-        Some("error") => Err(ExecError::Protocol(format!(
-            "daemon: {}",
-            reply
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified daemon error")
-        ))),
-        other => Err(ExecError::Protocol(format!(
-            "expected a joined ack, got kind {other:?}"
-        ))),
+    let join: ToDaemon = ToDaemon::Join(worker.clone());
+    send(transport.as_mut(), join)?;
+    match recv(transport.as_mut(), "a join ack")? {
+        FromDaemon::Joined(workers) => Ok(workers),
+        _ => Err(unexpected("a join ack")),
     }
 }

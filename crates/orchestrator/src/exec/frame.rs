@@ -1,22 +1,29 @@
-//! The worker protocol's frames — the one place their format lives.
+//! The frames of both line protocols — the one place their format lives.
 //!
-//! Every frame is one JSON object tagged with the protocol's `schema` and
+//! Every frame is one JSON object tagged with its protocol's `schema` and
 //! its `kind` (the line framing is [`super::transport`]'s). There is one
-//! type per direction, each with exactly one `encode` and one `decode`:
-//! [`ToWorker`] (hello, options, job, ping, cancel) and [`FromWorker`]
-//! (hello reply, result, pong, error). A result's payload is a
-//! [`JobOutput`], one encoder and one decoder per job kind. The documents
-//! a frame carries (options, jobs, summaries, reports, shards) are spelled
-//! by the crate's codec, the tables plans and the cache use too. Decoders
-//! are total: malformed bytes are an [`Undecodable`], never a panic.
+//! type per direction of each protocol, each with exactly one `encode` and
+//! one `decode`: the worker protocol's [`ToWorker`] (hello, options, job,
+//! ping, cancel) and [`FromWorker`] (hello reply, result, pong, error),
+//! and the client protocol's [`ToDaemon`] (hello, join, verify) and
+//! [`FromDaemon`] (hello reply, queued, joined, response, error). A
+//! result's payload is a [`JobOutput`], one encoder and one decoder per job
+//! kind. The documents a frame carries (options, jobs, requests,
+//! summaries, reports, shards, dispatch stats) are spelled by the crate's
+//! codec, the tables plans and the cache use too. Decoders are total:
+//! malformed bytes are an [`Undecodable`], never a panic.
 
-use crate::codec::{from_json, to_json};
+use super::transport::WorkerAddr;
+use crate::codec::{field, from_json, record, to_json, with_member};
 use crate::conformance::{shard_report_from_json, shard_report_to_json, FuzzShardReport};
+use crate::daemon::ClientReply;
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use crate::persist::{summary_from_json, summary_to_json};
-use crate::wire::{options_digest, report_from_json, report_to_json, JobSpec};
+use crate::service::VerifyRequest;
+use crate::wire::{options_digest, report_from_json, report_to_json, JobSpec, WireError};
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Report, VerifierOptions};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,6 +57,34 @@ pub const WORKER_SCHEMA: u64 = 10;
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
 pub const WORKER_PROTO: &str = "vericlick-worker";
+
+/// Client protocol name, sent in every hello and join frame.
+pub const CLIENT_PROTO: &str = "vericlick-client";
+
+/// Client protocol schema version. Version 1 speaks hello (with optional
+/// session options), verify, join, queued, joined, response, and error
+/// frames.
+pub const CLIENT_SCHEMA: u64 = 1;
+
+/// A line protocol's identity: the name its greetings announce and the
+/// schema its frames carry.
+#[derive(Clone, Copy)]
+struct Protocol {
+    name: &'static str,
+    schema: u64,
+}
+
+/// Coordinator ↔ worker.
+const WORKER: Protocol = Protocol {
+    name: WORKER_PROTO,
+    schema: WORKER_SCHEMA,
+};
+
+/// Client (or joining worker) ↔ daemon.
+const CLIENT: Protocol = Protocol {
+    name: CLIENT_PROTO,
+    schema: CLIENT_SCHEMA,
+};
 
 /// How a coordinator's hello pins the session's verifier options.
 #[derive(Debug)]
@@ -158,34 +193,44 @@ pub(crate) fn attached_to(job: &JobSpec) -> &[Fingerprint] {
     }
 }
 
-/// A frame of `kind`: the schema and kind tags, then `fields`. (One
-/// `Vec` for every frame, so `Json::obj` is instantiated once here.)
-fn frame(kind: &'static str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    let mut all = vec![
-        ("schema", Json::int(WORKER_SCHEMA)),
-        ("kind", Json::str(kind)),
-    ];
-    all.extend(fields);
-    Json::obj(all)
+impl Protocol {
+    /// `body` tagged as this protocol's frame of `kind`.
+    fn tag(self, kind: &'static str, body: Json) -> Json {
+        let body = with_member("kind", Json::str(kind), body);
+        with_member("schema", Json::int(self.schema), body)
+    }
+
+    /// A frame of `kind` with `fields`. (One `Vec` for every frame, so
+    /// `Json::obj` is instantiated once here.)
+    fn frame(
+        self,
+        kind: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> Json {
+        self.tag(kind, Json::obj(fields.into_iter().collect::<Vec<_>>()))
+    }
+
+    /// Does `frame` carry this protocol's schema — and, on a greeting (a
+    /// hello, or a worker's join), its name? Otherwise the error names
+    /// both sides' versions.
+    fn check_version(self, frame: &Json) -> Result<(), Undecodable> {
+        let kind = frame.get("kind").and_then(Json::as_str);
+        let proto = frame.get("proto").and_then(Json::as_str);
+        let schema = frame.get("schema").and_then(Json::as_u64);
+        let greeting = matches!(kind, Some("hello" | "join"));
+        if schema == Some(self.schema) && (!greeting || proto == Some(self.name)) {
+            return Ok(());
+        }
+        Err(malformed(format!(
+            "version mismatch: peer sent kind {kind:?} proto {proto:?} schema {schema:?}; \
+             this build speaks {} schema {}",
+            self.name, self.schema
+        )))
+    }
 }
 
 fn id(frame: &Json) -> Option<u64> {
     frame.get("id").and_then(Json::as_u64)
-}
-
-/// Does `frame` carry this build's schema — and, on a hello, its
-/// protocol name? Otherwise the error names both sides' versions.
-fn check_version(frame: &Json) -> Result<(), Undecodable> {
-    let kind = frame.get("kind").and_then(Json::as_str);
-    let proto = frame.get("proto").and_then(Json::as_str);
-    let schema = frame.get("schema").and_then(Json::as_u64);
-    if schema == Some(WORKER_SCHEMA) && (kind != Some("hello") || proto == Some(WORKER_PROTO)) {
-        return Ok(());
-    }
-    Err(malformed(format!(
-        "version mismatch: peer sent kind {kind:?} proto {proto:?} schema {schema:?}; \
-         this build speaks {WORKER_PROTO} schema {WORKER_SCHEMA}"
-    )))
 }
 
 fn decode_options(frame: &Json, kind: &str) -> Result<VerifierOptions, Undecodable> {
@@ -197,7 +242,7 @@ fn decode_options(frame: &Json, kind: &str) -> Result<VerifierOptions, Undecodab
 impl ToWorker {
     pub(crate) fn encode(&self) -> Json {
         match self {
-            ToWorker::Hello(pin) => frame(
+            ToWorker::Hello(pin) => WORKER.frame(
                 "hello",
                 [
                     ("proto", Json::str(WORKER_PROTO)),
@@ -207,7 +252,7 @@ impl ToWorker {
                     },
                 ],
             ),
-            ToWorker::Options(options) => frame(
+            ToWorker::Options(options) => WORKER.frame(
                 "options",
                 [
                     ("options_digest", Json::str(options_digest(options))),
@@ -224,10 +269,10 @@ impl ToWorker {
                     ("summaries", Json::Arr(slots.iter().map(slot).collect()))
                 });
                 let fields = [("id", Json::int(*id)), ("job", to_json(job))];
-                frame("job", fields.into_iter().chain(slots))
+                WORKER.frame("job", fields.into_iter().chain(slots))
             }
-            ToWorker::Ping(seq) => frame("ping", seq.map(|seq| ("seq", Json::int(seq)))),
-            ToWorker::Cancel(id) => frame("cancel", [("id", Json::int(*id))]),
+            ToWorker::Ping(seq) => WORKER.frame("ping", seq.map(|seq| ("seq", Json::int(seq)))),
+            ToWorker::Cancel(id) => WORKER.frame("cancel", [("id", Json::int(*id))]),
         }
     }
 
@@ -235,7 +280,7 @@ impl ToWorker {
     /// schema, a hello also its protocol name. A hello's full options
     /// document wins over its digest.
     pub(crate) fn decode(frame: &Json) -> Result<ToWorker, Undecodable> {
-        check_version(frame)?;
+        WORKER.check_version(frame)?;
         Ok(match frame.get("kind").and_then(Json::as_str) {
             Some("hello") => ToWorker::Hello(match frame.get("options_digest") {
                 Some(Json::Str(digest)) if frame.get("options").is_none() => {
@@ -297,17 +342,17 @@ impl FromWorker {
                     ("held", to_json(held)),
                 ];
                 let ask = need_options.then(|| ("need_options", Json::Bool(true)));
-                frame("hello", fields.into_iter().chain(ask))
+                WORKER.frame("hello", fields.into_iter().chain(ask))
             }
             FromWorker::Result { id, output, folded } => {
                 let acks = (!folded.is_empty()).then(|| ("folded", to_json(folded)));
                 let fields = [("id", Json::int(*id))].into_iter().chain(output.encode());
-                frame("result", fields.chain(acks))
+                WORKER.frame("result", fields.chain(acks))
             }
-            FromWorker::Pong(seq) => frame("pong", seq.map(|seq| ("seq", Json::int(seq)))),
+            FromWorker::Pong(seq) => WORKER.frame("pong", seq.map(|seq| ("seq", Json::int(seq)))),
             FromWorker::Error { id, message } => {
                 let fields = id.map(|id| ("id", Json::int(id))).into_iter();
-                frame("error", fields.chain([("message", Json::str(message))]))
+                WORKER.frame("error", fields.chain([("message", Json::str(message))]))
             }
         }
     }
@@ -324,7 +369,7 @@ impl FromWorker {
         let parse = |fp: &Json| fp.as_str().and_then(Fingerprint::parse);
         Ok(match frame.get("kind").and_then(Json::as_str) {
             Some("hello") => {
-                check_version(frame)?;
+                WORKER.check_version(frame)?;
                 let held = frame.get("held").and_then(Json::as_arr).unwrap_or_default();
                 FromWorker::Hello {
                     capacity: frame
@@ -415,11 +460,178 @@ impl JobOutput {
     }
 }
 
+/// A client → daemon frame. A decoded verify frame owns its request; a
+/// client encodes one it keeps by reference (`ToDaemon<&VerifyRequest>`).
+pub(crate) enum ToDaemon<R = VerifyRequest> {
+    /// Open a verify session pinned to these options (`None`: the
+    /// daemon's defaults).
+    Hello(Option<VerifierOptions>),
+    /// Add the socket worker listening here to the daemon's pool.
+    Join(WorkerAddr),
+    /// Serve this request.
+    Verify(R),
+}
+
+/// A daemon → client frame.
+pub(crate) enum FromDaemon {
+    /// The session is admitted: the sessions in flight and the size of
+    /// the worker pool.
+    Hello { sessions: usize, workers: usize },
+    /// The hello waits in the admission queue, at this 1-based position.
+    Queued(usize),
+    /// A join took effect: the pool's size after it.
+    Joined(usize),
+    /// A served request.
+    Response(Box<ClientReply>),
+    /// A refused session or a failed request; a busy refusal says when to
+    /// come back.
+    Error {
+        message: String,
+        retry_after_ms: Option<u64>,
+    },
+}
+
+// The body of a response frame.
+record!(ClientReply {
+    request => "request",
+    proven => "proven",
+    violated => "violated",
+    unknown => "unknown",
+    ok => "ok",
+    display => "display",
+    report => "report",
+    det_report => "det_report",
+    dispatch => "dispatch",
+});
+
+impl<R: Borrow<VerifyRequest>> ToDaemon<R> {
+    /// The frame; a request whose pipeline has no config text has none.
+    pub(crate) fn encode(&self) -> Result<Json, WireError> {
+        let proto = ("proto", Json::str(CLIENT_PROTO));
+        Ok(match self {
+            ToDaemon::Hello(options) => {
+                let pin = options
+                    .as_ref()
+                    .map(|options| ("options", to_json(options)));
+                CLIENT.frame("hello", [proto].into_iter().chain(pin))
+            }
+            ToDaemon::Join(addr) => {
+                CLIENT.frame("join", [proto, ("addr", Json::str(addr.to_string()))])
+            }
+            ToDaemon::Verify(request) => {
+                CLIENT.frame("verify", [("request", request.borrow().to_json()?)])
+            }
+        })
+    }
+}
+
+impl ToDaemon {
+    /// Decode a client's frame. A greeting (hello or join) must carry this
+    /// build's client protocol and schema.
+    pub(crate) fn decode(frame: &Json) -> Result<ToDaemon, Undecodable> {
+        let document = |key: &str, what: &str| {
+            frame
+                .get(key)
+                .ok_or_else(|| malformed(format!("{what} frame without {key}")))
+        };
+        Ok(match frame.get("kind").and_then(Json::as_str) {
+            Some("hello") => {
+                CLIENT.check_version(frame)?;
+                let options = frame.get("options").map(from_json).transpose();
+                ToDaemon::Hello(
+                    options.map_err(|e| malformed(format!("undecodable session options: {e}")))?,
+                )
+            }
+            Some("join") => {
+                CLIENT.check_version(frame)?;
+                let addr = document("addr", "join")?.as_str();
+                let addr = addr.ok_or_else(|| malformed("join addr is not a string"))?;
+                ToDaemon::Join(WorkerAddr::parse(addr))
+            }
+            Some("verify") => ToDaemon::Verify(
+                VerifyRequest::from_json(document("request", "verify")?)
+                    .map_err(|e| malformed(e.to_string()))?,
+            ),
+            other => return Err(malformed(format!("unexpected frame kind {other:?}"))),
+        })
+    }
+}
+
+impl FromDaemon {
+    /// An error frame without a retry hint.
+    pub(crate) fn error(message: impl Into<String>) -> FromDaemon {
+        FromDaemon::Error {
+            message: message.into(),
+            retry_after_ms: None,
+        }
+    }
+
+    pub(crate) fn encode(&self) -> Json {
+        match self {
+            FromDaemon::Hello { sessions, workers } => CLIENT.frame(
+                "hello",
+                [
+                    ("proto", Json::str(CLIENT_PROTO)),
+                    ("sessions", to_json(sessions)),
+                    ("workers", to_json(workers)),
+                ],
+            ),
+            FromDaemon::Queued(position) => {
+                CLIENT.frame("queued", [("position", to_json(position))])
+            }
+            FromDaemon::Joined(workers) => CLIENT.frame("joined", [("workers", to_json(workers))]),
+            FromDaemon::Response(reply) => CLIENT.tag("response", to_json(&**reply)),
+            FromDaemon::Error {
+                message,
+                retry_after_ms,
+            } => {
+                let hint = retry_after_ms.map(|ms| ("retry_after_ms", Json::int(ms)));
+                CLIENT.frame(
+                    "error",
+                    [("message", Json::str(message))].into_iter().chain(hint),
+                )
+            }
+        }
+    }
+
+    /// Decode a daemon's frame. A hello reply must carry this build's
+    /// client protocol and schema.
+    pub(crate) fn decode(frame: &Json) -> Result<FromDaemon, Undecodable> {
+        let count = |key: &str| field(frame, key).map_err(|e: WireError| malformed(e.to_string()));
+        Ok(match frame.get("kind").and_then(Json::as_str) {
+            Some("hello") => {
+                CLIENT.check_version(frame)?;
+                FromDaemon::Hello {
+                    sessions: count("sessions")?,
+                    workers: count("workers")?,
+                }
+            }
+            Some("queued") => FromDaemon::Queued(count("position")?),
+            Some("joined") => FromDaemon::Joined(count("workers")?),
+            Some("response") => FromDaemon::Response(Box::new(
+                from_json(frame).map_err(|e| malformed(format!("undecodable response: {e}")))?,
+            )),
+            Some("error") => FromDaemon::Error {
+                message: frame
+                    .get("message")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unspecified daemon error")
+                    .to_string(),
+                retry_after_ms: frame.get("retry_after_ms").and_then(Json::as_u64),
+            },
+            other => return Err(malformed(format!("unexpected frame kind {other:?}"))),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::run_explore_job;
     use super::super::testutil::router_jobs;
+    use super::super::DispatchStats;
     use super::*;
+    use crate::diff::NamedConfig;
+    use crate::service::PropertySelect;
     use crate::wire::{
         job_to_json, ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, ScenarioSpec,
     };
@@ -451,6 +663,27 @@ mod tests {
         r#"{"kind":"pong","schema":10,"seq":3}"#,
         r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":10}"#,
         r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 10","schema":10}"#,
+    ];
+
+    /// One client frame of each kind, as client schema 1 spells it on the
+    /// wire: hello without and with options, join, verify.
+    const TO_DAEMON: [&str; 4] = [
+        r#"{"kind":"hello","proto":"vericlick-client","schema":1}"#,
+        r#"{"kind":"hello","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"proto":"vericlick-client","schema":1}"#,
+        r#"{"addr":"127.0.0.1:7843","kind":"join","proto":"vericlick-client","schema":1}"#,
+        r#"{"kind":"verify","request":{"config":"t :: DecTTL();\n","kind":"single","name":"t","property":{"kind":"crash-freedom"},"schema":1},"schema":1}"#,
+    ];
+
+    /// One daemon frame of each kind, as client schema 1 spells it: hello
+    /// reply, queued, joined, response, and an error with and without a
+    /// retry hint.
+    const FROM_DAEMON: [&str; 6] = [
+        r#"{"kind":"hello","proto":"vericlick-client","schema":1,"sessions":1,"workers":0}"#,
+        r#"{"kind":"queued","position":1,"schema":1}"#,
+        r#"{"kind":"joined","schema":1,"workers":1}"#,
+        r#"{"det_report":{"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"dispatch":null,"display":"property crash-freedom — Proven in 0.000s\n  elements 1, summaries computed 0 (reused 1), segments 7, suspects 0, discharged 0, composed paths 0, solver calls 4\n","kind":"response","ok":true,"proven":1,"report":{"elapsed_micros":277,"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"request":"single","schema":1,"unknown":0,"violated":0}"#,
+        r#"{"kind":"error","message":"busy: 1 sessions in flight (max 1) and the queue of 1 is full; retry in ~500ms","retry_after_ms":500,"schema":1}"#,
+        r#"{"kind":"error","message":"wire: malformed document: missing field 'schema'","schema":1}"#,
     ];
 
     fn scenario(name: String, config: String) -> ScenarioSpec {
@@ -540,6 +773,65 @@ mod tests {
         };
         assert_eq!(shard.encode().to_text(), FROM_WORKER[3]);
         assert_eq!(FromWorker::Pong(Some(3)).encode().to_text(), FROM_WORKER[5]);
+    }
+
+    /// The request the pinned verify frame carries.
+    fn single_request() -> VerifyRequest {
+        VerifyRequest::Single {
+            name: "t".into(),
+            pipeline: dataplane_pipeline::parse_config("t :: DecTTL();").unwrap(),
+            property: Property::CrashFreedom,
+        }
+    }
+
+    #[test]
+    fn every_client_frame_keeps_its_wire_bytes() {
+        let text = |frame: Result<Json, WireError>| frame.unwrap().to_text();
+        for pinned in TO_DAEMON {
+            let decoded = ToDaemon::decode(&Json::parse(pinned).unwrap());
+            assert_eq!(
+                text(decoded.map_err(|e| e.message).unwrap().encode()),
+                pinned
+            );
+        }
+        for pinned in FROM_DAEMON {
+            let decoded = FromDaemon::decode(&Json::parse(pinned).unwrap());
+            assert_eq!(
+                decoded.map_err(|e| e.message).unwrap().encode().to_text(),
+                pinned
+            );
+        }
+        // The frames client and daemon build, from values.
+        let client: [ToDaemon; 3] = [
+            ToDaemon::Hello(None),
+            ToDaemon::Hello(Some(VerifierOptions::default())),
+            ToDaemon::Join(WorkerAddr::Tcp("127.0.0.1:7843".into())),
+        ];
+        for (frame, pinned) in client.iter().zip(TO_DAEMON) {
+            assert_eq!(text(frame.encode()), pinned);
+        }
+        let request = single_request();
+        assert_eq!(text(ToDaemon::Verify(&request).encode()), TO_DAEMON[3]);
+        let daemon = [
+            FromDaemon::Hello {
+                sessions: 1,
+                workers: 0,
+            },
+            FromDaemon::Queued(1),
+            FromDaemon::Joined(1),
+        ];
+        for (frame, pinned) in daemon.iter().zip(FROM_DAEMON) {
+            assert_eq!(frame.encode().to_text(), pinned);
+        }
+        let busy = FromDaemon::Error {
+            message: "busy: 1 sessions in flight (max 1) and the queue of 1 is full; \
+                      retry in ~500ms"
+                .into(),
+            retry_after_ms: Some(500),
+        };
+        assert_eq!(busy.encode().to_text(), FROM_DAEMON[4]);
+        let refused = FromDaemon::error("wire: malformed document: missing field 'schema'");
+        assert_eq!(refused.encode().to_text(), FROM_DAEMON[5]);
     }
 
     #[test]
@@ -694,9 +986,76 @@ mod tests {
         }
     }
 
-    /// One frame either side may encode (a worker frame answers one of
-    /// `jobs`), and whether it travels to the worker.
-    fn any_encoded(rng: &mut TestRng, jobs: &[JobSpec]) -> (Json, bool) {
+    /// A request whose document encodes: a watch or diff of random config
+    /// text, or the pinned single.
+    fn any_request(rng: &mut TestRng) -> VerifyRequest {
+        let configs = vec![NamedConfig::new(any_text(rng), any_text(rng))];
+        match rng.next_u64() % 3 {
+            0 => VerifyRequest::Watch {
+                configs,
+                properties: PropertySelect::Default,
+            },
+            1 => VerifyRequest::Diff {
+                old: configs.clone(),
+                new: configs,
+                properties: PropertySelect::Preset,
+            },
+            _ => single_request(),
+        }
+    }
+
+    fn any_addr(rng: &mut TestRng) -> WorkerAddr {
+        match coin(rng) {
+            true => WorkerAddr::Tcp(any_text(rng)),
+            false => WorkerAddr::Unix(any_text(rng).into()),
+        }
+    }
+
+    fn any_reply(rng: &mut TestRng) -> ClientReply {
+        ClientReply {
+            request: any_text(rng),
+            proven: any_u64(rng) as usize,
+            violated: any_u64(rng) as usize,
+            unknown: any_u64(rng) as usize,
+            ok: coin(rng),
+            display: any_text(rng),
+            report: Json::obj([("elapsed_micros", Json::int(any_u64(rng)))]),
+            det_report: Json::str(any_text(rng)),
+            dispatch: coin(rng).then(|| DispatchStats {
+                workers: any_u64(rng) as usize,
+                summary_bytes_shipped: any_u64(rng),
+                ..DispatchStats::default()
+            }),
+        }
+    }
+
+    /// The side a frame travels to, whose decoder reads it.
+    #[derive(Clone, Copy)]
+    enum To {
+        Worker,
+        Coordinator,
+        Daemon,
+        Client,
+    }
+
+    /// `frame` read by the decoder of the side it travels to, and encoded
+    /// again.
+    fn redecode(frame: &Json, to: To, jobs: &[JobSpec]) -> Result<Json, String> {
+        match to {
+            To::Worker => ToWorker::decode(frame).map(|f| f.encode()),
+            To::Coordinator => FromWorker::decode(frame, job_of(jobs)).map(|f| f.encode()),
+            To::Daemon => {
+                let frame = ToDaemon::decode(frame).map_err(|e| e.message)?;
+                return frame.encode().map_err(|e| e.to_string());
+            }
+            To::Client => FromDaemon::decode(frame).map(|f| f.encode()),
+        }
+        .map_err(|e| e.message)
+    }
+
+    /// One frame any side may encode (a worker frame answers one of
+    /// `jobs`), and the side it travels to.
+    fn any_encoded(rng: &mut TestRng, jobs: &[JobSpec]) -> (Json, To) {
         let id = rng.next_u64() % jobs.len() as u64;
         let job = &jobs[id as usize];
         let fingerprints = |rng: &mut TestRng| {
@@ -704,7 +1063,7 @@ mod tests {
                 .map(|_| Fingerprint(rng.next_u64(), rng.next_u64()))
                 .collect()
         };
-        let kind = rng.next_u64() % 9;
+        let kind = rng.next_u64() % 12;
         let frame = match kind {
             0 => ToWorker::Hello(Pin::Digest(any_text(rng))).encode(),
             1 => ToWorker::Hello(Pin::Full(VerifierOptions::default())).encode(),
@@ -742,36 +1101,71 @@ mod tests {
             }
             .encode(),
             7 => FromWorker::Pong(coin(rng).then_some(any_u64(rng))).encode(),
-            _ => FromWorker::Error {
+            8 => FromWorker::Error {
                 id: coin(rng).then_some(id),
                 message: any_text(rng),
             }
             .encode(),
+            9 => match rng.next_u64() % 3 {
+                0 => ToDaemon::Hello(coin(rng).then(VerifierOptions::default)),
+                1 => ToDaemon::Join(any_addr(rng)),
+                _ => ToDaemon::Verify(any_request(rng)),
+            }
+            .encode()
+            .unwrap(),
+            10 => match rng.next_u64() % 4 {
+                0 => FromDaemon::Hello {
+                    sessions: any_u64(rng) as usize,
+                    workers: any_u64(rng) as usize,
+                },
+                1 => FromDaemon::Queued(any_u64(rng) as usize),
+                2 => FromDaemon::Joined(any_u64(rng) as usize),
+                _ => FromDaemon::Error {
+                    message: any_text(rng),
+                    retry_after_ms: coin(rng).then_some(any_u64(rng)),
+                },
+            }
+            .encode(),
+            _ => FromDaemon::Response(Box::new(any_reply(rng))).encode(),
         };
-        (frame, kind < 5)
+        let to = match kind {
+            0..=4 => To::Worker,
+            5..=8 => To::Coordinator,
+            9 => To::Daemon,
+            _ => To::Client,
+        };
+        (frame, to)
     }
 
-    /// A frame-shaped object of random fields: every key the protocol
+    /// A frame-shaped object of random fields: every key either protocol
     /// reads, each with a well-typed, mistyped or hostile value.
     fn any_object(rng: &mut TestRng) -> Json {
-        const KINDS: [&str; 10] = [
+        const KINDS: [&str; 15] = [
             "hello", "options", "job", "ping", "cancel", "result", "pong", "error", "split",
-            "shutdown",
+            "shutdown", "join", "verify", "queued", "joined", "response",
         ];
+        let pick = |rng: &mut TestRng, of: &[u64]| of[(rng.next_u64() % of.len() as u64) as usize];
         let mut fields = Vec::new();
         let mut maybe = |key: &'static str, value: Json, rng: &mut TestRng| {
             if !rng.next_u64().is_multiple_of(4) {
                 fields.push((key, value));
             }
         };
-        maybe(
-            "schema",
-            Json::int(WORKER_SCHEMA - 1 + rng.next_u64() % 3),
-            rng,
-        );
+        let schemas = [
+            CLIENT_SCHEMA,
+            WORKER_SCHEMA - 1,
+            WORKER_SCHEMA,
+            WORKER_SCHEMA + 1,
+        ];
+        maybe("schema", Json::int(pick(rng, &schemas)), rng);
         let kind = KINDS[(rng.next_u64() % KINDS.len() as u64) as usize];
         maybe("kind", Json::str(kind), rng);
-        maybe("proto", Json::str(WORKER_PROTO), rng);
+        let proto = if coin(rng) {
+            WORKER_PROTO
+        } else {
+            CLIENT_PROTO
+        };
+        maybe("proto", Json::str(proto), rng);
         maybe("id", Json::int(rng.next_u64() % 5), rng);
         maybe("seq", Json::str(any_text(rng)), rng);
         maybe("capacity", Json::int(any_u64(rng)), rng);
@@ -792,10 +1186,28 @@ mod tests {
         maybe("job", job, rng);
         let slots = [Json::Null, Json::str("held"), Json::str(any_text(rng))];
         maybe("summaries", Json::Arr(slots.to_vec()), rng);
-        for key in ["summary", "report", "shard", "fuzz", "options"] {
+        for key in ["summary", "report", "shard", "fuzz", "options", "dispatch"] {
             maybe(key, Json::obj([("schema", Json::int(1u64))]), rng);
         }
         maybe("elapsed_micros", Json::str(any_fingerprint(rng)), rng);
+        // The client protocol's keys; a request's config is random text.
+        maybe("addr", Json::str(any_text(rng)), rng);
+        let mut request = any_request(rng).to_json().unwrap();
+        if let Json::Obj(map) = &mut request {
+            if map.contains_key("config") {
+                map.insert("config".into(), Json::str(any_text(rng)));
+            }
+        }
+        maybe("request", request, rng);
+        for key in [
+            "position", "sessions", "workers", "proven", "violated", "unknown",
+        ] {
+            maybe(key, Json::int(any_u64(rng)), rng);
+        }
+        maybe("retry_after_ms", Json::str(any_text(rng)), rng);
+        maybe("ok", Json::Bool(coin(rng)), rng);
+        maybe("display", Json::str(any_text(rng)), rng);
+        maybe("det_report", Json::str(any_text(rng)), rng);
         Json::obj(fields)
     }
 
@@ -817,10 +1229,11 @@ mod tests {
         bytes
     }
 
-    /// Feed `frame` to both decoders: they may refuse it, never panic.
-    fn decode_both(frame: &Json, jobs: &[JobSpec]) {
-        let _ = ToWorker::decode(frame);
-        let _ = FromWorker::decode(frame, job_of(jobs));
+    /// Feed `frame` to every decoder: they may refuse it, never panic.
+    fn decode_all(frame: &Json, jobs: &[JobSpec]) {
+        for to in [To::Worker, To::Coordinator, To::Daemon, To::Client] {
+            let _ = redecode(frame, to, jobs);
+        }
     }
 
     /// A strategy over raw RNG streams, so one case can draw as many
@@ -841,23 +1254,18 @@ mod tests {
         fn encoded_frames_round_trip_and_no_bytes_panic_a_decoder(rng in Stream) {
             let mut rng = rng;
             let jobs: Vec<JobSpec> = (0..4).map(|_| any_job(&mut rng)).collect();
-            // Every frame either side encodes decodes and re-encodes to
-            // the same text.
-            let (frame, to_worker) = any_encoded(&mut rng, &jobs);
+            // Every frame any side encodes decodes and re-encodes to the
+            // same text.
+            let (frame, to) = any_encoded(&mut rng, &jobs);
             let text = frame.to_text();
             let frame = Json::parse(&text).unwrap();
-            let again = if to_worker {
-                ToWorker::decode(&frame).map(|f| f.encode())
-            } else {
-                FromWorker::decode(&frame, job_of(&jobs)).map(|f| f.encode())
-            };
-            let again = again.map_err(|e| format!("{text}: {e:?}"))?;
+            let again = redecode(&frame, to, &jobs).map_err(|e| format!("{text}: {e}"))?;
             prop_assert_eq!(again.to_text(), text);
             // Hostile objects, and mutations of the valid text.
-            decode_both(&any_object(&mut rng), &jobs);
+            decode_all(&any_object(&mut rng), &jobs);
             let mutated = mutate(&mut rng, &text);
             if let Some(frame) = std::str::from_utf8(&mutated).ok().and_then(|t| Json::parse(t).ok()) {
-                decode_both(&frame, &jobs);
+                decode_all(&frame, &jobs);
             }
         }
     }

@@ -3,7 +3,8 @@
 //! * [`transport`] — the line-JSON framing every worker conversation uses,
 //!   behind one [`transport::Transport`] trait with **stdio** (spawned
 //!   subprocess), **TCP**, and **Unix-socket** implementations. A
-//!   [`transport::Connector`] knows how to open one.
+//!   [`transport::Connector`] knows how to open one; a [`Listener`] is
+//!   where the daemon and socket workers accept them.
 //! * [`registry`] — the [`WorkerRegistry`]: which workers joined (hello
 //!   with protocol + schema version and capacity), which died, how much
 //!   work each did, and the aggregate [`DispatchStats`] reported in
@@ -14,10 +15,12 @@
 //!   in-flight jobs requeued and the survivors drain them — no job is
 //!   pre-assigned to a worker, which is what makes uneven job costs (the
 //!   prune-heavy Step-2 walks especially) load-balance.
-//! * `frame` — the worker protocol's frames, the one place their format
-//!   lives: one type per direction with one encode and one decode each,
-//!   and one codec per job kind's result payload. Results are decoded on
-//!   the dispatch thread that received them.
+//! * `frame` — the frames of both line protocols, the one place their
+//!   format lives: one type per direction of the worker protocol
+//!   (coordinator ↔ worker) and of the client protocol (client ↔
+//!   daemon), with one encode and one decode each, and one codec per job
+//!   kind's result payload. Results are decoded on the dispatch thread
+//!   that received them.
 //! * [`worker`] — the worker side of the protocol: handshake, concurrent
 //!   job execution, [`worker_serve`] over any read/write pair and
 //!   [`serve_listener`] for `vericlick worker --listen`.
@@ -36,7 +39,7 @@
 
 pub mod dispatch;
 pub mod fleet;
-mod frame;
+pub(crate) mod frame;
 pub mod registry;
 pub mod transport;
 pub mod worker;
@@ -45,7 +48,7 @@ pub use dispatch::HeartbeatConfig;
 pub use fleet::WorkerFleet;
 pub use frame::{WORKER_PROTO, WORKER_SCHEMA};
 pub use registry::{DispatchStats, WorkerRegistry};
-pub use transport::{Connector, SocketConnector, SpawnConnector, Transport, WorkerAddr};
+pub use transport::{Connector, Listener, SocketConnector, SpawnConnector, Transport, WorkerAddr};
 pub use worker::{serve_listener, worker_serve, WorkerState};
 
 use crate::fingerprint::{element_fingerprint, Fingerprint};

@@ -6,14 +6,15 @@
 //! a Unix-domain socket, and a conversation captured on one transport
 //! replays on another. [`Connector`]s open transports: [`SpawnConnector`]
 //! forks a worker subprocess, [`SocketConnector`] dials a
-//! [`WorkerAddr`].
+//! [`WorkerAddr`]. The other end of a socket is a [`Listener`], the one
+//! place daemon and worker bind and accept.
 
 use super::ExecError;
 use crate::json::Json;
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Duration;
@@ -119,43 +120,10 @@ pub trait Transport: Send {
     fn peer(&self) -> String;
 }
 
-/// A transport over any buffered-read / write pair (a socket's two halves,
-/// in-memory buffers in tests).
-pub struct LineTransport<R, W> {
-    reader: R,
-    writer: W,
-    peer: String,
-}
-
-impl<R: BufRead + Send, W: Write + Send> LineTransport<R, W> {
-    /// A transport over `reader`/`writer`, described as `peer`.
-    pub fn new(reader: R, writer: W, peer: impl Into<String>) -> Self {
-        LineTransport {
-            reader,
-            writer,
-            peer: peer.into(),
-        }
-    }
-}
-
-impl<R: BufRead + Send, W: Write + Send> Transport for LineTransport<R, W> {
-    fn send(&mut self, frame: &Json) -> Result<(), ExecError> {
-        write_frame(&mut self.writer, frame)
-    }
-
-    fn recv(&mut self) -> Result<Option<Json>, ExecError> {
-        read_frame(&mut self.reader)
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
 /// Either flavour of connected stream socket, behind one Read/Write
-/// implementation so [`SocketTransport`] handles TCP and Unix-domain
-/// workers identically.
-enum SocketStream {
+/// implementation so [`SocketTransport`] and the servers a [`Listener`]
+/// feeds handle TCP and Unix-domain peers identically.
+pub(crate) enum SocketStream {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
@@ -314,6 +282,78 @@ impl fmt::Display for WorkerAddr {
     }
 }
 
+/// A bound stream-socket listener, TCP or Unix-domain: where the daemon
+/// and socket workers accept their peers.
+#[derive(Debug)]
+pub enum Listener {
+    /// A TCP listener and the address it bound (`:0` resolved to a port).
+    Tcp(TcpListener, String),
+    /// A Unix-domain listener and its socket path.
+    Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// Bind `addr`. A Unix socket file left behind by a dead listener is
+    /// reclaimed; one a live peer still answers on is refused, so a second
+    /// server cannot take the address of a first that keeps running,
+    /// unreachable.
+    pub fn bind(addr: &WorkerAddr) -> Result<Listener, ExecError> {
+        let failed = |e: std::io::Error| ExecError::Connect(format!("bind {addr}: {e}"));
+        match addr {
+            WorkerAddr::Tcp(spec) => {
+                let listener = TcpListener::bind(spec).map_err(failed)?;
+                let local = listener.local_addr().map_err(failed)?;
+                Ok(Listener::Tcp(listener, local.to_string()))
+            }
+            WorkerAddr::Unix(path) => {
+                let socket = std::fs::symlink_metadata(path)
+                    .is_ok_and(|meta| std::os::unix::fs::FileTypeExt::is_socket(&meta.file_type()));
+                if socket {
+                    if UnixStream::connect(path).is_ok() {
+                        return Err(ExecError::Connect(format!(
+                            "{addr} is in use by a live peer"
+                        )));
+                    }
+                    let _ = std::fs::remove_file(path);
+                }
+                let listener = UnixListener::bind(path).map_err(failed)?;
+                Ok(Listener::Unix(listener, path.clone()))
+            }
+        }
+    }
+
+    /// The bound address, as peers dial it.
+    pub fn local(&self) -> WorkerAddr {
+        match self {
+            Listener::Tcp(_, local) => WorkerAddr::Tcp(local.clone()),
+            Listener::Unix(_, path) => WorkerAddr::Unix(path.clone()),
+        }
+    }
+
+    /// Wait for the next peer: the connection's read and write halves and
+    /// a description of the peer for logs.
+    pub(crate) fn accept(
+        &self,
+    ) -> Result<(BufReader<SocketStream>, SocketStream, String), ExecError> {
+        let failed = |e: std::io::Error| ExecError::Connect(format!("accept: {e}"));
+        let (stream, peer) = match self {
+            Listener::Tcp(listener, _) => {
+                let (stream, peer) = listener.accept().map_err(failed)?;
+                tcp_no_delay(&stream)?;
+                (SocketStream::Tcp(stream), peer.to_string())
+            }
+            Listener::Unix(listener, _) => {
+                let (stream, _) = listener.accept().map_err(failed)?;
+                (SocketStream::Unix(stream), self.local().to_string())
+            }
+        };
+        let reader = stream
+            .try_clone()
+            .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
+        Ok((BufReader::new(reader), stream, peer))
+    }
+}
+
 /// Opens a transport to one worker. Connectors are reusable: dispatch
 /// phases reconnect (a stdio worker is respawned, a socket worker's
 /// listener accepts a fresh connection).
@@ -375,25 +415,19 @@ pub struct SocketConnector {
 
 impl Connector for SocketConnector {
     fn connect(&self) -> Result<Box<dyn Transport>, ExecError> {
-        match &self.addr {
-            WorkerAddr::Tcp(addr) => {
-                let stream = TcpStream::connect(addr)
-                    .map_err(|e| ExecError::Connect(format!("{addr}: {e}")))?;
+        let addr = &self.addr;
+        let failed = |e: std::io::Error| ExecError::Connect(format!("{addr}: {e}"));
+        let stream = match addr {
+            WorkerAddr::Tcp(spec) => {
+                let stream = TcpStream::connect(spec).map_err(failed)?;
                 tcp_no_delay(&stream)?;
-                Ok(Box::new(SocketTransport::new(
-                    SocketStream::Tcp(stream),
-                    addr.clone(),
-                )?))
+                SocketStream::Tcp(stream)
             }
             WorkerAddr::Unix(path) => {
-                let stream = UnixStream::connect(path)
-                    .map_err(|e| ExecError::Connect(format!("{}: {e}", path.display())))?;
-                Ok(Box::new(SocketTransport::new(
-                    SocketStream::Unix(stream),
-                    format!("unix:{}", path.display()),
-                )?))
+                SocketStream::Unix(UnixStream::connect(path).map_err(failed)?)
             }
-        }
+        };
+        Ok(Box::new(SocketTransport::new(stream, addr.to_string())?))
     }
 
     fn describe(&self) -> String {
@@ -423,28 +457,48 @@ mod tests {
     }
 
     #[test]
-    fn line_transport_round_trips_frames() {
-        let mut out = Vec::new();
-        {
-            let mut t = LineTransport::new(std::io::Cursor::new(""), &mut out, "test");
-            t.send(&Json::obj([("a", Json::int(1u64))])).unwrap();
-            t.send(&Json::obj([("b", Json::str("two"))])).unwrap();
-        }
-        let mut t = LineTransport::new(std::io::Cursor::new(out), Vec::new(), "test");
-        assert_eq!(
-            t.recv().unwrap().unwrap().get("a").and_then(Json::as_u64),
-            Some(1)
+    fn a_unix_path_a_live_listener_answers_on_is_refused_and_a_dead_one_reclaimed() {
+        let dir = std::env::temp_dir().join(format!("vericlick-listener-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let addr = WorkerAddr::Unix(dir.join("live.sock"));
+        let first = Listener::bind(&addr).unwrap();
+        assert_eq!(first.local(), addr);
+
+        let second = Listener::bind(&addr);
+        assert!(
+            matches!(&second, Err(ExecError::Connect(m)) if m.contains("in use")),
+            "{second:?}"
         );
-        assert_eq!(
-            t.recv()
-                .unwrap()
-                .unwrap()
-                .get("b")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            Some("two".to_string())
-        );
-        assert!(t.recv().unwrap().is_none(), "EOF is a clean None");
+        // The first keeps serving: past the refused binder's probe, a
+        // client's frame is echoed back.
+        let server = std::thread::spawn(move || loop {
+            let (mut reader, mut writer, _) = first.accept().unwrap();
+            if let Some(frame) = read_frame(&mut reader).unwrap() {
+                write_frame(&mut writer, &frame).unwrap();
+                return first;
+            }
+        });
+        let mut client = SocketConnector { addr: addr.clone() }.connect().unwrap();
+        client.send(&Json::obj([("a", Json::int(1u64))])).unwrap();
+        let echo = client.recv().unwrap().unwrap();
+        assert_eq!(echo.get("a").and_then(Json::as_u64), Some(1));
+        drop(server.join().unwrap());
+
+        // Dropped, the listener leaves its socket file behind; nobody
+        // answers on it, so the next bind reclaims it.
+        let WorkerAddr::Unix(path) = &addr else {
+            unreachable!()
+        };
+        assert!(path.exists(), "the stale socket file stays");
+        Listener::bind(&addr).expect("a dead socket file is reclaimed");
+
+        // A file that is not a socket is never deleted to make room.
+        let file = dir.join("not-a-socket");
+        std::fs::write(&file, "keep").unwrap();
+        assert!(Listener::bind(&WorkerAddr::Unix(file.clone())).is_err());
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "keep");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! folds by job id).
 //!
 //! [`worker_serve`] runs the protocol over any read/write pair — stdin and
-//! stdout for `vericlick worker`, an accepted socket for
+//! stdout for `vericlick worker`, a [`Listener`]'s accepted socket for
 //! `vericlick worker --listen` (see [`serve_listener`]). The framing is
 //! identical on every transport.
 
 use super::frame::{attached_to, Attached, FromWorker, JobOutput, Pin, ToWorker, Undecodable};
-use super::transport::{read_frame, tcp_no_delay, write_frame, WorkerAddr};
+use super::transport::{read_frame, write_frame, Listener};
 use super::{run_explore_job, ExecError};
 use crate::fingerprint::Fingerprint;
 use crate::wire::{options_digest, JobSpec, ScenarioSpec};
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ElementSummary, Verifier, VerifierOptions};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A worker process's cross-session memory. One instance outlives every
@@ -364,18 +364,14 @@ where
     })
 }
 
-/// Bind `addr` and serve coordinator connections: the body of
-/// `vericlick worker --listen`. Every accepted connection is one
-/// [`worker_serve`] session; sessions are served sequentially (one
-/// coordinator at a time — parallelism lives *inside* a session, bounded
-/// by `capacity`). With `once`, exit after the first session (used by
-/// tests); otherwise loop until killed.
-///
-/// `log` receives one line per lifecycle event; the first is always
-/// `listening on <addr>` with the *actual* bound address (so `:0` TCP
-/// listeners report their chosen port).
+/// Serve coordinator connections on `listener`: the body of `vericlick
+/// worker --listen`. Every accepted connection is one [`worker_serve`]
+/// session; sessions are served sequentially (one coordinator at a time —
+/// parallelism lives *inside* a session, bounded by `capacity`). With
+/// `once`, return after the first session (used by tests); otherwise loop
+/// until killed. `log` receives one line per session event.
 pub fn serve_listener(
-    addr: &WorkerAddr,
+    listener: Listener,
     capacity: usize,
     once: bool,
     log: &mut dyn FnMut(&str),
@@ -384,64 +380,15 @@ pub fn serve_listener(
     // pinned by digest and summaries stay held across coordinator
     // reconnects — the warm half of the v4 dedup.
     let state = WorkerState::new();
-    match addr {
-        WorkerAddr::Tcp(spec) => {
-            let listener = std::net::TcpListener::bind(spec)
-                .map_err(|e| ExecError::Connect(format!("bind {spec}: {e}")))?;
-            let local = listener
-                .local_addr()
-                .map_err(|e| ExecError::Connect(format!("bind {spec}: {e}")))?;
-            log(&format!("listening on {local}"));
-            loop {
-                let (stream, peer) = listener
-                    .accept()
-                    .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
-                log(&format!("session from {peer}"));
-                tcp_no_delay(&stream)?;
-                let reader = stream
-                    .try_clone()
-                    .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
-                match worker_serve_with(BufReader::new(reader), stream, capacity, &state) {
-                    Ok(()) => log(&format!("session from {peer} done")),
-                    Err(e) => log(&format!("session from {peer} failed: {e}")),
-                }
-                if once {
-                    return Ok(());
-                }
-            }
+    loop {
+        let (reader, writer, peer) = listener.accept()?;
+        log(&format!("session from {peer}"));
+        match worker_serve_with(reader, writer, capacity, &state) {
+            Ok(()) => log(&format!("session from {peer} done")),
+            Err(e) => log(&format!("session from {peer} failed: {e}")),
         }
-        WorkerAddr::Unix(path) => {
-            // Reclaim only a *stale* socket file: if a live worker still
-            // answers on it, refuse instead of silently stealing its
-            // address (the old worker would keep running, unreachable).
-            if path.exists() {
-                if std::os::unix::net::UnixStream::connect(path).is_ok() {
-                    return Err(ExecError::Connect(format!(
-                        "{} is in use by a live worker",
-                        path.display()
-                    )));
-                }
-                let _ = std::fs::remove_file(path);
-            }
-            let listener = std::os::unix::net::UnixListener::bind(path)
-                .map_err(|e| ExecError::Connect(format!("bind {}: {e}", path.display())))?;
-            log(&format!("listening on unix:{}", path.display()));
-            loop {
-                let (stream, _) = listener
-                    .accept()
-                    .map_err(|e| ExecError::Connect(format!("accept: {e}")))?;
-                log("session on unix socket");
-                let reader = stream
-                    .try_clone()
-                    .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
-                match worker_serve_with(BufReader::new(reader), stream, capacity, &state) {
-                    Ok(()) => log("session done"),
-                    Err(e) => log(&format!("session failed: {e}")),
-                }
-                if once {
-                    return Ok(());
-                }
-            }
+        if once {
+            return Ok(());
         }
     }
 }

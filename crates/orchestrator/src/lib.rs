@@ -99,7 +99,7 @@ pub use daemon::{join_fleet, ClientReply, Daemon, DaemonClient, DaemonConfig};
 pub use diff::{config_scenarios, DiffEntry, DiffKind, DiffReport, NamedConfig};
 pub use exec::{
     serve_listener, worker_serve, DispatchStats, ExecError, Executor, HeartbeatConfig,
-    InProcessExecutor, WorkerAddr, WorkerFleet, WorkerRegistry,
+    InProcessExecutor, Listener, WorkerAddr, WorkerFleet, WorkerRegistry,
 };
 pub use executor::ThreadBudget;
 pub use fingerprint::{element_fingerprint, fingerprint_bytes, Fingerprint};

@@ -1529,7 +1529,14 @@ fn shard_cuts(
             Some((outline, costs))
         })
         .collect();
-    let total_cost: u64 = outlined.iter().flatten().flat_map(|(_, costs)| costs).sum();
+    // Costs come from observed shard timings and the calibration file, so
+    // a hostile worker or a poisoned file can report any `u64`: sums
+    // saturate rather than wrap the shard target (or panic).
+    let sum = |costs: &[u64]| costs.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
+    let total_cost = outlined
+        .iter()
+        .flatten()
+        .fold(0u64, |acc, (_, costs)| acc.saturating_add(sum(costs)));
     outlined
         .into_iter()
         .map(|outlined| {
@@ -1537,7 +1544,7 @@ fn shard_cuts(
             // The batch target is shared out in proportion to calibrated
             // cost, so a cheap scenario does not get the heavy one's
             // fan-out; the cuts fall by cost too.
-            let cost: u64 = costs.iter().sum();
+            let cost = sum(&costs);
             let target = match total_cost {
                 0 => 1,
                 total => (batch_target.saturating_mul(cost) / total).max(1),

@@ -10,11 +10,11 @@ use dataplane_orchestrator::daemon::{CLIENT_PROTO, CLIENT_SCHEMA};
 use dataplane_orchestrator::exec::transport::{read_frame, write_frame};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    config_scenarios, join_fleet, serve_listener, Daemon, DaemonClient, DaemonConfig, NamedConfig,
-    PropertySelect, VerifyRequest, VerifyService, WorkerAddr,
+    config_scenarios, join_fleet, serve_listener, Daemon, DaemonClient, DaemonConfig, Listener,
+    NamedConfig, PropertySelect, VerifyRequest, VerifyService, WorkerAddr,
 };
 use std::io::BufReader;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const ROUTER: &str = r#"
@@ -53,41 +53,21 @@ fn two_config_request() -> VerifyRequest {
 }
 
 /// Start `daemon` on a loopback TCP listener (port chosen by the OS) on a
-/// background thread; returns the bound address parsed from its first log
-/// line.
+/// background thread; returns the bound address.
 fn spawn_daemon(daemon: Daemon) -> WorkerAddr {
-    let (tx, rx) = mpsc::channel();
-    let serving = daemon.clone();
-    std::thread::spawn(move || {
-        let tx = Mutex::new(Some(tx));
-        let log: Arc<dyn Fn(&str) + Send + Sync> = Arc::new(move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.lock().unwrap().take() {
-                    let _ = tx.send(addr.to_string());
-                }
-            }
-        });
-        let _ = serving.serve(&WorkerAddr::Tcp("127.0.0.1:0".into()), false, log);
-    });
-    WorkerAddr::Tcp(rx.recv().expect("daemon announced its address"))
+    let listener = Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = listener.local();
+    std::thread::spawn(move || daemon.serve(listener, false, Arc::new(|_: &str| {})));
+    addr
 }
 
 /// Start a worker that keeps accepting sessions on one listener until the
 /// test process exits.
 fn spawn_persistent_tcp_worker() -> WorkerAddr {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut tx = Some(tx);
-        let mut log = move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.take() {
-                    tx.send(addr.to_string()).unwrap();
-                }
-            }
-        };
-        let _ = serve_listener(&WorkerAddr::Tcp("127.0.0.1:0".into()), 2, false, &mut log);
-    });
-    WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
+    let listener = Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = listener.local();
+    std::thread::spawn(move || serve_listener(listener, 2, false, &mut |_| {}));
+    addr
 }
 
 #[test]
@@ -209,8 +189,8 @@ fn a_worker_joined_at_runtime_executes_jobs_and_dedups_summaries() {
     assert_eq!(first.dispatch_stat("workers"), Some(1));
     assert!(
         first.dispatch_stat("jobs_completed") > Some(0),
-        "the joined worker ran the plan: {}",
-        first.dispatch.to_text()
+        "the joined worker ran the plan: {:?}",
+        first.dispatch
     );
 
     // Second request on the same session: the daemon's store is warm
@@ -226,13 +206,13 @@ fn a_worker_joined_at_runtime_executes_jobs_and_dedups_summaries() {
     assert_eq!(
         second.dispatch_stat("summaries_shipped"),
         Some(0),
-        "a warm worker receives no summary documents: {}",
-        second.dispatch.to_text()
+        "a warm worker receives no summary documents: {:?}",
+        second.dispatch
     );
     assert!(
         second.dispatch_stat("summaries_deduped") > Some(0),
-        "the dedup win is visible to the client: {}",
-        second.dispatch.to_text()
+        "the dedup win is visible to the client: {:?}",
+        second.dispatch
     );
 }
 
@@ -253,7 +233,7 @@ fn a_single_request_is_answered_alike_before_and_after_a_worker_joins() {
     // No worker yet: the session's own pool serves the request.
     let alone = client.verify(&single()).unwrap();
     assert_eq!(alone.request, "single");
-    assert_eq!(alone.dispatch, Json::Null);
+    assert_eq!(alone.dispatch, None);
 
     // The same request once a worker has joined: the fleet runs it, and
     // the reply is the same document, not a one-scenario matrix.
@@ -265,8 +245,8 @@ fn a_single_request_is_answered_alike_before_and_after_a_worker_joins() {
     assert_eq!(on_the_fleet.request, "single");
     assert!(
         on_the_fleet.dispatch_stat("jobs_completed") > Some(0),
-        "the joined worker ran the request: {}",
-        on_the_fleet.dispatch.to_text()
+        "the joined worker ran the request: {:?}",
+        on_the_fleet.dispatch
     );
     assert_eq!(
         on_the_fleet.det_report.get("kind").and_then(Json::as_str),

@@ -10,12 +10,11 @@
 use dataplane_orchestrator::exec::transport::{read_frame, write_frame};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
-    serve_listener, Executor, HeartbeatConfig, NamedConfig, PropertySelect, VerifyRequest,
-    VerifyService, WorkerAddr, WorkerFleet,
+    serve_listener, Executor, HeartbeatConfig, Listener, NamedConfig, PropertySelect,
+    VerifyRequest, VerifyService, WorkerAddr, WorkerFleet,
 };
 use std::io::BufReader;
 use std::net::TcpListener;
-use std::sync::mpsc;
 
 const ROUTER: &str = r#"
     cls :: Classifier(12/0800);
@@ -39,47 +38,14 @@ const FILTER: &str = r#"
     strip -> chk -> f -> out;
 "#;
 
-/// Start a real worker on a loopback TCP listener (port chosen by the
-/// OS), serving `sessions` coordinator sessions on a background thread.
-/// Returns its address.
-fn spawn_tcp_worker(sessions: usize) -> WorkerAddr {
-    assert_eq!(sessions, 1, "multi-session tests use the persistent worker");
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut tx = Some(tx);
-        let mut log = move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.take() {
-                    tx.send(addr.to_string()).unwrap();
-                }
-            }
-        };
-        let _ = serve_listener(&WorkerAddr::Tcp("127.0.0.1:0".into()), 2, true, &mut log);
-    });
-    WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
-}
-
-/// Start a worker of `capacity` slots that keeps accepting sessions on
-/// one listener until the test process exits.
+/// Start a real worker of `capacity` slots on a loopback TCP listener
+/// (port chosen by the OS) that keeps accepting sessions on a background
+/// thread until the test process exits. Returns its address.
 fn spawn_persistent_tcp_worker(capacity: usize) -> WorkerAddr {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut tx = Some(tx);
-        let mut log = move |line: &str| {
-            if let Some(addr) = line.strip_prefix("listening on ") {
-                if let Some(tx) = tx.take() {
-                    tx.send(addr.to_string()).unwrap();
-                }
-            }
-        };
-        let _ = serve_listener(
-            &WorkerAddr::Tcp("127.0.0.1:0".into()),
-            capacity,
-            false,
-            &mut log,
-        );
-    });
-    WorkerAddr::Tcp(rx.recv().expect("worker announced its address"))
+    let listener = Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = listener.local();
+    std::thread::spawn(move || serve_listener(listener, capacity, false, &mut |_| {}));
+    addr
 }
 
 /// A worker that completes the handshake, reads one job frame, then drops
@@ -217,20 +183,9 @@ fn unix_socket_worker_round_trips() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("worker.sock");
-    let addr = WorkerAddr::Unix(path.clone());
-    {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let _ = serve_listener(&addr, 2, false, &mut |_| {});
-        });
-    }
-    // Wait for the socket file to appear.
-    for _ in 0..100 {
-        if path.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    let listener = Listener::bind(&WorkerAddr::Unix(path)).unwrap();
+    let addr = listener.local();
+    std::thread::spawn(move || serve_listener(listener, 2, false, &mut |_| {}));
 
     let service = VerifyService::new().with_threads(2);
     let reference = service
@@ -653,7 +608,9 @@ fn version_mismatch_worker_is_rejected_cleanly() {
 #[test]
 fn single_session_listener_exits_after_once() {
     // `--once` semantics: the listener serves one session and returns.
-    let addr = spawn_tcp_worker(1);
+    let listener = Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = listener.local();
+    std::thread::spawn(move || serve_listener(listener, 2, true, &mut |_| {}));
     let service = VerifyService::new().with_threads(1);
     let plan = service
         .plan_request(&VerifyRequest::Matrix {

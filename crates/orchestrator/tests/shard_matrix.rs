@@ -12,8 +12,8 @@
 
 use dataplane_orchestrator::exec::ExecError;
 use dataplane_orchestrator::{
-    preset_scenarios, ComposeShardJob, Executor, Fingerprint, VerifyOutcome, VerifyRequest,
-    VerifyService,
+    preset_scenarios, ComposeShardJob, Executor, Fingerprint, SummaryStore, VerifyOutcome,
+    VerifyRequest, VerifyService,
 };
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Verifier, VerifierOptions};
@@ -114,6 +114,30 @@ fn sharded_preset_matrix_is_byte_identical_at_every_fleet_size() {
         let shards = executor.shards.load(Ordering::Relaxed);
         assert_eq!(shards > 0, slots > 1, "{slots} slots sent {shards} shards");
     }
+}
+
+#[test]
+fn unit_costs_at_u64_max_still_cut_a_byte_identical_matrix() {
+    // A worker that reports shard timings near `u64::MAX` (or a poisoned
+    // `calibration.json`) leaves every calibrated unit cost at the top of
+    // the range: the cost sums must saturate, not overflow, and the cuts
+    // must not move the report.
+    let reference = VerifyService::new()
+        .with_threads(2)
+        .serve(preset_request())
+        .unwrap()
+        .deterministic_json()
+        .to_text();
+    let store = Arc::new(SummaryStore::in_memory());
+    let service = VerifyService::new()
+        .with_threads(2)
+        .with_store(store.clone());
+    let plan = service.plan_request(&preset_request()).unwrap();
+    for fingerprint in plan.element_fingerprints.iter().flatten() {
+        store.record_unit_cost(*fingerprint, 1, u64::MAX);
+    }
+    let executed = service.execute_plan(&plan, &ShardExecutor::new(2)).unwrap();
+    assert_eq!(executed.deterministic_json().to_text(), reference);
 }
 
 #[test]

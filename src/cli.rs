@@ -37,9 +37,9 @@ use crate::orchestrator::json::Json;
 use crate::orchestrator::wire::{plan_from_json, plan_to_json};
 use crate::orchestrator::{
     join_fleet, preset_scenarios, serve_listener, worker_serve, ClientReply, Daemon, DaemonClient,
-    DaemonConfig, Executor, HeartbeatConfig, InProcessExecutor, NamedConfig, ProgressEvent,
-    PropertySelect, Scenario, SummaryStore, VerifyOutcome, VerifyRequest, VerifyResponse,
-    VerifyService, WorkerAddr, WorkerFleet,
+    DaemonConfig, ExecError, Executor, HeartbeatConfig, InProcessExecutor, Listener, NamedConfig,
+    ProgressEvent, PropertySelect, Scenario, SummaryStore, VerifyOutcome, VerifyRequest,
+    VerifyResponse, VerifyService, WorkerAddr, WorkerFleet,
 };
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -1327,35 +1327,26 @@ fn cmd_worker(args: Vec<String>) -> Exit {
     }
     let served = match listen {
         // Socket worker: bind, announce the actual address (`:0` picks a
-        // port), serve coordinator sessions.
-        Some(addr) => {
-            let addr = WorkerAddr::parse(&addr);
-            let daemon = join.map(|d| WorkerAddr::parse(&d));
+        // port), join the daemon's fleet, serve coordinator sessions.
+        Some(addr) => Listener::bind(&WorkerAddr::parse(&addr)).and_then(|listener| {
             // Logs are best-effort: a worker must keep serving even if
             // whoever spawned it stopped reading its stdout.
             let mut log = |line: &str| {
                 let mut out = std::io::stdout();
                 let _ = writeln!(out, "worker: {line}");
                 let _ = out.flush();
-                // The first log line carries the *actual* bound address
-                // (`:0` picks a port) — the moment the worker is
-                // dialable, announce it to the daemon's fleet.
-                if let Some(daemon) = &daemon {
-                    if let Some(bound) = line.strip_prefix("listening on ") {
-                        match join_fleet(daemon, &WorkerAddr::parse(bound)) {
-                            Ok(n) => {
-                                let _ = writeln!(out, "worker: joined {daemon} (fleet of {n})");
-                                let _ = out.flush();
-                            }
-                            Err(e) => {
-                                eprintln!("worker: join {daemon} failed: {e}");
-                            }
-                        }
-                    }
-                }
             };
-            serve_listener(&addr, capacity, once, &mut log)
-        }
+            let local = listener.local();
+            log(&format!("listening on {local}"));
+            // Dialable from here on: announce it to the daemon's fleet.
+            if let Some(daemon) = join.map(|d| WorkerAddr::parse(&d)) {
+                match join_fleet(&daemon, &local) {
+                    Ok(n) => log(&format!("joined {daemon} (fleet of {n})")),
+                    Err(e) => eprintln!("worker: join {daemon} failed: {e}"),
+                }
+            }
+            serve_listener(listener, capacity, once, &mut log)
+        }),
         // Stdio worker: one session over stdin/stdout (spawned by
         // `exec-plan --workers N`).
         None => worker_serve(std::io::stdin().lock(), std::io::stdout(), capacity),
@@ -1419,7 +1410,11 @@ fn cmd_serve(args: Vec<String>) -> Exit {
             .unwrap_or_default(),
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::new(config);
+    let failed = |e: ExecError| {
+        eprintln!("serve: {e}");
+        2
+    };
+    let listener = Listener::bind(&WorkerAddr::parse(&listen)).map_err(failed)?;
     // Logs are best-effort, like the worker's: the daemon must keep
     // serving even if whoever spawned it stopped reading its stdout.
     let log: Arc<dyn Fn(&str) + Send + Sync> = Arc::new(|line: &str| {
@@ -1427,12 +1422,10 @@ fn cmd_serve(args: Vec<String>) -> Exit {
         let _ = writeln!(out, "serve: {line}");
         let _ = out.flush();
     });
-    daemon
-        .serve(&WorkerAddr::parse(&listen), once, log)
-        .map_err(|e| {
-            eprintln!("serve: {e}");
-            2
-        })
+    log(&format!("listening on {}", listener.local()));
+    Daemon::new(config)
+        .serve(listener, once, log)
+        .map_err(failed)
 }
 
 fn cmd_client(args: Vec<String>) -> Exit {

@@ -10,11 +10,17 @@
 //!   process mid-plan and the plan still completes on the survivor,
 //!   byte-identical — a stopped process keeps its sockets open, which
 //!   only the heartbeat deadline can see through.
+//! * a second `vericlick serve` on a Unix socket a live daemon answers on
+//!   exits 2 instead of taking the address over, and the first daemon
+//!   keeps serving on it.
 
-use std::io::{BufRead, BufReader, Lines};
+use std::io::{BufRead, BufReader, Lines, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
-use vericlick::orchestrator::{preset_scenarios, VerifyRequest, VerifyService};
+use std::time::{Duration, Instant};
+use vericlick::orchestrator::{
+    preset_scenarios, DaemonClient, VerifyRequest, VerifyService, WorkerAddr,
+};
 
 fn vericlick() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vericlick"))
@@ -184,5 +190,64 @@ fn sigstopped_worker_never_blocks_plan_completion() {
         "a stopped worker must not change the report"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_second_daemon_on_a_live_unix_socket_is_refused() {
+    let dir = temp_dir("unix-daemon");
+    let path = dir.join("daemon.sock");
+    let mut child = vericlick()
+        .args(["serve", "--threads", "1", "--listen"])
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn vericlick serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("serve stdout")).lines();
+    let _first = KillOnDrop(child);
+    await_line(&mut lines, "serve: listening on ");
+
+    // The second daemon must refuse the path, not serve on it.
+    let mut second = KillOnDrop(
+        vericlick()
+            .args(["serve", "--listen"])
+            .arg(&path)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn a second vericlick serve"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        match second.0.try_wait().expect("poll the second daemon") {
+            Some(status) => break status.code(),
+            None if Instant::now() > deadline => {
+                let _ = second.0.kill();
+                let _ = second.0.wait();
+                break None;
+            }
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    let mut stderr = String::new();
+    let _ = second
+        .0
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr);
+    assert_eq!(status, Some(2), "the second daemon kept running: {stderr}");
+    assert!(stderr.contains("in use"), "{stderr}");
+
+    // The first daemon still answers on its path.
+    let mut client = DaemonClient::connect(&WorkerAddr::Unix(path), None).expect("connect");
+    let reply = client
+        .verify(&VerifyRequest::Single {
+            name: "t".into(),
+            pipeline: vericlick::pipeline::parse_config("t :: DecTTL();").unwrap(),
+            property: vericlick::verifier::Property::CrashFreedom,
+        })
+        .expect("the first daemon serves");
+    assert!(reply.ok, "{}", reply.display);
     let _ = std::fs::remove_dir_all(&dir);
 }
