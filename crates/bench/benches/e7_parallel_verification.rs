@@ -17,9 +17,10 @@ use dataplane_orchestrator::conformance::{plan_fuzz_shards, run_fuzz_jobs};
 use dataplane_orchestrator::json::Json;
 use dataplane_orchestrator::{
     join_fleet, preset_scenarios, serve_listener, Daemon, DaemonClient, DaemonConfig, Executor,
-    Listener, ScenarioSpec, SummaryStore, ThreadBudget, VerifyRequest, VerifyService, WorkerAddr,
-    WorkerFleet,
+    Listener, Scenario, ScenarioSpec, SummaryStore, ThreadBudget, VerifyRequest, VerifyService,
+    WorkerAddr, WorkerFleet,
 };
+use dataplane_pipeline::presets::router_chain;
 use dataplane_verifier::{Verifier, VerifierOptions};
 use std::sync::Arc;
 use std::time::Instant;
@@ -264,14 +265,11 @@ fn temporal_report() {
     );
 }
 
-/// Compose-shard fleet scaling: the heaviest preset scenario — ip_router ×
-/// crash freedom, the largest suspect set of the matrix — on capacity-1
-/// TCP workers. One worker is one live slot, so its Step 2 ships whole:
-/// the 1w row is the whole-composition baseline. From two workers on, the
-/// suspect×prefix enumeration is split into wire shards the workers pull.
-/// Every run shares one pre-warmed summary store, so the measured time is
-/// dispatch + decide (+ fold) only, and the deterministic report must stay
-/// byte-identical to the in-process run at every fleet size.
+/// Compose-shard fleet scaling on two scenarios: the heaviest preset —
+/// ip_router × crash freedom, the largest suspect set of the matrix — as
+/// the `compose_shard_fleet_*` rows, and `router_chain(3)` × crash freedom
+/// (the chain the cut-or-whole trial in ROADMAP grows) as the
+/// `router_chain_fleet_*` rows.
 fn shard_report() {
     fn heavy_request() -> VerifyRequest {
         VerifyRequest::Matrix {
@@ -284,10 +282,30 @@ fn shard_report() {
                 .collect(),
         }
     }
+    fn chain_request() -> VerifyRequest {
+        VerifyRequest::Matrix {
+            scenarios: vec![Scenario::new(
+                "router_chain_3",
+                router_chain(3),
+                dataplane_verifier::Property::CrashFreedom,
+            )],
+        }
+    }
+    fleet_rows("compose_shard_fleet", heavy_request);
+    fleet_rows("router_chain_fleet", chain_request);
+}
 
+/// One scenario's fleet rows, `{prefix}_{1,2,4}w`, on capacity-1 TCP
+/// workers. One worker is one live slot, so its Step 2 ships whole: the 1w
+/// row is the whole-composition baseline. From two workers on, the
+/// suspect×prefix enumeration is cut into wire shards the workers pull.
+/// Every run shares one pre-warmed summary store, so the measured time is
+/// dispatch + decide (+ fold) only, and the deterministic report must stay
+/// byte-identical to the in-process run at every fleet size.
+fn fleet_rows(prefix: &str, request: fn() -> VerifyRequest) {
     let reference = VerifyService::new()
         .with_threads(2)
-        .serve(heavy_request())
+        .serve(request())
         .expect("in-process reference run")
         .deterministic_json()
         .to_text();
@@ -297,7 +315,7 @@ fn shard_report() {
     VerifyService::new()
         .with_threads(2)
         .with_store(store.clone())
-        .serve(heavy_request())
+        .serve(request())
         .expect("store warm-up run");
 
     let mut single_worker_seconds = f64::NAN;
@@ -307,7 +325,7 @@ fn shard_report() {
         let service = VerifyService::new()
             .with_threads(2)
             .with_store(store.clone());
-        let plan = service.plan_request(&heavy_request()).expect("shard plan");
+        let plan = service.plan_request(&request()).expect("shard plan");
         // Unmeasured warm-up session: ships the summary documents once;
         // the workers' next hello advertises them all, so the measured
         // sessions ship none (protocol-v4 dedup).
@@ -329,19 +347,19 @@ fn shard_report() {
         assert_eq!(
             executed.deterministic_json().to_text(),
             reference,
-            "a {workers}-worker sharded run must reproduce the in-process report byte for byte"
+            "{prefix}: a {workers}-worker run must reproduce the in-process report byte for byte"
         );
         let matrix = executed.matrix().expect("matrix report");
         let stats = matrix.stats.as_ref().expect("fleet runs report stats");
         if workers == 1 {
             assert_eq!(stats.compose_shards, 0, "one slot never cuts");
         } else {
-            assert!(stats.compose_shards > 0, "the heavy scenario must shard");
+            assert!(stats.compose_shards > 0, "{prefix}: two slots or more cut");
         }
         if workers == 1 {
             single_worker_seconds = best;
         }
-        let name = format!("compose_shard_fleet_{workers}w");
+        let name = format!("{prefix}_{workers}w");
         row(
             "e7-parallel-verification",
             &[

@@ -406,7 +406,7 @@ impl Verifier {
     /// sequential walk order: every node with a shipped record consumes it
     /// (several partial records of one node — unit cuts inside the node —
     /// are merged slot-wise first), and every slot or node nothing shipped
-    /// (sparse shards, a cancelled sibling, the enumeration cap, a dead
+    /// (sparse shards, a cancelled shard, the enumeration cap, a dead
     /// worker) is computed inline. The result is byte-identical to
     /// [`Verifier::verify`] under the same options, whatever the shard
     /// boundaries or fleet shape were.
@@ -617,20 +617,6 @@ pub struct ShardNodeRecord {
     pub edges: Vec<Option<ShardEdge>>,
 }
 
-/// Per-node compute time of one shard visit — operational calibration data
-/// (never part of the deterministic report): the coordinator feeds it back
-/// into the warm store so future shard cuts weigh nodes by observed solver
-/// cost instead of unit count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardTiming {
-    /// The node's pre-order index in the shard enumeration.
-    pub index: usize,
-    /// Solver units actually computed during this visit.
-    pub units: usize,
-    /// Wall-clock nanoseconds spent computing them.
-    pub ns: u64,
-}
-
 /// What one `ComposeShard` job computed: records for every enumerated node
 /// in the shard's `[start, end)` unit range that the worker reached (a
 /// cancelled shard returns the records it finished; the fold computes the
@@ -641,9 +627,6 @@ pub struct ComposeShardResult {
     pub records: Vec<ShardNodeRecord>,
     /// The shard was cancelled before covering its whole range.
     pub cancelled: bool,
-    /// Per-node compute times (operational; excluded from deterministic
-    /// report documents).
-    pub timings: Vec<ShardTiming>,
 }
 
 /// One node of the shard enumeration: its estimated solver weight and the
@@ -654,9 +637,6 @@ pub struct OutlineNode {
     /// the instruction-bound skip, plus one pruning call per enumerated
     /// (non-pre-filtered) edge when pruning is on.
     pub weight: usize,
-    /// The pipeline element this node instantiates — the key the
-    /// coordinator uses to calibrate unit costs from observed solver times.
-    pub element: ElementIdx,
     /// Child pre-order index per forwarding edge, in segment-enumeration
     /// order. `None` where the interval pre-filter pruned the edge (the
     /// child was never enumerated) or where the enumeration cap cut it off.
@@ -721,51 +701,6 @@ impl ComposeOutline {
             out.push((start, end));
             start = end;
         }
-        out
-    }
-
-    /// Split the unit space into at most `shard_count` ranges balanced by
-    /// *observed cost* instead of unit count: `node_costs[i]` is the
-    /// calibrated cost of node `i`'s whole block (any scale — nanoseconds
-    /// in practice), spread uniformly over the block's units. Falls back to
-    /// uniform [`ComposeOutline::shards`] when no calibration is available
-    /// (`node_costs` empty, mis-sized, or all zero). The returned ranges
-    /// are plain unit addresses, so workers need no knowledge of the
-    /// calibration that placed the cuts.
-    pub fn shards_by_cost(&self, node_costs: &[u64], shard_count: usize) -> Vec<(usize, usize)> {
-        let total = self.total_weight();
-        let shard_count = shard_count.max(1);
-        if total == 0 {
-            return Vec::new();
-        }
-        let uniform_width = total.div_ceil(shard_count).max(1);
-        if node_costs.len() != self.nodes.len() || node_costs.iter().all(|&c| c == 0) {
-            return self.shards(uniform_width);
-        }
-        // Flatten to per-unit costs in enumeration order.
-        let mut unit_cost = Vec::with_capacity(total);
-        for (node, &cost) in self.nodes.iter().zip(node_costs) {
-            if node.weight == 0 {
-                continue;
-            }
-            let per = (cost / node.weight as u64).max(1);
-            unit_cost.extend(std::iter::repeat_n(per, node.weight));
-        }
-        // Observed costs can be any `u64`: sums saturate.
-        let total_cost = unit_cost.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
-        let budget = total_cost.div_ceil(shard_count as u64).max(1);
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for (u, &c) in unit_cost.iter().enumerate() {
-            if u > start && acc.saturating_add(c) > budget && out.len() + 1 < shard_count {
-                out.push((start, u));
-                start = u;
-                acc = 0;
-            }
-            acc = acc.saturating_add(c);
-        }
-        out.push((start, total));
         out
     }
 
@@ -1498,10 +1433,8 @@ fn outline_walk(
         return None;
     }
     let idx = out.nodes.len();
-    let element = input.element;
     out.nodes.push(OutlineNode {
         weight: 0,
-        element,
         children: Vec::new(),
     });
     let mut weight = ctx.surviving_suspects(&input).len();
@@ -1519,11 +1452,7 @@ fn outline_walk(
             children.push(outline_walk(ctx, ec.child, cap, out));
         }
     }
-    out.nodes[idx] = OutlineNode {
-        weight,
-        element,
-        children,
-    };
+    out.nodes[idx] = OutlineNode { weight, children };
     Some(idx)
 }
 
@@ -1540,7 +1469,7 @@ struct ShardWalkState<'s> {
     /// The enumeration's node cap (the composed-path budget); nodes past
     /// it were never outlined and always fold inline.
     cap: usize,
-    /// Sibling shard found a violation: stop and ship what is finished.
+    /// The caller's token fired: stop and ship what is finished.
     cancel: &'s CancelToken,
 }
 
@@ -1600,8 +1529,6 @@ fn shard_walk(
     // In range (at least partly): decide the covered units for real. The
     // node gets a fresh token so a cancellation between nodes never
     // truncates a solver call mid-flight — shipped slots are always exact.
-    let started = Instant::now();
-    let mut units_done = 0usize;
     let token = CancelToken::new();
 
     let mut checks: Vec<Option<CheckRecord>> = Vec::with_capacity(suspects.len());
@@ -1609,7 +1536,6 @@ fn shard_walk(
         let u = u0 + k;
         if u >= st.start && u < st.end {
             checks.push(Some(ctx.check_suspect(&input, seg_idx, &token)));
-            units_done += 1;
         } else {
             checks.push(None);
         }
@@ -1640,7 +1566,6 @@ fn shard_walk(
             let edge = ctx.decide_edge(&ec.contextual);
             edge_slots.push(Some(edge));
             recurse.push((ec.child, edge.feasible));
-            units_done += 1;
         } else {
             // Feasibility unknown to this shard: recurse optimistically —
             // wasted work at worst, never a wrong report (the fold skips
@@ -1655,13 +1580,6 @@ fn shard_walk(
         checks,
         edges: edge_slots,
     });
-    if units_done > 0 {
-        out.timings.push(ShardTiming {
-            index: idx,
-            units: units_done,
-            ns: started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        });
-    }
     for (child, child_live) in recurse {
         if !shard_walk(ctx, child, child_live, st, out) {
             return false;
@@ -1825,88 +1743,6 @@ mod tests {
             seen.values().any(|&n| n > 1),
             "no node was split across unit shards: {seen:?}"
         );
-    }
-
-    #[test]
-    fn cost_calibrated_shards_rebalance_a_skewed_tree() {
-        // A synthetic outline whose first node dominates observed cost:
-        // uniform unit cuts leave one shard carrying nearly everything,
-        // cost-calibrated cuts split inside that node's block and the
-        // heaviest-shard cost ratio drops.
-        let outline = ComposeOutline {
-            nodes: vec![
-                OutlineNode {
-                    weight: 4,
-                    element: 0,
-                    children: vec![Some(1), Some(2)],
-                },
-                OutlineNode {
-                    weight: 4,
-                    element: 1,
-                    children: vec![],
-                },
-                OutlineNode {
-                    weight: 4,
-                    element: 2,
-                    children: vec![],
-                },
-            ],
-            truncated: false,
-        };
-        let node_costs = vec![120_000u64, 1_200, 1_200];
-        let total = outline.total_weight();
-        let shard_count = 3;
-
-        let unit_costs: Vec<u64> = outline
-            .nodes
-            .iter()
-            .zip(&node_costs)
-            .flat_map(|(n, &c)| std::iter::repeat_n(c / n.weight as u64, n.weight))
-            .collect();
-        let shard_cost =
-            |&(s, e): &(usize, usize)| -> u64 { unit_costs[s..e].iter().copied().sum() };
-        let total_cost: u64 = unit_costs.iter().sum();
-
-        let uniform = outline.shards(total.div_ceil(shard_count).max(1));
-        let calibrated = outline.shards_by_cost(&node_costs, shard_count);
-
-        // The calibrated ranges still tile the unit space.
-        let mut expected_start = 0usize;
-        for &(s, e) in &calibrated {
-            assert_eq!(s, expected_start);
-            assert!(e > s);
-            expected_start = e;
-        }
-        assert_eq!(expected_start, total);
-        assert!(calibrated.len() <= shard_count);
-
-        let heaviest_uniform = uniform.iter().map(shard_cost).max().unwrap();
-        let heaviest_calibrated = calibrated.iter().map(shard_cost).max().unwrap();
-        assert!(
-            heaviest_calibrated < heaviest_uniform,
-            "calibration should shrink the heaviest shard: {heaviest_calibrated} vs {heaviest_uniform}"
-        );
-        // Ratio of the heaviest shard to the whole tree drops well below
-        // the uniform split's near-total share.
-        assert!(heaviest_uniform * 2 > total_cost);
-        assert!(heaviest_calibrated * 2 < total_cost + heaviest_uniform);
-    }
-
-    #[test]
-    fn shard_costs_near_u64_max_saturate_instead_of_overflowing() {
-        let leaf = |element| OutlineNode {
-            weight: 1,
-            element,
-            children: vec![],
-        };
-        let outline = ComposeOutline {
-            nodes: vec![leaf(0), leaf(1)],
-            truncated: false,
-        };
-        let ranges = outline.shards_by_cost(&[u64::MAX, u64::MAX], 2);
-        assert_eq!(ranges.first().map(|r| r.0), Some(0));
-        assert_eq!(ranges.last().map(|r| r.1), Some(2));
-        assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0), "{ranges:?}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ enum Fate {
     /// The worker dies mid-slice: nothing ships, the fold computes the
     /// uncovered units inline.
     Dead,
-    /// The shard's group was cancelled before the walk started; whatever
+    /// The shard's token fired before the walk started; whatever
     /// complete slots survived (none, for a pre-fired token) still ship.
     Cancelled,
 }

@@ -8,13 +8,13 @@
 //! hit. That is the paper's "embarrassingly cacheable" property made
 //! operational.
 
-use crate::codec::{from_json, record, to_json, Version};
+use crate::codec::record;
 use crate::fingerprint::{fingerprint_bytes, Fingerprint};
 use crate::json::Json;
 use crate::persist::ManifestEntry;
 use crate::persist::{manifest_from_json, manifest_to_json, summary_from_json, summary_to_json};
 use dataplane_verifier::{ElementSummary, RecordTable};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,38 +27,6 @@ pub const DEFAULT_PERSIST_BYTES: u64 = 64 * 1024 * 1024;
 
 /// File name of the cache-directory manifest.
 pub(crate) const MANIFEST_FILE: &str = "manifest.json";
-
-/// File name of the persisted shard-cost calibration table.
-pub(crate) const CALIBRATION_FILE: &str = "calibration.json";
-
-/// The calibration document's stamp. Its one other member, `"costs"`,
-/// maps each fingerprint's hex form to its [`UnitCost`].
-const CALIBRATION: Version = Version {
-    key: "schema",
-    value: 1,
-    what: "calibration",
-};
-
-const COSTS: &str = "costs";
-
-/// Cumulative observed Step-2 solver cost of one element behaviour, fed
-/// back from [`dataplane_verifier::ShardTiming`] records: how many shard
-/// work units of this element's nodes were computed, and the wall-clock
-/// nanoseconds they took. The ratio is the calibrated per-unit cost the
-/// fleet shard cuts weigh outline nodes with. Operational data only — it
-/// places shard cuts, never alters a deterministic report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UnitCost {
-    /// Shard work units observed.
-    pub units: u64,
-    /// Wall-clock nanoseconds those units took.
-    pub ns: u64,
-}
-
-record!(UnitCost {
-    units => "units",
-    ns => "ns",
-});
 
 /// Counters describing how the store served lookups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -140,10 +108,6 @@ pub struct SummaryStore {
     evicted: AtomicU64,
     records_computed: AtomicU64,
     records_reused: AtomicU64,
-    /// Observed shard cost per element behaviour (see [`UnitCost`]),
-    /// keyed like the summaries themselves. Loaded from
-    /// [`CALIBRATION_FILE`] when the store is persistent.
-    costs: Mutex<BTreeMap<Fingerprint, UnitCost>>,
 }
 
 /// Read and decode `dir`'s manifest (empty on any failure — every file then
@@ -154,23 +118,6 @@ fn read_manifest(dir: &Path) -> Vec<ManifestEntry> {
         .and_then(|text| Json::parse(&text).ok())
         .and_then(|json| manifest_from_json(&json).ok())
         .unwrap_or_default()
-}
-
-/// Read and decode `dir`'s shard-cost calibration table (empty on any
-/// failure — calibration is a planning hint, so a corrupt file degrades
-/// to uniform shard cuts, never to an error).
-fn read_calibration(dir: &Path) -> BTreeMap<Fingerprint, UnitCost> {
-    let json = std::fs::read_to_string(dir.join(CALIBRATION_FILE))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let stamped = json.as_ref().filter(|json| CALIBRATION.check(json).is_ok());
-    let Some(Json::Obj(entries)) = stamped.and_then(|json| json.get(COSTS)) else {
-        return BTreeMap::new();
-    };
-    entries
-        .iter()
-        .filter_map(|(key, doc)| Some((Fingerprint::parse(key)?, from_json(doc).ok()?)))
-        .collect()
 }
 
 /// Insert `disk` entries for files `manifest` does not track at the
@@ -210,56 +157,12 @@ impl SummaryStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let manifest = read_manifest(&dir);
-        let costs = read_calibration(&dir);
         Ok(SummaryStore {
             persist_dir: Some(dir),
             max_persist_bytes: max_bytes,
             manifest: Mutex::new(manifest),
-            costs: Mutex::new(costs),
             ..SummaryStore::default()
         })
-    }
-
-    /// Accumulate observed shard cost for one element behaviour — the
-    /// calibration feedback from a [`dataplane_verifier::ShardTiming`].
-    pub fn record_unit_cost(&self, fingerprint: Fingerprint, units: u64, ns: u64) {
-        if units == 0 {
-            return;
-        }
-        let mut costs = self.costs.lock().expect("calibration table");
-        let entry = costs.entry(fingerprint).or_default();
-        entry.units = entry.units.saturating_add(units);
-        entry.ns = entry.ns.saturating_add(ns);
-    }
-
-    /// The calibrated per-unit cost (nanoseconds) of `fingerprint`'s
-    /// nodes, if any shard visit has been observed for it.
-    pub fn unit_cost_ns(&self, fingerprint: Fingerprint) -> Option<u64> {
-        let costs = self.costs.lock().expect("calibration table");
-        let entry = costs.get(&fingerprint)?;
-        if entry.units == 0 {
-            return None;
-        }
-        Some((entry.ns / entry.units).max(1))
-    }
-
-    /// Write the calibration table to the persistent tier (best-effort: a
-    /// write failure loses nothing but warm-up on the next process). A
-    /// memory-only store keeps the table for its own lifetime.
-    pub fn flush_calibration(&self) {
-        let Some(dir) = self.persist_dir.as_ref() else {
-            return;
-        };
-        let doc = {
-            let costs = self.costs.lock().expect("calibration table");
-            let costs = costs.iter().map(|(fp, c)| (fp.to_string(), to_json(c)));
-            CALIBRATION.stamp(Json::obj([(COSTS, Json::Obj(costs.collect()))]))
-        };
-        let path = dir.join(CALIBRATION_FILE);
-        let tmp = dir.join(format!("{CALIBRATION_FILE}.tmp"));
-        if std::fs::write(&tmp, doc.to_text()).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
     }
 
     /// The persistent directory, if the store has one.

@@ -50,7 +50,9 @@
 use crate::cache::SummaryStore;
 use crate::codec::to_json;
 use crate::exec::frame::{FromDaemon, ToDaemon};
-use crate::exec::transport::{read_frame, write_frame, Connector, Listener, SocketConnector};
+use crate::exec::transport::{
+    closed_before_a_frame, read_frame, write_frame, Connector, Listener, SocketConnector,
+};
 use crate::exec::{
     DispatchStats, ExecError, Executor, HeartbeatConfig, Transport, WorkerAddr, WorkerFleet,
 };
@@ -326,17 +328,16 @@ impl Daemon {
     }
 
     /// Serve clients on `listener` until killed (or, with `once`, exactly
-    /// one connection — used by tests). Each connection runs on its own
+    /// one session — used by tests; a connection that closes before its
+    /// first frame is none). Each connection runs on its own
     /// thread so admission and warm-store sharing are real. `log`
     /// receives one line per session event.
-    pub fn serve(
-        &self,
-        listener: Listener,
-        once: bool,
-        log: Arc<dyn Fn(&str) + Send + Sync>,
-    ) -> Result<(), ExecError> {
+    pub fn serve(&self, listener: Listener, once: bool, log: Arc<dyn Fn(&str) + Send + Sync>) {
         loop {
-            let (reader, writer, peer) = listener.accept()?;
+            let (mut reader, writer, peer) = listener.accept(&mut |line| log(line));
+            if once && closed_before_a_frame(&mut reader) {
+                continue;
+            }
             log(&format!("session from {peer}"));
             let daemon = self.clone();
             let log = log.clone();
@@ -346,7 +347,7 @@ impl Daemon {
             };
             if once {
                 session();
-                return Ok(());
+                return;
             }
             std::thread::spawn(session);
         }

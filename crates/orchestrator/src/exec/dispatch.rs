@@ -21,7 +21,7 @@ use super::ExecError;
 use crate::fingerprint::Fingerprint;
 use crate::persist::summary_to_json;
 use crate::wire::{options_digest, JobSpec};
-use dataplane_verifier::{CheckOutcome, ComposeShardResult, ElementSummary, VerifierOptions};
+use dataplane_verifier::{ElementSummary, VerifierOptions};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -78,8 +78,6 @@ struct State {
     /// The most recent worker-level failure, for the terminal error when
     /// every worker is gone.
     last_failure: Option<String>,
-    /// Sibling groups whose outcome is already decided (see [`group_of`]).
-    cancelled_groups: BTreeSet<u32>,
 }
 
 impl State {
@@ -90,36 +88,6 @@ impl State {
             self.remaining -= 1;
         }
     }
-}
-
-/// The sibling group of a job — compose sharding's early exit. The shards
-/// of one scenario are a group, and the first of them to report a
-/// violation decides the scenario's verdict: the group's queued members
-/// then resolve to empty cancelled shards without ever being sent, and
-/// its in-flight members are sent `cancel` frames — each worker sends them
-/// for its own outstanding jobs when it next wakes (a result, a pong, or a
-/// heartbeat-interval read timeout). Cancellation is purely a
-/// work-avoidance signal: a cancelled job still answers with the complete
-/// partial records it finished, and the fold computes the remainder
-/// inline, so the folded output is identical with or without it.
-fn group_of(job: &JobSpec) -> Option<u32> {
-    match job {
-        JobSpec::ComposeShard(shard) => Some(shard.scenario_index),
-        _ => None,
-    }
-}
-
-/// Does this output decide its whole group (a shard that found a
-/// violation)?
-fn ends_group(output: &JobOutput) -> bool {
-    let JobOutput::Shard(result) = output else {
-        return false;
-    };
-    let mut checks = result
-        .records
-        .iter()
-        .flat_map(|r| r.checks.iter().flatten());
-    checks.any(|check| matches!(check.outcome, CheckOutcome::Violation(_)))
 }
 
 /// Resolves a fingerprint to the summary a job's attachment ships (`None`
@@ -167,8 +135,7 @@ struct Shared {
 /// index, each decoded on the thread that received it. With `summaries`,
 /// each job's summary attachment is built **for the worker it is sent
 /// to**, against that worker's held set — a requeued job is rebuilt for
-/// the survivor. Jobs run exactly as planned, one result slot per job,
-/// except the members of a decided sibling group (see [`group_of`]).
+/// the survivor. Jobs run exactly as planned, one result slot per job.
 pub(crate) fn dispatch(
     connectors: &[Box<dyn Connector>],
     registry: &WorkerRegistry,
@@ -188,7 +155,6 @@ pub(crate) fn dispatch(
             fatal: None,
             results: (0..count).map(|_| None).collect(),
             last_failure: None,
-            cancelled_groups: BTreeSet::new(),
         }),
         cv: Condvar::new(),
     };
@@ -326,8 +292,6 @@ fn worker_loop(
     };
     let mut last_heard = Instant::now();
     let mut ping_seq = 0u64;
-    // Jobs this worker has already sent a cancel frame for.
-    let mut cancel_sent: BTreeSet<usize> = BTreeSet::new();
     loop {
         // Top up the window from the shared queue.
         while outstanding.len() < capacity {
@@ -336,25 +300,7 @@ fn worker_loop(
                 if state.fatal.is_some() {
                     return; // another worker hit a fatal job error
                 }
-                loop {
-                    let Some(job) = state.queue.pop_front() else {
-                        break None;
-                    };
-                    // A queued member of a cancelled group resolves right
-                    // here, without ever reaching a worker.
-                    if group_of(&jobs[job]).is_some_and(|g| state.cancelled_groups.contains(&g)) {
-                        let cancelled = ComposeShardResult {
-                            cancelled: true,
-                            ..ComposeShardResult::default()
-                        };
-                        state.complete(job, JobOutput::Shard(cancelled));
-                        if state.remaining == 0 {
-                            shared.cv.notify_all();
-                        }
-                        continue;
-                    }
-                    break Some(job);
-                }
+                state.queue.pop_front()
             };
             let Some(job) = next else { break };
             let frame = ToWorker::Job {
@@ -383,23 +329,6 @@ fn worker_loop(
                 state = shared.cv.wait(state).expect("dispatch state");
             }
             continue;
-        }
-
-        // Relay group cancellations to this worker's own in-flight jobs —
-        // once per job. A worker blocked in `recv` notices at its next
-        // wake-up: a result, a pong, or a heartbeat-interval read timeout.
-        let groups = shared
-            .state
-            .lock()
-            .expect("dispatch state")
-            .cancelled_groups
-            .clone();
-        for &job in &outstanding {
-            if group_of(&jobs[job]).is_some_and(|g| groups.contains(&g)) && cancel_sent.insert(job)
-            {
-                // A send failure surfaces on the next recv.
-                let _ = transport.send(&ToWorker::Cancel(job as u64).encode());
-            }
         }
 
         // Await one result. With a read deadline armed, a silent interval
@@ -450,12 +379,8 @@ fn worker_loop(
                 // holds (its own explore results included).
                 held.extend(folded);
                 registry.record_completed(worker);
-                let ended = group_of(&jobs[job]).filter(|_| ends_group(&output));
                 let mut state = shared.state.lock().expect("dispatch state");
                 state.complete(job, output);
-                // The group's verdict is in: its queued members resolve as
-                // they are pulled, and in-flight ones are sent cancels.
-                state.cancelled_groups.extend(ended);
                 if state.remaining == 0 {
                     shared.cv.notify_all();
                 }

@@ -183,8 +183,7 @@ impl Executor for WorkerFleet {
         // Shards ride the same summary-dedup attachments as whole
         // compositions: every shard of a scenario names the same
         // fingerprints, so after a worker's first shard the rest collapse
-        // to `"held"` markers. A scenario's first violation cancels its
-        // sibling shards; the fold computes whatever they did not ship.
+        // to `"held"` markers.
         self.registry.record_shards_offered(jobs.len());
         self.run(
             jobs,
@@ -192,12 +191,7 @@ impl Executor for WorkerFleet {
             options,
             Some(summaries),
             |output| match output {
-                JobOutput::Shard(result) => {
-                    if result.cancelled {
-                        self.registry.record_shard_cancelled();
-                    }
-                    result
-                }
+                JobOutput::Shard(result) => result,
                 _ => unreachable!("an output decodes by its job's kind"),
             },
         )

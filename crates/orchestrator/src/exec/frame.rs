@@ -4,7 +4,7 @@
 //! its `kind` (the line framing is [`super::transport`]'s). There is one
 //! type per direction of each protocol, each with exactly one `encode` and
 //! one `decode`: the worker protocol's [`ToWorker`] (hello, options, job,
-//! ping, cancel) and [`FromWorker`] (hello reply, result, pong, error),
+//! ping) and [`FromWorker`] (hello reply, result, pong, error),
 //! and the client protocol's [`ToDaemon`] (hello, join, verify) and
 //! [`FromDaemon`] (hello reply, queued, joined, response, error). A
 //! result's payload is a [`JobOutput`], one encoder and one decoder per job
@@ -51,8 +51,10 @@ use std::time::Duration;
 /// * v10 — one solver budget: no check is retried at raised budgets, so
 ///   the `options` frame, report stats and shard check records lose the
 ///   retry keys (a check record keeps its outcome, stage diagnostics and
-///   `prefiltered`).
-pub const WORKER_SCHEMA: u64 = 10;
+///   `prefiltered`);
+/// * v11 — shards run to their end: shard results carry no `timings`,
+///   shard jobs no `scenario_index`, and `cancel` is an unknown kind.
+pub const WORKER_SCHEMA: u64 = 11;
 
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
@@ -61,10 +63,11 @@ pub const WORKER_PROTO: &str = "vericlick-worker";
 /// Client protocol name, sent in every hello and join frame.
 pub const CLIENT_PROTO: &str = "vericlick-client";
 
-/// Client protocol schema version. Version 1 speaks hello (with optional
-/// session options), verify, join, queued, joined, response, and error
-/// frames.
-pub const CLIENT_SCHEMA: u64 = 1;
+/// Client protocol schema version:
+/// * v1 — hello (with optional session options), verify, join, queued,
+///   joined, response, and error frames;
+/// * v2 — a response's dispatch stats carry no `shards_cancelled`.
+pub const CLIENT_SCHEMA: u64 = 2;
 
 /// A line protocol's identity: the name its greetings announce and the
 /// schema its frames carry.
@@ -125,8 +128,6 @@ pub(crate) enum ToWorker {
     },
     /// A heartbeat probe; the pong echoes its sequence number.
     Ping(Option<u64>),
-    /// Fire the cancellation token of in-flight job `id`.
-    Cancel(u64),
 }
 
 /// A worker → coordinator frame.
@@ -272,7 +273,6 @@ impl ToWorker {
                 WORKER.frame("job", fields.into_iter().chain(slots))
             }
             ToWorker::Ping(seq) => WORKER.frame("ping", seq.map(|seq| ("seq", Json::int(seq)))),
-            ToWorker::Cancel(id) => WORKER.frame("cancel", [("id", Json::int(*id))]),
         }
     }
 
@@ -320,9 +320,6 @@ impl ToWorker {
                 ToWorker::Job { id, job, summaries }
             }
             Some("ping") => ToWorker::Ping(frame.get("seq").and_then(Json::as_u64)),
-            Some("cancel") => {
-                ToWorker::Cancel(id(frame).ok_or_else(|| malformed("cancel frame without an id"))?)
-            }
             other => return Err(malformed(format!("unexpected frame kind {other:?}"))),
         })
     }
@@ -635,55 +632,54 @@ mod tests {
     use crate::wire::{
         job_to_json, ComposeJob, ComposeShardJob, ExploreJob, FuzzJob, ScenarioSpec,
     };
-    use dataplane_verifier::{Property, ShardTiming, Verdict, VerificationStats};
+    use dataplane_verifier::{Property, Verdict, VerificationStats};
     use proptest::prelude::*;
     use proptest::TestRng;
     use std::sync::OnceLock;
 
-    /// One coordinator frame of each kind, as schema 10 spells it on the
+    /// One coordinator frame of each kind, as schema 11 spells it on the
     /// wire: peers built before this module must keep reading them.
-    const TO_WORKER: [&str; 8] = [
-        r#"{"kind":"hello","options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","proto":"vericlick-worker","schema":10}"#,
-        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","schema":10}"#,
-        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":10}"#,
-        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":10,"summaries":[null,"held"]}"#,
-        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":2,"start":0},"kind":"job","schema":10,"summaries":[null]}"#,
-        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":10}"#,
-        r#"{"kind":"ping","schema":10,"seq":3}"#,
-        r#"{"id":9,"kind":"cancel","schema":10}"#,
+    const TO_WORKER: [&str; 7] = [
+        r#"{"kind":"hello","options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","proto":"vericlick-worker","schema":11}"#,
+        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","schema":11}"#,
+        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":11}"#,
+        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":11,"summaries":[null,"held"]}"#,
+        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"start":0},"kind":"job","schema":11,"summaries":[null]}"#,
+        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":11}"#,
+        r#"{"kind":"ping","schema":11,"seq":3}"#,
     ];
 
-    /// One worker frame of each kind, as schema 10 spells it on the wire.
+    /// One worker frame of each kind, as schema 11 spells it on the wire.
     const FROM_WORKER: [&str; 8] = [
-        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":10}"#,
-        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":10,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":2,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
-        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":10}"#,
-        r#"{"id":2,"kind":"result","schema":10,"shard":{"cancelled":false,"records":[],"timings":[]}}"#,
-        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":10}"#,
-        r#"{"kind":"pong","schema":10,"seq":3}"#,
-        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":10}"#,
-        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 10","schema":10}"#,
+        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":11}"#,
+        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":11,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":2,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
+        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":11}"#,
+        r#"{"id":2,"kind":"result","schema":11,"shard":{"cancelled":false,"records":[]}}"#,
+        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":11}"#,
+        r#"{"kind":"pong","schema":11,"seq":3}"#,
+        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":11}"#,
+        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 11","schema":11}"#,
     ];
 
-    /// One client frame of each kind, as client schema 1 spells it on the
+    /// One client frame of each kind, as client schema 2 spells it on the
     /// wire: hello without and with options, join, verify.
     const TO_DAEMON: [&str; 4] = [
-        r#"{"kind":"hello","proto":"vericlick-client","schema":1}"#,
-        r#"{"kind":"hello","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"proto":"vericlick-client","schema":1}"#,
-        r#"{"addr":"127.0.0.1:7843","kind":"join","proto":"vericlick-client","schema":1}"#,
-        r#"{"kind":"verify","request":{"config":"t :: DecTTL();\n","kind":"single","name":"t","property":{"kind":"crash-freedom"},"schema":1},"schema":1}"#,
+        r#"{"kind":"hello","proto":"vericlick-client","schema":2}"#,
+        r#"{"kind":"hello","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"proto":"vericlick-client","schema":2}"#,
+        r#"{"addr":"127.0.0.1:7843","kind":"join","proto":"vericlick-client","schema":2}"#,
+        r#"{"kind":"verify","request":{"config":"t :: DecTTL();\n","kind":"single","name":"t","property":{"kind":"crash-freedom"},"schema":1},"schema":2}"#,
     ];
 
-    /// One daemon frame of each kind, as client schema 1 spells it: hello
+    /// One daemon frame of each kind, as client schema 2 spells it: hello
     /// reply, queued, joined, response, and an error with and without a
     /// retry hint.
     const FROM_DAEMON: [&str; 6] = [
-        r#"{"kind":"hello","proto":"vericlick-client","schema":1,"sessions":1,"workers":0}"#,
-        r#"{"kind":"queued","position":1,"schema":1}"#,
-        r#"{"kind":"joined","schema":1,"workers":1}"#,
-        r#"{"det_report":{"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"dispatch":null,"display":"property crash-freedom — Proven in 0.000s\n  elements 1, summaries computed 0 (reused 1), segments 7, suspects 0, discharged 0, composed paths 0, solver calls 4\n","kind":"response","ok":true,"proven":1,"report":{"elapsed_micros":277,"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"request":"single","schema":1,"unknown":0,"violated":0}"#,
-        r#"{"kind":"error","message":"busy: 1 sessions in flight (max 1) and the queue of 1 is full; retry in ~500ms","retry_after_ms":500,"schema":1}"#,
-        r#"{"kind":"error","message":"wire: malformed document: missing field 'schema'","schema":1}"#,
+        r#"{"kind":"hello","proto":"vericlick-client","schema":2,"sessions":1,"workers":0}"#,
+        r#"{"kind":"queued","position":1,"schema":2}"#,
+        r#"{"kind":"joined","schema":2,"workers":1}"#,
+        r#"{"det_report":{"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"dispatch":null,"display":"property crash-freedom — Proven in 0.000s\n  elements 1, summaries computed 0 (reused 1), segments 7, suspects 0, discharged 0, composed paths 0, solver calls 4\n","kind":"response","ok":true,"proven":1,"report":{"elapsed_micros":277,"kind":"single","pipeline":"t","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":0,"summaries_reused":1,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":2},"request":"single","schema":2,"unknown":0,"violated":0}"#,
+        r#"{"kind":"error","message":"busy: 1 sessions in flight (max 1) and the queue of 1 is full; retry in ~500ms","retry_after_ms":500,"schema":2}"#,
+        r#"{"kind":"error","message":"wire: malformed document: missing field 'schema'","schema":2}"#,
     ];
 
     fn scenario(name: String, config: String) -> ScenarioSpec {
@@ -711,7 +707,6 @@ mod tests {
             JobSpec::ComposeShard(ComposeShardJob {
                 scenario: scenario.clone(),
                 fingerprints: vec![fp],
-                scenario_index: 2,
                 start: 0,
                 end: 0,
             }),
@@ -759,7 +754,6 @@ mod tests {
         let held = Some(vec![Attached::Missing, Attached::Held]);
         assert_eq!(job(5, &jobs[1], held).encode().to_text(), TO_WORKER[3]);
         assert_eq!(ToWorker::Ping(Some(3)).encode().to_text(), TO_WORKER[6]);
-        assert_eq!(ToWorker::Cancel(9).encode().to_text(), TO_WORKER[7]);
         let hello = FromWorker::Hello {
             capacity: 1,
             held: Vec::new(),
@@ -839,30 +833,36 @@ mod tests {
         let jobs = pinned_jobs();
         let parse = |text: &str| Json::parse(text).unwrap();
         // A job that does not decode is that job's failure.
-        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":10}"#);
+        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":11}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: Some(3), .. })
         ));
         // A frame without its id, or of another schema, is the session's.
-        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":10}"#);
+        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":11}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: None, .. })
         ));
         let bad = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":8}"#);
         let e = ToWorker::decode(&bad).unwrap_err();
-        assert!(e.job.is_none() && e.message.contains("schema 10"), "{e:?}");
+        assert!(e.job.is_none() && e.message.contains("schema 11"), "{e:?}");
+        // Frames of kinds an older schema spoke are the session's failure.
+        for kind in ["split", "cancel"] {
+            let old = parse(&format!(r#"{{"id":9,"kind":"{kind}","schema":11}}"#));
+            let e = ToWorker::decode(&old).unwrap_err();
+            assert!(e.job.is_none() && e.message.contains(kind), "{e:?}");
+        }
         // A result nobody holds loses the worker; one whose payload does
         // not read fails the request.
-        let unheld = parse(r#"{"id":9,"kind":"result","schema":10,"shard":{}}"#);
+        let unheld = parse(r#"{"id":9,"kind":"result","schema":11,"shard":{}}"#);
         let e = FromWorker::decode(&unheld, job_of(&jobs)).unwrap_err();
         assert!(e.job.is_none(), "{e:?}");
-        let unreadable = parse(r#"{"id":2,"kind":"result","schema":10,"shard":{}}"#);
+        let unreadable = parse(r#"{"id":2,"kind":"result","schema":11,"shard":{}}"#);
         let e = FromWorker::decode(&unreadable, job_of(&jobs)).unwrap_err();
         assert_eq!(e.job, Some(2), "{e:?}");
         // A hello reply without a capacity offers one slot.
-        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":10}"#);
+        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":11}"#);
         assert!(matches!(
             FromWorker::decode(&hello, job_of(&jobs)),
             Ok(FromWorker::Hello { capacity: 1, .. })
@@ -930,7 +930,6 @@ mod tests {
             2 => JobSpec::ComposeShard(ComposeShardJob {
                 scenario,
                 fingerprints,
-                scenario_index: rng.next_u64() as u32,
                 start: any_u64(rng) as usize,
                 end: any_u64(rng) as usize,
             }),
@@ -963,11 +962,6 @@ mod tests {
             JobSpec::ComposeShard(_) => JobOutput::Shard(ComposeShardResult {
                 records: Vec::new(),
                 cancelled: coin(rng),
-                timings: vec![ShardTiming {
-                    index: any_u64(rng) as usize,
-                    units: any_u64(rng) as usize,
-                    ns: any_u64(rng),
-                }],
             }),
             JobSpec::Fuzz(job) => JobOutput::Fuzz(FuzzShardReport {
                 scenario: any_text(rng),
@@ -1083,11 +1077,7 @@ mod tests {
                 }
                 .encode()
             }
-            4 => match rng.next_u64() % 2 {
-                0 => ToWorker::Ping(coin(rng).then_some(any_u64(rng))),
-                _ => ToWorker::Cancel(any_u64(rng)),
-            }
-            .encode(),
+            4 => ToWorker::Ping(coin(rng).then_some(any_u64(rng))).encode(),
             5 => FromWorker::Hello {
                 capacity: 1 + any_u64(rng) as usize % 64,
                 held: fingerprints(rng),

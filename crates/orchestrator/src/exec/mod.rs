@@ -4,7 +4,8 @@
 //!   behind one [`transport::Transport`] trait with **stdio** (spawned
 //!   subprocess), **TCP**, and **Unix-socket** implementations. A
 //!   [`transport::Connector`] knows how to open one; a [`Listener`] is
-//!   where the daemon and socket workers accept them.
+//!   where the daemon and socket workers accept them (a failed accept is
+//!   logged and retried, never the end of a server).
 //! * [`registry`] — the [`WorkerRegistry`]: which workers joined (hello
 //!   with protocol + schema version and capacity), which died, how much
 //!   work each did, and the aggregate [`DispatchStats`] reported in
@@ -14,7 +15,8 @@
 //!   advertised capacity in flight). A worker that dies mid-plan has its
 //!   in-flight jobs requeued and the survivors drain them — no job is
 //!   pre-assigned to a worker, which is what makes uneven job costs (the
-//!   prune-heavy Step-2 walks especially) load-balance.
+//!   prune-heavy Step-2 walks especially) load-balance. Every job, compose
+//!   shards included, runs to its end.
 //! * `frame` — the frames of both line protocols, the one place their
 //!   format lives: one type per direction of the worker protocol
 //!   (coordinator ↔ worker) and of the client protocol (client ↔
@@ -67,6 +69,8 @@ pub enum ExecError {
     Spawn(String),
     /// A socket worker could not be reached.
     Connect(String),
+    /// A server could not bind its listen address.
+    Listen(String),
     /// A protocol frame did not parse or had the wrong shape.
     Protocol(String),
     /// A job failed inside a worker (unknown element type, fingerprint
@@ -88,6 +92,7 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Spawn(m) => write!(f, "executor: cannot run worker: {m}"),
             ExecError::Connect(m) => write!(f, "executor: cannot reach worker: {m}"),
+            ExecError::Listen(m) => write!(f, "cannot listen on {m}"),
             ExecError::Protocol(m) => write!(f, "executor: protocol error: {m}"),
             ExecError::Job(m) => write!(f, "executor: job failed: {m}"),
             ExecError::NoWorkers(m) => write!(f, "executor: out of workers: {m}"),
@@ -151,9 +156,9 @@ pub trait Executor: Send + Sync {
     /// Decide Step-2 compose *shards* remotely, one
     /// [`dataplane_verifier::ComposeShardResult`] per job in input order
     /// (the fold replays the sequential enumeration, so input order is the
-    /// determinism contract here too). A shard whose sibling reported a
-    /// violation first may come back partial or empty (`cancelled`) — the
-    /// fold computes the remainder inline.
+    /// determinism contract here too). Every shard runs to the end of its
+    /// range: nothing cancels a shard because another one found a
+    /// violation.
     ///
     /// Returns `None` when this executor has no remote shard path (the
     /// service then composes the scenario in-process).

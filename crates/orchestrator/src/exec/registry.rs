@@ -33,10 +33,6 @@ pub struct DispatchStats {
     /// Step-2 compose shards offered to the queue (contiguous slices of a
     /// scenario's check enumeration).
     pub compose_shards: usize,
-    /// Compose shards cancelled because a sibling shard of the same
-    /// scenario reported a violation first (the fold recomputes their
-    /// remainder inline, so cancellation never changes the report).
-    pub shards_cancelled: usize,
     /// Conformance fuzz shards offered to the queue.
     pub fuzz_jobs: usize,
     /// Handshaken workers that returned no result at all — a fleet-shape
@@ -69,7 +65,6 @@ record!(DispatchStats {
     compose_jobs => "compose_jobs",
     temporal_jobs => "temporal_jobs",
     compose_shards => "compose_shards",
-    shards_cancelled => "shards_cancelled",
     fuzz_jobs => "fuzz_jobs",
     workers_idle => "workers_idle",
     summaries_shipped => "summaries_shipped",
@@ -103,7 +98,6 @@ struct RegistryInner {
     compose_jobs: usize,
     temporal_jobs: usize,
     compose_shards: usize,
-    shards_cancelled: usize,
     fuzz_jobs: usize,
     summaries_shipped: usize,
     summaries_deduped: usize,
@@ -166,13 +160,6 @@ impl WorkerRegistry {
     /// Record compose shards offered to the queue.
     pub(crate) fn record_shards_offered(&self, shards: usize) {
         self.inner.lock().expect("registry").compose_shards += shards;
-    }
-
-    /// Record a compose shard cancelled because a sibling found a
-    /// violation (whether in flight — a cancel frame went out — or still
-    /// queued).
-    pub(crate) fn record_shard_cancelled(&self) {
-        self.inner.lock().expect("registry").shards_cancelled += 1;
     }
 
     /// A job frame went out.
@@ -280,7 +267,6 @@ impl WorkerRegistry {
             compose_jobs: inner.compose_jobs,
             temporal_jobs: inner.temporal_jobs,
             compose_shards: inner.compose_shards,
-            shards_cancelled: inner.shards_cancelled,
             fuzz_jobs: inner.fuzz_jobs,
             workers_idle: idle,
             summaries_shipped: inner.summaries_shipped,
@@ -341,7 +327,6 @@ mod tests {
         // Second phase: w1 reconnects and composes with partial dedup.
         registry.record_offered(0, 2, 4);
         registry.record_shards_offered(3);
-        registry.record_shard_cancelled();
         let a2 = registry.register("w1".into(), 2);
         registry.record_dispatched();
         registry.record_dispatched();
@@ -361,7 +346,6 @@ mod tests {
         assert_eq!(stats.explore_jobs, 3);
         assert_eq!(stats.compose_jobs, 2);
         assert_eq!(stats.compose_shards, 3);
-        assert_eq!(stats.shards_cancelled, 1);
         assert_eq!(stats.fuzz_jobs, 4);
         assert_eq!(stats.workers_idle, 1, "w2 joined but returned nothing");
         assert_eq!(stats.summaries_shipped, 3);

@@ -142,6 +142,14 @@ impl SocketStream {
             SocketStream::Unix(s) => s.set_read_timeout(timeout),
         }
     }
+
+    /// See [`tcp_no_delay`]; a Unix stream has no Nagle to switch off.
+    fn set_no_delay(&self) -> std::io::Result<()> {
+        match self {
+            SocketStream::Tcp(s) => s.set_nodelay(true),
+            SocketStream::Unix(_) => Ok(()),
+        }
+    }
 }
 
 impl Read for SocketStream {
@@ -298,7 +306,7 @@ impl Listener {
     /// server cannot take the address of a first that keeps running,
     /// unreachable.
     pub fn bind(addr: &WorkerAddr) -> Result<Listener, ExecError> {
-        let failed = |e: std::io::Error| ExecError::Connect(format!("bind {addr}: {e}"));
+        let failed = |e: std::io::Error| ExecError::Listen(format!("{addr}: {e}"));
         match addr {
             WorkerAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(spec).map_err(failed)?;
@@ -310,9 +318,7 @@ impl Listener {
                     .is_ok_and(|meta| std::os::unix::fs::FileTypeExt::is_socket(&meta.file_type()));
                 if socket {
                     if UnixStream::connect(path).is_ok() {
-                        return Err(ExecError::Connect(format!(
-                            "{addr} is in use by a live peer"
-                        )));
+                        return Err(ExecError::Listen(format!("{addr}: in use by a live peer")));
                     }
                     let _ = std::fs::remove_file(path);
                 }
@@ -331,27 +337,49 @@ impl Listener {
     }
 
     /// Wait for the next peer: the connection's read and write halves and
-    /// a description of the peer for logs.
+    /// a description of the peer for logs. Nothing here stops a server: a
+    /// failed accept (out of descriptors, an aborted handshake) is logged
+    /// and retried after [`ACCEPT_RETRY_PAUSE`], and a connection whose
+    /// setup fails is logged and dropped.
     pub(crate) fn accept(
         &self,
-    ) -> Result<(BufReader<SocketStream>, SocketStream, String), ExecError> {
-        let failed = |e: std::io::Error| ExecError::Connect(format!("accept: {e}"));
-        let (stream, peer) = match self {
-            Listener::Tcp(listener, _) => {
-                let (stream, peer) = listener.accept().map_err(failed)?;
-                tcp_no_delay(&stream)?;
-                (SocketStream::Tcp(stream), peer.to_string())
+        log: &mut dyn FnMut(&str),
+    ) -> (BufReader<SocketStream>, SocketStream, String) {
+        loop {
+            let accepted = match self {
+                Listener::Tcp(listener, _) => listener
+                    .accept()
+                    .map(|(stream, peer)| (SocketStream::Tcp(stream), peer.to_string())),
+                Listener::Unix(listener, _) => listener
+                    .accept()
+                    .map(|(stream, _)| (SocketStream::Unix(stream), self.local().to_string())),
+            };
+            let (stream, peer) = match accepted {
+                Ok(accepted) => accepted,
+                Err(e) => {
+                    log(&format!("accept failed, retrying: {e}"));
+                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                    continue;
+                }
+            };
+            match stream.set_no_delay().and_then(|()| stream.try_clone()) {
+                Ok(reader) => return (BufReader::new(reader), stream, peer),
+                Err(e) => log(&format!("connection from {peer} dropped: {e}")),
             }
-            Listener::Unix(listener, _) => {
-                let (stream, _) = listener.accept().map_err(failed)?;
-                (SocketStream::Unix(stream), self.local().to_string())
-            }
-        };
-        let reader = stream
-            .try_clone()
-            .map_err(|e| ExecError::Connect(format!("clone stream: {e}")))?;
-        Ok((BufReader::new(reader), stream, peer))
+        }
     }
+}
+
+/// How long a server waits to accept again after the listener failed: long
+/// enough not to spin on a full descriptor table, short enough to notice
+/// freed ones at once.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(50);
+
+/// Whether an accepted peer closed before sending a byte — what
+/// [`Listener::bind`]'s probe of a live socket does. Such a connection is
+/// no session, so a single-session server keeps waiting for its own.
+pub(crate) fn closed_before_a_frame(reader: &mut BufReader<SocketStream>) -> bool {
+    reader.fill_buf().map_or(true, <[u8]>::is_empty)
 }
 
 /// Opens a transport to one worker. Connectors are reusable: dispatch
@@ -467,13 +495,17 @@ mod tests {
 
         let second = Listener::bind(&addr);
         assert!(
-            matches!(&second, Err(ExecError::Connect(m)) if m.contains("in use")),
+            matches!(&second, Err(ExecError::Listen(m)) if m.contains("in use")),
             "{second:?}"
+        );
+        assert_eq!(
+            second.unwrap_err().to_string(),
+            format!("cannot listen on {addr}: in use by a live peer")
         );
         // The first keeps serving: past the refused binder's probe, a
         // client's frame is echoed back.
         let server = std::thread::spawn(move || loop {
-            let (mut reader, mut writer, _) = first.accept().unwrap();
+            let (mut reader, mut writer, _) = first.accept(&mut |_| {});
             if let Some(frame) = read_frame(&mut reader).unwrap() {
                 write_frame(&mut writer, &frame).unwrap();
                 return first;

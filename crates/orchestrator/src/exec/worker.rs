@@ -10,7 +10,7 @@
 //! identical on every transport.
 
 use super::frame::{attached_to, Attached, FromWorker, JobOutput, Pin, ToWorker, Undecodable};
-use super::transport::{read_frame, write_frame, Listener};
+use super::transport::{closed_before_a_frame, read_frame, write_frame, Listener};
 use super::{run_explore_job, ExecError};
 use crate::fingerprint::Fingerprint;
 use crate::wire::{options_digest, JobSpec, ScenarioSpec};
@@ -99,7 +99,6 @@ fn run_job(
     summaries: Vec<Option<Arc<ElementSummary>>>,
     options: &VerifierOptions,
     state: &WorkerState,
-    cancel: &CancelToken,
 ) -> Result<(JobOutput, Vec<Fingerprint>), ExecError> {
     let scenario = |spec: &ScenarioSpec, kind: &str| {
         spec.to_scenario()
@@ -124,6 +123,7 @@ fn run_job(
             let report = verifier.verify(&scenario.pipeline, &scenario.property);
             Ok((JobOutput::Report(Box::new(report)), Vec::new()))
         }
+        // A shard runs to its end: nothing cancels it.
         JobSpec::ComposeShard(job) => {
             let scenario = scenario(&job.scenario, "compose-shard")?;
             let result = Verifier::with_options(options.clone()).decide_composition_shard(
@@ -132,7 +132,7 @@ fn run_job(
                 summaries.into_iter().flatten(),
                 job.start,
                 job.end,
-                cancel,
+                &CancelToken::new(),
             );
             Ok((JobOutput::Shard(result), Vec::new()))
         }
@@ -284,10 +284,6 @@ where
     let options = &options;
     let send = &send;
     let in_flight = &(Mutex::new(0usize), Condvar::new());
-    // Cancellation tokens of in-flight jobs, by id: a `cancel` frame fires
-    // the token from the read loop while the job's thread keeps running —
-    // the job notices between walk nodes and answers with what it has.
-    let cancels = &Mutex::new(BTreeMap::<u64, CancelToken>::new());
     std::thread::scope(|scope| -> Result<(), ExecError> {
         loop {
             let Some(frame) = read_frame(&mut input)? else {
@@ -304,13 +300,8 @@ where
                         }
                         *running += 1;
                     }
-                    let cancel = CancelToken::new();
-                    cancels
-                        .lock()
-                        .expect("cancel registry")
-                        .insert(id, cancel.clone());
                     scope.spawn(move || {
-                        let reply = match run_job(&job, summaries, options, state, &cancel) {
+                        let reply = match run_job(&job, summaries, options, state) {
                             Ok((output, run_folded)) => FromWorker::Result {
                                 id,
                                 output,
@@ -321,7 +312,6 @@ where
                                 message: e.to_string(),
                             },
                         };
-                        cancels.lock().expect("cancel registry").remove(&id);
                         // A write failure means the coordinator is gone;
                         // the read loop will see EOF and exit.
                         let _ = send(reply);
@@ -344,14 +334,6 @@ where
                 // what tells a coordinator this worker is busy rather
                 // than wedged.
                 Ok(ToWorker::Ping(seq)) => send(FromWorker::Pong(seq))?,
-                Ok(ToWorker::Cancel(id)) => {
-                    // Fire the named job's token if it is still running; a
-                    // cancel racing a finished job is a clean no-op (its
-                    // result frame is already on the wire).
-                    if let Some(token) = cancels.lock().expect("cancel registry").get(&id) {
-                        token.cancel();
-                    }
-                }
                 // An idempotent re-pin (a coordinator may push the full
                 // document even when the digest resolved).
                 Ok(ToWorker::Options(options)) => state.remember_options(&options),
@@ -368,27 +350,26 @@ where
 /// worker --listen`. Every accepted connection is one [`worker_serve`]
 /// session; sessions are served sequentially (one coordinator at a time —
 /// parallelism lives *inside* a session, bounded by `capacity`). With
-/// `once`, return after the first session (used by tests); otherwise loop
-/// until killed. `log` receives one line per session event.
-pub fn serve_listener(
-    listener: Listener,
-    capacity: usize,
-    once: bool,
-    log: &mut dyn FnMut(&str),
-) -> Result<(), ExecError> {
+/// `once`, return after the first session (used by tests; a connection
+/// that closes before its first frame is none); otherwise loop until
+/// killed. `log` receives one line per session event.
+pub fn serve_listener(listener: Listener, capacity: usize, once: bool, log: &mut dyn FnMut(&str)) {
     // One state for every session this listener serves: options stay
     // pinned by digest and summaries stay held across coordinator
     // reconnects — the warm half of the v4 dedup.
     let state = WorkerState::new();
     loop {
-        let (reader, writer, peer) = listener.accept()?;
+        let (mut reader, writer, peer) = listener.accept(log);
+        if once && closed_before_a_frame(&mut reader) {
+            continue;
+        }
         log(&format!("session from {peer}"));
         match worker_serve_with(reader, writer, capacity, &state) {
             Ok(()) => log(&format!("session from {peer} done")),
             Err(e) => log(&format!("session from {peer} failed: {e}")),
         }
         if once {
-            return Ok(());
+            return;
         }
     }
 }

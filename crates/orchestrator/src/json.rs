@@ -1,8 +1,7 @@
 //! A minimal JSON value model, writer and parser: the text layer under
 //! every document this crate writes or reads — worker and daemon frames,
-//! plans, requests, reports, persisted summaries, the cache manifest and
-//! calibration table. How typed values map onto it is the `codec`
-//! module's business.
+//! plans, requests, reports, persisted summaries and the cache manifest.
+//! How typed values map onto it is the `codec` module's business.
 //!
 //! The real `serde`/`serde_json` stack is unavailable in this hermetic build
 //! (the workspace's `serde` is an API stub), so the orchestrator carries its

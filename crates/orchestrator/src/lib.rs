@@ -91,7 +91,7 @@ pub mod persist;
 pub mod service;
 pub mod wire;
 
-pub use cache::{CacheStats, SummaryStore, UnitCost};
+pub use cache::{CacheStats, SummaryStore};
 pub use conformance::{
     ConformanceReport, Contradiction, FuzzScenarioReport, FuzzShardReport, ReplayOutcome,
 };

@@ -352,11 +352,7 @@ impl fmt::Display for MatrixReport {
                 d.fuzz_jobs
             )?;
             if d.compose_shards > 0 {
-                writeln!(
-                    f,
-                    "  shards: {} compose shards offered, {} cancelled early",
-                    d.compose_shards, d.shards_cancelled
-                )?;
+                writeln!(f, "  shards: {} compose shards offered", d.compose_shards)?;
             }
             writeln!(
                 f,

@@ -53,7 +53,7 @@ use dataplane_pipeline::{parse_config, write_config, ConfigError, Element, Pipel
 use dataplane_symbex::{explore, EngineConfig};
 use dataplane_verifier::{
     ComposeOutline, ElementSummary, InstructionBoundReport, Property, RecordTable, Report,
-    ShardNodeRecord, ShardTiming, Verdict, Verifier, VerifierOptions,
+    ShardNodeRecord, Verdict, Verifier, VerifierOptions,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -1109,17 +1109,14 @@ impl VerifyService {
             .zip(tables)
             .map(|((scenario, fps), table)| ComposeInput::fetch(*scenario, fps, table, &self.store))
             .collect();
-        let cuts = shard_cuts(slots, &inputs, &self.store, options);
+        let cuts = shard_cuts(slots, &inputs, options);
 
         let mut jobs: Vec<ComposeShardJob> = Vec::new();
-        for (index, (cut, (spec, fps))) in
-            cuts.iter().zip(specs.iter().zip(fingerprints)).enumerate()
-        {
+        for (cut, (spec, fps)) in cuts.iter().zip(specs.iter().zip(fingerprints)) {
             for &(start, end) in cut.iter().flat_map(|(_, ranges)| ranges) {
                 jobs.push(ComposeShardJob {
                     scenario: spec.clone(),
                     fingerprints: fps.clone(),
-                    scenario_index: index as u32,
                     start,
                     end,
                 });
@@ -1143,18 +1140,10 @@ impl VerifyService {
                 // A scenario with nothing to cut folds over no records:
                 // it is decided in place.
                 let (outline, ranges) = cut.unwrap_or_default();
-                let mut records = Vec::new();
-                for result in results.by_ref().take(ranges.len()) {
-                    // Observed per-node solver times go back into the warm
-                    // store, so the next request's cuts weigh nodes by
-                    // real cost.
-                    record_timings(&self.store, &outline, input.fingerprints, &result.timings);
-                    records.extend(result.records);
-                }
-                input.fold(options, &outline, records)
+                let records = results.by_ref().take(ranges.len()).flat_map(|r| r.records);
+                input.fold(options, &outline, records.collect())
             })
             .collect();
-        self.store.flush_calibration();
         Ok(Some(reports))
     }
 
@@ -1446,12 +1435,10 @@ enum Shape<'a> {
 }
 
 /// What one scenario's Step 2 reads, on the shared pool and on the
-/// coordinator side of a fleet alike: the scenario, its per-element
-/// fingerprints, the summaries they resolve to (fetched once), and the
-/// record table of its pipeline.
+/// coordinator side of a fleet alike: the scenario, the summaries of its
+/// elements (fetched once), and the record table of its pipeline.
 struct ComposeInput<'a> {
     scenario: ScenarioRef<'a>,
-    fingerprints: &'a [Fingerprint],
     summaries: Vec<Arc<ElementSummary>>,
     table: &'a Arc<RecordTable>,
 }
@@ -1465,7 +1452,6 @@ impl<'a> ComposeInput<'a> {
     ) -> Self {
         ComposeInput {
             scenario,
-            fingerprints,
             table,
             summaries: fingerprints
                 .iter()
@@ -1502,93 +1488,39 @@ type Cut = (ComposeOutline, Vec<(usize, usize)>);
 /// Cut each input's Step-2 enumeration into shard ranges for a fleet's
 /// `slots` live capacity slots (two or more — on one slot nothing runs
 /// beside anything else, so [`VerifyService::compose_sharded`] cuts
-/// nothing): outline → calibrated costs → target → ranges. `None` where
-/// there is nothing to cut: no suspects, or a Step-1 failure the
-/// composition must surface. The target is a goal, not a contract — the
-/// splitters pack whole units, so the actual count can differ by one or
-/// two.
+/// nothing): outline → target → ranges. `None` where there is nothing to
+/// cut: no suspects, or a Step-1 failure the composition must surface.
 fn shard_cuts(
     slots: usize,
     inputs: &[ComposeInput<'_>],
-    store: &SummaryStore,
     options: &VerifierOptions,
 ) -> Vec<Option<Cut>> {
-    // One batch-wide target: a few shards per slot keeps the pull queue
-    // balanced; calibrated costs keep one slow node from making one slow
-    // shard.
-    let batch_target = slots.saturating_mul(AUTO_SHARDS_PER_SLOT) as u64;
-    let outlined: Vec<Option<(ComposeOutline, Vec<u64>)>> = inputs
+    let outlines: Vec<Option<ComposeOutline>> = inputs
         .iter()
         .map(|input| {
-            let outline = Verifier::with_options(options.clone()).outline_composition(
+            Verifier::with_options(options.clone()).outline_composition(
                 input.scenario.pipeline,
                 input.scenario.property,
                 input.summaries.iter().cloned(),
-            )?;
-            let costs = node_costs(store, &outline, input.fingerprints);
-            Some((outline, costs))
+            )
         })
         .collect();
-    // Costs come from observed shard timings and the calibration file, so
-    // a hostile worker or a poisoned file can report any `u64`: sums
-    // saturate rather than wrap the shard target (or panic).
-    let sum = |costs: &[u64]| costs.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
-    let total_cost = outlined
-        .iter()
-        .flatten()
-        .fold(0u64, |acc, (_, costs)| acc.saturating_add(sum(costs)));
-    outlined
+    // One batch-wide target, a few shards per slot to keep the pull queue
+    // balanced, shared out in proportion to unit weight: a cheap scenario
+    // does not get the heavy one's fan-out. Workers advertise their own
+    // capacity, so `slots` can be any `usize`: products saturate.
+    let batch_target = slots.saturating_mul(AUTO_SHARDS_PER_SLOT);
+    let batch_weight: usize = outlines.iter().flatten().map(|o| o.total_weight()).sum();
+    outlines
         .into_iter()
-        .map(|outlined| {
-            let (outline, costs) = outlined?;
-            // The batch target is shared out in proportion to calibrated
-            // cost, so a cheap scenario does not get the heavy one's
-            // fan-out; the cuts fall by cost too.
-            let cost = sum(&costs);
-            let target = match total_cost {
-                0 => 1,
-                total => (batch_target.saturating_mul(cost) / total).max(1),
-            };
-            let ranges = outline.shards_by_cost(&costs, target as usize);
+        .map(|outline| {
+            let outline = outline?;
+            let total = outline.total_weight();
+            let target = (batch_target.saturating_mul(total) / batch_weight.max(1)).max(1);
+            let ranges = outline.shards(total.div_ceil(target));
             Some((outline, ranges))
         })
         .collect()
-}
-
-/// Calibrated cost of each outline node's unit block: the warm store's
-/// observed per-unit solver time for the node's element (1 ns per unit
-/// before any observation — uniform cuts).
-fn node_costs(store: &SummaryStore, outline: &ComposeOutline, fps: &[Fingerprint]) -> Vec<u64> {
-    outline
-        .nodes
-        .iter()
-        .map(|node| {
-            let per_unit = fps
-                .get(node.element)
-                .and_then(|fp| store.unit_cost_ns(*fp))
-                .unwrap_or(1);
-            per_unit.saturating_mul(node.weight as u64)
-        })
-        .collect()
-}
-
-/// Feed a shard's observed per-node solver times back into the warm store,
-/// so the next cuts weigh nodes by real cost.
-fn record_timings(
-    store: &SummaryStore,
-    outline: &ComposeOutline,
-    fps: &[Fingerprint],
-    timings: &[ShardTiming],
-) {
-    for timing in timings {
-        if let Some(fp) = outline
-            .nodes
-            .get(timing.index)
-            .and_then(|node| fps.get(node.element))
-        {
-            store.record_unit_cost(*fp, timing.units as u64, timing.ns);
-        }
-    }
 }
 
 /// One scenario's composition task on the shared pool.

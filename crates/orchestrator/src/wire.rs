@@ -36,8 +36,8 @@ use dataplane_symbex::{CheckDiagnostics, EngineConfig, LoopMode, SolverConfig};
 use dataplane_temporal::LtlSpec;
 use dataplane_verifier::{
     CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, InstructionBoundReport,
-    Property, Report, ShardEdge, ShardNodeRecord, ShardTiming, UnprovenPath, Verdict,
-    VerificationStats, VerifierOptions,
+    Property, Report, ShardEdge, ShardNodeRecord, UnprovenPath, Verdict, VerificationStats,
+    VerifierOptions,
 };
 use std::fmt;
 use std::time::Duration;
@@ -320,10 +320,6 @@ pub struct ComposeShardJob {
     /// Per pipeline element: the summary fingerprint the composition
     /// consumes, in pipeline order.
     pub fingerprints: Vec<Fingerprint>,
-    /// Index of the scenario in the run — the sibling-group key: when one
-    /// shard of a group reports a violation, the group's outstanding
-    /// shards are cancelled.
-    pub scenario_index: u32,
     /// First enumeration index this shard decides (inclusive).
     pub start: usize,
     /// One past the last enumeration index this shard decides.
@@ -387,7 +383,6 @@ record!(ComposeJob {
 record!(ComposeShardJob {
     scenario => "scenario",
     fingerprints => "fingerprints",
-    scenario_index => "scenario_index",
     start => "start",
     end => "end",
 });
@@ -861,22 +856,14 @@ record!(ShardNodeRecord {
     edges => "edges",
 });
 
-record!(ShardTiming {
-    index => "index",
-    units => "units",
-    ns => "ns",
-});
-
 record!(ComposeShardResult {
     records => "records",
     cancelled => "cancelled",
-    timings => "timings",
 });
 
 /// Encode what one `ComposeShard` job computed: the per-node records (each
-/// byte-identical to what the fold would compute inline), whether the shard
-/// was cancelled before covering its range, and the per-node solver timings
-/// the service feeds into shard-width calibration.
+/// byte-identical to what the fold would compute inline) and whether the
+/// shard was cancelled before covering its range.
 pub fn shard_result_to_json(result: &ComposeShardResult) -> Json {
     to_json(result)
 }
@@ -1094,7 +1081,6 @@ mod tests {
         let job = JobSpec::ComposeShard(ComposeShardJob {
             scenario: ScenarioSpec::from_scenario(&scenario).unwrap(),
             fingerprints: vec![fp, fp, fp],
-            scenario_index: 7,
             start: 3,
             end: 19,
         });
@@ -1163,18 +1149,6 @@ mod tests {
                 },
             ],
             cancelled: true,
-            timings: vec![
-                ShardTiming {
-                    index: 4,
-                    units: 3,
-                    ns: 812_500,
-                },
-                ShardTiming {
-                    index: 5,
-                    units: 1,
-                    ns: 91_000,
-                },
-            ],
         };
         let text = shard_result_to_json(&result).to_text();
         let back = shard_result_from_json(&Json::parse(&text).unwrap()).unwrap();

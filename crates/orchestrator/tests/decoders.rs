@@ -28,8 +28,7 @@ use dataplane_symbex::{explore, CheckDiagnostics};
 use dataplane_temporal::LtlSpec;
 use dataplane_verifier::{
     CheckOutcome, CheckRecord, ComposeShardResult, Counterexample, ElementSummary, Property,
-    Report, ShardEdge, ShardNodeRecord, ShardTiming, UnprovenPath, Verdict, VerificationStats,
-    VerifierOptions,
+    Report, ShardEdge, ShardNodeRecord, UnprovenPath, Verdict, VerificationStats, VerifierOptions,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -264,13 +263,6 @@ fn any_shard_result(rng: &mut TestRng) -> ComposeShardResult {
             })
             .collect(),
         cancelled: coin(rng),
-        timings: (0..rng.next_u64() % 3)
-            .map(|_| ShardTiming {
-                index: any_usize(rng),
-                units: any_usize(rng),
-                ns: any_u64(rng),
-            })
-            .collect(),
     }
 }
 

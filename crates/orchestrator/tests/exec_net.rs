@@ -478,12 +478,10 @@ fn killed_worker_mid_shard_requeues_and_report_stays_byte_identical() {
 }
 
 #[test]
-fn violation_cancels_sibling_shards_without_changing_the_report() {
-    // The three buggy presets all violate their property, so every
-    // scenario's first violating shard fires the cancellation path for
-    // its siblings — whether a cancel frame lands in time or a queued
-    // sibling resolves synthetically, the fold computes the remainder
-    // inline and the report must not move.
+fn violated_scenarios_cut_over_tcp_keep_their_report() {
+    // The three buggy presets all violate their property: their shards
+    // carry counterexamples, every shard runs to its end, and the fold
+    // must reproduce the in-process report byte for byte.
     let buggy = || VerifyRequest::Matrix {
         scenarios: dataplane_orchestrator::preset_scenarios()
             .into_iter()
@@ -507,19 +505,12 @@ fn violation_cancels_sibling_shards_without_changing_the_report() {
     assert_eq!(
         executed.deterministic_json().to_text(),
         reference,
-        "early-exit cancellation must be pure work-avoidance"
+        "violating shards fold back to the in-process report"
     );
     let stats = executed.matrix().unwrap().stats.clone().unwrap();
     assert!(
         stats.compose_shards > 0,
         "shards were offered to the queue: {stats:?}"
-    );
-    // Whether any sibling was actually cancelled is a race (a fast fleet
-    // may finish every shard first); the counter just must not exceed
-    // what was offered.
-    assert!(
-        stats.shards_cancelled <= stats.compose_shards,
-        "cancellation accounting stays within the offered shards: {stats:?}"
     );
 }
 
@@ -629,4 +620,53 @@ fn single_session_listener_exits_after_once() {
         result.is_err(),
         "the once-listener is gone for the compose phase"
     );
+}
+
+#[test]
+fn a_bind_probe_is_not_the_once_listener_s_session() {
+    // A second `Listener::bind` on a live Unix path probes it with a
+    // connection that closes before any frame. The once-worker must not
+    // spend its one session on that probe.
+    let dir = std::env::temp_dir().join(format!("vericlick-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr = WorkerAddr::Unix(dir.join("once.sock"));
+    let listener = Listener::bind(&addr).unwrap();
+    let worker = std::thread::spawn(move || serve_listener(listener, 2, true, &mut |_| {}));
+
+    let second = Listener::bind(&addr);
+    assert!(
+        second
+            .as_ref()
+            .is_err_and(|e| e.to_string().contains("in use")),
+        "{second:?}"
+    );
+
+    // With the store warm there is nothing to explore, so the plan is one
+    // compose session: the once-worker's.
+    let request = || VerifyRequest::Matrix {
+        scenarios: dataplane_orchestrator::config_scenarios(
+            &[NamedConfig::new("filter", FILTER)],
+            &|name| PropertySelect::Default.properties_for(name),
+        )
+        .unwrap(),
+    };
+    let service = VerifyService::new().with_threads(1);
+    let reference = service
+        .serve(request())
+        .unwrap()
+        .deterministic_json()
+        .to_text();
+    let plan = service.plan_request(&request()).unwrap();
+    let executed = service
+        .execute_plan(&plan, &WorkerFleet::sockets(vec![addr]))
+        .expect("the once-worker still serves its session");
+    assert_eq!(executed.deterministic_json().to_text(), reference);
+    let stats = executed.matrix().unwrap().stats.clone().unwrap();
+    assert!(
+        stats.explore_jobs == 0 && stats.compose_jobs > 0,
+        "{stats:?}"
+    );
+    worker.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

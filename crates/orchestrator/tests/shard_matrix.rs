@@ -1,4 +1,5 @@
-//! Sharded-compose byte-identity across the whole preset matrix.
+//! Sharded-compose byte-identity and cut placement across the whole preset
+//! matrix.
 //!
 //! On a fleet of two or more live slots the service splits each scenario's
 //! Step-2 suspect×prefix enumeration into contiguous wire shards and folds
@@ -6,9 +7,11 @@
 //! drive that path through an in-process shard executor over **all 20
 //! preset scenarios** at 2, 8 and 32 slots (plus one slot, which cuts
 //! nothing) and require the deterministic report to equal the plain
-//! in-process serve byte for byte. The networked variants (real TCP
-//! workers, deaths, cancellation frames) live in `exec_net.rs`; this file
-//! is the exhaustive preset sweep.
+//! in-process serve byte for byte. Cuts are placed by solver units alone,
+//! so the ranges are a function of the request and the slot count: they
+//! are pinned here, and a warm store cuts exactly as a cold one. The
+//! networked variants (real TCP workers, deaths) live in `exec_net.rs`;
+//! this file is the exhaustive preset sweep.
 
 use dataplane_orchestrator::exec::ExecError;
 use dataplane_orchestrator::{
@@ -17,26 +20,31 @@ use dataplane_orchestrator::{
 };
 use dataplane_symbex::CancelToken;
 use dataplane_verifier::{ComposeShardResult, ElementSummary, Verifier, VerifierOptions};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An executor with a remote-shaped shard path that runs in-process: each
 /// [`ComposeShardJob`] is decided by a fresh verifier from the summaries
 /// the coordinator would ship, exactly as a socket worker decides it —
 /// minus the socket. It explores nothing itself, so Step 1 stays on the
 /// service's shared scheduler. It reports `slots` of live capacity and
-/// counts the shards it was sent.
+/// records the `(start, end)` unit range of every shard it was sent, in
+/// job order.
 struct ShardExecutor {
     slots: usize,
-    shards: AtomicUsize,
+    cuts: Mutex<Vec<(usize, usize)>>,
 }
 
 impl ShardExecutor {
     fn new(slots: usize) -> Self {
         ShardExecutor {
             slots,
-            shards: AtomicUsize::new(0),
+            cuts: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Every shard range sent so far, in job order.
+    fn cuts(&self) -> Vec<(usize, usize)> {
+        self.cuts.lock().unwrap().clone()
     }
 }
 
@@ -51,9 +59,9 @@ impl Executor for ShardExecutor {
         options: &VerifierOptions,
         summaries: &(dyn Fn(Fingerprint) -> Option<Arc<ElementSummary>> + Sync),
     ) -> Option<Result<Vec<ComposeShardResult>, ExecError>> {
-        self.shards.fetch_add(jobs.len(), Ordering::Relaxed);
         let mut results = Vec::with_capacity(jobs.len());
         for job in jobs {
+            self.cuts.lock().unwrap().push((job.start, job.end));
             let scenario = match job.scenario.to_scenario() {
                 Ok(s) => s,
                 Err(e) => return Some(Err(ExecError::Job(e.to_string()))),
@@ -88,6 +96,39 @@ fn preset_request() -> VerifyRequest {
     }
 }
 
+/// The preset matrix executed on `service` through a `slots`-slot shard
+/// executor: the deterministic report and the ranges it was cut into.
+fn execute_sharded(service: &VerifyService, slots: usize) -> (String, Vec<(usize, usize)>) {
+    let plan = service.plan_request(&preset_request()).unwrap();
+    let executor = ShardExecutor::new(slots);
+    let executed = service.execute_plan(&plan, &executor).unwrap();
+    (executed.deterministic_json().to_text(), executor.cuts())
+}
+
+/// The ranges a fresh store cuts the preset matrix into on two slots
+/// (a target of 8 shards for the whole request), in job order: each of
+/// the ten scenarios with suspects gets less than one shard's share, so
+/// one whole range.
+#[rustfmt::skip]
+const COLD_CUTS_2_SLOTS: &[(usize, usize)] = &[
+    (0, 49), (0, 49), (0, 37), (0, 31), (0, 31), (0, 37), (0, 13), (0, 10), (0, 10), (0, 15),
+];
+
+/// The same at 8 slots (a target of 32 shards), one row per scenario.
+#[rustfmt::skip]
+const COLD_CUTS_8_SLOTS: &[(usize, usize)] = &[
+    (0, 10), (10, 20), (20, 30), (30, 40), (40, 49),
+    (0, 10), (10, 20), (20, 30), (30, 40), (40, 49),
+    (0, 10), (10, 20), (20, 30), (30, 37),
+    (0, 11), (11, 22), (22, 31),
+    (0, 11), (11, 22), (22, 31),
+    (0, 10), (10, 20), (20, 30), (30, 37),
+    (0, 13),
+    (0, 10),
+    (0, 10),
+    (0, 15),
+];
+
 #[test]
 fn sharded_preset_matrix_is_byte_identical_at_every_fleet_size() {
     // Reference: the plain in-process serve of all 20 presets.
@@ -100,44 +141,59 @@ fn sharded_preset_matrix_is_byte_identical_at_every_fleet_size() {
 
     // One slot cuts nothing: the executor has no whole-composition path,
     // so the service composes on its own scheduler. Two, 8 and 32 slots
-    // cut into ever more shards.
-    for slots in [1usize, 2, 8, 32] {
-        let service = VerifyService::new().with_threads(2);
-        let plan = service.plan_request(&preset_request()).unwrap();
-        let executor = ShardExecutor::new(slots);
-        let executed = service.execute_plan(&plan, &executor).unwrap();
+    // cut into ever more shards, and a capacity no fleet has (workers
+    // advertise their own) cuts every unit apart.
+    for slots in [1usize, 2, 8, 32, usize::MAX] {
+        let (report, cuts) = execute_sharded(&VerifyService::new().with_threads(2), slots);
         assert_eq!(
-            executed.deterministic_json().to_text(),
-            reference,
+            report, reference,
             "{slots} slots must reproduce the in-process preset matrix byte for byte"
         );
-        let shards = executor.shards.load(Ordering::Relaxed);
-        assert_eq!(shards > 0, slots > 1, "{slots} slots sent {shards} shards");
+        assert_eq!(cuts.is_empty(), slots < 2, "{slots} slots sent {cuts:?}");
     }
 }
 
 #[test]
-fn unit_costs_at_u64_max_still_cut_a_byte_identical_matrix() {
-    // A worker that reports shard timings near `u64::MAX` (or a poisoned
-    // `calibration.json`) leaves every calibrated unit cost at the top of
-    // the range: the cost sums must saturate, not overflow, and the cuts
-    // must not move the report.
-    let reference = VerifyService::new()
-        .with_threads(2)
-        .serve(preset_request())
-        .unwrap()
-        .deterministic_json()
-        .to_text();
-    let store = Arc::new(SummaryStore::in_memory());
-    let service = VerifyService::new()
-        .with_threads(2)
-        .with_store(store.clone());
-    let plan = service.plan_request(&preset_request()).unwrap();
-    for fingerprint in plan.element_fingerprints.iter().flatten() {
-        store.record_unit_cost(*fingerprint, 1, u64::MAX);
+fn a_fresh_store_cuts_the_pinned_ranges() {
+    for (slots, pinned) in [(2, COLD_CUTS_2_SLOTS), (8, COLD_CUTS_8_SLOTS)] {
+        let (_, cuts) = execute_sharded(&VerifyService::new().with_threads(2), slots);
+        assert_eq!(cuts, pinned, "{slots} slots");
     }
-    let executed = service.execute_plan(&plan, &ShardExecutor::new(2)).unwrap();
-    assert_eq!(executed.deterministic_json().to_text(), reference);
+}
+
+#[test]
+fn a_warm_request_cuts_like_a_cold_one() {
+    // The second request runs on the store the first one warmed: nothing
+    // it observed while the first request's shards ran moves a cut.
+    // Eight slots, so that the heavy scenarios are cut more than once.
+    let service = VerifyService::new().with_threads(2);
+    let (cold_report, cold) = execute_sharded(&service, 8);
+    let (warm_report, warm) = execute_sharded(&service, 8);
+    assert!(cold.len() > preset_scenarios().len());
+    assert_eq!(warm, cold);
+    assert_eq!(warm_report, cold_report);
+}
+
+#[test]
+fn a_sharded_request_persists_summaries_and_the_manifest_only() {
+    let dir = std::env::temp_dir().join(format!("vericlick-shard-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(SummaryStore::persistent(&dir).unwrap());
+    let service = VerifyService::new().with_threads(2).with_store(store);
+    let (_, cuts) = execute_sharded(&service, 2);
+    assert!(!cuts.is_empty());
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    // Nothing beside the summary tier: no cost table of any kind.
+    for file in &files {
+        let summary = file
+            .strip_suffix(".json")
+            .is_some_and(|stem| Fingerprint::parse(stem).is_some());
+        assert!(file == "manifest.json" || summary, "unexpected file {file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

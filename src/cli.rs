@@ -1328,7 +1328,7 @@ fn cmd_worker(args: Vec<String>) -> Exit {
     let served = match listen {
         // Socket worker: bind, announce the actual address (`:0` picks a
         // port), join the daemon's fleet, serve coordinator sessions.
-        Some(addr) => Listener::bind(&WorkerAddr::parse(&addr)).and_then(|listener| {
+        Some(addr) => Listener::bind(&WorkerAddr::parse(&addr)).map(|listener| {
             // Logs are best-effort: a worker must keep serving even if
             // whoever spawned it stopped reading its stdout.
             let mut log = |line: &str| {
@@ -1345,7 +1345,7 @@ fn cmd_worker(args: Vec<String>) -> Exit {
                     Err(e) => eprintln!("worker: join {daemon} failed: {e}"),
                 }
             }
-            serve_listener(listener, capacity, once, &mut log)
+            serve_listener(listener, capacity, once, &mut log);
         }),
         // Stdio worker: one session over stdin/stdout (spawned by
         // `exec-plan --workers N`).
@@ -1423,9 +1423,8 @@ fn cmd_serve(args: Vec<String>) -> Exit {
         let _ = out.flush();
     });
     log(&format!("listening on {}", listener.local()));
-    Daemon::new(config)
-        .serve(listener, once, log)
-        .map_err(failed)
+    Daemon::new(config).serve(listener, once, log);
+    Ok(())
 }
 
 fn cmd_client(args: Vec<String>) -> Exit {

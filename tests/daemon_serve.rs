@@ -13,8 +13,11 @@
 //! * a second `vericlick serve` on a Unix socket a live daemon answers on
 //!   exits 2 instead of taking the address over, and the first daemon
 //!   keeps serving on it.
+//! * a daemon that runs out of file descriptors while accepting keeps
+//!   serving once they are freed.
 
 use std::io::{BufRead, BufReader, Lines, Read};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -249,5 +252,51 @@ fn a_second_daemon_on_a_live_unix_socket_is_refused() {
         })
         .expect("the first daemon serves");
     assert!(reply.ok, "{}", reply.display);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_daemon_out_of_descriptors_keeps_serving() {
+    // `ulimit` in the shell limits only that shell and the daemon it
+    // execs: 64 descriptors, two per session, run out after about thirty
+    // idle connections.
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -n 64 && exec "$0" serve --listen 127.0.0.1:0 --threads 1"#)
+        .arg(env!("CARGO_BIN_EXE_vericlick"))
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn vericlick serve under ulimit");
+    let mut lines = BufReader::new(child.stdout.take().expect("serve stdout")).lines();
+    let _daemon = KillOnDrop(child);
+    let addr = await_line(&mut lines, "serve: listening on ");
+
+    let idle: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(&addr).expect("connect an idle peer"))
+        .collect();
+    // Wait until the daemon says it could not take a connection.
+    loop {
+        let line = lines
+            .next()
+            .expect("the daemon exited instead of retrying its accept")
+            .expect("read serve stdout");
+        if line.contains("accept failed") || line.contains("dropped") {
+            break;
+        }
+    }
+    drop(idle);
+
+    let dir = temp_dir("daemon-emfile");
+    let det = dir.join("det.json");
+    let status = vericlick()
+        .args(["client", "--connect", &addr, "--matrix", "--det-json"])
+        .arg(&det)
+        .status()
+        .expect("spawn vericlick client");
+    assert!(status.success(), "client failed: {status}");
+    assert_eq!(
+        std::fs::read_to_string(&det).expect("det report"),
+        reference_det_json()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
