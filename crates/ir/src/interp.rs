@@ -1,15 +1,19 @@
-//! Concrete interpreter for element programs.
+//! Concrete execution of element programs.
 //!
-//! The interpreter executes a program against a real packet and the element's
+//! [`execute`] runs a program against a real packet and the element's
 //! concrete state, producing an [`Outcome`] and an instruction count. The
 //! instruction count is the metric behind the paper's "bounded number of
 //! instructions" property: each executed statement and each evaluated
-//! expression node counts as one instruction.
+//! expression node counts as one instruction. The program runs as
+//! [`crate::lower::Lowered`] code; callers that run many packets lower once
+//! and call [`crate::lower::Lowered::run`] themselves.
 
-use crate::expr::{BinOp, CastKind, DsId, Expr, UnOp};
-use crate::program::{CrashReason, DsClass, DsDecl, DsKind, Outcome, Program, Stmt};
+use crate::expr::{BinOp, DsId, UnOp};
+use crate::lower::{Lowered, Scratch};
+use crate::program::{CrashReason, DsClass, DsDecl, DsKind, Outcome, Program};
 use crate::value::BitVec;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Concrete contents of one data structure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,7 +21,34 @@ enum StoreData {
     /// Dense pre-allocated array.
     Array(Vec<u64>),
     /// Sparse map; absent keys read as the declared default.
-    Map(HashMap<u64, u64>),
+    Map(HashMap<u64, u64, BuildHasherDefault<KeyHasher>>),
+}
+
+/// The map stores' hasher: a fixed multiply-mix of the `u64` key, in place
+/// of SipHash, which cost a large share of a map access. Nothing reads a map
+/// in hash order ([`ConcreteStore::iter_populated`] sorts). The keys are
+/// packet fields, and the packets a model runs come from seeded generators
+/// or one replayed witness per fresh state, so no peer can choose a stream
+/// of colliding keys.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mixed = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // Fold the high half down: the table indexes by the low bits.
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A concrete key/value store backing one declared data structure.
@@ -33,9 +64,22 @@ impl ConcreteStore {
     pub fn new(decl: DsDecl) -> Self {
         let data = match decl.kind {
             DsKind::Array { size } => StoreData::Array(vec![decl.default; size as usize]),
-            DsKind::Map => StoreData::Map(HashMap::new()),
+            DsKind::Map => StoreData::Map(HashMap::default()),
         };
         ConcreteStore { decl, data }
+    }
+
+    /// The crash of an access to `key` outside an array's bounds.
+    pub(crate) fn out_of_range(&self, key: u64) -> CrashReason {
+        let size = match self.decl.kind {
+            DsKind::Array { size } => size,
+            DsKind::Map => u64::MAX,
+        };
+        CrashReason::DsKeyOutOfRange {
+            ds: self.decl.name.clone(),
+            key,
+            size,
+        }
     }
 
     /// The declaration this store implements.
@@ -46,21 +90,27 @@ impl ConcreteStore {
     /// Read the value under `key`. Returns `None` when the key is outside an
     /// array's bounds (which the interpreter converts into a crash).
     pub fn read(&self, key: u64) -> Option<BitVec> {
+        self.get(key)
+            .map(|raw| BitVec::new(self.decl.value_width, raw))
+    }
+
+    /// The raw value under `key`; `None` outside an array's bounds.
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
         match &self.data {
-            StoreData::Array(v) => v
-                .get(key as usize)
-                .map(|raw| BitVec::new(self.decl.value_width, *raw)),
-            StoreData::Map(m) => Some(BitVec::new(
-                self.decl.value_width,
-                m.get(&key).copied().unwrap_or(self.decl.default),
-            )),
+            StoreData::Array(v) => v.get(key as usize).copied(),
+            StoreData::Map(m) => Some(m.get(&key).copied().unwrap_or(self.decl.default)),
         }
     }
 
     /// Write `value` under `key`. Returns `false` when the key is outside an
     /// array's bounds.
     pub fn write(&mut self, key: u64, value: BitVec) -> bool {
-        let raw = value.resize(self.decl.value_width).as_u64();
+        self.set(key, value.resize(self.decl.value_width).as_u64())
+    }
+
+    /// Store `raw`, a value of the declared value width, under `key`.
+    /// Returns `false` when the key is outside an array's bounds.
+    pub(crate) fn set(&mut self, key: u64, raw: u64) -> bool {
         match &mut self.data {
             StoreData::Array(v) => match v.get_mut(key as usize) {
                 Some(slot) => {
@@ -115,7 +165,7 @@ impl ConcreteStore {
 /// structure, in declaration order.
 #[derive(Clone, Debug, Default)]
 pub struct ElementState {
-    stores: Vec<ConcreteStore>,
+    pub(crate) stores: Vec<ConcreteStore>,
 }
 
 impl ElementState {
@@ -196,8 +246,9 @@ pub struct ExecResult {
 pub enum ExecError {
     /// The per-packet instruction limit was exceeded.
     InstructionLimitExceeded { limit: u64 },
-    /// The program references a local that does not exist (validation should
-    /// have rejected this program).
+    /// The program uses a local or data structure it does not declare
+    /// (validation rejects such a program), or the state does not hold
+    /// the data structures the program declares.
     MalformedProgram { detail: String },
 }
 
@@ -215,33 +266,16 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Execute `program` on `packet` (which it may mutate) with the element state
-/// `state` (which it may also mutate), under the given limits.
+/// `state` (which it may also mutate), under the given limits: lower the
+/// program (see [`Lowered::new`] for what it must satisfy), then run it
+/// once.
 pub fn execute(
     program: &Program,
     packet: &mut Vec<u8>,
     state: &mut ElementState,
     limits: &ExecLimits,
 ) -> Result<ExecResult, ExecError> {
-    let mut interp = Interp {
-        packet,
-        state,
-        locals: program
-            .locals
-            .iter()
-            .map(|d| BitVec::zero(d.width))
-            .collect(),
-        instructions: 0,
-        limit: limits.max_instructions,
-    };
-    let flow = interp.run_block(&program.body)?;
-    let outcome = match flow {
-        Flow::Continue => Outcome::Dropped, // falling off the end drops
-        Flow::Terminated(o) => o,
-    };
-    Ok(ExecResult {
-        outcome,
-        instructions: interp.instructions,
-    })
+    Lowered::new(program)?.run(packet, state, limits, &mut Scratch::default())
 }
 
 /// Execute with default limits.
@@ -251,333 +285,6 @@ pub fn execute_default(
     state: &mut ElementState,
 ) -> Result<ExecResult, ExecError> {
     execute(program, packet, state, &ExecLimits::default())
-}
-
-enum Flow {
-    Continue,
-    Terminated(Outcome),
-}
-
-struct Interp<'a> {
-    packet: &'a mut Vec<u8>,
-    state: &'a mut ElementState,
-    locals: Vec<BitVec>,
-    instructions: u64,
-    limit: u64,
-}
-
-impl<'a> Interp<'a> {
-    fn charge(&mut self, n: u64) -> Result<(), ExecError> {
-        self.instructions += n;
-        if self.instructions > self.limit {
-            Err(ExecError::InstructionLimitExceeded { limit: self.limit })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn run_block(&mut self, stmts: &[Stmt]) -> Result<Flow, ExecError> {
-        for s in stmts {
-            match self.run_stmt(s)? {
-                Flow::Continue => continue,
-                t @ Flow::Terminated(_) => return Ok(t),
-            }
-        }
-        Ok(Flow::Continue)
-    }
-
-    fn run_stmt(&mut self, stmt: &Stmt) -> Result<Flow, ExecError> {
-        self.charge(1)?;
-        match stmt {
-            Stmt::Assign { local, value } => {
-                let v = match self.eval(value)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                let slot = self.locals.get_mut(local.0 as usize).ok_or_else(|| {
-                    ExecError::MalformedProgram {
-                        detail: format!("assignment to unknown local l{}", local.0),
-                    }
-                })?;
-                *slot = v.resize(slot.width());
-                Ok(Flow::Continue)
-            }
-            Stmt::PacketStore {
-                offset,
-                width_bytes,
-                value,
-            } => {
-                let off = match self.eval(offset)? {
-                    Ok(v) => v.as_u64(),
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                let val = match self.eval(value)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                let wb = *width_bytes as u64;
-                if off + wb > self.packet.len() as u64 {
-                    return Ok(Flow::Terminated(Outcome::Crashed(
-                        CrashReason::PacketOutOfBounds {
-                            offset: off,
-                            width_bytes: *width_bytes,
-                            packet_len: self.packet.len() as u64,
-                        },
-                    )));
-                }
-                let raw = val.as_u64();
-                for i in 0..wb {
-                    // big-endian (network order)
-                    let shift = (wb - 1 - i) * 8;
-                    self.packet[(off + i) as usize] = ((raw >> shift) & 0xff) as u8;
-                }
-                Ok(Flow::Continue)
-            }
-            Stmt::DsWrite { ds, key, value } => {
-                let k = match self.eval(key)? {
-                    Ok(v) => v.as_u64(),
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                let v = match self.eval(value)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                let store =
-                    self.state
-                        .store_mut(*ds)
-                        .ok_or_else(|| ExecError::MalformedProgram {
-                            detail: format!("write to unknown data structure ds{}", ds.0),
-                        })?;
-                if store.write(k, v) {
-                    Ok(Flow::Continue)
-                } else {
-                    let size = match store.decl().kind {
-                        DsKind::Array { size } => size,
-                        DsKind::Map => u64::MAX,
-                    };
-                    Ok(Flow::Terminated(Outcome::Crashed(
-                        CrashReason::DsKeyOutOfRange {
-                            ds: store.decl().name.clone(),
-                            key: k,
-                            size,
-                        },
-                    )))
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let c = match self.eval(cond)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                if c.is_true() {
-                    self.run_block(then_body)
-                } else {
-                    self.run_block(else_body)
-                }
-            }
-            Stmt::Loop {
-                max_iters,
-                cond,
-                body,
-            } => {
-                let mut iters = 0u32;
-                loop {
-                    let c = match self.eval(cond)? {
-                        Ok(v) => v,
-                        Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                    };
-                    if !c.is_true() {
-                        return Ok(Flow::Continue);
-                    }
-                    if iters >= *max_iters {
-                        return Ok(Flow::Terminated(Outcome::Crashed(
-                            CrashReason::LoopBoundExceeded {
-                                max_iters: *max_iters,
-                            },
-                        )));
-                    }
-                    iters += 1;
-                    match self.run_block(body)? {
-                        Flow::Continue => continue,
-                        t @ Flow::Terminated(_) => return Ok(t),
-                    }
-                }
-            }
-            Stmt::StripFront { n } => {
-                if (self.packet.len() as u64) < *n as u64 {
-                    return Ok(Flow::Terminated(Outcome::Crashed(
-                        CrashReason::StripUnderflow {
-                            strip: *n,
-                            packet_len: self.packet.len() as u64,
-                        },
-                    )));
-                }
-                self.packet.drain(0..*n as usize);
-                Ok(Flow::Continue)
-            }
-            Stmt::PushFront { n } => {
-                let mut new = vec![0u8; *n as usize];
-                new.extend_from_slice(self.packet);
-                *self.packet = new;
-                Ok(Flow::Continue)
-            }
-            Stmt::Assert { cond, message } => {
-                let c = match self.eval(cond)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Flow::Terminated(Outcome::Crashed(c))),
-                };
-                if c.is_true() {
-                    Ok(Flow::Continue)
-                } else {
-                    Ok(Flow::Terminated(Outcome::Crashed(
-                        CrashReason::AssertionFailed {
-                            message: message.clone(),
-                        },
-                    )))
-                }
-            }
-            Stmt::Abort { message } => {
-                Ok(Flow::Terminated(Outcome::Crashed(CrashReason::Aborted {
-                    message: message.clone(),
-                })))
-            }
-            Stmt::Emit { port } => Ok(Flow::Terminated(Outcome::Emitted(*port))),
-            Stmt::Drop => Ok(Flow::Terminated(Outcome::Dropped)),
-            Stmt::Nop => Ok(Flow::Continue),
-        }
-    }
-
-    /// Evaluate an expression. The outer `Result` is an execution error (limit
-    /// or malformed program); the inner `Result` is a crash reason.
-    fn eval(&mut self, e: &Expr) -> Result<Result<BitVec, CrashReason>, ExecError> {
-        self.charge(1)?;
-        let r: Result<BitVec, CrashReason> = match e {
-            Expr::Const(v) => Ok(*v),
-            Expr::Local(id) => {
-                let v = self.locals.get(id.0 as usize).copied().ok_or_else(|| {
-                    ExecError::MalformedProgram {
-                        detail: format!("read of unknown local l{}", id.0),
-                    }
-                })?;
-                Ok(v)
-            }
-            Expr::PacketLoad {
-                offset,
-                width_bytes,
-            } => {
-                let off = match self.eval(offset)? {
-                    Ok(v) => v.as_u64(),
-                    Err(c) => return Ok(Err(c)),
-                };
-                let wb = *width_bytes as u64;
-                if off + wb > self.packet.len() as u64 {
-                    Err(CrashReason::PacketOutOfBounds {
-                        offset: off,
-                        width_bytes: *width_bytes,
-                        packet_len: self.packet.len() as u64,
-                    })
-                } else {
-                    let mut raw: u64 = 0;
-                    for i in 0..wb {
-                        raw = (raw << 8) | self.packet[(off + i) as usize] as u64;
-                    }
-                    Ok(BitVec::new(width_bytes * 8, raw))
-                }
-            }
-            Expr::PacketLen => Ok(BitVec::u32(self.packet.len() as u32)),
-            Expr::DsRead { ds, key } => {
-                let k = match self.eval(key)? {
-                    Ok(v) => v.as_u64(),
-                    Err(c) => return Ok(Err(c)),
-                };
-                let store = self
-                    .state
-                    .store(*ds)
-                    .ok_or_else(|| ExecError::MalformedProgram {
-                        detail: format!("read of unknown data structure ds{}", ds.0),
-                    })?;
-                match store.read(k) {
-                    Some(v) => Ok(v),
-                    None => {
-                        let size = match store.decl().kind {
-                            DsKind::Array { size } => size,
-                            DsKind::Map => u64::MAX,
-                        };
-                        Err(CrashReason::DsKeyOutOfRange {
-                            ds: store.decl().name.clone(),
-                            key: k,
-                            size,
-                        })
-                    }
-                }
-            }
-            Expr::Unary { op, arg } => {
-                let a = match self.eval(arg)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Err(c)),
-                };
-                Ok(match op {
-                    UnOp::Not => a.not(),
-                    UnOp::Neg => a.neg(),
-                    UnOp::LogicalNot => BitVec::bool(a.is_zero()),
-                })
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = match self.eval(lhs)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Err(c)),
-                };
-                let b = match self.eval(rhs)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Err(c)),
-                };
-                match eval_binop(*op, a, b) {
-                    Some(v) => Ok(v),
-                    None => Err(CrashReason::DivisionByZero),
-                }
-            }
-            Expr::Select {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                let c = match self.eval(cond)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Err(c)),
-                };
-                // Both arms are evaluated lazily: only the taken arm runs,
-                // matching short-circuit semantics of the C ternary operator.
-                if c.is_true() {
-                    match self.eval(then_e)? {
-                        Ok(v) => Ok(v),
-                        Err(c) => return Ok(Err(c)),
-                    }
-                } else {
-                    match self.eval(else_e)? {
-                        Ok(v) => Ok(v),
-                        Err(c) => return Ok(Err(c)),
-                    }
-                }
-            }
-            Expr::Cast { kind, width, arg } => {
-                let a = match self.eval(arg)? {
-                    Ok(v) => v,
-                    Err(c) => return Ok(Err(c)),
-                };
-                Ok(match kind {
-                    CastKind::ZExt => a.zext(*width),
-                    CastKind::SExt => a.sext(*width),
-                    CastKind::Trunc => a.trunc(*width),
-                    CastKind::Resize => a.resize(*width),
-                })
-            }
-        };
-        Ok(r)
-    }
 }
 
 /// Evaluate a binary operator on concrete values. Returns `None` for division
@@ -931,6 +638,31 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ExecError::InstructionLimitExceeded { .. }));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn undeclared_locals_and_stores_are_malformed() {
+        use crate::expr::LocalId;
+        let mut b = Block::new();
+        b.pkt_store(0, 1, l(LocalId(5)));
+        let prog = ProgramBuilder::new("T", 1).finish_unchecked(b);
+        let err = execute_default(&prog, &mut vec![0u8; 4], &mut ElementState::default());
+        assert!(
+            matches!(&err, Err(ExecError::MalformedProgram { detail }) if detail.contains("l5")),
+            "{err:?}"
+        );
+
+        // A state built for another program lacks this one's store.
+        let mut pb = ProgramBuilder::new("T", 1);
+        let t = pb.private_array("t", 4, 16, 32, 0);
+        let mut b = Block::new();
+        b.ds_write(t, c(16, 1), c(32, 1));
+        let prog = pb.finish(b).unwrap();
+        let err = execute_default(&prog, &mut vec![0u8; 4], &mut ElementState::default());
+        assert!(
+            matches!(err, Err(ExecError::MalformedProgram { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

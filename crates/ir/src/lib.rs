@@ -26,7 +26,9 @@
 //! * [`program`] — statements, declarations, programs, outcomes.
 //! * [`builder`] — ergonomic program construction.
 //! * [`mod@validate`] — static width/type checking.
-//! * [`interp`] — the concrete interpreter with instruction counting.
+//! * [`interp`] — concrete execution: element state, limits, results.
+//! * [`lower`] — programs lowered to flat code, the form the concrete
+//!   interpreter runs, with exact instruction counting.
 //! * [`pretty`] — human-readable rendering for reports.
 //!
 //! ## Example
@@ -61,6 +63,7 @@
 pub mod builder;
 pub mod expr;
 pub mod interp;
+pub mod lower;
 pub mod pretty;
 pub mod program;
 pub mod validate;
@@ -69,6 +72,7 @@ pub mod value;
 pub use builder::{Block, ProgramBuilder};
 pub use expr::{BinOp, CastKind, DsId, Expr, LocalId, UnOp};
 pub use interp::{execute, execute_default, ElementState, ExecError, ExecLimits, ExecResult};
+pub use lower::{Lowered, Scratch};
 pub use program::{CrashReason, DsClass, DsDecl, DsKind, LocalDecl, Outcome, Program, Stmt};
 pub use validate::{expr_width, validate, ValidationError};
 pub use value::BitVec;

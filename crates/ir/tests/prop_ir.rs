@@ -3,11 +3,49 @@
 
 use dataplane_ir::builder::{Block, ProgramBuilder};
 use dataplane_ir::expr::dsl::*;
-use dataplane_ir::interp::{eval_binop, execute_default, ElementState};
-use dataplane_ir::program::Outcome;
+use dataplane_ir::interp::{eval_binop, eval_unop, execute_default, ElementState};
+use dataplane_ir::program::{CrashReason, Outcome};
 use dataplane_ir::value::BitVec;
-use dataplane_ir::BinOp;
+use dataplane_ir::{BinOp, CastKind, Expr, UnOp};
 use proptest::prelude::*;
+
+/// Run `r := op(operands read from the packet)` and return what the
+/// program stored (the result zero-extended into packet bytes 16..24), or
+/// the outcome when it did not emit. Operand `i` is bytes `8i..8i+8`
+/// resized to its width, so the operator sees exactly the raw values the
+/// test passes in.
+fn one_operator(result_width: u8, expr: Expr, a: u64, b: u64) -> Result<u64, Outcome> {
+    let mut pb = ProgramBuilder::new("OneOp", 1);
+    let r = pb.local("r", result_width);
+    let mut body = Block::new();
+    body.assign(r, expr);
+    body.pkt_store(16, 8, resize(l(r), 64));
+    body.emit(0);
+    let program = pb.finish(body).unwrap();
+    let mut packet = [a.to_be_bytes(), b.to_be_bytes(), [0; 8]].concat();
+    let mut state = ElementState::for_program(&program);
+    let result = execute_default(&program, &mut packet, &mut state).unwrap();
+    match result.outcome {
+        Outcome::Emitted(0) => Ok(u64::from_be_bytes(packet[16..24].try_into().unwrap())),
+        other => Err(other),
+    }
+}
+
+/// Operand `i` of a one-operator program, at `width` bits.
+fn operand(i: u32, width: u8) -> Expr {
+    resize(pkt(8 * i, 8), width)
+}
+
+/// A raw operand value biased toward the edges that arithmetic gets
+/// wrong: zero divisors, shift amounts around the width, all-ones.
+fn edge(kind: u8, v: u64) -> u64 {
+    match kind {
+        0 => v,
+        1 => v % 70,
+        2 => 0,
+        _ => u64::MAX,
+    }
+}
 
 proptest! {
     /// Addition over bit-vectors agrees with wrapping machine arithmetic at
@@ -127,5 +165,68 @@ proptest! {
         let r = execute_default(&prog, &mut p, &mut s).unwrap();
         prop_assert!(!r.outcome.is_crash());
         prop_assert!(matches!(r.outcome, Outcome::Emitted(0) | Outcome::Dropped));
+    }
+}
+
+proptest! {
+    // Enough cases to meet every operator at most widths.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A one-operator program computes what `eval_binop`, `eval_unop` and
+    /// the `BitVec` casts compute, at every width: the interpreter's own
+    /// arithmetic has these as its oracle.
+    #[test]
+    fn one_operator_programs_match_the_value_semantics(
+        width in 1u8..=64,
+        target in 1u8..=64,
+        a_kind in 0u8..4,
+        a in any::<u64>(),
+        b_kind in 0u8..4,
+        b in any::<u64>(),
+        op_idx in 0usize..21,
+        un_idx in 0usize..3,
+        cast_idx in 0usize..4,
+    ) {
+        use BinOp::*;
+        let (a, b) = (edge(a_kind, a), edge(b_kind, b));
+        let ops = [Add, Sub, Mul, UDiv, URem, And, Or, Xor, Shl, LShr, AShr,
+                   Eq, Ne, ULt, ULe, UGt, UGe, SLt, SLe, BoolAnd, BoolOr];
+        let op = ops[op_idx];
+        let w = if op.is_boolean() { 1 } else { width };
+        let (x, y) = (BitVec::new(w, a), BitVec::new(w, b));
+        let expr = Expr::Binary {
+            op,
+            lhs: Box::new(operand(0, w)),
+            rhs: Box::new(operand(1, w)),
+        };
+        let expected = eval_binop(op, x, y);
+        let result_width = expected.map_or(w, |v| v.width());
+        let got = one_operator(result_width, expr, a, b);
+        match expected {
+            Some(v) => prop_assert_eq!(got, Ok(v.as_u64()), "{:?} at width {}", op, w),
+            None => prop_assert_eq!(got, Err(Outcome::Crashed(CrashReason::DivisionByZero))),
+        }
+
+        let un = [UnOp::Not, UnOp::Neg, UnOp::LogicalNot][un_idx];
+        let w = if un == UnOp::LogicalNot { 1 } else { width };
+        let expr = Expr::Unary { op: un, arg: Box::new(operand(0, w)) };
+        let expected = eval_unop(un, BitVec::new(w, a));
+        prop_assert_eq!(one_operator(w, expr, a, b), Ok(expected.as_u64()), "{:?} at width {}", un, w);
+
+        let kind = [CastKind::ZExt, CastKind::SExt, CastKind::Trunc, CastKind::Resize][cast_idx];
+        let (from, to) = match kind {
+            CastKind::ZExt | CastKind::SExt => (width.min(target), width.max(target)),
+            CastKind::Trunc => (width.max(target), width.min(target)),
+            CastKind::Resize => (width, target),
+        };
+        let x = BitVec::new(from, a);
+        let expected = match kind {
+            CastKind::ZExt => x.zext(to),
+            CastKind::SExt => x.sext(to),
+            CastKind::Trunc => x.trunc(to),
+            CastKind::Resize => x.resize(to),
+        };
+        let expr = Expr::Cast { kind, width: to, arg: Box::new(operand(0, from)) };
+        prop_assert_eq!(one_operator(to, expr, a, b), Ok(expected.as_u64()), "{:?} {} -> {}", kind, from, to);
     }
 }

@@ -338,15 +338,15 @@ impl Listener {
 
     /// Wait for the next peer: the connection's read and write halves and
     /// a description of the peer for logs. Nothing here stops a server: a
-    /// failed accept (out of descriptors, an aborted handshake) is logged
-    /// and retried after [`ACCEPT_RETRY_PAUSE`], and a connection whose
-    /// setup fails is logged and dropped.
+    /// failed accept (out of descriptors, an aborted handshake) is retried
+    /// after [`ACCEPT_RETRY_PAUSE`] (see [`retry_accept`] for what it
+    /// logs), and a connection whose setup fails is logged and dropped.
     pub(crate) fn accept(
         &self,
         log: &mut dyn FnMut(&str),
     ) -> (BufReader<SocketStream>, SocketStream, String) {
         loop {
-            let accepted = match self {
+            let accept_once = || match self {
                 Listener::Tcp(listener, _) => listener
                     .accept()
                     .map(|(stream, peer)| (SocketStream::Tcp(stream), peer.to_string())),
@@ -354,14 +354,7 @@ impl Listener {
                     .accept()
                     .map(|(stream, _)| (SocketStream::Unix(stream), self.local().to_string())),
             };
-            let (stream, peer) = match accepted {
-                Ok(accepted) => accepted,
-                Err(e) => {
-                    log(&format!("accept failed, retrying: {e}"));
-                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
-                    continue;
-                }
-            };
+            let (stream, peer) = retry_accept(accept_once, log, ACCEPT_RETRY_PAUSE);
             match stream.set_no_delay().and_then(|()| stream.try_clone()) {
                 Ok(reader) => return (BufReader::new(reader), stream, peer),
                 Err(e) => log(&format!("connection from {peer} dropped: {e}")),
@@ -374,6 +367,38 @@ impl Listener {
 /// enough not to spin on a full descriptor table, short enough to notice
 /// freed ones at once.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(50);
+
+/// Call `accept` until it succeeds, pausing `pause` after each failure. A
+/// streak of failures (a full descriptor table lasts as long as its
+/// holders) logs two lines, not one per retry: its first error, and how
+/// many accepts failed once one works again.
+fn retry_accept<T>(
+    mut accept: impl FnMut() -> std::io::Result<T>,
+    log: &mut dyn FnMut(&str),
+    pause: Duration,
+) -> T {
+    let mut failed = 0u64;
+    loop {
+        match accept() {
+            Ok(accepted) => {
+                if failed > 0 {
+                    log(&format!("accepting again after {failed} failed accepts"));
+                }
+                return accepted;
+            }
+            Err(e) => {
+                if failed == 0 {
+                    log(&format!(
+                        "accept failed, retrying every {} ms: {e}",
+                        pause.as_millis()
+                    ));
+                }
+                failed += 1;
+                std::thread::sleep(pause);
+            }
+        }
+    }
+}
 
 /// Whether an accepted peer closed before sending a byte — what
 /// [`Listener::bind`]'s probe of a live socket does. Such a connection is
@@ -482,6 +507,38 @@ mod tests {
             WorkerAddr::Unix(PathBuf::from("relative.sock"))
         );
         assert_eq!(WorkerAddr::parse("unix:/x/y").to_string(), "unix:/x/y");
+    }
+
+    #[test]
+    fn a_streak_of_failed_accepts_logs_its_first_error_and_its_length() {
+        let mut lines = Vec::new();
+        let mut results = (0..3)
+            .map(|i| Err(std::io::Error::other(format!("no descriptors {i}"))))
+            .chain([Ok("peer")]);
+        let accepted = retry_accept(
+            || results.next().unwrap(),
+            &mut |line| lines.push(line.to_string()),
+            Duration::ZERO,
+        );
+        assert_eq!(accepted, "peer");
+        assert_eq!(
+            lines,
+            [
+                "accept failed, retrying every 0 ms: no descriptors 0",
+                "accepting again after 3 failed accepts",
+            ]
+        );
+
+        // The count starts over with each call: an accept that works at
+        // once logs nothing.
+        lines.clear();
+        let accepted = retry_accept(
+            || Ok::<_, std::io::Error>("next"),
+            &mut |line| lines.push(line.to_string()),
+            Duration::ZERO,
+        );
+        assert_eq!(accepted, "next");
+        assert!(lines.is_empty(), "{lines:?}");
     }
 
     #[test]

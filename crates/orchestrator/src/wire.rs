@@ -856,14 +856,15 @@ record!(ShardNodeRecord {
     edges => "edges",
 });
 
+// `cancelled` stays off the wire: a worker runs every shard under a fresh
+// token that nothing fires, so it could only ever say `false`.
 record!(ComposeShardResult {
     records => "records",
-    cancelled => "cancelled",
+    cancelled => _,
 });
 
-/// Encode what one `ComposeShard` job computed: the per-node records (each
-/// byte-identical to what the fold would compute inline) and whether the
-/// shard was cancelled before covering its range.
+/// Encode what one `ComposeShard` job computed: the per-node records, each
+/// byte-identical to what the fold would compute inline.
 pub fn shard_result_to_json(result: &ComposeShardResult) -> Json {
     to_json(result)
 }
@@ -1148,11 +1149,20 @@ mod tests {
                     edges: vec![],
                 },
             ],
-            cancelled: true,
+            cancelled: false,
         };
         let text = shard_result_to_json(&result).to_text();
         let back = shard_result_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, result);
+        let cancelled = ComposeShardResult {
+            cancelled: true,
+            ..result.clone()
+        };
+        assert_eq!(
+            shard_result_to_json(&cancelled).to_text(),
+            text,
+            "cancellation is not on the wire"
+        );
         assert_eq!(
             shard_result_to_json(&back).to_text(),
             text,

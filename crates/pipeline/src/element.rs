@@ -17,7 +17,7 @@
 //! testing), which is this reproduction's analog of the paper trusting S2E to
 //! faithfully execute the compiled C++.
 
-use dataplane_ir::{CrashReason, DsId, ElementState, Program};
+use dataplane_ir::{CrashReason, DsId, ElementState, ExecLimits, Lowered, Program, Scratch};
 use dataplane_net::Packet;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -165,7 +165,12 @@ impl fmt::Debug for dyn Element {
 pub fn run_model(element: &dyn Element, packet: &Packet) -> (Action, u64) {
     let program = element.model();
     let mut state = build_model_state(element, &program);
-    run_program(&program, packet.clone(), &mut state)
+    run_program(
+        &lower(&program),
+        packet.clone(),
+        &mut state,
+        &mut Scratch::default(),
+    )
 }
 
 /// Like [`run_model`], but against caller-managed state (so private state
@@ -175,19 +180,28 @@ pub fn run_model_with_state(
     packet: &Packet,
     state: &mut ElementState,
 ) -> (Action, u64) {
-    run_program(&element.model(), packet.clone(), state)
+    let code = lower(&element.model());
+    run_program(&code, packet.clone(), state, &mut Scratch::default())
 }
 
-/// The one model step every model runner shares: interpret an element's
-/// already-built `program` on the packet's own bytes against `state`, and
-/// turn the outcome into an [`Action`]. An emitted packet is the same
-/// packet moved on, so its metadata is kept.
+/// Lower an element's model. Every model an element builds validates (its
+/// builder checks it), so a failure here is a bug in the element.
+pub(crate) fn lower(program: &Program) -> Lowered {
+    Lowered::new(program).expect("an element model lowers")
+}
+
+/// The one model step every model runner shares: run an element's lowered
+/// `code` on the packet's own bytes against `state`, and turn the outcome
+/// into an [`Action`]. An emitted packet is the same packet moved on, so
+/// its metadata is kept.
 pub(crate) fn run_program(
-    program: &Program,
+    code: &Lowered,
     mut packet: Packet,
     state: &mut ElementState,
+    scratch: &mut Scratch,
 ) -> (Action, u64) {
-    let result = dataplane_ir::execute_default(program, packet.bytes_mut(), state)
+    let result = code
+        .run(packet.bytes_mut(), state, &ExecLimits::default(), scratch)
         .expect("element model exceeded the interpreter instruction limit");
     let action = match result.outcome {
         dataplane_ir::Outcome::Emitted(port) => Action::Emit(port, packet),

@@ -2,9 +2,9 @@
 //! (SMPClick-style) execution of packet streams, plus a model-interpreting
 //! runtime used for differential testing and instruction accounting.
 
-use crate::element::{build_model_state, run_program, Action};
+use crate::element::{build_model_state, lower, run_program, Action};
 use crate::pipeline::{Disposition, Pipeline, PipelineOutcome};
-use dataplane_ir::{ElementState, Program};
+use dataplane_ir::{ElementState, Lowered, Scratch};
 use dataplane_net::Packet;
 use parking_lot::Mutex;
 use std::fmt;
@@ -158,31 +158,35 @@ pub struct ModelRun {
 /// level, and (b) to measure concrete per-packet instruction counts that the
 /// verifier's bounded-instruction proof can be compared against.
 ///
-/// Each element's model is built once, in [`ModelRuntime::new`]; a push only
-/// interprets the stored programs.
+/// Each element's model is built and lowered once, in
+/// [`ModelRuntime::new`]; a push only runs the lowered code, on one scratch
+/// shared by every node and packet, so it allocates nothing beyond the
+/// packet's hop list (and a crash's reason).
 pub struct ModelRuntime<'p> {
     pipeline: &'p Pipeline,
-    /// Each node's model program, validated when the element built it.
-    programs: Vec<Program>,
+    /// Each node's lowered model.
+    codes: Vec<Lowered>,
     states: Vec<ElementState>,
+    scratch: Scratch,
 }
 
 impl<'p> ModelRuntime<'p> {
-    /// Build the model runtime for a pipeline (instantiating each element's
-    /// model program and model state).
+    /// Build the model runtime for a pipeline (instantiating and lowering
+    /// each element's model program, and building its model state).
     pub fn new(pipeline: &'p Pipeline) -> Self {
-        let (programs, states) = pipeline
+        let (codes, states) = pipeline
             .iter()
             .map(|(_, node)| {
                 let program = node.element.model();
                 let state = build_model_state(node.element.as_ref(), &program);
-                (program, state)
+                (lower(&program), state)
             })
             .unzip();
         ModelRuntime {
             pipeline,
-            programs,
+            codes,
             states,
+            scratch: Scratch::default(),
         }
     }
 
@@ -190,13 +194,17 @@ impl<'p> ModelRuntime<'p> {
     pub fn push(&mut self, packet: Packet) -> ModelRun {
         let mut current = self.pipeline.entry();
         let mut pkt = packet;
-        let mut hops = Vec::new();
+        let mut hops = Vec::with_capacity(self.pipeline.len());
         let mut instructions = 0u64;
         loop {
             hops.push(current);
             let node = self.pipeline.node(current);
-            let (action, count) =
-                run_program(&self.programs[current], pkt, &mut self.states[current]);
+            let (action, count) = run_program(
+                &self.codes[current],
+                pkt,
+                &mut self.states[current],
+                &mut self.scratch,
+            );
             instructions += count;
             match action {
                 Action::Drop => {
@@ -248,7 +256,7 @@ mod tests {
         buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
         middlebox_pipeline, router_element_chain,
     };
-    use dataplane_ir::DsId;
+    use dataplane_ir::{DsId, Program};
     use dataplane_net::{PacketBuilder, PacketMeta, WorkloadGen};
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
