@@ -57,6 +57,6 @@ pub use report::{
 };
 pub use summary::{summary_key, ElementSummary, SummaryCache};
 pub use verifier::{
-    materialise_packet, run_violates_property, CheckOutcome, CheckRecord, ComposeOutline,
-    ComposeShardResult, OutlineNode, ShardEdge, ShardNodeRecord, Verifier, VerifierOptions,
+    run_violates_property, CheckOutcome, CheckRecord, ComposeOutline, ComposeShardResult,
+    OutlineNode, ShardEdge, ShardNodeRecord, Verifier, VerifierOptions,
 };

@@ -33,7 +33,7 @@ use crate::property::Property;
 use crate::report::{Counterexample, Report, UnprovenPath, Verdict, VerificationStats};
 use crate::summary::ElementSummary;
 use crate::tree::{PrefixTree, Step, Visitor, WalkInput};
-use crate::verifier::{materialise_packet, Verifier};
+use crate::verifier::Verifier;
 use dataplane_ir::value::BitVec;
 use dataplane_ir::BinOp;
 use dataplane_net::Packet;
@@ -481,7 +481,7 @@ impl LassoHunt<'_> {
             }
             SolverResult::Sat(model) => {
                 self.stats.lasso_found += 1;
-                let packet = materialise_packet(&model);
+                let packet = model.concrete_packet();
                 let description = format!(
                     "accepting lasso: stem [{}] then ({})^w violates {}",
                     path.join(" -> "),

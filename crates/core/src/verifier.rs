@@ -490,20 +490,10 @@ impl Verifier {
     }
 }
 
-/// Build concrete packet bytes from a solver model: the bytes the model
-/// mentions, zero-extended to the model's packet length (capped at a sane
-/// frame size).
-pub fn materialise_packet(model: &dataplane_symbex::Assignment) -> Vec<u8> {
-    // The model's packet length is authoritative: the concrete packet must
-    // have exactly that many bytes (capped at a sane jumbo-frame size), with
-    // any bytes the model did not pin set to zero.
-    model.concrete_packet()
-}
-
 /// Judge whether a finished concrete execution violates `property` — the
-/// replay predicate of the differential-conformance subsystem, and the
-/// segment-free generalisation of the verifier's own counterexample
-/// confirmation. Crash-freedom is violated by any crash; the instruction
+/// one replay predicate: the verifier confirms its counterexamples with it,
+/// and the differential-conformance subsystem judges its replays with it.
+/// Crash-freedom is violated by any crash; the instruction
 /// bound by a crash or an over-budget run; reachability by a crash, a drop
 /// at an element that is neither a delivery target nor a licensed dropper,
 /// or an exit anywhere but a delivery target. For reachability the caller
@@ -1058,8 +1048,7 @@ impl<'a> WalkCtx<'a> {
             SolverResult::Unsat => CheckOutcome::Discharged,
             SolverResult::Sat(model) => {
                 let packet = self.materialise_counterexample(&model);
-                let confirmed = self.options.validate_counterexamples
-                    && self.confirm(&packet, element, segment);
+                let confirmed = self.options.validate_counterexamples && self.confirm(&packet);
                 CheckOutcome::Violation(Counterexample {
                     packet,
                     path: path.to_vec(),
@@ -1107,7 +1096,7 @@ impl<'a> WalkCtx<'a> {
     /// checksum recomputed) to keep the witness a well-formed packet with the
     /// destination the property talks about.
     fn materialise_counterexample(&self, model: &dataplane_symbex::Assignment) -> Vec<u8> {
-        let mut packet = materialise_packet(model);
+        let mut packet = model.concrete_packet();
         if let Property::Reachability {
             dst, dst_offset, ..
         } = self.property
@@ -1155,52 +1144,13 @@ impl<'a> WalkCtx<'a> {
         self.solver.refutes(&substituted).is_some()
     }
 
-    /// Replay a counterexample packet on a fresh concrete pipeline and check
-    /// that the predicted violation really occurs.
-    fn confirm(&self, packet: &[u8], element: ElementIdx, segment: &Segment) -> bool {
-        // Rebuild the pipeline via its model runtime so private state starts
-        // fresh; a single packet suffices for the properties we check.
+    /// Replay a counterexample packet on a fresh concrete pipeline (private
+    /// state starts fresh; one packet suffices for the properties checked)
+    /// and judge the run with [`run_violates_property`].
+    fn confirm(&self, packet: &[u8]) -> bool {
         let mut runtime = dataplane_pipeline::ModelRuntime::new(self.tree.pipeline);
         let run = runtime.push(Packet::from_bytes(packet.to_vec()));
-        match (self.property, &segment.outcome) {
-            (Property::CrashFreedom, _) => {
-                matches!(run.disposition, Disposition::Crashed { .. })
-            }
-            (Property::BoundedInstructions { max_instructions }, outcome) => {
-                if outcome.is_crash() {
-                    matches!(run.disposition, Disposition::Crashed { .. })
-                } else {
-                    run.instructions > *max_instructions
-                }
-            }
-            (
-                Property::Reachability {
-                    deliver_to,
-                    may_drop,
-                    ..
-                },
-                _,
-            ) => {
-                let last = *run.hops.last().unwrap_or(&element);
-                let last_name = self.tree.pipeline.node(last).name.clone();
-                match run.disposition {
-                    Disposition::Crashed { .. } => true,
-                    // A drop at a header checker means the witness was
-                    // malformed, which the property explicitly permits — that
-                    // is not a confirmation.
-                    Disposition::Dropped { .. } => {
-                        !deliver_to.contains(&last_name) && !may_drop.contains(&last_name)
-                    }
-                    Disposition::Exited { .. } => !deliver_to.contains(&last_name),
-                }
-            }
-            // Temporal counterexamples are confirmed by the Büchi-product
-            // search itself (the trace evaluator); suspect-walk checks
-            // never see a temporal property.
-            (Property::Temporal(spec), _) => {
-                crate::temporal::run_violates_temporal(self.tree.pipeline, spec, packet, &run)
-            }
-        }
+        run_violates_property(self.tree.pipeline, self.property, packet, &run)
     }
 }
 
@@ -1411,7 +1361,7 @@ impl Visitor for InstructionBound<'_> {
             report.approximate = *approximate || segment.approximate;
             report.path = input.path.clone();
             report.witness = match result {
-                SolverResult::Sat(model) => Some(materialise_packet(&model)),
+                SolverResult::Sat(model) => Some(model.concrete_packet()),
                 _ => None,
             };
         }

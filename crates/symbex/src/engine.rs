@@ -20,12 +20,23 @@
 //!   state havocked again. This over-approximates the loop (it can only add
 //!   false suspects, never hide real ones) while keeping the number of
 //!   segments per element small — the paper's loop decomposition.
+//!
+//! One executor runs every statement: `exec_stmt`, in continuation-passing
+//! style (`Cont` is what runs after the statement). A loop body runs through
+//! the same executor under a `Cont::Collect` continuation, which hands each
+//! state that falls off the body's end back to the loop instead of finishing
+//! it as a segment; paths that end inside the body (emit, drop, crash)
+//! finish as segments on the way. Unrolling continues each handed-back
+//! state into the next iteration, decomposition joins them into the
+//! post-loop state. A loop nested in a loop body follows the mode like any
+//! other loop: `Unroll` unrolls it, `Decompose` decomposes it.
 
 use crate::state::SymPacket;
 use crate::term::{self, Term, TermRef, VarId};
 use dataplane_ir::expr::{DsId, Expr, LocalId};
 use dataplane_ir::program::{DsKind, Program, Stmt};
 use dataplane_ir::{BinOp, BitVec, CastKind};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -306,6 +317,8 @@ enum Cont<'a> {
     Done,
     /// Execute these statements, then the next continuation.
     Then(&'a [Stmt], &'a Cont<'a>),
+    /// The end of a loop body: hand the state back to the loop.
+    Collect(&'a RefCell<Vec<PathState>>),
 }
 
 /// The mutable exploration state of one path.
@@ -466,6 +479,10 @@ impl<'a> Engine<'a> {
         match cont {
             Cont::Done => self.finish(state, SegmentOutcome::Dropped),
             Cont::Then(stmts, rest) => self.exec_block(state, stmts, rest),
+            Cont::Collect(out) => {
+                out.borrow_mut().push(state);
+                Ok(())
+            }
         }
     }
 
@@ -581,7 +598,8 @@ impl<'a> Engine<'a> {
             } => match self.config.loop_mode {
                 LoopMode::Unroll => self.exec_loop_unrolled(state, *max_iters, cond, body, 0, cont),
                 LoopMode::Decompose => {
-                    self.exec_loop_decomposed(state, *max_iters, cond, body, cont)
+                    self.decompose_loop(&mut state, *max_iters, cond, body)?;
+                    self.exec_cont(state, cont)
                 }
             },
             Stmt::StripFront { n } => {
@@ -686,253 +704,23 @@ impl<'a> Engine<'a> {
         if done >= max_iters {
             return self.finish(state, SegmentOutcome::Crashed(CrashKind::LoopBoundExceeded));
         }
-        // Execute the body, then come back around. The continuation is built
-        // recursively by re-entering this function once the body finishes;
-        // structurally we express it by executing the body with an empty
-        // continuation... which is not possible with the `Cont` list, so we
-        // instead recurse over a freshly built statement list: body followed
-        // by the loop itself is not representable either. We therefore expand
-        // the body inline by chaining `exec_block` with a closure-less
-        // continuation: run the body, and for every state that falls through
-        // it, continue the loop. To do that we use a marker continuation.
-        self.exec_body_then_loop(state, max_iters, cond, body, done, cont)
-    }
-
-    /// Helper for unrolled loops: run `body` and for each fall-through state
-    /// continue with the next loop iteration.
-    fn exec_body_then_loop(
-        &mut self,
-        state: PathState,
-        max_iters: u32,
-        cond: &Expr,
-        body: &[Stmt],
-        done: u32,
-        cont: &Cont<'_>,
-    ) -> Result<(), ExploreError> {
-        // Collect fall-through states by running the body with a sentinel
-        // continuation that records them instead of finishing segments.
-        let mut fallthrough = Vec::new();
-        self.exec_block_collect(state, body, &mut fallthrough)?;
-        for s in fallthrough {
+        for s in self.exec_body(state, body)? {
             self.exec_loop_unrolled(s, max_iters, cond, body, done + 1, cont)?;
         }
         Ok(())
     }
 
-    /// Execute a block; states that fall off its end are pushed into `out`
-    /// instead of being finished as segments. Terminal statements inside the
-    /// block (emit/drop/crash) still finish segments directly.
-    fn exec_block_collect(
+    /// Run a loop body and hand back the states that fall off its end;
+    /// paths that end inside the body (emit, drop, crash) finish as
+    /// segments on the way.
+    fn exec_body(
         &mut self,
         state: PathState,
-        stmts: &[Stmt],
-        out: &mut Vec<PathState>,
-    ) -> Result<(), ExploreError> {
-        match stmts.split_first() {
-            None => {
-                out.push(state);
-                Ok(())
-            }
-            Some((first, rest)) => {
-                // Reuse exec_stmt by temporarily treating the rest of the
-                // block as the continuation, but interception of the final
-                // fall-through needs special handling: we implement the small
-                // subset of statement kinds that can fall through explicitly
-                // here to keep the recursion structure simple.
-                match first {
-                    Stmt::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    } => {
-                        let mut state = state;
-                        state.instructions += 1;
-                        let c = match self.eval(&mut state, cond)? {
-                            Some(e) => e,
-                            None => return Ok(()),
-                        };
-                        if c.value.is_true() {
-                            let mut joined = then_body.to_vec();
-                            joined.extend_from_slice(rest);
-                            return self.exec_block_collect(state, &joined, out);
-                        }
-                        if c.value.is_false() {
-                            let mut joined = else_body.to_vec();
-                            joined.extend_from_slice(rest);
-                            return self.exec_block_collect(state, &joined, out);
-                        }
-                        self.charge_branch()?;
-                        let mut then_state = state.clone();
-                        then_state.assume(c.value.clone());
-                        let mut joined = then_body.to_vec();
-                        joined.extend_from_slice(rest);
-                        self.exec_block_collect(then_state, &joined, out)?;
-                        let mut else_state = state;
-                        else_state.assume(term::negate(c.value));
-                        let mut joined = else_body.to_vec();
-                        joined.extend_from_slice(rest);
-                        self.exec_block_collect(else_state, &joined, out)
-                    }
-                    // Terminal statements and everything else that cannot
-                    // fall through to `rest` in a special way: delegate to
-                    // exec_stmt with a continuation that collects into a
-                    // temporary segment list is not possible, so handle the
-                    // simple non-branching statements inline.
-                    Stmt::Emit { .. } | Stmt::Drop | Stmt::Abort { .. } => {
-                        self.exec_stmt(state, first, &Cont::Done)
-                    }
-                    _ => {
-                        // Non-terminal, possibly-forking statements: run the
-                        // statement with an empty continuation replaced by a
-                        // recursive call — easiest is to execute it via
-                        // exec_stmt against a continuation consisting of the
-                        // rest of the block, but exec_stmt would finish
-                        // fall-through states as Dropped segments. Instead we
-                        // inline the supported statements.
-                        let mut state = state;
-                        state.instructions += 1;
-                        match first {
-                            Stmt::Nop => self.exec_block_collect(state, rest, out),
-                            Stmt::Assign { local, value } => {
-                                let evaluated = match self.eval(&mut state, value)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                let width = self.program.locals[local.0 as usize].width;
-                                state.locals[local.0 as usize] =
-                                    term::cast(CastKind::Resize, width, evaluated.value);
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::PacketStore {
-                                offset,
-                                width_bytes,
-                                value,
-                            } => {
-                                let off = match self.eval(&mut state, offset)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                let val = match self.eval(&mut state, value)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                let oob =
-                                    state.packet.store_oob_condition(&off.value, *width_bytes);
-                                self.fork_crash(&mut state, oob, CrashKind::PacketOutOfBounds)?;
-                                self.packet_store(&mut state, &off.value, *width_bytes, &val.value);
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::DsWrite { ds, key, value } => {
-                                let key = match self.eval(&mut state, key)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                let val = match self.eval(&mut state, value)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                let decl = &self.program.data_structures[ds.0 as usize];
-                                if let DsKind::Array { size } = decl.kind {
-                                    let oob = term::binary(
-                                        BinOp::UGe,
-                                        key.value.clone(),
-                                        term::constant(BitVec::new(decl.key_width, size)),
-                                    );
-                                    self.fork_crash(
-                                        &mut state,
-                                        oob,
-                                        CrashKind::DsKeyOutOfRange(decl.name.clone()),
-                                    )?;
-                                }
-                                state.ds_writes.push(DsWriteRecord {
-                                    ds: *ds,
-                                    key: key.value,
-                                    value: val.value,
-                                });
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::StripFront { n } => {
-                                let underflow = state.packet.strip_underflow_condition(*n);
-                                self.fork_crash(&mut state, underflow, CrashKind::StripUnderflow)?;
-                                state.packet.strip_front(*n);
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::PushFront { n } => {
-                                state.packet.push_front(*n);
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::Assert { cond, message } => {
-                                let c = match self.eval(&mut state, cond)? {
-                                    Some(e) => e,
-                                    None => return Ok(()),
-                                };
-                                if c.value.is_true() {
-                                    return self.exec_block_collect(state, rest, out);
-                                }
-                                if c.value.is_false() {
-                                    return self.finish(
-                                        state,
-                                        SegmentOutcome::Crashed(CrashKind::AssertionFailed(
-                                            message.clone(),
-                                        )),
-                                    );
-                                }
-                                self.charge_branch()?;
-                                let mut crash_state = state.clone();
-                                crash_state.assume(term::negate(c.value.clone()));
-                                self.finish(
-                                    crash_state,
-                                    SegmentOutcome::Crashed(CrashKind::AssertionFailed(
-                                        message.clone(),
-                                    )),
-                                )?;
-                                state.assume(c.value);
-                                self.exec_block_collect(state, rest, out)
-                            }
-                            Stmt::Loop {
-                                max_iters,
-                                cond,
-                                body,
-                            } => {
-                                // A nested loop inside a collected block: in
-                                // unroll mode this arises for loops inside
-                                // loops; handle it by decomposing (sound
-                                // over-approximation) to keep the collector
-                                // simple. Nested loops do not occur in the
-                                // element library.
-                                let fallthrough =
-                                    self.decompose_loop(&mut state, *max_iters, cond, body)?;
-                                if fallthrough {
-                                    self.exec_block_collect(state, rest, out)
-                                } else {
-                                    Ok(())
-                                }
-                            }
-                            Stmt::If { .. }
-                            | Stmt::Emit { .. }
-                            | Stmt::Drop
-                            | Stmt::Abort { .. } => unreachable!("handled above"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn exec_loop_decomposed(
-        &mut self,
-        mut state: PathState,
-        max_iters: u32,
-        cond: &Expr,
         body: &[Stmt],
-        cont: &Cont<'_>,
-    ) -> Result<(), ExploreError> {
-        let fallthrough = self.decompose_loop(&mut state, max_iters, cond, body)?;
-        if fallthrough {
-            self.exec_cont(state, cont)
-        } else {
-            Ok(())
-        }
+    ) -> Result<Vec<PathState>, ExploreError> {
+        let out = RefCell::new(Vec::new());
+        self.exec_block(state, body, &Cont::Collect(&out))?;
+        Ok(out.into_inner())
     }
 
     /// Infer inductive lower-bound invariants for the loop-carried locals of
@@ -993,14 +781,13 @@ impl<'a> Engine<'a> {
             // the enclosing real loop's frame.
             let spans_mark = self.store_spans.len();
             self.store_spans.push(StoreSpan::None);
-            let mut fallthrough = Vec::new();
             let run = match self.eval(&mut trial, cond) {
-                Ok(Some(c)) if c.value.is_false() => Ok(()),
+                Ok(Some(c)) if c.value.is_false() => Ok(Vec::new()),
                 Ok(Some(c)) => {
                     trial.assume(c.value);
-                    self.exec_block_collect(trial, body, &mut fallthrough)
+                    self.exec_body(trial, body)
                 }
-                Ok(None) => Ok(()),
+                Ok(None) => Ok(Vec::new()),
                 Err(e) => Err(e),
             };
             // Validation only: nothing it produced is a real segment, a real
@@ -1008,11 +795,11 @@ impl<'a> Engine<'a> {
             self.segments.truncate(segments_mark);
             self.branches = branches_mark;
             self.store_spans.truncate(spans_mark);
-            if run.is_err() {
+            let Ok(fallthrough) = run else {
                 // Validation ran out of budget: abandon inference rather
                 // than fail the real exploration over throwaway work.
                 return Ok(Vec::new());
-            }
+            };
             let surviving: Vec<(LocalId, u64)> = hypotheses
                 .iter()
                 .filter(|(local, lo)| {
@@ -1033,15 +820,14 @@ impl<'a> Engine<'a> {
 
     /// Summarise a loop: surface every violating/terminal body path once
     /// (over havocked loop state), then mutate `state` into the post-loop
-    /// over-approximation. Returns false when the loop provably never exits
-    /// normally (not the case for any element in the library).
+    /// over-approximation.
     fn decompose_loop(
         &mut self,
         state: &mut PathState,
         max_iters: u32,
         cond: &Expr,
         body: &[Stmt],
-    ) -> Result<bool, ExploreError> {
+    ) -> Result<(), ExploreError> {
         self.charge_branch()?;
         // Locals assigned anywhere in the body are loop-carried: havoc them.
         let mut carried = BTreeSet::new();
@@ -1091,15 +877,14 @@ impl<'a> Engine<'a> {
         assume_invariants(self, &mut iteration);
         let c_entry = match self.eval(&mut iteration, cond)? {
             Some(e) => e,
-            None => return Ok(true),
+            None => return Ok(()),
         };
         if c_entry.value.is_false() {
             // The loop can never be entered; nothing carried changes.
             state.instructions += 1;
-            return Ok(true);
+            return Ok(());
         }
         iteration.assume(c_entry.value.clone());
-        let mut fallthrough_states = Vec::new();
         let before = self.segments.len();
         // Every store the body executes merges the range it may touch into
         // this frame; the generic havocked iteration covers all iterations,
@@ -1108,16 +893,16 @@ impl<'a> Engine<'a> {
         // recovers from the error (invariant validation does) must find the
         // stack balanced.
         self.store_spans.push(StoreSpan::None);
-        let body_result = self.exec_block_collect(iteration, body, &mut fallthrough_states);
+        let body_result = self.exec_body(iteration, body);
         let body_span = self.store_spans.pop().unwrap_or(StoreSpan::Unbounded);
-        body_result?;
+        let fallthrough_states = body_result?;
         // A nested decomposed loop must also surface its stores to the
         // enclosing frame.
         if let Some(outer) = self.store_spans.last_mut() {
             outer.merge(body_span);
         }
         // Terminal body paths (emit/drop/crash) have been surfaced as
-        // segments by the collector; mark them approximate.
+        // segments on the way; mark them approximate.
         for seg in &mut self.segments[before..] {
             seg.approximate = true;
         }
@@ -1177,12 +962,12 @@ impl<'a> Engine<'a> {
         // On exit the condition is false for the (havocked) exit state.
         let c_exit = match self.eval(state, cond)? {
             Some(e) => e,
-            None => return Ok(true),
+            None => return Ok(()),
         };
         if !c_exit.value.is_true() {
             state.assume(term::negate(c_exit.value));
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Evaluate an expression symbolically. Crash possibilities inside the
