@@ -1,19 +1,22 @@
 //! Programs shared by the Step-1 tests: every element model of the preset
-//! pipelines, and a hand-built program with a loop nested in a loop (no
-//! library element nests loops).
+//! pipelines, and hand-built programs for what no library element does: a
+//! loop nested in a loop, a drop inside a loop body, and a `Select` whose
+//! arms differ in cost and can each crash.
+
+#![allow(dead_code)] // each test file uses some of these
 
 use dataplane_ir::builder::{Block, ProgramBuilder};
 use dataplane_ir::expr::dsl::*;
-use dataplane_ir::Program;
+use dataplane_ir::{ElementState, Program};
 use dataplane_pipeline::presets::{
     buggy_pipeline, firewall_pipeline, ip_router_pipeline, linear_router_pipeline,
     middlebox_pipeline, router_chain,
 };
-use dataplane_pipeline::Pipeline;
+use dataplane_pipeline::{build_model_state, Pipeline};
 
-/// `(pipeline/node, model)` for every node of the five preset pipelines and
-/// `router_chain(2)`, in pipeline order.
-pub fn preset_elements() -> Vec<(String, Program)> {
+/// `(pipeline/node, model, model state)` for every node of the five preset
+/// pipelines and `router_chain(2)`, in pipeline order.
+pub fn preset_elements() -> Vec<(String, Program, ElementState)> {
     let pipelines: [(&str, Pipeline); 6] = [
         ("ip_router", ip_router_pipeline()),
         ("linear_router", linear_router_pipeline()),
@@ -25,7 +28,9 @@ pub fn preset_elements() -> Vec<(String, Program)> {
     let mut out = Vec::new();
     for (name, pipeline) in &pipelines {
         for (_, node) in pipeline.iter() {
-            out.push((format!("{name}/{}", node.name), node.element.model()));
+            let program = node.element.model();
+            let state = build_model_state(node.element.as_ref(), &program);
+            out.push((format!("{name}/{}", node.name), program, state));
         }
     }
     out
@@ -87,4 +92,42 @@ pub fn nested_loop_program() -> Program {
         }),
     );
     pb.finish(b).expect("the nested-loop program is valid")
+}
+
+/// A loop of at most ten iterations that counts `i` up and drops the packet
+/// once `i` equals the first packet byte, so byte `k` in 1..=10 drops in
+/// iteration `k`; other packets emit after the loop.
+pub fn loop_body_drop_program() -> Program {
+    let mut pb = ProgramBuilder::new("LoopBodyDrop", 1);
+    let i = pb.local("i", 8);
+    let mut b = Block::new();
+    b.loop_bounded(
+        10,
+        ult(l(i), c(8, 10)),
+        Block::with(|lb| {
+            lb.assign(i, add(l(i), c(8, 1)));
+            lb.if_then(
+                eq(l(i), pkt(0, 1)),
+                Block::with(|t| {
+                    t.drop_packet();
+                }),
+            );
+        }),
+    );
+    b.emit(0);
+    pb.finish(b).expect("the loop-body drop program is valid")
+}
+
+/// `x := pkt[0] == 0 ? pkt[1] : pkt[2] + pkt[3]`, then emit: the arms cost
+/// 2 and 5 instructions, and each can read past the end of a short packet.
+pub fn select_crash_program() -> Program {
+    let mut pb = ProgramBuilder::new("SelectCrash", 1);
+    let x = pb.local("x", 8);
+    let mut b = Block::new();
+    b.assign(
+        x,
+        select(eq(pkt(0, 1), c(8, 0)), pkt(1, 1), add(pkt(2, 1), pkt(3, 1))),
+    );
+    b.emit(0);
+    pb.finish(b).expect("the select program is valid")
 }

@@ -365,7 +365,7 @@ fn instruction_bounds_and_witnesses_are_pinned() {
         (
             "ip_router",
             ip_router_pipeline,
-            4813,
+            4609,
             true,
             166,
             47,
@@ -375,7 +375,7 @@ fn instruction_bounds_and_witnesses_are_pinned() {
         (
             "linear_router",
             linear_router_pipeline,
-            4809,
+            4605,
             true,
             112,
             41,
@@ -385,7 +385,7 @@ fn instruction_bounds_and_witnesses_are_pinned() {
         (
             "middlebox",
             middlebox_pipeline,
-            1576,
+            1454,
             true,
             161,
             17,
@@ -395,7 +395,7 @@ fn instruction_bounds_and_witnesses_are_pinned() {
         (
             "firewall",
             || firewall_pipeline(vec![]),
-            800,
+            739,
             true,
             43,
             18,
@@ -417,7 +417,7 @@ fn instruction_bounds_and_witnesses_are_pinned() {
         (
             "buggy",
             buggy_pipeline,
-            1105,
+            1023,
             true,
             20,
             13,

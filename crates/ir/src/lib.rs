@@ -27,8 +27,10 @@
 //! * [`builder`] — ergonomic program construction.
 //! * [`mod@validate`] — static width/type checking.
 //! * [`interp`] — concrete execution: element state, limits, results.
+//! * [`cost`] — the instruction cost model, the one rule every count
+//!   follows.
 //! * [`lower`] — programs lowered to flat code, the form the concrete
-//!   interpreter runs, with exact instruction counting.
+//!   interpreter runs; its count is the reference of [`cost`]'s rule.
 //! * [`pretty`] — human-readable rendering for reports.
 //!
 //! ## Example
@@ -61,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 pub mod builder;
+pub mod cost;
 pub mod expr;
 pub mod interp;
 pub mod lower;

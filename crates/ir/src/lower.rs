@@ -12,14 +12,12 @@
 //!
 //! # Counting
 //!
-//! The instruction count is the tree's: every executed statement and every
-//! evaluated expression node counts one. Each op charges the node it stands
-//! for; `If` and `Select` are charged by their branch and `Loop` by the op
-//! that zeroes its counter, so the count is exact at every statement start.
-//! A crash must report the pre-order count — every node *entered*, and in
-//! postfix the ancestors of the crashing node have not run yet — so each
-//! crashing op carries the static number of its ancestors still uncharged
-//! (`pending`) and adds it.
+//! The count follows [`crate::cost`]'s rule exactly, and is its reference.
+//! Each op charges the node it stands for; `If` and `Select` are charged by
+//! their branch and `Loop` by the op that zeroes its counter, so the count
+//! is exact at every statement start. In postfix the ancestors of a
+//! crashing node have not run yet, so each crashing op carries the static
+//! number of its ancestors still uncharged (`pending`) and adds it.
 //!
 //! The limit is checked at loop back-edges and where execution ends. Counts
 //! only grow and loop-free code is finite, so this gives the same `Err` or

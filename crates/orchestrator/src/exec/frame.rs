@@ -55,8 +55,10 @@ use std::time::Duration;
 /// * v11 — shards run to their end: shard results carry no `timings`,
 ///   shard jobs no `scenario_index`, and `cancel` is an unknown kind;
 /// * v12 — shard results carry no `cancelled` (a worker's shard is never
-///   cancelled).
-pub const WORKER_SCHEMA: u64 = 12;
+///   cancelled);
+/// * v13 — summaries are format 3 (instructions counted by `ir::cost`),
+///   so a worker that counts the old way is refused at hello.
+pub const WORKER_SCHEMA: u64 = 13;
 
 /// Protocol name announced in hello frames, so a mismatched peer is told
 /// what this endpoint speaks.
@@ -639,28 +641,28 @@ mod tests {
     use proptest::TestRng;
     use std::sync::OnceLock;
 
-    /// One coordinator frame of each kind, as schema 12 spells it on the
+    /// One coordinator frame of each kind, as schema 13 spells it on the
     /// wire: peers built before this module must keep reading them.
     const TO_WORKER: [&str; 7] = [
-        r#"{"kind":"hello","options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","proto":"vericlick-worker","schema":12}"#,
-        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","schema":12}"#,
-        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":12}"#,
-        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":12,"summaries":[null,"held"]}"#,
-        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"start":0},"kind":"job","schema":12,"summaries":[null]}"#,
-        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":12}"#,
-        r#"{"kind":"ping","schema":12,"seq":3}"#,
+        r#"{"kind":"hello","options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","proto":"vericlick-worker","schema":13}"#,
+        r#"{"kind":"options","options":{"engine":{"loop_mode":"decompose","max_branches":2000000,"max_segments":200000},"max_composed_paths":100000,"prune_prefixes":true,"solver":{"max_fm_constraints":128000,"max_packet_len":2048,"model_search_tries":4000,"search_seed":1592590337},"validate_counterexamples":true},"options_digest":"9dfa2805e99a3f70caddf02c4f8a8405","schema":13}"#,
+        r#"{"id":4,"job":{"config_args":"","fingerprint":"00000000000000010000000000000002","kind":"explore","type_name":"DecTTL"},"kind":"job","schema":13}"#,
+        r#"{"id":5,"job":{"fingerprints":["00000000000000010000000000000002","00000000000000030000000000000004"],"kind":"compose","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}}},"kind":"job","schema":13,"summaries":[null,"held"]}"#,
+        r#"{"id":6,"job":{"end":0,"fingerprints":["00000000000000010000000000000002"],"kind":"compose-shard","scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"start":0},"kind":"job","schema":13,"summaries":[null]}"#,
+        r#"{"id":7,"job":{"kind":"fuzz","model_seeds":false,"packets":0,"scenario":{"config":"t :: DecTTL();","name":"t","property":{"kind":"crash-freedom"}},"scenario_index":1,"seed":7,"shard_index":0},"kind":"job","schema":13}"#,
+        r#"{"kind":"ping","schema":13,"seq":3}"#,
     ];
 
-    /// One worker frame of each kind, as schema 12 spells it on the wire.
+    /// One worker frame of each kind, as schema 13 spells it on the wire.
     const FROM_WORKER: [&str; 8] = [
-        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":12}"#,
-        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":12,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":2,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
-        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":12}"#,
-        r#"{"id":2,"kind":"result","schema":12,"shard":{"records":[]}}"#,
-        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":12}"#,
-        r#"{"kind":"pong","schema":12,"seq":3}"#,
-        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":12}"#,
-        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 12","schema":12}"#,
+        r#"{"capacity":1,"held":[],"kind":"hello","need_options":true,"proto":"vericlick-worker","schema":13}"#,
+        r#"{"folded":["af8ecdd6968a5d6bd7cfd8ad3295c53e"],"id":0,"kind":"result","schema":13,"summary":{"branches":2,"config_key":"12/0800","explore_micros":60,"format":3,"segments":[{"approximate":false,"constraint":[7],"ds_reads":[],"ds_writes":[],"instructions":8,"outcome":{"k":"crash","kind":"oob"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,19],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"emit","port":0},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}},{"approximate":false,"constraint":[8,20],"ds_reads":[],"ds_writes":[],"instructions":11,"outcome":{"k":"drop"},"packet":{"base":0,"clobber":null,"delta":0,"writes":[]}}],"terms":[{"t":"plen"},{"t":"const","v":14,"w":32},{"a":0,"b":1,"op":"UGe","t":"bin"},{"t":"const","v":14,"w":64},{"t":"plen"},{"a":4,"kind":"ZExt","t":"cast","w":64},{"a":3,"b":5,"op":"UGt","t":"bin"},{"a":2,"b":6,"op":"BoolAnd","t":"bin"},{"a":7,"op":"LogicalNot","t":"un"},{"i":12,"t":"pb"},{"a":9,"kind":"ZExt","t":"cast","w":16},{"t":"const","v":8,"w":16},{"a":10,"b":11,"op":"Shl","t":"bin"},{"i":13,"t":"pb"},{"a":13,"kind":"ZExt","t":"cast","w":16},{"a":12,"b":14,"op":"Or","t":"bin"},{"t":"const","v":2048,"w":16},{"a":15,"b":16,"op":"Eq","t":"bin"},{"t":"const","v":0,"w":1},{"c":2,"e":18,"t":"sel","tt":17},{"a":19,"op":"LogicalNot","t":"un"}],"type_name":"Classifier"}}"#,
+        r#"{"elapsed_micros":359,"id":1,"kind":"result","report":{"counterexamples":[],"property":"crash-freedom","stats":{"buchi_states":0,"composed_paths":0,"discharged":0,"elements":1,"fm_budget_aborts":0,"lasso_found":0,"model_search_aborts":0,"prefilter_decided":0,"prefilter_passed":0,"product_states":0,"solver_calls":4,"summaries_computed":1,"summaries_reused":0,"suspects":0,"total_segments":7},"unproven":[],"verdict":"proven"},"schema":13}"#,
+        r#"{"id":2,"kind":"result","schema":13,"shard":{"records":[]}}"#,
+        r#"{"fuzz":{"checked":0,"contradiction_count":0,"contradictions":[],"crashed":0,"dropped":0,"forwarded":0,"max_instructions":0,"model_seeds":0,"packets":0,"scenario":"t/crash-freedom","scenario_index":1,"schema":1,"shard_index":0},"id":3,"kind":"result","schema":13}"#,
+        r#"{"kind":"pong","schema":13,"seq":3}"#,
+        r#"{"id":4,"kind":"error","message":"executor: job failed: DecTTL() fingerprint mismatch: plan says 00000000000000010000000000000002, this build computes e3cbe28a3ff04b5641a944f5a1a34823 (worker built from different element code?)","schema":13}"#,
+        r#"{"kind":"error","message":"version mismatch: peer sent kind Some(\"hello\") proto None schema Some(99); this worker speaks vericlick-worker schema 13","schema":13}"#,
     ];
 
     /// One client frame of each kind, as client schema 2 spells it on the
@@ -835,36 +837,36 @@ mod tests {
         let jobs = pinned_jobs();
         let parse = |text: &str| Json::parse(text).unwrap();
         // A job that does not decode is that job's failure.
-        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":12}"#);
+        let bad = parse(r#"{"id":3,"job":{"kind":"temporal"},"kind":"job","schema":13}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: Some(3), .. })
         ));
         // A frame without its id, or of another schema, is the session's.
-        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":12}"#);
+        let bad = parse(r#"{"job":{"kind":"temporal"},"kind":"job","schema":13}"#);
         assert!(matches!(
             ToWorker::decode(&bad),
             Err(Undecodable { job: None, .. })
         ));
         let bad = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":8}"#);
         let e = ToWorker::decode(&bad).unwrap_err();
-        assert!(e.job.is_none() && e.message.contains("schema 12"), "{e:?}");
+        assert!(e.job.is_none() && e.message.contains("schema 13"), "{e:?}");
         // Frames of kinds an older schema spoke are the session's failure.
         for kind in ["split", "cancel"] {
-            let old = parse(&format!(r#"{{"id":9,"kind":"{kind}","schema":12}}"#));
+            let old = parse(&format!(r#"{{"id":9,"kind":"{kind}","schema":13}}"#));
             let e = ToWorker::decode(&old).unwrap_err();
             assert!(e.job.is_none() && e.message.contains(kind), "{e:?}");
         }
         // A result nobody holds loses the worker; one whose payload does
         // not read fails the request.
-        let unheld = parse(r#"{"id":9,"kind":"result","schema":12,"shard":{}}"#);
+        let unheld = parse(r#"{"id":9,"kind":"result","schema":13,"shard":{}}"#);
         let e = FromWorker::decode(&unheld, job_of(&jobs)).unwrap_err();
         assert!(e.job.is_none(), "{e:?}");
-        let unreadable = parse(r#"{"id":2,"kind":"result","schema":12,"shard":{}}"#);
+        let unreadable = parse(r#"{"id":2,"kind":"result","schema":13,"shard":{}}"#);
         let e = FromWorker::decode(&unreadable, job_of(&jobs)).unwrap_err();
         assert_eq!(e.job, Some(2), "{e:?}");
         // A hello reply without a capacity offers one slot.
-        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":12}"#);
+        let hello = parse(r#"{"kind":"hello","proto":"vericlick-worker","schema":13}"#);
         assert!(matches!(
             FromWorker::decode(&hello, job_of(&jobs)),
             Ok(FromWorker::Hello { capacity: 1, .. })

@@ -31,9 +31,12 @@ use std::sync::Arc;
 
 /// The current on-disk format version. Version 2 replaced the boolean
 /// `clobbered` flag of a packet transform with an optional clobber *range*;
-/// version-1 files fail to decode and are recomputed (the cache treats any
-/// decode failure as a miss).
-pub const SUMMARY_FORMAT: u64 = 2;
+/// version 3 keeps the layout but counts instructions by `ir::cost`'s one
+/// rule (a `Select` charges its costlier arm, a decomposed loop its
+/// costliest iteration per iteration), which a summary's fingerprint does
+/// not see. Older files fail to decode and are recomputed (the cache
+/// treats any decode failure as a miss).
+pub const SUMMARY_FORMAT: u64 = 3;
 
 const SUMMARY: Version = Version {
     key: "format",
@@ -723,7 +726,10 @@ mod tests {
     #[test]
     fn decode_rejects_malformed_documents() {
         assert!(summary_from_json(&Json::Null).is_err());
-        assert!(summary_from_json(&Json::obj([("format", Json::int(99))])).is_err());
+        // A newer format, and the older one whose counts are stale.
+        for format in [99, 2] {
+            assert!(summary_from_json(&Json::obj([("format", Json::int(format))])).is_err());
+        }
         let missing_terms = Json::obj([
             ("format", Json::int(SUMMARY_FORMAT)),
             ("type_name", Json::str("X")),

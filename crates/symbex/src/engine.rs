@@ -33,6 +33,7 @@
 
 use crate::state::SymPacket;
 use crate::term::{self, Term, TermRef, VarId};
+use dataplane_ir::cost::{self, LoopBound};
 use dataplane_ir::expr::{DsId, Expr, LocalId};
 use dataplane_ir::program::{DsKind, Program, Stmt};
 use dataplane_ir::{BinOp, BitVec, CastKind};
@@ -229,11 +230,11 @@ pub struct Segment {
     pub ds_reads: Vec<DsReadRecord>,
     /// Data-structure writes performed along the path.
     pub ds_writes: Vec<DsWriteRecord>,
-    /// IR instructions executed along this path (an upper bound when loop
-    /// decomposition abstracted a loop on this path).
+    /// IR instructions executed along this path, by `dataplane_ir::cost`'s
+    /// rule: exact, or an upper bound when `approximate`.
     pub instructions: u64,
-    /// True if a decomposed loop contributed to this segment, in which case
-    /// `instructions` is an upper bound rather than an exact count.
+    /// True if a decomposed loop, or a `Select` whose arms cost differently,
+    /// lies on this path: it stands for runs that may count fewer.
     pub approximate: bool,
 }
 
@@ -339,12 +340,6 @@ impl PathState {
             self.constraint.push(cond);
         }
     }
-}
-
-/// The result of evaluating an expression: a value, or a crash branch that
-/// was already emitted (plus the condition under which evaluation survives).
-struct Evaluated {
-    value: TermRef,
 }
 
 /// The union of packet-byte ranges the stores executed under one decomposed
@@ -507,17 +502,13 @@ impl<'a> Engine<'a> {
         stmt: &Stmt,
         cont: &Cont<'_>,
     ) -> Result<(), ExploreError> {
-        state.instructions += 1;
+        cost::charge(&mut state.instructions);
         match stmt {
             Stmt::Nop => self.exec_cont(state, cont),
             Stmt::Assign { local, value } => {
-                let evaluated = match self.eval(&mut state, value)? {
-                    Some(e) => e,
-                    None => return Ok(()), // all branches crashed
-                };
+                let value = self.eval(&mut state, value)?;
                 let width = self.program.locals[local.0 as usize].width;
-                state.locals[local.0 as usize] =
-                    term::cast(CastKind::Resize, width, evaluated.value);
+                state.locals[local.0 as usize] = term::cast(CastKind::Resize, width, value);
                 self.exec_cont(state, cont)
             }
             Stmt::PacketStore {
@@ -525,34 +516,22 @@ impl<'a> Engine<'a> {
                 width_bytes,
                 value,
             } => {
-                let off = match self.eval(&mut state, offset)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
-                let val = match self.eval(&mut state, value)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
+                let off = self.eval(&mut state, offset)?;
+                let val = self.eval(&mut state, value)?;
                 // Fork on the bounds check.
-                let oob = state.packet.store_oob_condition(&off.value, *width_bytes);
+                let oob = state.packet.store_oob_condition(&off, *width_bytes);
                 self.fork_crash(&mut state, oob, CrashKind::PacketOutOfBounds)?;
-                self.packet_store(&mut state, &off.value, *width_bytes, &val.value);
+                self.packet_store(&mut state, &off, *width_bytes, &val);
                 self.exec_cont(state, cont)
             }
             Stmt::DsWrite { ds, key, value } => {
-                let key = match self.eval(&mut state, key)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
-                let val = match self.eval(&mut state, value)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
+                let key = self.eval(&mut state, key)?;
+                let value = self.eval(&mut state, value)?;
                 let decl = &self.program.data_structures[ds.0 as usize];
                 if let DsKind::Array { size } = decl.kind {
                     let oob = term::binary(
                         BinOp::UGe,
-                        key.value.clone(),
+                        key.clone(),
                         term::constant(BitVec::new(decl.key_width, size)),
                     );
                     self.fork_crash(
@@ -563,8 +542,8 @@ impl<'a> Engine<'a> {
                 }
                 state.ds_writes.push(DsWriteRecord {
                     ds: *ds,
-                    key: key.value,
-                    value: val.value,
+                    key,
+                    value,
                 });
                 self.exec_cont(state, cont)
             }
@@ -573,22 +552,19 @@ impl<'a> Engine<'a> {
                 then_body,
                 else_body,
             } => {
-                let c = match self.eval(&mut state, cond)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
-                if c.value.is_true() {
+                let c = self.eval(&mut state, cond)?;
+                if c.is_true() {
                     return self.exec_block(state, then_body, cont);
                 }
-                if c.value.is_false() {
+                if c.is_false() {
                     return self.exec_block(state, else_body, cont);
                 }
                 self.charge_branch()?;
                 let mut then_state = state.clone();
-                then_state.assume(c.value.clone());
+                then_state.assume(c.clone());
                 self.exec_block(then_state, then_body, cont)?;
                 let mut else_state = state;
-                else_state.assume(term::negate(c.value));
+                else_state.assume(term::negate(c));
                 self.exec_block(else_state, else_body, cont)
             }
             Stmt::Loop {
@@ -613,14 +589,11 @@ impl<'a> Engine<'a> {
                 self.exec_cont(state, cont)
             }
             Stmt::Assert { cond, message } => {
-                let c = match self.eval(&mut state, cond)? {
-                    Some(e) => e,
-                    None => return Ok(()),
-                };
-                if c.value.is_true() {
+                let c = self.eval(&mut state, cond)?;
+                if c.is_true() {
                     return self.exec_cont(state, cont);
                 }
-                if c.value.is_false() {
+                if c.is_false() {
                     return self.finish(
                         state,
                         SegmentOutcome::Crashed(CrashKind::AssertionFailed(message.clone())),
@@ -628,12 +601,12 @@ impl<'a> Engine<'a> {
                 }
                 self.charge_branch()?;
                 let mut crash_state = state.clone();
-                crash_state.assume(term::negate(c.value.clone()));
+                crash_state.assume(term::negate(c.clone()));
                 self.finish(
                     crash_state,
                     SegmentOutcome::Crashed(CrashKind::AssertionFailed(message.clone())),
                 )?;
-                state.assume(c.value);
+                state.assume(c);
                 self.exec_cont(state, cont)
             }
             Stmt::Abort { message } => self.finish(
@@ -684,22 +657,18 @@ impl<'a> Engine<'a> {
         done: u32,
         cont: &Cont<'_>,
     ) -> Result<(), ExploreError> {
-        state.instructions += 1; // the per-iteration condition check
-        let c = match self.eval(&mut state, cond)? {
-            Some(e) => e,
-            None => return Ok(()),
-        };
-        if c.value.is_false() {
+        let c = self.eval(&mut state, cond)?;
+        if c.is_false() {
             return self.exec_cont(state, cont);
         }
         // Branch: exit now (condition false) unless the condition is
         // literally true.
-        if !c.value.is_true() {
+        if !c.is_true() {
             self.charge_branch()?;
             let mut exit_state = state.clone();
-            exit_state.assume(term::negate(c.value.clone()));
+            exit_state.assume(term::negate(c.clone()));
             self.exec_cont(exit_state, cont)?;
-            state.assume(c.value.clone());
+            state.assume(c);
         }
         if done >= max_iters {
             return self.finish(state, SegmentOutcome::Crashed(CrashKind::LoopBoundExceeded));
@@ -782,12 +751,11 @@ impl<'a> Engine<'a> {
             let spans_mark = self.store_spans.len();
             self.store_spans.push(StoreSpan::None);
             let run = match self.eval(&mut trial, cond) {
-                Ok(Some(c)) if c.value.is_false() => Ok(Vec::new()),
-                Ok(Some(c)) => {
-                    trial.assume(c.value);
+                Ok(c) if c.is_false() => Ok(Vec::new()),
+                Ok(c) => {
+                    trial.assume(c);
                     self.exec_body(trial, body)
                 }
-                Ok(None) => Ok(Vec::new()),
                 Err(e) => Err(e),
             };
             // Validation only: nothing it produced is a real segment, a real
@@ -875,17 +843,17 @@ impl<'a> Engine<'a> {
             iteration.packet.clobber(clobber);
         }
         assume_invariants(self, &mut iteration);
-        let c_entry = match self.eval(&mut iteration, cond)? {
-            Some(e) => e,
-            None => return Ok(()),
-        };
-        if c_entry.value.is_false() {
-            // The loop can never be entered; nothing carried changes.
-            state.instructions += 1;
+        // Every segment from here on ends inside the generic iteration.
+        let before = self.segments.len();
+        let entry = state.instructions;
+        let c_entry = self.eval(&mut iteration, cond)?;
+        if c_entry.is_false() {
+            // The loop can never be entered: one check is all it runs, and
+            // nothing carried changes.
+            state.instructions = iteration.instructions;
             return Ok(());
         }
-        iteration.assume(c_entry.value.clone());
-        let before = self.segments.len();
+        iteration.assume(c_entry);
         // Every store the body executes merges the range it may touch into
         // this frame; the generic havocked iteration covers all iterations,
         // so the merged span bounds what the whole loop can rewrite. The
@@ -901,29 +869,25 @@ impl<'a> Engine<'a> {
         if let Some(outer) = self.store_spans.last_mut() {
             outer.merge(body_span);
         }
-        // Terminal body paths (emit/drop/crash) have been surfaced as
-        // segments on the way; mark them approximate.
+        // Terminal iteration paths (emit/drop/crash) have been surfaced as
+        // segments on the way, counted as though they ended in the first
+        // iteration; raise each to bound the same end in any iteration.
+        let bound = LoopBound::new(
+            entry,
+            max_iters,
+            fallthrough_states
+                .iter()
+                .map(|s| s.instructions)
+                .chain(self.segments[before..].iter().map(|s| s.instructions)),
+        );
         for seg in &mut self.segments[before..] {
             seg.approximate = true;
+            seg.instructions = bound.inside(seg.instructions);
         }
-        // Instruction accounting: one iteration costs at most the largest
-        // fall-through/terminal body cost; the loop runs at most max_iters
-        // times.
-        let base_cost = state.instructions;
-        let max_body_cost = fallthrough_states
-            .iter()
-            .map(|s| s.instructions)
-            .chain(self.segments[before..].iter().map(|s| s.instructions))
-            .max()
-            .unwrap_or(base_cost);
-        // The +2 keeps the bound safely above the exact unrolled accounting
-        // (which charges one extra instruction per loop re-entry and one
-        // final condition evaluation).
-        let per_iteration = max_body_cost.saturating_sub(base_cost) + 2;
 
         // --- post-loop state ----------------------------------------------
         state.approximate = true;
-        state.instructions = base_cost + per_iteration * max_iters as u64 + 1;
+        state.instructions = bound.exit();
         for local in &carried {
             let width = self.program.locals[local.0 as usize].width;
             state.locals[local.0 as usize] = self.fresh_var(width);
@@ -960,28 +924,19 @@ impl<'a> Engine<'a> {
             state.ds_writes.push(DsWriteRecord { ds, key, value });
         }
         // On exit the condition is false for the (havocked) exit state.
-        let c_exit = match self.eval(state, cond)? {
-            Some(e) => e,
-            None => return Ok(()),
-        };
-        if !c_exit.value.is_true() {
-            state.assume(term::negate(c_exit.value));
+        let c_exit = self.eval(state, cond)?;
+        if !c_exit.is_true() {
+            state.assume(term::negate(c_exit));
         }
         Ok(())
     }
 
     /// Evaluate an expression symbolically. Crash possibilities inside the
     /// expression (out-of-bounds loads, division by zero, array key range)
-    /// fork crash segments and constrain the surviving path. Returns `None`
-    /// when evaluation cannot survive (the surviving branch is infeasible by
-    /// construction).
-    fn eval(
-        &mut self,
-        state: &mut PathState,
-        expr: &Expr,
-    ) -> Result<Option<Evaluated>, ExploreError> {
-        state.instructions += 1;
-        let value = match expr {
+    /// fork crash segments and constrain the surviving path.
+    fn eval(&mut self, state: &mut PathState, expr: &Expr) -> Result<TermRef, ExploreError> {
+        cost::charge(&mut state.instructions);
+        Ok(match expr {
             Expr::Const(v) => term::constant(*v),
             Expr::Local(LocalId(i)) => state.locals[*i as usize].clone(),
             Expr::PacketLen => state.packet.len_term(),
@@ -989,10 +944,7 @@ impl<'a> Engine<'a> {
                 offset,
                 width_bytes,
             } => {
-                let off = match self.eval(state, offset)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let off = self.eval(state, offset)?;
                 let oob = state.packet.load_oob_condition(&off, *width_bytes);
                 self.fork_crash(state, oob, CrashKind::PacketOutOfBounds)?;
                 let mut fresh = || {
@@ -1003,10 +955,7 @@ impl<'a> Engine<'a> {
                 state.packet.load(&off, *width_bytes, &mut fresh)
             }
             Expr::DsRead { ds, key } => {
-                let key = match self.eval(state, key)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let key = self.eval(state, key)?;
                 let decl = &self.program.data_structures[ds.0 as usize];
                 if let DsKind::Array { size } = decl.kind {
                     let oob = term::binary(
@@ -1032,22 +981,10 @@ impl<'a> Engine<'a> {
                 });
                 value
             }
-            Expr::Unary { op, arg } => {
-                let a = match self.eval(state, arg)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
-                term::unary(*op, a)
-            }
+            Expr::Unary { op, arg } => term::unary(*op, self.eval(state, arg)?),
             Expr::Binary { op, lhs, rhs } => {
-                let a = match self.eval(state, lhs)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
-                let b = match self.eval(state, rhs)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let a = self.eval(state, lhs)?;
+                let b = self.eval(state, rhs)?;
                 if matches!(op, BinOp::UDiv | BinOp::URem) {
                     let zero = term::constant(BitVec::zero(b.width()));
                     let div_by_zero = term::binary(BinOp::Eq, b.clone(), zero);
@@ -1060,38 +997,29 @@ impl<'a> Engine<'a> {
                 then_e,
                 else_e,
             } => {
-                let c = match self.eval(state, cond)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let c = self.eval(state, cond)?;
                 // Crash possibilities inside an arm only matter when that arm
                 // is the one the concrete semantics would take, so each arm is
-                // evaluated under the corresponding guard.
+                // evaluated under the corresponding guard, and from the count
+                // the select had reached: a crash in either arm counts
+                // exactly, and the surviving path charges the costlier arm.
+                let start = state.instructions;
                 self.eval_guards.push(c.clone());
-                let t = self.eval(state, then_e)?;
+                let t = self.eval(state, then_e);
                 self.eval_guards.pop();
-                let t = match t {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let t = t?;
+                let then_count = std::mem::replace(&mut state.instructions, start);
                 self.eval_guards.push(term::negate(c.clone()));
-                let e = self.eval(state, else_e)?;
+                let e = self.eval(state, else_e);
                 self.eval_guards.pop();
-                let e = match e {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
+                let e = e?;
+                let (count, exact) = cost::select(then_count, state.instructions);
+                state.instructions = count;
+                state.approximate |= !exact;
                 term::select(c, t, e)
             }
-            Expr::Cast { kind, width, arg } => {
-                let a = match self.eval(state, arg)? {
-                    Some(e) => e.value,
-                    None => return Ok(None),
-                };
-                term::cast(*kind, *width, a)
-            }
-        };
-        Ok(Some(Evaluated { value }))
+            Expr::Cast { kind, width, arg } => term::cast(*kind, *width, self.eval(state, arg)?),
+        })
     }
 }
 
